@@ -23,9 +23,8 @@ var Levels = []string{
 	"object",    // uobject.mu
 	"amap",      // amap.mu (including the hybrid amap's chunk state)
 	"anon",      // anon.mu
-	"flight",    // vnFlight.mu — held across finishPageout's page work
 	"pageident", // phys.Page.mu — per-frame identity (owner/off)
-	"wbcond",    // writeback condvar, batch and flight bookkeeping
+	"wbcond",    // System.flMu — flight counters/result lists and the completion condvar
 	"daemon",    // the pagedaemon's condvar mutex
 	"pmap",      // Pmap.mu — one address space's page table
 	"pvbucket",  // MMU reverse-map bucket locks (strict leaves within pmap)
@@ -33,9 +32,7 @@ var Levels = []string{
 	"pageq",     // phys page-queue shards
 	"swapreg",   // Swap.mu — device registry (AddDevice only)
 	"swap",      // swap allocator shard locks
-	"swapaio",   // swap-wide async-write window bookkeeping
 	"vfs",       // FS.mu — vnode cache and file table
-	"vfsaw",     // FS.awMu — filesystem async-writer creation
 	"diskhead",  // disk.AsyncWriter.io — one transfer head per disk
 	"diskaio",   // disk.AsyncWriter.mu — window admission/completion state
 	"disk",      // Disk.mu — the device itself

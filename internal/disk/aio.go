@@ -49,7 +49,7 @@ type AsyncWriter struct {
 	cond     *sync.Cond
 	window   int // admission bound; live, see SetWindow
 	admitted int // writes holding a window slot (released before done)
-	inFlight int // writes submitted whose done callback has not returned
+	inFlight int // writes submitted (admitted or not) whose done callback has not returned
 
 	// gate, when non-nil, runs on each write's I/O goroutine after the
 	// write has been admitted and before its transfer starts. Test hook:
@@ -114,11 +114,13 @@ func (w *AsyncWriter) InFlight() int {
 // the buffers as owned by the I/O until then.
 func (w *AsyncWriter) Submit(start int64, bufs [][]byte, done func(error)) {
 	w.mu.Lock()
+	// Counted before the window wait, so a Drain racing a submitter that
+	// is still blocked on admission cannot miss its write.
+	w.inFlight++
 	for w.admitted >= w.window {
 		w.cond.Wait()
 	}
 	w.admitted++
-	w.inFlight++
 	w.mu.Unlock()
 
 	go func() {

@@ -32,6 +32,11 @@ type AutotuneSetting struct {
 	Label string
 	SimBW float64
 	P99   time.Duration
+	// Reclaim workload only: disk write commands per page out and the
+	// share of them that were overlapped (see ReclaimBWPoint). Unlike
+	// SimBW these do not depend on how the scheduler interleaved the
+	// producers on the shared clock.
+	WritesPerPage, DeferredShare float64
 }
 
 // autotuneWindows is the static sweep the controller has to compete
@@ -82,7 +87,7 @@ func AutotuneReclaimBW(prof string, accesses int) ([]AutotuneSetting, AutotuneSe
 		if err != nil {
 			return nil, AutotuneSetting{}, leaked, err
 		}
-		statics = append(statics, AutotuneSetting{pt.Config, pt.SimBW, pt.P99})
+		statics = append(statics, AutotuneSetting{pt.Config, pt.SimBW, pt.P99, pt.WritesPerPage(), pt.DeferredShare()})
 	}
 	tune := func(c *uvm.Config) {
 		base(2)(c) // modest start: the controller has to find the depth
@@ -93,7 +98,7 @@ func AutotuneReclaimBW(prof string, accesses int) ([]AutotuneSetting, AutotuneSe
 	if err != nil {
 		return nil, AutotuneSetting{}, leaked, err
 	}
-	return statics, AutotuneSetting{pt.Config, pt.SimBW, pt.P99}, leaked, nil
+	return statics, AutotuneSetting{pt.Config, pt.SimBW, pt.P99, pt.WritesPerPage(), pt.DeferredShare()}, leaked, nil
 }
 
 // AutotuneObjWB runs the object-writeback workload (vnode backend,
@@ -115,7 +120,7 @@ func AutotuneObjWB(prof string, rounds int) ([]AutotuneSetting, AutotuneSetting,
 		if err != nil {
 			return nil, AutotuneSetting{}, leaked, err
 		}
-		statics = append(statics, AutotuneSetting{pt.Config, pt.SimBW, 0})
+		statics = append(statics, AutotuneSetting{Label: pt.Config, SimBW: pt.SimBW})
 	}
 	tune := func(c *uvm.Config) {
 		base(2)(c)
@@ -126,7 +131,7 @@ func AutotuneObjWB(prof string, rounds int) ([]AutotuneSetting, AutotuneSetting,
 	if err != nil {
 		return nil, AutotuneSetting{}, leaked, err
 	}
-	return statics, AutotuneSetting{pt.Config, pt.SimBW, 0}, leaked, nil
+	return statics, AutotuneSetting{Label: pt.Config, SimBW: pt.SimBW}, leaked, nil
 }
 
 // trafficWindowBoot is trafficUVMBoot with both async windows set to
@@ -175,14 +180,14 @@ func AutotuneTraffic(prof string, quick bool, workers int) ([]AutotuneSetting, A
 		if err != nil {
 			return nil, AutotuneSetting{}, leaked, err
 		}
-		statics = append(statics, AutotuneSetting{nb.Name, 0, pt.P99})
+		statics = append(statics, AutotuneSetting{Label: nb.Name, P99: pt.P99})
 	}
 	pt, l, err := TrafficRunOn(prof, NamedBooter{"autotune", TrafficAutotuneBoot}, cfg, workers)
 	leaked += l
 	if err != nil {
 		return nil, AutotuneSetting{}, leaked, err
 	}
-	return statics, AutotuneSetting{"autotune", 0, pt.P99}, leaked, nil
+	return statics, AutotuneSetting{Label: "autotune", P99: pt.P99}, leaked, nil
 }
 
 // ReportAutotune renders the controller-vs-static comparison for every

@@ -45,12 +45,20 @@ type ReclaimBWPoint struct {
 	Pageouts      int64
 	AsyncClusters int64
 	PageinRides   int64 // extra pages brought in by clustered pagein
-	Wall          time.Duration
-	Sim           time.Duration
-	WallBW        float64 // pageouts per wall second
-	SimBW         float64 // pageouts per simulated second
-	P50, P99      time.Duration
-	IOErrors      int // accesses that failed under an injected fault plan
+	// WriteCmds counts disk write commands, clock-charged and deferred
+	// alike; DeferredNs is the disk time of the deferred (overlapped)
+	// ones — the ledger async pageout moves its cluster writes to. Both
+	// are sums of per-command costs, independent of how the scheduler
+	// interleaved the producers on the shared clock.
+	WriteCmds    int64
+	DeferredCmds int64
+	DeferredNs   int64
+	Wall         time.Duration
+	Sim          time.Duration
+	WallBW       float64 // pageouts per wall second
+	SimBW        float64 // pageouts per simulated second
+	P50, P99     time.Duration
+	IOErrors     int // accesses that failed under an injected fault plan
 }
 
 const (
@@ -214,6 +222,9 @@ func ReclaimBWRunOn(prof string, swapPlan *disk.FaultPlan, cfgName string,
 		Pageouts:      mach.Stats.Get(sim.CtrPageOuts),
 		AsyncClusters: mach.Stats.Get(sim.CtrPdAsyncClusters),
 		PageinRides:   mach.Stats.Get(sim.CtrPageinClustered),
+		WriteCmds:     mach.Stats.Get(sim.CtrDiskWrites) + mach.Stats.Get(sim.CtrDiskWritesDeferred),
+		DeferredCmds:  mach.Stats.Get(sim.CtrDiskWritesDeferred),
+		DeferredNs:    mach.Stats.Get(sim.CtrDiskDeferredNs),
 		Wall:          wall,
 		Sim:           simT,
 		P50:           pct(0.50),
@@ -227,6 +238,19 @@ func ReclaimBWRunOn(prof string, swapPlan *disk.FaultPlan, cfgName string,
 		pt.SimBW = float64(pt.Pageouts) / s
 	}
 	return pt, leaked, nil
+}
+
+// WritesPerPage is the run's disk write commands per page out — the
+// inverse of its mean cluster size.
+func (pt ReclaimBWPoint) WritesPerPage() float64 {
+	return float64(pt.WriteCmds) / float64(pt.Pageouts)
+}
+
+// DeferredShare is the fraction of the run's write commands that were
+// overlapped: their disk time went to the deferred ledger instead of the
+// machine clock.
+func (pt ReclaimBWPoint) DeferredShare() float64 {
+	return float64(pt.DeferredCmds) / float64(pt.WriteCmds)
 }
 
 // ReclaimBW runs every pipeline configuration.

@@ -158,11 +158,10 @@ const (
 	CtrSwapIOs            = "swap.ios"
 
 	// Asynchronous swap I/O counters (internal/swap/aio.go).
-	CtrSwapAIOWrites      = "swap.aio.writes"       // async cluster writes submitted
-	CtrSwapAIOPages       = "swap.aio.pages"        // pages carried by async writes
-	CtrSwapAIOInFlightMax = "swap.aio.inflight.max" // high-water in-flight writes
-	CtrLoanouts           = "uvm.loanouts"
-	CtrTransfers          = "uvm.transfers"
+	CtrSwapAIOWrites = "swap.aio.writes" // async cluster writes submitted
+	CtrSwapAIOPages  = "swap.aio.pages"  // pages carried by async writes
+	CtrLoanouts      = "uvm.loanouts"
+	CtrTransfers     = "uvm.transfers"
 
 	// Asynchronous pagedaemon counters (internal/uvm/pdaemon.go).
 	CtrPdFreed      = "uvm.pdaemon.freed"      // pages freed by reclaim

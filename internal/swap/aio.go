@@ -2,50 +2,31 @@ package swap
 
 import (
 	"fmt"
-	"sync"
 
 	"uvm/internal/disk"
 	"uvm/internal/sim"
 )
 
-// This file is the asynchronous half of the swap I/O path: a bounded
-// per-device in-flight window of cluster writes whose completions are
-// delivered by callback. The pagedaemon uses it to overlap its next
-// inactive-queue scan with pageout I/O still on the wire (the "async
-// cluster I/O" follow-on to the paper's clustered pageout): it submits a
-// cluster with WriteClusterAsync and keeps scanning; the completion
-// callback releases the cluster's pages.
+// This file is the asynchronous half of the swap I/O path: cluster
+// writes whose completions are delivered by callback, which is how the
+// pagedaemon overlaps its next inactive-queue scan with pageout I/O still
+// on the wire.
 //
-// The window/backpressure machinery itself lives in disk.AsyncWriter —
-// the generalised engine shared with the vfs writeback path — and each
-// swap device owns one writer. This file keeps the swap-wide
-// bookkeeping: the configured window, the aggregate in-flight count that
-// DrainAsync waits on, and the swap.aio.* stats.
+// The window, backpressure and in-flight accounting all live in
+// disk.AsyncWriter — the engine shared with the vfs writeback path. Each
+// swap device owns one writer, created with the device; Swap keeps only
+// the configured window (so a device added later starts with it) and the
+// swap.aio.* stats.
 
 // DefaultAIOWindow is the per-device in-flight cluster-write window used
 // when SetAIOWindow was never called (or asked for 0).
 const DefaultAIOWindow = disk.DefaultAIOWindow
 
-// aio is the Swap-wide async-write bookkeeping: the configured window and
-// the in-flight count Drain waits on.
-type aio struct {
-	//uvm:lock swapaio
-	mu       sync.Mutex
-	cond     *sync.Cond
-	window   int
-	inFlight int
-}
-
-func (a *aio) init() {
-	a.cond = sync.NewCond(&a.mu)
-	a.window = DefaultAIOWindow
-}
-
 // SetAIOWindow sets the per-device in-flight window for asynchronous
 // cluster writes; n <= 0 restores the default. The change is live: every
-// existing device writer is resized immediately — writes admitted under
-// an old, larger window complete and drain normally, new submissions
-// wait for the in-flight count to fall under the new bound — and devices
+// device writer is resized immediately — writes admitted under an old,
+// larger window complete and drain normally, new submissions wait for
+// the in-flight count to fall under the new bound — and devices
 // configured after the call use the new window too. Safe to call at any
 // time, concurrently with WriteClusterAsync (the control plane resizes
 // the window from observed completion latency).
@@ -53,47 +34,24 @@ func (s *Swap) SetAIOWindow(n int) {
 	if n <= 0 {
 		n = DefaultAIOWindow
 	}
-	s.aio.mu.Lock()
-	s.aio.window = n
-	var writers []*disk.AsyncWriter
+	s.aioWindow.Store(int32(n))
 	for _, d := range s.devs.Load().devices {
-		if d.writer != nil {
-			writers = append(writers, d.writer)
-		}
-	}
-	s.aio.mu.Unlock()
-	// Resize outside aio.mu: the writer's own mutex is a leaf and the
-	// resize never blocks.
-	for _, w := range writers {
-		w.SetWindow(n)
+		d.writer.SetWindow(n)
 	}
 }
 
 // AIOWindow returns the configured per-device in-flight window
 // (test/debug helper).
-func (s *Swap) AIOWindow() int {
-	s.aio.mu.Lock()
-	defer s.aio.mu.Unlock()
-	return s.aio.window
-}
+func (s *Swap) AIOWindow() int { return int(s.aioWindow.Load()) }
 
 // AIOInFlight returns the number of asynchronous cluster writes currently
 // submitted but not yet completed (test/debug helper).
 func (s *Swap) AIOInFlight() int {
-	s.aio.mu.Lock()
-	defer s.aio.mu.Unlock()
-	return s.aio.inFlight
-}
-
-// ensureWriter returns d's async writer, creating it with the current
-// window on first use.
-func (s *Swap) ensureWriter(d *device) *disk.AsyncWriter {
-	s.aio.mu.Lock()
-	defer s.aio.mu.Unlock()
-	if d.writer == nil {
-		d.writer = disk.NewAsyncWriter(d.dev, s.aio.window)
+	n := 0
+	for _, d := range s.devs.Load().devices {
+		n += d.writer.InFlight()
 	}
-	return d.writer
+	return n
 }
 
 // WriteClusterAsync submits a contiguous cluster write and returns as
@@ -108,38 +66,16 @@ func (s *Swap) WriteClusterAsync(start int64, bufs [][]byte, done func(error)) e
 	if start-d.base+int64(len(bufs)) > d.size {
 		return fmt.Errorf("swap: cluster at %d spans devices", start)
 	}
-	w := s.ensureWriter(d)
-
-	// The swap-wide in-flight count rises at submission (before the
-	// window gate, so DrainAsync started concurrently cannot miss us) and
-	// falls after done returns.
-	s.aio.mu.Lock()
-	s.aio.inFlight++
-	inFlight := s.aio.inFlight
-	s.aio.mu.Unlock()
 	s.stats.Inc(sim.CtrSwapAIOWrites)
 	s.stats.Add(sim.CtrSwapAIOPages, int64(len(bufs)))
-	s.stats.Max(sim.CtrSwapAIOInFlightMax, int64(inFlight))
-
-	w.Submit(start-d.base, bufs, func(err error) {
-		done(err)
-		s.aio.mu.Lock()
-		s.aio.inFlight--
-		if s.aio.inFlight == 0 {
-			s.aio.cond.Broadcast()
-		}
-		s.aio.mu.Unlock()
-	})
+	d.writer.Submit(start-d.base, bufs, done)
 	return nil
 }
 
 // DrainAsync blocks until every asynchronous cluster write submitted so
-// far has completed (its done callback has returned). Used by shutdown
-// paths that must guarantee no completion callback is still running.
+// far has completed (its done callback has returned).
 func (s *Swap) DrainAsync() {
-	s.aio.mu.Lock()
-	for s.aio.inFlight > 0 {
-		s.aio.cond.Wait()
+	for _, d := range s.devs.Load().devices {
+		d.writer.Drain()
 	}
-	s.aio.mu.Unlock()
 }

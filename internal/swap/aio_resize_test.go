@@ -17,7 +17,7 @@ func TestSetAIOWindowLiveShrink(t *testing.T) {
 
 	// Materialise the device writer, then hold its writes on the gate.
 	dev := s.devs.Load().devices[0]
-	w := s.ensureWriter(dev)
+	w := dev.writer
 	if got := w.Window(); got != 4 {
 		t.Fatalf("writer window = %d, want 4", got)
 	}

@@ -145,7 +145,7 @@ type device struct {
 	cursor    atomic.Uint64 // round-robin start shard for allocations
 
 	// writer is the device's bounded-window asynchronous write engine
-	// (see aio.go), created lazily with the Swap-wide configured window.
+	// (see aio.go), created with the device.
 	writer *disk.AsyncWriter
 }
 
@@ -162,7 +162,8 @@ func shardCount(size int64) int {
 
 func newDevice(dev *disk.Disk, priority int, base int64) *device {
 	size := dev.Blocks()
-	d := &device{dev: dev, priority: priority, base: base, size: size}
+	d := &device{dev: dev, priority: priority, base: base, size: size,
+		writer: disk.NewAsyncWriter(dev, 0)}
 	k := shardCount(size)
 	d.shardSize = size / int64(k)
 	for i := 0; i < k; i++ {
@@ -234,7 +235,9 @@ type Swap struct {
 	nSlots atomic.Int64
 	nInUse atomic.Int64 // lock-free in-use count across all shards
 
-	aio aio // asynchronous cluster-write engine (see aio.go)
+	// aioWindow is the configured per-device async-write window (see
+	// aio.go); each device's writer carries the live value.
+	aioWindow atomic.Int32
 }
 
 // New creates a swap subsystem with one device of priority 0 spanning dev.
@@ -242,7 +245,7 @@ func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk) *
 	s := &Swap{clock: clock, costs: costs, stats: stats}
 	s.ctrSlotsLive = stats.Counter(sim.CtrSwapSlotsLive)
 	s.devs.Store(&topo{})
-	s.aio.init()
+	s.aioWindow.Store(DefaultAIOWindow)
 	s.AddDevice(dev, 0)
 	return s
 }
@@ -273,6 +276,9 @@ func (s *Swap) AddDevice(dev *disk.Disk, priority int) {
 	// window where a freshly allocated slot looks out-of-range.
 	s.nSlots.Add(d.size)
 	s.devs.Store(t)
+	// After the publish, so a SetAIOWindow racing this call either finds
+	// the device in the topology or has already stored the window read here.
+	d.writer.SetWindow(s.AIOWindow())
 	s.stats.Inc("swap.devices")
 	s.stats.Add("swap.shards", int64(len(d.shards)))
 }

@@ -308,9 +308,8 @@ func (t *autotuner) trickleSync() {
 			continue
 		}
 		hi := o.vnode.NumPages() - 1
-		if items := s.collectDirtyLocked(o, 0, hi, false); len(items) > 0 {
-			s.submitWbLocked(o, items, nil)
-			pages += len(items)
+		if fl := s.flushLocked(o, 0, hi, true, false); fl != nil {
+			pages += fl.issued
 		}
 		o.mu.Unlock()
 	}

@@ -28,8 +28,10 @@ import (
 // mutate the entry itself (clear needs-copy / allocate the amap). The
 // resolved page's owner (anon or object) stays locked from resolution
 // through the pmap entry, so the pagedaemon — which TryLocks owners —
-// can never free a page out from under a fault in progress.
-func (s *System) fault(p *Process, va param.VAddr, access param.Prot) error {
+// can never free a page out from under a fault in progress. use, when
+// non-nil, runs on the resolved page after it is mapped and before that
+// lock is released (the copyin/copyout tail, see Process.access).
+func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*phys.Page)) error {
 	s.mach.Clock.Advance(s.mach.Costs.FaultTrap)
 	s.mach.Stats.Inc(sim.CtrFaults)
 	write := access.Allows(param.ProtWrite)
@@ -94,6 +96,9 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot) error {
 	p.pm.Enter(param.Trunc(va), pg, prot, e.wired > 0)
 	if pg.WireCount.Load() == 0 && !pg.Loaned() {
 		s.mach.Mem.Activate(pg)
+	}
+	if use != nil {
+		use(pg)
 	}
 	release()
 
@@ -184,13 +189,10 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 				np *phys.Page
 			)
 			if write && e.cow {
-				na = s.newAnon()
 				var err error
-				np, err = s.allocPage(na, 0, false)
-				if err != nil {
+				if na, np, err = s.newAnonPage(false); err != nil {
 					return nil, 0, nil, err
 				}
-				na.page = np
 			}
 			o.mu.Lock()
 			pg, ok := o.pages[idx]
@@ -227,7 +229,6 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 				// Promote the object page into a fresh anon: the object page
 				// itself is never modified by a private mapping.
 				s.mach.Mem.CopyData(np, pg)
-				np.Dirty.Store(true)
 				am := e.amap
 				am.mu.Lock()
 				if am.impl.get(e.slotOf(va)) != nil {
@@ -272,13 +273,10 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 
 		// ---- Layer 3: pure zero-fill (the amap was materialised before
 		// resolve; the slot is empty). ----
-		na := s.newAnon()
-		np, err := s.allocPage(na, 0, true)
+		na, np, err := s.newAnonPage(true)
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		np.Dirty.Store(true) // anonymous content lives only in RAM until paged
-		na.page = np
 		am := e.amap
 		am.mu.Lock()
 		if am.impl.get(e.slotOf(va)) != nil {
@@ -293,6 +291,24 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 		am.mu.Unlock()
 		return np, e.prot, func() { na.mu.Unlock() }, nil
 	}
+}
+
+// newAnonPage allocates a fresh anon and its frame for a fault in
+// progress. The frame is born dirty — anonymous content lives only in RAM
+// until paged — and names the anon as its owner only once the anon points
+// back at it: a reclaim scan working from a stale queue snapshot may
+// probe the frame the moment it has an owner, and the page identity lock
+// orders that probe after the attach.
+func (s *System) newAnonPage(zero bool) (*anon, *phys.Page, error) {
+	na := s.newAnon()
+	np, err := s.allocPage(nil, 0, zero)
+	if err != nil {
+		return nil, nil, err
+	}
+	np.Dirty.Store(true)
+	na.page = np
+	np.SetOwner(na, 0)
+	return na, np, nil
 }
 
 // faultAnon resolves a fault that hit an anon in the amap layer. Called
@@ -340,16 +356,13 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	// Copy-on-write: copy the data to a newly allocated anon and drop the
 	// reference to the original (§5.2). Also the loan-break path: writing
 	// to a loaned page must not disturb the borrowers.
-	na := s.newAnon()
-	np, err := s.allocPage(na, 0, false)
+	na, np, err := s.newAnonPage(false)
 	if err != nil {
 		a.mu.Unlock()
 		am.mu.Unlock()
 		return nil, 0, nil, err
 	}
 	s.mach.Mem.CopyData(np, pg)
-	np.Dirty.Store(true)
-	na.page = np
 	am.impl.set(slot, na)
 	a.mu.Unlock()
 	s.anonUnref(a)

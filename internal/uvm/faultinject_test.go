@@ -232,7 +232,7 @@ func TestSwapDeviceDeathMidPageout(t *testing.T) {
 
 	// Shutdown drains: failed completions count too.
 	s.Shutdown()
-	if m.Swap.AIOInFlight() != 0 {
+	if s.flights.Load() != 0 {
 		t.Error("async writes still in flight after Shutdown on a dead device")
 	}
 	busySweep(t, m, "after shutdown")

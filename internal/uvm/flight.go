@@ -1,0 +1,353 @@
+package uvm
+
+import (
+	"uvm/internal/param"
+	"uvm/internal/phys"
+	"uvm/internal/sim"
+	"uvm/internal/swap"
+	"uvm/internal/vfs"
+)
+
+// flight is UVM's one page-write mechanism — the pager API's single
+// put(pages, sync|async) (§6) with its single completion path behind it.
+// Every write of a dirty page to backing store, whoever asks for it
+// (pagedaemon pageout, Msync, vnode recycling, last-unmap flush, the
+// syncer), is a flight:
+//
+//   - a set of pages the submitter has marked Busy — claimed for this
+//     flight, so every other path skips or sleeps on them;
+//   - the owner locks handed over with those pages, possibly none. The
+//     pagedaemon hands over the anon/object locks its scan TryLocked, so a
+//     fault on a page mid-pageout blocks on its owner; flushes hand over
+//     nothing and rely on Busy alone;
+//   - a completion policy. evict: the written page is detached from its
+//     owner and freed. clean: it stays resident, no longer dirty. Either
+//     way a page whose write failed stays dirty and merely gives its Busy
+//     claim back (an evict flight also returns it to the active queue);
+//   - a pending-run counter. The flight leaves as one or more runs, each
+//     a single I/O of consecutive blocks; the last run to complete
+//     finishes the whole flight, and wait returns once it has.
+//
+// "Synchronous" is not a second pipeline, it is a flag: a synchronous
+// flight issues each run with the clock-charged primitive
+// (Swap.WriteCluster, Vnode.WritePage) and runs the completion inline on
+// the submitter, one I/O at a time, stopping at the first error. An
+// asynchronous flight pushes its runs through the backend's bounded
+// in-flight window (disk.AsyncWriter, deferred charging) and its
+// completions arrive on I/O goroutines. System.flights counts the
+// flights not yet finished; every completion broadcasts flCond.
+//
+// Completion context: runDone may run on an I/O goroutine holding the
+// handed-over owner locks and nothing else. It may touch page state, the
+// page queues, the swap allocator, flMu and the daemon's condvar; it must
+// never lock a map, an amap, an anon or an object.
+type flight struct {
+	s      *System
+	evict  bool     // completion policy: detach and free; false = clean in place
+	async  bool     // runs complete on I/O goroutines; false = inline, clock-charged
+	owners ownerSet // owner locks handed over with the pages; the last completion releases them
+	issued int      // pages handed to the async window (submitter only)
+
+	// Guarded by s.flMu — counters and result lists only: the last
+	// completer does the page work after unlocking.
+	pending int          // runs issued and not completed, plus the submitter's hold
+	ok      []*phys.Page // pages of runs that were written
+	failed  []*phys.Page // pages of runs that failed or were never issued
+	err     error        // first error
+	done    bool
+}
+
+// newFlight starts a flight of up to npages pages. The submitter then
+// issues runs (vnodeRun, swapRun, fail) over pages it has marked Busy
+// and calls submit exactly once; the owners' locks belong to the flight
+// from here on.
+func (s *System) newFlight(evict, async bool, owners ownerSet, npages int) *flight {
+	s.flights.Add(1)
+	return &flight{s: s, evict: evict, async: async, owners: owners, pending: 1,
+		ok: make([]*phys.Page, 0, npages)}
+}
+
+// run issues one I/O carrying pages: to consecutive pages of vn starting
+// at index start, or (vn nil) to consecutive swap slots starting at
+// start.
+func (fl *flight) run(pages []*phys.Page, vn *vfs.Vnode, start int64) {
+	s := fl.s
+	s.flMu.Lock()
+	fl.pending++
+	err := fl.err
+	s.flMu.Unlock()
+	if !fl.async {
+		switch {
+		case err != nil: // an earlier run failed: stop writing
+		case vn != nil:
+			err = vn.WritePage(int(start), pages[0].Data) // synchronous vnode runs are one page
+		default:
+			err = s.mach.Swap.WriteCluster(start, pageBufs(pages))
+		}
+		fl.runDone(pages, vn == nil, err)
+		return
+	}
+	done := func(err error) {
+		if gate := s.wbGate; gate != nil && !fl.evict {
+			gate()
+		}
+		fl.runDone(pages, vn == nil, err)
+	}
+	if vn != nil || !fl.evict {
+		s.ctrObjWbClusters.Inc()
+		s.ctrObjWbPages.Add(int64(len(pages)))
+	} else {
+		s.mach.Stats.Inc(sim.CtrPdAsyncClusters)
+		s.mach.Stats.Add(sim.CtrPdAsyncPages, int64(len(pages)))
+	}
+	if vn != nil {
+		err = vn.WriteClusterAsync(int(start), pageBufs(pages), done)
+	} else {
+		err = s.mach.Swap.WriteClusterAsync(start, pageBufs(pages), done)
+	}
+	if err != nil {
+		// Malformed request, reported synchronously: done is never called.
+		fl.runDone(pages, vn == nil, err)
+		return
+	}
+	fl.issued += len(pages)
+}
+
+func pageBufs(pages []*phys.Page) [][]byte {
+	bufs := make([][]byte, len(pages))
+	for i, pg := range pages {
+		bufs[i] = pg.Data
+	}
+	return bufs
+}
+
+// fail records pages that could not even be issued (no swap slot, no
+// home in the file): they complete as a failed run without any I/O.
+func (fl *flight) fail(pages []*phys.Page, toSwap bool, err error) {
+	fl.s.flMu.Lock()
+	fl.pending++
+	fl.s.flMu.Unlock()
+	fl.runDone(pages, toSwap, err)
+}
+
+// vnodeRun issues one run of vn's pages, consecutive from index idx. A
+// mapping past EOF zero-fills, so a dirty page can sit beyond the file:
+// it has nowhere to go and must not poison the in-range pages sharing its
+// run.
+func (fl *flight) vnodeRun(vn *vfs.Vnode, idx int, pages []*phys.Page) {
+	n := min(len(pages), max(vn.NumPages()-idx, 0))
+	if n > 0 {
+		fl.run(pages[:n], vn, int64(idx))
+	}
+	if n < len(pages) {
+		fl.fail(pages[n:], false, vfs.ErrBadOffset)
+	}
+}
+
+// swapRun assigns swap slots to the anon/aobj pages and issues their
+// writes — the one place pageout and writeback place pages on swap. With
+// contig the pages' locations are reassigned into one fresh contiguous
+// run of slots (freeing any old scattered ones) and leave in a single
+// I/O: the "dynamic reassignment of swap location at page-level
+// granularity" of §5.3/§6. Without it, or when swap is too fragmented
+// for a run, each page goes to its own slot (existing, else freshly
+// allocated) with its own I/O — precisely BSD VM's behaviour (Figure 5's
+// two curves). Caller holds every page's owner lock.
+func (fl *flight) swapRun(pages []*phys.Page, contig bool) {
+	s := fl.s
+	if contig {
+		if start, err := s.mach.Swap.AllocContig(len(pages)); err == nil {
+			for i, pg := range pages {
+				s.reassignSlot(pg, start+int64(i))
+			}
+			fl.run(pages, nil, start)
+			return
+		}
+	}
+	for i, pg := range pages {
+		slot := s.currentSlot(pg)
+		if slot == swap.NoSlot {
+			var err error
+			if !fl.async {
+				err = fl.firstErr() // a synchronous flight stops at its first error
+			}
+			if err == nil {
+				slot, err = s.mach.Swap.Alloc()
+			}
+			if err != nil {
+				// Swap exhausted: the page stays dirty and resident.
+				fl.fail(pages[i:i+1], true, err)
+				continue
+			}
+			s.setSlot(pg, slot)
+		}
+		fl.run(pages[i:i+1], nil, slot)
+	}
+}
+
+func (fl *flight) firstErr() error {
+	fl.s.flMu.Lock()
+	defer fl.s.flMu.Unlock()
+	return fl.err
+}
+
+// submit drops the submitter's hold: every run has been issued. If they
+// have all completed already — always, for a synchronous flight — the
+// flight finishes here, on the submitter.
+func (fl *flight) submit() { fl.runDone(nil, false, nil) }
+
+// runDone is the completion of one run, and the flight's — the VM's —
+// only completion function. Asynchronous runs call it from an I/O
+// goroutine, synchronous ones inline. It records the run's result; the
+// last completion finishes the flight.
+//
+//uvm:completion
+func (fl *flight) runDone(pages []*phys.Page, toSwap bool, err error) {
+	s := fl.s
+	pdRun := fl.evict && toSwap
+	switch {
+	case err == nil:
+		if pdRun && len(pages) > 1 {
+			s.mach.Stats.Inc(sim.CtrPdClusters)
+		}
+	case !fl.async:
+	case pdRun:
+		s.mach.Stats.Inc(sim.CtrPdAsyncErrors)
+	default:
+		s.mach.Stats.Inc(sim.CtrObjWbErrors)
+	}
+	s.flMu.Lock()
+	if err != nil {
+		fl.failed = append(fl.failed, pages...)
+		if fl.err == nil {
+			fl.err = err
+		}
+	} else {
+		fl.ok = append(fl.ok, pages...)
+	}
+	fl.pending--
+	last := fl.pending == 0
+	s.flMu.Unlock()
+	if !last {
+		return
+	}
+
+	// Last completion: nobody else touches the result lists any more.
+	// Apply the policy, give the owners back, then publish.
+	for _, pg := range fl.ok {
+		if fl.evict {
+			s.evictPage(pg, pg.Owner())
+		} else {
+			pg.Dirty.Store(false)
+			pg.Busy.Store(false)
+		}
+	}
+	// A failed page stays dirty. (A freshly assigned swap slot then holds
+	// whatever the failed write left, which is harmless: a dirty page is
+	// rewritten before its slot is trusted.)
+	for _, pg := range fl.failed {
+		pg.Busy.Store(false)
+		if fl.evict {
+			s.mach.Mem.Activate(pg) // a later round retries
+		}
+	}
+	s.ctrPageOuts.Add(int64(len(fl.ok)))
+	fl.owners.releaseAll()
+	if fl.async {
+		s.tunerTick()
+	}
+	s.flMu.Lock()
+	fl.done = true
+	s.flights.Add(-1)
+	s.flGen++
+	s.flCond.Broadcast()
+	s.flMu.Unlock()
+	if fl.async && fl.evict && len(fl.ok) > 0 && s.pd != nil && s.mach.Mem.FreePages() < s.pd.lowMark() {
+		s.pd.kick() // memory still short: keep the daemon running
+	}
+}
+
+// wait blocks until the flight has finished and returns the pages
+// written and the first error.
+func (fl *flight) wait() (int, error) {
+	s := fl.s
+	s.flMu.Lock()
+	defer s.flMu.Unlock()
+	for !fl.done {
+		s.flCond.Wait()
+	}
+	return len(fl.ok), fl.err
+}
+
+// waitFlight sleeps until some flight completes. It reports false,
+// without sleeping, when none is pending.
+func (s *System) waitFlight() bool {
+	s.flMu.Lock()
+	defer s.flMu.Unlock()
+	if s.flights.Load() == 0 {
+		return false
+	}
+	for gen := s.flGen; s.flGen == gen; {
+		s.flCond.Wait()
+	}
+	return true
+}
+
+// evictPage detaches a clean (or just-cleaned) page from its owner and
+// frees it. Caller holds the owner's lock.
+func (s *System) evictPage(pg *phys.Page, owner any) {
+	pg.Dirty.Store(false)
+	pg.Busy.Store(false)
+	switch o := owner.(type) {
+	case *anon:
+		o.page = nil
+	case *uobject:
+		delete(o.pages, pageIdx(pg))
+	}
+	s.mach.Mem.Free(pg)
+	s.ctrPdFreed.Inc()
+}
+
+func pageIdx(pg *phys.Page) int { return param.OffToPage(pg.Off()) }
+
+// runEnd returns the end of the run of consecutive page indices that
+// starts at idxs[lo] (ascending), at most max long — each run leaves in
+// one I/O.
+func runEnd(idxs []int, lo, max int) int {
+	hi := lo + 1
+	for hi < len(idxs) && hi-lo < max && idxs[hi] == idxs[hi-1]+1 {
+		hi++
+	}
+	return hi
+}
+
+func (s *System) currentSlot(pg *phys.Page) int64 {
+	switch owner := pg.Owner().(type) {
+	case *anon:
+		return owner.swslot
+	case *uobject:
+		if slot, ok := owner.aobjSlots[pageIdx(pg)]; ok {
+			return slot
+		}
+	}
+	return swap.NoSlot
+}
+
+func (s *System) setSlot(pg *phys.Page, slot int64) {
+	switch owner := pg.Owner().(type) {
+	case *anon:
+		owner.swslot = slot
+	case *uobject:
+		owner.aobjSlots[pageIdx(pg)] = slot
+	}
+}
+
+// reassignSlot frees a page's old swap location (if any) and assigns the
+// new one.
+func (s *System) reassignSlot(pg *phys.Page, slot int64) {
+	if old := s.currentSlot(pg); old != swap.NoSlot {
+		s.mach.Swap.Free(old)
+		s.mach.Stats.Inc(sim.CtrPdReassigned)
+	}
+	s.setSlot(pg, slot)
+}

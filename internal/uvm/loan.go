@@ -46,7 +46,7 @@ func (p *Process) Loanout(addr param.VAddr, npages int) ([]*phys.Page, error) {
 		for attempt := 0; attempt < 16 && !loaned; attempt++ {
 			pte, ok := p.pm.Lookup(va)
 			if !ok || pte.Page == nil {
-				if err := s.fault(p, va, param.ProtRead); err != nil {
+				if err := s.fault(p, va, param.ProtRead, nil); err != nil {
 					s.unloan(pages)
 					return nil, err
 				}

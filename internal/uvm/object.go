@@ -16,15 +16,15 @@ import (
 // never allocates pages for a pager, giving the pager full control over
 // which page receives the data (§6).
 //
-// All three operations are called with the object's mutex held.
+// Both operations are called with the object's mutex held. There is no
+// per-pager put: every page write, for every pager, is a flight
+// (flight.go), which takes the array of pages and the sync/async flag.
 type pagerOps interface {
 	// name identifies the pager in stats and debug output.
 	name() string
 	// get makes page idx of o resident and returns it, allocating the
 	// page itself.
 	get(o *uobject, idx int) (*phys.Page, error)
-	// put writes a dirty page back to backing store.
-	put(o *uobject, pg *phys.Page) error
 	// detach is called when the object's last mapping reference drops.
 	detach(o *uobject)
 }
@@ -128,28 +128,17 @@ func (s *System) objUnref(o *uobject) {
 // free the object's pages and forget it; the vnode is going away. The
 // vnode layer invokes the hook without holding the filesystem lock, so
 // it is free to sleep on writeback I/O. With cfg.AsyncWriteback the
-// dirty pages leave as contiguous clusters through the bounded in-flight
-// window and the hook waits for the completions before freeing frames;
-// otherwise each page is queued through the buffer cache in ascending
-// index order (deterministic — the sweep order decides the head's path).
+// dirty pages leave as a clustered flight and the hook waits for it
+// before freeing frames (a failed write loses the page with its vnode);
+// otherwise each page is queued through the buffer cache.
 func (s *System) vnodeRecycled(o *uobject) {
 	o.mu.Lock()
-	if s.cfg.AsyncWriteback {
-		if items := s.collectDirtyLocked(o, 0, maxPageIdx, true); len(items) > 0 {
-			batch := newWbBatch()
-			s.submitWbLocked(o, items, batch)
-			o.mu.Unlock()
-			batch.wait() // a failed write loses the page with its vnode, as before
-			o.mu.Lock()
-		}
-	} else {
-		for _, idx := range sortedPageIdxs(o, 0, maxPageIdx) {
-			pg := o.pages[idx]
-			if pg.Dirty.Load() {
-				_ = o.vnode.WritePageAsync(idx, pg.Data)
-				pg.Dirty.Store(false)
-			}
-		}
+	if !s.cfg.AsyncWriteback {
+		s.bdwriteDirtyLocked(o)
+	} else if fl := s.flushLocked(o, 0, maxPageIdx, true, true); fl != nil {
+		o.mu.Unlock()
+		fl.wait()
+		o.mu.Lock()
 	}
 	// A frame still riding a detach-time flush belongs to the I/O: wait
 	// it out before freeing.
@@ -225,41 +214,22 @@ func (vp *vnodePager) get(o *uobject, idx int) (*phys.Page, error) {
 	return pg, nil
 }
 
-func (vp *vnodePager) put(o *uobject, pg *phys.Page) error {
-	idx := param.OffToPage(pg.Off())
-	if err := o.vnode.WritePage(idx, pg.Data); err != nil {
-		return err
-	}
-	pg.Dirty.Store(false)
-	vp.sys.mach.Stats.Inc(sim.CtrPageOuts)
-	return nil
-}
-
 func (vp *vnodePager) detach(o *uobject) {
 	// Last mapping gone: push modified pages through the buffer cache
 	// (asynchronously — the pages also stay resident). The pages stay
 	// with the vnode; the vnode cache decides their fate. (The VM's
 	// vnode reference is dropped by objUnref, outside the object lock.)
 	//
-	// With cfg.AsyncWriteback this is a fire-and-forget flush through
-	// the clustered engine: nobody waits on the batch; the completions
-	// clear dirty/busy, and recycle/Shutdown drain any stragglers. Pages
-	// already claimed by another flush are skipped, not waited for —
-	// detach is called with o.mu held and must not sleep.
-	s := vp.sys
-	if s.cfg.AsyncWriteback {
-		if items := s.collectDirtyLocked(o, 0, maxPageIdx, false); len(items) > 0 {
-			s.submitWbLocked(o, items, nil)
-		}
+	// With cfg.AsyncWriteback this is a fire-and-forget flight: nobody
+	// waits on it; its completion clears dirty/busy, and recycle/Shutdown
+	// wait out any stragglers. Pages already claimed by another flush are
+	// skipped, not waited for — detach is called with o.mu held and must
+	// not sleep.
+	if vp.sys.cfg.AsyncWriteback {
+		vp.sys.flushLocked(o, 0, maxPageIdx, true, false)
 		return
 	}
-	for _, idx := range sortedPageIdxs(o, 0, maxPageIdx) {
-		pg := o.pages[idx]
-		if pg.Dirty.Load() {
-			_ = o.vnode.WritePageAsync(idx, pg.Data)
-			pg.Dirty.Store(false)
-		}
-	}
+	vp.sys.bdwriteDirtyLocked(o)
 }
 
 // --- aobj pager (anonymous uvm objects: System V shm, shared anon) ---
@@ -343,26 +313,6 @@ func (ap *aobjPager) get(o *uobject, idx int) (*phys.Page, error) {
 	}
 }
 
-func (ap *aobjPager) put(o *uobject, pg *phys.Page) error {
-	// Single-page put path (used outside the pagedaemon's clustering).
-	idx := param.OffToPage(pg.Off())
-	slot, ok := o.aobjSlots[idx]
-	if !ok {
-		var err error
-		slot, err = ap.sys.mach.Swap.Alloc()
-		if err != nil {
-			return err
-		}
-		o.aobjSlots[idx] = slot
-	}
-	if err := ap.sys.mach.Swap.WriteSlot(slot, pg.Data); err != nil {
-		return err
-	}
-	pg.Dirty.Store(false)
-	ap.sys.mach.Stats.Inc(sim.CtrPageOuts)
-	return nil
-}
-
 func (ap *aobjPager) detach(o *uobject) {
 	// Anonymous objects die with their last reference: free pages and
 	// swap.
@@ -418,8 +368,6 @@ func (dp *devPager) get(o *uobject, idx int) (*phys.Page, error) {
 	o.pages[idx] = pg
 	return pg, nil
 }
-
-func (dp *devPager) put(o *uobject, pg *phys.Page) error { return nil } // device memory is not paged
 
 func (dp *devPager) detach(o *uobject) {
 	for _, pg := range dp.frames {

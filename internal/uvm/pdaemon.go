@@ -9,7 +9,6 @@ import (
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/sim"
-	"uvm/internal/swap"
 	"uvm/internal/vmapi"
 )
 
@@ -41,17 +40,17 @@ var (
 //     not re-kick: the waiters are told (errPdStalled) and fall back to
 //     reclaiming directly, which tolerates owners locked by the waiting
 //     goroutine itself the same way the daemon does (TryLock + skip).
-//     With async pageout a fruitless round that *does* have clusters on
-//     the wire is not a stall: waiters keep sleeping until a completion
-//     (asyncDone) frees the pages and bumps the generation.
+//     A fruitless round while flights are pending (System.flights) is
+//     not a stall either: the waiter sleeps until one completes and
+//     retries.
 //
 // Rounds fan out to cfg.ReclaimWorkers parallel workers over disjoint
 // queue-shard ranges (reclaimRound); the daemon remains the only
 // watermark coordinator.
 //
 // Shutdown (System.Shutdown) marks the daemon, broadcasts so blocked
-// allocators unwedge immediately, joins the goroutine, and then drains
-// the async write window. The System stays usable afterwards —
+// allocators unwedge immediately, joins the goroutine, and then waits
+// out the flights in the air. The System stays usable afterwards —
 // allocPage degrades to inline reclaim — so teardown ordering is
 // forgiving.
 type pagedaemon struct {
@@ -70,10 +69,9 @@ type pagedaemon struct {
 	//uvm:lock daemon
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled after every completed round
-	gen      uint64     // completed reclaim rounds + async completions
-	genFreed int        // pages freed by the most recent round/completion
+	gen      uint64     // completed reclaim rounds
+	genFreed int        // pages freed by the most recent round
 	waiters  int        // allocators currently blocked in waitForFree
-	inflight int        // async pageout clusters submitted, not yet completed
 	shutdown bool
 
 	// gate, when non-nil, runs before each reclaim round. Test hook: it
@@ -196,7 +194,7 @@ func (pd *pagedaemon) run() {
 		// the doorbell. (A round that only submitted overlaps its I/O
 		// with the next scan; if the next scan finds everything already
 		// in flight it frees and submits nothing, stops re-kicking, and
-		// the completions take over via asyncDone's kick.)
+		// the flights' completions take over the kick.)
 		if (freed > 0 || submitted > 0) && pd.s.mach.Mem.FreePages() < pd.lowMark() {
 			pd.kick()
 		}
@@ -204,38 +202,12 @@ func (pd *pagedaemon) run() {
 	}
 }
 
-// addInFlight records an asynchronous cluster submission; its matching
-// asyncDone arrives from the completion callback.
-func (pd *pagedaemon) addInFlight() {
-	pd.mu.Lock()
-	pd.inflight++
-	pd.mu.Unlock()
-}
-
-// asyncDone is called from an async pageout completion callback: freed
-// pages (0 if the write failed) have just been returned to the free
-// list. It reports the completion as a generation so blocked allocators
-// retry, and keeps the daemon running if memory is still short.
-func (pd *pagedaemon) asyncDone(freed int) {
-	pd.mu.Lock()
-	pd.inflight--
-	pd.gen++
-	pd.genFreed = freed
-	pd.cond.Broadcast()
-	pd.mu.Unlock()
-	if freed > 0 && pd.s.mach.Mem.FreePages() < pd.lowMark() {
-		pd.kick()
-	}
-	pd.s.tunerTick()
-}
-
 // waitForFree blocks the calling allocator until the daemon completes a
-// reclaim round or an async pageout completion frees pages (or until
-// shutdown). nil means pages were freed and the allocation is worth
-// retrying; errPdStalled/errPdShutdown mean the caller should reclaim
-// directly. A round that freed nothing but has cluster writes in flight
-// is not a stall — the allocator keeps waiting for the completion, like
-// a kernel thread sleeping on pageout I/O.
+// reclaim round (or until shutdown). nil means the allocation is worth
+// retrying: the round freed pages, or it freed nothing but writes were
+// pending and one has now completed — like a kernel thread sleeping on
+// pageout I/O. errPdStalled/errPdShutdown mean the caller should reclaim
+// directly.
 func (pd *pagedaemon) waitForFree() error {
 	pd.s.mach.Stats.Inc(sim.CtrPdBlocked)
 	// Wakeup-to-satisfy latency: how long (simulated) this allocator was
@@ -254,21 +226,25 @@ func (pd *pagedaemon) waitForFree() error {
 	pd.waiters++
 	defer func() { pd.waiters-- }()
 	pd.kick()
-	for {
-		start := pd.gen
-		for pd.gen == start && !pd.shutdown {
-			pd.cond.Wait()
-		}
-		switch {
-		case pd.gen == start: // unblocked by shutdown, not by a round
-			return errPdShutdown
-		case pd.genFreed > 0:
-			return nil
-		case pd.inflight > 0:
-			continue // pageout I/O on the wire: its completion will free pages
-		}
-		return errPdStalled
+	gen := pd.gen
+	for pd.gen == gen && !pd.shutdown {
+		pd.cond.Wait()
 	}
+	switch {
+	case pd.gen == gen: // unblocked by shutdown, not by a round
+		return errPdShutdown
+	case pd.genFreed > 0:
+		return nil
+	}
+	// A fruitless round. With writes pending that is not a stall: their
+	// completions free pages or leave them clean and droppable.
+	pd.mu.Unlock()
+	waited := pd.s.waitFlight()
+	pd.mu.Lock()
+	if waited {
+		return nil
+	}
+	return errPdStalled
 }
 
 // stop shuts the daemon down: blocked allocators are released
@@ -325,14 +301,23 @@ func (s *System) allocPage(owner any, off param.PageOff, zero bool) (*phys.Page,
 			}
 		}
 		// Inline mode, a stalled daemon, or shutdown: reclaim directly.
-		if direct++; direct > directReclaimLimit {
+		if direct >= directReclaimLimit {
 			return nil, vmapi.ErrDeadlock
 		}
 		if s.pd != nil {
 			s.ctrPdDirect.Inc()
 		}
-		if rerr := s.reclaim(s.cfg.ReclaimBatch); rerr != nil {
-			return nil, rerr
+		if s.reclaimCount(s.cfg.ReclaimBatch) > 0 {
+			direct++
+			continue
+		}
+		// Nothing evictable right now. That is not deadlock if frames were
+		// freed elsewhere meanwhile, nor while flights are pending: their
+		// completions free pages or leave them clean and droppable, so
+		// sleep until one lands. Either way try again, and do not count
+		// the pass against the limit.
+		if s.mach.Mem.FreePages() == 0 && !s.waitFlight() {
+			return nil, vmapi.ErrDeadlock
 		}
 	}
 	return nil, vmapi.ErrDeadlock
@@ -389,33 +374,10 @@ func (os ownerSet) releaseAll() {
 	}
 }
 
-// reclaim is UVM's pagedaemon. Its signature improvement over BSD VM (§6)
-// is aggressive clustering of anonymous memory: because anonymous pages
-// have no permanent home on backing store, the daemon *reassigns* their
-// swap locations so that all the dirty anonymous pages it has collected —
-// whatever their offsets — occupy one contiguous run of slots and go out
-// in a single large I/O.
-//
-// Concurrency: each candidate's owner is TryLocked and the page
-// re-verified under the lock (it may have been freed, re-homed or
-// re-referenced since the queue snapshot). Owners of clustered pages
-// stay locked until the cluster I/O completes, so a concurrent fault on
-// a page mid-pageout blocks on the anon and then pages back in from the
-// freshly assigned slot. Multiple reclaimers (the daemon plus
-// direct-reclaim fallbacks) may run at once: the TryLock/re-verify
-// protocol makes them skip each other's pages.
-//
-// reclaim reports ErrDeadlock when nothing could be freed; reclaimCount
-// is the count-returning variant used by the direct-reclaim fallback.
-// Both are synchronous full-range scans: an allocating goroutine needs a
-// page now, so its pageout never goes async.
-func (s *System) reclaim(target int) error {
-	if s.reclaimCount(target) == 0 {
-		return vmapi.ErrDeadlock
-	}
-	return nil
-}
-
+// reclaimCount is UVM's pagedaemon scan, run synchronously over every
+// queue shard on behalf of an allocating goroutine (the direct-reclaim
+// fallback): that goroutine needs a page now, so its pageout never goes
+// async. It returns the pages freed; see reclaimRange for the scan.
 func (s *System) reclaimCount(target int) int {
 	freed, _ := s.reclaimRange(0, phys.NumQueueShards(), target, false)
 	if freed == 0 {
@@ -473,26 +435,44 @@ func (s *System) reclaimRound(target int) (freed, submitted int) {
 }
 
 // reclaimRange runs the second-chance reclaim scan over queue shards
-// [loShard, hiShard): up to four passes of collect-cluster-evict until
-// target pages are freed (or submitted, when async pageout is on). It is
-// the body every reclaim flavour shares — the single daemon, each
-// parallel worker, and the direct-reclaim fallback differ only in their
-// shard range, target and async flag.
+// [loShard, hiShard): up to four passes of scan, classify and submit
+// until target pages are freed (or in flight, when async). It is the
+// body every reclaim flavour shares — the single daemon, each parallel
+// worker, and the direct-reclaim fallback differ only in their shard
+// range, target and async flag.
+//
+// Its signature improvement over BSD VM (§6) is aggressive clustering of
+// anonymous memory: because anonymous pages have no permanent home on
+// backing store, the daemon *reassigns* their swap locations so that all
+// the dirty anonymous pages it has collected — whatever their offsets —
+// occupy one contiguous run of slots and go out in a single large I/O
+// (flight.swapRun).
+//
+// Concurrency: each candidate's owner is TryLocked and the page
+// re-verified under the lock (it may have been freed, re-homed or
+// re-referenced since the queue snapshot). Clean pages are freed on the
+// spot. Dirty pages are marked Busy and leave as one evict flight per
+// pass, which takes over the locks of their owners until its last write
+// completes, so a concurrent fault on a page mid-pageout blocks on the
+// owner and then pages back in from the freshly assigned slot. Multiple
+// reclaimers (the daemon plus direct-reclaim fallbacks) may run at once:
+// the TryLock/re-verify protocol makes them skip each other's pages.
 func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, submitted int) {
+	// The ablation (one page, one I/O — Figure 5's BSD curve) and the
+	// inline-reclaim configuration keep every write synchronous.
+	async = async && s.pd != nil && !s.cfg.DisableClustering
 	for pass := 0; pass < 4 && freed+submitted < target; pass++ {
 		if s.mach.Mem.InactivePages() < target*2 {
 			s.mach.Mem.RefillInactive(target * 2)
 		}
-		var cluster []*phys.Page
-		// vnWb collects dirty vnode pages for the object writeback
-		// pipeline (async rounds only): per-object, submitted as
-		// contiguous-index cluster writes after the scan. vnWbOrder
-		// remembers first-touch order so flights are submitted in the
+		// Dirty pages claimed for this pass's flight: anon and aobj pages
+		// in one cluster bound for swap; vnode pages (async passes only)
+		// per object, in first-touch order so runs are issued in the
 		// deterministic order the queue scan discovered the objects —
 		// submission order decides the async writer's disk-head path.
+		var cluster []*phys.Page
 		var vnWb map[*uobject][]*phys.Page
 		var vnWbOrder []*uobject
-		vnAsync := async && s.pd != nil && !s.cfg.DisableClustering
 		vnPages := 0
 		held := make(ownerSet)
 		s.mach.Mem.ScanInactiveRange(loShard, hiShard, target*4, func(pg *phys.Page) bool {
@@ -509,407 +489,100 @@ func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, 
 			owner := pg.Owner()
 			proceed, acquired := held.tryAcquire(owner)
 			if !proceed {
-				return true // owner busy (or gone): skip this page
-			}
-			release := func() {
-				if acquired {
-					releaseOwner(owner)
-				}
+				return true // owner busy, gone or foreign: skip this page
 			}
 			// Re-verify under the owner lock: the frame must still belong
 			// to this owner and still be evictable.
-			if pg.Owner() != owner || pg.Busy.Load() || pg.Wired() || pg.Loaned() {
-				release()
-				return true
-			}
+			var vnObj *uobject // the owner, when it is a vnode object
+			resident := false
 			switch o := owner.(type) {
 			case *anon:
-				if o.page != pg {
-					release()
-					return true
-				}
-				s.mach.MMU.PageProtect(pg, param.ProtNone)
-				if pg.Dirty.Load() {
-					if len(cluster) < s.cfg.MaxCluster {
-						pg.Busy.Store(true)
-						s.mach.Mem.Dequeue(pg)
-						cluster = append(cluster, pg)
-						held.keep(owner)
-					} else {
-						release()
-					}
-					return true
-				}
-				// Clean anon page: the swap copy is current; just free.
-				o.page = nil
-				s.mach.Mem.Dequeue(pg)
-				s.mach.Mem.Free(pg)
-				freed++
-				release()
+				resident = o.page == pg
 			case *uobject:
-				idx := param.OffToPage(pg.Off())
-				if o.pages[idx] != pg {
-					release()
-					return true
+				resident = o.pages[pageIdx(pg)] == pg
+				if o.aobjSlots == nil {
+					vnObj = o
 				}
+			}
+			claimed := false
+			if resident && pg.Owner() == owner && !pg.Busy.Load() && !pg.Wired() && !pg.Loaned() {
 				s.mach.MMU.PageProtect(pg, param.ProtNone)
-				if o.aobjSlots != nil {
-					// Anonymous object pages cluster exactly like anons.
-					if pg.Dirty.Load() {
-						if len(cluster) < s.cfg.MaxCluster {
-							pg.Busy.Store(true)
-							s.mach.Mem.Dequeue(pg)
-							cluster = append(cluster, pg)
-							held.keep(owner)
-						} else {
-							release()
-						}
-						return true
-					}
-					delete(o.pages, idx)
-					s.mach.Mem.Dequeue(pg)
-					s.mach.Mem.Free(pg)
+				switch {
+				case !pg.Dirty.Load():
+					// Clean: the backing copy is current; just free.
+					s.evictPage(pg, owner)
 					freed++
-					release()
-					return true
-				}
-				// Vnode page: clean pages are free to drop; dirty ones are
-				// written back through the pager — asynchronously, batched
-				// per object, when the round runs the writeback pipeline.
-				// Dirty pages past EOF (zero-filled mappings beyond the
-				// file) have nowhere to go and would poison their run, so
-				// they stay on the synchronous path, which fails and
-				// reactivates just that page.
-				if pg.Dirty.Load() {
-					if vnAsync && idx < o.vnode.NumPages() {
-						pg.Busy.Store(true)
-						s.mach.Mem.Dequeue(pg)
-						if vnWb == nil {
-							vnWb = make(map[*uobject][]*phys.Page)
-						}
-						if _, ok := vnWb[o]; !ok {
-							vnWbOrder = append(vnWbOrder, o)
-						}
-						vnWb[o] = append(vnWb[o], pg)
-						vnPages++
-						held.keep(owner)
-						return true
+				case vnObj == nil:
+					// Anonymous memory (anon or aobj page) clusters to swap.
+					if claimed = len(cluster) < s.cfg.MaxCluster; claimed {
+						cluster = append(cluster, pg)
 					}
-					if err := o.ops.put(o, pg); err != nil {
-						s.mach.Mem.Activate(pg)
-						release()
-						return true
+				case async:
+					// Dirty vnode pages are written back through the pager,
+					// batched per object.
+					if vnWb == nil {
+						vnWb = make(map[*uobject][]*phys.Page)
 					}
+					if _, ok := vnWb[vnObj]; !ok {
+						vnWbOrder = append(vnWbOrder, vnObj)
+					}
+					vnWb[vnObj] = append(vnWb[vnObj], pg)
+					vnPages++
+					claimed = true
+				default:
+					// Synchronous pass: put the page now, in scan order, as
+					// a one-page flight under the lock this scan holds. A
+					// failure reactivates just this page.
+					pg.Busy.Store(true)
+					fl := s.newFlight(true, false, nil, 1)
+					fl.vnodeRun(vnObj.vnode, pageIdx(pg), []*phys.Page{pg})
+					fl.submit()
+					n, _ := fl.wait()
+					freed += n
 				}
-				delete(o.pages, idx)
+			}
+			switch {
+			case claimed:
+				pg.Busy.Store(true)
 				s.mach.Mem.Dequeue(pg)
-				s.mach.Mem.Free(pg)
-				freed++
-				release()
-			default:
-				// Ownerless (orphaned loan) or foreign page: skip.
-				release()
+				held.keep(owner)
+			case acquired:
+				releaseOwner(owner)
 			}
 			return true
 		})
+		if len(cluster)+vnPages == 0 {
+			continue // nothing claimed, so no owner lock is held
+		}
 
-		// Vnode writeback flights leave first: each object's lock — and
-		// the duty to detach and free its pages — is handed to its
-		// flight's last completion, so the object is removed from `held`
-		// here (the anon cluster below hands over whatever remains).
+		// The claimed pages, every owner lock this pass kept, and the duty
+		// to free the pages all travel with the flight.
+		fl := s.newFlight(true, async, held, len(cluster)+vnPages)
 		for _, o := range vnWbOrder {
-			delete(held, o)
-			submitted += s.submitVnodeFlight(o, vnWb[o])
+			pages := vnWb[o]
+			sort.Slice(pages, func(i, j int) bool { return pages[i].Off() < pages[j].Off() })
+			idxs := make([]int, len(pages))
+			for i, pg := range pages {
+				idxs[i] = pageIdx(pg)
+			}
+			for lo, hi := 0, 0; lo < len(pages); lo = hi {
+				hi = runEnd(idxs, lo, s.wbClusterMax())
+				fl.vnodeRun(o.vnode, idxs[lo], pages[lo:hi])
+			}
 		}
-
 		if len(cluster) > 0 {
-			asyncN := 0
-			if async {
-				asyncN = s.clusterPageoutAsync(cluster, held)
-			}
-			if asyncN > 0 {
-				// The cluster, its held owners, and the duty to free the
-				// pages all travel with the in-flight write; scan on with
-				// a fresh owner set.
-				submitted += asyncN
-				held = make(ownerSet)
-			} else {
-				n, err := s.clusterPageout(cluster)
-				freed += n
-				if err != nil {
-					// Could not clean (e.g. swap exhausted): put the
-					// unwritten pages back on the queues and stop trying.
-					for _, pg := range cluster {
-						if pg.Busy.Load() {
-							pg.Busy.Store(false)
-							s.mach.Mem.Activate(pg)
-						}
-					}
-					held.releaseAll()
-					break
-				}
-			}
+			fl.swapRun(cluster, !s.cfg.DisableClustering && len(cluster) > 1)
 		}
-		held.releaseAll()
-	}
-	if freed > 0 {
-		s.mach.Stats.Add(sim.CtrPdFreed, int64(freed))
+		fl.submit()
+		if async {
+			submitted += fl.issued
+			continue
+		}
+		n, err := fl.wait()
+		freed += n
+		if err != nil {
+			break // could not clean (e.g. swap exhausted): stop trying
+		}
 	}
 	return freed, submitted
-}
-
-// clusterPageoutAsync submits the collected dirty cluster as an
-// asynchronous write and returns how many pages are now in flight (0
-// means the caller must fall back to the synchronous path: clustering
-// disabled, a single page, or swap too fragmented for a contiguous run).
-// On submission, ownership of `held` — every owner lock this pass
-// acquired — transfers to the completion callback, which detaches and
-// frees the pages, releases the owners, and wakes blocked allocators
-// (see asyncPageoutDone). The submission blocks only while the target
-// device's in-flight window is full, which is the backpressure that
-// stops the scan from running arbitrarily far ahead of the disk.
-func (s *System) clusterPageoutAsync(cluster []*phys.Page, held ownerSet) int {
-	if s.pd == nil || s.cfg.DisableClustering || len(cluster) < 2 {
-		return 0
-	}
-	start, err := s.mach.Swap.AllocContig(len(cluster))
-	if err != nil {
-		return 0 // fragmented: the sync path falls back to singles
-	}
-	bufs := make([][]byte, len(cluster))
-	for i, pg := range cluster {
-		s.reassignSlot(pg, start+int64(i))
-		bufs[i] = pg.Data
-	}
-	pages := append([]*phys.Page(nil), cluster...)
-	s.mach.Stats.Inc(sim.CtrPdAsyncClusters)
-	s.mach.Stats.Add(sim.CtrPdAsyncPages, int64(len(pages)))
-	s.pd.addInFlight()
-	if err := s.mach.Swap.WriteClusterAsync(start, bufs, func(werr error) {
-		s.asyncPageoutDone(pages, held, werr)
-	}); err != nil {
-		// Unreachable for an AllocContig run (it never spans a device),
-		// but keep the bookkeeping honest: treat it as a failed write.
-		s.asyncPageoutDone(pages, held, err)
-	}
-	return len(pages)
-}
-
-// asyncPageoutDone is the completion callback for an asynchronous
-// cluster write. It runs on a swap I/O goroutine holding the cluster's
-// owner locks (handed over at submission) and nothing else; per the lock
-// order it may only touch page state, page queues, the swap allocator
-// and the daemon's condvar. On success the now-clean pages are detached
-// and freed; on failure they return to the active queue still dirty,
-// their freshly assigned slots keeping whatever garbage the failed write
-// left (harmless: a dirty page is rewritten before its slot is trusted).
-//
-//uvm:completion
-func (s *System) asyncPageoutDone(pages []*phys.Page, owners ownerSet, err error) {
-	freed := 0
-	if err != nil {
-		s.mach.Stats.Inc(sim.CtrPdAsyncErrors)
-		for _, pg := range pages {
-			if pg.Busy.Load() {
-				pg.Busy.Store(false)
-				s.mach.Mem.Activate(pg)
-			}
-		}
-	} else {
-		for _, pg := range pages {
-			s.finishPageout(pg)
-		}
-		freed = len(pages)
-		s.mach.Stats.Inc(sim.CtrPdClusters)
-		s.mach.Stats.Add(sim.CtrPageOuts, int64(freed))
-		s.mach.Stats.Add(sim.CtrPdFreed, int64(freed))
-	}
-	owners.releaseAll()
-	s.pd.asyncDone(freed)
-}
-
-// clusterPageout writes the collected dirty anonymous pages out. With
-// clustering enabled, every page's swap location is (re)assigned into one
-// contiguous run and the whole cluster leaves in one I/O operation; with
-// the ablation flag set, each page goes to its own slot with its own I/O —
-// which is precisely BSD VM's behaviour (Figure 5's two curves). The
-// caller holds every cluster page's owner lock.
-func (s *System) clusterPageout(cluster []*phys.Page) (int, error) {
-	if s.cfg.DisableClustering || len(cluster) == 1 {
-		return s.pageoutSingles(cluster)
-	}
-	start, err := s.mach.Swap.AllocContig(len(cluster))
-	if err != nil {
-		// Swap too fragmented for a contiguous run: fall back.
-		return s.pageoutSingles(cluster)
-	}
-	bufs := make([][]byte, len(cluster))
-	for i, pg := range cluster {
-		s.reassignSlot(pg, start+int64(i))
-		bufs[i] = pg.Data
-	}
-	if err := s.mach.Swap.WriteCluster(start, bufs); err != nil {
-		return 0, err
-	}
-	for _, pg := range cluster {
-		s.finishPageout(pg)
-	}
-	s.mach.Stats.Inc(sim.CtrPdClusters)
-	s.mach.Stats.Add(sim.CtrPageOuts, int64(len(cluster)))
-	return len(cluster), nil
-}
-
-// pageoutSingles is the unclustered path: one slot, one I/O, per page.
-func (s *System) pageoutSingles(cluster []*phys.Page) (int, error) {
-	done := 0
-	for _, pg := range cluster {
-		slot := s.currentSlot(pg)
-		if slot == swap.NoSlot {
-			var err error
-			slot, err = s.mach.Swap.Alloc()
-			if err != nil {
-				return done, err
-			}
-			s.setSlot(pg, slot)
-		}
-		if err := s.mach.Swap.WriteSlot(slot, pg.Data); err != nil {
-			return done, err
-		}
-		s.finishPageout(pg)
-		s.ctrPageOuts.Inc()
-		done++
-	}
-	return done, nil
-}
-
-func (s *System) currentSlot(pg *phys.Page) int64 {
-	switch owner := pg.Owner().(type) {
-	case *anon:
-		return owner.swslot
-	case *uobject:
-		if slot, ok := owner.aobjSlots[param.OffToPage(pg.Off())]; ok {
-			return slot
-		}
-	}
-	return swap.NoSlot
-}
-
-func (s *System) setSlot(pg *phys.Page, slot int64) {
-	switch owner := pg.Owner().(type) {
-	case *anon:
-		owner.swslot = slot
-	case *uobject:
-		owner.aobjSlots[param.OffToPage(pg.Off())] = slot
-	}
-}
-
-// reassignSlot frees a page's old swap location (if any) and assigns the
-// new one — the "dynamic reassignment of swap location at page-level
-// granularity" of §5.3/§6.
-func (s *System) reassignSlot(pg *phys.Page, slot int64) {
-	if old := s.currentSlot(pg); old != swap.NoSlot {
-		s.mach.Swap.Free(old)
-		s.mach.Stats.Inc(sim.CtrPdReassigned)
-	}
-	s.setSlot(pg, slot)
-}
-
-// vnFlight is one object's in-flight reclaim writeback: its dirty vnode
-// pages, split into contiguous-index runs each submitted as one
-// asynchronous cluster write. The flight owns the object's mutex (handed
-// over by the scan, exactly like anon cluster pageout owners) until its
-// LAST run completes: that completion detaches and frees the pages of
-// every successful run, re-activates the pages of failed runs (still
-// dirty), releases the object, and reports to the daemon.
-type vnFlight struct {
-	s *System
-	o *uobject
-
-	//uvm:lock flight
-	mu      sync.Mutex
-	pending int
-	freed   []*phys.Page // pages of completed, successful runs
-	failed  []*phys.Page // pages of failed runs
-}
-
-// submitVnodeFlight submits the reclaim writeback of o's collected dirty
-// pages and returns how many pages are now in flight. Caller has handed
-// o's lock to the flight; every page is Busy and dequeued.
-func (s *System) submitVnodeFlight(o *uobject, pages []*phys.Page) int {
-	sort.Slice(pages, func(i, j int) bool { return pages[i].Off() < pages[j].Off() })
-	items := make([]wbItem, len(pages))
-	for i, pg := range pages {
-		items[i] = wbItem{idx: param.OffToPage(pg.Off()), pg: pg}
-	}
-	runs := wbClusters(items, s.wbClusterMax())
-	fl := &vnFlight{s: s, o: o, pending: len(runs)}
-	s.pd.addInFlight()
-	for _, run := range runs {
-		runPages := make([]*phys.Page, len(run))
-		bufs := make([][]byte, len(run))
-		for i, it := range run {
-			runPages[i] = it.pg
-			bufs[i] = it.pg.Data
-		}
-		s.ctrObjWbClusters.Inc()
-		s.ctrObjWbPages.Add(int64(len(run)))
-		if err := o.vnode.WriteClusterAsync(run[0].idx, bufs,
-			func(err error) { fl.runDone(runPages, err) }); err != nil {
-			// Unreachable for in-range pages, but keep the bookkeeping
-			// honest: treat it as a failed write.
-			fl.runDone(runPages, err)
-		}
-	}
-	return len(pages)
-}
-
-// runDone is the completion of one flight run; the last one finishes the
-// whole flight. It runs on a vfs I/O goroutine holding the flight's
-// object lock (handed over at submission) — which is what makes the
-// o.pages mutation in finishPageout safe — plus the flight's own mutex
-// to serialise sibling runs' completions.
-//
-//uvm:completion
-func (fl *vnFlight) runDone(pages []*phys.Page, err error) {
-	s := fl.s
-	fl.mu.Lock()
-	if err != nil {
-		s.mach.Stats.Inc(sim.CtrObjWbErrors)
-		fl.failed = append(fl.failed, pages...)
-	} else {
-		fl.freed = append(fl.freed, pages...)
-	}
-	fl.pending--
-	last := fl.pending == 0
-	if !last {
-		fl.mu.Unlock()
-		return
-	}
-	for _, pg := range fl.freed {
-		s.finishPageout(pg)
-	}
-	for _, pg := range fl.failed {
-		pg.Busy.Store(false)
-		s.mach.Mem.Activate(pg) // still dirty: a later round retries
-	}
-	freed := len(fl.freed)
-	fl.mu.Unlock()
-	s.mach.Stats.Add(sim.CtrPageOuts, int64(freed))
-	s.mach.Stats.Add(sim.CtrPdFreed, int64(freed))
-	releaseOwner(fl.o)
-	s.pd.asyncDone(freed)
-}
-
-// finishPageout detaches the now-clean page from its owner and frees it.
-func (s *System) finishPageout(pg *phys.Page) {
-	pg.Dirty.Store(false)
-	pg.Busy.Store(false)
-	switch owner := pg.Owner().(type) {
-	case *anon:
-		owner.page = nil
-	case *uobject:
-		delete(owner.pages, param.OffToPage(pg.Off()))
-	}
-	s.mach.Mem.Dequeue(pg)
-	s.mach.Mem.Free(pg)
 }

@@ -190,7 +190,11 @@ func TestInlineReclaimAblation(t *testing.T) {
 // direct-reclaim fallbacks overlap. Run with -race; data integrity is
 // verified per worker.
 func TestDaemonAndDirectReclaimConcurrently(t *testing.T) {
-	m := testMachine(96)
+	// Swap must hold the whole demand (8 workers x 64 pages, all dirty,
+	// possibly all alive at once): testMachine's 4x RAM plus RAM itself
+	// falls 32 pages short of it, and whether the workers overlap enough
+	// to notice is up to the scheduler — a true ErrDeadlock, not a bug.
+	m := vmapi.NewMachine(vmapi.MachineConfig{RAMPages: 96, SwapPages: 1024, FSPages: 4096, MaxVnodes: 50})
 	cfg := DefaultConfig()
 	cfg.ReclaimBatch = 16
 	cfg.MaxCluster = 8

@@ -453,6 +453,15 @@ func (p *Process) Exit() {
 
 // Access implements vmapi.Process.
 func (p *Process) Access(addr param.VAddr, write bool) error {
+	return p.access(addr, write, nil)
+}
+
+// access touches addr, faulting it in if need be. use, when non-nil, is
+// the copyin/copyout tail: it runs on the resolved page while that page's
+// owner lock is still held, so the pagedaemon cannot evict the page, and
+// a fork or loanout cannot write-protect it, between the touch and the
+// copy.
+func (p *Process) access(addr param.VAddr, write bool, use func(*phys.Page)) error {
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
@@ -463,14 +472,34 @@ func (p *Process) Access(addr param.VAddr, write bool) error {
 	s := p.sys
 	s.tunerTick() // the fault/touch entry is the control plane's clock source
 	if pte, ok := p.pm.Extract(addr); ok && pte.Prot.Allows(access) {
-		s.mach.Clock.Advance(s.mach.Costs.PageTouch)
-		pte.Page.Referenced.Store(true)
-		if write {
-			pte.Page.Dirty.Store(true)
+		pg := pte.Page
+		touch := func() {
+			s.mach.Clock.Advance(s.mach.Costs.PageTouch)
+			pg.Referenced.Store(true)
+			if write {
+				pg.Dirty.Store(true)
+			}
 		}
-		return nil
+		if use == nil {
+			touch()
+			return nil
+		}
+		// One lock-and-verify attempt: the page must still be mapped here
+		// with the needed protection once its owner is locked. On any miss
+		// the fault path below redoes the resolution and runs use itself.
+		if release, ok := s.lockPageOwner(pg); ok {
+			pte, ok = p.pm.Lookup(addr)
+			if ok = ok && pte.Page == pg && pte.Prot.Allows(access); ok {
+				touch()
+				use(pg)
+			}
+			release()
+			if ok {
+				return nil
+			}
+		}
 	}
-	return s.fault(p, addr, access)
+	return s.fault(p, addr, access, use)
 }
 
 // TouchRange implements vmapi.Process.
@@ -494,54 +523,24 @@ func (p *Process) WriteBytes(addr param.VAddr, data []byte) error {
 	return p.copyBytes(addr, data, true)
 }
 
-// copyBytes is the copyin/copyout path. Each page-sized chunk is copied
-// under the page owner's lock, after re-verifying that the page is still
-// mapped at the faulted address *with the needed protection* — the
-// pagedaemon may evict the page between the fault and the copy, and a
-// concurrent fork or loanout may write-protect it (a write must then
-// refault so the COW machinery runs instead of scribbling on the now
-// shared frame).
+// copyBytes is the copyin/copyout path: each page-sized chunk is copied
+// as the tail of the access that makes its page resident (see access).
 func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
-	need := param.ProtRead
-	if write {
-		need = param.ProtWrite
-	}
-	done := 0
-	for attempts := 0; done < len(buf); {
+	for done := 0; done < len(buf); {
 		va := addr + param.VAddr(done)
 		pageOff := int(va & param.PageMask)
-		n := param.PageSize - pageOff
-		if n > len(buf)-done {
-			n = len(buf) - done
-		}
-		if err := p.Access(va, write); err != nil {
+		n := min(param.PageSize-pageOff, len(buf)-done)
+		chunk := buf[done : done+n]
+		err := p.access(va, write, func(pg *phys.Page) {
+			if write {
+				copy(pg.Data[pageOff:], chunk)
+			} else {
+				copy(chunk, pg.Data[pageOff:])
+			}
+		})
+		if err != nil {
 			return err
 		}
-		pte, ok := p.pm.Lookup(va)
-		if !ok || pte.Page == nil {
-			return vmapi.ErrFault
-		}
-		pg := pte.Page
-		copied := false
-		release, ok := p.sys.lockPageOwner(pg)
-		if ok {
-			if pte2, still := p.pm.Lookup(va); still && pte2.Page == pg && pte2.Prot.Allows(need) {
-				if write {
-					copy(pg.Data[pageOff:pageOff+n], buf[done:done+n])
-				} else {
-					copy(buf[done:done+n], pg.Data[pageOff:pageOff+n])
-				}
-				copied = true
-			}
-			release()
-		}
-		if !copied {
-			if attempts++; attempts > 16 {
-				return vmapi.ErrFault
-			}
-			continue // page moved underneath us: refault and retry
-		}
-		attempts = 0
 		done += n
 	}
 	return nil
@@ -549,34 +548,30 @@ func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 
 // lockPageOwner locks whatever structure owns pg — an anon, a uobject,
 // or (for ownerless loaned frames) the page identity itself — and
-// returns a release func. It reports failure if ownership keeps changing
+// returns a release func. It reports failure if ownership changed
 // underneath the acquisition (caller should refault and retry).
 func (s *System) lockPageOwner(pg *phys.Page) (func(), bool) {
-	for attempt := 0; attempt < 8; attempt++ {
-		owner := pg.Owner()
-		switch o := owner.(type) {
-		case *anon:
-			o.mu.Lock()
-			if pg.Owner() == owner {
-				return func() { o.mu.Unlock() }, true
-			}
-			o.mu.Unlock()
-		case *uobject:
-			o.mu.Lock()
-			if pg.Owner() == owner {
-				return func() { o.mu.Unlock() }, true
-			}
-			o.mu.Unlock()
-		case nil:
-			// Ownerless frame (orphaned loan, kernel page): serialise on
-			// the page identity lock itself.
-			verified := false
-			pg.WithIdentity(func(cur any) { verified = cur == nil })
-			if verified {
-				return func() {}, true
-			}
-		default:
-			return nil, false
+	owner := pg.Owner()
+	switch o := owner.(type) {
+	case *anon:
+		o.mu.Lock()
+		if pg.Owner() == owner {
+			return o.mu.Unlock, true
+		}
+		o.mu.Unlock()
+	case *uobject:
+		o.mu.Lock()
+		if pg.Owner() == owner {
+			return o.mu.Unlock, true
+		}
+		o.mu.Unlock()
+	case nil:
+		// Ownerless frame (orphaned loan, kernel page): serialise on
+		// the page identity lock itself.
+		verified := false
+		pg.WithIdentity(func(cur any) { verified = cur == nil })
+		if verified {
+			return func() {}, true
 		}
 	}
 	return nil, false

@@ -73,7 +73,7 @@ func TestAsyncPageoutRoundTrip(t *testing.T) {
 	if got := m.Stats.Get(sim.CtrPdAsyncErrors); got != 0 {
 		t.Errorf("async write errors: %d", got)
 	}
-	if m.Swap.AIOInFlight() != 0 {
+	if s.flights.Load() != 0 {
 		t.Error("async writes still in flight after Shutdown")
 	}
 }
@@ -122,7 +122,7 @@ func TestAsyncCompletionRacesShutdown(t *testing.T) {
 				t.Fatalf("iter %d: worker failed across shutdown: %v", iter, err)
 			}
 		}
-		if m.Swap.AIOInFlight() != 0 {
+		if s.flights.Load() != 0 {
 			t.Fatalf("iter %d: async writes survived Shutdown", iter)
 		}
 	}

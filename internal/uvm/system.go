@@ -81,42 +81,50 @@
 // their owner locked until the I/O completes, which is what makes a
 // concurrent fault on a page mid-pageout block and then cleanly page
 // back in. System.Shutdown stops the daemon gracefully, releasing any
-// blocked allocators, and drains in-flight pageout I/O.
+// blocked allocators, and waits out the writes still in the air.
+// With cfg.ReclaimWorkers > 1 the daemon dispatches that many workers
+// per round over disjoint page-queue shard ranges; the daemon itself
+// remains the only watermark/round coordinator.
 //
-// With cfg.AsyncPageout the cluster I/O itself is overlapped: the
-// daemon submits the write with swap.WriteClusterAsync and scans on;
-// ownership of the cluster's locked anons/objects travels with the
-// in-flight I/O and the *completion callback* — running on a swap I/O
-// goroutine — detaches and frees the pages, releases those locks, and
-// wakes blocked allocators. Completion callbacks therefore inherit the
-// lock order mid-chain: they hold (but never acquire) anon/object
-// locks, and may only take locks strictly below them — page identity
-// and leaf locks (phys queue shards, the swap allocator, the daemon's
-// own condvar mutex). A completion callback must never lock a map or an
-// amap, and never blocks on a TryLock-only path, so it cannot deadlock
-// against faults, reclaim workers, or Shutdown. With cfg.ReclaimWorkers
-// > 1 the daemon dispatches that many workers per round over disjoint
-// page-queue shard ranges; the daemon itself remains the only
-// watermark/round coordinator.
+// # Flights
 //
-// # Object writeback
+// Every write of a dirty page to backing store is a flight (flight.go):
+// a set of Busy pages, the owner locks handed over with them (possibly
+// none), a completion policy and a pending-run counter, with one
+// completion function behind it. The pagedaemon's pageout is an evict
+// flight — one per scan pass, carrying the dirty anon/aobj cluster (its
+// swap locations reassigned into one contiguous run, else one slot per
+// page) and the dirty vnode pages, plus every owner lock the pass kept;
+// the last completion detaches and frees the written pages and releases
+// the owners. Msync, vnode recycling, the last-unmap flush and the syncer
+// (objwb.go) are clean flights over one object's dirty pages, marked
+// Busy under the object lock and handed over without it; the completion
+// clears Dirty and Busy and the pages stay resident. A fault or file
+// write that hits a Busy page sleeps on the flight condvar. Under either
+// policy a page whose write failed stays dirty and just gives its Busy
+// claim back.
 //
-// The object writeback pipeline (objwb.go, cfg.AsyncWriteback) extends
-// the same completion discipline to the paths that clean object pages
-// without evicting them — Msync, vnode recycling, last-unmap flushes —
-// and to the pagedaemon's vnode put path. Dirty pages are collected and
-// marked Busy under the object lock, their writable mappings narrowed,
-// and the lock released; the pages then leave as contiguous-offset
-// clusters through a per-backend bounded in-flight window (vnode pages
-// via the vfs async writer, aobj pages via swap.WriteClusterAsync). A
-// fault or file write that hits a busy page sleeps on the system
-// writeback condvar; the cluster's completion clears Dirty/Busy, wakes
-// those waiters, and signals the submitter's batch. Writeback
-// completions run on I/O goroutines holding no VM locks and may only
-// touch page state, the stats and that condvar — never a map, object or
-// amap lock — so they cannot deadlock against faults or reclaim. The
-// reclaim flavour (vnodePageoutAsync) instead inherits its object lock
-// from the scan, exactly like swap pageout completions.
+// Synchronous or asynchronous is a flag on the flight, not a second
+// pipeline. By default every flight is synchronous: each run is written
+// with the clock-charged primitive and the completion runs inline on the
+// submitter, which keeps single-threaded runs byte-deterministic. With
+// cfg.AsyncPageout the daemon's flights (never a direct reclaimer's — it
+// needs a page now) and with cfg.AsyncWriteback the object flushes go
+// through the backend's bounded in-flight window (disk.AsyncWriter: vnode
+// pages via the filesystem's writer, swap pages via the device's) and
+// complete on I/O goroutines while the submitter scans on or merely
+// waits. System.flights counts those flights in the air: a pagedaemon
+// round or direct-reclaim pass that frees nothing while the count is
+// non-zero sleeps for a completion instead of reporting a stall or
+// ErrDeadlock, and Shutdown waits for the count to reach zero.
+//
+// Completions inherit the lock order mid-chain: they hold (but never
+// acquire) the anon/object locks handed over, and may only take locks
+// strictly below them — page identity and leaf locks (phys queue shards,
+// the swap allocator, the flight and daemon condvar mutexes). A
+// completion must never lock a map, an amap, an anon or an object, and
+// never blocks on a TryLock-only path, so it cannot deadlock against
+// faults, reclaim workers, or Shutdown.
 package uvm
 
 import (
@@ -161,11 +169,11 @@ type Config struct {
 	// synchronous pageout regardless of AsyncPageout.
 	InlineReclaim bool
 	// AsyncPageout overlaps pageout I/O with the next reclaim scan: the
-	// pagedaemon submits dirty clusters with swap.WriteClusterAsync and
-	// keeps scanning; the completion callback releases the cluster's
-	// pages and owners. Daemon rounds only — direct reclaim in an
-	// allocating goroutine stays synchronous, because that goroutine
-	// needs a page now.
+	// pagedaemon's flights go through the backends' in-flight windows
+	// and it keeps scanning; the completion frees the pages and releases
+	// their owners. Daemon rounds only — direct reclaim in an allocating
+	// goroutine stays synchronous, because that goroutine needs a page
+	// now.
 	AsyncPageout bool
 	// PageoutWindow bounds in-flight asynchronous cluster writes per
 	// swap device (backpressure on the daemon's scan). 0 means
@@ -183,14 +191,14 @@ type Config struct {
 	// in neighbour pages whose swap slots adjoin the faulting one. 0 or 1
 	// disables clustering and pages in one slot at a time.
 	PageinCluster int
-	// AsyncWriteback routes the object writeback paths — Msync, vnode
-	// recycling, last-unmap write-back — through the asynchronous
-	// clustered engine (objwb.go): dirty pages are collected under the
-	// object lock, marked busy, and flushed as contiguous-offset clusters
-	// through a per-backend bounded in-flight window (vnode pages to the
-	// file, aobj pages to swap) while the submitter merely waits on the
-	// completions. Off, those paths put one page per I/O, synchronously,
-	// which keeps single-threaded runs byte-deterministic.
+	// AsyncWriteback makes the object writeback flights — Msync, vnode
+	// recycling, last-unmap write-back (objwb.go) — asynchronous: dirty
+	// pages are collected under the object lock, marked busy, and flushed
+	// as contiguous-offset clusters through a per-backend bounded
+	// in-flight window (vnode pages to the file, aobj pages to swap)
+	// while the submitter merely waits on the completion. Off, those
+	// paths write one page per I/O, synchronously, which keeps
+	// single-threaded runs byte-deterministic.
 	AsyncWriteback bool
 	// WritebackWindow bounds in-flight asynchronous object writeback
 	// clusters on the filesystem disk (the vnode backend's window; the
@@ -249,6 +257,7 @@ type System struct {
 	ctrObjWbClusters  sim.Counter
 	ctrObjWbPages     sim.Counter
 	ctrPdRounds       sim.Counter
+	ctrPdFreed        sim.Counter
 	ctrPdDirect       sim.Counter
 	ctrPdWorkerRounds sim.Counter
 	ctrUbcReads       sim.Counter
@@ -270,24 +279,28 @@ type System struct {
 	// to run a reclaim pass inside the batching window.
 	lookaheadGate func()
 
-	// msyncGate, when non-nil, runs after an asynchronous flush has
-	// submitted its clusters (object lock released, pages busy, I/O in
-	// flight) and before the submitter waits on the batch. Test hook for
+	// msyncGate, when non-nil, runs after a waited-for flush has issued
+	// its flight (object lock released; if asynchronous, pages busy and
+	// I/O in flight) and before the submitter waits on it. Test hook for
 	// the msync race tests. Must be set before the flush starts.
 	msyncGate func()
-	// wbGate, when non-nil, runs at the start of every object writeback
-	// completion, on the I/O goroutine. Test hook: the msync race tests
-	// use it to hold completions while concurrent faults and reclaim
-	// passes probe the busy pages.
+	// wbGate, when non-nil, runs at the start of every asynchronous
+	// clean-flight run completion, on the I/O goroutine. Test hook: the
+	// msync race tests use it to hold completions while concurrent faults
+	// and reclaim passes probe the busy pages.
 	wbGate func()
 
-	// Writeback waiter state: paths that find an object page busy (a
-	// flush owns its contents) sleep here; wbGen is bumped and the
-	// condvar broadcast by every flush completion (see objwb.go).
+	// Flight state (flight.go). flights counts the flights started and
+	// not yet finished; it falls under flMu. flMu also guards every
+	// flight's pending counter and result lists, and flGen, which each
+	// flight completion bumps before broadcasting flCond: paths that find
+	// an object page busy, waiters on one flight, allocators out of
+	// evictable pages and Shutdown all sleep there.
+	flights atomic.Int32
 	//uvm:lock wbcond
-	wbMu   sync.Mutex
-	wbCond *sync.Cond
-	wbGen  uint64
+	flMu   sync.Mutex
+	flCond *sync.Cond
+	flGen  uint64
 }
 
 // Boot boots UVM on machine m with default configuration.
@@ -306,11 +319,12 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrObjWbClusters = m.Stats.Counter(sim.CtrObjWbClusters)
 	s.ctrObjWbPages = m.Stats.Counter(sim.CtrObjWbPages)
 	s.ctrPdRounds = m.Stats.Counter(sim.CtrPdRounds)
+	s.ctrPdFreed = m.Stats.Counter(sim.CtrPdFreed)
 	s.ctrPdDirect = m.Stats.Counter(sim.CtrPdDirect)
 	s.ctrPdWorkerRounds = m.Stats.Counter(sim.CtrPdWorkerRounds)
 	s.ctrUbcReads = m.Stats.Counter("uvm.ubc.reads")
 	s.ctrUbcWrites = m.Stats.Counter("uvm.ubc.writes")
-	s.wbCond = sync.NewCond(&s.wbMu)
+	s.flCond = sync.NewCond(&s.flMu)
 	s.pageinClusterA.Store(int32(cfg.PageinCluster))
 	if cfg.AsyncWriteback && cfg.WritebackWindow > 0 {
 		m.FS.SetWriteWindow(cfg.WritebackWindow)
@@ -381,27 +395,26 @@ func (s *System) lowWater() int {
 
 // Shutdown implements vmapi.System: it stops the pagedaemon goroutine,
 // releasing any allocators blocked on it, waits for it to exit, and then
-// drains any asynchronous pageout writes still in flight so no completion
-// callback touches VM structures after Shutdown returns. The system
-// remains usable — reclaim falls back to running inline in allocating
-// goroutines — so shutdown order is forgiving. Idempotent.
+// waits for every flight still in the air — the daemon's pageouts and
+// fire-and-forget object writebacks alike; Msync and recycle wait for
+// their own — so no completion touches VM structures after Shutdown
+// returns. The system remains usable — reclaim falls back to running
+// inline in allocating goroutines — so shutdown order is forgiving.
+// Idempotent.
 func (s *System) Shutdown() {
 	if s.tuner != nil {
-		// Stop the syncer before the drains below: it submits new
-		// writeback I/O, so it must be quiescent before Drain's "nothing
-		// in flight" means anything.
+		// Stop the syncer first: it submits new flights, so it must be
+		// quiescent before "nothing in the air" means anything.
 		s.tuner.stop()
 	}
 	if s.pd != nil {
 		s.pd.stop()
-		s.mach.Swap.DrainAsync()
 	}
-	// Fire-and-forget object writebacks (last-unmap flushes) may still be
-	// on the wire; drain both backends so no completion callback touches
-	// VM structures after Shutdown returns. (Msync and recycle wait for
-	// their own batches, so only unwaited submissions are left here.)
-	s.mach.FS.DrainWrites()
-	s.mach.Swap.DrainAsync()
+	s.flMu.Lock()
+	for s.flights.Load() > 0 {
+		s.flCond.Wait()
+	}
+	s.flMu.Unlock()
 }
 
 // Name implements vmapi.System.

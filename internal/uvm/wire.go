@@ -30,7 +30,7 @@ func (p *Process) wirePagesNoMap(start, end param.VAddr) error {
 		for attempt := 0; attempt < 16 && !wired; attempt++ {
 			pte, ok := p.pm.Lookup(va)
 			if !ok || pte.Page == nil {
-				if err := s.fault(p, va, param.ProtRead); err != nil {
+				if err := s.fault(p, va, param.ProtRead, nil); err != nil {
 					return err
 				}
 				continue

@@ -161,7 +161,7 @@ func (v *Vnode) WriteClusterAsync(idx int, bufs [][]byte, done func(error)) erro
 	v.fs.clock.ChargeN(len(bufs), v.fs.costs.PageCopy)
 	v.fs.stats.Inc("vfs.aio.writes")
 	v.fs.stats.Add("vfs.aio.pages", int64(len(bufs)))
-	v.fs.writer().Submit(v.f.start+int64(idx), bufs, done)
+	v.fs.aw.Submit(v.f.start+int64(idx), bufs, done)
 	return nil
 }
 
@@ -205,80 +205,27 @@ type FS struct {
 	maxVnodes int
 	lruSeq    int64
 
-	// Asynchronous write-back state: one bounded-window writer for the
-	// filesystem disk (created lazily with awWindow), shared by every
-	// vnode's WriteClusterAsync.
-	//uvm:lock vfsaw
-	awMu     sync.Mutex
-	aw       *disk.AsyncWriter
-	awWindow int
-}
-
-// writer returns the filesystem's async writer, creating it with the
-// configured window on first use.
-func (fs *FS) writer() *disk.AsyncWriter {
-	fs.awMu.Lock()
-	defer fs.awMu.Unlock()
-	if fs.aw == nil {
-		fs.aw = disk.NewAsyncWriter(fs.dev, fs.awWindow)
-	}
-	return fs.aw
+	// aw is the bounded-window asynchronous writer for the filesystem
+	// disk, shared by every vnode's WriteClusterAsync.
+	aw *disk.AsyncWriter
 }
 
 // SetWriteWindow sets the in-flight window for asynchronous vnode write
-// clusters; n <= 0 keeps disk.DefaultAIOWindow. The change is live: an
-// already-created writer is resized immediately — writes admitted under
-// an old, larger window complete and drain normally, new submissions
-// wait for the in-flight count to fall under the new bound. Safe to call
-// at any time, concurrently with WriteClusterAsync (the control plane
-// resizes the window from observed completion latency).
-func (fs *FS) SetWriteWindow(n int) {
-	fs.awMu.Lock()
-	fs.awWindow = n
-	aw := fs.aw
-	fs.awMu.Unlock()
-	if aw != nil {
-		aw.SetWindow(n)
-	}
-}
+// clusters; n <= 0 restores disk.DefaultAIOWindow. The change is live:
+// writes admitted under an old, larger window complete and drain
+// normally, new submissions wait for the in-flight count to fall under
+// the new bound. Safe to call at any time, concurrently with
+// WriteClusterAsync (the control plane resizes the window from observed
+// completion latency).
+func (fs *FS) SetWriteWindow(n int) { fs.aw.SetWindow(n) }
 
 // WriteWindow returns the current in-flight window for asynchronous
 // vnode write clusters (test/debug helper).
-func (fs *FS) WriteWindow() int {
-	fs.awMu.Lock()
-	aw, win := fs.aw, fs.awWindow
-	fs.awMu.Unlock()
-	if aw != nil {
-		return aw.Window()
-	}
-	if win <= 0 {
-		return disk.DefaultAIOWindow
-	}
-	return win
-}
+func (fs *FS) WriteWindow() int { return fs.aw.Window() }
 
 // DrainWrites blocks until every asynchronous vnode cluster write
 // submitted so far has completed (its done callback has returned).
-func (fs *FS) DrainWrites() {
-	fs.awMu.Lock()
-	aw := fs.aw
-	fs.awMu.Unlock()
-	if aw != nil {
-		aw.Drain()
-	}
-}
-
-// WritesInFlight returns the number of asynchronous vnode cluster writes
-// submitted but not yet completed (test/debug helper).
-func (fs *FS) WritesInFlight() int {
-	fs.awMu.Lock()
-	aw := fs.aw
-	fs.awMu.Unlock()
-	if aw == nil {
-		return 0
-	}
-	return aw.InFlight()
-}
+func (fs *FS) DrainWrites() { fs.aw.Drain() }
 
 // NewFS creates a filesystem on dev with an in-core table of maxVnodes
 // vnodes (the kernel's `desiredvnodes`).
@@ -288,6 +235,7 @@ func NewFS(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk,
 	}
 	return &FS{
 		clock: clock, costs: costs, stats: stats, dev: dev,
+		aw:        disk.NewAsyncWriter(dev, 0),
 		files:     make(map[string]*file),
 		vnodes:    make(map[string]*Vnode),
 		maxVnodes: maxVnodes,
