@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"uvm/internal/param"
+	"uvm/internal/phys"
 	"uvm/internal/pmap"
 	"uvm/internal/vfs"
 	"uvm/internal/vmapi"
@@ -595,6 +596,14 @@ func (p *process) Exit() {
 // translation with sufficient protection is a TLB-speed touch; anything
 // else is a page fault.
 func (p *process) Access(addr param.VAddr, write bool) error {
+	return p.access(addr, write, nil)
+}
+
+// access touches addr, faulting it in if need be. use, when non-nil, is
+// the copyin/copyout tail: it runs on the page mapped at addr while the
+// big lock is still held, so no other process can evict, replace or
+// write to the frame between the touch and the copy.
+func (p *process) access(addr param.VAddr, write bool, use func(*phys.Page)) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
@@ -611,9 +620,17 @@ func (p *process) Access(addr param.VAddr, write bool) error {
 		if write {
 			pte.Page.Dirty.Store(true)
 		}
-		return nil
+	} else if err := s.fault(p, addr, access); err != nil {
+		return err
 	}
-	return s.fault(p, addr, access)
+	if use != nil {
+		pte, ok := p.pm.Lookup(addr)
+		if !ok || pte.Page == nil {
+			return vmapi.ErrFault
+		}
+		use(pte.Page)
+	}
+	return nil
 }
 
 // TouchRange implements vmapi.Process.
@@ -637,26 +654,23 @@ func (p *process) WriteBytes(addr param.VAddr, data []byte) error {
 	return p.copyBytes(addr, data, true)
 }
 
+// copyBytes is the copyin/copyout path: each page-sized chunk is copied
+// as the tail of the access that makes its page resident (see access).
 func (p *process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
-	done := 0
-	for done < len(buf) {
+	for done := 0; done < len(buf); {
 		va := addr + param.VAddr(done)
 		pageOff := int(va & param.PageMask)
-		n := param.PageSize - pageOff
-		if n > len(buf)-done {
-			n = len(buf) - done
-		}
-		if err := p.Access(va, write); err != nil {
+		n := min(param.PageSize-pageOff, len(buf)-done)
+		chunk := buf[done : done+n]
+		err := p.access(va, write, func(pg *phys.Page) {
+			if write {
+				copy(pg.Data[pageOff:], chunk)
+			} else {
+				copy(chunk, pg.Data[pageOff:])
+			}
+		})
+		if err != nil {
 			return err
-		}
-		pte, ok := p.pm.Lookup(va)
-		if !ok || pte.Page == nil {
-			return vmapi.ErrFault
-		}
-		if write {
-			copy(pte.Page.Data[pageOff:pageOff+n], buf[done:done+n])
-		} else {
-			copy(buf[done:done+n], pte.Page.Data[pageOff:pageOff+n])
 		}
 		done += n
 	}

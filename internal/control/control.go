@@ -20,7 +20,7 @@
 // scripted observation trace always produces the same decision
 // sequence (the step-response test harness depends on exactly this).
 // Whether a live run is deterministic is the caller's affair: UVM only
-// engages the plane behind MachineConfig.AutoTune, which is off for
+// engages the plane behind uvm.Config.AutoTune, which is off for
 // every paper experiment.
 package control
 

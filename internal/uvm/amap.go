@@ -128,31 +128,6 @@ func (s *System) dropAnonPage(pg *phys.Page, loanedView bool) {
 	}
 }
 
-// anonPageinLocked brings a swapped-out anon's data back into a fresh
-// page. Caller holds a.mu.
-func (s *System) anonPageinLocked(a *anon) error {
-	if a.page != nil {
-		return nil
-	}
-	pg, err := s.allocPage(a, 0, false)
-	if err != nil {
-		return err
-	}
-	pg.Busy.Store(true)
-	err = s.mach.Swap.ReadSlot(a.swslot, pg.Data)
-	pg.Busy.Store(false)
-	if err != nil {
-		s.mach.Mem.Free(pg)
-		return err
-	}
-	// The swap copy remains valid until the page is dirtied again; keep
-	// the slot so a clean eviction is free.
-	pg.Dirty.Store(false)
-	a.page = pg
-	s.mach.Stats.Inc("uvm.anon.pagein")
-	return nil
-}
-
 // amapImpl is the amap storage interface. The paper (§5.2) notes UVM
 // deliberately separates the amap interface from its implementation so the
 // latter can be swapped (array now, hybrid hash/array later); this

@@ -11,8 +11,8 @@ import (
 )
 
 // This file wires the internal/control feedback plane into a booted
-// System (cfg.AutoTune / vmapi.MachineConfig.AutoTune): five controllers
-// steering the knobs that PRs 2–5 left static, plus a syncer-style
+// System (cfg.AutoTune): five controllers steering the knobs that
+// PRs 2–5 left static, plus a syncer-style
 // periodic flusher that trickles dirty object pages through the object
 // writeback engine so msync storms and reclaim rounds find less backlog.
 //

@@ -188,7 +188,7 @@ func TestSyncerTricklesDirtyObjectPages(t *testing.T) {
 }
 
 // TestAutotuneBootSmoke boots the whole control plane through
-// vmapi.MachineConfig.AutoTune, runs a paging workload that crosses
+// Config.AutoTune, runs a paging workload that crosses
 // several controller epochs, and verifies the plane actually stepped,
 // every emitted setting still validates, and shutdown is clean (Busy
 // sweep via the cleanup hook).
@@ -198,9 +198,9 @@ func TestAutotuneBootSmoke(t *testing.T) {
 		SwapPages: 1024,
 		FSPages:   4096,
 		MaxVnodes: 50,
-		AutoTune:  true,
 	})
 	cfg := DefaultConfig()
+	cfg.AutoTune = true
 	cfg.AsyncPageout = true
 	cfg.AsyncWriteback = true
 	cfg.PageoutWindow = 2
@@ -208,7 +208,7 @@ func TestAutotuneBootSmoke(t *testing.T) {
 	s := BootConfig(m, cfg)
 	testutil.SweepOnCleanup(t, s)
 	if s.tuner == nil {
-		t.Fatal("MachineConfig.AutoTune did not start the tuner")
+		t.Fatal("Config.AutoTune did not start the tuner")
 	}
 
 	p := newProc(t, s, "p")

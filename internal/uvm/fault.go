@@ -112,56 +112,6 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 	return nil
 }
 
-// asyncPagein implements the paper's §10 future-work item: "modify UVM to
-// asynchronously page in non-resident pages that appear to be useful".
-// After a fault, the pages in the advice window that are backed by the
-// object but not resident are brought in with read-ahead I/O that
-// overlaps the faulting process' execution; the next fault then finds
-// them resident and the lookahead machinery maps them for free.
-func (s *System) asyncPagein(e *entry, faultVA param.VAddr) {
-	o := e.obj
-	if o == nil || o.vnode == nil {
-		return
-	}
-	ahead, _ := e.advice.Lookahead()
-	if ahead == 0 {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	base := param.Trunc(faultVA)
-	for d := 1; d <= ahead; d++ {
-		va := base + param.VAddr(d)*param.PageSize
-		if va >= e.end {
-			break
-		}
-		idx := e.objIndex(va)
-		if _, resident := o.pages[idx]; resident {
-			continue
-		}
-		if idx >= o.vnode.NumPages() {
-			break
-		}
-		// Allocate the frame (CPU cost charged) and issue the overlapped
-		// read.
-		pg, raced, err := s.allocObjPageLocked(o, idx, false)
-		if err != nil {
-			return
-		}
-		if raced {
-			continue // a concurrent fault brought the page in
-		}
-		if err := o.vnode.ReadPageAsync(idx, pg.Data); err != nil {
-			s.mach.Mem.Free(pg)
-			return
-		}
-		pg.Dirty.Store(false)
-		o.pages[idx] = pg
-		s.mach.Mem.Activate(pg)
-		s.ctrAsyncPageinPgs.Inc()
-	}
-}
-
 // faultResolve finds (or creates) the page for va and decides the
 // hardware protection to map it with. On success the returned release
 // func holds the page owner's lock until the caller has entered the
@@ -195,35 +145,18 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 				}
 			}
 			o.mu.Lock()
-			pg, ok := o.pages[idx]
 			// A busy page belongs to a writeback flush: its contents are
 			// on the wire, so nothing may be mapped (a read fault would
 			// map it with the entry's full protection, letting stores
 			// sneak past the write-protect the flush installed) until the
-			// completion clears Busy and wakes us. The lock is dropped
-			// during the wait, so re-look the page up each time. The
-			// check re-runs after a pager get too: get drops o.mu around
-			// its allocation, and its raced path can hand back a page a
-			// concurrent flush claimed in that window.
-			for {
-				if ok && pg.Busy.Load() {
-					s.waitObjPageIdle(o, pg)
-					pg, ok = o.pages[idx]
-					continue
+			// completion clears Busy.
+			pg, err := s.objPage(o, idx, false)
+			if err != nil {
+				o.mu.Unlock()
+				if na != nil {
+					s.anonUnref(na)
 				}
-				if ok {
-					break
-				}
-				var err error
-				pg, err = o.ops.get(o, idx) // pager allocates (§6)
-				if err != nil {
-					o.mu.Unlock()
-					if na != nil {
-						s.anonUnref(na)
-					}
-					return nil, 0, nil, err
-				}
-				ok = true
+				return nil, 0, nil, err
 			}
 			if write && e.cow {
 				// Promote the object page into a fresh anon: the object page
@@ -317,15 +250,7 @@ func (s *System) newAnonPage(zero bool) (*anon, *phys.Page, error) {
 func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*phys.Page, param.Prot, func(), error) {
 	a.mu.Lock()
 	if a.page == nil {
-		var err error
-		if s.pageinWindow() > 1 && a.swslot != swap.NoSlot {
-			// Clustered pagein: drag in VA neighbours whose swap slots
-			// are adjacent to ours with the same I/O (see pagein.go).
-			err = s.pageinCluster(am, a, slot)
-		} else {
-			err = s.anonPageinLocked(a)
-		}
-		if err != nil {
+		if err := s.anonPagein(am, a, slot); err != nil {
 			a.mu.Unlock()
 			am.mu.Unlock()
 			return nil, 0, nil, err

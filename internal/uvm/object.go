@@ -6,7 +6,6 @@ import (
 
 	"uvm/internal/param"
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 	"uvm/internal/vfs"
 )
 
@@ -191,26 +190,19 @@ func (vp *vnodePager) name() string { return "vnode" }
 
 func (vp *vnodePager) get(o *uobject, idx int) (*phys.Page, error) {
 	pg, raced, err := vp.sys.allocObjPageLocked(o, idx, false)
-	if err != nil {
-		return nil, err
+	if err != nil || raced {
+		return pg, err
 	}
-	if raced {
+	if idx >= o.vnode.NumPages() {
+		// A mapping past EOF zero-fills: there is nothing to read.
+		vp.sys.mach.Mem.Zero(pg)
+		pg.Dirty.Store(false)
+		o.pages[idx] = pg
 		return pg, nil
 	}
-	pg.Busy.Store(true)
-	if idx < o.vnode.NumPages() {
-		err = o.vnode.ReadPage(idx, pg.Data)
-	} else {
-		vp.sys.mach.Mem.Zero(pg) // mapping past EOF zero-fills
-	}
-	pg.Busy.Store(false)
-	if err != nil {
-		vp.sys.mach.Mem.Free(pg)
+	if err = vp.sys.pagein(pagein{o: o, start: int64(idx), pages: []pageinPage{{pg: pg, idx: idx}}}); err != nil {
 		return nil, err
 	}
-	o.pages[idx] = pg
-	pg.Dirty.Store(false)
-	vp.sys.mach.Stats.Inc(sim.CtrPageIns)
 	return pg, nil
 }
 
@@ -252,64 +244,49 @@ func (s *System) newAObj(n int) *uobject {
 }
 
 func (ap *aobjPager) get(o *uobject, idx int) (*phys.Page, error) {
-	_, hadSlot := o.aobjSlots[idx]
-	pg, raced, err := ap.sys.allocObjPageLocked(o, idx, !hadSlot)
-	if err != nil {
-		return nil, err
-	}
-	if raced {
-		return pg, nil
-	}
-	// allocObjPageLocked dropped o.mu around the allocation, so the slot
-	// state observed above may be stale: a concurrent pageout can have
-	// reassigned (or even created) the slot, and msync/teardown paths
-	// can have freed it — the free-during-pagein race. Re-read it under
-	// the re-acquired lock before deciding where the data comes from.
-	// Clustered pagein re-opens the window (neighbour frame allocations
-	// drop o.mu too), so the loop re-reads until the slot state holds
-	// still; from the final re-read to the ReadSlot/ReadCluster the lock
-	// is held continuously.
-	for tries := 0; ; tries++ {
+	s := ap.sys
+	window := s.pageinWindow()
+	// Every pass allocates idx's frame and, with clustering on, its
+	// neighbours', and each allocation drops o.mu: a concurrent pageout
+	// can reassign (or even create) idx's slot and msync/teardown paths
+	// can free it — the free-during-pagein race — so the slot is re-read
+	// under the retaken lock before deciding where the data comes from,
+	// and the pass starts over whenever idx's state moved under it.
+	for {
+		_, hadSlot := o.aobjSlots[idx]
+		pg, raced, err := s.allocObjPageLocked(o, idx, !hadSlot)
+		if err != nil || raced {
+			return pg, err
+		}
 		slot, ok := o.aobjSlots[idx]
 		if !ok {
 			// No backing copy (first touch), or it vanished while the lock
 			// was down: zero-fill. Anonymous content exists only in RAM, so
 			// the page is born dirty.
 			if hadSlot {
-				ap.sys.mach.Mem.Zero(pg) // allocated un-zeroed for a read that is off
+				s.mach.Mem.Zero(pg) // allocated un-zeroed for a read that is off
 			}
 			o.pages[idx] = pg
 			pg.Dirty.Store(true)
 			return pg, nil
 		}
-		if ap.sys.pageinWindow() > 1 && tries < 3 {
-			// Try to drag slot-adjacent neighbour pages in with the same
-			// I/O (the aobj mirror of anon clustered pagein; see
-			// pagein.go). retry means the slot state shifted while the
-			// neighbour frames were being allocated: re-read and redo.
-			got, retry, err := ap.sys.aobjPageinCluster(o, idx, slot, pg)
-			if err != nil {
-				return nil, err
-			}
-			if retry {
+		r := pagein{o: o, start: slot, pages: []pageinPage{{pg: pg, idx: idx}}}
+		if window > 1 {
+			run, lo, still := s.aobjNeighbours(o, idx, slot, pg, window)
+			if !still {
 				continue
 			}
-			if got != nil {
-				return got, nil
+			if run != nil {
+				r.start, r.centre, r.pages = lo, int(slot-lo), run
 			}
-			// No willing neighbour: fall through to the single-slot read.
 		}
-		pg.Busy.Store(true)
-		err = ap.sys.mach.Swap.ReadSlot(slot, pg.Data)
-		pg.Busy.Store(false)
-		if err != nil {
-			ap.sys.mach.Mem.Free(pg)
+		if err = s.pagein(r); err == nil {
+			return pg, nil
+		}
+		if len(r.pages) == 1 {
 			return nil, err
 		}
-		o.pages[idx] = pg
-		pg.Dirty.Store(false)
-		ap.sys.ctrPageIns.Inc()
-		return pg, nil
+		window = 1 // a failed cluster degrades to the centre page alone
 	}
 }
 

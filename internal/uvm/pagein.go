@@ -1,324 +1,366 @@
 package uvm
 
 import (
+	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/sim"
 	"uvm/internal/swap"
 )
 
-// Clustered pagein: the read-side mirror of the paper's clustered
-// pageout. The pagedaemon reassigns a whole dirty cluster — typically
-// VA-adjacent anons of one amap — into one contiguous run of swap slots
-// and writes it with a single I/O. That layout is exactly what makes the
-// reverse trip cheap: when one of those anons faults back in, its VA
-// neighbours very likely sit in the adjacent slots, so one positioning
-// cost can drag the whole neighbourhood back instead of paying a full
-// seek per page as the faults arrive one by one.
+// Pageins: every read of a page from backing store — the paper's pager
+// get, in which the pager allocates the pages itself (§6) — is one
+// mechanism, the read-side twin of the flight (flight.go). A pagein is a
+// run of freshly allocated frames bound for consecutive backing-store
+// blocks (swap slots, or pages of a vnode). readRun marks the run Busy
+// and fills it with exactly one I/O; finishRun is the one install site:
+// Busy off, Dirty off, each frame attached to its owner (a.page or
+// o.pages[idx]), every frame but the one the fault is about to map
+// activated, every counter bumped. When the I/O — or the allocation
+// before it — fails, finishRun frees every frame of the run and attaches
+// nothing.
 //
-// There is no slot→anon reverse map, and we do not want one; the amap
-// already is the locality map. pageinCluster therefore walks the faulting
-// anon's VA neighbours in its amap, keeps those whose swap slots extend
-// the faulting slot into a contiguous same-device run, and issues one
-// swap.ReadCluster for the run. Neighbours are acquired with TryLock only
-// (anon locks are peers in the lock order; blocking could deadlock with a
-// concurrent fault walking the other way), so a busy neighbour simply
-// drops out of the window. Pages brought in for neighbours are activated
-// but not mapped: the fault-time lookahead maps resident neighbours for
-// free, and a later fault finds them resident.
+// A single-page pagein is a run of length one: the same swap.ios tick
+// and the same one-block disk command. Clustered pagein
+// (cfg.PageinCluster > 1) is a longer run, the read-side mirror of the
+// paper's clustered pageout: the pagedaemon reassigns a dirty cluster —
+// typically VA-adjacent anons of one amap, or index-adjacent pages of
+// one aobj — into one contiguous run of swap slots, so when one of them
+// faults back in its neighbours very likely sit in the adjacent slots
+// and one positioning cost can drag the whole neighbourhood back. There
+// is no slot→owner reverse map, and we do not want one; the amap and the
+// aobj's slot table already are the locality maps. The cluster type is
+// the one run builder, fed by two enumerators that own nothing but
+// their locking protocol:
+//
+//   - anonNeighbours walks the faulting anon's VA neighbours in its
+//     amap. Anon locks are peers in the lock order (blocking could
+//     deadlock with a fault walking the other way), so neighbours are
+//     TryLocked only — a busy one simply drops out of the window — and
+//     the locks stay held across the frame allocation and the I/O.
+//   - aobjNeighbours walks the faulting index's neighbours in the
+//     object's slot table. Every frame allocation drops o.mu
+//     (allocObjPageLocked), so each survivor, and the faulting index
+//     itself, is re-verified under the retaken lock; aobjPager.get loops
+//     until the slot state holds still, and from the final check to the
+//     read the lock is held continuously.
+//
+// Clustering is an optimisation, never a new way to fail a fault: a
+// cluster that cannot get its frames or whose read fails degrades to the
+// centre page alone — the same mechanism again with a run of one — and
+// only that read's error fails the fault. Pages brought in for
+// neighbours are activated but not mapped; the fault-time lookahead maps
+// resident neighbours for free. asyncPagein (§10 read-ahead) is the
+// vnode enumerator: one single-page run per non-resident page of the
+// advice window, read with the deferred primitive so the I/O overlaps
+// the faulting process.
 
-// pageinCluster brings a's data in from swap, reading up to
-// cfg.PageinCluster adjacent allocated slots in one I/O when the
-// faulting anon's VA neighbours occupy them. Called with am.mu and a.mu
-// held, a.page == nil and a.swslot valid; on success a.page is resident,
-// exactly like anonPageinLocked (the single-slot path it falls back to
-// whenever no neighbour is adjacent or resources run short).
-func (s *System) pageinCluster(am *amap, a *anon, slot int) error {
-	window := s.pageinWindow()
-	base := a.swslot
-	devLo, devHi := s.mach.Swap.DeviceBounds(base)
+// pageinPage is one frame of a pagein and the place it attaches.
+type pageinPage struct {
+	pg  *phys.Page
+	a   *anon // run of anons: attaches as a.page
+	idx int   // run of object pages: attaches as o.pages[idx]
+}
 
-	// Collect willing VA neighbours: swapped out, unloaned, slot within
-	// the window on the same device, lock available right now.
-	bySlot := map[int64]*anon{base: a}
-	var extras []*anon
-	for d := 1 - window; d < window; d++ {
-		if d == 0 {
-			continue
-		}
-		b := am.impl.get(slot + d)
-		if b == nil || b == a {
-			continue
-		}
-		if !b.mu.TryLock() {
-			continue
-		}
-		if b.page != nil || b.loaned || b.swslot == swap.NoSlot ||
-			b.swslot < devLo || b.swslot >= devHi ||
-			b.swslot <= base-int64(window) || b.swslot >= base+int64(window) ||
-			bySlot[b.swslot] != nil {
-			b.mu.Unlock()
-			continue
-		}
-		bySlot[b.swslot] = b
-		extras = append(extras, b)
-	}
+// pagein is one run of frames to fill from backing store. The owners —
+// o, or every anon of the run — are locked by the caller throughout.
+type pagein struct {
+	o        *uobject // owning object; nil for a run of anons
+	start    int64    // first block: a swap slot, or a page index of o.vnode
+	deferred bool     // §10 read-ahead: the read overlaps the caller
+	centre   int      // index in pages of the page the fault will map, or -1
+	pages    []pageinPage
+}
 
-	// Grow the faulting slot into the largest contiguous run the
-	// candidates cover, capped at the window.
-	lo, hi := base, base
-	for hi-lo < int64(window)-1 {
-		grew := false
-		if lo > devLo && bySlot[lo-1] != nil {
-			lo--
-			grew = true
-		}
-		if hi-lo < int64(window)-1 && bySlot[hi+1] != nil {
-			hi++
-			grew = true
-		}
-		if !grew {
-			break
-		}
-	}
-	releaseOutside := func() {
-		for _, b := range extras {
-			if b.swslot < lo || b.swslot > hi {
-				b.mu.Unlock()
-			}
-		}
-	}
-	releaseOutside()
-	if lo == hi {
-		return s.anonPageinLocked(a) // nothing adjacent: plain single-slot pagein
-	}
-	run := make([]*anon, 0, hi-lo+1)
-	for sl := lo; sl <= hi; sl++ {
-		run = append(run, bySlot[sl])
-	}
+// pagein fills r with one I/O and installs it.
+func (s *System) pagein(r pagein) error {
+	return s.finishRun(r, s.readRun(r))
+}
 
-	// Allocate the frames, then read the whole run with one I/O. Any
-	// failure rolls the neighbours back and degrades to the single-slot
-	// path for the faulting anon — clustering is an optimisation, never a
-	// new way to fail a fault.
-	abort := func(pages []*phys.Page) {
-		for _, pg := range pages {
-			if pg != nil {
-				pg.Busy.Store(false)
-				s.mach.Mem.Free(pg)
-			}
-		}
-		for _, b := range run {
-			if b != a {
-				b.mu.Unlock()
-			}
-		}
+// readRun marks r's frames Busy and issues the run's one I/O. It is the
+// only function in this package that reads backing store.
+func (s *System) readRun(r pagein) error {
+	var one [1][]byte // a run of one stays off the heap
+	bufs := one[:0]
+	for _, p := range r.pages {
+		p.pg.Busy.Store(true)
+		bufs = append(bufs, p.pg.Data)
 	}
-	pages := make([]*phys.Page, len(run))
-	bufs := make([][]byte, len(run))
-	for i, b := range run {
-		pg, err := s.allocPage(b, 0, false)
+	switch {
+	case r.o == nil || r.o.vnode == nil:
+		return s.mach.Swap.ReadCluster(r.start, bufs)
+	case r.deferred:
+		return r.o.vnode.ReadPageAsync(int(r.start), bufs[0])
+	default:
+		return r.o.vnode.ReadPage(int(r.start), bufs[0])
+	}
+}
+
+// finishRun is the one install site. err is the outcome of the run's
+// read, or of the frame allocation that never got that far.
+func (s *System) finishRun(r pagein, err error) error {
+	for i, p := range r.pages {
+		p.pg.Busy.Store(false)
 		if err != nil {
-			abort(pages)
-			return s.anonPageinLocked(a)
+			s.mach.Mem.Free(p.pg)
+			continue
 		}
-		pg.Busy.Store(true)
-		pages[i] = pg
-		bufs[i] = pg.Data
-	}
-	if err := s.mach.Swap.ReadCluster(lo, bufs); err != nil {
-		abort(pages)
-		return s.anonPageinLocked(a)
-	}
-	for i, b := range run {
-		pg := pages[i]
-		pg.Busy.Store(false)
-		// The swap copy remains valid until the page is dirtied again;
-		// keep the slot so a clean eviction is free.
-		pg.Dirty.Store(false)
-		b.page = pg
-		if b != a {
-			s.mach.Mem.Activate(pg)
-			b.mu.Unlock()
+		// The backing copy stays valid until the page is dirtied again; a
+		// swap slot is kept so a clean eviction is free.
+		p.pg.Dirty.Store(false)
+		if r.o != nil {
+			r.o.pages[p.idx] = p.pg
+		} else {
+			p.a.page = p.pg
+		}
+		if i != r.centre {
+			s.mach.Mem.Activate(p.pg)
 		}
 	}
-	s.mach.Stats.Inc(sim.CtrPageinClusters)
-	s.mach.Stats.Add(sim.CtrPageinClustered, int64(len(run)-1))
-	s.mach.Stats.Add("uvm.anon.pagein", int64(len(run)))
+	if err != nil {
+		return err
+	}
+	n := int64(len(r.pages))
+	s.ctrPageIns.Add(n)
+	switch {
+	case r.o == nil:
+		s.mach.Stats.Add("uvm.anon.pagein", n)
+		if n > 1 {
+			s.mach.Stats.Inc(sim.CtrPageinClusters)
+			s.mach.Stats.Add(sim.CtrPageinClustered, n-1)
+		}
+	case r.deferred:
+		s.ctrAsyncPageinPgs.Add(n)
+	case r.o.vnode == nil && n > 1:
+		s.mach.Stats.Inc(sim.CtrAobjPageinClusters)
+		s.mach.Stats.Add(sim.CtrAobjPageinClustered, n-1)
+	}
 	return nil
 }
 
-// aobjPageinCluster is the aobj mirror of pageinCluster: on an aobj
-// fault whose data lives in swap, neighbouring page *indices* of the
-// same object whose slots extend the faulting slot into a contiguous
-// same-device run are read with the one I/O. The adjacency information
-// is already in aobjSlots — after the pagedaemon clusters an aobj's
-// dirty pages out, index-adjacent pages usually occupy adjacent slots,
-// which is exactly the layout that makes the return trip cheap.
-//
-// Called from aobjPager.get with o.mu held, pg the (not yet inserted)
-// frame allocated for idx, and slot the re-read o.aobjSlots[idx].
-// Neighbour frame allocation drops o.mu (allocObjPageLocked), so every
-// candidate — and idx itself — is re-verified under the re-taken lock
-// before the read. Returns (page, false, nil) on success with
-// o.pages[idx] resident; (nil, true, nil) when idx's own slot state
-// shifted while the lock was down (caller re-reads and retries);
-// (nil, false, nil) when no neighbour is willing (caller falls back to
-// the single-slot read). Clustering is an optimisation, never a new way
-// to fail a fault: read errors roll the neighbours back and report
-// nothing.
-func (s *System) aobjPageinCluster(o *uobject, idx int, slot int64, pg *phys.Page) (*phys.Page, bool, error) {
-	window := s.pageinWindow()
-	devLo, devHi := s.mach.Swap.DeviceBounds(slot)
+// cluster builds the run around a faulting swap slot: the enumerators
+// offer it their willing neighbours' slots, bounds answers with the
+// contiguous run to read.
+type cluster struct {
+	centre, window int64
+	devLo, devHi   int64         // cluster I/O never crosses a swap device
+	bySlot         map[int64]int // slot -> the enumerator's name for its owner
+}
 
-	// Candidate neighbours: non-resident indices of the window whose
-	// slots lie within the window of ours on the same device.
-	candidate := func(nIdx int) (int64, bool) {
-		nSlot, ok := o.aobjSlots[nIdx]
-		if !ok {
-			return 0, false
-		}
-		if _, resident := o.pages[nIdx]; resident {
-			return 0, false
-		}
-		if nSlot < devLo || nSlot >= devHi ||
-			nSlot <= slot-int64(window) || nSlot >= slot+int64(window) {
-			return 0, false
-		}
-		return nSlot, true
+func (s *System) newCluster(centre int64, id, window int) cluster {
+	lo, hi := s.mach.Swap.DeviceBounds(centre)
+	return cluster{centre, int64(window), lo, hi, map[int64]int{centre: id}}
+}
+
+// offer enters slot as a candidate unless it lies off the centre's
+// device, outside the window, or is already claimed.
+func (c *cluster) offer(slot int64, id int) bool {
+	if _, dup := c.bySlot[slot]; dup || slot < c.devLo || slot >= c.devHi ||
+		slot <= c.centre-c.window || slot >= c.centre+c.window {
+		return false
 	}
-	bySlot := map[int64]int{slot: idx}
+	c.bySlot[slot] = id
+	return true
+}
+
+// bounds grows the centre slot into the largest contiguous run the
+// candidates cover, left before right, capped at the window.
+func (c *cluster) bounds() (lo, hi int64) {
+	lo, hi = c.centre, c.centre
+	for grew := true; grew && hi-lo < c.window-1; {
+		grew = false
+		if _, ok := c.bySlot[lo-1]; ok {
+			lo--
+			grew = true
+		}
+		if _, ok := c.bySlot[hi+1]; ok && hi-lo < c.window-1 {
+			hi++
+			grew = true
+		}
+	}
+	return lo, hi
+}
+
+// anonPagein brings a's data in from swap, reading adjacent slots held
+// by a's VA neighbours with the same I/O when cfg.PageinCluster allows.
+// Called with am.mu and a.mu held, a.page == nil and a.swslot valid; on
+// success a.page is resident.
+func (s *System) anonPagein(am *amap, a *anon, slot int) error {
+	if window := s.pageinWindow(); window > 1 {
+		if run := s.anonNeighbours(am, a, slot, window); len(run) > 1 {
+			err := s.pageinAnons(run, a)
+			for _, b := range run {
+				if b != a {
+					b.mu.Unlock()
+				}
+			}
+			if err == nil {
+				return nil
+			}
+		}
+	}
+	return s.pageinAnons([]*anon{a}, a)
+}
+
+// pageinAnons allocates a frame for each anon of run — locked, swapped
+// out, in consecutive slots — and pages the run in.
+func (s *System) pageinAnons(run []*anon, centre *anon) error {
+	var one [1]pageinPage
+	r := pagein{start: run[0].swslot, centre: int(centre.swslot - run[0].swslot), pages: one[:0]}
+	for _, b := range run {
+		pg, err := s.allocPage(b, 0, false)
+		if err != nil {
+			return s.finishRun(r, err)
+		}
+		r.pages = append(r.pages, pageinPage{pg: pg, a: b})
+	}
+	return s.pagein(r)
+}
+
+// anonNeighbours returns, in slot order, a and those VA neighbours of a
+// in am whose swap slots extend a.swslot into a contiguous run: swapped
+// out, unloaned, and their lock free right now. The neighbours returned
+// are locked; every other candidate is released again.
+func (s *System) anonNeighbours(am *amap, a *anon, slot, window int) []*anon {
+	c := s.newCluster(a.swslot, 0, window)
+	cands := []*anon{a}
 	for d := 1 - window; d < window; d++ {
-		nIdx := idx + d
-		if d == 0 || nIdx < 0 || nIdx >= o.sizePg {
+		b := am.impl.get(slot + d)
+		if b == nil || b == a || !b.mu.TryLock() {
 			continue
 		}
-		if nSlot, ok := candidate(nIdx); ok {
-			if _, dup := bySlot[nSlot]; !dup {
-				bySlot[nSlot] = nIdx
-			}
+		if b.page != nil || b.loaned || b.swslot == swap.NoSlot || !c.offer(b.swslot, len(cands)) {
+			b.mu.Unlock()
+			continue
+		}
+		cands = append(cands, b)
+	}
+	lo, hi := c.bounds()
+	for _, b := range cands[1:] {
+		if b.swslot < lo || b.swslot > hi {
+			b.mu.Unlock()
 		}
 	}
-	growRun := func() (int64, int64) {
-		lo, hi := slot, slot
-		for hi-lo < int64(window)-1 {
-			grew := false
-			if lo > devLo {
-				if _, ok := bySlot[lo-1]; ok {
-					lo--
-					grew = true
-				}
-			}
-			if hi-lo < int64(window)-1 {
-				if _, ok := bySlot[hi+1]; ok {
-					hi++
-					grew = true
-				}
-			}
-			if !grew {
-				break
-			}
-		}
-		return lo, hi
+	run := make([]*anon, 0, hi-lo+1)
+	for sl := lo; sl <= hi; sl++ {
+		run = append(run, cands[c.bySlot[sl]])
 	}
-	lo, hi := growRun()
-	if lo == hi {
-		return nil, false, nil // nothing adjacent
-	}
+	return run
+}
 
-	// Allocate the neighbour frames. Each allocation drops o.mu, so a
-	// candidate can be invalidated mid-loop; re-verify the whole set
-	// afterwards and shrink the run to what survived.
-	frames := map[int64]*phys.Page{slot: pg}
-	freeFrames := func(except int64) {
-		//uvm:maporder-ok frees interchangeable frames; no cost depends on free order
-		for sl, f := range frames {
-			if sl != except && f != pg {
-				s.mach.Mem.Free(f)
-			}
+// aobjNeighbours builds the run around page idx of o, whose data sits in
+// slot and whose frame is pg: index neighbours that are swapped out to
+// slots extending slot into a contiguous run. Called with o.mu held;
+// allocating the neighbours' frames drops it, so the run returned (nil
+// when idx stands alone) holds only what was re-verified afterwards, and
+// begins at slot start. still is false when idx itself became resident
+// or changed slot meanwhile: every frame, pg included, has been freed
+// and the caller starts over.
+func (s *System) aobjNeighbours(o *uobject, idx int, slot int64, pg *phys.Page, window int) (run []pageinPage, start int64, still bool) {
+	swappedOutAt := func(n int, sl int64) bool {
+		cur, ok := o.aobjSlots[n]
+		return ok && cur == sl && o.pages[n] == nil
+	}
+	c := s.newCluster(slot, idx, window)
+	for d := 1 - window; d < window; d++ {
+		if nSlot, ok := o.aobjSlots[idx+d]; ok && o.pages[idx+d] == nil {
+			c.offer(nSlot, idx+d)
 		}
 	}
+	lo, hi := c.bounds()
+	if lo == hi {
+		return nil, slot, true
+	}
+	frames := make([]*phys.Page, hi-lo+1) // by slot-lo
+	frames[slot-lo] = pg
 	for sl := lo; sl <= hi; sl++ {
 		if sl == slot {
 			continue
 		}
-		nIdx := bySlot[sl]
-		npg, raced, err := s.allocObjPageLocked(o, nIdx, false)
-		if err != nil || raced {
-			// Out of memory, or the neighbour became resident: it simply
-			// drops out of the window.
-			delete(bySlot, sl)
-			continue
+		// A neighbour that became resident, or for which memory ran short,
+		// leaves the window.
+		if f, raced, err := s.allocObjPageLocked(o, c.bySlot[sl], false); err == nil && !raced {
+			frames[sl-lo] = f
 		}
-		frames[sl] = npg
 	}
-	// o.mu went down: if idx itself changed hands, unwind completely.
-	if existing, resident := o.pages[idx]; resident {
-		freeFrames(slot)
-		s.mach.Mem.Free(pg)
-		return existing, false, nil
-	}
-	if cur, ok := o.aobjSlots[idx]; !ok || cur != slot {
-		freeFrames(slot)
-		return nil, true, nil // caller re-reads the slot and retries
-	}
+	still = swappedOutAt(idx, slot)
 	for sl := lo; sl <= hi; sl++ {
-		if sl == slot {
-			continue
+		if sl != slot && (frames[sl-lo] == nil || !swappedOutAt(c.bySlot[sl], sl)) {
+			delete(c.bySlot, sl)
 		}
-		f, have := frames[sl]
-		if !have {
-			continue
-		}
-		if nSlot, ok := candidate(bySlot[sl]); !ok || nSlot != sl {
+	}
+	runLo, runHi := c.bounds()
+	for sl := lo; sl <= hi; sl++ {
+		switch f := frames[sl-lo]; {
+		case f == nil:
+		case !still || sl < runLo || sl > runHi:
 			s.mach.Mem.Free(f)
-			delete(frames, sl)
-			delete(bySlot, sl)
+		default:
+			run = append(run, pageinPage{pg: f, idx: c.bySlot[sl]})
 		}
 	}
-	lo, hi = growRun()
-	// Frames outside the (possibly shrunk) run go back.
-	//uvm:maporder-ok frees interchangeable frames; no cost depends on free order
-	for sl, f := range frames {
-		if sl < lo || sl > hi {
-			s.mach.Mem.Free(f)
-			delete(frames, sl)
-		}
-	}
-	if lo == hi {
-		return nil, false, nil
-	}
+	return run, runLo, still
+}
 
-	// One I/O for the whole run, under o.mu like the single-slot read.
-	run := make([]*phys.Page, 0, hi-lo+1)
-	bufs := make([][]byte, 0, hi-lo+1)
-	for sl := lo; sl <= hi; sl++ {
-		f := frames[sl]
-		f.Busy.Store(true)
-		run = append(run, f)
-		bufs = append(bufs, f.Data)
+// asyncPagein implements the paper's §10 future-work item: "modify UVM to
+// asynchronously page in non-resident pages that appear to be useful".
+// After a fault, the pages in the advice window that are backed by the
+// object but not resident are brought in with read-ahead I/O that
+// overlaps the faulting process' execution; the next fault then finds
+// them resident and the lookahead machinery maps them for free.
+func (s *System) asyncPagein(e *entry, faultVA param.VAddr) {
+	o := e.obj
+	if o == nil || o.vnode == nil {
+		return
 	}
-	if err := s.mach.Swap.ReadCluster(lo, bufs); err != nil {
-		for _, f := range run {
-			f.Busy.Store(false)
-			if f != pg {
-				s.mach.Mem.Free(f)
+	ahead, _ := e.advice.Lookahead()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	base := param.Trunc(faultVA)
+	for d := 1; d <= ahead; d++ {
+		va := base + param.VAddr(d)*param.PageSize
+		if va >= e.end {
+			break
+		}
+		idx := e.objIndex(va)
+		if _, resident := o.pages[idx]; resident {
+			continue
+		}
+		if idx >= o.vnode.NumPages() {
+			break
+		}
+		pg, raced, err := s.allocObjPageLocked(o, idx, false)
+		if err != nil {
+			return
+		}
+		if raced {
+			continue // a concurrent fault brought the page in
+		}
+		r := pagein{o: o, start: int64(idx), deferred: true, centre: -1, pages: []pageinPage{{pg: pg, idx: idx}}}
+		if s.pagein(r) != nil {
+			return
+		}
+	}
+}
+
+// objPage returns page idx of o, resident: the pager's get brings it in
+// if need be — the pager allocates the page itself (§6). A Busy page
+// belongs to a flight; unless busyOK the call sleeps until the
+// completion gives it back. Called with o.mu held; both get (around its
+// allocation) and the sleep drop it, so the page is looked up afresh
+// after each — get's raced path can hand back a page that a concurrent
+// flush claimed in that window.
+func (s *System) objPage(o *uobject, idx int, busyOK bool) (*phys.Page, error) {
+	for {
+		pg, ok := o.pages[idx]
+		if !ok {
+			var err error
+			if pg, err = o.ops.get(o, idx); err != nil {
+				return nil, err
 			}
 		}
-		return nil, false, nil // degrade to the single-slot path
-	}
-	for sl := lo; sl <= hi; sl++ {
-		f := frames[sl]
-		f.Busy.Store(false)
-		// The swap copy remains valid until the page is dirtied again;
-		// keep the slot so a clean eviction is free.
-		f.Dirty.Store(false)
-		o.pages[bySlot[sl]] = f
-		if f != pg {
-			s.mach.Mem.Activate(f)
+		if busyOK || !pg.Busy.Load() {
+			return pg, nil
 		}
+		s.waitObjPageIdle(o, pg)
 	}
-	s.mach.Stats.Add(sim.CtrPageIns, int64(len(run)))
-	s.mach.Stats.Inc(sim.CtrAobjPageinClusters)
-	s.mach.Stats.Add(sim.CtrAobjPageinClustered, int64(len(run)-1))
-	return pg, false, nil
 }

@@ -125,6 +125,39 @@
 // completion must never lock a map, an amap, an anon or an object, and
 // never blocks on a TryLock-only path, so it cannot deadlock against
 // faults, reclaim workers, or Shutdown.
+//
+// # Pageins
+//
+// Every read of a page from backing store is a pagein (pagein.go), the
+// read-side twin of the flight and the paper's pager get (§6): a run of
+// frames the pager allocated itself, bound for consecutive backing-store
+// blocks — swap slots, or pages of a vnode — marked Busy, filled by one
+// I/O issued from one function (readRun) and installed at one site
+// (finishRun: Busy and Dirty off, each frame attached to its anon or
+// object, every frame but the one the fault maps activated, every
+// counter). If the read or the frame allocation before it fails, every
+// frame of the run is freed and nothing is attached. A single-page
+// pagein is a run of one.
+//
+// With cfg.PageinCluster > 1 a swap-backed fault reads the adjacent
+// slots too. One builder (cluster) grows the faulting slot into a run,
+// left before right, inside the window and the slot's swap device, from
+// the candidates two enumerators offer it. The enumerators own only
+// their locking protocol. The amap's (anonNeighbours) TryLocks the
+// faulting anon's VA neighbours — anon locks are peers, so a busy
+// neighbour drops out — and keeps the locks across the allocation and
+// the I/O. The aobj's (aobjNeighbours) walks index neighbours under the
+// object lock, which every frame allocation drops: each survivor and the
+// faulting index itself are re-verified under the retaken lock, and
+// aobjPager.get starts over until the slot state holds still. A cluster
+// that cannot get its frames or whose read fails degrades to the centre
+// page alone — a second run, of length one — and only that run's error
+// fails the fault. With cfg.AsyncPagein the vnode enumerator
+// (asyncPagein) reads each non-resident page of the advice window ahead
+// as a one-page run through the deferred primitive, overlapping the
+// faulting process. A path that needs an object page (the fault, file
+// read/write) goes through objPage: the pager's get if the page is not
+// resident, a sleep on the flight condvar while it is Busy.
 package uvm
 
 import (
@@ -215,8 +248,7 @@ type Config struct {
 	// periodic syncer trickles dirty object pages through the writeback
 	// engine. Requires the asynchronous pagedaemon (no effect with
 	// InlineReclaim). Off — the default — every knob stays exactly at its
-	// configured static value and runs remain byte-deterministic;
-	// vmapi.MachineConfig.AutoTune also sets this at boot.
+	// configured static value and runs remain byte-deterministic.
 	AutoTune bool
 }
 
@@ -350,7 +382,7 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 		s.pd = newPagedaemon(s, s.lowWater())
 		m.Mem.SetLowWater(s.pd.lowMark(), s.pd.kick)
 		go s.pd.run()
-		if cfg.AutoTune || m.AutoTune {
+		if cfg.AutoTune {
 			s.startAutotune()
 		}
 	}

@@ -60,27 +60,12 @@ func (s *System) fileIO(vn *vfs.Vnode, off int, buf []byte, write bool) (int, er
 			n = remain
 		}
 
-		pg, ok := o.pages[idx]
 		// A busy page is mid-writeback-flush: a write must not scribble
 		// on the frame while the I/O owns its contents. Reads are safe —
-		// the data is stable until the flush completes. Re-checked after
-		// a pager get, whose raced path (get drops o.mu around its
-		// allocation) can return a page a concurrent flush claimed.
-		for {
-			if ok && write && pg.Busy.Load() {
-				s.waitObjPageIdle(o, pg)
-				pg, ok = o.pages[idx]
-				continue
-			}
-			if ok {
-				break
-			}
-			var err error
-			pg, err = o.ops.get(o, idx)
-			if err != nil {
-				return done, err
-			}
-			ok = true
+		// the data is stable until the flush completes.
+		pg, err := s.objPage(o, idx, !write)
+		if err != nil {
+			return done, err
 		}
 		pg.Referenced.Store(true)
 		// The user/kernel copy of this chunk.

@@ -69,12 +69,6 @@ type MachineConfig struct {
 	FSPages   int64 // filesystem disk size, in blocks
 	MaxVnodes int   // kernel vnode table size (desiredvnodes)
 
-	// SwapAIOWindow bounds in-flight asynchronous cluster writes per
-	// swap device (a property of the disk queue, not of the VM system
-	// using it). 0 keeps swap.DefaultAIOWindow; uvm.Config.PageoutWindow
-	// can still override it at boot.
-	SwapAIOWindow int
-
 	// AllocCaches enables the per-CPU free-page caches in phys: that
 	// many magazines of free frames, refilled from and drained to the
 	// global pool in batches, so concurrent faulting goroutines stop
@@ -83,23 +77,11 @@ type MachineConfig struct {
 	// order is byte-deterministic on single-threaded runs; the paper
 	// experiments depend on that.
 	AllocCaches int
-	// AllocBatch is the magazine refill/drain transfer size, in pages.
-	// 0 selects the phys default. Only meaningful with AllocCaches > 0.
-	AllocBatch int
 
 	// Profile names the machine's cost profile (sim.Profiles). Empty
 	// means sim.DefaultProfile — the paper's 1997 testbed — and is
 	// byte-identical to the pre-profile behaviour.
 	Profile string
-
-	// AutoTune asks the booted VM system to run its feedback control
-	// plane (internal/control): live resizing of the async write windows,
-	// pagein clustering, lookahead and pagedaemon watermarks from
-	// observed latency and hit rates, plus the periodic syncer. Default
-	// off — every paper experiment runs with static tuning, and their
-	// reports are byte-identical with this flag clear. Systems without a
-	// control plane (bsdvm) ignore it.
-	AutoTune bool
 
 	// FSFaultPlan and SwapFaultPlan, when non-nil, are installed on the
 	// filesystem and swap disks at boot (disk.FaultPlan). Plans are
@@ -124,17 +106,8 @@ func (cfg MachineConfig) Validate() error {
 	if cfg.MaxVnodes < 1 {
 		return fmt.Errorf("vmapi: MachineConfig.MaxVnodes must be at least 1 (got %d)", cfg.MaxVnodes)
 	}
-	if cfg.SwapAIOWindow < 0 {
-		return fmt.Errorf("vmapi: MachineConfig.SwapAIOWindow must not be negative (got %d)", cfg.SwapAIOWindow)
-	}
 	if cfg.AllocCaches < 0 {
 		return fmt.Errorf("vmapi: MachineConfig.AllocCaches must not be negative (got %d)", cfg.AllocCaches)
-	}
-	if cfg.AllocBatch < 0 {
-		return fmt.Errorf("vmapi: MachineConfig.AllocBatch must not be negative (got %d)", cfg.AllocBatch)
-	}
-	if cfg.AllocBatch > 0 && cfg.AllocCaches == 0 {
-		return fmt.Errorf("vmapi: MachineConfig.AllocBatch set (%d) without AllocCaches", cfg.AllocBatch)
 	}
 	if _, err := sim.CostsForProfile(cfg.Profile); err != nil {
 		return fmt.Errorf("vmapi: MachineConfig.Profile: %w", err)
@@ -191,10 +164,6 @@ type Machine struct {
 
 	FSDisk   *disk.Disk
 	SwapDisk *disk.Disk
-
-	// AutoTune records MachineConfig.AutoTune for the VM system booted on
-	// this machine (the machine itself has no controllers).
-	AutoTune bool
 }
 
 // NewMachine boots a machine per cfg, with the cost table named by
@@ -220,12 +189,9 @@ func NewMachine(cfg MachineConfig) *Machine {
 		swDisk.SetFaultPlan(cfg.SwapFaultPlan)
 	}
 	sw := swap.New(clock, costs, stats, swDisk)
-	if cfg.SwapAIOWindow > 0 {
-		sw.SetAIOWindow(cfg.SwapAIOWindow)
-	}
 	mem := phys.NewMem(clock, costs, stats, cfg.RAMPages)
 	if cfg.AllocCaches > 0 {
-		mem.SetAllocCaches(cfg.AllocCaches, cfg.AllocBatch)
+		mem.SetAllocCaches(cfg.AllocCaches, 0) // 0: the phys default batch
 	}
 	return &Machine{
 		Clock:    clock,
@@ -237,7 +203,6 @@ func NewMachine(cfg MachineConfig) *Machine {
 		FS:       vfs.NewFS(clock, costs, stats, fsDisk, cfg.MaxVnodes),
 		FSDisk:   fsDisk,
 		SwapDisk: swDisk,
-		AutoTune: cfg.AutoTune,
 	}
 }
 

@@ -84,7 +84,7 @@ func TestValidateNamesTheBadField(t *testing.T) {
 		{func(c *MachineConfig) { c.SwapPages = 0 }, "SwapPages"},
 		{func(c *MachineConfig) { c.FSPages = -1 }, "FSPages"},
 		{func(c *MachineConfig) { c.MaxVnodes = 0 }, "MaxVnodes"},
-		{func(c *MachineConfig) { c.SwapAIOWindow = -1 }, "SwapAIOWindow"},
+		{func(c *MachineConfig) { c.AllocCaches = -1 }, "AllocCaches"},
 		{func(c *MachineConfig) { c.Profile = "floppy" }, "Profile"},
 	}
 	for _, tc := range cases {

@@ -17,6 +17,11 @@
 #   4. drift between the lock hierarchy declared in
 #      internal/analysis/levels.go and the level table documented in
 #      docs/analysis.md (names and order must match exactly).
+#   5. drift between the knobs in code and the knob tables in
+#      docs/tuning.md: every exported field of uvm.Config and every
+#      non-size field of vmapi.MachineConfig (the sizes are prose under
+#      "Sizing the machine") needs a "| `Name` |" row, and every such
+#      row must name a live field.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -77,6 +82,22 @@ doc_levels=$(grep -oE '^\| `[a-z]+` \|' docs/analysis.md \
 if ! diff <(echo "$code_levels") <(echo "$doc_levels") >/dev/null; then
   echo "lock level drift between internal/analysis/levels.go and docs/analysis.md:"
   diff <(echo "$code_levels") <(echo "$doc_levels") | sed 's/^/  /' || true
+  fail=1
+fi
+
+# --- 5. knobs: uvm.Config + vmapi.MachineConfig vs docs/tuning.md ---------
+struct_fields() { # file, struct name -> exported field names
+  awk -v decl="type $2 struct {" '$0 == decl {on = 1; next} on && /^}/ {exit} on' "$1" \
+    | grep -oE '^	[A-Z][A-Za-z]* ' | tr -d '\t '
+}
+code_knobs=$( { struct_fields internal/uvm/system.go Config
+                struct_fields internal/vmapi/vmapi.go MachineConfig \
+                  | grep -vxE 'RAMPages|SwapPages|FSPages|MaxVnodes'; } | sort)
+doc_knobs=$(grep -oE '^\| `[A-Z][A-Za-z]*` \|' docs/tuning.md \
+  | sed -E 's/^\| `([A-Za-z]*)` \|/\1/' | sort)
+if ! diff <(echo "$code_knobs") <(echo "$doc_knobs") >/dev/null; then
+  echo "knob drift between uvm.Config/vmapi.MachineConfig (<) and docs/tuning.md (>):"
+  diff <(echo "$code_knobs") <(echo "$doc_knobs") | grep '^[<>]' | sed 's/^/  /' || true
   fail=1
 fi
 
