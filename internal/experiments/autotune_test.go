@@ -59,32 +59,31 @@ func TestAutotuneReclaimBWCompetitive(t *testing.T) {
 	for _, prof := range []string{"hdd97", "nvme"} {
 		prof := prof
 		t.Run(prof, func(t *testing.T) {
-			statics, auto, leaked, err := AutotuneReclaimBW(prof, 700)
+			// A Busy page leaked by any run of the sweep is an error of
+			// that run.
+			statics, auto, err := AutotuneReclaimBW(prof, 700)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if leaked != 0 {
-				t.Fatalf("%d Busy pages leaked across the sweep", leaked)
 			}
 			worstWrites, worstShare := 0.0, 1.0
 			for _, s := range append(statics, auto) {
 				t.Logf("%-10s sim %9.0f pg/s  %.4f write commands/page, %3.0f%% deferred",
-					s.Label, s.SimBW, s.WritesPerPage, 100*s.DeferredShare)
-				if s.SimBW <= 0 {
-					t.Fatalf("degenerate point %+v", s)
+					s.Name, s.SimBW(), s.WritesPerPage(), 100*s.DeferredShare())
+				if s.SimBW() <= 0 || s.Pageouts() == 0 || s.WriteCmds() == 0 {
+					t.Fatalf("degenerate point (no pageouts, or no write commands for them) %+v", s)
 				}
-				if s.Label != auto.Label {
-					worstWrites = max(worstWrites, s.WritesPerPage)
-					worstShare = min(worstShare, s.DeferredShare)
+				if s.Name != auto.Name {
+					worstWrites = max(worstWrites, s.WritesPerPage())
+					worstShare = min(worstShare, s.DeferredShare())
 				}
 			}
-			if auto.WritesPerPage > 1.25*worstWrites {
+			if auto.WritesPerPage() > 1.25*worstWrites {
 				t.Errorf("autotuned run needs %.4f write commands per page out, worst static %.4f",
-					auto.WritesPerPage, worstWrites)
+					auto.WritesPerPage(), worstWrites)
 			}
-			if auto.DeferredShare < 0.9*worstShare {
+			if auto.DeferredShare() < 0.9*worstShare {
 				t.Errorf("autotuned run deferred %.0f%% of its write commands, worst static %.0f%%",
-					100*auto.DeferredShare, 100*worstShare)
+					100*auto.DeferredShare(), 100*worstShare)
 			}
 		})
 	}
@@ -97,19 +96,16 @@ func TestAutotuneObjWBCompetitive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("autotune sweep skipped in -short mode")
 	}
-	statics, auto, leaked, err := AutotuneObjWB("hdd97", 2)
+	statics, auto, err := AutotuneObjWB("hdd97", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if leaked != 0 {
-		t.Fatalf("%d Busy pages leaked across the sweep", leaked)
-	}
 	best := BestSimBW(statics)
 	t.Logf("autotune %9.0f pg/s vs best static %s %9.0f pg/s",
-		auto.SimBW, best.Label, best.SimBW)
-	if auto.SimBW < 0.70*best.SimBW {
+		auto.SimBW(), best.Name, best.SimBW())
+	if auto.SimBW() < 0.70*best.SimBW() {
 		t.Errorf("autotuned sim BW %.0f pg/s is below 70%% of best static %s (%.0f pg/s)",
-			auto.SimBW, best.Label, best.SimBW)
+			auto.SimBW(), best.Name, best.SimBW())
 	}
 }
 
@@ -128,31 +124,28 @@ func TestAutotuneTrafficTail(t *testing.T) {
 		prof := prof
 		t.Run(prof, func(t *testing.T) {
 			ok := false
-			var auto, best AutotuneSetting
+			var auto, best Point
 			for attempt := 0; attempt < 3 && !ok; attempt++ {
-				statics, a, leaked, err := AutotuneTraffic(prof, true, 4)
+				statics, a, err := AutotuneTraffic(prof, true, 4)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if leaked != 0 {
-					t.Fatalf("%d Busy pages leaked across the sweep", leaked)
-				}
 				auto, best = a, BestP99(statics)
-				if auto.P99 <= 0 || best.P99 <= 0 {
+				if auto.P99() <= 0 || best.P99() <= 0 {
 					t.Fatalf("degenerate quantiles: auto %+v best %+v", auto, best)
 				}
-				ok = float64(auto.P99) <= 1.05*float64(best.P99)
+				ok = float64(auto.P99()) <= 1.05*float64(best.P99())
 			}
 			t.Logf("traffic p99 on %s: autotune %v, best static %s %v (ratio %.2f, GOMAXPROCS=%d)",
-				prof, auto.P99, best.Label, best.P99,
-				float64(auto.P99)/float64(best.P99), runtime.GOMAXPROCS(0))
+				prof, auto.P99(), best.Name, best.P99(),
+				float64(auto.P99())/float64(best.P99()), runtime.GOMAXPROCS(0))
 			if runtime.GOMAXPROCS(0) < 4 {
 				t.Skipf("GOMAXPROCS=%d: wall-clock tail ordering not observable without cores",
 					runtime.GOMAXPROCS(0))
 			}
 			if !ok {
 				t.Errorf("autotuned p99 %v exceeds 1.05x best static p99 %v on %s",
-					auto.P99, best.P99, prof)
+					auto.P99(), best.P99(), prof)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
@@ -104,59 +105,61 @@ func runMatrixCell(wl, prof string, faults, quick bool) (c MatrixCell) {
 		c.Report = buf.String()
 	}()
 
-	var leaked int
-	var err error
+	// A cell writes its report lines to buf; every machine it boots is
+	// swept for Busy pages, and a leak comes back as a *workload.LeakError.
 	switch wl {
 	case "scenario":
-		leaked, err = matrixScenario(prof, &buf)
+		c.Err = matrixScenario(prof, &buf)
 	case "reclaim":
-		leaked, err = matrixReclaim(prof, faults, quick, &buf)
+		c.Err = matrixReclaim(prof, faults, quick, &buf)
 	case "objwb":
-		leaked, err = matrixObjWB(prof, quick, &buf)
+		c.Err = matrixObjWB(prof, quick, &buf)
 	case "traffic":
-		leaked, err = matrixTraffic(prof, quick, &buf)
+		c.Err = matrixTraffic(prof, quick, &buf)
 	case "alloc":
-		leaked, err = matrixAlloc(prof, &buf)
+		c.Err = matrixAlloc(prof, &buf)
 	case "autotune":
-		leaked, err = matrixAutotune(prof, quick, &buf)
+		c.Err = matrixAutotune(prof, quick, &buf)
 	default:
-		err = fmt.Errorf("matrix: unknown workload %q (valid: %v)", wl, MatrixWorkloads())
+		c.Err = fmt.Errorf("matrix: unknown workload %q (valid: %v)", wl, MatrixWorkloads())
 	}
-	c.BusyLeaked = leaked
-	if err == nil && leaked > 0 {
-		err = fmt.Errorf("matrix: cell %s leaked %d Busy pages", c.Name(), leaked)
+	var leak *workload.LeakError
+	if errors.As(c.Err, &leak) {
+		c.BusyLeaked = leak.Busy
 	}
-	c.Err = err
 	return c
 }
 
 // matrixScenario boots both VM systems on the profile's machine preset
 // and runs the multi-user boot scenario — the Table 1 structural
-// workload — reporting each system's map-entry census and simulated
-// time.
-func matrixScenario(prof string, w io.Writer) (int, error) {
+// workload, not a request loop, so it is the one cell that is not a
+// measured run and sweeps for itself — reporting each system's map-entry
+// census and simulated time.
+func matrixScenario(prof string, w io.Writer) error {
 	cfg, err := vmapi.ProfileConfig(prof)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	leaked := 0
 	for _, boot := range []NamedBooter{{"bsdvm", bsdvm.Boot}, {"uvm", uvm.Boot}} {
 		mach := vmapi.NewMachine(cfg)
 		sys := boot.Boot(mach)
 		procs, err := workload.MultiUserBoot(sys)
-		if err != nil {
-			sys.Shutdown()
-			return leaked, err
+		if err == nil {
+			fmt.Fprintf(w, "%-6s multi-user boot: %d procs, kernel entries %d, total entries %d, sim time %v\n",
+				boot.Name, len(procs), sys.KernelMapEntries(), sys.TotalMapEntries(), mach.Clock.Now())
 		}
-		fmt.Fprintf(w, "%-6s multi-user boot: %d procs, kernel entries %d, total entries %d, sim time %v\n",
-			boot.Name, len(procs), sys.KernelMapEntries(), sys.TotalMapEntries(), mach.Clock.Now())
 		for _, p := range procs {
 			p.Exit()
 		}
 		sys.Shutdown()
-		leaked += len(mach.Mem.BusyPages())
+		if n := len(mach.Mem.BusyPages()); n > 0 {
+			err = errors.Join(err, &workload.LeakError{Busy: n})
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return leaked, nil
+	return nil
 }
 
 // matrixReclaim runs the full reclaim pipeline (async clustered pageout,
@@ -164,72 +167,59 @@ func matrixScenario(prof string, w io.Writer) (int, error) {
 // the injected fault schedule on the swap disk, in which case failed
 // accesses are counted rather than fatal and the cell additionally
 // reports how often each fault rule fired.
-func matrixReclaim(prof string, faults, quick bool, w io.Writer) (int, error) {
+func matrixReclaim(prof string, faults, quick bool, w io.Writer) error {
 	var plan *disk.FaultPlan
 	if faults {
 		plan = MatrixFaultPlan()
 	}
-	tune := func(c *uvm.Config) {
-		c.AsyncPageout = true
-		c.PageoutWindow = 4
-		c.ReclaimWorkers = 4
-		c.PageinCluster = 8
-	}
 	// Each producer must touch more pages than its share of RAM or the
 	// cell never pages out: 4 producers × 700 accesses over 512-page
 	// regions demands 2048 pages of the 1024-page machine.
-	accesses := iters(quick, 700, 1500)
-	pt, leaked, err := ReclaimBWRunOn(prof, plan, "async-4w+pgin", tune, accesses)
+	pt, err := reclaimBWRun(prof, plan, tuned("async-4w+pgin", reclaimPipeline(4)), iters(quick, 700, 1500))
 	if err != nil {
-		return leaked, err
+		return err
 	}
 	fmt.Fprintf(w, "reclaim async-4w+pgin: %d accesses, %d pageouts, sim %9.0f pg/s (async clusters %d, pagein rides %d, io errors %d)\n",
-		pt.Accesses, pt.Pageouts, pt.SimBW, pt.AsyncClusters, pt.PageinRides, pt.IOErrors)
+		pt.Hist.Count(), pt.Pageouts(), pt.SimBW(), pt.Stats.Get(sim.CtrPdAsyncClusters),
+		pt.Stats.Get(sim.CtrPageinClustered), pt.Errors)
 	if plan != nil {
 		for i, kind := range []disk.FaultKind{disk.FaultTornWrite, disk.FaultWriteError, disk.FaultReadError} {
 			fmt.Fprintf(w, "fault rule %-11s fired %d times\n", kind, plan.Fired(i))
 		}
 	}
-	return leaked, nil
+	return nil
 }
 
 // matrixObjWB runs the clustered asynchronous object-writeback pipeline
 // (msync rounds over a shared file mapping) on the profile.
-func matrixObjWB(prof string, quick bool, w io.Writer) (int, error) {
-	tune := func(c *uvm.Config) {
-		c.AsyncWriteback = true
-		c.WritebackWindow = 4
-		c.WritebackCluster = 16
-	}
-	rounds := iters(quick, 2, 6)
-	pt, leaked, err := ObjWBRunOn(prof, "async-cluster", "vnode", tune, rounds)
+func matrixObjWB(prof string, quick bool, w io.Writer) error {
+	pt, err := objWBRun(prof, "vnode", tuned("async-cluster", writebackPipeline(4)), iters(quick, 2, 6))
 	if err != nil {
-		return leaked, err
+		return err
 	}
 	fmt.Fprintf(w, "objwb vnode async-cluster: %d msyncs, %d pageouts, sim %10.0f pg/s, disk-busy %v (%d wb clusters)\n",
-		pt.Msyncs, pt.Pageouts, pt.SimBW, pt.DiskBusy, pt.Clusters)
-	return leaked, nil
+		pt.Ops, pt.Pageouts(), pt.SimBW(), pt.DiskBusy(), pt.Stats.Get(sim.CtrObjWbClusters))
+	return nil
 }
 
-// matrixTraffic runs the multi-tenant Zipf traffic driver — quick
+// matrixTraffic runs the multi-tenant Zipf traffic workload — quick
 // shape, one mid-range worker count — on both systems, reporting each
 // system's fault-latency quantiles and reclaim-interference count.
-func matrixTraffic(prof string, quick bool, w io.Writer) (int, error) {
+func matrixTraffic(prof string, quick bool, w io.Writer) error {
 	cfg := TrafficConfigFor(true) // matrix cells always use the quick shape
 	if !quick {
 		cfg.OpsPerWorker *= 4
 	}
-	leaked := 0
 	for _, nb := range TrafficBooters() {
-		pt, l, err := TrafficRunOn(prof, nb, cfg, 4)
-		leaked += l
+		pt, err := trafficRun(prof, nb, cfg, 4)
 		if err != nil {
-			return leaked, err
+			return err
 		}
 		fmt.Fprintf(w, "traffic %-6s 4 workers: %d ops %d faults  p50 %s p99 %s p999 %s  reclaim-interference %d\n",
-			nb.Name, pt.Ops, pt.Faults, pt.P50, pt.P99, pt.P999, pt.Interference)
+			nb.Name, pt.Ops, pt.Stats.Get(sim.CtrFaults), pt.P50(), pt.P99(), pt.P999(),
+			workload.ReclaimInterference(pt.Stats))
 	}
-	return leaked, nil
+	return nil
 }
 
 // matrixAlloc contrasts the two allocator layouts under the parallel
@@ -239,22 +229,20 @@ func matrixTraffic(prof string, quick bool, w io.Writer) (int, error) {
 // acquisitions is the structural story: the magazines take it toward
 // zero, the single pool concentrates every fault on the same shard
 // locks. (The workload is already quick-sized; no quick variant.)
-func matrixAlloc(prof string, w io.Writer) (int, error) {
-	leaked := 0
+func matrixAlloc(prof string, w io.Writer) error {
 	for _, layout := range []struct {
 		name   string
 		caches int
 	}{{"cached-8", 8}, {"single-pool", 0}} {
-		pt, l, err := scalingRunOn(prof, "uvm", uvm.Boot, 8, layout.caches)
-		leaked += l
+		pt, err := scalingRun(prof, "uvm", uvm.Boot, 8, layout.caches)
 		if err != nil {
-			return leaked, err
+			return err
 		}
 		fmt.Fprintf(w, "alloc %-11s 8 goroutines: %9.0f faults/s  alloc-contention %5.2f%% (%d/%d)\n",
-			layout.name, pt.PerSecond,
-			100*pt.AllocContentionRatio(), pt.AllocContended, pt.AllocAcquires)
+			layout.name, pt.PerSecond(), 100*pt.AllocContentionRatio(),
+			pt.Stats.Get(sim.CtrAllocContended), pt.Stats.Get(sim.CtrAllocAcquires))
 	}
-	return leaked, nil
+	return nil
 }
 
 // ReportMatrix runs the full matrix and renders the summary table;

@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"uvm/internal/param"
 	"uvm/internal/sim"
 	"uvm/internal/uvm"
 	"uvm/internal/vmapi"
+	"uvm/internal/workload"
 )
 
 // ObjWB measures object writeback (msync) bandwidth, contrasting the
@@ -34,20 +34,6 @@ import (
 // more writeback per simulated second; wall bandwidth shows the host
 // effect.
 
-// ObjWBPoint is one (configuration, backend) measurement.
-type ObjWBPoint struct {
-	Config   string
-	Backend  string // "vnode" or "aobj"
-	Msyncs   int
-	Pageouts int64
-	Clusters int64 // writeback cluster I/Os (async configs)
-	Wall     time.Duration
-	Sim      time.Duration
-	DiskBusy time.Duration // device-busy time of the overlapped writes
-	WallBW   float64       // pageouts per wall second
-	SimBW    float64       // pageouts per simulated second
-}
-
 const (
 	// objWBRegionPages is the mapped region each round dirties and
 	// flushes (1 MB).
@@ -57,132 +43,86 @@ const (
 	objWBRAMPages = 2048
 )
 
-// objWBConfig names one tuning of the writeback pipeline.
-type objWBConfig struct {
-	Name string
-	Tune func(*uvm.Config)
-}
-
-// objWBConfigs returns the pipeline stages the experiment contrasts.
-func objWBConfigs() []objWBConfig {
-	return []objWBConfig{
-		{"sync", func(c *uvm.Config) {}},
-		{"async-w4", func(c *uvm.Config) {
-			c.AsyncWriteback = true
-			c.WritebackWindow = 4
-			c.WritebackCluster = 1
-		}},
-		{"async-cluster", func(c *uvm.Config) {
-			c.AsyncWriteback = true
-			c.WritebackWindow = 4
-			c.WritebackCluster = 16
-		}},
+// objWBTunings returns the pipeline stages the experiment contrasts.
+func objWBTunings() []NamedBooter {
+	unclustered := writebackPipeline(4)
+	unclustered.WritebackCluster = 1
+	return []NamedBooter{
+		tuned("sync", uvm.DefaultConfig()),
+		tuned("async-w4", unclustered),
+		tuned("async-cluster", writebackPipeline(4)),
 	}
 }
 
-// ObjWBRun measures one configuration on one backend: rounds of
-// dirty-everything then Msync over a region that stays resident.
-func ObjWBRun(cfgName, backend string, tune func(*uvm.Config), rounds int) (ObjWBPoint, error) {
-	pt, _, err := ObjWBRunOn(profile, cfgName, backend, tune, rounds)
-	return pt, err
-}
-
-// ObjWBRunOn is ObjWBRun on a named machine profile. Returns the
-// measurement plus the number of Busy pages leaked (swept after
-// Shutdown; always 0 unless a writeback error path lost a claim).
-func ObjWBRunOn(prof, cfgName, backend string, tune func(*uvm.Config), rounds int) (ObjWBPoint, int, error) {
-	mach := vmapi.NewMachine(vmapi.MachineConfig{
-		RAMPages:  objWBRAMPages,
-		SwapPages: 65536,
-		FSPages:   4096,
-		MaxVnodes: 16,
-		Profile:   prof,
-	})
-	cfg := uvm.DefaultConfig()
-	tune(&cfg)
-	sys := uvm.BootConfig(mach, cfg)
-	defer sys.Shutdown()
-
-	p, err := sys.NewProcess("wb")
-	if err != nil {
-		return ObjWBPoint{}, 0, err
-	}
-	defer p.Exit()
-
-	var va param.VAddr
-	switch backend {
-	case "vnode":
-		if err := mach.FS.Create("/objwb", objWBRegionPages*param.PageSize, nil); err != nil {
-			return ObjWBPoint{}, 0, err
-		}
-		vn, err := mach.FS.Open("/objwb")
-		if err != nil {
-			return ObjWBPoint{}, 0, err
-		}
-		defer vn.Unref()
-		va, err = p.Mmap(0, objWBRegionPages*param.PageSize, param.ProtRW, vmapi.MapShared, vn, 0)
-		if err != nil {
-			return ObjWBPoint{}, 0, err
-		}
-	case "aobj":
-		va, err = p.Mmap(0, objWBRegionPages*param.PageSize, param.ProtRW,
-			vmapi.MapAnon|vmapi.MapShared, nil, 0)
-		if err != nil {
-			return ObjWBPoint{}, 0, err
-		}
-	default:
-		return ObjWBPoint{}, 0, fmt.Errorf("objwb: unknown backend %q", backend)
-	}
-
-	//uvm:wallclock real elapsed time is the reported host-throughput metric
-	wallStart := time.Now()
-	simStart := mach.Clock.Now()
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < objWBRegionPages; i++ {
-			if err := p.Access(va+param.VAddr(i)*param.PageSize, true); err != nil {
-				return ObjWBPoint{}, 0, err
+// objWBCycle is the experiment's request stream as a measured run on a
+// prof machine: one client, whose every request is a round of
+// dirty-everything then Msync over a region of the given backend that
+// stays resident.
+func objWBCycle(prof, backend string, boot vmapi.Booter, rounds int) workload.Run {
+	const length = objWBRegionPages * param.PageSize
+	var (
+		p  vmapi.Process
+		va param.VAddr
+	)
+	return workload.Run{
+		Machine: vmapi.MachineConfig{
+			RAMPages:  objWBRAMPages,
+			SwapPages: 65536,
+			FSPages:   4096,
+			MaxVnodes: 16,
+			Profile:   prof,
+		},
+		Boot:    boot,
+		Clients: 1,
+		Ops:     rounds,
+		Setup: func(c *workload.Client) (err error) {
+			if p, err = c.NewProcess("wb"); err != nil {
+				return err
 			}
-		}
-		if err := p.Msync(va, objWBRegionPages*param.PageSize); err != nil {
-			return ObjWBPoint{}, 0, err
-		}
+			switch backend {
+			case "vnode":
+				fs := c.Sys.Machine().FS
+				if err := fs.Create("/objwb", length, nil); err != nil {
+					return err
+				}
+				vn, err := fs.Open("/objwb")
+				if err != nil {
+					return err
+				}
+				defer vn.Unref() // the mapping holds its own reference
+				va, err = p.Mmap(0, length, param.ProtRW, vmapi.MapShared, vn, 0)
+				return err
+			case "aobj":
+				va, err = p.Mmap(0, length, param.ProtRW, vmapi.MapAnon|vmapi.MapShared, nil, 0)
+				return err
+			}
+			return fmt.Errorf("objwb: unknown backend %q", backend)
+		},
+		Op: func(*workload.Client, int) error {
+			if err := p.TouchRange(va, length, true); err != nil {
+				return err
+			}
+			return p.Msync(va, length)
+		},
 	}
-	//uvm:wallclock real elapsed time is the reported host-throughput metric
-	wall := time.Since(wallStart)
-	simT := mach.Clock.Now() - simStart
-	sys.Shutdown()
-	leaked := len(mach.Mem.BusyPages())
+}
 
-	pt := ObjWBPoint{
-		Config:   cfgName,
-		Backend:  backend,
-		Msyncs:   rounds,
-		Pageouts: mach.Stats.Get(sim.CtrPageOuts),
-		Clusters: mach.Stats.Get(sim.CtrObjWbClusters),
-		Wall:     wall,
-		Sim:      simT,
-		DiskBusy: time.Duration(mach.Stats.Get(sim.CtrDiskDeferredNs)),
-	}
-	if s := wall.Seconds(); s > 0 {
-		pt.WallBW = float64(pt.Pageouts) / s
-	}
-	if s := simT.Seconds(); s > 0 {
-		pt.SimBW = float64(pt.Pageouts) / s
-	}
-	return pt, leaked, nil
+// objWBRun measures one tuning on one backend.
+func objWBRun(prof, backend string, nb NamedBooter, rounds int) (Point, error) {
+	return measure(nb.Name, backend, objWBCycle(prof, backend, nb.Boot, rounds))
 }
 
 // ObjWB runs every pipeline configuration on both backends.
-func ObjWB(rounds int) ([]ObjWBPoint, error) {
-	var points []ObjWBPoint
+func ObjWB(rounds int) ([]Point, error) {
+	var points []Point
 	for _, backend := range []string{"vnode", "aobj"} {
-		for _, c := range objWBConfigs() {
-			pt, err := ObjWBRun(c.Name, backend, c.Tune, rounds)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, pt)
+		pts, err := sweep(objWBTunings(), func(nb NamedBooter) (Point, error) {
+			return objWBRun(profile, backend, nb, rounds)
+		})
+		if err != nil {
+			return nil, err
 		}
+		points = append(points, pts...)
 	}
 	return points, nil
 }
@@ -198,7 +138,8 @@ func ReportObjWB(w io.Writer, rounds int) error {
 	}
 	for _, pt := range points {
 		fmt.Fprintf(w, "%-6s %-14s %7d pageouts  sim %10.0f pg/s  wall %10.0f pg/s  disk-busy %9s  (%d wb clusters)\n",
-			pt.Backend, pt.Config, pt.Pageouts, pt.SimBW, pt.WallBW, pt.DiskBusy, pt.Clusters)
+			pt.Variant, pt.Name, pt.Pageouts(), pt.SimBW(), pt.WallBW(), pt.DiskBusy(),
+			pt.Stats.Get(sim.CtrObjWbClusters))
 	}
 	fmt.Fprintln(w, "(sync puts one page per I/O on the caller's clock; async-w4 overlaps the same")
 	fmt.Fprintln(w, " I/Os in a bounded window, so simulated bandwidth jumps; async-cluster also")

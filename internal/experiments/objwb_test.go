@@ -3,7 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"uvm/internal/uvm"
+	"uvm/internal/sim"
 )
 
 // TestObjWBRunsOnAllConfigs smoke-tests the driver: every configuration
@@ -13,16 +13,16 @@ func TestObjWBRunsOnAllConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2*len(objWBConfigs()) {
+	if len(points) != 2*len(objWBTunings()) {
 		t.Fatalf("got %d points", len(points))
 	}
 	for _, pt := range points {
-		if pt.Pageouts != 2*objWBRegionPages {
+		if pt.Pageouts() != 2*objWBRegionPages {
 			t.Fatalf("%s/%s: wrote %d pages, want %d (msync must flush every dirty page exactly once per round)",
-				pt.Backend, pt.Config, pt.Pageouts, 2*objWBRegionPages)
+				pt.Variant, pt.Name, pt.Pageouts(), 2*objWBRegionPages)
 		}
-		if pt.Sim <= 0 || pt.Wall <= 0 || pt.SimBW <= 0 {
-			t.Fatalf("%s/%s: degenerate measurement: %+v", pt.Backend, pt.Config, pt)
+		if pt.Sim <= 0 || pt.Wall <= 0 || pt.SimBW() <= 0 {
+			t.Fatalf("%s/%s: degenerate measurement: %+v", pt.Variant, pt.Name, pt)
 		}
 	}
 }
@@ -36,32 +36,29 @@ func TestObjWBRunsOnAllConfigs(t *testing.T) {
 // holds on any host, single-core CI included.
 func TestObjWBAsyncBeatsSyncSimBandwidth(t *testing.T) {
 	for _, backend := range []string{"vnode", "aobj"} {
-		syncPt, err := ObjWBRun("sync", backend, func(c *uvm.Config) {}, 4)
+		syncPt, err := objWBRun(profile, backend, objWBTunings()[0], 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		asyncPt, err := ObjWBRun("async-cluster", backend, func(c *uvm.Config) {
-			c.AsyncWriteback = true
-			c.WritebackWindow = 4
-			c.WritebackCluster = 16
-		}, 4)
+		asyncPt, err := objWBRun(profile, backend, objWBTunings()[2], 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s: sim bandwidth sync %.0f pg/s, async-cluster %.0f pg/s (disk-busy %v)",
-			backend, syncPt.SimBW, asyncPt.SimBW, asyncPt.DiskBusy)
-		if asyncPt.Clusters == 0 {
+			backend, syncPt.SimBW(), asyncPt.SimBW(), asyncPt.DiskBusy())
+		clusters := asyncPt.Stats.Get(sim.CtrObjWbClusters)
+		if clusters == 0 {
 			t.Fatalf("%s: async run submitted no writeback clusters: %+v", backend, asyncPt)
 		}
-		if asyncPt.SimBW <= syncPt.SimBW {
+		if asyncPt.SimBW() <= syncPt.SimBW() {
 			t.Errorf("%s: async clustered writeback bandwidth (%.0f pg/s) not above sync baseline (%.0f pg/s)",
-				backend, asyncPt.SimBW, syncPt.SimBW)
+				backend, asyncPt.SimBW(), syncPt.SimBW())
 		}
 		// Clustering merges contiguous pages into one command, so the
 		// async run must issue far fewer cluster I/Os than pages.
-		if asyncPt.Clusters*4 > asyncPt.Pageouts {
+		if clusters*4 > asyncPt.Pageouts() {
 			t.Errorf("%s: clustering ineffective: %d clusters for %d pages",
-				backend, asyncPt.Clusters, asyncPt.Pageouts)
+				backend, clusters, asyncPt.Pageouts())
 		}
 	}
 }

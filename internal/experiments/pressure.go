@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"sync"
-	"time"
 
 	"uvm/internal/bsdvm"
+	"uvm/internal/disk"
 	"uvm/internal/param"
 	"uvm/internal/uvm"
 	"uvm/internal/vmapi"
+	"uvm/internal/workload"
 )
 
 // Pressure measures allocation tail latency under sustained memory
@@ -29,110 +28,68 @@ import (
 // tightens — visibly so once there are enough goroutines that the
 // daemon's round amortises over many waiters (≥4 on a multicore host).
 
-// PressurePoint is one (system, goroutines) sample: the distribution of
-// wall-clock page-touch latencies under pressure.
-type PressurePoint struct {
-	System     string
-	Goroutines int
-	Accesses   int
-	P50        time.Duration
-	P99        time.Duration
-	Max        time.Duration
+const (
+	// overcommitRAMPages keeps the pressure and reclaimbw machine small
+	// enough that the clients overcommit it several times over, so
+	// reclaim runs for the whole experiment.
+	overcommitRAMPages = 1024 // 4 MB
+	// anonCycleRegionPages is each client's private region: 2 MB, so two
+	// clients already exceed RAM.
+	anonCycleRegionPages = 512
+)
+
+// overcommitMachine is the small machine pressure and reclaimbw run on.
+func overcommitMachine(prof string, swapPlan *disk.FaultPlan) vmapi.MachineConfig {
+	return vmapi.MachineConfig{
+		RAMPages:      overcommitRAMPages,
+		SwapPages:     65536,
+		FSPages:       1024,
+		MaxVnodes:     16,
+		Profile:       prof,
+		SwapFaultPlan: swapPlan,
+	}
 }
 
-const (
-	// pressureRAMPages keeps the machine small enough that the workload
-	// overcommits it several times over.
-	pressureRAMPages = 1024 // 4 MB
-	// pressureRegionPages is each worker's private region: 2 MB, so two
-	// workers already exceed RAM.
-	pressureRegionPages = 512
-)
+// anonCycle is the request stream pressure and reclaimbw share, as a
+// measured run: each client maps a private anonymous region and cycles
+// through it touching pages for writing, every touch timed. The regions
+// all stay mapped for the whole measurement, so the combined demand
+// overcommits RAM regardless of how the host schedules the clients.
+func anonCycle(mcfg vmapi.MachineConfig, boot vmapi.Booter, clients, accesses int) workload.Run {
+	type region struct {
+		p  vmapi.Process
+		va param.VAddr
+	}
+	regions := make([]region, clients)
+	return workload.Run{
+		Machine: mcfg,
+		Boot:    boot,
+		Clients: clients,
+		Ops:     accesses,
+		Setup: func(c *workload.Client) error {
+			p, err := c.NewProcess(fmt.Sprintf("cycle%d", c.ID))
+			if err != nil {
+				return err
+			}
+			va, err := p.Mmap(0, anonCycleRegionPages*param.PageSize, param.ProtRW,
+				vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+			regions[c.ID] = region{p, va}
+			return err
+		},
+		Op: func(c *workload.Client, i int) error {
+			r := regions[c.ID]
+			return c.Access(r.p, r.va+param.VAddr(i%anonCycleRegionPages)*param.PageSize, true)
+		},
+	}
+}
 
 // Pressure runs the tail-latency experiment on one booter for each
 // goroutine count. Each worker cycles through its region touching pages
 // for writing; each touch's wall-clock latency is recorded.
-func Pressure(name string, boot vmapi.Booter, workers []int, accessesPerWorker int) ([]PressurePoint, error) {
-	points := make([]PressurePoint, 0, len(workers))
-	for _, n := range workers {
-		pt, err := pressureRun(name, boot, n, accessesPerWorker)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
-func pressureRun(name string, boot vmapi.Booter, workers, accesses int) (PressurePoint, error) {
-	mach := vmapi.NewMachine(vmapi.MachineConfig{
-		RAMPages:  pressureRAMPages,
-		SwapPages: 65536,
-		FSPages:   1024,
-		MaxVnodes: 16,
+func Pressure(name string, boot vmapi.Booter, workers []int, accessesPerWorker int) ([]Point, error) {
+	return sweep(workers, func(n int) (Point, error) {
+		return measure(name, "", anonCycle(overcommitMachine("", nil), boot, n, accessesPerWorker))
 	})
-	sys := boot(mach)
-	defer sys.Shutdown()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		all      []time.Duration
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p, err := sys.NewProcess(fmt.Sprintf("press%d", w))
-			if err == nil {
-				defer p.Exit()
-			}
-			lat := make([]time.Duration, 0, accesses)
-			var verr error
-			if err == nil {
-				const length = pressureRegionPages * param.PageSize
-				var va param.VAddr
-				va, verr = p.Mmap(0, length, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
-				for i := 0; i < accesses && verr == nil; i++ {
-					addr := va + param.VAddr(i%pressureRegionPages)*param.PageSize
-					//uvm:wallclock host-latency histogram measures real elapsed time
-					t0 := time.Now()
-					verr = p.Access(addr, true)
-					//uvm:wallclock host-latency histogram measures real elapsed time
-					lat = append(lat, time.Since(t0))
-				}
-			} else {
-				verr = err
-			}
-			mu.Lock()
-			if verr != nil && firstErr == nil {
-				firstErr = verr
-			}
-			all = append(all, lat...)
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return PressurePoint{}, firstErr
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(q float64) time.Duration {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(all)-1))
-		return all[i]
-	}
-	return PressurePoint{
-		System:     name,
-		Goroutines: workers,
-		Accesses:   len(all),
-		P50:        pct(0.50),
-		P99:        pct(0.99),
-		Max:        all[len(all)-1],
-	}, nil
 }
 
 // pressureBooters returns the three configurations the experiment
@@ -151,7 +108,7 @@ func pressureBooters() []NamedBooter {
 func ReportPressure(w io.Writer, workers []int, accessesPerWorker int) error {
 	header(w, "Pressure: allocation tail latency under reclaim (wall clock)")
 	fmt.Fprintf(w, "GOMAXPROCS=%d NumCPU=%d  RAM=%d pages, each goroutine cycles %d pages\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), pressureRAMPages, pressureRegionPages)
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), overcommitRAMPages, anonCycleRegionPages)
 	for _, nb := range pressureBooters() {
 		points, err := Pressure(nb.Name, nb.Boot, workers, accessesPerWorker)
 		if err != nil {
@@ -159,7 +116,7 @@ func ReportPressure(w io.Writer, workers []int, accessesPerWorker int) error {
 		}
 		for _, pt := range points {
 			fmt.Fprintf(w, "%-11s %2d goroutines: p50 %9s  p99 %9s  max %9s  (%d accesses)\n",
-				pt.System, pt.Goroutines, pt.P50, pt.P99, pt.Max, pt.Accesses)
+				pt.Name, pt.Clients, pt.P50(), pt.P99(), pt.Max(), pt.Hist.Count())
 		}
 	}
 	fmt.Fprintln(w, "(uvm-daemon's low-water wakeup reclaims ahead of allocators; with enough")

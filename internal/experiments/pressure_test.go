@@ -16,10 +16,10 @@ func TestPressureRunsOnAllConfigs(t *testing.T) {
 			t.Fatalf("%s: %v", nb.Name, err)
 		}
 		for _, pt := range points {
-			if pt.Accesses != pt.Goroutines*300 {
+			if pt.Hist.Count() != int64(pt.Clients*300) {
 				t.Fatalf("%s: lost samples: %+v", nb.Name, pt)
 			}
-			if pt.P50 <= 0 || pt.P99 < pt.P50 || pt.Max < pt.P99 {
+			if pt.P50() <= 0 || pt.P99() < pt.P50() || pt.Max() < pt.P99() {
 				t.Fatalf("%s: degenerate distribution: %+v", nb.Name, pt)
 			}
 		}
@@ -38,7 +38,7 @@ func TestPressureDaemonBeatsInlineTail(t *testing.T) {
 	}
 	const workers = 4
 	best := 0.0
-	var inline, daemon PressurePoint
+	var inline, daemon Point
 	for attempt := 0; attempt < 3 && best < 1.0; attempt++ {
 		boots := pressureBooters()
 		ip, err := Pressure("uvm-inline", boots[1].Boot, []int{workers}, 1500)
@@ -50,15 +50,15 @@ func TestPressureDaemonBeatsInlineTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		inline, daemon = ip[0], dp[0]
-		if r := float64(inline.P99) / float64(daemon.P99); r > best {
+		if r := float64(inline.P99()) / float64(daemon.P99()); r > best {
 			best = r
 		}
 	}
 	t.Logf("p99 at %d goroutines: inline %v, daemon %v (best ratio %.2fx, GOMAXPROCS=%d)",
-		workers, inline.P99, daemon.P99, best, runtime.GOMAXPROCS(0))
+		workers, inline.P99(), daemon.P99(), best, runtime.GOMAXPROCS(0))
 	// Sanity floor: the daemon config must still be doing real paging,
 	// not winning by skipping the work.
-	if daemon.P50 <= 0 || daemon.Max < 10*time.Microsecond {
+	if daemon.P50() <= 0 || daemon.Max() < 10*time.Microsecond {
 		t.Errorf("daemon run suspiciously cheap: %+v", daemon)
 	}
 	if runtime.GOMAXPROCS(0) < 4 {
@@ -67,6 +67,27 @@ func TestPressureDaemonBeatsInlineTail(t *testing.T) {
 	}
 	if best < 1.0 {
 		t.Errorf("daemon p99 (%v) should beat inline p99 (%v) at %d goroutines",
-			daemon.P99, inline.P99, workers)
+			daemon.P99(), inline.P99(), workers)
+	}
+}
+
+// TestZeroBaseRuns pins the zero-base cases: a run with no accesses
+// reports an all-zero distribution instead of indexing an empty sample
+// slice, and a point with no pageouts or write commands has ratio 0 —
+// never NaN, which every comparison would wave through.
+func TestZeroBaseRuns(t *testing.T) {
+	points, err := Pressure("uvm-inline", uvmDeterministic, []int{1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt := points[0]; pt.Hist.Count() != 0 || pt.P50() != 0 || pt.P99() != 0 || pt.Max() != 0 {
+		t.Errorf("zero-access run reported %+v", pt)
+	}
+	idle := points[0] // it paged nothing out, wrote nothing, took no pv lock it had to wait for
+	if w, d := idle.WritesPerPage(), idle.DeferredShare(); w != 0 || d != 0 {
+		t.Errorf("idle point: WritesPerPage %v DeferredShare %v, want 0 and 0", w, d)
+	}
+	if bw, r := (Point{}).SimBW(), (Point{}).PVContentionRatio(); bw != 0 || r != 0 {
+		t.Errorf("zero point: SimBW %v PVContentionRatio %v, want 0 and 0", bw, r)
 	}
 }

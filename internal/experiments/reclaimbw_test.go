@@ -3,7 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"uvm/internal/uvm"
+	"uvm/internal/sim"
 )
 
 // TestReclaimBWRunsOnAllConfigs smoke-tests the driver: every pipeline
@@ -13,18 +13,18 @@ func TestReclaimBWRunsOnAllConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(reclaimBWConfigs()) {
+	if len(points) != len(reclaimBWTunings()) {
 		t.Fatalf("got %d points", len(points))
 	}
 	for _, pt := range points {
-		if pt.Accesses != reclaimBWProducers*900 {
-			t.Fatalf("%s: lost samples: %+v", pt.Config, pt)
+		if pt.Hist.Count() != reclaimBWProducers*900 {
+			t.Fatalf("%s: lost samples: %+v", pt.Name, pt)
 		}
-		if pt.Pageouts == 0 {
-			t.Fatalf("%s: no paging happened — the workload no longer overcommits: %+v", pt.Config, pt)
+		if pt.Pageouts() == 0 {
+			t.Fatalf("%s: no paging happened — the workload no longer overcommits: %+v", pt.Name, pt)
 		}
-		if pt.Sim <= 0 || pt.Wall <= 0 || pt.SimBW <= 0 {
-			t.Fatalf("%s: degenerate measurement: %+v", pt.Config, pt)
+		if pt.Sim <= 0 || pt.Wall <= 0 || pt.SimBW() <= 0 {
+			t.Fatalf("%s: degenerate measurement: %+v", pt.Name, pt)
 		}
 	}
 }
@@ -45,41 +45,37 @@ func TestReclaimBWRunsOnAllConfigs(t *testing.T) {
 //   - async clustering is as good as sync: no more write commands per
 //     page out.
 func TestReclaimBWAsyncBeatsSyncSimBandwidth(t *testing.T) {
-	syncPt, err := ReclaimBWRun("sync-1w", func(c *uvm.Config) {}, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asyncPt, err := ReclaimBWRun("async-1w", func(c *uvm.Config) {
-		c.AsyncPageout = true
-		c.PageoutWindow = 4
-	}, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multiPt, err := ReclaimBWRun("async-4w", func(c *uvm.Config) {
-		c.AsyncPageout = true
-		c.PageoutWindow = 4
-		c.ReclaimWorkers = 4
-	}, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range []ReclaimBWPoint{syncPt, asyncPt, multiPt} {
-		t.Logf("%-9s sim %7.0f pg/s  %5d pageouts in %3d write commands (%.4f/page), %3.0f%% deferred, %4.0f us deferred disk time per page",
-			pt.Config, pt.SimBW, pt.Pageouts, pt.WriteCmds, pt.WritesPerPage(),
-			100*pt.DeferredShare(), float64(pt.DeferredNs)/float64(pt.Pageouts)/1e3)
-	}
-	if syncPt.DeferredCmds != 0 || syncPt.DeferredNs != 0 {
-		t.Errorf("sync pageout deferred %d writes (%d ns): every cluster write must be charged to the clock",
-			syncPt.DeferredCmds, syncPt.DeferredNs)
-	}
-	for _, pt := range []ReclaimBWPoint{asyncPt, multiPt} {
-		if pt.AsyncClusters == 0 {
-			t.Fatalf("%s submitted no async clusters: %+v", pt.Config, pt)
+	var pts [3]Point // sync-1w, async-1w, async-4w
+	for i := range pts {
+		var err error
+		if pts[i], err = reclaimBWRun(profile, nil, reclaimBWTunings()[i], 1200); err != nil {
+			t.Fatal(err)
 		}
-		if pt.DeferredShare() < 0.5 || pt.DeferredNs == 0 {
+	}
+	syncPt, asyncPt, multiPt := pts[0], pts[1], pts[2]
+	for _, pt := range pts {
+		// The ratios below are per page out and per write command: a run
+		// that did neither has none, and must not pass by default.
+		if pt.Pageouts() == 0 || pt.WriteCmds() == 0 {
+			t.Fatalf("%s: no paging to take ratios of: %+v", pt.Name, pt)
+		}
+		t.Logf("%-9s sim %7.0f pg/s  %5d pageouts in %3d write commands (%.4f/page), %3.0f%% deferred, %4.0f us deferred disk time per page",
+			pt.Name, pt.SimBW(), pt.Pageouts(), pt.WriteCmds(), pt.WritesPerPage(),
+			100*pt.DeferredShare(), float64(pt.DiskBusy())/float64(pt.Pageouts())/1e3)
+	}
+	deferredCmds := func(pt Point) int64 { return pt.Stats.Get(sim.CtrDiskWritesDeferred) }
+	deferredNs := func(pt Point) int64 { return int64(pt.DiskBusy()) }
+	if deferredCmds(syncPt) != 0 || deferredNs(syncPt) != 0 {
+		t.Errorf("sync pageout deferred %d writes (%d ns): every cluster write must be charged to the clock",
+			deferredCmds(syncPt), deferredNs(syncPt))
+	}
+	for _, pt := range []Point{asyncPt, multiPt} {
+		if pt.Stats.Get(sim.CtrPdAsyncClusters) == 0 {
+			t.Fatalf("%s submitted no async clusters: %+v", pt.Name, pt)
+		}
+		if pt.DeferredShare() < 0.5 || deferredNs(pt) == 0 {
 			t.Errorf("%s: only %.0f%% of write commands (%d ns) moved to the deferred ledger",
-				pt.Config, 100*pt.DeferredShare(), pt.DeferredNs)
+				pt.Name, 100*pt.DeferredShare(), deferredNs(pt))
 		}
 	}
 	// Cluster sizes vary a little with where a round's target cuts the

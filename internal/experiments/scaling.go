@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"time"
 
 	"uvm/internal/param"
 	"uvm/internal/sim"
 	"uvm/internal/vmapi"
+	"uvm/internal/workload"
 )
 
 // Scaling measures multicore fault throughput — the experiment the paper
@@ -26,51 +25,6 @@ import (
 // throughput rises with goroutine count — when the host actually has
 // cores to run them (wall-clock scaling is bounded by GOMAXPROCS).
 
-// ScalingPoint is one (goroutines, throughput) sample for one system.
-type ScalingPoint struct {
-	System     string
-	Goroutines int
-	Faults     int64         // faults taken during the measurement
-	Wall       time.Duration // wall-clock elapsed
-	PerSecond  float64       // Faults / Wall
-
-	// pv-lock traffic on the pmap reverse map during the run: how often a
-	// bucket lock was taken, and how often the taker had to wait. With
-	// the sharded pv table the contended share stays near zero as
-	// goroutines are added; a single-mutex table (pmap.MMU.SetPVShards(1))
-	// is where the contention shows.
-	PVAcquires  int64
-	PVContended int64
-
-	// Allocator-lock traffic during the run (phys.alloc.* counters): how
-	// often an allocation-path lock — magazine or queue shard — was
-	// taken, and how often the taker had to wait. With per-CPU caches
-	// (AllocCaches > 0) each goroutine mostly takes only its own
-	// magazine's lock; with the single global pool (AllocCaches = 0)
-	// every fault contends for the same queue-shard locks.
-	AllocCaches    int
-	AllocAcquires  int64
-	AllocContended int64
-}
-
-// PVContentionRatio returns the contended share of pv bucket lock
-// acquisitions (0 when the run took none).
-func (p ScalingPoint) PVContentionRatio() float64 {
-	if p.PVAcquires == 0 {
-		return 0
-	}
-	return float64(p.PVContended) / float64(p.PVAcquires)
-}
-
-// AllocContentionRatio returns the contended share of allocation-path
-// lock acquisitions (0 when the run took none).
-func (p ScalingPoint) AllocContentionRatio() float64 {
-	if p.AllocAcquires == 0 {
-		return 0
-	}
-	return float64(p.AllocContended) / float64(p.AllocAcquires)
-}
-
 // scalingFaultsPerWorker bounds each worker's share of work so the
 // experiment finishes quickly even at one goroutine.
 const scalingFaultsPerWorker = 3000
@@ -80,124 +34,70 @@ const scalingFaultsPerWorker = 3000
 // fault, never a pmap fast-path hit.
 const scalingRegionPages = 64
 
-// scalingDefaultCaches is the magazine count Scaling runs with: sized
-// for the experiment's largest worker count, so each of the up-to-8
-// faulting goroutines usually hashes to its own magazine.
+// scalingDefaultCaches is the magazine count the report runs with:
+// sized for the experiment's largest worker count, so each of the
+// up-to-8 faulting goroutines usually hashes to its own magazine.
 const scalingDefaultCaches = 8
 
 // Scaling runs the fault-throughput experiment for each goroutine count
-// on the given booter, with the per-CPU free-page caches on (the
-// configuration the scaling story is about). Every run boots a fresh
-// machine so clock and queue state never leak between points. Use
-// ScalingAlloc to pick the allocator layout explicitly — in particular
-// allocCaches=0 for the single-pool contrast.
-func Scaling(name string, boot vmapi.Booter, workers []int) ([]ScalingPoint, error) {
-	return ScalingAlloc(name, boot, workers, scalingDefaultCaches)
-}
-
-// ScalingAlloc is Scaling with an explicit allocator layout: allocCaches
-// per-CPU free-page magazines, 0 meaning the single global pool.
-func ScalingAlloc(name string, boot vmapi.Booter, workers []int, allocCaches int) ([]ScalingPoint, error) {
-	points := make([]ScalingPoint, 0, len(workers))
-	for _, n := range workers {
-		pt, err := scalingRun(name, boot, n, allocCaches)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
-func scalingRun(name string, boot vmapi.Booter, workers, allocCaches int) (ScalingPoint, error) {
-	pt, _, err := scalingRunOn(profile, name, boot, workers, allocCaches)
-	return pt, err
-}
-
-// scalingRunOn is the profile-explicit run body (the matrix's alloc cell
-// passes its own profile; everything else uses the global). It also
-// reports the post-shutdown Busy-page sweep for matrix cells.
-func scalingRunOn(prof, name string, boot vmapi.Booter, workers, allocCaches int) (ScalingPoint, int, error) {
-	// RAM sized so all workers fault without ever waking the pagedaemon:
-	// the experiment isolates fault-path locking, not reclaim.
-	mach := vmapi.NewMachine(vmapi.MachineConfig{
-		RAMPages:    workers*scalingRegionPages*4 + 4096,
-		SwapPages:   16384,
-		FSPages:     1024,
-		MaxVnodes:   16,
-		Profile:     prof,
-		AllocCaches: allocCaches,
+// on the given booter, with allocCaches per-CPU free-page magazines (the
+// configuration the scaling story is about; 0 is the single global pool,
+// for contrast). Every run boots a fresh machine so clock and queue
+// state never leak between points.
+func Scaling(name string, boot vmapi.Booter, workers []int, allocCaches int) ([]Point, error) {
+	return sweep(workers, func(n int) (Point, error) {
+		return scalingRun(profile, name, boot, n, allocCaches)
 	})
-	sys := boot(mach)
+}
 
-	procs := make([]vmapi.Process, workers)
-	for i := range procs {
-		p, err := sys.NewProcess(fmt.Sprintf("scale%d", i))
-		if err != nil {
-			return ScalingPoint{}, 0, err
-		}
-		procs[i] = p
+// scalingRun is one point: workers clients, each taking
+// scalingFaultsPerWorker write faults over a region it maps, touches
+// through and unmaps again.
+func scalingRun(prof, name string, boot vmapi.Booter, workers, allocCaches int) (Point, error) {
+	const length = scalingRegionPages * param.PageSize
+	type region struct {
+		p  vmapi.Process
+		va param.VAddr
 	}
-
-	var (
-		wg       sync.WaitGroup
-		firstErr error
-		errOnce  sync.Once
-	)
-	//uvm:wallclock real elapsed time is the reported host-throughput metric
-	start := time.Now()
-	for i := range procs {
-		wg.Add(1)
-		go func(p vmapi.Process) {
-			defer wg.Done()
-			const length = scalingRegionPages * param.PageSize
-			faults := 0
-			for faults < scalingFaultsPerWorker {
-				va, err := p.Mmap(0, length, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				for pg := 0; pg < scalingRegionPages && faults < scalingFaultsPerWorker; pg++ {
-					if err := p.Access(va+param.VAddr(pg)*param.PageSize, true); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-					faults++
-				}
-				if err := p.Munmap(va, length); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
+	regions := make([]region, workers)
+	return measure(name, fmt.Sprintf("%d caches", allocCaches), workload.Run{
+		// RAM sized so all workers fault without ever waking the
+		// pagedaemon: the experiment isolates fault-path locking, not
+		// reclaim.
+		Machine: vmapi.MachineConfig{
+			RAMPages:    workers*scalingRegionPages*4 + 4096,
+			SwapPages:   16384,
+			FSPages:     1024,
+			MaxVnodes:   16,
+			Profile:     prof,
+			AllocCaches: allocCaches,
+		},
+		Boot:    boot,
+		Clients: workers,
+		Ops:     scalingFaultsPerWorker,
+		Setup: func(c *workload.Client) (err error) {
+			regions[c.ID].p, err = c.NewProcess(fmt.Sprintf("scale%d", c.ID))
+			return err
+		},
+		// One request is one fault (untimed: the metric is throughput):
+		// the region is mapped before its first page and unmapped after
+		// its last, or after the run's last fault.
+		Op: func(c *workload.Client, i int) (err error) {
+			r, pg := &regions[c.ID], i%scalingRegionPages
+			if pg == 0 {
+				if r.va, err = r.p.Mmap(0, length, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0); err != nil {
+					return err
 				}
 			}
-		}(procs[i])
-	}
-	wg.Wait()
-	//uvm:wallclock real elapsed time is the reported host-throughput metric
-	wall := time.Since(start)
-	if firstErr != nil {
-		sys.Shutdown()
-		return ScalingPoint{}, len(mach.Mem.BusyPages()), firstErr
-	}
-	for _, p := range procs {
-		p.Exit()
-	}
-	sys.Shutdown()
-
-	total := int64(workers) * scalingFaultsPerWorker
-	leaked := len(mach.Mem.BusyPages())
-	return ScalingPoint{
-		System:         name,
-		Goroutines:     workers,
-		Faults:         total,
-		Wall:           wall,
-		PerSecond:      float64(total) / wall.Seconds(),
-		PVAcquires:     mach.Stats.Get(sim.CtrPVAcquires),
-		PVContended:    mach.Stats.Get(sim.CtrPVContended),
-		AllocCaches:    allocCaches,
-		AllocAcquires:  mach.Stats.Get(sim.CtrAllocAcquires),
-		AllocContended: mach.Stats.Get(sim.CtrAllocContended),
-	}, leaked, nil
+			if err := r.p.Access(r.va+param.VAddr(pg)*param.PageSize, true); err != nil {
+				return err
+			}
+			if pg == scalingRegionPages-1 || i == scalingFaultsPerWorker-1 {
+				return r.p.Munmap(r.va, length)
+			}
+			return nil
+		},
+	})
 }
 
 // ReportScaling renders the experiment for both systems at 1/2/4/8
@@ -207,23 +107,17 @@ func ReportScaling(w io.Writer, boots []NamedBooter) error {
 	fmt.Fprintf(w, "GOMAXPROCS=%d NumCPU=%d\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
 	workers := []int{1, 2, 4, 8}
 	for _, nb := range boots {
-		points, err := Scaling(nb.Name, nb.Boot, workers)
+		points, err := Scaling(nb.Name, nb.Boot, workers, scalingDefaultCaches)
 		if err != nil {
 			return err
 		}
-		base := points[0].PerSecond
+		base := points[0].PerSecond()
 		for _, pt := range points {
-			fmt.Fprintf(w, "%-6s %2d goroutines: %9.0f faults/s  (%.2fx)  pv-contention %5.2f%% (%d/%d)  alloc-contention %5.2f%% (%d/%d, %d caches)\n",
-				pt.System, pt.Goroutines, pt.PerSecond, pt.PerSecond/base,
-				100*pt.PVContentionRatio(), pt.PVContended, pt.PVAcquires,
-				100*pt.AllocContentionRatio(), pt.AllocContended, pt.AllocAcquires, pt.AllocCaches)
+			fmt.Fprintf(w, "%-6s %2d goroutines: %9.0f faults/s  (%.2fx)  pv-contention %5.2f%% (%d/%d)  alloc-contention %5.2f%% (%d/%d, %s)\n",
+				pt.Name, pt.Clients, pt.PerSecond(), pt.PerSecond()/base,
+				100*pt.PVContentionRatio(), pt.Stats.Get(sim.CtrPVContended), pt.Stats.Get(sim.CtrPVAcquires),
+				100*pt.AllocContentionRatio(), pt.Stats.Get(sim.CtrAllocContended), pt.Stats.Get(sim.CtrAllocAcquires), pt.Variant)
 		}
 	}
 	return nil
-}
-
-// NamedBooter pairs a booter with its report name.
-type NamedBooter struct {
-	Name string
-	Boot vmapi.Booter
 }

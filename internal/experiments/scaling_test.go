@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uvm/internal/bsdvm"
+	"uvm/internal/sim"
 	"uvm/internal/uvm"
 	"uvm/internal/vmapi"
 )
@@ -22,23 +23,23 @@ func TestScalingUVMFaultThroughput(t *testing.T) {
 	}
 	// Wall-clock measurement on a shared machine is noisy: take the best
 	// of a few attempts before judging the ratio.
-	var single, parallel ScalingPoint
+	var single, parallel Point
 	ratio := 0.0
 	for attempt := 0; attempt < 3 && ratio < 2.0; attempt++ {
-		points, err := Scaling("uvm", uvm.Boot, []int{1, 8})
+		points, err := Scaling("uvm", uvm.Boot, []int{1, 8}, scalingDefaultCaches)
 		if err != nil {
 			t.Fatal(err)
 		}
 		single, parallel = points[0], points[1]
-		if single.Faults != 1*scalingFaultsPerWorker || parallel.Faults != 8*scalingFaultsPerWorker {
+		if single.Ops != 1*scalingFaultsPerWorker || parallel.Ops != 8*scalingFaultsPerWorker {
 			t.Fatalf("fault accounting wrong: %+v %+v", single, parallel)
 		}
-		if r := parallel.PerSecond / single.PerSecond; r > ratio {
+		if r := parallel.PerSecond() / single.PerSecond(); r > ratio {
 			ratio = r
 		}
 	}
 	t.Logf("uvm fault throughput: 1 goroutine %.0f/s, 8 goroutines %.0f/s (best %.2fx, GOMAXPROCS=%d)",
-		single.PerSecond, parallel.PerSecond, ratio, runtime.GOMAXPROCS(0))
+		single.PerSecond(), parallel.PerSecond(), ratio, runtime.GOMAXPROCS(0))
 
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("GOMAXPROCS=%d: wall-clock scaling not observable without cores", runtime.GOMAXPROCS(0))
@@ -63,21 +64,23 @@ func TestScalingPVContention(t *testing.T) {
 		m.MMU.SetPVShards(1)
 		return uvm.Boot(m)
 	}
-	sharded, err := Scaling("uvm", uvm.Boot, []int{8})
+	sharded, err := Scaling("uvm", uvm.Boot, []int{8}, scalingDefaultCaches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsharded, err := Scaling("uvm-pv1", singleMutexBoot, []int{8})
+	unsharded, err := Scaling("uvm-pv1", singleMutexBoot, []int{8}, scalingDefaultCaches)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp, up := sharded[0], unsharded[0]
-	if sp.PVAcquires == 0 || up.PVAcquires == 0 {
+	pvAcq := func(pt Point) int64 { return pt.Stats.Get(sim.CtrPVAcquires) }
+	pvCont := func(pt Point) int64 { return pt.Stats.Get(sim.CtrPVContended) }
+	if pvAcq(sp) == 0 || pvAcq(up) == 0 {
 		t.Fatalf("pv acquisition counters missing: sharded %+v single %+v", sp, up)
 	}
 	t.Logf("pv contention at 8 goroutines: sharded %.3f%% (%d/%d), single-mutex %.3f%% (%d/%d)",
-		100*sp.PVContentionRatio(), sp.PVContended, sp.PVAcquires,
-		100*up.PVContentionRatio(), up.PVContended, up.PVAcquires)
+		100*sp.PVContentionRatio(), pvCont(sp), pvAcq(sp),
+		100*up.PVContentionRatio(), pvCont(up), pvAcq(up))
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("GOMAXPROCS=%d: lock contention not observable without cores", runtime.GOMAXPROCS(0))
 	}
@@ -101,19 +104,21 @@ func TestScalingAllocContention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling experiment skipped in -short mode")
 	}
-	cached, err := ScalingAlloc("uvm", uvm.Boot, []int{8}, 8)
+	cached, err := Scaling("uvm", uvm.Boot, []int{8}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := ScalingAlloc("uvm-pool", uvm.Boot, []int{8}, 0)
+	single, err := Scaling("uvm-pool", uvm.Boot, []int{8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp, sp := cached[0], single[0]
-	if cp.AllocAcquires == 0 || sp.AllocAcquires == 0 {
+	allocAcq := func(pt Point) int64 { return pt.Stats.Get(sim.CtrAllocAcquires) }
+	allocCont := func(pt Point) int64 { return pt.Stats.Get(sim.CtrAllocContended) }
+	if allocAcq(cp) == 0 || allocAcq(sp) == 0 {
 		t.Fatalf("alloc acquisition counters missing: cached %+v single %+v", cp, sp)
 	}
-	if cp.AllocCaches != 8 || sp.AllocCaches != 0 {
+	if cp.Variant != "8 caches" || sp.Variant != "0 caches" {
 		t.Fatalf("layouts mislabelled: cached %+v single %+v", cp, sp)
 	}
 	// Note the acquisition counts are similar between layouts — cached
@@ -122,8 +127,8 @@ func TestScalingAllocContention(t *testing.T) {
 	// contend, the shared pool's shard locks do. That only shows in the
 	// contended share, which needs real cores to exist at all.
 	t.Logf("alloc contention at 8 goroutines: cached %.3f%% (%d/%d), single-pool %.3f%% (%d/%d)",
-		100*cp.AllocContentionRatio(), cp.AllocContended, cp.AllocAcquires,
-		100*sp.AllocContentionRatio(), sp.AllocContended, sp.AllocAcquires)
+		100*cp.AllocContentionRatio(), allocCont(cp), allocAcq(cp),
+		100*sp.AllocContentionRatio(), allocCont(sp), allocAcq(sp))
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("GOMAXPROCS=%d: lock contention not observable without cores", runtime.GOMAXPROCS(0))
 	}
@@ -141,12 +146,12 @@ func TestScalingAllocContention(t *testing.T) {
 // plausible numbers.
 func TestScalingRunsOnBothSystems(t *testing.T) {
 	for _, nb := range []NamedBooter{{"bsdvm", bsdvm.Boot}, {"uvm", uvm.Boot}} {
-		points, err := Scaling(nb.Name, nb.Boot, []int{1, 2})
+		points, err := Scaling(nb.Name, nb.Boot, []int{1, 2}, scalingDefaultCaches)
 		if err != nil {
 			t.Fatalf("%s: %v", nb.Name, err)
 		}
 		for _, pt := range points {
-			if pt.PerSecond <= 0 || pt.Wall <= 0 {
+			if pt.PerSecond() <= 0 || pt.Wall <= 0 {
 				t.Fatalf("%s: degenerate point %+v", nb.Name, pt)
 			}
 		}

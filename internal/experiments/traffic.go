@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"uvm/internal/bsdvm"
-	"uvm/internal/uvm"
+	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 	"uvm/internal/workload"
 )
@@ -25,22 +24,6 @@ import (
 // acceptance assertion in traffic_test.go). Like every wall-clock
 // experiment, the numbers move with host load; the orderings are the
 // reproducible part.
-
-// TrafficPoint is one (system, profile, workers) traffic measurement.
-type TrafficPoint struct {
-	System  string
-	Profile string
-	Workers int
-	Ops     int64
-	Faults  int64
-	// Fault-latency quantiles over every timed page access (wall clock).
-	P50, P99, P999, Max time.Duration
-	// Interference is the reclaim-interference column: see
-	// workload.ReclaimInterference.
-	Interference int64
-	Wall         time.Duration
-	Sim          time.Duration
-}
 
 // TrafficWorkers returns the goroutine counts the experiment sweeps.
 func TrafficWorkers(quick bool) []int {
@@ -75,14 +58,8 @@ func TrafficConfigFor(quick bool) workload.TrafficConfig {
 // vnode table sits below the dataset (vnode recycling runs) but above
 // bsdvm's ~100 pinned cache objects plus the workers' concurrent opens.
 func trafficMachineConfig(prof string, cfg workload.TrafficConfig) vmapi.MachineConfig {
-	ram := cfg.DatasetPages() / 4
-	if ram < 256 {
-		ram = 256
-	}
-	vnodes := cfg.DatasetFiles / 4
-	if vnodes < 128 {
-		vnodes = 128
-	}
+	ram := max(cfg.DatasetPages()/4, 256)
+	vnodes := max(cfg.DatasetFiles/4, 128)
 	if vnodes > cfg.DatasetFiles {
 		vnodes = cfg.DatasetFiles + 128
 	}
@@ -95,74 +72,33 @@ func trafficMachineConfig(prof string, cfg workload.TrafficConfig) vmapi.Machine
 	}
 }
 
-// trafficUVMBoot boots uvm with the full I/O pipeline — async clustered
-// pageout, parallel reclaim workers, clustered pagein, async clustered
-// object writeback — which is the configuration every prior experiment
-// showed winning, and the one the interference column instruments.
-func trafficUVMBoot(m *vmapi.Machine) vmapi.System {
-	cfg := uvm.DefaultConfig()
-	cfg.AsyncPageout = true
-	cfg.PageoutWindow = 4
-	cfg.ReclaimWorkers = 4
-	cfg.PageinCluster = 8
-	cfg.AsyncWriteback = true
-	cfg.WritebackWindow = 4
-	cfg.WritebackCluster = 16
-	return uvm.BootConfig(m, cfg)
-}
-
-// TrafficBooters returns the two contestants in report order.
+// TrafficBooters returns the two contestants in report order: bsdvm, and
+// uvm with the full I/O pipeline — async clustered pageout, parallel
+// reclaim workers, clustered pagein, async clustered object writeback —
+// the configuration the interference column instruments.
 func TrafficBooters() []NamedBooter {
-	return []NamedBooter{{"bsdvm", bsdvm.Boot}, {"uvm", trafficUVMBoot}}
+	return []NamedBooter{{"bsdvm", bsdvm.Boot}, tuned("uvm", fullPipeline(4))}
 }
 
-// TrafficRunOn runs one traffic cell: boot nb on a fresh prof machine,
-// create the dataset, drive cfg with the given worker count, shut down.
-// Returns the measurement plus the number of Busy pages leaked (swept
-// after Shutdown; must be 0).
-func TrafficRunOn(prof string, nb NamedBooter, cfg workload.TrafficConfig, workers int) (TrafficPoint, int, error) {
-	mach := vmapi.NewMachine(trafficMachineConfig(prof, cfg))
-	sys := nb.Boot(mach)
-	defer sys.Shutdown()
-	if err := workload.CreateTrafficDataset(sys, cfg); err != nil {
-		return TrafficPoint{}, 0, err
-	}
-	res, err := workload.RunTraffic(sys, cfg, workers)
+// trafficRun runs one traffic cell: the workload on a fresh prof machine
+// booted by nb, with the given worker count.
+func trafficRun(prof string, nb NamedBooter, cfg workload.TrafficConfig, workers int) (Point, error) {
+	res, err := workload.Traffic(trafficMachineConfig(prof, cfg), nb.Boot, cfg, workers)
 	if err != nil {
-		return TrafficPoint{}, 0, err
+		err = fmt.Errorf("traffic %s/%s/%dw: %w", prof, nb.Name, workers, err)
 	}
-	sys.Shutdown() // drain pipelines before the sweep
-	leaked := len(mach.Mem.BusyPages())
-	return TrafficPoint{
-		System:       nb.Name,
-		Profile:      prof,
-		Workers:      workers,
-		Ops:          res.Ops,
-		Faults:       res.Faults,
-		P50:          res.Hist.P50(),
-		P99:          res.Hist.P99(),
-		P999:         res.Hist.P999(),
-		Max:          res.Hist.Max(),
-		Interference: res.Interference,
-		Wall:         res.Wall,
-		Sim:          res.Sim,
-	}, leaked, nil
+	return Point{nb.Name, prof, workers, res}, err
 }
 
 // Traffic sweeps both systems over the worker counts on one profile.
-func Traffic(prof string, cfg workload.TrafficConfig, workers []int) ([]TrafficPoint, error) {
-	var points []TrafficPoint
+func Traffic(prof string, cfg workload.TrafficConfig, workers []int) ([]Point, error) {
+	var points []Point
 	for _, nb := range TrafficBooters() {
-		for _, n := range workers {
-			pt, leaked, err := TrafficRunOn(prof, nb, cfg, n)
-			if err != nil {
-				return nil, fmt.Errorf("traffic %s/%s/%dw: %w", prof, nb.Name, n, err)
-			}
-			if leaked > 0 {
-				return nil, fmt.Errorf("traffic %s/%s/%dw: %d Busy pages leaked", prof, nb.Name, n, leaked)
-			}
-			points = append(points, pt)
+		pts, err := sweep(workers, func(n int) (Point, error) { return trafficRun(prof, nb, cfg, n) })
+		if err != nil {
+			return nil, err
 		}
+		points = append(points, pts...)
 	}
 	return points, nil
 }
@@ -183,11 +119,7 @@ func (o TrafficOverrides) Apply(cfg *workload.TrafficConfig) {
 		cfg.Tenants = o.Tenants
 	}
 	if o.DatasetPages > 0 {
-		files := o.DatasetPages / cfg.FilePages
-		if files < 1 {
-			files = 1
-		}
-		cfg.DatasetFiles = files
+		cfg.DatasetFiles = max(o.DatasetPages/cfg.FilePages, 1)
 	}
 	if o.ZipfS >= 0 {
 		cfg.ZipfS = o.ZipfS
@@ -224,8 +156,8 @@ func ReportTraffic(w io.Writer, quick bool, over TrafficOverrides) error {
 		}
 		for _, pt := range points {
 			fmt.Fprintf(w, "%-6s %2d workers: %7d ops %8d faults  p50 %9s p99 %9s p999 %9s max %9s  reclaim-interference %d\n",
-				pt.System, pt.Workers, pt.Ops, pt.Faults,
-				pt.P50, pt.P99, pt.P999, pt.Max, pt.Interference)
+				pt.Name, pt.Clients, pt.Ops, pt.Stats.Get(sim.CtrFaults),
+				pt.P50(), pt.P99(), pt.P999(), pt.Max(), workload.ReclaimInterference(pt.Stats))
 		}
 	}
 	fmt.Fprintln(w, "(bsdvm's column is 0 by construction: its reclaim interference is served out")

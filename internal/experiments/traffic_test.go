@@ -4,6 +4,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"uvm/internal/sim"
+	"uvm/internal/workload"
 )
 
 // TestTrafficUVMTailAtOrBelowBSD is the traffic experiment's acceptance
@@ -20,20 +23,19 @@ func TestTrafficUVMTailAtOrBelowBSD(t *testing.T) {
 	cfg := TrafficConfigFor(true)
 	const workers = 4
 	booters := TrafficBooters()
-	var bsd, uv TrafficPoint
+	var bsd, uv Point
+	var bsdIntf, uvIntf int64
 	ok := false
 	// Wall-clock quantiles on a shared machine are noisy: best of three
 	// attempts before judging the tail ordering.
 	for attempt := 0; attempt < 3 && !ok; attempt++ {
 		for i, nb := range booters {
-			pt, leaked, err := TrafficRunOn("hdd97", nb, cfg, workers)
+			// A Busy page leaked after Shutdown is an error of the run.
+			pt, err := trafficRun("hdd97", nb, cfg, workers)
 			if err != nil {
 				t.Fatalf("%s: %v", nb.Name, err)
 			}
-			if leaked != 0 {
-				t.Fatalf("%s: %d Busy pages leaked after Shutdown", nb.Name, leaked)
-			}
-			if pt.Ops != int64(workers)*int64(cfg.OpsPerWorker) || pt.Faults == 0 || pt.P99 <= 0 {
+			if pt.Ops != int64(workers)*int64(cfg.OpsPerWorker) || pt.Stats.Get(sim.CtrFaults) == 0 || pt.P99() <= 0 {
 				t.Fatalf("%s: degenerate point %+v", nb.Name, pt)
 			}
 			if i == 0 {
@@ -42,22 +44,23 @@ func TestTrafficUVMTailAtOrBelowBSD(t *testing.T) {
 				uv = pt
 			}
 		}
-		if bsd.Interference != 0 {
-			t.Errorf("bsdvm reported reclaim interference %d, want 0 by construction", bsd.Interference)
+		bsdIntf, uvIntf = workload.ReclaimInterference(bsd.Stats), workload.ReclaimInterference(uv.Stats)
+		if bsdIntf != 0 {
+			t.Errorf("bsdvm reported reclaim interference %d, want 0 by construction", bsdIntf)
 		}
-		if uv.Interference < 0 {
-			t.Errorf("uvm reported negative reclaim interference %d", uv.Interference)
+		if uvIntf < 0 {
+			t.Errorf("uvm reported negative reclaim interference %d", uvIntf)
 		}
-		ok = uv.P99 <= bsd.P99
+		ok = uv.P99() <= bsd.P99()
 	}
 	t.Logf("traffic p99 at %d workers: bsdvm %v, uvm %v (interference bsdvm %d / uvm %d, GOMAXPROCS=%d)",
-		workers, bsd.P99, uv.P99, bsd.Interference, uv.Interference, runtime.GOMAXPROCS(0))
+		workers, bsd.P99(), uv.P99(), bsdIntf, uvIntf, runtime.GOMAXPROCS(0))
 
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("GOMAXPROCS=%d: big-lock queueing not observable without cores", runtime.GOMAXPROCS(0))
 	}
 	if !ok {
-		t.Errorf("uvm p99 %v exceeds bsdvm p99 %v at %d workers", uv.P99, bsd.P99, workers)
+		t.Errorf("uvm p99 %v exceeds bsdvm p99 %v at %d workers", uv.P99(), bsd.P99(), workers)
 	}
 }
 

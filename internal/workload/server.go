@@ -28,20 +28,30 @@ func NewFileServer(sys vmapi.System, numFiles, filePages int) (*FileServer, erro
 	if err != nil {
 		return nil, err
 	}
-	fs := sys.Machine().FS
-	for i := 0; i < numFiles; i++ {
-		name := docName(i)
-		if err := fs.Create(name, filePages*param.PageSize, func(idx int, buf []byte) {
-			buf[0] = byte(i)
-			buf[1] = byte(idx)
-		}); err != nil {
-			return nil, err
-		}
+	if err := createCorpus(sys, docName, numFiles, filePages); err != nil {
+		return nil, err
 	}
 	return &FileServer{sys: sys, proc: p, FilePages: filePages, NumFiles: numFiles}, nil
 }
 
 func docName(i int) string { return fmt.Sprintf("/htdocs/f%04d", i) }
+
+// createCorpus builds a served corpus on sys's filesystem: numFiles files
+// of filePages pages each, file i at name(i), every page stamped with its
+// file and page index.
+func createCorpus(sys vmapi.System, name func(i int) string, numFiles, filePages int) error {
+	fs := sys.Machine().FS
+	for i := 0; i < numFiles; i++ {
+		err := fs.Create(name(i), filePages*param.PageSize, func(idx int, buf []byte) {
+			buf[0] = byte(i)
+			buf[1] = byte(idx)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // ServeAll serves every file once — open, mmap shared, touch every page,
 // unmap, close — and returns the simulated time the pass took.

@@ -3,27 +3,24 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sync"
-	"time"
 
-	"uvm/internal/histogram"
 	"uvm/internal/param"
 	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 )
 
-// The traffic driver: the Figure 2 file server scaled into the
-// ROADMAP's million-user workload. Thousands of simulated tenant
-// processes serve requests against one machine — Zipf-distributed file
-// popularity over a vnode dataset sized well past RAM (each request is
-// the Figure 2 serve path: open, mmap shared, touch, munmap), a
-// configurable anon-dirtying mixer so file and anonymous pressure
-// compete for the pagedaemon, and continuous fork/exit churn in the
-// mold of examples/forkfarm. Every page access is individually timed
-// into a lock-free latency histogram shard (internal/histogram), so the
-// run reports fault tail latency (p50/p99/p999) rather than just
-// throughput — the tail is where lock contention and reclaim
-// interference actually surface.
+// The traffic workload: the Figure 2 file server scaled into the
+// ROADMAP's million-user workload, as one Run over the measured-run
+// driver (drive.go). Thousands of simulated tenant processes serve
+// requests against one machine — Zipf-distributed file popularity over a
+// vnode dataset sized well past RAM (each request is the Figure 2 serve
+// path: open, mmap shared, touch, munmap), a configurable anon-dirtying
+// mixer so file and anonymous pressure compete for the pagedaemon, and
+// continuous fork/exit churn in the mold of examples/forkfarm. Every
+// page access is individually timed into the worker's latency shard
+// (Client.Access), so the run reports fault tail latency (p50/p99/p999)
+// rather than just throughput — the tail is where lock contention and
+// reclaim interference actually surface.
 
 // TrafficConfig sizes one traffic run. All counts are positive;
 // Validate names the first field that is not.
@@ -129,31 +126,16 @@ func (c TrafficConfig) Validate() error {
 	return nil
 }
 
-// TrafficResult is one traffic run's measurement.
-type TrafficResult struct {
-	Workers int
-	Ops     int64 // requests completed (file serves + anon ops + churn rounds)
-	Faults  int64 // page faults taken during the run (counter delta)
-	// Hist holds every timed page access of the run (per-worker shards
-	// merged after the workers join); quantiles are wall-clock fault
-	// latency.
-	Hist *histogram.Hist
-	// Interference counts faults/allocations that collided with reclaim
-	// in flight — see ReclaimInterference.
-	Interference int64
-	Sim          time.Duration // simulated time the run took
-	Wall         time.Duration // wall-clock time the run took
-}
-
-// ReclaimInterference reads the counters that record a collision with
-// in-flight reclaim I/O: sleeps on an object page whose writeback is on
+// ReclaimInterference reads — from a live *sim.Stats or a Result's
+// Counters — the counters that record a collision with in-flight
+// reclaim I/O: sleeps on an object page whose writeback is on
 // the wire (uvm.objwb.waits — the fault path's waitObjPageIdle) plus
 // allocations that blocked on the pagedaemon's round (uvm.pdaemon.blocked).
-// The traffic driver reports the delta over its run as the
+// The traffic experiment reports the delta over its run as the
 // reclaim-interference column. Both counters are UVM's; bsdvm reclaims
 // inline under its big lock, so its interference shows up as latency
 // instead of a count.
-func ReclaimInterference(st *sim.Stats) int64 {
+func ReclaimInterference(st interface{ Get(name string) int64 }) int64 {
 	return st.Get(sim.CtrObjWbWaits) + st.Get(sim.CtrPdBlocked)
 }
 
@@ -201,196 +183,105 @@ type tenant struct {
 // trafficFileName returns the corpus path of file i.
 func trafficFileName(i int) string { return fmt.Sprintf("/traffic/f%05d", i) }
 
-// CreateTrafficDataset builds the served corpus on sys's filesystem:
-// cfg.DatasetFiles files of cfg.FilePages pages. Callers running
-// several systems on separate machines call it once per machine.
-func CreateTrafficDataset(sys vmapi.System, cfg TrafficConfig) error {
-	fs := sys.Machine().FS
-	for i := 0; i < cfg.DatasetFiles; i++ {
-		err := fs.Create(trafficFileName(i), cfg.FilePages*param.PageSize,
-			func(idx int, buf []byte) {
-				buf[0] = byte(i)
-				buf[1] = byte(idx)
-			})
+// Traffic is the multi-tenant traffic workload as a measured run (see
+// Drive) on a fresh mcfg machine booted by boot: one client per worker.
+// Set-up builds the corpus and creates cfg.Tenants processes in order,
+// dealt round-robin so every worker drives a spread of tenants rather
+// than one contiguous block; each worker then issues cfg.OpsPerWorker
+// requests across its tenants, every page access timed.
+func Traffic(mcfg vmapi.MachineConfig, boot vmapi.Booter, cfg TrafficConfig, workers int) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if workers <= 0 || workers > cfg.Tenants {
+		return Result{}, fmt.Errorf("workload: traffic needs 1..Tenants workers (got %d of %d)", workers, cfg.Tenants)
+	}
+	z := newZipf(cfg.DatasetFiles, cfg.ZipfS)
+	own := make([][]*tenant, workers)
+	return Drive(Run{
+		Machine: mcfg,
+		Boot:    boot,
+		Clients: workers,
+		Ops:     cfg.OpsPerWorker,
+		Seed:    cfg.Seed,
+		Setup: func(c *Client) error {
+			if c.ID != 0 { // the corpus and the tenants are the machine's, built once
+				return nil
+			}
+			if err := createCorpus(c.Sys, trafficFileName, cfg.DatasetFiles, cfg.FilePages); err != nil {
+				return err
+			}
+			for i := 0; i < cfg.Tenants; i++ {
+				p, err := c.NewProcess(fmt.Sprintf("tenant%04d", i))
+				if err != nil {
+					return err
+				}
+				va, err := p.Mmap(0, param.VSize(cfg.AnonPages)*param.PageSize, param.ProtRW,
+					vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+				if err != nil {
+					return err
+				}
+				own[i%workers] = append(own[i%workers], &tenant{proc: p, anonVA: va})
+			}
+			return nil
+		},
+		Op: func(c *Client, i int) error {
+			return trafficOp(c, cfg, own[c.ID][i%len(own[c.ID])], z, i)
+		},
+	})
+}
+
+// trafficOp issues a worker's i-th request against tenant tn.
+func trafficOp(c *Client, cfg TrafficConfig, tn *tenant, z *zipf, i int) error {
+	switch {
+	case cfg.ChurnEvery > 0 && (i+1)%cfg.ChurnEvery == 0:
+		// Fork/exit churn, the forkfarm pattern: the child rewrites
+		// part of the parent's dirty anon region (COW storm both
+		// ways), then exits; the parent faults its copies back.
+		tn.churn++
+		child, err := tn.proc.Fork(fmt.Sprintf("%s.c%d", tn.proc.Name(), tn.churn))
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// RunTraffic drives the multi-tenant traffic workload against sys with
-// the given worker (goroutine) count: cfg.Tenants processes are created
-// and dealt round-robin to the workers, each worker issues
-// cfg.OpsPerWorker requests across its tenants, and every page access
-// is timed into a per-worker histogram shard. The dataset must already
-// exist (CreateTrafficDataset). Tenant processes are exited before
-// returning; the caller owns system Shutdown and the Busy-page sweep.
-func RunTraffic(sys vmapi.System, cfg TrafficConfig, workers int) (*TrafficResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if workers <= 0 || workers > cfg.Tenants {
-		return nil, fmt.Errorf("workload: traffic needs 1..Tenants workers (got %d of %d)", workers, cfg.Tenants)
-	}
-	mach := sys.Machine()
-
-	tenants := make([]*tenant, cfg.Tenants)
-	for i := range tenants {
-		p, err := sys.NewProcess(fmt.Sprintf("tenant%04d", i))
+		err = touch(c, child, tn.anonVA, cfg.ChurnPages, true)
+		child.Exit()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		va, err := p.Mmap(0, param.VSize(cfg.AnonPages)*param.PageSize, param.ProtRW,
-			vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+		return touch(c, tn.proc, tn.anonVA, cfg.ChurnPages, true)
+	case c.RNG.Intn(100) < cfg.AnonMixPercent:
+		// Anon mixer: dirty a window of the tenant's private region.
+		n := min(cfg.TouchPerOp, cfg.AnonPages)
+		start := c.RNG.Intn(cfg.AnonPages - n + 1)
+		return touch(c, tn.proc, tn.anonVA+param.VAddr(start)*param.PageSize, n, true)
+	default:
+		// Serve a request: the Figure 2 path over a Zipf-picked file.
+		vn, err := c.Sys.Machine().FS.Open(trafficFileName(z.sample(c.RNG)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tenants[i] = &tenant{proc: p, anonVA: va}
-	}
-	defer func() {
-		for _, tn := range tenants {
-			if !tn.proc.Exited() {
-				tn.proc.Exit()
-			}
+		defer vn.Unref()
+		size := param.VSize(cfg.FilePages) * param.PageSize
+		va, err := tn.proc.Mmap(0, size, param.ProtRead, vmapi.MapShared, vn, 0)
+		if err != nil {
+			return err
 		}
-	}()
-
-	z := newZipf(cfg.DatasetFiles, cfg.ZipfS)
-	st := mach.Stats
-	faults0 := st.Get(sim.CtrFaults)
-	intf0 := ReclaimInterference(st)
-	sim0 := mach.Clock.Now()
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	shards := make([]*histogram.Hist, workers)
-	opCounts := make([]int64, workers)
-	wall0 := time.Now()
-	for w := 0; w < workers; w++ {
-		shards[w] = histogram.New()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Deal tenants round-robin so every worker drives a spread of
-			// tenants rather than one contiguous block.
-			var own []*tenant
-			for i := w; i < len(tenants); i += workers {
-				own = append(own, tenants[i])
-			}
-			rng := sim.NewRNG(cfg.Seed + uint64(w)*0x9e3779b97f4a7c15)
-			h := shards[w]
-			n, err := trafficWorker(sys, cfg, own, z, rng, h)
-			opCounts[w] = n
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-			}
-		}(w)
+		n := min(cfg.TouchPerOp, cfg.FilePages)
+		start := c.RNG.Intn(cfg.FilePages - n + 1)
+		err = touch(c, tn.proc, va+param.VAddr(start)*param.PageSize, n, false)
+		if uerr := tn.proc.Munmap(va, size); err == nil {
+			err = uerr
+		}
+		return err
 	}
-	wg.Wait()
-	wall := time.Since(wall0)
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	res := &TrafficResult{
-		Workers:      workers,
-		Faults:       st.Get(sim.CtrFaults) - faults0,
-		Hist:         histogram.New(),
-		Interference: ReclaimInterference(st) - intf0,
-		Sim:          mach.Clock.Now() - sim0,
-		Wall:         wall,
-	}
-	for w := 0; w < workers; w++ {
-		res.Ops += opCounts[w]
-		res.Hist.Merge(shards[w])
-	}
-	return res, nil
 }
 
-// trafficWorker issues one worker's cfg.OpsPerWorker requests across
-// its tenants, returning how many completed.
-func trafficWorker(sys vmapi.System, cfg TrafficConfig, own []*tenant,
-	z *zipf, rng *sim.RNG, h *histogram.Hist) (int64, error) {
-	fs := sys.Machine().FS
-	done := int64(0)
-	for i := 0; i < cfg.OpsPerWorker; i++ {
-		tn := own[i%len(own)]
-		switch {
-		case cfg.ChurnEvery > 0 && (i+1)%cfg.ChurnEvery == 0:
-			// Fork/exit churn, the forkfarm pattern: the child rewrites
-			// part of the parent's dirty anon region (COW storm both
-			// ways), then exits; the parent faults its copies back.
-			tn.churn++
-			child, err := tn.proc.Fork(fmt.Sprintf("%s.c%d", tn.proc.Name(), tn.churn))
-			if err != nil {
-				return done, err
-			}
-			if err := touchTimed(child, tn.anonVA, cfg.ChurnPages, true, h); err != nil {
-				child.Exit()
-				return done, err
-			}
-			child.Exit()
-			if err := touchTimed(tn.proc, tn.anonVA, cfg.ChurnPages, true, h); err != nil {
-				return done, err
-			}
-		case rng.Intn(100) < cfg.AnonMixPercent:
-			// Anon mixer: dirty a window of the tenant's private region.
-			n := cfg.TouchPerOp
-			if n > cfg.AnonPages {
-				n = cfg.AnonPages
-			}
-			start := rng.Intn(cfg.AnonPages - n + 1)
-			va := tn.anonVA + param.VAddr(start)*param.PageSize
-			if err := touchTimed(tn.proc, va, n, true, h); err != nil {
-				return done, err
-			}
-		default:
-			// Serve a request: the Figure 2 path over a Zipf-picked file.
-			f := z.sample(rng)
-			vn, err := fs.Open(trafficFileName(f))
-			if err != nil {
-				return done, err
-			}
-			size := param.VSize(cfg.FilePages) * param.PageSize
-			va, err := tn.proc.Mmap(0, size, param.ProtRead, vmapi.MapShared, vn, 0)
-			if err != nil {
-				vn.Unref()
-				return done, err
-			}
-			n := cfg.TouchPerOp
-			if n > cfg.FilePages {
-				n = cfg.FilePages
-			}
-			start := rng.Intn(cfg.FilePages - n + 1)
-			err = touchTimed(tn.proc, va+param.VAddr(start)*param.PageSize, n, false, h)
-			if uerr := tn.proc.Munmap(va, size); err == nil {
-				err = uerr
-			}
-			vn.Unref()
-			if err != nil {
-				return done, err
-			}
-		}
-		done++
-	}
-	return done, nil
-}
-
-// touchTimed accesses one address per page across npages pages, timing
-// each access individually into h. Unlike Process.TouchRange, the
-// per-access timing is the point: a touch that takes a fault under
-// reclaim pressure is exactly the latency the histogram exists to
-// catch.
-func touchTimed(p vmapi.Process, va param.VAddr, npages int, write bool, h *histogram.Hist) error {
+// touch accesses one address per page across npages pages, each access
+// timed individually (Client.Access) — unlike Process.TouchRange, the
+// per-access timing is the point.
+func touch(c *Client, p vmapi.Process, va param.VAddr, npages int, write bool) error {
 	for i := 0; i < npages; i++ {
-		t0 := time.Now()
-		err := p.Access(va+param.VAddr(i)*param.PageSize, write)
-		h.Record(time.Since(t0))
-		if err != nil {
+		if err := c.Access(p, va+param.VAddr(i)*param.PageSize, write); err != nil {
 			return err
 		}
 	}

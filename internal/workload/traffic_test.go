@@ -1,13 +1,13 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"uvm/internal/bsdvm"
 	"uvm/internal/sim"
 	"uvm/internal/uvm"
 	"uvm/internal/vmapi"
-	"uvm/internal/vmapi/testutil"
 )
 
 // trafficTestConfig is a tiny shape that still exercises every op kind
@@ -32,82 +32,77 @@ func trafficTestConfig() TrafficConfig {
 // table must clear bsdvm's §4 object cache, which pins up to 100
 // vnodes referenced (see TrafficConfig); 128 leaves room for the
 // workers' concurrent opens.
-func trafficTestMachine() *vmapi.Machine {
-	return vmapi.NewMachine(vmapi.MachineConfig{
+func trafficTestMachine() vmapi.MachineConfig {
+	return vmapi.MachineConfig{
 		RAMPages:  128,
 		SwapPages: 4096,
 		FSPages:   1024,
 		MaxVnodes: 128,
-	})
+	}
 }
 
 func TestTrafficRunsOnBothSystems(t *testing.T) {
 	cfg := trafficTestConfig()
-	for _, boot := range []vmapi.Booter{uvm.Boot, bsdvm.Boot} {
-		sys := boot(trafficTestMachine())
-		testutil.SweepOnCleanup(t, sys)
-		if err := CreateTrafficDataset(sys, cfg); err != nil {
-			t.Fatalf("%s: dataset: %v", sys.Name(), err)
-		}
+	for _, sys := range []struct {
+		name string
+		boot vmapi.Booter
+	}{{"uvm", uvm.Boot}, {"bsdvm", bsdvm.Boot}} {
 		const workers = 2
-		res, err := RunTraffic(sys, cfg, workers)
+		name, boot := sys.name, sys.boot
+		// Traffic is a measured run: Drive shuts the system down and
+		// reports a Busy page left behind as an error.
+		res, err := Traffic(trafficTestMachine(), boot, cfg, workers)
 		if err != nil {
-			t.Fatalf("%s: %v", sys.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if want := int64(workers * cfg.OpsPerWorker); res.Ops != want {
-			t.Errorf("%s: ops = %d, want %d", sys.Name(), res.Ops, want)
+			t.Errorf("%s: ops = %d, want %d", name, res.Ops, want)
 		}
 		if res.Hist.Count() == 0 {
-			t.Errorf("%s: histogram recorded nothing", sys.Name())
+			t.Errorf("%s: histogram recorded nothing", name)
 		}
-		if res.Faults == 0 {
-			t.Errorf("%s: no faults counted — the driver never touched memory?", sys.Name())
+		if res.Stats.Get(sim.CtrFaults) == 0 {
+			t.Errorf("%s: no faults counted — the driver never touched memory?", name)
 		}
 		if res.Sim <= 0 {
-			t.Errorf("%s: simulated time did not advance", sys.Name())
+			t.Errorf("%s: simulated time did not advance", name)
 		}
 		// The corpus is twice RAM and a quarter of ops dirty anon pages:
 		// the run cannot fit without evicting.
-		if got := sys.Machine().Stats.Get(sim.CtrPageOuts); got == 0 {
-			t.Errorf("%s: no pageouts — the test machine is not overcommitted", sys.Name())
+		if got := res.Stats.Get(sim.CtrPageOuts); got == 0 {
+			t.Errorf("%s: no pageouts — the test machine is not overcommitted", name)
 		}
 	}
 }
 
 // TestTrafficDeterministicSim pins that two runs with the same seed and
-// one worker cost the same simulated time and take the same fault
-// count: the driver's randomness is all in the per-worker RNGs.
+// one worker cost the same simulated time and move every counter by the
+// same amount: the driver's randomness is all in the per-worker RNGs.
+// (internal/experiments' TestCellsDeterministicSim holds the pressure,
+// reclaimbw and objwb cells to the same bar — they cannot be imported
+// from here.)
 func TestTrafficDeterministicSim(t *testing.T) {
 	cfg := trafficTestConfig()
-	var sims [2]int64
-	var faults [2]int64
-	for i := range sims {
-		sys := uvm.BootConfig(trafficTestMachine(), uvmDeterministicConfig())
-		testutil.SweepOnCleanup(t, sys)
-		if err := CreateTrafficDataset(sys, cfg); err != nil {
+	var runs [2]Result
+	for i := range runs {
+		var err error
+		if runs[i], err = Traffic(trafficTestMachine(), uvmDeterministic, cfg, 1); err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunTraffic(sys, cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sims[i] = int64(res.Sim)
-		faults[i] = res.Faults
 	}
-	if sims[0] != sims[1] || faults[0] != faults[1] {
-		t.Errorf("single-worker runs diverged: sim %d vs %d, faults %d vs %d",
-			sims[0], sims[1], faults[0], faults[1])
+	if runs[0].Sim != runs[1].Sim || runs[0].Stats.Get(sim.CtrFaults) == 0 ||
+		!reflect.DeepEqual(runs[0].Stats, runs[1].Stats) {
+		t.Errorf("single-worker runs diverged: sim %d vs %d, counters\n%v\nvs\n%v",
+			runs[0].Sim, runs[1].Sim, runs[0].Stats, runs[1].Stats)
 	}
 }
 
-// uvmDeterministicConfig turns off the background machinery whose
+// uvmDeterministic boots uvm without the background machinery whose
 // goroutine interleaving perturbs simulated time.
-func uvmDeterministicConfig() uvm.Config {
+func uvmDeterministic(m *vmapi.Machine) vmapi.System {
 	cfg := uvm.DefaultConfig()
 	cfg.InlineReclaim = true
-	cfg.AsyncPageout = false
-	cfg.AsyncWriteback = false
-	return cfg
+	return uvm.BootConfig(m, cfg)
 }
 
 func TestTrafficZipfSkew(t *testing.T) {
@@ -167,12 +162,10 @@ func TestTrafficConfigValidate(t *testing.T) {
 		}
 	}
 	// Worker-count bounds are enforced at run time.
-	sys := uvm.Boot(trafficTestMachine())
-	testutil.SweepOnCleanup(t, sys)
-	if _, err := RunTraffic(sys, good, 0); err == nil {
+	if _, err := Traffic(trafficTestMachine(), uvm.Boot, good, 0); err == nil {
 		t.Error("workers=0 accepted")
 	}
-	if _, err := RunTraffic(sys, good, good.Tenants+1); err == nil {
+	if _, err := Traffic(trafficTestMachine(), uvm.Boot, good, good.Tenants+1); err == nil {
 		t.Error("workers > tenants accepted")
 	}
 }
