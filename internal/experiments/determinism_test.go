@@ -21,7 +21,7 @@ import (
 func TestCellsDeterministicSim(t *testing.T) {
 	small := overcommitMachine("", nil)
 	small.RAMPages = anonCycleRegionPages / 2
-	syncIO := objWBTunings()[0]
+	syncIO := objWBTuning("sync")
 	for _, cell := range []struct {
 		name string
 		run  func() workload.Run

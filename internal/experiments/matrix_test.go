@@ -33,11 +33,11 @@ func TestMatrixCells(t *testing.T) {
 // machine: the same objwb cell must report different simulated
 // throughput on hdd97 and ramdisk (the latter's I/O is nearly free).
 func TestMatrixProfilesDiffer(t *testing.T) {
-	hdd, err := objWBRun("hdd97", "vnode", objWBTunings()[2], 2)
+	hdd, err := objWBRun("hdd97", "vnode", objWBTuning("async-cluster"), 2)
 	if err != nil {
 		t.Fatalf("hdd97: %v", err)
 	}
-	ram, err := objWBRun("ramdisk", "vnode", objWBTunings()[2], 2)
+	ram, err := objWBRun("ramdisk", "vnode", objWBTuning("async-cluster"), 2)
 	if err != nil {
 		t.Fatalf("ramdisk: %v", err)
 	}

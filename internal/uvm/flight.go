@@ -28,14 +28,20 @@ import (
 //     a single I/O of consecutive blocks; the last run to complete
 //     finishes the whole flight, and wait returns once it has.
 //
-// "Synchronous" is not a second pipeline, it is a flag: a synchronous
-// flight issues each run with the clock-charged primitive
-// (Swap.WriteCluster, Vnode.WritePage) and runs the completion inline on
-// the submitter, one I/O at a time, stopping at the first error. An
-// asynchronous flight pushes its runs through the backend's bounded
-// in-flight window (disk.AsyncWriter, deferred charging) and its
-// completions arrive on I/O goroutines. System.flights counts the
-// flights not yet finished; every completion broadcasts flCond.
+// Run length is a property of the pages, not of who waits: an object's
+// pages are cut into runs of consecutive indices up to wbClusterMax
+// (objRuns), and pages bound for swap are placed on one fresh contiguous
+// slot run (swapRun), whatever the flight's mode. "Synchronous" is not a
+// second pipeline, it is a flag that decides only whose clock pays and
+// where the completion runs: a synchronous flight issues each run with
+// the clock-charged primitive (Swap.WriteCluster, Vnode.WritePages) and
+// runs the completion inline on the submitter, one run at a time,
+// stopping at the first error. An asynchronous flight pushes its runs
+// through the backend's bounded in-flight window (disk.AsyncWriter,
+// deferred charging) and its completions arrive on I/O goroutines. A run
+// that fails — torn or not — leaves every one of its pages dirty.
+// System.flights counts the flights not yet finished; every completion
+// broadcasts flCond.
 //
 // Completion context: runDone may run on an I/O goroutine holding the
 // handed-over owner locks and nothing else. It may touch page state, the
@@ -58,7 +64,7 @@ type flight struct {
 }
 
 // newFlight starts a flight of up to npages pages. The submitter then
-// issues runs (vnodeRun, swapRun, fail) over pages it has marked Busy
+// issues runs (objRuns, swapRun) over pages it has marked Busy
 // and calls submit exactly once; the owners' locks belong to the flight
 // from here on.
 func (s *System) newFlight(evict, async bool, owners ownerSet, npages int) *flight {
@@ -80,7 +86,7 @@ func (fl *flight) run(pages []*phys.Page, vn *vfs.Vnode, start int64) {
 		switch {
 		case err != nil: // an earlier run failed: stop writing
 		case vn != nil:
-			err = vn.WritePage(int(start), pages[0].Data) // synchronous vnode runs are one page
+			err = vn.WritePages(int(start), pageBufs(pages))
 		default:
 			err = s.mach.Swap.WriteCluster(start, pageBufs(pages))
 		}
@@ -145,17 +151,20 @@ func (fl *flight) vnodeRun(vn *vfs.Vnode, idx int, pages []*phys.Page) {
 }
 
 // swapRun assigns swap slots to the anon/aobj pages and issues their
-// writes — the one place pageout and writeback place pages on swap. With
-// contig the pages' locations are reassigned into one fresh contiguous
+// writes — the one place pageout and writeback place pages on swap. Two
+// or more pages have their locations reassigned into one fresh contiguous
 // run of slots (freeing any old scattered ones) and leave in a single
 // I/O: the "dynamic reassignment of swap location at page-level
-// granularity" of §5.3/§6. Without it, or when swap is too fragmented
-// for a run, each page goes to its own slot (existing, else freshly
-// allocated) with its own I/O — precisely BSD VM's behaviour (Figure 5's
-// two curves). Caller holds every page's owner lock.
-func (fl *flight) swapRun(pages []*phys.Page, contig bool) {
+// granularity" of §5.3/§6. Under cfg.DisableClustering, or when swap is
+// too fragmented for a run, each page goes to its own slot (existing,
+// else freshly allocated) with its own I/O — precisely BSD VM's behaviour
+// (Figure 5's two curves). Caller holds every page's owner lock.
+func (fl *flight) swapRun(pages []*phys.Page) {
 	s := fl.s
-	if contig {
+	if fl.stopped(pages) {
+		return
+	}
+	if !s.cfg.DisableClustering && len(pages) > 1 {
 		if start, err := s.mach.Swap.AllocContig(len(pages)); err == nil {
 			for i, pg := range pages {
 				s.reassignSlot(pg, start+int64(i))
@@ -165,16 +174,13 @@ func (fl *flight) swapRun(pages []*phys.Page, contig bool) {
 		}
 	}
 	for i, pg := range pages {
+		if fl.stopped(pages[i:]) {
+			return
+		}
 		slot := s.currentSlot(pg)
 		if slot == swap.NoSlot {
 			var err error
-			if !fl.async {
-				err = fl.firstErr() // a synchronous flight stops at its first error
-			}
-			if err == nil {
-				slot, err = s.mach.Swap.Alloc()
-			}
-			if err != nil {
+			if slot, err = s.mach.Swap.Alloc(); err != nil {
 				// Swap exhausted: the page stays dirty and resident.
 				fl.fail(pages[i:i+1], true, err)
 				continue
@@ -185,10 +191,35 @@ func (fl *flight) swapRun(pages []*phys.Page, contig bool) {
 	}
 }
 
-func (fl *flight) firstErr() error {
+// stopped reports whether a synchronous flight has already failed — it
+// stops at its first error — and if so fails pages, bound for swap,
+// without touching their slots.
+func (fl *flight) stopped(pages []*phys.Page) bool {
+	if fl.async {
+		return false
+	}
 	fl.s.flMu.Lock()
-	defer fl.s.flMu.Unlock()
-	return fl.err
+	err := fl.err
+	fl.s.flMu.Unlock()
+	if err != nil {
+		fl.fail(pages, true, err)
+	}
+	return err != nil
+}
+
+// objRuns issues o's claimed pages — pages[i] at index idxs[i], ascending
+// — as runs of consecutive indices, at most wbClusterMax long: the one
+// run policy of every submitter, whatever the flight's mode. Vnode pages
+// go to the file; aobj pages to swap. Caller holds o.mu.
+func (fl *flight) objRuns(o *uobject, idxs []int, pages []*phys.Page) {
+	for lo, hi := 0, 0; lo < len(idxs); lo = hi {
+		hi = runEnd(idxs, lo, fl.s.wbClusterMax())
+		if o.vnode != nil {
+			fl.vnodeRun(o.vnode, idxs[lo], pages[lo:hi])
+		} else {
+			fl.swapRun(pages[lo:hi])
+		}
+	}
 }
 
 // submit drops the submitter's hold: every run has been issued. If they

@@ -20,18 +20,39 @@ import (
 // combination it serves: completion policy {evict, clean} x {sync,
 // async} x backend {swap anon, swap aobj, vnode} x {healthy disk,
 // injected write error, swap too fragmented for a contiguous run}. Each
-// cell builds four dirty pages with their owners, claims them the way
-// the submitters do (Busy, owner locked), flies them, and checks the
-// page end state, the Busy and owner-lock hand-back, the swap slot
-// accounting, what wait reports and how many disk commands it took.
+// cell builds four resident pages with their owners, claims the dirty
+// ones the way the submitters do (Busy, owner locked), flies them, and
+// checks the page end state, the Busy and owner-lock hand-back, the swap
+// slot accounting, what wait reports and how many disk commands carrying
+// how many pages it took.
+//
+// The synchronous object cells also vary the shape of the dirty set,
+// because run length is a property of the pages and not of who waits:
+// all four contiguous (ok: one command), a clean page in the middle
+// (gap: two commands), the last page past EOF (eof, vnode only: it fails
+// without poisoning the in-range run) and a write torn after its first
+// page (torn: that run stays dirty, the next is never issued).
 func TestFlightTable(t *testing.T) {
 	const n = 4
 	for _, evict := range []bool{true, false} {
 		for _, async := range []bool{false, true} {
 			for _, backend := range []string{"anon", "aobj", "vnode"} {
-				for _, cond := range []string{"ok", "werr", "frag"} {
+				for _, cond := range []string{"ok", "werr", "frag", "gap", "eof", "torn"} {
 					if cond == "frag" && backend == "vnode" {
 						continue // files have fixed homes: nothing to fragment
+					}
+					// The shapes cut runs by object index: not for standalone
+					// anons, nor for the pagedaemon's one-cluster aobj pageout.
+					shaped := !async && (backend == "vnode" || backend == "aobj" && !evict)
+					switch cond {
+					case "gap", "torn":
+						if !shaped {
+							continue
+						}
+					case "eof":
+						if !shaped || backend != "vnode" {
+							continue
+						}
 					}
 					name := fmt.Sprintf("%s/%s/%s/%s",
 						map[bool]string{true: "evict", false: "clean"}[evict],
@@ -48,17 +69,32 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	s := BootConfig(m, DefaultConfig())
 	testutil.SweepOnCleanup(t, s)
 
-	// The owners and their dirty pages, page i filled with byte 0xA0+i.
+	// The owners and their resident pages: page i is filled with byte
+	// 0xA0+i and dirty, except the clean one the gap and torn shapes leave
+	// in the middle. pages[k] sits at index idxs[k] of its object.
 	var (
 		pages  []*phys.Page
+		idxs   []int
 		owners []any
 		obj    *uobject
 		vn     *vfs.Vnode
 	)
+	cleanIdx, fileSize := -1, n
+	switch cond {
+	case "gap", "torn":
+		cleanIdx = n - 2 // dirty runs [0, n-2) and [n-1]
+	case "eof":
+		fileSize = n - 1 // page n-1 has no home in the file
+	}
 	fill := func(pg *phys.Page, i int) {
+		if i == cleanIdx {
+			pg.Dirty.Store(false)
+			return
+		}
 		copy(pg.Data, bytes.Repeat([]byte{0xA0 + byte(i)}, param.PageSize))
 		pg.Dirty.Store(true)
 		pages = append(pages, pg)
+		idxs = append(idxs, i)
 	}
 	switch backend {
 	case "anon":
@@ -74,7 +110,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 		if backend == "aobj" {
 			obj = s.newAObj(n)
 		} else {
-			vn = mkfile(t, m, "/flight", n, 0)
+			vn = mkfile(t, m, "/flight", fileSize, 0)
 			defer vn.Unref()
 			obj = s.vnodeObject(vn)
 		}
@@ -101,6 +137,9 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	case "werr":
 		target.SetFaultPlan(disk.NewFaultPlan(
 			disk.FaultRule{Kind: disk.FaultWriteError, Block: disk.BlockAny, Count: 1}))
+	case "torn":
+		target.SetFaultPlan(disk.NewFaultPlan(
+			disk.FaultRule{Kind: disk.FaultTornWrite, Block: disk.BlockAny, Count: 1, TornPages: 1}))
 	case "frag":
 		// Take every slot, give every other one back: plenty of room, no
 		// two free slots adjacent.
@@ -115,9 +154,11 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 		blockers = m.Swap.SlotsInUse()
 	}
 
-	// Claim and fly: owners locked, pages Busy — as the pagedaemon's scan
-	// (evict: the locks travel with the flight) and flushLocked (clean:
-	// the submitter keeps its lock and drops it after submit) do.
+	// Claim and fly: owners locked, dirty pages Busy — as the pagedaemon's
+	// scan (evict: the locks travel with the flight) and flushLocked
+	// (clean: the submitter keeps its lock and drops it after submit) do.
+	// Object pages leave as runs of consecutive indices; anonymous memory
+	// the pagedaemon evicts — anons and aobj pages alike — as one cluster.
 	held := make(ownerSet)
 	for _, o := range owners {
 		if proceed, _ := held.tryAcquire(o); !proceed {
@@ -134,17 +175,11 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	if evict {
 		handed = held
 	}
-	fl := s.newFlight(evict, async, handed, n)
-	if backend == "vnode" {
-		step := 1 // synchronous vnode runs are one page
-		if async {
-			step = n
-		}
-		for lo := 0; lo < n; lo += step {
-			fl.vnodeRun(vn, lo, pages[lo:lo+step])
-		}
+	fl := s.newFlight(evict, async, handed, len(pages))
+	if backend == "anon" || backend == "aobj" && evict {
+		fl.swapRun(pages)
 	} else {
-		fl.swapRun(pages, true)
+		fl.objRuns(obj, idxs, pages)
 	}
 	fl.submit()
 	if !evict {
@@ -152,19 +187,27 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	}
 	written, err := fl.wait()
 
-	// What wait reports.
-	wantWritten, wantIOs := n, 1
-	switch {
-	case cond == "werr":
-		wantWritten = 0 // one contiguous run, or a sync flight stopping at its first error
-		if !errors.Is(err, disk.ErrInjected) {
-			t.Fatalf("wait error = %v, want ErrInjected", err)
-		}
-	case err != nil:
-		t.Fatalf("wait error = %v", err)
+	// What wait reports, and what reached the disk: pages[:wantWritten]
+	// were written and the rest failed; the flight took wantIOs commands,
+	// which moved wantMoved pages.
+	wantWritten, wantIOs, wantMoved := len(pages), 1, len(pages)
+	var wantErr error
+	switch cond {
+	case "frag":
+		wantIOs = n // singles
+	case "gap":
+		wantIOs = 2
+	case "eof":
+		wantWritten, wantMoved, wantErr = n-1, n-1, vfs.ErrBadOffset
+	case "werr": // one contiguous run
+		wantWritten, wantMoved, wantErr = 0, 0, disk.ErrInjected
+	case "torn":
+		// The first run's first page landed, the run failed as a whole,
+		// and a synchronous flight stops there.
+		wantWritten, wantMoved, wantErr = 0, 1, disk.ErrInjected
 	}
-	if cond == "frag" || (backend == "vnode" && !async && cond == "ok") {
-		wantIOs = n // singles; synchronous vnode runs are one page each
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("wait error = %v, want %v", err, wantErr)
 	}
 	if written != wantWritten {
 		t.Fatalf("wait reports %d pages written, want %d", written, wantWritten)
@@ -175,8 +218,12 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	if async && charged != 0 || !async && deferred != 0 {
 		t.Errorf("async=%v flight issued %d clock-charged and %d deferred writes", async, charged, deferred)
 	}
-	if cond != "werr" && charged+deferred != int64(wantIOs) {
+	if charged+deferred != int64(wantIOs) {
 		t.Errorf("%d disk write commands, want %d", charged+deferred, wantIOs)
+	}
+	// Only clock-charged commands count the pages they move.
+	if moved := after[sim.CtrDiskPagesWrite] - before[sim.CtrDiskPagesWrite]; !async && moved != int64(wantMoved) {
+		t.Errorf("the write commands moved %d pages, want %d", moved, wantMoved)
 	}
 
 	// Busy handed back, owner locks released, no flight left pending.
@@ -193,7 +240,8 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 
 	// Page end state.
 	freed := 0
-	for i, pg := range pages {
+	for k, pg := range pages {
+		i := idxs[k]
 		attached := false
 		switch o := owners[i%len(owners)].(type) {
 		case *anon:
@@ -202,7 +250,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 			attached = o.pages[i] == pg
 		}
 		switch {
-		case wantWritten == 0: // failed: dirty, resident, and back on the active queue if it was leaving
+		case k >= wantWritten: // failed: dirty, resident, and back on the active queue if it was leaving
 			if !attached || !pg.Dirty.Load() {
 				t.Errorf("page %d after a failed write: attached=%v dirty=%v", i, attached, pg.Dirty.Load())
 			}
@@ -220,6 +268,11 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 			}
 		}
 	}
+	if cleanIdx >= 0 {
+		if pg := obj.pages[cleanIdx]; pg == nil || pg.Dirty.Load() {
+			t.Errorf("the clean page in the gap was touched: %v", pg)
+		}
+	}
 	if got := m.Mem.FreePages() - freeBefore; got != freed {
 		t.Errorf("free frames grew by %d, want %d", got, freed)
 	}
@@ -232,7 +285,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	// would have panicked in the allocator).
 	buf := make([]byte, param.PageSize)
 	slots := 0
-	for i := range pages {
+	for k, i := range idxs {
 		var rerr error
 		switch o := owners[i%len(owners)].(type) {
 		case *anon:
@@ -243,6 +296,9 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 			rerr = m.Swap.ReadSlot(o.swslot, buf)
 		case *uobject:
 			if vn != nil {
+				if i >= fileSize {
+					continue
+				}
 				rerr = vn.ReadPage(i, buf)
 			} else if slot, ok := o.aobjSlots[i]; ok {
 				slots++
@@ -251,7 +307,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 				continue
 			}
 		}
-		if wantWritten == 0 {
+		if k >= wantWritten {
 			continue // a failed write may leave anything behind
 		}
 		if rerr != nil || buf[0] != 0xA0+byte(i) || buf[param.PageSize-1] != 0xA0+byte(i) {
@@ -259,8 +315,8 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 		}
 	}
 	if backend != "vnode" {
-		if cond != "werr" && slots != n {
-			t.Errorf("%d pages have swap slots, want %d", slots, n)
+		if wantErr == nil && slots != len(pages) {
+			t.Errorf("%d pages have swap slots, want %d", slots, len(pages))
 		}
 		if got := m.Swap.SlotsInUse() - blockers; got != slots {
 			t.Errorf("%d swap slots in use, owners name %d", got, slots)

@@ -19,16 +19,17 @@ import (
 //     byte-deterministic) and each page is marked Busy — claiming it for
 //     this flush.
 //  2. Issue. Still under o.mu (the aobj slot assignment needs it), the
-//     pages leave as runs: vnode pages to the file, aobj pages to swap.
-//     A synchronous flush (the default, and the ablation the objwb
-//     experiment measures) writes one page per I/O in ascending index
-//     order, charged to the caller's clock, and is complete before o.mu
-//     is released. An asynchronous one (cfg.AsyncWriteback) first narrows
-//     the pages' writable mappings, so a store during the flight faults
-//     and sleeps instead of scribbling on a frame the I/O owns, then
-//     pushes contiguous-index clusters through the backend's bounded
-//     in-flight window; submissions block only while the window is full,
-//     and completions never take o.mu, so waiting here cannot deadlock.
+//     pages leave as runs of consecutive indices, at most wbClusterMax
+//     long, each one I/O: vnode pages to the file, aobj pages to a fresh
+//     contiguous run of swap slots. A synchronous flush (the default)
+//     writes its runs in ascending index order, charged to the caller's
+//     clock, and is complete before o.mu is released. An asynchronous one
+//     (cfg.AsyncWriteback) first narrows the pages' writable mappings, so
+//     a store during the flight faults and sleeps instead of scribbling
+//     on a frame the I/O owns, then pushes the same runs through the
+//     backend's bounded in-flight window; submissions block only while
+//     the window is full, and completions never take o.mu, so waiting
+//     here cannot deadlock.
 //  3. Complete. The flight's last completion — on an I/O goroutine,
 //     holding no locks — clears Dirty then Busy and wakes every path
 //     sleeping on a busy page. Callers that need msync semantics wait on
@@ -97,26 +98,20 @@ func (s *System) flushLocked(o *uobject, loIdx, hiIdx int, async, waitBusy bool)
 	if n == 0 {
 		return nil
 	}
-	max := 1
-	if async {
-		max = s.wbClusterMax()
-	}
 	fl := s.newFlight(false, async, nil, n)
-	for lo, hi := 0, 0; lo < n; lo = hi {
-		hi = runEnd(idxs[:n], lo, max)
-		if o.vnode != nil {
-			fl.vnodeRun(o.vnode, idxs[lo], pages[lo:hi])
-		} else {
-			fl.swapRun(pages[lo:hi], async)
-		}
-	}
+	fl.objRuns(o, idxs[:n], pages)
 	fl.submit()
 	return fl
 }
 
-// wbClusterMax returns the largest writeback cluster a flight assembles.
+// wbClusterMax returns the longest run of consecutive object pages a
+// flight writes in one I/O, synchronous or not: 1 under
+// cfg.DisableClustering, the switch for "no clustering anywhere".
 func (s *System) wbClusterMax() int {
-	if s.cfg.WritebackCluster > 0 {
+	switch {
+	case s.cfg.DisableClustering:
+		return 1
+	case s.cfg.WritebackCluster > 0:
 		return s.cfg.WritebackCluster
 	}
 	return s.cfg.MaxCluster
@@ -177,8 +172,18 @@ func (s *System) waitObjIdleLocked(o *uobject) {
 // sortedPageIdxs returns o's resident page indices in [loIdx, hiIdx] in
 // ascending order — the deterministic iteration order for flush and
 // teardown sweeps (Go map order is random, and sweep order decides the
-// disk head's path). Caller holds o.mu.
+// disk head's path). A range no wider than the page map is probed index
+// by index; only a wider one walks and sorts the map. Caller holds o.mu.
 func sortedPageIdxs(o *uobject, loIdx, hiIdx int) []int {
+	if span := hiIdx - loIdx; span >= 0 && span < len(o.pages) {
+		idxs := make([]int, 0, span+1)
+		for idx := loIdx; idx <= hiIdx; idx++ {
+			if _, ok := o.pages[idx]; ok {
+				idxs = append(idxs, idx)
+			}
+		}
+		return idxs
+	}
 	idxs := make([]int, 0, len(o.pages))
 	//uvm:maporder-ok indices are sorted below
 	for idx := range o.pages {

@@ -3,10 +3,12 @@ package uvm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"uvm/internal/param"
+	"uvm/internal/phys"
 	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 	"uvm/internal/vmapi/testutil"
@@ -199,44 +201,92 @@ func TestMsyncDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestMsyncClustersContiguousRuns checks the async engine's clustering:
-// 16 contiguous dirty pages leave in ceil(16/8)=2 cluster I/Os, and a
-// hole in the dirty range splits the run.
+// TestSortedPageIdxsNarrowRange: a range narrower than the page map is
+// probed index by index instead of walking and sorting the map; both
+// routes must name the same indices in the same ascending order.
+func TestSortedPageIdxsNarrowRange(t *testing.T) {
+	resident := []int{2, 3, 4, 5, 17, 29, 30, 41, 55, 63} // ascending
+	o := &uobject{pages: make(map[int]*phys.Page)}
+	for _, idx := range resident {
+		o.pages[idx] = nil
+	}
+	for _, r := range [][2]int{{0, maxPageIdx}, {0, 63}, {3, 5}, {4, 12}, {6, 16}, {30, 30}, {56, 64}, {9, 2}} {
+		var want []int
+		for _, idx := range resident {
+			if idx >= r[0] && idx <= r[1] {
+				want = append(want, idx)
+			}
+		}
+		if got := sortedPageIdxs(o, r[0], r[1]); !slices.Equal(got, want) {
+			t.Errorf("sortedPageIdxs(%d, %d) = %v, want %v", r[0], r[1], got, want)
+		}
+	}
+}
+
+// TestMsyncClustersContiguousRuns checks the run policy, which is the
+// same whether or not the flight is asynchronous: 16 contiguous dirty
+// pages leave in ceil(16/8)=2 cluster I/Os, and a hole in the dirty range
+// splits the run. DisableClustering is the one switch for "no clustering
+// anywhere": under it every page is its own command, in both modes.
 func TestMsyncClustersContiguousRuns(t *testing.T) {
-	s, m := bootWb(t, 256, func(c *Config) {
-		c.AsyncWriteback = true
-		c.WritebackCluster = 8
-	})
-	vn := mkfile(t, m, "/cl", 32, 0)
-	defer vn.Unref()
-	p := newProc(t, s, "p")
-	va, err := p.Mmap(0, 32*param.PageSize, param.ProtRW, vmapi.MapShared, vn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		dirtyPages(t, p, va, i)
-	}
-	dirtyPages(t, p, va, 20, 21, 25)
-	if err := p.Msync(va, 32*param.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	// Runs: [0..7] [8..15] [20,21] [25] = 4 clusters, 19 pages.
-	if got := m.Stats.Get(sim.CtrObjWbClusters); got != 4 {
-		t.Errorf("writeback clusters = %d, want 4", got)
-	}
-	if got := m.Stats.Get(sim.CtrObjWbPages); got != 19 {
-		t.Errorf("writeback pages = %d, want 19", got)
-	}
-	// Everything really reached the file.
-	raw := make([]byte, param.PageSize)
-	for _, i := range []int{0, 7, 15, 20, 25} {
-		if err := vn.ReadPage(i, raw); err != nil {
-			t.Fatal(err)
-		}
-		if raw[0] != 0xD0+byte(i) {
-			t.Errorf("page %d not on disk after msync: %#x", i, raw[0])
-		}
+	for _, mode := range []struct {
+		name     string
+		tune     func(*Config)
+		wantCmds int64
+	}{
+		{"sync", func(c *Config) { c.WritebackCluster = 8 }, 4},
+		{"async", func(c *Config) { c.AsyncWriteback = true; c.WritebackCluster = 8 }, 4},
+		{"sync-noclustering", func(c *Config) { c.DisableClustering = true }, 19},
+		{"async-noclustering", func(c *Config) { c.AsyncWriteback = true; c.DisableClustering = true }, 19},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			s, m := bootWb(t, 256, mode.tune)
+			vn := mkfile(t, m, "/cl", 32, 0)
+			defer vn.Unref()
+			p := newProc(t, s, "p")
+			va, err := p.Mmap(0, 32*param.PageSize, param.ProtRW, vmapi.MapShared, vn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 16; i++ {
+				dirtyPages(t, p, va, i)
+			}
+			dirtyPages(t, p, va, 20, 21, 25)
+			before := m.Stats.Snapshot()
+			if err := p.Msync(va, 32*param.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			after := m.Stats.Snapshot()
+			delta := func(name string) int64 { return after[name] - before[name] }
+			// Runs: [0..7] [8..15] [20,21] [25] = 4 commands, 19 pages.
+			if got := delta(sim.CtrDiskWrites) + delta(sim.CtrDiskWritesDeferred); got != mode.wantCmds {
+				t.Errorf("disk write commands = %d, want %d", got, mode.wantCmds)
+			}
+			if got := delta(sim.CtrPageOuts); got != 19 {
+				t.Errorf("pages written back = %d, want 19", got)
+			}
+			// uvm.objwb.* count the asynchronous engine only.
+			wantClusters, wantPages := int64(0), int64(0)
+			if s.cfg.AsyncWriteback {
+				wantClusters, wantPages = mode.wantCmds, 19
+			}
+			if got := delta(sim.CtrObjWbClusters); got != wantClusters {
+				t.Errorf("writeback clusters = %d, want %d", got, wantClusters)
+			}
+			if got := delta(sim.CtrObjWbPages); got != wantPages {
+				t.Errorf("writeback pages = %d, want %d", got, wantPages)
+			}
+			// Everything really reached the file.
+			raw := make([]byte, param.PageSize)
+			for _, i := range []int{0, 7, 15, 20, 25} {
+				if err := vn.ReadPage(i, raw); err != nil {
+					t.Fatal(err)
+				}
+				if raw[0] != 0xD0+byte(i) {
+					t.Errorf("page %d not on disk after msync: %#x", i, raw[0])
+				}
+			}
+		})
 	}
 }
 
@@ -480,6 +530,42 @@ func TestPdaemonVnodeAsyncPut(t *testing.T) {
 	}
 	if got := m.Stats.Get(sim.CtrObjWbErrors); got != 0 {
 		t.Errorf("writeback errors: %d", got)
+	}
+}
+
+// TestPdaemonVnodePutClusters is the same pressure on the default
+// (synchronous) machine: the pass's dirty file pages are batched per
+// object and leave as runs of consecutive file blocks, so the file disk
+// sees far fewer write commands than pages — and every byte survives.
+func TestPdaemonVnodePutClusters(t *testing.T) {
+	s, m := bootWb(t, 128, func(c *Config) { c.InlineReclaim = true })
+	vn := mkfile(t, m, "/big", 512, 0)
+	defer vn.Unref()
+	p := newProc(t, s, "p")
+	va, err := p.Mmap(0, 512*param.PageSize, param.ProtRW, vmapi.MapShared, vn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 512; i++ {
+		if err := p.WriteBytes(va+param.VAddr(i)*param.PageSize, []byte{byte(i), byte(i >> 8)}); err != nil {
+			t.Fatalf("write page %d: %v", i, err)
+		}
+	}
+	pages, cmds := m.Stats.Get(sim.CtrPageOuts), m.Stats.Get(sim.CtrDiskWrites)
+	if pages < 256 {
+		t.Fatalf("only %d pages went out under 4x overcommit", pages)
+	}
+	if cmds*4 > pages {
+		t.Errorf("%d write commands for %d file pages: synchronous pageout is not clustering", cmds, pages)
+	}
+	buf := make([]byte, 2)
+	for i := 0; i < 512; i++ {
+		if err := p.ReadBytes(va+param.VAddr(i)*param.PageSize, buf); err != nil {
+			t.Fatalf("read page %d: %v", i, err)
+		}
+		if buf[0] != byte(i) || buf[1] != byte(i>>8) {
+			t.Fatalf("page %d corrupted: %#x %#x", i, buf[0], buf[1])
+		}
 	}
 }
 

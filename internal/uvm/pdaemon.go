@@ -446,7 +446,9 @@ func (s *System) reclaimRound(target int) (freed, submitted int) {
 // backing store, the daemon *reassigns* their swap locations so that all
 // the dirty anonymous pages it has collected — whatever their offsets —
 // occupy one contiguous run of slots and go out in a single large I/O
-// (flight.swapRun).
+// (flight.swapRun). Dirty file pages have fixed homes: they are batched
+// per object and leave, in the same flight, as runs of consecutive file
+// blocks (flight.objRuns).
 //
 // Concurrency: each candidate's owner is TryLocked and the page
 // re-verified under the lock (it may have been freed, re-homed or
@@ -466,10 +468,10 @@ func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, 
 			s.mach.Mem.RefillInactive(target * 2)
 		}
 		// Dirty pages claimed for this pass's flight: anon and aobj pages
-		// in one cluster bound for swap; vnode pages (async passes only)
-		// per object, in first-touch order so runs are issued in the
-		// deterministic order the queue scan discovered the objects —
-		// submission order decides the async writer's disk-head path.
+		// in one cluster bound for swap; vnode pages per object, in
+		// first-touch order so runs are issued in the deterministic order
+		// the queue scan discovered the objects — submission order decides
+		// the disk head's path.
 		var cluster []*phys.Page
 		var vnWb map[*uobject][]*phys.Page
 		var vnWbOrder []*uobject
@@ -517,7 +519,7 @@ func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, 
 					if claimed = len(cluster) < s.cfg.MaxCluster; claimed {
 						cluster = append(cluster, pg)
 					}
-				case async:
+				default:
 					// Dirty vnode pages are written back through the pager,
 					// batched per object.
 					if vnWb == nil {
@@ -529,16 +531,6 @@ func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, 
 					vnWb[vnObj] = append(vnWb[vnObj], pg)
 					vnPages++
 					claimed = true
-				default:
-					// Synchronous pass: put the page now, in scan order, as
-					// a one-page flight under the lock this scan holds. A
-					// failure reactivates just this page.
-					pg.Busy.Store(true)
-					fl := s.newFlight(true, false, nil, 1)
-					fl.vnodeRun(vnObj.vnode, pageIdx(pg), []*phys.Page{pg})
-					fl.submit()
-					n, _ := fl.wait()
-					freed += n
 				}
 			}
 			switch {
@@ -565,13 +557,10 @@ func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, 
 			for i, pg := range pages {
 				idxs[i] = pageIdx(pg)
 			}
-			for lo, hi := 0, 0; lo < len(pages); lo = hi {
-				hi = runEnd(idxs, lo, s.wbClusterMax())
-				fl.vnodeRun(o.vnode, idxs[lo], pages[lo:hi])
-			}
+			fl.objRuns(o, idxs, pages)
 		}
 		if len(cluster) > 0 {
-			fl.swapRun(cluster, !s.cfg.DisableClustering && len(cluster) > 1)
+			fl.swapRun(cluster)
 		}
 		fl.submit()
 		if async {

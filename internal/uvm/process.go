@@ -288,10 +288,12 @@ func (p *Process) Madvise(addr param.VAddr, length param.VSize, adv param.Advice
 // store before it returns. The map lock is held only while the
 // overlapping (object, index-range) spans are collected (each object
 // referenced so it cannot die mid-flush); the flushes themselves run
-// with the map unlocked, through the object writeback pipeline — with
-// cfg.AsyncWriteback as contiguous-offset clusters overlapped in the
-// per-backend in-flight window, otherwise one synchronous put per page
-// in deterministic ascending-index order (see objwb.go for both).
+// with the map unlocked, through the object writeback pipeline: each
+// span leaves as contiguous-index clusters in deterministic
+// ascending-index order — charged to the caller's clock by default, with
+// cfg.AsyncWriteback overlapped in the per-backend in-flight window (see
+// objwb.go for both). The walk only reads the map, so it takes it shared
+// and faults of the process proceed meanwhile.
 func (p *Process) Msync(addr param.VAddr, length param.VSize) error {
 	if p.exited.Load() {
 		return vmapi.ErrExited
@@ -308,7 +310,7 @@ func (p *Process) Msync(addr param.VAddr, length param.VSize) error {
 		loIdx, hiIdx int
 	}
 	var spans []span
-	m.lock()
+	m.rlock()
 	for cur := m.head; cur != nil; cur = cur.next {
 		if cur.end <= start || cur.start >= end || cur.obj == nil {
 			continue
@@ -328,7 +330,7 @@ func (p *Process) Msync(addr param.VAddr, length param.VSize) error {
 		s.objRef(o)
 		spans = append(spans, span{o: o, loIdx: cur.objIndex(lo), hiIdx: cur.objIndex(hi - 1)})
 	}
-	m.unlock()
+	m.runlock()
 
 	var firstErr error
 	for _, sp := range spans {

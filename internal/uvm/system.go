@@ -104,9 +104,17 @@
 // policy a page whose write failed stays dirty and just gives its Busy
 // claim back.
 //
+// Run length is a property of the pages, not of who waits: every flight
+// leaves as runs of consecutive backing-store blocks — object pages cut
+// at index gaps and at cfg.WritebackCluster (flight.objRuns), anonymous
+// memory placed on one fresh contiguous slot run — and each run is one
+// I/O. cfg.DisableClustering is the one switch that makes every run one
+// page long.
+//
 // Synchronous or asynchronous is a flag on the flight, not a second
-// pipeline. By default every flight is synchronous: each run is written
-// with the clock-charged primitive and the completion runs inline on the
+// pipeline; it decides only whose clock pays and where the completion
+// runs. By default every flight is synchronous: each run is written with
+// the clock-charged primitive and the completion runs inline on the
 // submitter, which keeps single-threaded runs byte-deterministic. With
 // cfg.AsyncPageout the daemon's flights (never a direct reclaimer's — it
 // needs a page now) and with cfg.AsyncWriteback the object flushes go
@@ -176,8 +184,11 @@ type Config struct {
 	// MaxCluster is the largest anonymous pageout cluster the pagedaemon
 	// assembles (64 pages = 256 KB, UVM's default).
 	MaxCluster int
-	// DisableClustering forces one-page-at-a-time anonymous pageout
-	// (ablation for Figure 5).
+	// DisableClustering is the one switch for "no clustering anywhere":
+	// every page write — anonymous pageout, file pageout, Msync, recycle,
+	// synchronous or not — is one page per I/O to the page's own slot or
+	// block, and the pagedaemon's flights stay synchronous (the BSD VM
+	// ablation for Figure 5).
 	DisableClustering bool
 	// DisableLookahead turns off fault-time neighbour mapping (ablation
 	// for Table 2).
@@ -229,17 +240,19 @@ type Config struct {
 	// pages are collected under the object lock, marked busy, and flushed
 	// as contiguous-offset clusters through a per-backend bounded
 	// in-flight window (vnode pages to the file, aobj pages to swap)
-	// while the submitter merely waits on the completion. Off, those
-	// paths write one page per I/O, synchronously, which keeps
-	// single-threaded runs byte-deterministic.
+	// while the submitter merely waits on the completion. Off, Msync
+	// writes the same clusters synchronously, on the caller's clock —
+	// which keeps single-threaded runs byte-deterministic — and recycle
+	// and last-unmap queue their pages through the buffer cache.
 	AsyncWriteback bool
 	// WritebackWindow bounds in-flight asynchronous object writeback
 	// clusters on the filesystem disk (the vnode backend's window; the
 	// aobj backend shares the swap device window, see PageoutWindow).
 	// 0 means disk.DefaultAIOWindow. Only meaningful with AsyncWriteback.
 	WritebackWindow int
-	// WritebackCluster caps pages per object writeback I/O. 0 means
-	// MaxCluster.
+	// WritebackCluster caps pages per object writeback I/O — the longest
+	// run of consecutive object pages any flight writes with one command,
+	// synchronous or asynchronous, flush or pageout. 0 means MaxCluster.
 	WritebackCluster int
 	// AutoTune engages the feedback control plane (internal/control,
 	// autotune.go): the pageout/writeback windows, pagein cluster,

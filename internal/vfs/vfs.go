@@ -117,10 +117,16 @@ func (v *Vnode) ReadPages(idx int, bufs [][]byte) error {
 
 // WritePage writes page idx of the file back to disk synchronously.
 func (v *Vnode) WritePage(idx int, buf []byte) error {
-	if idx < 0 || idx >= v.f.npages {
+	return v.WritePages(idx, [][]byte{buf})
+}
+
+// WritePages writes len(bufs) consecutive pages starting at idx back to
+// disk synchronously, in a single I/O.
+func (v *Vnode) WritePages(idx int, bufs [][]byte) error {
+	if idx < 0 || idx+len(bufs) > v.f.npages {
 		return ErrBadOffset
 	}
-	return v.fs.dev.WritePages(v.f.start+int64(idx), [][]byte{buf})
+	return v.fs.dev.WritePages(v.f.start+int64(idx), bufs)
 }
 
 // ReadPageAsync reads page idx as an asynchronous read-ahead: the data

@@ -267,6 +267,38 @@ func TestWritePageRoundTrip(t *testing.T) {
 	}
 }
 
+func TestWritePagesMultipage(t *testing.T) {
+	fs, stats := newTestFS(4)
+	fs.Create("/big", 8*param.PageSize, nil)
+	v, _ := fs.Open("/big")
+	defer v.Unref()
+
+	bufs := make([][]byte, 4)
+	for i := range bufs {
+		bufs[i] = make([]byte, param.PageSize)
+		bufs[i][0] = byte(0x40 + i)
+	}
+	before := stats.Get(sim.CtrDiskWrites)
+	if err := v.WritePages(2, bufs); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Get(sim.CtrDiskWrites)-before != 1 {
+		t.Fatal("multi-page write issued more than one I/O")
+	}
+	in := make([]byte, param.PageSize)
+	for i := range bufs {
+		if err := v.ReadPage(2+i, in); err != nil || in[0] != byte(0x40+i) {
+			t.Fatalf("page %d after the write: err=%v content=%#x", 2+i, err, in[0])
+		}
+	}
+	if err := v.WritePages(6, bufs); !errors.Is(err, ErrBadOffset) {
+		t.Fatalf("overlong write: %v", err)
+	}
+	if err := v.ReadPage(6, in); err != nil || in[0] != 0 {
+		t.Fatalf("a refused write reached the file: err=%v content=%#x", err, in[0])
+	}
+}
+
 func TestZeroLengthFile(t *testing.T) {
 	fs, _ := newTestFS(4)
 	if err := fs.Create("/empty", 0, nil); err != nil {
