@@ -51,35 +51,6 @@ func BenchmarkVforkVsFork(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAsyncPagein measures the §10 future-work feature: a
-// cold sequential file sweep with and without overlapped pagein.
-func BenchmarkAblationAsyncPagein(b *testing.B) {
-	run := func(async bool) (time.Duration, int64) {
-		mach := benchMachine()
-		cfg := uvm.DefaultConfig()
-		cfg.AsyncPagein = async
-		sys := uvm.BootConfig(mach, cfg)
-		mach.FS.Create("/sweep.bin", 256*param.PageSize, nil)
-		vn, _ := mach.FS.Open("/sweep.bin")
-		defer vn.Unref()
-		p, _ := sys.NewProcess("reader")
-		va, _ := p.Mmap(0, 256*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
-		t0 := mach.Clock.Now()
-		if err := p.TouchRange(va, 256*param.PageSize, false); err != nil {
-			b.Fatal(err)
-		}
-		return mach.Clock.Since(t0), mach.Stats.Get(sim.CtrFaults)
-	}
-	for i := 0; i < b.N; i++ {
-		syncTime, _ := run(false)
-		asyncTime, _ := run(true)
-		if i == 0 {
-			b.ReportMetric(syncTime.Seconds()*1e3, "sim-ms-sync")
-			b.ReportMetric(asyncTime.Seconds()*1e3, "sim-ms-async")
-		}
-	}
-}
-
 // BenchmarkAblationHybridAmap compares first-fault cost on a large sparse
 // mapping under the array and hybrid amap implementations (§5.3).
 func BenchmarkAblationHybridAmap(b *testing.B) {

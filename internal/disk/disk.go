@@ -223,33 +223,6 @@ func (d *Disk) WritePages(start int64, data [][]byte) error {
 	return err
 }
 
-// ReadPagesDeferred reads like ReadPages but charges no time to the
-// calling context: it models an asynchronous read-ahead issued on the
-// caller's behalf, whose latency is overlapped with the caller's
-// execution. Deferred reads are counted separately in the stats.
-func (d *Disk) ReadPagesDeferred(start int64, bufs [][]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkRange(start, int64(len(bufs))); err != nil {
-		return err
-	}
-	if err := validateBufs(bufs); err != nil {
-		return err
-	}
-	k, err := d.admit(start, len(bufs), false)
-	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
-		d.stats.Inc("disk.errors")
-		return err
-	}
-	d.stats.Inc("disk.reads.deferred")
-	d.chargeDeferred(start, k)
-	d.readBlocks(start, bufs[:k])
-	if err != nil {
-		d.stats.Inc("disk.errors")
-	}
-	return err
-}
-
 // WritePagesDeferred stores data like WritePages but charges no time to
 // the calling context: the transfer is performed "later" by the syncer /
 // buffer-cache flush, whose background time the simulation does not

@@ -21,7 +21,6 @@ func TestCachedCounterHandlesFeedStats(t *testing.T) {
 	}{
 		{sim.CtrPageIns, s.ctrPageIns},
 		{sim.CtrPageOuts, s.ctrPageOuts},
-		{"uvm.asyncpagein.pages", s.ctrAsyncPageinPgs},
 		{sim.CtrObjWbClusters, s.ctrObjWbClusters},
 		{sim.CtrObjWbPages, s.ctrObjWbPages},
 		{sim.CtrPdRounds, s.ctrPdRounds},

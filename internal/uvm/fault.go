@@ -105,9 +105,6 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 	if !s.cfg.DisableLookahead {
 		s.lookahead(p, e, va)
 	}
-	if s.cfg.AsyncPagein {
-		s.asyncPagein(e, va)
-	}
 	unlockMap()
 	return nil
 }
@@ -149,8 +146,11 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 			// on the wire, so nothing may be mapped (a read fault would
 			// map it with the entry's full protection, letting stores
 			// sneak past the write-protect the flush installed) until the
-			// completion clears Busy.
-			pg, err := s.objPage(o, idx, false)
+			// completion clears Busy. A page that is not resident is the
+			// pager's to bring in, along with whatever else it sees fit to read
+			// in the entry's advice window for the lookahead below to map.
+			lo, hi := e.adviceRange(idx)
+			pg, err := s.objPage(o, idx, lo, hi, false)
 			if err != nil {
 				o.mu.Unlock()
 				if na != nil {
@@ -171,6 +171,12 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 					o.mu.Unlock()
 					s.anonUnref(na)
 					continue
+				}
+				if am.refs > 1 {
+					// Other map entries see this amap too: the anon shadows the
+					// object page for all of them, so their translations of it
+					// must go before the anon is published.
+					s.mach.MMU.PageProtect(pg, param.ProtNone)
 				}
 				am.impl.set(e.slotOf(va), na)
 				na.mu.Lock() // hold the anon across the pmap entry
@@ -288,6 +294,11 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 		return nil, 0, nil, err
 	}
 	s.mach.Mem.CopyData(np, pg)
+	if am.refs > 1 {
+		// The amap's other sharers must see the replacement, not the page
+		// they mapped read-only from the anon it replaces.
+		s.mach.MMU.PageProtect(pg, param.ProtNone)
+	}
 	am.impl.set(slot, na)
 	a.mu.Unlock()
 	s.anonUnref(a)

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"uvm/internal/param"
-	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 	"uvm/internal/vmapi/testutil"
 )
@@ -220,58 +219,5 @@ func TestHybridAmapCheaperForSparse(t *testing.T) {
 	if hybridCost >= arrayCost {
 		t.Fatalf("hybrid first fault (%d ns) should beat array (%d ns) on an 8192-slot amap",
 			hybridCost, arrayCost)
-	}
-}
-
-// --- async pagein (§10 future work) ---
-
-func TestAsyncPageinReducesColdFaultTime(t *testing.T) {
-	run := func(async bool) (faults int64, elapsed int64) {
-		m := testMachine(2048)
-		cfg := DefaultConfig()
-		cfg.AsyncPagein = async
-		s := BootConfig(m, cfg)
-		testutil.SweepOnCleanup(t, s)
-		m.FS.Create("/cold.bin", 64*param.PageSize, func(idx int, b []byte) { b[0] = byte(idx) })
-		vn, _ := m.FS.Open("/cold.bin")
-		defer vn.Unref()
-		p, _ := s.NewProcess("reader")
-		va, _ := p.Mmap(0, 64*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
-		f0 := m.Stats.Get(sim.CtrFaults)
-		t0 := m.Clock.Now()
-		if err := p.TouchRange(va, 64*param.PageSize, false); err != nil {
-			panic(err)
-		}
-		return m.Stats.Get(sim.CtrFaults) - f0, int64(m.Clock.Since(t0))
-	}
-	syncFaults, syncTime := run(false)
-	asyncFaults, asyncTime := run(true)
-	if asyncFaults >= syncFaults {
-		t.Fatalf("async pagein did not reduce faults: %d vs %d", asyncFaults, syncFaults)
-	}
-	if asyncTime*2 > syncTime {
-		t.Fatalf("async pagein should overlap most disk waits: %d vs %d ns", asyncTime, syncTime)
-	}
-}
-
-func TestAsyncPageinDataCorrect(t *testing.T) {
-	m := testMachine(2048)
-	cfg := DefaultConfig()
-	cfg.AsyncPagein = true
-	s := BootConfig(m, cfg)
-	testutil.SweepOnCleanup(t, s)
-	m.FS.Create("/verify.bin", 32*param.PageSize, func(idx int, b []byte) { b[0] = byte(0x80 + idx) })
-	vn, _ := m.FS.Open("/verify.bin")
-	defer vn.Unref()
-	p, _ := s.NewProcess("reader")
-	va, _ := p.Mmap(0, 32*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
-	b := make([]byte, 1)
-	for i := 0; i < 32; i++ {
-		if err := p.ReadBytes(va+param.VAddr(i)*param.PageSize, b); err != nil {
-			t.Fatal(err)
-		}
-		if b[0] != byte(0x80+i) {
-			t.Fatalf("page %d = %#x via async pagein", i, b[0])
-		}
 	}
 }

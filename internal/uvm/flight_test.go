@@ -117,7 +117,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 		defer s.objUnref(obj)
 		obj.mu.Lock()
 		for i := 0; i < n; i++ {
-			pg, err := obj.ops.get(obj, i)
+			pg, err := obj.ops.get(obj, i, i, i)
 			if err != nil {
 				t.Fatal(err)
 			}

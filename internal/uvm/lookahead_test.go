@@ -152,7 +152,7 @@ func TestLookaheadAnonShadowsObject(t *testing.T) {
 	p.m.runlock()
 	o.mu.Lock()
 	if _, resident := o.pages[idx]; !resident {
-		if _, err := o.ops.get(o, idx); err != nil {
+		if _, err := o.ops.get(o, idx, idx, idx); err != nil {
 			o.mu.Unlock()
 			t.Fatal(err)
 		}

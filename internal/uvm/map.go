@@ -51,6 +51,15 @@ func (e *entry) objIndex(va param.VAddr) int {
 	return param.OffToPage(e.off) + int((param.Trunc(va)-e.start)>>param.PageShift)
 }
 
+// adviceRange returns the backing-object page indices of the entry's
+// advice window around idx (§5.4), clipped to the entry: the pages one
+// fault on idx can map.
+func (e *entry) adviceRange(idx int) (lo, hi int) {
+	ahead, behind := e.advice.Lookahead()
+	first := param.OffToPage(e.off)
+	return max(idx-behind, first), min(idx+ahead, first+e.pages()-1)
+}
+
 // vmMap is a uvm_map. The RWMutex is the top of the package lock order:
 // mutating operations take it exclusively, the fault path takes it
 // shared (upgrading only to clear needs-copy or allocate the amap), so

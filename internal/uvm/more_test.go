@@ -14,7 +14,16 @@ import (
 // objects, aobj paging, partial-munmap amap behaviour, cluster limits and
 // map edge cases.
 
-func TestExportFileBackedRange(t *testing.T) {
+func TestExportFileBackedRange(t *testing.T) { exportFileBackedRange(t, false) }
+
+// TestExportFileBackedRangeWarmFile runs the same sequence over a file
+// whose pages are all resident beforehand, so a's lookahead has mapped
+// the object's page 2 by the time b's store promotes it into the amap
+// they share: the promotion must take a's translation of the page it
+// shadows away, or a keeps reading the file's copy.
+func TestExportFileBackedRangeWarmFile(t *testing.T) { exportFileBackedRange(t, true) }
+
+func exportFileBackedRange(t *testing.T, warm bool) {
 	// Map entry passing carries the (amap, object) pair, so a private
 	// file mapping with modified pages exports correctly: the importer
 	// sees the modifications (share) or a COW view (copy).
@@ -23,6 +32,13 @@ func TestExportFileBackedRange(t *testing.T) {
 	defer vn.Unref()
 	a := newProc(t, s, "a")
 	b := newProc(t, s, "b")
+	if warm {
+		w := newProc(t, s, "warm")
+		wa, _ := w.Mmap(0, 3*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
+		if err := w.TouchRange(wa, 3*param.PageSize, false); err != nil {
+			t.Fatal(err)
+		}
+	}
 	va, _ := a.Mmap(0, 3*param.PageSize, param.ProtRW, vmapi.MapPrivate, vn, 0)
 	a.WriteBytes(va+param.PageSize, []byte{0xEE}) // private modification
 
@@ -52,6 +68,44 @@ func TestExportFileBackedRange(t *testing.T) {
 		t.Fatalf("share-exported write not visible: %#x", buf[0])
 	}
 	checkMaps(t, a, b)
+}
+
+// TestSharedAmapCowReplaceReachesSharers: the same hole one layer up. a
+// and b share an amap whose anon is also referenced by a forked child's
+// amap, so b maps the anon's page read-only; a's store replaces the anon
+// in the shared amap with a private copy, and b must see the replacement
+// rather than keep its translation of the page that was replaced.
+func TestSharedAmapCowReplaceReachesSharers(t *testing.T) {
+	s, _ := bootTest(t, 512)
+	a := newProc(t, s, "a")
+	b := newProc(t, s, "b")
+	va, _ := a.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+	a.WriteBytes(va, []byte{0x11})
+	cp, err := a.Fork("c") // the anon now has two references
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cp.(*Process)
+	tok, err := a.Export(va, param.PageSize, ExportShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := b.Import(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1)
+	if b.ReadBytes(vb, buf); buf[0] != 0x11 {
+		t.Fatalf("imported anon page = %#x", buf[0])
+	}
+	a.WriteBytes(va, []byte{0x22})
+	if b.ReadBytes(vb, buf); buf[0] != 0x22 {
+		t.Fatalf("store into the shared amap not visible to its other sharer: %#x", buf[0])
+	}
+	if c.ReadBytes(va, buf); buf[0] != 0x11 {
+		t.Fatalf("forked child lost its copy-on-write view: %#x", buf[0])
+	}
+	checkMaps(t, a, b, c)
 }
 
 func TestExportUnmappedRange(t *testing.T) {

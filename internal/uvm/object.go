@@ -22,8 +22,13 @@ type pagerOps interface {
 	// name identifies the pager in stats and debug output.
 	name() string
 	// get makes page idx of o resident and returns it, allocating the
-	// page itself.
-	get(o *uobject, idx int) (*phys.Page, error)
+	// page itself. [lo, hi] is the index range around idx the caller is
+	// prepared to use (a fault's advice window, the rest of a file
+	// read): the pager decides how many of its non-resident pages the
+	// same I/O brings in — they are installed and activated, not
+	// returned — and only a failure to produce idx itself is an error.
+	// Allocating frames drops o.mu.
+	get(o *uobject, idx, lo, hi int) (*phys.Page, error)
 	// detach is called when the object's last mapping reference drops.
 	detach(o *uobject)
 }
@@ -188,22 +193,14 @@ type vnodePager struct{ sys *System }
 
 func (vp *vnodePager) name() string { return "vnode" }
 
-func (vp *vnodePager) get(o *uobject, idx int) (*phys.Page, error) {
-	pg, raced, err := vp.sys.allocObjPageLocked(o, idx, false)
-	if err != nil || raced {
-		return pg, err
+// get reads the non-resident stretch of [lo, hi] around idx — all of it
+// the caller can use, so all of it worth one positioning cost — with one
+// I/O, unless clustering is off.
+func (vp *vnodePager) get(o *uobject, idx, lo, hi int) (*phys.Page, error) {
+	if vp.sys.cfg.DisableClustering {
+		lo, hi = idx, idx
 	}
-	if idx >= o.vnode.NumPages() {
-		// A mapping past EOF zero-fills: there is nothing to read.
-		vp.sys.mach.Mem.Zero(pg)
-		pg.Dirty.Store(false)
-		o.pages[idx] = pg
-		return pg, nil
-	}
-	if err = vp.sys.pagein(pagein{o: o, start: int64(idx), pages: []pageinPage{{pg: pg, idx: idx}}}); err != nil {
-		return nil, err
-	}
-	return pg, nil
+	return vp.sys.objPagein(o, idx, lo, hi, hi-lo+1)
 }
 
 func (vp *vnodePager) detach(o *uobject) {
@@ -243,51 +240,12 @@ func (s *System) newAObj(n int) *uobject {
 	}
 }
 
-func (ap *aobjPager) get(o *uobject, idx int) (*phys.Page, error) {
-	s := ap.sys
-	window := s.pageinWindow()
-	// Every pass allocates idx's frame and, with clustering on, its
-	// neighbours', and each allocation drops o.mu: a concurrent pageout
-	// can reassign (or even create) idx's slot and msync/teardown paths
-	// can free it — the free-during-pagein race — so the slot is re-read
-	// under the retaken lock before deciding where the data comes from,
-	// and the pass starts over whenever idx's state moved under it.
-	for {
-		_, hadSlot := o.aobjSlots[idx]
-		pg, raced, err := s.allocObjPageLocked(o, idx, !hadSlot)
-		if err != nil || raced {
-			return pg, err
-		}
-		slot, ok := o.aobjSlots[idx]
-		if !ok {
-			// No backing copy (first touch), or it vanished while the lock
-			// was down: zero-fill. Anonymous content exists only in RAM, so
-			// the page is born dirty.
-			if hadSlot {
-				s.mach.Mem.Zero(pg) // allocated un-zeroed for a read that is off
-			}
-			o.pages[idx] = pg
-			pg.Dirty.Store(true)
-			return pg, nil
-		}
-		r := pagein{o: o, start: slot, pages: []pageinPage{{pg: pg, idx: idx}}}
-		if window > 1 {
-			run, lo, still := s.aobjNeighbours(o, idx, slot, pg, window)
-			if !still {
-				continue
-			}
-			if run != nil {
-				r.start, r.centre, r.pages = lo, int(slot-lo), run
-			}
-		}
-		if err = s.pagein(r); err == nil {
-			return pg, nil
-		}
-		if len(r.pages) == 1 {
-			return nil, err
-		}
-		window = 1 // a failed cluster degrades to the centre page alone
-	}
+// get reads idx's swap slot and, with cfg.PageinCluster > 1, the
+// adjoining slots of idx's index neighbours; the caller's range does not
+// widen that window.
+func (ap *aobjPager) get(o *uobject, idx, _, _ int) (*phys.Page, error) {
+	w := ap.sys.pageinWindow()
+	return ap.sys.objPagein(o, idx, idx-w+1, idx+w-1, w)
 }
 
 func (ap *aobjPager) detach(o *uobject) {
@@ -337,7 +295,7 @@ func (s *System) newDeviceObject(n int, fill func(idx int, buf []byte)) (*uobjec
 	return o, nil
 }
 
-func (dp *devPager) get(o *uobject, idx int) (*phys.Page, error) {
+func (dp *devPager) get(o *uobject, idx, _, _ int) (*phys.Page, error) {
 	if idx < 0 || idx >= len(dp.frames) {
 		return nil, fmt.Errorf("uvm: device page %d out of range", idx)
 	}

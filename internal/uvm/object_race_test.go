@@ -128,7 +128,7 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 			m.Swap.FreeRange(old, 1)
 		}()
 
-		pg, err := o.ops.get(o, 0)
+		pg, err := o.ops.get(o, 0, 0, 0)
 		if err != nil {
 			o.mu.Unlock()
 			t.Fatalf("iter %d: pagein: %v", iter, err)

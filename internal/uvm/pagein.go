@@ -1,7 +1,6 @@
 package uvm
 
 import (
-	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/sim"
 	"uvm/internal/swap"
@@ -19,40 +18,48 @@ import (
 // before it — fails, finishRun frees every frame of the run and attaches
 // nothing.
 //
-// A single-page pagein is a run of length one: the same swap.ios tick
-// and the same one-block disk command. Clustered pagein
-// (cfg.PageinCluster > 1) is a longer run, the read-side mirror of the
-// paper's clustered pageout: the pagedaemon reassigns a dirty cluster —
-// typically VA-adjacent anons of one amap, or index-adjacent pages of
-// one aobj — into one contiguous run of swap slots, so when one of them
-// faults back in its neighbours very likely sit in the adjacent slots
-// and one positioning cost can drag the whole neighbourhood back. There
-// is no slot→owner reverse map, and we do not want one; the amap and the
-// aobj's slot table already are the locality maps. The cluster type is
-// the one run builder, fed by two enumerators that own nothing but
-// their locking protocol:
+// A single-page pagein is a run of length one: the same one-block disk
+// command. How far a run may reach is the pager's decision (that is why
+// get allocates the pages), inside what the caller is prepared to use:
+//
+//   - A file pagein is clustered by default. The caller hands get the
+//     index range it can use — a fault, the entry's advice window clipped
+//     to the entry; file read/write, the rest of the request — and the
+//     vnode pager reads the maximal stretch of non-resident pages around
+//     the faulting index inside that range (and inside the file) with one
+//     I/O. A file's blocks are consecutive, so the block of page idx is
+//     idx. cfg.DisableClustering narrows every such range to the one page.
+//   - A swap-backed pagein is clustered when cfg.PageinCluster > 1, the
+//     read-side mirror of the paper's clustered pageout: the pagedaemon
+//     reassigns a dirty cluster — typically VA-adjacent anons of one amap,
+//     or index-adjacent pages of one aobj — into one contiguous run of
+//     swap slots, so when one of them faults back in its neighbours very
+//     likely sit in the adjacent slots and one positioning cost can drag
+//     the whole neighbourhood back. There is no slot→owner reverse map,
+//     and we do not want one; the amap and the aobj's slot table already
+//     are the locality maps.
+//
+// The cluster type is the one run builder, fed by two enumerators that
+// own nothing but their locking protocol:
 //
 //   - anonNeighbours walks the faulting anon's VA neighbours in its
 //     amap. Anon locks are peers in the lock order (blocking could
 //     deadlock with a fault walking the other way), so neighbours are
 //     TryLocked only — a busy one simply drops out of the window — and
 //     the locks stay held across the frame allocation and the I/O.
-//   - aobjNeighbours walks the faulting index's neighbours in the
-//     object's slot table. Every frame allocation drops o.mu
-//     (allocObjPageLocked), so each survivor, and the faulting index
-//     itself, is re-verified under the retaken lock; aobjPager.get loops
-//     until the slot state holds still, and from the final check to the
-//     read the lock is held continuously.
+//   - objNeighbours walks the faulting index's neighbours in the object:
+//     its resident-page map and, for an aobj, its slot table. Every frame
+//     allocation drops o.mu (allocObjPageLocked), so each survivor, and
+//     the faulting index itself, is re-verified under the retaken lock;
+//     objPagein loops until the page's state holds still, and from the
+//     final check to the read the lock is held continuously.
 //
 // Clustering is an optimisation, never a new way to fail a fault: a
 // cluster that cannot get its frames or whose read fails degrades to the
 // centre page alone — the same mechanism again with a run of one — and
 // only that read's error fails the fault. Pages brought in for
 // neighbours are activated but not mapped; the fault-time lookahead maps
-// resident neighbours for free. asyncPagein (§10 read-ahead) is the
-// vnode enumerator: one single-page run per non-resident page of the
-// advice window, read with the deferred primitive so the I/O overlaps
-// the faulting process.
+// the now-resident neighbours in the same fault.
 
 // pageinPage is one frame of a pagein and the place it attaches.
 type pageinPage struct {
@@ -64,11 +71,10 @@ type pageinPage struct {
 // pagein is one run of frames to fill from backing store. The owners —
 // o, or every anon of the run — are locked by the caller throughout.
 type pagein struct {
-	o        *uobject // owning object; nil for a run of anons
-	start    int64    // first block: a swap slot, or a page index of o.vnode
-	deferred bool     // §10 read-ahead: the read overlaps the caller
-	centre   int      // index in pages of the page the fault will map, or -1
-	pages    []pageinPage
+	o      *uobject // owning object; nil for a run of anons
+	start  int64    // first block: a swap slot, or a page index of o.vnode
+	centre int      // index in pages of the page the fault will map
+	pages  []pageinPage
 }
 
 // pagein fills r with one I/O and installs it.
@@ -81,18 +87,17 @@ func (s *System) pagein(r pagein) error {
 func (s *System) readRun(r pagein) error {
 	var one [1][]byte // a run of one stays off the heap
 	bufs := one[:0]
+	if len(r.pages) > 1 {
+		bufs = make([][]byte, 0, len(r.pages))
+	}
 	for _, p := range r.pages {
 		p.pg.Busy.Store(true)
 		bufs = append(bufs, p.pg.Data)
 	}
-	switch {
-	case r.o == nil || r.o.vnode == nil:
-		return s.mach.Swap.ReadCluster(r.start, bufs)
-	case r.deferred:
-		return r.o.vnode.ReadPageAsync(int(r.start), bufs[0])
-	default:
-		return r.o.vnode.ReadPage(int(r.start), bufs[0])
+	if r.o != nil && r.o.vnode != nil {
+		return r.o.vnode.ReadPages(int(r.start), bufs)
 	}
+	return s.mach.Swap.ReadCluster(r.start, bufs)
 }
 
 // finishRun is the one install site. err is the outcome of the run's
@@ -128,8 +133,6 @@ func (s *System) finishRun(r pagein, err error) error {
 			s.mach.Stats.Inc(sim.CtrPageinClusters)
 			s.mach.Stats.Add(sim.CtrPageinClustered, n-1)
 		}
-	case r.deferred:
-		s.ctrAsyncPageinPgs.Add(n)
 	case r.o.vnode == nil && n > 1:
 		s.mach.Stats.Inc(sim.CtrAobjPageinClusters)
 		s.mach.Stats.Add(sim.CtrAobjPageinClustered, n-1)
@@ -137,42 +140,66 @@ func (s *System) finishRun(r pagein, err error) error {
 	return nil
 }
 
-// cluster builds the run around a faulting swap slot: the enumerators
-// offer it their willing neighbours' slots, bounds answers with the
-// contiguous run to read.
+// cluster builds the run around a faulting block: the enumerators offer
+// it their willing neighbours' blocks, bounds answers with the contiguous
+// run to read. A centre nobody joins costs no allocation.
 type cluster struct {
 	centre, window int64
-	devLo, devHi   int64         // cluster I/O never crosses a swap device
-	bySlot         map[int64]int // slot -> the enumerator's name for its owner
+	lo, hi         int64 // a run stays within [lo, hi]: the window, cut at the swap device's edge
+	centreID       int   // the enumerator's name for the centre's owner
+	ids            []int // by block-lo: 1 + the name of the block's owner, 0 for none
 }
 
-func (s *System) newCluster(centre int64, id, window int) cluster {
-	lo, hi := s.mach.Swap.DeviceBounds(centre)
-	return cluster{centre, int64(window), lo, hi, map[int64]int{centre: id}}
+func newCluster(centre int64, id, window int) cluster {
+	w := int64(window)
+	return cluster{centre: centre, window: w, lo: centre - w + 1, hi: centre + w - 1, centreID: id}
 }
 
-// offer enters slot as a candidate unless it lies off the centre's
+// clip keeps the run inside [lo, hi): cluster I/O never crosses a swap
+// device. Called before the first offer.
+func (c *cluster) clip(lo, hi int64) {
+	c.lo, c.hi = max(c.lo, lo), min(c.hi, hi-1)
+}
+
+// id returns the name entered for blk's owner.
+func (c *cluster) id(blk int64) (int, bool) {
+	if blk == c.centre {
+		return c.centreID, true
+	}
+	if c.ids == nil || blk < c.lo || blk > c.hi {
+		return 0, false
+	}
+	id := c.ids[blk-c.lo]
+	return id - 1, id != 0
+}
+
+// offer enters blk as a candidate unless it lies off the centre's
 // device, outside the window, or is already claimed.
-func (c *cluster) offer(slot int64, id int) bool {
-	if _, dup := c.bySlot[slot]; dup || slot < c.devLo || slot >= c.devHi ||
-		slot <= c.centre-c.window || slot >= c.centre+c.window {
+func (c *cluster) offer(blk int64, id int) bool {
+	if _, dup := c.id(blk); dup || blk < c.lo || blk > c.hi {
 		return false
 	}
-	c.bySlot[slot] = id
+	if c.ids == nil {
+		c.ids = make([]int, c.hi-c.lo+1)
+	}
+	c.ids[blk-c.lo] = id + 1
 	return true
 }
 
-// bounds grows the centre slot into the largest contiguous run the
+// drop withdraws a candidate.
+func (c *cluster) drop(blk int64) { c.ids[blk-c.lo] = 0 }
+
+// bounds grows the centre block into the largest contiguous run the
 // candidates cover, left before right, capped at the window.
 func (c *cluster) bounds() (lo, hi int64) {
 	lo, hi = c.centre, c.centre
 	for grew := true; grew && hi-lo < c.window-1; {
 		grew = false
-		if _, ok := c.bySlot[lo-1]; ok {
+		if _, ok := c.id(lo - 1); ok {
 			lo--
 			grew = true
 		}
-		if _, ok := c.bySlot[hi+1]; ok && hi-lo < c.window-1 {
+		if _, ok := c.id(hi + 1); ok && hi-lo < c.window-1 {
 			hi++
 			grew = true
 		}
@@ -221,7 +248,8 @@ func (s *System) pageinAnons(run []*anon, centre *anon) error {
 // out, unloaned, and their lock free right now. The neighbours returned
 // are locked; every other candidate is released again.
 func (s *System) anonNeighbours(am *amap, a *anon, slot, window int) []*anon {
-	c := s.newCluster(a.swslot, 0, window)
+	c := newCluster(a.swslot, 0, window)
+	c.clip(s.mach.Swap.DeviceBounds(a.swslot))
 	cands := []*anon{a}
 	for d := 1 - window; d < window; d++ {
 		b := am.impl.get(slot + d)
@@ -242,119 +270,152 @@ func (s *System) anonNeighbours(am *amap, a *anon, slot, window int) []*anon {
 	}
 	run := make([]*anon, 0, hi-lo+1)
 	for sl := lo; sl <= hi; sl++ {
-		run = append(run, cands[c.bySlot[sl]])
+		i, _ := c.id(sl)
+		run = append(run, cands[i])
 	}
 	return run
 }
 
-// aobjNeighbours builds the run around page idx of o, whose data sits in
-// slot and whose frame is pg: index neighbours that are swapped out to
-// slots extending slot into a contiguous run. Called with o.mu held;
-// allocating the neighbours' frames drops it, so the run returned (nil
-// when idx stands alone) holds only what was re-verified afterwards, and
-// begins at slot start. still is false when idx itself became resident
-// or changed slot meanwhile: every frame, pg included, has been freed
-// and the caller starts over.
-func (s *System) aobjNeighbours(o *uobject, idx int, slot int64, pg *phys.Page, window int) (run []pageinPage, start int64, still bool) {
-	swappedOutAt := func(n int, sl int64) bool {
-		cur, ok := o.aobjSlots[n]
-		return ok && cur == sl && o.pages[n] == nil
+// blockOf returns the backing-store block holding page idx of o: the
+// page's own index in a file (nothing past EOF), its swap slot in an
+// aobj (nothing for a page never paged out). Called with o.mu held.
+func (o *uobject) blockOf(idx int) (int64, bool) {
+	if o.vnode != nil {
+		return int64(idx), idx >= 0 && idx < o.vnode.NumPages()
 	}
-	c := s.newCluster(slot, idx, window)
-	for d := 1 - window; d < window; d++ {
-		if nSlot, ok := o.aobjSlots[idx+d]; ok && o.pages[idx+d] == nil {
-			c.offer(nSlot, idx+d)
+	slot, ok := o.aobjSlots[idx]
+	return slot, ok
+}
+
+// objPagein is the get of the two pagers with a backing store: it makes
+// page idx of o resident, allocating the frame itself, and with the same
+// I/O reads the neighbours in [lo, hi] whose blocks extend idx's into a
+// contiguous run of at most window. Called with o.mu held.
+//
+// Every pass allocates idx's frame and, when clustering, its
+// neighbours', and each allocation drops o.mu: a concurrent fault can
+// make idx resident, a concurrent pageout can reassign (or even create)
+// an aobj page's slot and msync/teardown paths can free it — the
+// free-during-pagein race — so the block is re-read under the retaken
+// lock before deciding where the data comes from, and the pass starts
+// over whenever idx's state moved under it.
+func (s *System) objPagein(o *uobject, idx, lo, hi, window int) (*phys.Page, error) {
+	for {
+		_, backed := o.blockOf(idx)
+		pg, raced, err := s.allocObjPageLocked(o, idx, !backed)
+		if err != nil || raced {
+			return pg, err
+		}
+		blk, ok := o.blockOf(idx)
+		if !ok {
+			// Nothing to read — a mapping past EOF, an aobj page's first
+			// touch, or a slot that vanished while the lock was down:
+			// zero-fill. Anonymous content exists only in RAM, so an aobj
+			// page is born dirty.
+			if backed {
+				s.mach.Mem.Zero(pg) // allocated un-zeroed for a read that is off
+			}
+			pg.Dirty.Store(o.vnode == nil)
+			o.pages[idx] = pg
+			return pg, nil
+		}
+		one := [1]pageinPage{{pg: pg, idx: idx}} // a run of one stays off the heap
+		r := pagein{o: o, start: blk, pages: one[:]}
+		if window > 1 {
+			run, start, still := s.objNeighbours(o, idx, blk, pg, lo, hi, window)
+			if !still {
+				continue
+			}
+			if run != nil {
+				r.start, r.centre, r.pages = start, int(blk-start), run
+			}
+		}
+		if err = s.pagein(r); err == nil {
+			return pg, nil
+		}
+		if len(r.pages) == 1 {
+			return nil, err
+		}
+		window = 1 // a failed cluster degrades to the centre page alone
+	}
+}
+
+// objNeighbours builds the run around page idx of o, whose data sits in
+// block blk and whose frame is pg: the pages in [lo, hi] that are not
+// resident and whose blocks extend blk into a contiguous run. Called
+// with o.mu held; allocating the neighbours' frames drops it, so the run
+// returned (nil when idx stands alone) holds only what was re-verified
+// afterwards, and begins at block start. still is false when idx itself
+// became resident or changed block meanwhile: every frame, pg included,
+// has been freed and the caller starts over.
+func (s *System) objNeighbours(o *uobject, idx int, blk int64, pg *phys.Page, lo, hi, window int) (run []pageinPage, start int64, still bool) {
+	awaiting := func(n int, b int64) bool {
+		cur, ok := o.blockOf(n)
+		return ok && cur == b && o.pages[n] == nil
+	}
+	c := newCluster(blk, idx, window)
+	if o.vnode == nil {
+		c.clip(s.mach.Swap.DeviceBounds(blk))
+	}
+	for n := lo; n <= hi; n++ {
+		if b, ok := o.blockOf(n); ok && o.pages[n] == nil {
+			c.offer(b, n)
 		}
 	}
-	lo, hi := c.bounds()
-	if lo == hi {
-		return nil, slot, true
+	first, last := c.bounds()
+	if first == last {
+		return nil, blk, true
 	}
-	frames := make([]*phys.Page, hi-lo+1) // by slot-lo
-	frames[slot-lo] = pg
-	for sl := lo; sl <= hi; sl++ {
-		if sl == slot {
+	frames := make([]*phys.Page, last-first+1) // by block-first
+	frames[blk-first] = pg
+	for b := first; b <= last; b++ {
+		if b == blk {
 			continue
 		}
 		// A neighbour that became resident, or for which memory ran short,
 		// leaves the window.
-		if f, raced, err := s.allocObjPageLocked(o, c.bySlot[sl], false); err == nil && !raced {
-			frames[sl-lo] = f
+		n, _ := c.id(b)
+		if f, raced, err := s.allocObjPageLocked(o, n, false); err == nil && !raced {
+			frames[b-first] = f
 		}
 	}
-	still = swappedOutAt(idx, slot)
-	for sl := lo; sl <= hi; sl++ {
-		if sl != slot && (frames[sl-lo] == nil || !swappedOutAt(c.bySlot[sl], sl)) {
-			delete(c.bySlot, sl)
+	still = awaiting(idx, blk)
+	for b := first; b <= last; b++ {
+		if n, _ := c.id(b); b != blk && (frames[b-first] == nil || !awaiting(n, b)) {
+			c.drop(b)
 		}
 	}
 	runLo, runHi := c.bounds()
-	for sl := lo; sl <= hi; sl++ {
-		switch f := frames[sl-lo]; {
+	if still {
+		run = make([]pageinPage, 0, runHi-runLo+1)
+	}
+	for b := first; b <= last; b++ {
+		switch f := frames[b-first]; {
 		case f == nil:
-		case !still || sl < runLo || sl > runHi:
+		case !still || b < runLo || b > runHi:
 			s.mach.Mem.Free(f)
 		default:
-			run = append(run, pageinPage{pg: f, idx: c.bySlot[sl]})
+			n, _ := c.id(b)
+			run = append(run, pageinPage{pg: f, idx: n})
 		}
 	}
 	return run, runLo, still
 }
 
-// asyncPagein implements the paper's §10 future-work item: "modify UVM to
-// asynchronously page in non-resident pages that appear to be useful".
-// After a fault, the pages in the advice window that are backed by the
-// object but not resident are brought in with read-ahead I/O that
-// overlaps the faulting process' execution; the next fault then finds
-// them resident and the lookahead machinery maps them for free.
-func (s *System) asyncPagein(e *entry, faultVA param.VAddr) {
-	o := e.obj
-	if o == nil || o.vnode == nil {
-		return
-	}
-	ahead, _ := e.advice.Lookahead()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	base := param.Trunc(faultVA)
-	for d := 1; d <= ahead; d++ {
-		va := base + param.VAddr(d)*param.PageSize
-		if va >= e.end {
-			break
-		}
-		idx := e.objIndex(va)
-		if _, resident := o.pages[idx]; resident {
-			continue
-		}
-		if idx >= o.vnode.NumPages() {
-			break
-		}
-		pg, raced, err := s.allocObjPageLocked(o, idx, false)
-		if err != nil {
-			return
-		}
-		if raced {
-			continue // a concurrent fault brought the page in
-		}
-		r := pagein{o: o, start: int64(idx), deferred: true, centre: -1, pages: []pageinPage{{pg: pg, idx: idx}}}
-		if s.pagein(r) != nil {
-			return
-		}
-	}
-}
-
 // objPage returns page idx of o, resident: the pager's get brings it in
-// if need be — the pager allocates the page itself (§6). A Busy page
-// belongs to a flight; unless busyOK the call sleeps until the
-// completion gives it back. Called with o.mu held; both get (around its
-// allocation) and the sleep drop it, so the page is looked up afresh
-// after each — get's raced path can hand back a page that a concurrent
-// flush claimed in that window.
-func (s *System) objPage(o *uobject, idx int, busyOK bool) (*phys.Page, error) {
+// if need be — the pager allocates the page itself (§6), and may fill
+// other non-resident pages of [lo, hi], the range the caller is prepared
+// to use, with the same I/O. A Busy page belongs to a flight; unless
+// busyOK the call sleeps until the completion gives it back. Called with
+// o.mu held; both get (around its allocations) and the sleep drop it, so
+// the page is looked up afresh after each — get's raced path can hand
+// back a page that a concurrent flush claimed in that window.
+func (s *System) objPage(o *uobject, idx, lo, hi int, busyOK bool) (*phys.Page, error) {
 	for {
 		pg, ok := o.pages[idx]
 		if !ok {
 			var err error
-			if pg, err = o.ops.get(o, idx); err != nil {
+			if pg, err = o.ops.get(o, idx, lo, hi); err != nil {
 				return nil, err
 			}
 		}

@@ -3,39 +3,55 @@ package uvm
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"uvm/internal/disk"
 	"uvm/internal/param"
 	"uvm/internal/sim"
+	"uvm/internal/vfs"
 	"uvm/internal/vmapi"
 	"uvm/internal/vmapi/testutil"
 )
 
 // TestPageinTable drives the one page-read mechanism through every
-// combination it serves: owner {anon, aobj, vnode} x shape {single page,
-// clustered with PageinCluster=8, §10 read-ahead (vnode only)} x outcome
-// {healthy disk; read error on the faulting page's block; read error on
-// a neighbour's block only; a neighbour that drops out under the
-// enumerator — TryLock-busy (anon), or made resident / stripped of its
-// slot while o.mu is down for a frame allocation (aobj)}. Each cell
-// builds an eight-page region whose data sits on backing store (the
-// swapped-out pages in eight consecutive slots), faults on the page in
-// the fourth slot and checks the fault's result, the bytes, the Busy and
-// owner-lock hand-back, the frame accounting, the disk read commands and
-// vm.pageins.
+// combination it serves. The swap-backed half: owner {anon, aobj} x shape
+// {single page, clustered with PageinCluster=8} x outcome {healthy disk;
+// read error on the faulting page's block; read error on a neighbour's
+// block only; a neighbour that drops out under the enumerator —
+// TryLock-busy (anon), or made resident / stripped of its slot while
+// o.mu is down for a frame allocation (aobj)}, plus the vnode owner under
+// the same two shapes — a file pagein does not look at PageinCluster, so
+// both fill the advice window. Each such cell builds an eight-page region
+// whose data sits on backing store (the swapped-out pages in eight
+// consecutive slots), faults on the page in the fourth slot and checks
+// the fault's result, the bytes, the Busy and owner-lock hand-back, the
+// frame accounting, the disk read commands and vm.pageins.
+//
+// The file half (vnodePageinCell): advice {normal, sequential, random} x
+// config {default, DisableClustering} x outcome {ok, centre-err, nbr-err,
+// nbr-resident, nbr-raced, eof, entry}.
 func TestPageinTable(t *testing.T) {
 	for _, owner := range []string{"anon", "aobj", "vnode"} {
-		for _, shape := range []string{"single", "cluster", "readahead"} {
+		for _, shape := range []string{"single", "cluster"} {
 			for _, outcome := range []string{"ok", "centre-err", "nbr-err", "nbr-busy", "nbr-resident", "nbr-noslot"} {
 				switch {
-				case shape == "readahead" && owner != "vnode",
-					outcome == "nbr-err" && (shape == "single" || owner == "vnode" && shape == "cluster"), // a run of one has no neighbours
+				case outcome == "nbr-err" && (shape == "single" || owner == "vnode"), // a run of one has no neighbours; the file half has the vnode's
 					outcome == "nbr-busy" && (owner != "anon" || shape != "cluster"),
 					(outcome == "nbr-resident" || outcome == "nbr-noslot") && (owner != "aobj" || shape != "cluster"):
 					continue
 				}
 				t.Run(owner+"/"+shape+"/"+outcome, func(t *testing.T) { pageinCell(t, owner, shape, outcome) })
+			}
+		}
+	}
+	for _, advice := range []param.Advice{param.AdviceNormal, param.AdviceSequential, param.AdviceRandom} {
+		for _, config := range []string{"default", "noclustering"} {
+			for _, outcome := range []string{"ok", "centre-err", "nbr-err", "nbr-resident", "nbr-raced", "eof", "entry"} {
+				t.Run("vnode/"+advice.String()+"/"+config+"/"+outcome, func(t *testing.T) {
+					vnodePageinCell(t, advice, config == "noclustering", outcome)
+				})
 			}
 		}
 	}
@@ -49,7 +65,6 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 	if shape == "cluster" {
 		cfg.PageinCluster = n
 	}
-	cfg.AsyncPagein = shape == "readahead"
 	s := BootConfig(m, cfg)
 	testutil.SweepOnCleanup(t, s)
 	p := newProc(t, s, "p")
@@ -141,10 +156,8 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 	case "centre-err", "nbr-err":
 		rule := disk.FaultRule{Kind: disk.FaultReadError, Block: blk[centre]}
 		switch {
-		case owner == "vnode" && outcome == "centre-err":
+		case owner == "vnode":
 			rule.Block = disk.BlockAny
-		case owner == "vnode": // the second read-ahead page
-			rule.Block, rule.AfterOps, rule.Count = disk.BlockAny, 2, 1
 		case outcome == "nbr-err":
 			rule.Block = blk[0]
 		}
@@ -177,18 +190,14 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 	}
 
 	// What the fault should do.
-	wantInstalled, wantReads, wantDeferred := 1, 1, 0
-	clustered := shape == "cluster" && owner != "vnode"
+	wantInstalled, wantReads := 1, 1
+	clustered := shape == "cluster" || owner == "vnode" // the default advice window covers the file
 	switch {
 	case outcome == "centre-err":
 		wantInstalled = 0
 		if clustered {
 			wantReads = 2 // the cluster, then the centre alone
 		}
-	case shape == "readahead" && outcome == "ok":
-		wantInstalled, wantDeferred = 1+4, 4 // the default advice reads four pages ahead
-	case shape == "readahead":
-		wantInstalled, wantDeferred = 2, 2 // read-ahead stops at its first error
 	case clustered && outcome == "ok":
 		wantInstalled = n
 	case clustered && outcome == "nbr-err":
@@ -223,9 +232,8 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		t.Errorf("free frames fell by %d, want %d", d, wantInstalled+byHook)
 	}
 	delta := func(name string) int { return int(after[name] - before[name]) }
-	if delta(sim.CtrDiskReads) != wantReads || delta("disk.reads.deferred") != wantDeferred {
-		t.Errorf("%d charged + %d deferred read commands, want %d + %d",
-			delta(sim.CtrDiskReads), delta("disk.reads.deferred"), wantReads, wantDeferred)
+	if delta(sim.CtrDiskReads) != wantReads {
+		t.Errorf("%d read commands, want %d", delta(sim.CtrDiskReads), wantReads)
 	}
 	if delta(sim.CtrPageIns) != wantInstalled {
 		t.Errorf("vm.pageins grew by %d, want %d", delta(sim.CtrPageIns), wantInstalled)
@@ -274,4 +282,301 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		}
 	}
 	busySweep(t, m, "at the end")
+}
+
+// vnodePageinCell is one file pagein: a cold file mapped shared and
+// read-only with the given advice, one read fault on file page c. The
+// run the fault should read is worked out here from the rule alone — the
+// advice window around c, clipped to the mapping and to EOF, narrowed to
+// c under DisableClustering, then grown outward from c until a resident
+// page stops it — and compared with what happened: the pages installed,
+// their bytes, Busy, the free-frame count, the read commands and the
+// pages they moved, vm.pageins. The file is the disk's first extent, so
+// page i is block i.
+func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outcome string) {
+	const c = 8 // the faulting file page
+	filePages, mapLo, mapHi := 24, 0, 23
+	switch outcome {
+	case "eof": // the mapping runs two pages past the end of the file
+		filePages, mapHi = 10, 11
+	case "entry": // a four-page mapping in the middle of the file
+		mapLo, mapHi = c-1, c+2
+	}
+	m := vmapi.NewMachine(vmapi.MachineConfig{RAMPages: 256, SwapPages: 256, FSPages: 1024, MaxVnodes: 8})
+	cfg := DefaultConfig()
+	cfg.InlineReclaim = true // no daemon: nothing but the fault touches memory
+	cfg.DisableClustering = noClustering
+	s := BootConfig(m, cfg)
+	testutil.SweepOnCleanup(t, s)
+	p := newProc(t, s, "p")
+	want := func(i int) []byte {
+		if i >= filePages {
+			return make([]byte, param.PageSize) // past EOF: zero-fill
+		}
+		return bytes.Repeat([]byte{0xA0 + byte(i)}, param.PageSize)
+	}
+	vn := mkfile(t, m, "/pagein", filePages, 0xA0)
+	defer vn.Unref()
+	got := make([]byte, param.PageSize)
+	if err := m.FSDisk.ReadPages(c, [][]byte{got}); err != nil || !bytes.Equal(got, want(c)) {
+		t.Fatalf("block %d does not hold file page %d (err=%v)", c, c, err)
+	}
+	va, err := p.Mmap(0, param.VSize(mapHi-mapLo+1)*param.PageSize, param.ProtRead, vmapi.MapShared, vn, param.PageToOff(mapLo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Madvise(va, param.VSize(mapHi-mapLo+1)*param.PageSize, advice); err != nil {
+		t.Fatal(err)
+	}
+	at := func(i int) param.VAddr { return va + param.VAddr(i-mapLo)*param.PageSize }
+	o := p.m.lookupQuiet(va).obj
+
+	// The window the lookahead maps, and the one the fault offers the pager.
+	ahead, behind := advice.Lookahead()
+	mapsLo, mapsHi := c-behind, c+ahead
+	if noClustering {
+		ahead, behind = 0, 0
+	}
+	lo, hi := max(c-behind, mapLo), min(c+ahead, mapHi, filePages-1)
+
+	// The outcome's condition. pre marks the pages that are resident by the
+	// time the run is final without the fault having read them.
+	pre := map[int]bool{}
+	badBlock, byHook := -1, 0
+	switch outcome {
+	case "centre-err":
+		badBlock = c
+	case "nbr-err":
+		badBlock = c + 1
+	case "nbr-resident":
+		if n, err := s.FileRead(vn, (c+2)*param.PageSize, got[:1]); n != 1 || err != nil {
+			t.Fatalf("FileRead: n=%d err=%v", n, err)
+		}
+		pre[c+2] = true
+	case "nbr-raced":
+		// The victim is the first neighbour the pager allocates a frame
+		// for: it becomes resident inside the next neighbour's allocation,
+		// so only the re-verification afterwards can notice.
+		victim := c + 1
+		if lo < c {
+			victim = lo
+		}
+		if hi-lo >= 2 {
+			pre[victim], byHook = true, 1
+		}
+		allocs := 0
+		m.Mem.SetLowWater(m.Mem.TotalPages()+1, func() { // runs inside every frame allocation
+			if allocs++; allocs != 3 {
+				return // 1: the centre's frame, 2: the victim's, 3: the next neighbour's
+			}
+			o.mu.Lock()
+			pg, err := m.Mem.Alloc(o, param.PageToOff(victim), false)
+			if err != nil {
+				t.Error(err)
+			}
+			copy(pg.Data, want(victim))
+			o.pages[victim] = pg
+			m.Mem.Activate(pg)
+			o.mu.Unlock()
+		})
+	}
+	if badBlock >= 0 {
+		m.FSDisk.SetFaultPlan(disk.NewFaultPlan(disk.FaultRule{Kind: disk.FaultReadError, Block: int64(badBlock)}))
+	}
+
+	// What the fault should do.
+	runLo, runHi := c, c
+	for runLo > lo && !pre[runLo-1] {
+		runLo--
+	}
+	for runHi < hi && !pre[runHi+1] {
+		runHi++
+	}
+	wantCmds, wantMoved, installed := 1, runHi-runLo+1, map[int]bool{}
+	switch {
+	case badBlock >= runLo && badBlock <= runHi && runLo < runHi:
+		// The run's read stops at the bad block; the centre is retried alone.
+		wantCmds, wantMoved = 2, badBlock-runLo
+		if badBlock != c {
+			wantMoved, installed[c] = wantMoved+1, true
+		}
+	case badBlock == c:
+		wantMoved = 0
+	default:
+		for i := runLo; i <= runHi; i++ {
+			installed[i] = true
+		}
+	}
+
+	before := m.Stats.Snapshot()
+	freeBefore := m.Mem.FreePages()
+	err = p.ReadBytes(at(c), got)
+	after := m.Stats.Snapshot()
+	m.FSDisk.SetFaultPlan(nil)
+	m.Mem.SetLowWater(0, nil)
+
+	if outcome == "centre-err" {
+		if !errors.Is(err, disk.ErrInjected) {
+			t.Fatalf("fault returned %v, want ErrInjected", err)
+		}
+	} else if err != nil || !bytes.Equal(got, want(c)) {
+		t.Fatalf("fault: err=%v first byte %#x, want %#x", err, got[0], want(c)[0])
+	}
+	busySweep(t, m, "after the fault")
+	for i := 0; i <= max(mapHi, filePages-1); i++ {
+		pg := o.pages[i]
+		if (pg != nil) != (installed[i] || pre[i]) {
+			t.Errorf("file page %d resident=%v, want %v (run %d..%d)", i, pg != nil, installed[i] || pre[i], runLo, runHi)
+		} else if pg != nil && !bytes.Equal(pg.Data, want(i)) {
+			t.Errorf("file page %d holds %#x, want %#x", i, pg.Data[0], want(i)[0])
+		}
+		if i < mapLo || i > mapHi {
+			continue
+		}
+		// The lookahead maps what the run brought in, in the same fault.
+		wantMapped := (installed[i] || pre[i]) && i >= mapsLo && i <= mapsHi
+		if _, mapped := p.pm.Lookup(at(i)); mapped != wantMapped {
+			t.Errorf("file page %d mapped=%v after the fault, want %v", i, mapped, wantMapped)
+		}
+	}
+	if d := freeBefore - m.Mem.FreePages(); d != len(installed)+byHook {
+		t.Errorf("free frames fell by %d, want %d", d, len(installed)+byHook)
+	}
+	delta := func(name string) int { return int(after[name] - before[name]) }
+	if delta(sim.CtrDiskReads) != wantCmds || delta(sim.CtrDiskPagesRead) != wantMoved {
+		t.Errorf("%d read commands moved %d pages, want %d moving %d",
+			delta(sim.CtrDiskReads), delta(sim.CtrDiskPagesRead), wantCmds, wantMoved)
+	}
+	if delta(sim.CtrPageIns) != len(installed) {
+		t.Errorf("vm.pageins grew by %d, want %d", delta(sim.CtrPageIns), len(installed))
+	}
+	if !o.mu.TryLock() {
+		t.Fatal("object still locked after the fault")
+	}
+	o.mu.Unlock()
+
+	// With the disk healthy again every mapped byte is the file's.
+	for i := mapLo; i <= mapHi; i++ {
+		if err := p.ReadBytes(at(i), got); err != nil || !bytes.Equal(got, want(i)) {
+			t.Errorf("page %d afterwards: err=%v first byte %#x, want %#x", i, err, got[0], want(i)[0])
+		}
+	}
+	busySweep(t, m, "at the end")
+}
+
+// coldFile boots a default-config machine with one cold 8-page file.
+func coldFile(t *testing.T) (*System, *vmapi.Machine, *vfs.Vnode) {
+	t.Helper()
+	s, m := bootTest(t, 512)
+	vn := mkfile(t, m, "/cold", 8, 0xC0)
+	t.Cleanup(vn.Unref)
+	return s, m, vn
+}
+
+// TestColdFileTouchClustersReads: read-touching a cold 8-page file
+// through a default mapping takes two faults and two disk commands — the
+// first fills the advice window ahead of page 0 and the lookahead maps
+// it, the second fills what is left — where one page per pagein took
+// eight of each.
+func TestColdFileTouchClustersReads(t *testing.T) {
+	s, m, vn := coldFile(t)
+	p := newProc(t, s, "p")
+	va, err := p.Mmap(0, 8*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats.Snapshot()
+	b := make([]byte, 1)
+	for i := 0; i < 8; i++ {
+		if err := p.ReadBytes(va+param.VAddr(i)*param.PageSize, b); err != nil || b[0] != 0xC0+byte(i) {
+			t.Fatalf("page %d: err=%v byte %#x", i, err, b[0])
+		}
+	}
+	after := m.Stats.Snapshot()
+	for name, want := range map[string]int64{sim.CtrFaults: 2, sim.CtrDiskReads: 2, sim.CtrDiskPagesRead: 8, sim.CtrPageIns: 8} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s grew by %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestFileReadClustersReads: a FileRead of a whole cold file offers the
+// pager the rest of the request, so the file arrives with one command.
+func TestFileReadClustersReads(t *testing.T) {
+	s, m, vn := coldFile(t)
+	before := m.Stats.Snapshot()
+	buf := make([]byte, 8*param.PageSize)
+	if n, err := s.FileRead(vn, 0, buf); n != len(buf) || err != nil {
+		t.Fatalf("FileRead: n=%d err=%v", n, err)
+	}
+	for i := 0; i < 8; i++ {
+		if buf[i*param.PageSize] != 0xC0+byte(i) {
+			t.Fatalf("page %d reads %#x", i, buf[i*param.PageSize])
+		}
+	}
+	after := m.Stats.Snapshot()
+	if cmds, moved := after[sim.CtrDiskReads]-before[sim.CtrDiskReads], after[sim.CtrDiskPagesRead]-before[sim.CtrDiskPagesRead]; cmds != 1 || moved != 8 {
+		t.Errorf("%d read commands moved %d pages, want 1 moving 8", cmds, moved)
+	}
+}
+
+// TestClusteredReadConcurrentFaulters: two processes sweep the same cold
+// files at once, one upwards and one downwards, so their runs overlap
+// and each drops the object lock for frames the other may be about to
+// fill. Whoever installs a page first wins and the loser's frame goes
+// back: no page is read twice, none stays Busy, no frame leaks.
+func TestClusteredReadConcurrentFaulters(t *testing.T) {
+	const files, pages = 16, 8
+	s, m := bootTest(t, 1024)
+	vns := make([]*vfs.Vnode, files)
+	for f := range vns {
+		vns[f] = mkfile(t, m, fmt.Sprintf("/f%d", f), pages, byte(f*pages))
+		defer vns[f].Unref()
+	}
+	var procs [2]*Process
+	var vas [2][files]param.VAddr
+	for w := range procs {
+		procs[w] = newProc(t, s, fmt.Sprintf("p%d", w))
+		for f, vn := range vns {
+			va, err := procs[w].Mmap(0, pages*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vas[w][f] = va
+		}
+	}
+	before := m.Stats.Snapshot()
+	freeBefore := m.Mem.FreePages()
+	var wg sync.WaitGroup
+	for w, p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := make([]byte, 1)
+			for f := range vns {
+				for i := 0; i < pages; i++ {
+					pg := i
+					if w == 1 {
+						pg = pages - 1 - i
+					}
+					if err := p.ReadBytes(vas[w][f]+param.VAddr(pg)*param.PageSize, b); err != nil || b[0] != byte(f*pages+pg) {
+						t.Errorf("p%d file %d page %d: err=%v byte %#x", w, f, pg, err, b[0])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after := m.Stats.Snapshot()
+	if moved := after[sim.CtrDiskPagesRead] - before[sim.CtrDiskPagesRead]; moved != files*pages {
+		t.Errorf("%d pages read from disk, want %d (each page once)", moved, files*pages)
+	}
+	for _, p := range procs {
+		p.Exit()
+	}
+	testutil.ShutdownSweep(t, s)
+	if d := freeBefore - m.Mem.FreePages(); d != files*pages {
+		t.Errorf("free frames fell by %d, want the %d file pages", d, files*pages)
+	}
 }

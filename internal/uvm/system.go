@@ -147,25 +147,33 @@
 // frame of the run is freed and nothing is attached. A single-page
 // pagein is a run of one.
 //
-// With cfg.PageinCluster > 1 a swap-backed fault reads the adjacent
-// slots too. One builder (cluster) grows the faulting slot into a run,
-// left before right, inside the window and the slot's swap device, from
-// the candidates two enumerators offer it. The enumerators own only
-// their locking protocol. The amap's (anonNeighbours) TryLocks the
-// faulting anon's VA neighbours — anon locks are peers, so a busy
-// neighbour drops out — and keeps the locks across the allocation and
-// the I/O. The aobj's (aobjNeighbours) walks index neighbours under the
-// object lock, which every frame allocation drops: each survivor and the
-// faulting index itself are re-verified under the retaken lock, and
-// aobjPager.get starts over until the slot state holds still. A cluster
-// that cannot get its frames or whose read fails degrades to the centre
-// page alone — a second run, of length one — and only that run's error
-// fails the fault. With cfg.AsyncPagein the vnode enumerator
-// (asyncPagein) reads each non-resident page of the advice window ahead
-// as a one-page run through the deferred primitive, overlapping the
-// faulting process. A path that needs an object page (the fault, file
-// read/write) goes through objPage: the pager's get if the page is not
-// resident, a sleep on the flight condvar while it is Busy.
+// A path that needs an object page (the fault, file read/write) goes
+// through objPage — a sleep on the flight condvar while the page is
+// Busy, the pager's get if it is not resident — and tells get the index
+// range it is prepared to use: a fault, the entry's advice window
+// clipped to the entry; file read/write, the rest of the request. The
+// pager decides how much of it one I/O brings in. The vnode pager reads
+// the whole stretch of non-resident pages around the faulting index
+// inside that range and the file, so a cold sequential touch of a file
+// costs one disk command per advice window, and the fault-time lookahead
+// maps the new neighbours in the same fault. cfg.DisableClustering
+// narrows it to one page per command. The aobj pager reads adjacent swap
+// slots only with cfg.PageinCluster > 1, which also switches on the same
+// for anons.
+//
+// One builder (cluster) grows the faulting block into a run, left before
+// right, inside the window and — for swap — the slot's device, from the
+// candidates two enumerators offer it. The enumerators own only their
+// locking protocol. The amap's (anonNeighbours) TryLocks the faulting
+// anon's VA neighbours — anon locks are peers, so a busy neighbour drops
+// out — and keeps the locks across the allocation and the I/O. The
+// object's (objNeighbours) walks index neighbours under the object lock,
+// which every frame allocation drops: each survivor and the faulting
+// index itself are re-verified under the retaken lock, and objPagein
+// starts over until the page's state holds still. A cluster that cannot
+// get its frames or whose read fails degrades to the centre page alone —
+// a second run, of length one — and only that run's error fails the
+// fault.
 package uvm
 
 import (
@@ -187,8 +195,8 @@ type Config struct {
 	// DisableClustering is the one switch for "no clustering anywhere":
 	// every page write — anonymous pageout, file pageout, Msync, recycle,
 	// synchronous or not — is one page per I/O to the page's own slot or
-	// block, and the pagedaemon's flights stay synchronous (the BSD VM
-	// ablation for Figure 5).
+	// block, the pagedaemon's flights stay synchronous, and every file
+	// pagein reads one page (the BSD VM ablation for Figure 5).
 	DisableClustering bool
 	// DisableLookahead turns off fault-time neighbour mapping (ablation
 	// for Table 2).
@@ -199,10 +207,6 @@ type Config struct {
 	// implementation UVM ships with, or the hash/array hybrid the paper
 	// suggests for large sparse amaps (§5.3).
 	AmapImpl AmapImplKind
-	// AsyncPagein enables the paper's §10 future-work feature: on a
-	// fault, schedule non-resident neighbour pages for pagein so nearby
-	// future faults find them resident.
-	AsyncPagein bool
 	// LowWater is the free-page threshold (in pages) at which the
 	// asynchronous pagedaemon is woken. 0 sizes it automatically from
 	// the machine: max(2×MaxCluster, total/64), capped at total/4.
@@ -228,12 +232,13 @@ type Config struct {
 	// sharded page queues. 0 or 1 keeps the classic single scan, whose
 	// operation order is byte-deterministic on single-threaded runs.
 	ReclaimWorkers int
-	// PageinCluster is the largest clustered-pagein window, in pages: on
-	// a swap-backed anon fault, up to this many adjacent allocated slots
-	// are read with one I/O (the read-side mirror of clustered pageout).
-	// It also sizes the aobj clustered-pagein window: an aobj fault drags
-	// in neighbour pages whose swap slots adjoin the faulting one. 0 or 1
-	// disables clustering and pages in one slot at a time.
+	// PageinCluster is the largest clustered-pagein window of swap-backed
+	// memory, in pages: on a swapped-out anon fault, up to this many
+	// adjacent allocated slots are read with one I/O (the read-side mirror
+	// of clustered pageout). It also sizes the aobj clustered-pagein
+	// window: an aobj fault drags in neighbour pages whose swap slots
+	// adjoin the faulting one. 0 or 1 pages in one slot at a time. File
+	// pageins do not look at it: they fill the fault's advice window.
 	PageinCluster int
 	// AsyncWriteback makes the object writeback flights — Msync, vnode
 	// recycling, last-unmap write-back (objwb.go) — asynchronous: dirty
@@ -298,7 +303,6 @@ type System struct {
 	// counterhandle analyzer enforces this idiom).
 	ctrPageIns        sim.Counter
 	ctrPageOuts       sim.Counter
-	ctrAsyncPageinPgs sim.Counter
 	ctrObjWbClusters  sim.Counter
 	ctrObjWbPages     sim.Counter
 	ctrPdRounds       sim.Counter
@@ -360,7 +364,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	}
 	s.ctrPageIns = m.Stats.Counter(sim.CtrPageIns)
 	s.ctrPageOuts = m.Stats.Counter(sim.CtrPageOuts)
-	s.ctrAsyncPageinPgs = m.Stats.Counter("uvm.asyncpagein.pages")
 	s.ctrObjWbClusters = m.Stats.Counter(sim.CtrObjWbClusters)
 	s.ctrObjWbPages = m.Stats.Counter(sim.CtrObjWbPages)
 	s.ctrPdRounds = m.Stats.Counter(sim.CtrPdRounds)

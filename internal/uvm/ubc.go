@@ -62,8 +62,9 @@ func (s *System) fileIO(vn *vfs.Vnode, off int, buf []byte, write bool) (int, er
 
 		// A busy page is mid-writeback-flush: a write must not scribble
 		// on the frame while the I/O owns its contents. Reads are safe —
-		// the data is stable until the flush completes.
-		pg, err := s.objPage(o, idx, !write)
+		// the data is stable until the flush completes. The rest of the
+		// request is what the pager may read along with a missing page.
+		pg, err := s.objPage(o, idx, idx, (off+len(buf)-1)>>param.PageShift, !write)
 		if err != nil {
 			return done, err
 		}

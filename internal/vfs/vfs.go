@@ -129,16 +129,6 @@ func (v *Vnode) WritePages(idx int, bufs [][]byte) error {
 	return v.fs.dev.WritePages(v.f.start+int64(idx), bufs)
 }
 
-// ReadPageAsync reads page idx as an asynchronous read-ahead: the data
-// arrives without the caller waiting for the disk (the I/O overlaps the
-// caller's execution).
-func (v *Vnode) ReadPageAsync(idx int, buf []byte) error {
-	if idx < 0 || idx >= v.f.npages {
-		return ErrBadOffset
-	}
-	return v.fs.dev.ReadPagesDeferred(v.f.start+int64(idx), [][]byte{buf})
-}
-
 // WritePageAsync queues page idx for write-back through the buffer cache:
 // the caller pays only the in-memory copy; the disk write happens "later"
 // (the data is durable immediately in the simulation, but no disk time is
