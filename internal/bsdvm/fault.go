@@ -3,7 +3,6 @@ package bsdvm
 import (
 	"uvm/internal/param"
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 )
 
@@ -24,11 +23,11 @@ import (
 // Caller holds the big lock; the map lock is taken here.
 func (s *System) fault(p *process, va param.VAddr, access param.Prot) error {
 	s.mach.Clock.Advance(s.mach.Costs.FaultTrap)
-	s.mach.Stats.Inc(sim.CtrFaults)
+	s.ctrFaults.Inc()
 	if access.Allows(param.ProtWrite) {
-		s.mach.Stats.Inc(sim.CtrFaultsWrite)
+		s.ctrFaultsWrite.Inc()
 	} else {
-		s.mach.Stats.Inc(sim.CtrFaultsRead)
+		s.ctrFaultsRead.Inc()
 	}
 
 	m := p.m

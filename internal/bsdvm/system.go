@@ -82,8 +82,12 @@ type System struct {
 	nextObjID int
 	procs     map[*process]struct{}
 
-	// Cached counter handles for the loop-hot paths (chain walks,
-	// collapse scans, cache evictions), resolved once at boot.
+	// Cached counter handles for the fault entry and the loop-hot paths
+	// (chain walks, collapse scans, cache evictions), resolved once at
+	// boot.
+	ctrFaults           sim.Counter
+	ctrFaultsRead       sim.Counter
+	ctrFaultsWrite      sim.Counter
 	ctrChainWalk        sim.Counter
 	ctrCacheEvictions   sim.Counter
 	ctrCollapseScan     sim.Counter
@@ -104,6 +108,9 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 		pagerHash: make(map[*vmPager]*object),
 		procs:     make(map[*process]struct{}),
 	}
+	s.ctrFaults = m.Stats.Counter(sim.CtrFaults)
+	s.ctrFaultsRead = m.Stats.Counter(sim.CtrFaultsRead)
+	s.ctrFaultsWrite = m.Stats.Counter(sim.CtrFaultsWrite)
 	s.ctrChainWalk = m.Stats.Counter(sim.CtrChainWalk)
 	s.ctrCacheEvictions = m.Stats.Counter("bsdvm.objcache.evictions")
 	s.ctrCollapseScan = m.Stats.Counter("bsdvm.collapse.scan")

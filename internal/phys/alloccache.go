@@ -257,8 +257,8 @@ func (m *Mem) FreeCPU(cpu int, p *Page) {
 }
 
 // drainLocked returns n frames from c (held locked by the caller) to
-// their home shards' free lists, grouped so each shard is locked at most
-// once per drain.
+// the heads of their home shards' free lists — the end a refill pops, as
+// with Free — grouped so each shard is locked at most once per drain.
 func (m *Mem) drainLocked(c *allocCache, n int) {
 	if n > len(c.pages) {
 		n = len(c.pages)
@@ -282,7 +282,7 @@ func (m *Mem) drainLocked(c *allocCache, n int) {
 				locked = true
 			}
 			p.queue = QueueFree
-			m.shards[sh].free.pushTail(p)
+			m.shards[sh].free.pushHead(p)
 		}
 		if locked {
 			m.shards[sh].mu.Unlock()

@@ -17,6 +17,12 @@
 // identical to a single global queue, which keeps single-threaded
 // simulations deterministic and bit-for-bit comparable across runs.
 //
+// The free lists are LIFO: Free pushes the head that Alloc pops, so the
+// frame a munmap or exit just released is the next one handed out and
+// the zero-fill or copy that follows lands in lines still in the cache.
+// Which free frame is reused is not a replacement decision — LRU order
+// lives in the active/inactive queues and is unaffected.
+//
 // Allocation has two layouts. With the per-CPU free-page caches off
 // (the default, and the byte-deterministic configuration the paper
 // experiments run with) Alloc and Free work directly on the sharded
@@ -102,6 +108,28 @@ type Page struct {
 	seq        uint64 // global LRU stamp of the last queue insertion
 	queue      QueueKind
 	prev, next *Page
+
+	// PV is the frame's reverse map: every translation that maps it. It
+	// belongs to internal/pmap, which reads and writes it only under the
+	// frame's pv bucket lock; phys never touches it.
+	PV PVList
+}
+
+// PVEntry is one reverse-map (pv) entry: a translation of a frame, named
+// by its address space and virtual address. Pmap holds a *pmap.Pmap (phys
+// sits below pmap and cannot name the type); nil marks an empty entry.
+type PVEntry struct {
+	Pmap any
+	VA   param.VAddr
+}
+
+// PVList is the pv list of one frame, kept in the frame itself so that
+// mapping a page costs no table lookup and — for the common singly-mapped
+// page — no allocation: the first mapping sits inline, further ones in
+// More. More is empty whenever First is.
+type PVList struct {
+	First PVEntry
+	More  []PVEntry
 }
 
 // Owner returns the structure that currently owns this frame (nil for a
@@ -176,6 +204,17 @@ func (l *pageList) pushTail(p *Page) {
 	l.n++
 }
 
+func (l *pageList) pushHead(p *Page) {
+	p.prev, p.next = nil, l.head
+	if l.head != nil {
+		l.head.prev = p
+	} else {
+		l.tail = p
+	}
+	l.head = p
+	l.n++
+}
+
 func (l *pageList) remove(p *Page) {
 	if p.prev != nil {
 		p.prev.next = p.next
@@ -234,8 +273,9 @@ type Mem struct {
 	allocBatch int
 	allocGate  func()
 
-	// Cached stat handles for the allocation path (phys.alloc.*): hot
-	// enough that the name lookup per bump would show up.
+	// Cached stat handles for the allocation path (phys.alloc.*) and the
+	// per-page data operations: hot enough that the name lookup per bump
+	// would show up.
 	ctrAllocAcquires  sim.Counter
 	ctrAllocContended sim.Counter
 	ctrAllocHits      sim.Counter
@@ -243,6 +283,8 @@ type Mem struct {
 	ctrAllocDrains    sim.Counter
 	ctrAllocSteals    sim.Counter
 	ctrAllocReaps     sim.Counter
+	ctrZeroed         sim.Counter
+	ctrCopied         sim.Counter
 }
 
 // NewMem boots a machine with npages page frames. All frame data buffers
@@ -259,6 +301,8 @@ func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *M
 	m.ctrAllocDrains = stats.Counter(sim.CtrAllocDrains)
 	m.ctrAllocSteals = stats.Counter(sim.CtrAllocSteals)
 	m.ctrAllocReaps = stats.Counter(sim.CtrAllocReaps)
+	m.ctrZeroed = stats.Counter(sim.CtrPagesZeroed)
+	m.ctrCopied = stats.Counter(sim.CtrPagesCopied)
 	arena := make([]byte, npages*param.PageSize)
 	m.frames = make([]Page, npages)
 	for i := range m.frames {
@@ -384,8 +428,11 @@ func (m *Mem) Alloc(owner any, off param.PageOff, zero bool) (*Page, error) {
 
 // Free returns a frame to the free set: its home free list, or — with
 // the per-CPU caches on — the freeing goroutine's magazine, which drains
-// to the pool in batches. The caller must have removed all mappings;
-// queue membership is cleared here either way.
+// to the pool in batches. The caller must have removed all mappings.
+// Free is where a frame leaves whatever paging queue it is on — callers
+// do not Dequeue first — and it goes to the head of the free list, the
+// end Alloc pops: the frame just released is the next one handed out,
+// while its lines are still in the cache.
 func (m *Mem) Free(p *Page) {
 	if n := len(m.caches); n > 0 {
 		m.FreeCPU(cpuSlot(n), p)
@@ -396,7 +443,7 @@ func (m *Mem) Free(p *Page) {
 	sh.mu.Lock()
 	sh.detachLocked(p)
 	p.queue = QueueFree
-	sh.free.pushTail(p)
+	sh.free.pushHead(p)
 	sh.mu.Unlock()
 	m.freeCnt.Add(1)
 }
@@ -418,7 +465,7 @@ func (m *Mem) freePrep(p *Page) {
 // Zero clears a frame's data, charging the zeroing cost.
 func (m *Mem) Zero(p *Page) {
 	m.clock.Advance(m.costs.PageZero)
-	m.stats.Inc(sim.CtrPagesZeroed)
+	m.ctrZeroed.Inc()
 	for i := range p.Data {
 		p.Data[i] = 0
 	}
@@ -427,7 +474,7 @@ func (m *Mem) Zero(p *Page) {
 // CopyData copies src's data into dst, charging the 4 KB copy cost.
 func (m *Mem) CopyData(dst, src *Page) {
 	m.clock.Advance(m.costs.PageCopy)
-	m.stats.Inc(sim.CtrPagesCopied)
+	m.ctrCopied.Inc()
 	copy(dst.Data, src.Data)
 }
 

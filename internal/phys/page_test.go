@@ -435,3 +435,60 @@ func TestFreeCountTracksAllocFree(t *testing.T) {
 		t.Fatalf("counter %d != free lists %d", m.FreePages(), m.FreeListLen())
 	}
 }
+
+// TestFreeListIsLIFO: within one queue shard the last frame freed is the
+// first allocated again — it is the one still in the cache — in every
+// allocation layout: the plain pool, a magazine serving from its own
+// stack, and a magazine whose frames went back to the pool (drain, reap)
+// and returned through a refill.
+func TestFreeListIsLIFO(t *testing.T) {
+	cells := []struct {
+		name          string
+		caches, batch int
+		reap          bool
+	}{
+		{name: "pool"},
+		{name: "magazine", caches: 1, batch: 8},
+		{name: "magazine-drained", caches: 1, batch: 1, reap: true},
+	}
+	for _, tc := range cells {
+		t.Run(tc.name, func(t *testing.T) {
+			const npages = 4 * numShards
+			m := newTestMem(npages)
+			m.SetAllocCaches(tc.caches, tc.batch)
+			for m.FreePages() > 0 {
+				if _, err := m.Alloc(nil, 0, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Free three frames of shard 0 interleaved with two of shard 1.
+			var freed [numShards][]*Page
+			for _, i := range []int{0, 1, numShards, numShards + 1, 2 * numShards} {
+				p := &m.frames[i]
+				m.Free(p)
+				freed[p.home] = append(freed[p.home], p)
+			}
+			if tc.reap {
+				m.ReapCaches()
+			}
+			var got [numShards][]*Page
+			for m.FreePages() > 0 {
+				p, err := m.Alloc(nil, 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[p.home] = append(got[p.home], p)
+			}
+			for sh := range freed {
+				if len(got[sh]) != len(freed[sh]) {
+					t.Fatalf("shard %d: freed %d frames, allocated %d back", sh, len(freed[sh]), len(got[sh]))
+				}
+				for i, p := range got[sh] {
+					if want := freed[sh][len(freed[sh])-1-i]; p != want {
+						t.Errorf("shard %d, allocation %d: got PA=%#x, want PA=%#x (the most recently freed)", sh, i, p.PA, want.PA)
+					}
+				}
+			}
+		})
+	}
+}

@@ -12,15 +12,18 @@
 //
 // # The sharded reverse map
 //
-// The pv table is shared by every address space on the machine, so a
-// single mutex around it would serialise all faults system-wide — the
-// exact serialisation point the fine-grained VM locking was built to
-// avoid. It is therefore sharded: pvShards buckets, each its own mutex
-// plus page→pv-list map, a page hashing to the bucket of its physical
-// frame number. Page-level operations (Enter, Remove, PageProtect, pv
-// walks) lock only the one bucket their page hashes to, so faults in
-// different address spaces — which overwhelmingly touch different frames
-// — proceed without contending.
+// A frame's pv list lives in the frame itself (phys.Page.PV): the first
+// mapping inline, any further ones in an overflow slice, so entering,
+// removing or protecting a singly-mapped page — the common case — looks
+// nothing up and allocates nothing. The lists are shared by every address
+// space on the machine, so a single mutex around them would serialise all
+// faults system-wide — the exact serialisation point the fine-grained VM
+// locking was built to avoid. They are therefore guarded by pvShards
+// bucket mutexes, a page hashing to the bucket of its physical frame
+// number. Page-level operations (Enter, Remove, PageProtect, pv walks)
+// lock only the one bucket their page hashes to, so faults in different
+// address spaces — which overwhelmingly touch different frames — proceed
+// without contending.
 //
 // Locking: a pmap's own mutex (p.mu, guarding its page table) nests
 // ABOVE pv bucket locks — Enter/Remove update the page table and the
@@ -44,8 +47,9 @@
 package pmap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"uvm/internal/param"
@@ -80,34 +84,122 @@ type BatchEntry struct {
 	Wired bool
 }
 
-type pv struct {
-	pm *Pmap
-	va param.VAddr
-}
-
-// pvBucket is one shard of the reverse map: the pv lists of every page
-// whose frame number hashes here, under the bucket's own mutex.
+// pvBucket is one shard of the reverse map: its mutex guards the pv list
+// (phys.Page.PV) of every page whose frame number hashes here.
 type pvBucket struct {
 	//uvm:lock pvbucket
-	mu  sync.Mutex
-	rev map[*phys.Page][]pv
+	mu sync.Mutex
+	n  int // live pv entries under this bucket
 }
 
-// removeLocked drops the (pm, va) entry from pg's pv list. Caller holds
-// the bucket's mutex.
+// pvOwner returns the address space a pv entry belongs to (nil for the
+// empty entry).
+func pvOwner(e phys.PVEntry) *Pmap {
+	pm, _ := e.Pmap.(*Pmap)
+	return pm
+}
+
+// addLocked records that (pm, va) maps pg. Caller holds the bucket's
+// mutex.
+func (b *pvBucket) addLocked(pg *phys.Page, pm *Pmap, va param.VAddr) {
+	e := phys.PVEntry{Pmap: pm, VA: va}
+	if l := &pg.PV; l.First.Pmap == nil {
+		l.First = e
+	} else {
+		l.More = append(l.More, e)
+	}
+	b.n++
+}
+
+// removeLocked drops the (pm, va) entry from pg's pv list. The vacated
+// slot is refilled from the end of the overflow — the inline slot too, so
+// the list is empty exactly when First is — and the overflow's spare
+// capacity is cleared, not kept pointing at a pmap. Caller holds the
+// bucket's mutex.
 func (b *pvBucket) removeLocked(pg *phys.Page, pm *Pmap, va param.VAddr) {
-	list := b.rev[pg]
-	for i, e := range list {
-		if e.pm == pm && e.va == va {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
+	l := &pg.PV
+	slot := &l.First
+	if pvOwner(*slot) != pm || slot.VA != va {
+		slot = nil
+		for i := range l.More {
+			if e := &l.More[i]; pvOwner(*e) == pm && e.VA == va {
+				slot = e
+				break
+			}
+		}
+		if slot == nil {
+			return
 		}
 	}
-	if len(list) == 0 {
-		delete(b.rev, pg)
+	if last := len(l.More) - 1; last >= 0 {
+		*slot = l.More[last]
+		l.More[last] = phys.PVEntry{}
+		l.More = l.More[:last]
 	} else {
-		b.rev[pg] = list
+		*slot = phys.PVEntry{}
+	}
+	b.n--
+}
+
+// pvOp is one reverse-map edit of a batch: add or remove (pm, va) on pg,
+// under the given bucket.
+type pvOp struct {
+	pg     *phys.Page
+	va     param.VAddr
+	bucket uint8
+	add    bool
+}
+
+// pvBatch is the size of the on-stack op buffers of EnterBatch and
+// RemoveBatch: a munmap of up to this many pages, or a lookahead window
+// of half as many, edits the reverse map without touching the heap.
+const pvBatch = 64
+
+// groupByBucket reorders ops in place so that each bucket's edits are
+// adjacent, buckets ascending, and a bucket's edits stay in the order
+// they were recorded: a stable counting sort by bucket.
+func groupByBucket(ops []pvOp) {
+	var (
+		next [pvShards + 1]int // next[b+1] counts, then next[b] = output cursor of bucket b
+		buf  [pvBatch]pvOp
+	)
+	sorted := buf[:]
+	if len(ops) > len(buf) {
+		sorted = make([]pvOp, len(ops))
+	}
+	for i := range ops {
+		next[ops[i].bucket+1]++
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	for i := range ops {
+		b := ops[i].bucket
+		sorted[next[b]] = ops[i]
+		next[b]++
+	}
+	copy(ops, sorted)
+}
+
+// applyPVLocked applies a batch of reverse-map edits of p's translations:
+// ascending bucket order, each bucket locked once, one bucket held at a
+// time, a bucket's edits in the order they were recorded. Caller holds
+// p.mu, so the batch is atomic against every other edit of this pmap.
+func (p *Pmap) applyPVLocked(ops []pvOp) {
+	if len(ops) > 1 {
+		groupByBucket(ops)
+	}
+	for i := 0; i < len(ops); {
+		b := &p.mmu.buckets[ops[i].bucket]
+		p.mmu.lockBucket(b)
+		for idx := ops[i].bucket; i < len(ops) && ops[i].bucket == idx; i++ {
+			if op := &ops[i]; op.add {
+				b.addLocked(op.pg, p, op.va)
+			} else {
+				b.removeLocked(op.pg, p, op.va)
+			}
+		}
+		b.mu.Unlock()
 	}
 }
 
@@ -149,9 +241,6 @@ func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats) *MMU {
 		ctrRmBatches:    stats.Counter(sim.CtrPVBatchRemoves),
 		ctrRmBatchPages: stats.Counter(sim.CtrPVBatchRemovePages),
 	}
-	for i := range m.buckets {
-		m.buckets[i].rev = make(map[*phys.Page][]pv)
-	}
 	return m
 }
 
@@ -163,7 +252,7 @@ func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats) *MMU {
 func (m *MMU) SetPVShards(n int) {
 	for i := range m.buckets {
 		m.buckets[i].mu.Lock()
-		populated := len(m.buckets[i].rev) > 0
+		populated := m.buckets[i].n > 0
 		m.buckets[i].mu.Unlock()
 		if populated {
 			panic("pmap: SetPVShards after mappings exist")
@@ -210,6 +299,7 @@ type Pmap struct {
 	pt        map[param.VAddr]PTE
 	ptRegions map[param.VAddr]int // 4MB region base -> live PTE count
 	wired     int
+	lookups   uint64 // Lookup calls served
 
 	// OnPTAlloc/OnPTFree fire when a page-table page is allocated or
 	// freed for this pmap. BSD VM points these at kernel-map wiring (which
@@ -275,7 +365,7 @@ func (p *Pmap) Enter(va param.VAddr, pg *phys.Page, prot param.Prot, wired bool)
 	if add {
 		b := p.mmu.bucketOf(pg)
 		p.mmu.lockBucket(b)
-		b.rev[pg] = append(b.rev[pg], pv{p, va})
+		b.addLocked(pg, p, va)
 		b.mu.Unlock()
 	}
 	p.mu.Unlock()
@@ -301,46 +391,19 @@ func (p *Pmap) EnterBatch(entries []BatchEntry) {
 	p.mmu.ctrBatches.Inc()
 	p.mmu.ctrBatchPages.Add(int64(len(entries)))
 
-	// pvOp is one reverse-map edit; ops are grouped by bucket so each
-	// bucket is locked once, and applied in append order within a bucket
-	// so a remove-then-add pair for one VA lands in sequence.
-	type pvOp struct {
-		pg  *phys.Page
-		va  param.VAddr
-		add bool
-	}
-	var ops [pvShards][]pvOp
-
+	var buf [pvBatch]pvOp
+	ops := buf[:0]
 	p.mu.Lock()
 	for _, be := range entries {
 		removeOld, add := p.applyPTLocked(be.VA, be.Page, be.Prot, be.Wired)
 		if removeOld != nil {
-			i := p.mmu.bucketIndex(removeOld)
-			ops[i] = append(ops[i], pvOp{pg: removeOld, va: be.VA})
+			ops = append(ops, pvOp{pg: removeOld, va: be.VA, bucket: uint8(p.mmu.bucketIndex(removeOld))})
 		}
 		if add {
-			i := p.mmu.bucketIndex(be.Page)
-			ops[i] = append(ops[i], pvOp{pg: be.Page, va: be.VA, add: true})
+			ops = append(ops, pvOp{pg: be.Page, va: be.VA, bucket: uint8(p.mmu.bucketIndex(be.Page)), add: true})
 		}
 	}
-	// Ascending bucket order, one bucket held at a time, still under
-	// p.mu so the batch is atomic against Remove/PageProtect on this
-	// pmap.
-	for i := range ops {
-		if len(ops[i]) == 0 {
-			continue
-		}
-		b := &p.mmu.buckets[i]
-		p.mmu.lockBucket(b)
-		for _, op := range ops[i] {
-			if op.add {
-				b.rev[op.pg] = append(b.rev[op.pg], pv{p, op.va})
-			} else {
-				b.removeLocked(op.pg, p, op.va)
-			}
-		}
-		b.mu.Unlock()
-	}
+	p.applyPVLocked(ops)
 	p.mu.Unlock()
 }
 
@@ -361,71 +424,52 @@ func (p *Pmap) Remove(start, end param.VAddr) {
 func (p *Pmap) RemoveBatch(start, end param.VAddr) {
 	start = param.Trunc(start)
 
+	var buf [pvBatch]pvOp
+	ops := buf[:0]
 	p.mu.Lock()
-	// Collect the mapped VAs of the window: for a window smaller than
+	// Collect the translations of the window: for a window smaller than
 	// the page table, walk the VA range directly (already sorted); for
 	// a huge or whole-space window (RemoveAll), scan the table instead
 	// of stepping through an astronomically sparse range, and sort so
 	// the pv edits land in the same order the Remove loop produced.
-	var vas []param.VAddr
 	if span := uint64(end-start) >> param.PageShift; end > start && span < uint64(len(p.pt)) {
-		vas = make([]param.VAddr, 0, span)
 		for va := start; va < end; va += param.PageSize {
-			if _, ok := p.pt[va]; ok {
-				vas = append(vas, va)
+			if pte, ok := p.pt[va]; ok {
+				ops = append(ops, p.dropPTLocked(va, pte))
 			}
 		}
 	} else {
-		vas = make([]param.VAddr, 0, len(p.pt))
-		for va := range p.pt {
+		for va, pte := range p.pt {
 			if va >= start && va < end {
-				vas = append(vas, va)
+				ops = append(ops, p.dropPTLocked(va, pte))
 			}
 		}
-		sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
+		slices.SortFunc(ops, func(a, b pvOp) int { return cmp.Compare(a.va, b.va) })
 	}
-	if len(vas) == 0 {
-		p.mu.Unlock()
+	p.applyPVLocked(ops)
+	p.mu.Unlock()
+	if len(ops) == 0 {
 		return
 	}
 
-	type pvOp struct {
-		pg *phys.Page
-		va param.VAddr
-	}
-	var ops [pvShards][]pvOp
-	for _, va := range vas {
-		pte := p.pt[va]
-		delete(p.pt, va)
-		p.ptRegionRefLocked(va, -1)
-		if pte.Wired {
-			p.wired--
-		}
-		i := p.mmu.bucketIndex(pte.Page)
-		ops[i] = append(ops[i], pvOp{pg: pte.Page, va: va})
-	}
-	// Ascending bucket order, one bucket held at a time, still under
-	// p.mu so the batch is atomic against Enter/PageProtect on this pmap
-	// (same discipline as EnterBatch).
-	for i := range ops {
-		if len(ops[i]) == 0 {
-			continue
-		}
-		b := &p.mmu.buckets[i]
-		p.mmu.lockBucket(b)
-		for _, op := range ops[i] {
-			b.removeLocked(op.pg, p, op.va)
-		}
-		b.mu.Unlock()
-	}
-	p.mu.Unlock()
-
-	p.mmu.clock.ChargeN(len(vas), p.mmu.costs.PmapRemove)
+	p.mmu.clock.ChargeN(len(ops), p.mmu.costs.PmapRemove)
 	p.mmu.ctrRmBatches.Inc()
-	p.mmu.ctrRmBatchPages.Add(int64(len(vas)))
+	p.mmu.ctrRmBatchPages.Add(int64(len(ops)))
 }
 
 func (p *Pmap) removeOne(va param.VAddr) { p.removeIf(va, nil) }
+
+// dropPTLocked deletes va's translation pte from the page table — PTE,
+// page-table region refcount, wired accounting — and returns the
+// reverse-map edit the caller still owes. Caller holds p.mu.
+func (p *Pmap) dropPTLocked(va param.VAddr, pte PTE) pvOp {
+	delete(p.pt, va)
+	p.ptRegionRefLocked(va, -1)
+	if pte.Wired {
+		p.wired--
+	}
+	return pvOp{pg: pte.Page, va: va, bucket: uint8(p.mmu.bucketIndex(pte.Page))}
+}
 
 // removeIf tears down va's translation. With only non-nil the teardown
 // happens just when the translation still maps that page: PageProtect
@@ -438,14 +482,10 @@ func (p *Pmap) removeIf(va param.VAddr, only *phys.Page) {
 		p.mu.Unlock()
 		return
 	}
-	delete(p.pt, va)
-	p.ptRegionRefLocked(va, -1)
-	if pte.Wired {
-		p.wired--
-	}
-	b := p.mmu.bucketOf(pte.Page)
+	op := p.dropPTLocked(va, pte)
+	b := &p.mmu.buckets[op.bucket]
 	p.mmu.lockBucket(b)
-	b.removeLocked(pte.Page, p, va)
+	b.removeLocked(op.pg, p, va)
 	b.mu.Unlock()
 	p.mu.Unlock()
 
@@ -477,17 +517,28 @@ func (p *Pmap) Protect(start, end param.VAddr, prot param.Prot) {
 func (p *Pmap) Extract(va param.VAddr) (PTE, bool) {
 	p.mmu.clock.Advance(p.mmu.costs.PmapExtract)
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	pte, ok := p.pt[param.Trunc(va)]
+	p.mu.Unlock()
 	return pte, ok
 }
 
-// Lookup is Extract without the cost charge, for assertions and tests.
+// Lookup is Extract without the cost charge: the fault path's checks of
+// whether a lookahead neighbour is already mapped and its re-check of a
+// translation it has already paid to walk to, and assertions.
 func (p *Pmap) Lookup(va param.VAddr) (PTE, bool) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.lookups++
 	pte, ok := p.pt[param.Trunc(va)]
+	p.mu.Unlock()
 	return pte, ok
+}
+
+// Lookups returns how many Lookup calls the pmap has served. Tests fence
+// the fault path's lookup traffic with it.
+func (p *Pmap) Lookups() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lookups
 }
 
 // ChangeWiring flips the pmap-level wired attribute of va's translation.
@@ -564,25 +615,28 @@ func (p *Pmap) RemoveAll() {
 // pg's own pv bucket is locked (to snapshot the mapping list), so
 // PageProtect calls on pages in different buckets do not contend.
 func (m *MMU) PageProtect(pg *phys.Page, prot param.Prot) {
+	var buf [8]phys.PVEntry // the snapshot of a page mapped this often stays on the stack
+	entries := buf[:0]
 	b := m.bucketOf(pg)
 	m.lockBucket(b)
-	entries := append([]pv(nil), b.rev[pg]...)
+	if l := &pg.PV; l.First.Pmap != nil {
+		entries = append(append(entries, l.First), l.More...)
+	}
 	b.mu.Unlock()
 
-	if prot == param.ProtNone {
-		for _, e := range entries {
-			e.pm.removeIf(e.va, pg)
-		}
-		return
-	}
 	for _, e := range entries {
-		e.pm.mu.Lock()
-		if pte, ok := e.pm.pt[e.va]; ok && pte.Page == pg {
+		pm := pvOwner(e)
+		if prot == param.ProtNone {
+			pm.removeIf(e.VA, pg)
+			continue
+		}
+		pm.mu.Lock()
+		if pte, ok := pm.pt[e.VA]; ok && pte.Page == pg {
 			m.clock.Advance(m.costs.PmapProtect)
 			pte.Prot &= prot
-			e.pm.pt[e.va] = pte
+			pm.pt[e.VA] = pte
 		}
-		e.pm.mu.Unlock()
+		pm.mu.Unlock()
 	}
 }
 
@@ -591,7 +645,10 @@ func (m *MMU) PageMappings(pg *phys.Page) int {
 	b := m.bucketOf(pg)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.rev[pg])
+	if pg.PV.First.Pmap == nil {
+		return 0
+	}
+	return 1 + len(pg.PV.More)
 }
 
 // PageReferenced gathers and clears the simulated reference bit for pg.

@@ -30,8 +30,9 @@ type pvKey struct {
 // checkInverse asserts that the pv table and the page tables of pmaps are
 // mutual inverses. It takes the same locks the pmap layer does, so it is
 // safe to call while the fixture is quiescent (no concurrent mutators).
-func checkInverse(t *testing.T, mmu *MMU, pmaps []*Pmap) {
+func checkInverse(t *testing.T, f *fixture, pmaps []*Pmap) {
 	t.Helper()
+	mmu := f.mmu
 
 	// Forward direction: every PTE, and the wired bookkeeping with it.
 	want := make(map[pvKey]*phys.Page)
@@ -50,26 +51,43 @@ func checkInverse(t *testing.T, mmu *MMU, pmaps []*Pmap) {
 		pm.mu.Unlock()
 	}
 
-	// Reverse direction: every pv entry, checking bucket placement and
-	// duplicates along the way.
+	// Reverse direction: every pv entry of every frame, checking the
+	// list's shape, the bucket census and duplicates along the way.
 	got := make(map[pvKey]*phys.Page)
+	var census [pvShards]int
+	f.mem.ForEachFrame(func(pg *phys.Page) bool {
+		b := mmu.bucketOf(pg)
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		list := pg.PV.More
+		if pg.PV.First.Pmap != nil {
+			list = append([]phys.PVEntry{pg.PV.First}, list...)
+		} else if len(list) > 0 {
+			t.Errorf("page PA=%#x has %d overflow pv entries behind an empty inline slot", pg.PA, len(list))
+		}
+		for _, e := range pg.PV.More[len(pg.PV.More):cap(pg.PV.More)] {
+			if e.Pmap != nil {
+				t.Errorf("page PA=%#x keeps %v alive from its pv list's spare capacity", pg.PA, e.Pmap)
+			}
+		}
+		census[mmu.bucketIndex(pg)] += len(list)
+		for _, e := range list {
+			k := pvKey{pvOwner(e), e.VA}
+			if k.pm == nil {
+				t.Errorf("page PA=%#x has an empty pv entry inside its list", pg.PA)
+			}
+			if _, dup := got[k]; dup {
+				t.Errorf("duplicate pv entry for %v va=%#x", k.pm, k.va)
+			}
+			got[k] = pg
+		}
+		return true
+	})
 	for i := range mmu.buckets {
 		b := &mmu.buckets[i]
 		b.mu.Lock()
-		for pg, list := range b.rev {
-			if mmu.bucketIndex(pg) != i {
-				t.Errorf("page PA=%#x filed in bucket %d, hashes to %d", pg.PA, i, mmu.bucketIndex(pg))
-			}
-			if len(list) == 0 {
-				t.Errorf("page PA=%#x retains an empty pv list", pg.PA)
-			}
-			for _, e := range list {
-				k := pvKey{e.pm, e.va}
-				if _, dup := got[k]; dup {
-					t.Errorf("duplicate pv entry for %v va=%#x", e.pm, e.va)
-				}
-				got[k] = pg
-			}
+		if b.n != census[i] {
+			t.Errorf("bucket %d counts %d pv entries, its frames hold %d", i, b.n, census[i])
 		}
 		b.mu.Unlock()
 	}
@@ -196,10 +214,10 @@ func TestPVInverseDeterministic(t *testing.T) {
 			for step := 0; step < 4000; step++ {
 				fuzzers[step%len(fuzzers)].step()
 				if step%500 == 499 {
-					checkInverse(t, f.mmu, pvPmaps(fuzzers))
+					checkInverse(t, f, pvPmaps(fuzzers))
 				}
 			}
-			checkInverse(t, f.mmu, pvPmaps(fuzzers))
+			checkInverse(t, f, pvPmaps(fuzzers))
 		})
 	}
 }
@@ -219,7 +237,7 @@ func TestPVInverseConcurrent(t *testing.T) {
 				}(fz)
 			}
 			wg.Wait()
-			checkInverse(t, f.mmu, pvPmaps(fuzzers))
+			checkInverse(t, f, pvPmaps(fuzzers))
 		})
 	}
 }
@@ -274,7 +292,7 @@ func TestEnterBatchMatchesEnter(t *testing.T) {
 			t.Fatalf("va %#x: single %+v/%v vs batched %+v/%v", va, sp, sok, bp, bok)
 		}
 	}
-	checkInverse(t, batched.mmu, []*Pmap{bpm})
+	checkInverse(t, batched, []*Pmap{bpm})
 }
 
 // TestEnterBatchUnalignedPanics pins the batch path's alignment guard:

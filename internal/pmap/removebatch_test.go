@@ -73,7 +73,7 @@ func TestRemoveBatchMatchesRemove(t *testing.T) {
 			if lt, bt := loop.f.mmu.clock.Now(), batch.f.mmu.clock.Now(); lt != bt {
 				t.Fatalf("simulated time diverged: loop %v vs batch %v", lt, bt)
 			}
-			checkInverse(t, batch.f.mmu, []*Pmap{batch.pm})
+			checkInverse(t, batch.f, []*Pmap{batch.pm})
 		})
 	}
 }

@@ -61,16 +61,7 @@ func (s *Stats) Max(name string, v int64) {
 		}
 		cv, _ = s.m.LoadOrStore(name, new(int64))
 	}
-	c := cv.(*int64)
-	for {
-		cur := atomic.LoadInt64(c)
-		if v <= cur {
-			return
-		}
-		if atomic.CompareAndSwapInt64(c, cur, v) {
-			return
-		}
-	}
+	Counter{v: cv.(*int64)}.Max(v)
 }
 
 // Counter is a cached handle to one counter cell, for hot paths that bump
@@ -89,6 +80,16 @@ func (c Counter) Inc() { atomic.AddInt64(c.v, 1) }
 
 // Add increments the counter by delta.
 func (c Counter) Add(delta int64) { atomic.AddInt64(c.v, delta) }
+
+// Max raises the counter to v if v is greater than its current value.
+func (c Counter) Max(v int64) {
+	for {
+		cur := atomic.LoadInt64(c.v)
+		if v <= cur || atomic.CompareAndSwapInt64(c.v, cur, v) {
+			return
+		}
+	}
+}
 
 // Snapshot returns a copy of all counters.
 func (s *Stats) Snapshot() map[string]int64 {

@@ -45,8 +45,8 @@ func (a *anon) String() string {
 
 func (s *System) newAnon() *anon {
 	s.mach.Clock.Advance(s.mach.Costs.AnonAlloc)
-	s.mach.Stats.Inc("uvm.anon.alloc")
-	s.mach.Stats.Inc("uvm.anon.live")
+	s.ctrAnonAlloc.Inc()
+	s.ctrAnonLive.Inc()
 	return &anon{refs: 1, swslot: swap.NoSlot}
 }
 
@@ -84,23 +84,23 @@ func (s *System) anonUnref(a *anon) {
 		s.mach.Swap.Free(slot)
 	}
 	s.mach.Clock.Advance(s.mach.Costs.AnonFree)
-	s.mach.Stats.Add("uvm.anon.live", -1)
+	s.ctrAnonLive.Add(-1)
 }
 
 // dropAnonPage releases a dying anon's hold on pg. The keep-or-free
 // decision races with concurrent loan returns, so it is made atomically
-// under the page identity lock.
+// under the page identity lock. On every path the page's translations
+// are removed once, and a frame that is freed leaves its paging queue in
+// Mem.Free.
 func (s *System) dropAnonPage(pg *phys.Page, loanedView bool) {
-	freeIt := false
+	freeIt, unmapped := false, false
 	pg.WithIdentity(func(owner any) {
 		switch {
 		case loanedView:
 			// This anon merely borrowed the page: drop the loan; free the
 			// frame only if the true owner is already gone and we were
 			// the last borrower.
-			if pg.LoanCount.Add(-1) == 0 && owner == nil {
-				freeIt = true
-			}
+			freeIt = pg.LoanCount.Add(-1) == 0 && owner == nil
 		case pg.LoanCount.Load() > 0:
 			// Dying owner of a loaned-out page: orphan the frame. The
 			// borrowers keep the data; the last of them frees it. If the
@@ -109,21 +109,17 @@ func (s *System) dropAnonPage(pg *phys.Page, loanedView bool) {
 			pg.Orphan()
 			s.mach.MMU.PageProtect(pg, param.ProtNone)
 			s.mach.Mem.Dequeue(pg)
-			if pg.LoanCount.Load() == 0 {
-				freeIt = true
-			}
+			unmapped = true
+			freeIt = pg.LoanCount.Load() == 0
 		default:
-			s.mach.MMU.PageProtect(pg, param.ProtNone)
-			s.mach.Mem.Dequeue(pg)
-			if pg.WireCount.Load() > 0 {
-				pg.WireCount.Store(0)
-			}
+			pg.WireCount.Store(0)
 			freeIt = true
 		}
 	})
 	if freeIt {
-		s.mach.MMU.PageProtect(pg, param.ProtNone)
-		s.mach.Mem.Dequeue(pg)
+		if !unmapped {
+			s.mach.MMU.PageProtect(pg, param.ProtNone)
+		}
 		s.mach.Mem.Free(pg)
 	}
 }
@@ -190,8 +186,8 @@ func (s *System) newAmap(nslots int) *amap {
 	if s.cfg.AmapImpl == AmapArray || nslots <= hybridThresholdSlots {
 		s.mach.Clock.ChargeN(nslots, s.mach.Costs.AmapPerSlot)
 	}
-	s.mach.Stats.Inc("uvm.amap.alloc")
-	s.mach.Stats.Inc("uvm.amap.live")
+	s.ctrAmapAlloc.Inc()
+	s.ctrAmapLive.Inc()
 	return &amap{impl: s.newAmapImpl(nslots), refs: 1}
 }
 
@@ -227,7 +223,7 @@ func (s *System) amapUnref(am *amap) {
 		return true
 	})
 	am.mu.Unlock()
-	s.mach.Stats.Add("uvm.amap.live", -1)
+	s.ctrAmapLive.Add(-1)
 }
 
 // amapCopy clears an entry's needs-copy flag (§5.2, Figure 3):

@@ -19,6 +19,19 @@ func TestCachedCounterHandlesFeedStats(t *testing.T) {
 		name string
 		ctr  sim.Counter
 	}{
+		{sim.CtrFaults, s.ctrFaults},
+		{sim.CtrFaultsRead, s.ctrFaultsRead},
+		{sim.CtrFaultsWrite, s.ctrFaultsWrite},
+		{"uvm.anon.alloc", s.ctrAnonAlloc},
+		{"uvm.anon.live", s.ctrAnonLive},
+		{"uvm.amap.alloc", s.ctrAmapAlloc},
+		{"uvm.amap.live", s.ctrAmapLive},
+		{"uvm.mapentry.alloc", s.ctrEntryAlloc},
+		{"uvm.mapentry.live", s.ctrEntryLive},
+		{"uvm.lookahead.mapped", s.ctrLookaheadMapped},
+		{"uvm.cow.copies", s.ctrCowCopies},
+		{"uvm.map.lockheld_ns", s.ctrMapLockHeld},
+		{"uvm.map.lockheld_max_ns", s.ctrMapLockHeldMax},
 		{sim.CtrPageIns, s.ctrPageIns},
 		{sim.CtrPageOuts, s.ctrPageOuts},
 		{sim.CtrObjWbClusters, s.ctrObjWbClusters},

@@ -1,10 +1,12 @@
 package uvm
 
 import (
+	"sync"
+
+	"uvm/internal/control"
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/pmap"
-	"uvm/internal/sim"
 	"uvm/internal/swap"
 	"uvm/internal/vmapi"
 )
@@ -33,12 +35,12 @@ import (
 // lock is released (the copyin/copyout tail, see Process.access).
 func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*phys.Page)) error {
 	s.mach.Clock.Advance(s.mach.Costs.FaultTrap)
-	s.mach.Stats.Inc(sim.CtrFaults)
+	s.ctrFaults.Inc()
 	write := access.Allows(param.ProtWrite)
 	if write {
-		s.mach.Stats.Inc(sim.CtrFaultsWrite)
+		s.ctrFaultsWrite.Inc()
 	} else {
-		s.mach.Stats.Inc(sim.CtrFaultsRead)
+		s.ctrFaultsRead.Inc()
 	}
 
 	m := p.m
@@ -79,7 +81,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 		}
 	}
 
-	pg, prot, release, err := s.faultResolve(p, e, va, write)
+	pg, prot, owner, err := s.faultResolve(p, e, va, write)
 	if err != nil {
 		unlockMap()
 		return err
@@ -100,7 +102,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 	if use != nil {
 		use(pg)
 	}
-	release()
+	owner.Unlock()
 
 	if !s.cfg.DisableLookahead {
 		s.lookahead(p, e, va)
@@ -110,10 +112,10 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 }
 
 // faultResolve finds (or creates) the page for va and decides the
-// hardware protection to map it with. On success the returned release
-// func holds the page owner's lock until the caller has entered the
-// mapping; the caller must invoke it exactly once.
-func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) (*phys.Page, param.Prot, func(), error) {
+// hardware protection to map it with. On success it returns, still
+// locked, the mutex of the page's owner (its anon or object): the caller
+// unlocks it once it has entered the mapping.
+func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) (*phys.Page, param.Prot, *sync.Mutex, error) {
 	for {
 		// ---- Layer 1: the amap (anonymous) layer. ----
 		if am := e.amap; am != nil {
@@ -182,7 +184,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 				na.mu.Lock() // hold the anon across the pmap entry
 				am.mu.Unlock()
 				o.mu.Unlock()
-				return np, e.prot, func() { na.mu.Unlock() }, nil
+				return np, e.prot, &na.mu, nil
 			}
 			if write {
 				if pg.Loaned() {
@@ -201,13 +203,13 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 					pg = np2
 				}
 				pg.Dirty.Store(true)
-				return pg, e.prot, func() { o.mu.Unlock() }, nil
+				return pg, e.prot, &o.mu, nil
 			}
 			prot := e.prot
 			if e.cow {
 				prot &^= param.ProtWrite // future writes must fault
 			}
-			return pg, prot, func() { o.mu.Unlock() }, nil
+			return pg, prot, &o.mu, nil
 		}
 
 		// ---- Layer 3: pure zero-fill (the amap was materialised before
@@ -228,7 +230,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 		am.impl.set(e.slotOf(va), na)
 		na.mu.Lock()
 		am.mu.Unlock()
-		return np, e.prot, func() { na.mu.Unlock() }, nil
+		return np, e.prot, &na.mu, nil
 	}
 }
 
@@ -251,9 +253,9 @@ func (s *System) newAnonPage(zero bool) (*anon, *phys.Page, error) {
 }
 
 // faultAnon resolves a fault that hit an anon in the amap layer. Called
-// with am.mu held; on success the returned release func unlocks the
-// resolved page's anon.
-func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*phys.Page, param.Prot, func(), error) {
+// with am.mu held; on success it returns the resolved page's anon mutex,
+// locked, as faultResolve does.
+func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*phys.Page, param.Prot, *sync.Mutex, error) {
 	a.mu.Lock()
 	if a.page == nil {
 		if err := s.anonPagein(am, a, slot); err != nil {
@@ -269,7 +271,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 			prot &^= param.ProtWrite
 		}
 		am.mu.Unlock()
-		return pg, prot, func() { a.mu.Unlock() }, nil
+		return pg, prot, &a.mu, nil
 	}
 	if a.refs == 1 && !pg.Loaned() {
 		// Sole owner: write in place. (BSD VM in the same situation
@@ -282,7 +284,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 			a.swslot = swap.NoSlot
 		}
 		am.mu.Unlock()
-		return pg, e.prot, func() { a.mu.Unlock() }, nil
+		return pg, e.prot, &a.mu, nil
 	}
 	// Copy-on-write: copy the data to a newly allocated anon and drop the
 	// reference to the original (§5.2). Also the loan-break path: writing
@@ -304,22 +306,32 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	s.anonUnref(a)
 	na.mu.Lock() // hold the fresh anon across the pmap entry
 	am.mu.Unlock()
-	s.mach.Stats.Inc("uvm.cow.copies")
-	return np, e.prot, func() { na.mu.Unlock() }, nil
+	s.ctrCowCopies.Inc()
+	return np, e.prot, &na.mu, nil
 }
+
+// lookaheadStack is how many neighbours lookahead collects on its own
+// stack: the deepest advice window (sequential, 8 ahead) plus the control
+// plane's largest boost. Only a wider window than that spills to the heap.
+const lookaheadStack = 8 + control.MaxLookaheadBoost
 
 // lookahead maps in resident neighbour pages around a fault (§5.4). Only
 // pages already resident are touched — "this mechanism only works for
 // resident pages"; nothing is paged in.
 //
-// The window is resolved as a batch: one amap lock acquisition and at
-// most one object lock acquisition cover every candidate (instead of
-// re-acquiring per neighbour), and the translations enter the pmap
-// through one Pmap.EnterBatch, which takes the pmap mutex and each pv
-// bucket once for the whole window. Every collected page's owner (anon
-// or object) stays locked from collection through the batch entry, so
-// reclaim — which TryLocks owners — can never free a collected page
-// before it is mapped.
+// The window is resolved owner-first, as a batch: under one amap lock
+// acquisition (and at most one object lock acquisition) each VA of the
+// window is first asked for a resident neighbour — its amap slot, else
+// its object page — and only a VA that has one is then looked up in the
+// pmap, to drop it if it is already mapped. A window with nothing to map
+// — every fault of a fresh zero-fill region faulted front to back, as far
+// as the pages ahead go — costs the one amap lock and no pmap lookup. The
+// survivors enter the pmap through one Pmap.EnterBatch, which takes the
+// pmap mutex and each pv bucket once for the whole window. Every
+// collected page's owner (anon or object) stays locked from collection
+// through the batch entry, so reclaim — which TryLocks owners — can never
+// free a collected page before it is mapped. The batch and the list of
+// locked anons are built in fixed-size arrays on the stack.
 //
 // Lookahead is opportunistic — a neighbour it cannot have cheaply is a
 // neighbour skipped — so owners are acquired with TryLock only: a busy
@@ -365,29 +377,20 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 		hi = e.end
 	}
 
-	// Candidate VAs: the window minus the faulting page and anything the
-	// pmap already maps.
-	var vas []param.VAddr
-	for va := lo; va < hi; va += param.PageSize {
-		if va == base {
-			continue
-		}
-		if _, ok := p.pm.Lookup(va); ok {
-			continue
-		}
-		vas = append(vas, va)
-	}
-	if len(vas) == 0 {
-		return
-	}
-
-	batch := make([]pmap.BatchEntry, 0, len(vas))
-	var lockedAnons []*anon
+	var (
+		batchBuf [lookaheadStack]pmap.BatchEntry
+		anonBuf  [lookaheadStack]*anon
+	)
+	batch := batchBuf[:0]
+	lockedAnons := anonBuf[:0]
 	o := e.obj
 	objHeld := false
 	if am := e.amap; am != nil {
 		am.mu.Lock()
-		for _, va := range vas {
+		for va := lo; va < hi; va += param.PageSize {
+			if va == base {
+				continue
+			}
 			if a := am.impl.get(e.slotOf(va)); a != nil {
 				// The anon owns this VA even when swapped out — never
 				// fall through to the (possibly stale) object copy
@@ -395,7 +398,7 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 				if !a.mu.TryLock() {
 					continue
 				}
-				if a.page == nil || a.page.WireCount.Load() > 0 {
+				if a.page == nil || a.page.WireCount.Load() > 0 || p.mapped(va) {
 					a.mu.Unlock()
 					continue
 				}
@@ -420,7 +423,7 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 				}
 				objHeld = true // held through EnterBatch
 			}
-			if be, ok := s.lookaheadObjPage(e, o, va); ok {
+			if be, ok := s.lookaheadObjPage(p, e, o, va); ok {
 				batch = append(batch, be)
 			}
 		}
@@ -428,8 +431,11 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 	} else if o != nil {
 		o.mu.Lock() // in order: nothing else is held
 		objHeld = true
-		for _, va := range vas {
-			if be, ok := s.lookaheadObjPage(e, o, va); ok {
+		for va := lo; va < hi; va += param.PageSize {
+			if va == base {
+				continue
+			}
+			if be, ok := s.lookaheadObjPage(p, e, o, va); ok {
 				batch = append(batch, be)
 			}
 		}
@@ -451,7 +457,7 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 				s.mach.Mem.Activate(be.Page)
 			}
 		}
-		s.mach.Stats.Add("uvm.lookahead.mapped", int64(len(batch)))
+		s.ctrLookaheadMapped.Add(int64(len(batch)))
 	}
 	for _, a := range lockedAnons {
 		a.mu.Unlock()
@@ -461,12 +467,18 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 	}
 }
 
-// lookaheadObjPage finds the resident object page for one candidate VA
-// of the lookahead window. Called with o.mu held; the caller keeps it
-// held until after the batched pmap entry.
-func (s *System) lookaheadObjPage(e *entry, o *uobject, va param.VAddr) (pmap.BatchEntry, bool) {
+// mapped reports whether the process already has a translation for va.
+func (p *Process) mapped(va param.VAddr) bool {
+	_, ok := p.pm.Lookup(va)
+	return ok
+}
+
+// lookaheadObjPage finds the resident object page for one VA of the
+// lookahead window, if the VA is not mapped already. Called with o.mu
+// held; the caller keeps it held until after the batched pmap entry.
+func (s *System) lookaheadObjPage(p *Process, e *entry, o *uobject, va param.VAddr) (pmap.BatchEntry, bool) {
 	op, ok := o.pages[e.objIndex(va)]
-	if !ok || op.Busy.Load() || op.WireCount.Load() > 0 {
+	if !ok || op.Busy.Load() || op.WireCount.Load() > 0 || p.mapped(va) {
 		return pmap.BatchEntry{}, false
 	}
 	prot := e.prot

@@ -103,7 +103,6 @@ func (s *System) unloan(pages []*phys.Page) {
 		})
 		if freeIt {
 			s.mach.MMU.PageProtect(pg, param.ProtNone)
-			s.mach.Mem.Dequeue(pg)
 			s.mach.Mem.Free(pg)
 		}
 	}

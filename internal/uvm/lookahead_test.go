@@ -299,3 +299,39 @@ func TestLookaheadSkipsNeighbourEvictedBeforeFault(t *testing.T) {
 		t.Fatalf("swap round trip corrupted the neighbour: %#x...", got[0])
 	}
 }
+
+// TestLookaheadFreshRegionLooksUpNothingAhead fences the owner-first
+// order: lookahead asks the amap for a resident neighbour before it asks
+// the pmap whether the VA is already mapped. Faulting a fresh zero-fill
+// region front to back, the pages ahead of each fault have no anon yet,
+// so they cost no pmap lookup at all; only the (up to three) resident
+// pages behind it are looked up — and found mapped, so nothing is
+// entered. Asking the pmap first costs a lookup per window page.
+func TestLookaheadFreshRegionLooksUpNothingAhead(t *testing.T) {
+	s, m := bootTest(t, 256)
+	p := newProc(t, s, "fresh")
+	const npages = 16
+	va, err := p.Mmap(0, npages*param.PageSize, param.ProtRW,
+		vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, behind := param.AdviceNormal.Lookahead()
+	before, want := p.pm.Lookups(), uint64(0)
+	for i := 0; i < npages; i++ {
+		if err := p.Access(va+param.VAddr(i)*param.PageSize, true); err != nil {
+			t.Fatal(err)
+		}
+		want += uint64(min(i, behind))
+	}
+	if got := p.pm.Lookups() - before; got != want {
+		t.Errorf("%d pmap lookups over %d front-to-back faults, want %d (resident pages behind the fault only)",
+			got, npages, want)
+	}
+	if got := m.Stats.Get("uvm.lookahead.mapped"); got != 0 {
+		t.Errorf("lookahead mapped %d pages of a region with nothing to map", got)
+	}
+	if got := p.pm.ResidentCount(); got != npages {
+		t.Errorf("%d translations after faulting %d pages", got, npages)
+	}
+}

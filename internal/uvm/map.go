@@ -112,8 +112,8 @@ func (m *vmMap) lockNoCharge() {
 
 func (m *vmMap) unlock() {
 	held := m.sys.mach.Clock.Since(m.lockedAt)
-	m.sys.mach.Stats.Add("uvm.map.lockheld_ns", int64(held))
-	m.sys.mach.Stats.Max("uvm.map.lockheld_max_ns", int64(held))
+	m.sys.ctrMapLockHeld.Add(int64(held))
+	m.sys.ctrMapLockHeldMax.Max(int64(held))
 	m.mu.Unlock()
 }
 
@@ -134,8 +134,8 @@ func (s *System) allocEntry(m *vmMap) *entry {
 		}
 	}
 	s.mach.Clock.Advance(s.mach.Costs.MapEntryAlloc)
-	s.mach.Stats.Inc("uvm.mapentry.alloc")
-	s.mach.Stats.Inc("uvm.mapentry.live")
+	s.ctrEntryAlloc.Inc()
+	s.ctrEntryLive.Inc()
 	return &entry{inherit: param.InheritCopy, advice: param.AdviceNormal}
 }
 
@@ -144,7 +144,7 @@ func (s *System) freeEntry(m *vmMap, e *entry) {
 		s.kentryUse.Add(-1)
 	}
 	s.mach.Clock.Advance(s.mach.Costs.MapEntryFree)
-	s.mach.Stats.Add("uvm.mapentry.live", -1)
+	s.ctrEntryLive.Add(-1)
 }
 
 func (m *vmMap) insert(e *entry) {

@@ -158,7 +158,6 @@ func (s *System) vnodeRecycled(o *uobject) {
 func (s *System) freeObjectPage(o *uobject, idx int, pg *phys.Page) {
 	s.mach.MMU.PageProtect(pg, param.ProtNone)
 	delete(o.pages, idx)
-	s.mach.Mem.Dequeue(pg)
 	if pg.WireCount.Load() > 0 {
 		pg.WireCount.Store(0)
 	}
@@ -308,7 +307,6 @@ func (dp *devPager) detach(o *uobject) {
 	for _, pg := range dp.frames {
 		pg.WireCount.Store(0)
 		dp.sys.mach.MMU.PageProtect(pg, param.ProtNone)
-		dp.sys.mach.Mem.Dequeue(pg)
 		dp.sys.mach.Mem.Free(pg)
 	}
 	o.pages = make(map[int]*phys.Page)

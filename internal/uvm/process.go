@@ -119,8 +119,7 @@ func (p *Process) Mincore(addr param.VAddr, length param.VSize) ([]bool, error) 
 	end := param.Round(addr + param.VAddr(length))
 	out := make([]bool, 0, (end-start)>>param.PageShift)
 	for va := start; va < end; va += param.PageSize {
-		_, ok := p.pm.Lookup(va)
-		out = append(out, ok)
+		out = append(out, p.mapped(va))
 	}
 	return out, nil
 }

@@ -298,9 +298,23 @@ type System struct {
 	kmap      *vmMap
 	kentryUse atomic.Int32
 
-	// Cached counter handles for per-page loop paths, resolved once at
-	// boot so the hot loops skip the string-keyed Stats lookup (the
-	// counterhandle analyzer enforces this idiom).
+	// Cached counter handles for the fault path and the per-page loop
+	// paths, resolved once at boot so they skip the string-keyed Stats
+	// lookup (the counterhandle analyzer enforces this idiom in loops).
+	ctrFaults          sim.Counter
+	ctrFaultsRead      sim.Counter
+	ctrFaultsWrite     sim.Counter
+	ctrAnonAlloc       sim.Counter
+	ctrAnonLive        sim.Counter
+	ctrAmapAlloc       sim.Counter
+	ctrAmapLive        sim.Counter
+	ctrEntryAlloc      sim.Counter
+	ctrEntryLive       sim.Counter
+	ctrLookaheadMapped sim.Counter
+	ctrCowCopies       sim.Counter
+	ctrMapLockHeld     sim.Counter
+	ctrMapLockHeldMax  sim.Counter
+
 	ctrPageIns        sim.Counter
 	ctrPageOuts       sim.Counter
 	ctrObjWbClusters  sim.Counter
@@ -362,6 +376,19 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 		cfg:   cfg,
 		procs: make(map[*Process]struct{}),
 	}
+	s.ctrFaults = m.Stats.Counter(sim.CtrFaults)
+	s.ctrFaultsRead = m.Stats.Counter(sim.CtrFaultsRead)
+	s.ctrFaultsWrite = m.Stats.Counter(sim.CtrFaultsWrite)
+	s.ctrAnonAlloc = m.Stats.Counter("uvm.anon.alloc")
+	s.ctrAnonLive = m.Stats.Counter("uvm.anon.live")
+	s.ctrAmapAlloc = m.Stats.Counter("uvm.amap.alloc")
+	s.ctrAmapLive = m.Stats.Counter("uvm.amap.live")
+	s.ctrEntryAlloc = m.Stats.Counter("uvm.mapentry.alloc")
+	s.ctrEntryLive = m.Stats.Counter("uvm.mapentry.live")
+	s.ctrLookaheadMapped = m.Stats.Counter("uvm.lookahead.mapped")
+	s.ctrCowCopies = m.Stats.Counter("uvm.cow.copies")
+	s.ctrMapLockHeld = m.Stats.Counter("uvm.map.lockheld_ns")
+	s.ctrMapLockHeldMax = m.Stats.Counter("uvm.map.lockheld_max_ns")
 	s.ctrPageIns = m.Stats.Counter(sim.CtrPageIns)
 	s.ctrPageOuts = m.Stats.Counter(sim.CtrPageOuts)
 	s.ctrObjWbClusters = m.Stats.Counter(sim.CtrObjWbClusters)
