@@ -39,9 +39,9 @@ type Disk struct {
 	//uvm:lock disk
 	mu      sync.Mutex
 	nblocks int64
-	blocks  map[int64][]byte // lazily allocated; absent block reads as zeros
-	head    int64            // block the head sits after (sequential detection)
-	nextfit int64            // bump pointer for Alloc
+	blocks  [][]byte // by block; filled on first write, a nil block reads as zeros
+	head    int64    // block the head sits after (sequential detection)
+	nextfit int64    // bump pointer for Alloc
 
 	// plan, when non-nil, is the declarative fault schedule consulted
 	// before every command (see faultplan.go). Installed by SetFaultPlan.
@@ -59,6 +59,11 @@ type Disk struct {
 	// exactly like a plan-injected error.
 	FailRead  func(block int64) error
 	FailWrite func(block int64) error
+
+	// Cached handles for the counters every command bumps.
+	ctrReads, ctrPagesRead     sim.Counter
+	ctrWrites, ctrPagesWritten sim.Counter
+	ctrSeeks                   sim.Counter
 }
 
 // New creates a disk with nblocks page-sized blocks.
@@ -71,8 +76,14 @@ func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, nblocks int64) *D
 		costs:   costs,
 		stats:   stats,
 		nblocks: nblocks,
-		blocks:  make(map[int64][]byte),
+		blocks:  make([][]byte, nblocks),
 		head:    -1,
+
+		ctrReads:        stats.Counter(sim.CtrDiskReads),
+		ctrPagesRead:    stats.Counter(sim.CtrDiskPagesRead),
+		ctrWrites:       stats.Counter(sim.CtrDiskWrites),
+		ctrPagesWritten: stats.Counter(sim.CtrDiskPagesWrite),
+		ctrSeeks:        stats.Counter(sim.CtrDiskSeeks),
 	}
 }
 
@@ -183,8 +194,8 @@ func (d *Disk) ReadPages(start int64, bufs [][]byte) error {
 		return err
 	}
 	d.charge(start, k)
-	d.stats.Inc(sim.CtrDiskReads)
-	d.stats.Add(sim.CtrDiskPagesRead, int64(k))
+	d.ctrReads.Inc()
+	d.ctrPagesRead.Add(int64(k))
 	d.readBlocks(start, bufs[:k])
 	if err != nil {
 		d.stats.Inc("disk.errors")
@@ -214,8 +225,8 @@ func (d *Disk) WritePages(start int64, data [][]byte) error {
 		return err
 	}
 	d.charge(start, k)
-	d.stats.Inc(sim.CtrDiskWrites)
-	d.stats.Add(sim.CtrDiskPagesWrite, int64(k))
+	d.ctrWrites.Inc()
+	d.ctrPagesWritten.Add(int64(k))
 	d.writeBlocks(start, data[:k])
 	if err != nil {
 		d.stats.Inc("disk.errors")
@@ -255,12 +266,10 @@ func (d *Disk) WritePagesDeferred(start int64, data [][]byte) error {
 // already validated, charged and counted the transfer.
 func (d *Disk) readBlocks(start int64, bufs [][]byte) {
 	for i, buf := range bufs {
-		if src, ok := d.blocks[start+int64(i)]; ok {
+		if src := d.blocks[start+int64(i)]; src != nil {
 			copy(buf, src)
 		} else {
-			for j := range buf {
-				buf[j] = 0
-			}
+			clear(buf)
 		}
 	}
 }
@@ -270,12 +279,10 @@ func (d *Disk) readBlocks(start int64, bufs [][]byte) {
 func (d *Disk) writeBlocks(start int64, data [][]byte) {
 	for i, src := range data {
 		blk := start + int64(i)
-		dst, ok := d.blocks[blk]
-		if !ok {
-			dst = make([]byte, param.PageSize)
-			d.blocks[blk] = dst
+		if d.blocks[blk] == nil {
+			d.blocks[blk] = make([]byte, param.PageSize)
 		}
-		copy(dst, src)
+		copy(d.blocks[blk], src)
 	}
 }
 
@@ -299,7 +306,7 @@ func (d *Disk) charge(start int64, n int) {
 	d.clock.Advance(d.costs.DiskOp)
 	if d.head != start {
 		d.clock.Advance(d.costs.DiskSeek)
-		d.stats.Inc(sim.CtrDiskSeeks)
+		d.ctrSeeks.Inc()
 	}
 	d.clock.ChargeN(n, d.costs.DiskPageIO)
 	d.head = start + int64(n)

@@ -41,8 +41,8 @@ const reclaimBWProducers = 4
 // reclaimBWTunings returns the pipeline stages the experiment contrasts.
 func reclaimBWTunings() []NamedBooter {
 	async1, async4 := reclaimPipeline(4), reclaimPipeline(4)
-	async1.ReclaimWorkers, async1.PageinCluster = 0, 0
-	async4.PageinCluster = 0
+	async1.ReclaimWorkers, async1.PageinCluster = 0, 1
+	async4.PageinCluster = 1
 	return []NamedBooter{
 		tuned("sync-1w", uvm.DefaultConfig()),
 		tuned("async-1w", async1),

@@ -560,11 +560,24 @@ func (m *Mem) ScanInactive(max int, fn func(*Page) bool) {
 	m.ScanInactiveRange(0, numShards, max, fn)
 }
 
+// scanStack is how many snapshot candidates ScanInactiveRange keeps on its
+// own stack; a larger snapshot spills to the heap.
+const scanStack = 512
+
 // ScanInactiveRange is ScanInactive restricted to queue shards
 // [loShard, hiShard): it visits up to max inactive pages homed in those
 // shards, merged to the LRU order of the covered subset. Parallel reclaim
 // workers each scan a disjoint range, so they never hand one another the
 // same page; with the full range it is exactly ScanInactive.
+//
+// Each shard's candidates are snapshotted under its lock into one segment
+// of a shared buffer. A segment is in queue order, which is stamp order
+// except where two goroutines stamped and then queued in opposite order,
+// so it is put right in place — nearly free on an already ordered
+// segment. The visit is then a lazy merge of the segments' heads: it
+// costs one pass over the shard heads per page handed to fn and stops
+// when fn does, so a scan that wanted only the first few pages never
+// orders the rest.
 func (m *Mem) ScanInactiveRange(loShard, hiShard, max int, fn func(*Page) bool) {
 	if loShard < 0 {
 		loShard = 0
@@ -574,41 +587,49 @@ func (m *Mem) ScanInactiveRange(loShard, hiShard, max int, fn func(*Page) bool) 
 	}
 	// The LRU stamp is copied out while the shard lock is held: p.seq is
 	// re-stamped (under other shard locks) whenever a page moves queues,
-	// so the sort below must not touch the live field.
+	// so the merge below must not touch the live field.
 	type candidate struct {
 		p   *Page
 		seq uint64
 	}
-	var cand []candidate
+	var (
+		buf  [scanStack]candidate
+		head [numShards]int // next unvisited candidate of each segment
+		end  [numShards]int // one past each segment's last candidate
+	)
+	cand := buf[:0]
 	for i := loShard; i < hiShard; i++ {
+		first := len(cand)
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		cnt := 0
-		for p := sh.inactive.head; p != nil && cnt < max; p = p.next {
+		for p := sh.inactive.head; p != nil && len(cand)-first < max; p = p.next {
 			if p.Busy.Load() || p.WireCount.Load() > 0 || p.LoanCount.Load() > 0 {
 				continue
 			}
 			cand = append(cand, candidate{p, p.seq})
-			cnt++
 		}
 		sh.mu.Unlock()
-	}
-	// Merge to global LRU order (insertion sort: candidate sets are
-	// small and mostly sorted per shard); keep the first max.
-	for i := 1; i < len(cand); i++ {
-		c := cand[i]
-		j := i - 1
-		for j >= 0 && cand[j].seq > c.seq {
-			cand[j+1] = cand[j]
-			j--
+		seg := cand[first:]
+		for j := 1; j < len(seg); j++ {
+			for k := j; k > 0 && seg[k-1].seq > seg[k].seq; k-- {
+				seg[k-1], seg[k] = seg[k], seg[k-1]
+			}
 		}
-		cand[j+1] = c
+		head[i], end[i] = first, len(cand)
 	}
-	if len(cand) > max {
-		cand = cand[:max]
-	}
-	for _, c := range cand {
-		if !fn(c.p) {
+	for ; max > 0; max-- {
+		oldest := -1
+		for i := loShard; i < hiShard; i++ {
+			if head[i] < end[i] && (oldest < 0 || cand[head[i]].seq < cand[head[oldest]].seq) {
+				oldest = i
+			}
+		}
+		if oldest < 0 {
+			return
+		}
+		p := cand[head[oldest]].p
+		head[oldest]++
+		if !fn(p) {
 			return
 		}
 	}

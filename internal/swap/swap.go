@@ -228,9 +228,10 @@ type Swap struct {
 	mu   sync.Mutex
 	devs atomic.Pointer[topo]
 
-	// ctrSlotsLive is the cached handle for the per-allocation live-slot
-	// gauge, resolved once at construction.
+	// Cached handles for the per-allocation live-slot gauge and the
+	// per-command I/O count, resolved once at construction.
 	ctrSlotsLive sim.Counter
+	ctrIOs       sim.Counter
 
 	nSlots atomic.Int64
 	nInUse atomic.Int64 // lock-free in-use count across all shards
@@ -244,6 +245,7 @@ type Swap struct {
 func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk) *Swap {
 	s := &Swap{clock: clock, costs: costs, stats: stats}
 	s.ctrSlotsLive = stats.Counter(sim.CtrSwapSlotsLive)
+	s.ctrIOs = stats.Counter(sim.CtrSwapIOs)
 	s.devs.Store(&topo{})
 	s.aioWindow.Store(DefaultAIOWindow)
 	s.AddDevice(dev, 0)
@@ -379,12 +381,12 @@ func (s *Swap) FreeRange(slot int64, n int) {
 		left -= run
 	}
 	s.nInUse.Add(-int64(n))
-	s.stats.Add(sim.CtrSwapSlotsLive, -int64(n))
+	s.ctrSlotsLive.Add(-int64(n))
 }
 
 // ReadSlot pages a single slot into buf.
 func (s *Swap) ReadSlot(slot int64, buf []byte) error {
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	d := s.deviceFor(slot)
 	return d.dev.ReadPages(slot-d.base, [][]byte{buf})
 }
@@ -394,7 +396,7 @@ func (s *Swap) ReadSlot(slot int64, buf []byte) error {
 // clustered pagein. The run must lie within one device; callers clamp
 // their window with DeviceBounds first.
 func (s *Swap) ReadCluster(start int64, bufs [][]byte) error {
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	d := s.deviceFor(start)
 	if start-d.base+int64(len(bufs)) > d.size {
 		return fmt.Errorf("swap: read cluster at %d spans devices", start)
@@ -412,7 +414,7 @@ func (s *Swap) DeviceBounds(slot int64) (lo, hi int64) {
 
 // WriteSlot pages buf out to a single slot.
 func (s *Swap) WriteSlot(slot int64, buf []byte) error {
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	d := s.deviceFor(slot)
 	return d.dev.WritePages(slot-d.base, [][]byte{buf})
 }
@@ -421,7 +423,7 @@ func (s *Swap) WriteSlot(slot int64, buf []byte) error {
 // operation. The cluster always lies within one device (AllocContig
 // guarantees it).
 func (s *Swap) WriteCluster(start int64, bufs [][]byte) error {
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	d := s.deviceFor(start)
 	if start-d.base+int64(len(bufs)) > d.size {
 		return fmt.Errorf("swap: cluster at %d spans devices", start)

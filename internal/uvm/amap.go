@@ -1,6 +1,7 @@
 package uvm
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -30,6 +31,31 @@ type anon struct {
 	// page transfer (§7) rather than owned: the page's true owner is
 	// another anon or object (or nobody, if the owner has since died).
 	loaned bool
+	// layout says where pageout should put the anon's data relative to the
+	// rest of a cluster: next to its VA neighbours. It names the amap slot
+	// the anon was made for, is set when the anon is and never changes, so
+	// it is read without the lock. Only a hint — an anon that has since come
+	// to be shared by other amaps keeps the key of its birthplace — and
+	// never consulted for correctness.
+	layout layoutKey
+}
+
+// layoutKey orders the pages of one pageout cluster (flight.swapRun): by
+// the amap or aobj they belong to, then by slot or page index, which is VA
+// order wherever one mapping is concerned. Eight bytes, so that carrying
+// one leaves the anon in the allocation size class it had without.
+type layoutKey struct {
+	id  uint32 // amap.id or uobject.id; they share one sequence
+	idx uint32 // amap slot, or page index in the aobj
+}
+
+func newLayoutKey(id uint32, idx int) layoutKey { return layoutKey{id: id, idx: uint32(idx)} }
+
+func (k layoutKey) compare(l layoutKey) int {
+	if c := cmp.Compare(k.id, l.id); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.idx, l.idx)
 }
 
 // String renders the anon's refcount and data location for debug output.
@@ -43,11 +69,12 @@ func (a *anon) String() string {
 	return fmt.Sprintf("anon(refs=%d %s)", a.refs, loc)
 }
 
-func (s *System) newAnon() *anon {
+// newAnon allocates the anon that is to fill slot of am.
+func (s *System) newAnon(am *amap, slot int) *anon {
 	s.mach.Clock.Advance(s.mach.Costs.AnonAlloc)
 	s.ctrAnonAlloc.Inc()
 	s.ctrAnonLive.Inc()
-	return &anon{refs: 1, swslot: swap.NoSlot}
+	return &anon{refs: 1, swslot: swap.NoSlot, layout: newLayoutKey(am.id, slot)}
 }
 
 // anonRef adds a reference (a new amap slot pointing at the anon).
@@ -176,6 +203,7 @@ type amap struct {
 	mu   sync.Mutex
 	impl amapImpl
 	refs int
+	id   uint32 // layoutKey.id of the anons made for this amap; immutable
 }
 
 func (s *System) newAmap(nslots int) *amap {
@@ -188,7 +216,7 @@ func (s *System) newAmap(nslots int) *amap {
 	}
 	s.ctrAmapAlloc.Inc()
 	s.ctrAmapLive.Inc()
-	return &amap{impl: s.newAmapImpl(nslots), refs: 1}
+	return &amap{impl: s.newAmapImpl(nslots), refs: 1, id: s.layoutIDs.Add(1)}
 }
 
 // amapRef adds a map-entry reference.

@@ -81,10 +81,14 @@ func (s *System) startAutotune() {
 		return v
 	}
 	low := clampInt(s.pd.lowMark(), 1, ram/8)
+	pagein := s.pageinCap()
+	if pagein == 0 {
+		pagein = control.MaxPageinCluster // no cap: start the band above every advice window
+	}
 	start := control.Tuning{
 		PageoutWindow:   clampInt(s.mach.Swap.AIOWindow(), control.MinWindow, control.MaxWindow),
 		WritebackWindow: clampInt(s.mach.FS.WriteWindow(), control.MinWindow, control.MaxWindow),
-		PageinCluster:   clampInt(s.pageinWindow(), 1, control.MaxPageinCluster),
+		PageinCluster:   clampInt(pagein, 1, control.MaxPageinCluster),
 		LookaheadBoost:  0,
 		LowWater:        low,
 		HighWater:       2 * low,
@@ -102,6 +106,7 @@ func (s *System) startAutotune() {
 		// the machine.
 		s.pd.setWatermarks(low, 2*low)
 	}
+	s.pageinClusterA.Store(int32(start.PageinCluster))
 	t := &autotuner{
 		s:        s,
 		set:      set,
@@ -166,10 +171,11 @@ func (t *autotuner) latencySampler() func() control.Sample {
 }
 
 // pageinSampler observes clustered-pagein payoff: the fraction of the
-// speculative neighbour slots (window−1 per cluster I/O) that were
-// actually filled. At width 1 clustering is off and yields no evidence
-// of its own, so the sampler probes upward while pagein traffic exists
-// at all — the next epochs' real payoff then confirms or reverts.
+// speculative neighbour slots (cap−1 per cluster I/O) that were actually
+// filled. A cap above the advice window can never fill, so the band draws
+// it down to where it binds. At a cap of 1 clustering is off and yields no
+// evidence of its own, so the sampler probes upward while pagein traffic
+// exists at all — the next epochs' real payoff then confirms or reverts.
 func (t *autotuner) pageinSampler() func() control.Sample {
 	st := t.s.mach.Stats
 	var lastCl, lastEx, lastF int64
@@ -179,7 +185,7 @@ func (t *autotuner) pageinSampler() func() control.Sample {
 		f := st.Get(sim.CtrFaults)
 		dCl, dEx, dF := cl-lastCl, ex-lastEx, f-lastF
 		lastCl, lastEx, lastF = cl, ex, f
-		w := t.s.pageinWindow()
+		w := t.s.pageinCap()
 		if w <= 1 {
 			// Probe weight is fault traffic, not pageins: the single-page
 			// swap-in path doesn't count as a pagein, so a pagein-weighted

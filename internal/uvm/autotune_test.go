@@ -231,8 +231,8 @@ func TestAutotuneBootSmoke(t *testing.T) {
 	if got := m.Swap.AIOWindow(); got != tun.PageoutWindow {
 		t.Errorf("swap window = %d, controller says %d", got, tun.PageoutWindow)
 	}
-	if got := s.pageinWindow(); got != tun.PageinCluster {
-		t.Errorf("pagein window = %d, controller says %d", got, tun.PageinCluster)
+	if got := s.pageinCap(); got != tun.PageinCluster {
+		t.Errorf("pagein cap = %d, controller says %d", got, tun.PageinCluster)
 	}
 	if got := s.pd.lowMark(); got != tun.LowWater {
 		t.Errorf("low watermark = %d, controller says %d", got, tun.LowWater)

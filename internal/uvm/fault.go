@@ -139,7 +139,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 			)
 			if write && e.cow {
 				var err error
-				if na, np, err = s.newAnonPage(false); err != nil {
+				if na, np, err = s.newAnonPage(e.amap, e.slotOf(va), false); err != nil {
 					return nil, 0, nil, err
 				}
 			}
@@ -214,7 +214,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 
 		// ---- Layer 3: pure zero-fill (the amap was materialised before
 		// resolve; the slot is empty). ----
-		na, np, err := s.newAnonPage(true)
+		na, np, err := s.newAnonPage(e.amap, e.slotOf(va), true)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -235,13 +235,13 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 }
 
 // newAnonPage allocates a fresh anon and its frame for a fault in
-// progress. The frame is born dirty — anonymous content lives only in RAM
-// until paged — and names the anon as its owner only once the anon points
-// back at it: a reclaim scan working from a stale queue snapshot may
+// progress that will put them at slot of am. The frame is born dirty —
+// anonymous content lives only in RAM until paged — and names the anon as
+// its owner only once the anon points back at it: a reclaim scan working from a stale queue snapshot may
 // probe the frame the moment it has an owner, and the page identity lock
 // orders that probe after the attach.
-func (s *System) newAnonPage(zero bool) (*anon, *phys.Page, error) {
-	na := s.newAnon()
+func (s *System) newAnonPage(am *amap, slot int, zero bool) (*anon, *phys.Page, error) {
+	na := s.newAnon(am, slot)
 	np, err := s.allocPage(nil, 0, zero)
 	if err != nil {
 		return nil, nil, err
@@ -258,7 +258,7 @@ func (s *System) newAnonPage(zero bool) (*anon, *phys.Page, error) {
 func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*phys.Page, param.Prot, *sync.Mutex, error) {
 	a.mu.Lock()
 	if a.page == nil {
-		if err := s.anonPagein(am, a, slot); err != nil {
+		if err := s.anonPagein(e, am, a, slot); err != nil {
 			a.mu.Unlock()
 			am.mu.Unlock()
 			return nil, 0, nil, err
@@ -289,7 +289,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	// Copy-on-write: copy the data to a newly allocated anon and drop the
 	// reference to the original (§5.2). Also the loan-break path: writing
 	// to a loaned page must not disturb the borrowers.
-	na, np, err := s.newAnonPage(false)
+	na, np, err := s.newAnonPage(am, slot, false)
 	if err != nil {
 		a.mu.Unlock()
 		am.mu.Unlock()

@@ -1,6 +1,8 @@
 package uvm
 
 import (
+	"slices"
+
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/sim"
@@ -155,10 +157,14 @@ func (fl *flight) vnodeRun(vn *vfs.Vnode, idx int, pages []*phys.Page) {
 // or more pages have their locations reassigned into one fresh contiguous
 // run of slots (freeing any old scattered ones) and leave in a single
 // I/O: the "dynamic reassignment of swap location at page-level
-// granularity" of §5.3/§6. Under cfg.DisableClustering, or when swap is
-// too fragmented for a run, each page goes to its own slot (existing,
-// else freshly allocated) with its own I/O — precisely BSD VM's behaviour
-// (Figure 5's two curves). Caller holds every page's owner lock.
+// granularity" of §5.3/§6. Since the locations are ours to choose, the
+// run is laid out for the read that will follow: the pages take their
+// slots in layout-key order (layOut), so VA neighbours that leave together
+// come back with one I/O (anonPagein, aobjPager.get). Under
+// cfg.DisableClustering, or when swap is too fragmented for a run, each
+// page goes to its own slot (existing, else freshly allocated) with its
+// own I/O — precisely BSD VM's behaviour (Figure 5's two curves). Caller
+// holds every page's owner lock.
 func (fl *flight) swapRun(pages []*phys.Page) {
 	s := fl.s
 	if fl.stopped(pages) {
@@ -166,6 +172,7 @@ func (fl *flight) swapRun(pages []*phys.Page) {
 	}
 	if !s.cfg.DisableClustering && len(pages) > 1 {
 		if start, err := s.mach.Swap.AllocContig(len(pages)); err == nil {
+			layOut(pages)
 			for i, pg := range pages {
 				s.reassignSlot(pg, start+int64(i))
 			}
@@ -188,6 +195,29 @@ func (fl *flight) swapRun(pages []*phys.Page) {
 			s.setSlot(pg, slot)
 		}
 		fl.run(pages[i:i+1], nil, slot)
+	}
+}
+
+// layOut sorts pages bound for one run of swap slots by layout key, pages
+// with equal keys keeping the order they came in.
+func layOut(pages []*phys.Page) {
+	type keyed struct {
+		layoutKey
+		pg *phys.Page
+	}
+	byKey := make([]keyed, len(pages))
+	for i, pg := range pages {
+		byKey[i].pg = pg
+		switch owner := pg.Owner().(type) {
+		case *anon:
+			byKey[i].layoutKey = owner.layout
+		case *uobject:
+			byKey[i].layoutKey = newLayoutKey(owner.id, pageIdx(pg))
+		}
+	}
+	slices.SortStableFunc(byKey, func(a, b keyed) int { return a.compare(b.layoutKey) })
+	for i := range byKey {
+		pages[i] = byKey[i].pg
 	}
 }
 

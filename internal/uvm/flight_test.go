@@ -98,8 +98,9 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	}
 	switch backend {
 	case "anon":
+		am := s.newAmap(n)
 		for i := 0; i < n; i++ {
-			a, pg, err := s.newAnonPage(true)
+			a, pg, err := s.newAnonPage(am, i, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,9 +55,20 @@ func (e *entry) objIndex(va param.VAddr) int {
 // advice window around idx (§5.4), clipped to the entry: the pages one
 // fault on idx can map.
 func (e *entry) adviceRange(idx int) (lo, hi int) {
+	return e.adviceWindow(idx, param.OffToPage(e.off))
+}
+
+// adviceSlots is adviceRange in the amap layer: the amap slots of the
+// advice window around slot, clipped to the entry.
+func (e *entry) adviceSlots(slot int) (lo, hi int) {
+	return e.adviceWindow(slot, e.amapOff)
+}
+
+// adviceWindow returns the advice window around i in a numbering where the
+// entry's first page is first.
+func (e *entry) adviceWindow(i, first int) (lo, hi int) {
 	ahead, behind := e.advice.Lookahead()
-	first := param.OffToPage(e.off)
-	return max(idx-behind, first), min(idx+ahead, first+e.pages()-1)
+	return max(i-behind, first), min(i+ahead, first+e.pages()-1)
 }
 
 // vmMap is a uvm_map. The RWMutex is the top of the package lock order:

@@ -52,6 +52,7 @@ type uobject struct {
 	vnode *vfs.Vnode // vnode-backed objects
 	// aobj swap slots (uao_swhash equivalent): page idx -> slot.
 	aobjSlots map[int]int64
+	id        uint32 // aobj: layoutKey.id of its pages
 }
 
 // String renders the object's pager kind and population for debug output.
@@ -236,15 +237,19 @@ func (s *System) newAObj(n int) *uobject {
 		sizePg:    n,
 		pages:     make(map[int]*phys.Page),
 		aobjSlots: make(map[int]int64),
+		id:        s.layoutIDs.Add(1),
 	}
 }
 
-// get reads idx's swap slot and, with cfg.PageinCluster > 1, the
-// adjoining slots of idx's index neighbours; the caller's range does not
-// widen that window.
-func (ap *aobjPager) get(o *uobject, idx, _, _ int) (*phys.Page, error) {
-	w := ap.sys.pageinWindow()
-	return ap.sys.objPagein(o, idx, idx-w+1, idx+w-1, w)
+// get reads idx's swap slot and, with the same I/O, the adjoining slots
+// of idx's index neighbours in [lo, hi] — pageout laid them out in index
+// order — as far as swapRunMax lets one run reach.
+func (ap *aobjPager) get(o *uobject, idx, lo, hi int) (*phys.Page, error) {
+	window := ap.sys.swapRunMax(hi - lo + 1)
+	if window == 1 {
+		lo, hi = idx, idx
+	}
+	return ap.sys.objPagein(o, idx, lo, hi, window)
 }
 
 func (ap *aobjPager) detach(o *uobject) {

@@ -665,9 +665,13 @@ func TestAobjPageinClusterRoundTrip(t *testing.T) {
 		t.Errorf("aobj clustered pagein not deterministic: %d/%d vs %d/%d clusters/rides",
 			clusters, rides, clusters2, rides2)
 	}
+	// The default is the advice window, which is what a cap of 8 allows.
+	if sum0, c0, r0 := run(0); sum0 != sum1 || c0 != clusters || r0 != rides {
+		t.Errorf("default differs from a cap of 8: %d/%d vs %d/%d clusters/rides", c0, r0, clusters, rides)
+	}
 	// And the unclustered ablation never rides.
-	_, c0, r0 := run(0)
-	if c0 != 0 || r0 != 0 {
-		t.Errorf("clustering disabled but counters moved: %d/%d", c0, r0)
+	_, c1, r1 := run(1)
+	if c1 != 0 || r1 != 0 {
+		t.Errorf("one slot per pagein but counters moved: %d/%d", c1, r1)
 	}
 }

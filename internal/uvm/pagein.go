@@ -3,7 +3,6 @@ package uvm
 import (
 	"uvm/internal/phys"
 	"uvm/internal/sim"
-	"uvm/internal/swap"
 )
 
 // Pageins: every read of a page from backing store — the paper's pager
@@ -19,40 +18,46 @@ import (
 // nothing.
 //
 // A single-page pagein is a run of length one: the same one-block disk
-// command. How far a run may reach is the pager's decision (that is why
-// get allocates the pages), inside what the caller is prepared to use:
+// command. There is one rule for every backing store: a pagein fills the
+// fault's advice window with one I/O. How far a run may reach is the
+// pager's decision (that is why get allocates the pages), inside what the
+// caller is prepared to use — a fault, the entry's advice window clipped
+// to the entry; file read/write, the rest of the request:
 //
-//   - A file pagein is clustered by default. The caller hands get the
-//     index range it can use — a fault, the entry's advice window clipped
-//     to the entry; file read/write, the rest of the request — and the
-//     vnode pager reads the maximal stretch of non-resident pages around
-//     the faulting index inside that range (and inside the file) with one
-//     I/O. A file's blocks are consecutive, so the block of page idx is
-//     idx. cfg.DisableClustering narrows every such range to the one page.
-//   - A swap-backed pagein is clustered when cfg.PageinCluster > 1, the
-//     read-side mirror of the paper's clustered pageout: the pagedaemon
-//     reassigns a dirty cluster — typically VA-adjacent anons of one amap,
-//     or index-adjacent pages of one aobj — into one contiguous run of
-//     swap slots, so when one of them faults back in its neighbours very
-//     likely sit in the adjacent slots and one positioning cost can drag
-//     the whole neighbourhood back. There is no slot→owner reverse map,
-//     and we do not want one; the amap and the aobj's slot table already
-//     are the locality maps.
+//   - The vnode pager reads the maximal stretch of non-resident pages
+//     around the faulting index inside that range (and inside the file). A
+//     file's blocks are consecutive, so the block of page idx is idx.
+//   - Swap-backed memory has no fixed home, so the layout is made to fit:
+//     when the pagedaemon reassigns a dirty cluster into one contiguous run
+//     of swap slots it first orders the cluster by layout key — amap and
+//     slot for an anon, object and index for an aobj page — so inside a
+//     cluster slot order is VA order (flight.swapRun). A pagein then reads
+//     the faulting page's slot and, with the same positioning cost, the
+//     neighbours of the window that sit in the adjoining slots. There is
+//     no slot→owner reverse map, and we do not want one; the amap and the
+//     aobj's slot table already are the locality maps, and the key is a
+//     hint: what is read is decided by the slots the neighbours hold now.
 //
-// The cluster type is the one run builder, fed by two enumerators that
-// own nothing but their locking protocol:
+// cfg.DisableClustering and random advice (an empty window) make every
+// run one page long; cfg.PageinCluster > 0 caps a swap-backed run.
 //
-//   - anonNeighbours walks the faulting anon's VA neighbours in its
-//     amap. Anon locks are peers in the lock order (blocking could
-//     deadlock with a fault walking the other way), so neighbours are
-//     TryLocked only — a busy one simply drops out of the window — and
-//     the locks stay held across the frame allocation and the I/O.
+// The two kinds of owner differ only in their locking protocol:
+//
+//   - anonRun walks outward from the faulting anon through its VA
+//     neighbours in the amap, taking each while it is swapped out, unloaned
+//     and holds exactly the next slot, and stopping on each side at the
+//     first that does not — so a fault pays for the run it reads and at
+//     most two probes more. Anon locks are peers in the lock order
+//     (blocking could deadlock with a fault walking the other way), so
+//     neighbours are TryLocked only — a busy one ends the walk on its side
+//     — and the locks stay held across the frame allocation and the I/O.
 //   - objNeighbours walks the faulting index's neighbours in the object:
-//     its resident-page map and, for an aobj, its slot table. Every frame
-//     allocation drops o.mu (allocObjPageLocked), so each survivor, and
-//     the faulting index itself, is re-verified under the retaken lock;
-//     objPagein loops until the page's state holds still, and from the
-//     final check to the read the lock is held continuously.
+//     its resident-page map and, for an aobj, its slot table, feeding the
+//     cluster type, the run builder for blocks that may lie in any order.
+//     Every frame allocation drops o.mu (allocObjPageLocked), so each
+//     survivor, and the faulting index itself, is re-verified under the
+//     retaken lock; objPagein loops until the page's state holds still,
+//     and from the final check to the read the lock is held continuously.
 //
 // Clustering is an optimisation, never a new way to fail a fault: a
 // cluster that cannot get its frames or whose read fails degrades to the
@@ -60,6 +65,11 @@ import (
 // only that read's error fails the fault. Pages brought in for
 // neighbours are activated but not mapped; the fault-time lookahead maps
 // the now-resident neighbours in the same fault.
+
+// pageinStack is how many pages of a run a pagein keeps on its own stack:
+// the deepest advice window (sequential — the page and eight ahead). Only
+// a longer run, such as a file read's, spills to the heap.
+const pageinStack = 9
 
 // pageinPage is one frame of a pagein and the place it attaches.
 type pageinPage struct {
@@ -85,9 +95,9 @@ func (s *System) pagein(r pagein) error {
 // readRun marks r's frames Busy and issues the run's one I/O. It is the
 // only function in this package that reads backing store.
 func (s *System) readRun(r pagein) error {
-	var one [1][]byte // a run of one stays off the heap
-	bufs := one[:0]
-	if len(r.pages) > 1 {
+	var stack [pageinStack][]byte
+	bufs := stack[:0]
+	if len(r.pages) > len(stack) {
 		bufs = make([][]byte, 0, len(r.pages))
 	}
 	for _, p := range r.pages {
@@ -128,10 +138,10 @@ func (s *System) finishRun(r pagein, err error) error {
 	s.ctrPageIns.Add(n)
 	switch {
 	case r.o == nil:
-		s.mach.Stats.Add("uvm.anon.pagein", n)
+		s.ctrAnonPageIns.Add(n)
 		if n > 1 {
-			s.mach.Stats.Inc(sim.CtrPageinClusters)
-			s.mach.Stats.Add(sim.CtrPageinClustered, n-1)
+			s.ctrPageinClusters.Inc()
+			s.ctrPageinClustered.Add(n - 1)
 		}
 	case r.o.vnode == nil && n > 1:
 		s.mach.Stats.Inc(sim.CtrAobjPageinClusters)
@@ -140,9 +150,10 @@ func (s *System) finishRun(r pagein, err error) error {
 	return nil
 }
 
-// cluster builds the run around a faulting block: the enumerators offer
-// it their willing neighbours' blocks, bounds answers with the contiguous
-// run to read. A centre nobody joins costs no allocation.
+// cluster builds the run around a faulting block of an object:
+// objNeighbours offers it the willing neighbours' blocks, in whatever order
+// they lie, and bounds answers with the contiguous run to read. A centre
+// nobody joins costs no allocation.
 type cluster struct {
 	centre, window int64
 	lo, hi         int64 // a run stays within [lo, hi]: the window, cut at the swap device's edge
@@ -207,14 +218,19 @@ func (c *cluster) bounds() (lo, hi int64) {
 	return lo, hi
 }
 
-// anonPagein brings a's data in from swap, reading adjacent slots held
-// by a's VA neighbours with the same I/O when cfg.PageinCluster allows.
-// Called with am.mu and a.mu held, a.page == nil and a.swslot valid; on
-// success a.page is resident.
-func (s *System) anonPagein(am *amap, a *anon, slot int) error {
-	if window := s.pageinWindow(); window > 1 {
-		if run := s.anonNeighbours(am, a, slot, window); len(run) > 1 {
-			err := s.pageinAnons(run, a)
+// anonPagein brings a's data in from swap and, with the same I/O, the
+// data of a's neighbours in e's advice window that sits in the adjoining
+// slots. Called with am.mu and a.mu held, a.page == nil and a.swslot
+// valid; slot is a's in am. On success a.page is resident.
+func (s *System) anonPagein(e *entry, am *amap, a *anon, slot int) error {
+	var (
+		anons [pageinStack]*anon
+		pages [pageinStack]pageinPage
+	)
+	lo, hi := e.adviceSlots(slot)
+	if limit := s.swapRunMax(hi - lo + 1); limit > 1 {
+		if run := s.anonRun(am, a, slot, lo, hi, limit, anons[:]); len(run) > 1 {
+			err := s.pageinAnons(run, a, pages[:0])
 			for _, b := range run {
 				if b != a {
 					b.mu.Unlock()
@@ -225,14 +241,14 @@ func (s *System) anonPagein(am *amap, a *anon, slot int) error {
 			}
 		}
 	}
-	return s.pageinAnons([]*anon{a}, a)
+	anons[0] = a
+	return s.pageinAnons(anons[:1], a, pages[:0])
 }
 
 // pageinAnons allocates a frame for each anon of run — locked, swapped
-// out, in consecutive slots — and pages the run in.
-func (s *System) pageinAnons(run []*anon, centre *anon) error {
-	var one [1]pageinPage
-	r := pagein{start: run[0].swslot, centre: int(centre.swslot - run[0].swslot), pages: one[:0]}
+// out, in consecutive slots — and pages the run in. pages is scratch.
+func (s *System) pageinAnons(run []*anon, centre *anon, pages []pageinPage) error {
+	r := pagein{start: run[0].swslot, centre: int(centre.swslot - run[0].swslot), pages: pages}
 	for _, b := range run {
 		pg, err := s.allocPage(b, 0, false)
 		if err != nil {
@@ -243,37 +259,48 @@ func (s *System) pageinAnons(run []*anon, centre *anon) error {
 	return s.pagein(r)
 }
 
-// anonNeighbours returns, in slot order, a and those VA neighbours of a
-// in am whose swap slots extend a.swslot into a contiguous run: swapped
-// out, unloaned, and their lock free right now. The neighbours returned
-// are locked; every other candidate is released again.
-func (s *System) anonNeighbours(am *amap, a *anon, slot, window int) []*anon {
-	c := newCluster(a.swslot, 0, window)
-	c.clip(s.mach.Swap.DeviceBounds(a.swslot))
-	cands := []*anon{a}
-	for d := 1 - window; d < window; d++ {
-		b := am.impl.get(slot + d)
-		if b == nil || b == a || !b.mu.TryLock() {
-			continue
-		}
-		if b.page != nil || b.loaned || b.swslot == swap.NoSlot || !c.offer(b.swslot, len(cands)) {
-			b.mu.Unlock()
-			continue
-		}
-		cands = append(cands, b)
+// anonRun returns, in slot order, a and the neighbours of a in am that
+// one I/O can bring in with it: walking outward from slot, ahead and then
+// behind, inside amap slots [lo, hi] and a's swap device, each neighbour
+// joins while it holds exactly the next swap slot (swappedAt), and the
+// first that does not ends the walk on its side. At most limit anons; the
+// neighbours returned are locked. buf is scratch for a window that fits it.
+func (s *System) anonRun(am *amap, a *anon, slot, lo, hi, limit int, buf []*anon) []*anon {
+	if hi-lo >= len(buf) {
+		buf = make([]*anon, hi-lo+1)
 	}
-	lo, hi := c.bounds()
-	for _, b := range cands[1:] {
-		if b.swslot < lo || b.swslot > hi {
-			b.mu.Unlock()
+	devLo, devHi := s.mach.Swap.DeviceBounds(a.swslot) // a run never crosses a swap device
+	first, last := slot, slot                          // the run so far; slot i of am is buf[i-lo]
+	buf[slot-lo] = a
+	for _, step := range [2]int{+1, -1} {
+		for i := slot + step; lo <= i && i <= hi && last-first+1 < limit; i += step {
+			want := a.swslot + int64(i-slot)
+			if want < devLo || want >= devHi {
+				break
+			}
+			if buf[i-lo] = am.swappedAt(i, want); buf[i-lo] == nil {
+				break
+			}
+			first, last = min(first, i), max(last, i)
 		}
 	}
-	run := make([]*anon, 0, hi-lo+1)
-	for sl := lo; sl <= hi; sl++ {
-		i, _ := c.id(sl)
-		run = append(run, cands[i])
+	return buf[first-lo : last-lo+1]
+}
+
+// swappedAt returns the anon in slot i of am, locked, if its data can ride
+// in a run that has swap slot want at that place: the anon is there, its
+// lock is free right now, and it is swapped out, unloaned and holds
+// exactly that slot. Anything else is nil. Caller holds am.mu.
+func (am *amap) swappedAt(i int, want int64) *anon {
+	b := am.impl.get(i)
+	if b == nil || !b.mu.TryLock() {
+		return nil
 	}
-	return run
+	if b.page != nil || b.loaned || b.swslot != want {
+		b.mu.Unlock()
+		return nil
+	}
+	return b
 }
 
 // blockOf returns the backing-store block holding page idx of o: the

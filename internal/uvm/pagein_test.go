@@ -17,29 +17,37 @@ import (
 
 // TestPageinTable drives the one page-read mechanism through every
 // combination it serves. The swap-backed half: owner {anon, aobj} x shape
-// {single page, clustered with PageinCluster=8} x outcome {healthy disk;
-// read error on the faulting page's block; read error on a neighbour's
-// block only; a neighbour that drops out under the enumerator —
-// TryLock-busy (anon), or made resident / stripped of its slot while
-// o.mu is down for a frame allocation (aobj)}, plus the vnode owner under
-// the same two shapes — a file pagein does not look at PageinCluster, so
-// both fill the advice window. Each such cell builds an eight-page region
-// whose data sits on backing store (the swapped-out pages in eight
-// consecutive slots), faults on the page in the fourth slot and checks
-// the fault's result, the bytes, the Busy and owner-lock hand-back, the
-// frame accounting, the disk read commands and vm.pageins.
+// {cluster: the default configuration, a pagein fills the advice window;
+// single: PageinCluster 1; random: random advice, an empty window;
+// noclustering: DisableClustering} x outcome {healthy disk; read error on
+// the faulting page's block; read error on a neighbour's block only; a
+// neighbour that drops out — an anon that is TryLock-busy, already
+// resident, holding a slot that is not the next one, or sitting across a
+// swap device's edge, each of which ends the walk on its side of the fault
+// and leaves the other side alone; an aobj page made resident or stripped
+// of its slot while o.mu is down for a frame allocation}, plus the vnode
+// owner under the first two shapes — a file pagein does not look at
+// PageinCluster, so both fill the advice window. Each such cell builds an
+// eight-page region whose data sits on backing store — paged out in a
+// scrambled order as one cluster, which pageout lays out in VA order —
+// faults on one page and checks the fault's result, the bytes, which pages
+// came in, the Busy and owner-lock hand-back, the frame accounting, the
+// read commands and the pages they moved, and vm.pageins.
 //
 // The file half (vnodePageinCell): advice {normal, sequential, random} x
 // config {default, DisableClustering} x outcome {ok, centre-err, nbr-err,
 // nbr-resident, nbr-raced, eof, entry}.
 func TestPageinTable(t *testing.T) {
 	for _, owner := range []string{"anon", "aobj", "vnode"} {
-		for _, shape := range []string{"single", "cluster"} {
-			for _, outcome := range []string{"ok", "centre-err", "nbr-err", "nbr-busy", "nbr-resident", "nbr-noslot"} {
+		for _, shape := range []string{"single", "cluster", "random", "noclustering"} {
+			for _, outcome := range []string{"ok", "centre-err", "nbr-err", "nbr-busy", "nbr-resident", "nbr-noslot", "nbr-moved", "dev-edge"} {
+				anonOnly := outcome == "nbr-busy" || outcome == "nbr-moved" || outcome == "dev-edge"
 				switch {
-				case outcome == "nbr-err" && (shape == "single" || owner == "vnode"), // a run of one has no neighbours; the file half has the vnode's
-					outcome == "nbr-busy" && (owner != "anon" || shape != "cluster"),
-					(outcome == "nbr-resident" || outcome == "nbr-noslot") && (owner != "aobj" || shape != "cluster"):
+				case (shape == "random" || shape == "noclustering") && (outcome != "ok" || owner == "vnode"), // the file half has the vnode's
+					outcome == "nbr-err" && (shape == "single" || owner == "vnode"), // a run of one has no neighbours
+					anonOnly && (owner != "anon" || shape != "cluster"),
+					outcome == "nbr-resident" && (owner == "vnode" || shape != "cluster"),
+					outcome == "nbr-noslot" && (owner != "aobj" || shape != "cluster"):
 					continue
 				}
 				t.Run(owner+"/"+shape+"/"+outcome, func(t *testing.T) { pageinCell(t, owner, shape, outcome) })
@@ -58,38 +66,38 @@ func TestPageinTable(t *testing.T) {
 }
 
 func pageinCell(t *testing.T, owner, shape, outcome string) {
-	const n, centre = 8, 3
-	m := vmapi.NewMachine(vmapi.MachineConfig{RAMPages: 256, SwapPages: 256, FSPages: 1024, MaxVnodes: 8})
+	const n = 8
+	centre := 3
+	mc := vmapi.MachineConfig{RAMPages: 256, SwapPages: 256, FSPages: 1024, MaxVnodes: 8}
+	if outcome == "dev-edge" {
+		mc.SwapPages = n + 4 // the region's cluster, and four slots up to the device's edge
+	}
+	m := vmapi.NewMachine(mc)
 	cfg := DefaultConfig()
 	cfg.InlineReclaim = true // no daemon: nothing but the fault touches memory
-	if shape == "cluster" {
-		cfg.PageinCluster = n
+	switch shape {
+	case "single":
+		cfg.PageinCluster = 1
+	case "noclustering":
+		cfg.DisableClustering = true
 	}
 	s := BootConfig(m, cfg)
 	testutil.SweepOnCleanup(t, s)
 	p := newProc(t, s, "p")
 	want := func(i int) []byte { return bytes.Repeat([]byte{0xA0 + byte(i)}, param.PageSize) }
-	at := func(va param.VAddr, i int) param.VAddr { return va + param.VAddr(i)*param.PageSize }
+	var va param.VAddr
+	at := func(i int) param.VAddr { return va + param.VAddr(i)*param.PageSize }
 
-	// The region, its data on backing store. page[i] is the region page
-	// whose block is the i-th of the run: file order for the vnode, slot
-	// order for swap (the pagedaemon clusters in scan order, not VA order).
-	var (
-		va   param.VAddr
-		err  error
-		page [n]int   // run position -> region page
-		blk  [n]int64 // run position -> swap slot
-		dev  = m.SwapDisk
-	)
+	// The region, its data on backing store: file order for the vnode; for
+	// swap, one pageout cluster collected in a scrambled order.
+	var err error
+	dev := m.SwapDisk
 	if owner == "vnode" {
 		dev = m.FSDisk
 		vn := mkfile(t, m, "/pagein", n, 0xA0)
 		defer vn.Unref()
 		if va, err = p.Mmap(0, n*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0); err != nil {
 			t.Fatal(err)
-		}
-		for i := range page {
-			page[i] = i
 		}
 	} else {
 		flags := vmapi.MapAnon | vmapi.MapPrivate
@@ -100,10 +108,12 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if err := p.WriteBytes(at(va, i), want(i)); err != nil {
+			if err := p.WriteBytes(at(i), want(i)); err != nil {
 				t.Fatal(err)
 			}
-			pte, _ := p.pm.Lookup(at(va, i))
+		}
+		for _, i := range [n]int{5, 2, 7, 0, 3, 6, 1, 4} { // the order the scan will find them in
+			pte, _ := p.pm.Lookup(at(i))
 			m.MMU.PageProtect(pte.Page, param.ProtNone)
 			pte.Page.Referenced.Store(false)
 			m.Mem.Deactivate(pte.Page)
@@ -111,61 +121,102 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		if freed := s.reclaimCount(n); freed != n {
 			t.Fatalf("evicted %d of %d pages", freed, n)
 		}
+		if shape == "random" {
+			if err := p.Madvise(va, n*param.PageSize, param.AdviceRandom); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	e := p.m.lookupQuiet(va)
-	slotOf := func(i int) int64 {
+	anonOf := func(i int) *anon { return e.amap.impl.get(e.slotOf(at(i))) }
+	blk := func(i int) int64 {
+		switch owner {
+		case "anon":
+			return anonOf(i).swslot
+		case "aobj":
+			return e.obj.aobjSlots[e.objIndex(at(i))]
+		}
+		return int64(i)
+	}
+	for i := 1; i < n && shape != "noclustering"; i++ { // which lays nothing out: a slot per page, in scan order
+		if blk(i) != blk(0)+int64(i) {
+			t.Fatalf("page %d was paged out to slot %d and page 0 to slot %d: the cluster is not laid out in VA order", i, blk(i), blk(0))
+		}
+	}
+	isResident := func(i int) bool {
 		if owner == "anon" {
-			return e.amap.impl.get(e.slotOf(at(va, i))).swslot
+			return anonOf(i).page != nil
 		}
-		return e.obj.aobjSlots[e.objIndex(at(va, i))]
+		return e.obj.pages[e.objIndex(at(i))] != nil
 	}
-	if owner != "vnode" {
-		lo := slotOf(0)
-		for i := 1; i < n; i++ {
-			lo = min(lo, slotOf(i))
-		}
-		for i := 0; i < n; i++ {
-			if d := slotOf(i) - lo; d >= n {
-				t.Fatalf("region not paged out to %d consecutive slots", n)
-			} else {
-				page[d], blk[d] = i, slotOf(i)
-			}
+	for i := 0; i < n; i++ {
+		if isResident(i) {
+			t.Fatalf("region page %d resident before the fault", i)
 		}
 	}
-	resident := func() (k int) {
-		for i := 0; i < n; i++ {
-			if owner == "anon" {
-				if e.amap.impl.get(e.slotOf(at(va, i))).page != nil {
-					k++
-				}
-			} else if e.obj.pages[e.objIndex(at(va, i))] != nil {
-				k++
-			}
+	// moveTo re-homes a swapped-out anon's data to another slot, by hand.
+	moveTo := func(i int, slot int64) {
+		a := anonOf(i)
+		if err := m.Swap.WriteSlot(slot, want(i)); err != nil {
+			t.Fatal(err)
 		}
-		return k
-	}
-	if resident() != 0 {
-		t.Fatalf("%d region pages resident before the fault", resident())
+		m.Swap.Free(a.swslot)
+		a.swslot = slot
 	}
 
-	// The outcome's condition. The victim neighbour is the first page of
-	// the run: the aobj enumerator has its frame in hand before the rug is
-	// pulled, so it is the re-verification that must notice.
-	victim, byHook := page[0], 0
+	// The window the fault offers the pager, then the outcome's condition:
+	// the victim is the neighbour that drops out, pre whether it is resident
+	// without the fault having read it.
+	lo, hi := centre, centre
+	if shape == "cluster" || owner == "vnode" {
+		lo, hi = max(centre-3, 0), min(centre+4, n-1) // normal advice: three behind, four ahead
+	}
+	victim, pre := -1, false
 	switch outcome {
-	case "centre-err", "nbr-err":
-		rule := disk.FaultRule{Kind: disk.FaultReadError, Block: blk[centre]}
-		switch {
-		case owner == "vnode":
-			rule.Block = disk.BlockAny
-		case outcome == "nbr-err":
-			rule.Block = blk[0]
-		}
-		dev.SetFaultPlan(disk.NewFaultPlan(rule))
 	case "nbr-busy":
-		e.amap.impl.get(e.slotOf(at(va, victim))).mu.Lock()
+		victim = centre - 2
+		anonOf(victim).mu.Lock()
+	case "nbr-moved":
+		victim = centre + 2
+		spare, err := m.Swap.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		moveTo(victim, spare)
+	case "dev-edge":
+		// Pages 0-3 to the last four slots of the first device, pages 4-7 to
+		// the first four of a second one: consecutive slot numbers throughout,
+		// and a fault on page 4 whose neighbour behind is one device away.
+		m.Swap.AddDevice(disk.New(m.Clock, m.Costs, m.Stats, 64), 1)
+		tail, err1 := m.Swap.AllocContig(4)
+		head, err2 := m.Swap.AllocContig(4)
+		if _, edge := m.Swap.DeviceBounds(tail); err1 != nil || err2 != nil || tail+4 != edge || head != edge {
+			t.Fatalf("slots %d (%v) and %d (%v) do not straddle the device edge at %d", tail, err1, head, err2, edge)
+		}
+		for i := 0; i < n; i++ {
+			moveTo(i, tail+int64(i))
+		}
+		centre = 4
+		lo, hi = centre-3, n-1
+		victim = centre - 1
 	case "nbr-resident", "nbr-noslot":
-		o, vIdx, allocs := e.obj, e.objIndex(at(va, victim)), 0
+		if owner == "anon" {
+			victim, pre = centre+2, true
+			a := anonOf(victim)
+			pg, err := m.Mem.Alloc(a, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(pg.Data, want(victim))
+			a.page = pg
+			m.Mem.Activate(pg)
+			break
+		}
+		// The victim is the first page of the run: the aobj enumerator has
+		// its frame in hand before the rug is pulled, so it is the
+		// re-verification that must notice.
+		victim, pre = lo, outcome == "nbr-resident"
+		o, vIdx, allocs := e.obj, e.objIndex(at(victim)), 0
 		m.Mem.SetLowWater(m.Mem.TotalPages()+1, func() { // runs inside every frame allocation
 			if allocs++; allocs != 3 {
 				return // 1: the centre's frame, 2: the victim's, 3: the next neighbour's
@@ -183,76 +234,106 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 				pg.Dirty.Store(true)
 				o.pages[vIdx] = pg
 				m.Mem.Activate(pg)
-				byHook = 1
 			}
 			o.mu.Unlock()
 		})
 	}
-
-	// What the fault should do.
-	wantInstalled, wantReads := 1, 1
-	clustered := shape == "cluster" || owner == "vnode" // the default advice window covers the file
+	// A neighbour that drops out ends the run on its side of the fault.
 	switch {
-	case outcome == "centre-err":
-		wantInstalled = 0
-		if clustered {
-			wantReads = 2 // the cluster, then the centre alone
+	case victim < 0:
+	case victim < centre:
+		lo = victim + 1
+	default:
+		hi = victim - 1
+	}
+	switch outcome {
+	case "centre-err", "nbr-err":
+		rule := disk.FaultRule{Kind: disk.FaultReadError, Block: blk(centre)}
+		switch {
+		case owner == "vnode":
+			rule.Block = disk.BlockAny
+		case outcome == "nbr-err":
+			rule.Block = blk(lo)
 		}
-	case clustered && outcome == "ok":
-		wantInstalled = n
-	case clustered && outcome == "nbr-err":
-		wantReads = 2
-	case clustered:
-		wantInstalled = n - 1 // the run shrinks to what lies beyond the victim
+		dev.SetFaultPlan(disk.NewFaultPlan(rule))
+	}
+
+	// What the fault should do: one command for the run; when that fails, a
+	// second for the faulting page alone, and nothing of the run attached.
+	installed := map[int]bool{}
+	wantReads, wantMoved := 1, hi-lo+1
+	switch outcome {
+	case "centre-err", "nbr-err":
+		wantMoved = 0 // a command moves the pages before the bad block
+		if hi > lo {
+			wantReads = 2
+			if owner != "vnode" && outcome == "centre-err" {
+				wantMoved = centre - lo
+			}
+		}
+		if outcome == "nbr-err" {
+			installed[centre], wantMoved = true, wantMoved+1
+		}
+	default:
+		for i := lo; i <= hi; i++ {
+			installed[i] = true
+		}
+	}
+	byHook := 0
+	if pre && owner != "anon" {
+		byHook = 1 // a frame the fault's allocation hook takes, on top of the run's
 	}
 
 	before := m.Stats.Snapshot()
 	freeBefore := m.Mem.FreePages()
 	got := make([]byte, param.PageSize)
-	err = p.ReadBytes(at(va, page[centre]), got)
+	err = p.ReadBytes(at(centre), got)
 	after := m.Stats.Snapshot()
 	dev.SetFaultPlan(nil)
 	m.Mem.SetLowWater(0, nil)
 	if outcome == "nbr-busy" {
-		e.amap.impl.get(e.slotOf(at(va, victim))).mu.Unlock()
+		anonOf(victim).mu.Unlock()
 	}
 
 	if outcome == "centre-err" {
 		if !errors.Is(err, disk.ErrInjected) {
 			t.Fatalf("fault returned %v, want ErrInjected", err)
 		}
-	} else if err != nil || !bytes.Equal(got, want(page[centre])) {
-		t.Fatalf("fault: err=%v first byte %#x, want %#x", err, got[0], want(page[centre])[0])
+	} else if err != nil || !bytes.Equal(got, want(centre)) {
+		t.Fatalf("fault: err=%v first byte %#x, want %#x", err, got[0], want(centre)[0])
 	}
 	busySweep(t, m, "after the fault")
-	if k := resident() - byHook; k != wantInstalled {
-		t.Errorf("%d pages installed, want %d", k, wantInstalled)
+	for i := 0; i < n; i++ {
+		if wantRes := installed[i] || (pre && i == victim); isResident(i) != wantRes {
+			t.Errorf("page %d resident=%v after the fault, want %v (run %d..%d)", i, isResident(i), wantRes, lo, hi)
+		}
 	}
-	if d := freeBefore - m.Mem.FreePages(); d != wantInstalled+byHook {
-		t.Errorf("free frames fell by %d, want %d", d, wantInstalled+byHook)
+	if d := freeBefore - m.Mem.FreePages(); d != len(installed)+byHook {
+		t.Errorf("free frames fell by %d, want %d", d, len(installed)+byHook)
 	}
 	delta := func(name string) int { return int(after[name] - before[name]) }
-	if delta(sim.CtrDiskReads) != wantReads {
-		t.Errorf("%d read commands, want %d", delta(sim.CtrDiskReads), wantReads)
+	if delta(sim.CtrDiskReads) != wantReads || delta(sim.CtrDiskPagesRead) != wantMoved {
+		t.Errorf("%d read commands moved %d pages, want %d moving %d",
+			delta(sim.CtrDiskReads), delta(sim.CtrDiskPagesRead), wantReads, wantMoved)
 	}
-	if delta(sim.CtrPageIns) != wantInstalled {
-		t.Errorf("vm.pageins grew by %d, want %d", delta(sim.CtrPageIns), wantInstalled)
+	if owner != "vnode" && delta(sim.CtrSwapIOs) != wantReads {
+		t.Errorf("%d swap I/Os, want %d", delta(sim.CtrSwapIOs), wantReads)
+	}
+	if delta(sim.CtrPageIns) != len(installed) {
+		t.Errorf("vm.pageins grew by %d, want %d", delta(sim.CtrPageIns), len(installed))
 	}
 	wantAnon := 0
 	if owner == "anon" {
-		wantAnon = wantInstalled
+		wantAnon = len(installed)
 	}
 	if delta("uvm.anon.pagein") != wantAnon {
 		t.Errorf("uvm.anon.pagein grew by %d, want %d", delta("uvm.anon.pagein"), wantAnon)
-	}
-	if outcome == "nbr-busy" && e.amap.impl.get(e.slotOf(at(va, victim))).page != nil {
-		t.Error("the busy neighbour was paged in behind its lock")
 	}
 
 	// Every owner lock is free again.
 	if owner == "anon" {
 		for i := 0; i < n; i++ {
-			if a := e.amap.impl.get(e.slotOf(at(va, i))); !a.mu.TryLock() {
+			if a := anonOf(i); !a.mu.TryLock() {
 				t.Fatalf("anon of page %d still locked after the fault", i)
 			} else {
 				a.mu.Unlock()
@@ -277,7 +358,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		if outcome == "nbr-noslot" && i == victim {
 			exp = make([]byte, param.PageSize) // its backing copy was freed: zero-fill
 		}
-		if err := p.ReadBytes(at(va, i), got); err != nil || !bytes.Equal(got, exp) {
+		if err := p.ReadBytes(at(i), got); err != nil || !bytes.Equal(got, exp) {
 			t.Errorf("page %d afterwards: err=%v first byte %#x, want %#x", i, err, got[0], exp[0])
 		}
 	}

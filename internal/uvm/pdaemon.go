@@ -445,7 +445,8 @@ func (s *System) reclaimRound(target int) (freed, submitted int) {
 // anonymous memory: because anonymous pages have no permanent home on
 // backing store, the daemon *reassigns* their swap locations so that all
 // the dirty anonymous pages it has collected — whatever their offsets —
-// occupy one contiguous run of slots and go out in a single large I/O
+// occupy one contiguous run of slots, in VA order so a later pagein can
+// read neighbours back together, and go out in a single large I/O
 // (flight.swapRun). Dirty file pages have fixed homes: they are batched
 // per object and leave, in the same flight, as runs of consecutive file
 // blocks (flight.objRuns).

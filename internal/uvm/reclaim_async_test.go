@@ -235,6 +235,7 @@ func TestPageinClusterMatchesSingleSlotData(t *testing.T) {
 		sweepPattern(t, p, va, pages)
 		return s
 	}
-	run(0) // single-slot baseline; sweepPattern asserts the data
+	run(1) // single-slot baseline; sweepPattern asserts the data
 	run(8) // clustered; sweepPattern asserts the data
+	run(0) // the default, the advice window; sweepPattern asserts the data
 }

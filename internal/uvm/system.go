@@ -147,33 +147,41 @@
 // frame of the run is freed and nothing is attached. A single-page
 // pagein is a run of one.
 //
-// A path that needs an object page (the fault, file read/write) goes
-// through objPage — a sleep on the flight condvar while the page is
-// Busy, the pager's get if it is not resident — and tells get the index
-// range it is prepared to use: a fault, the entry's advice window
-// clipped to the entry; file read/write, the rest of the request. The
-// pager decides how much of it one I/O brings in. The vnode pager reads
-// the whole stretch of non-resident pages around the faulting index
-// inside that range and the file, so a cold sequential touch of a file
-// costs one disk command per advice window, and the fault-time lookahead
-// maps the new neighbours in the same fault. cfg.DisableClustering
-// narrows it to one page per command. The aobj pager reads adjacent swap
-// slots only with cfg.PageinCluster > 1, which also switches on the same
-// for anons.
+// There is one rule for every backing store: a pagein fills the fault's
+// advice window with one I/O. A path that needs an object page (the
+// fault, file read/write) goes through objPage — a sleep on the flight
+// condvar while the page is Busy, the pager's get if it is not resident —
+// and tells get the index range it is prepared to use: a fault, the
+// entry's advice window clipped to the entry; file read/write, the rest of
+// the request. The pager decides how much of it one I/O brings in. The
+// vnode pager reads the whole stretch of non-resident pages around the
+// faulting index inside that range and the file, so a cold sequential
+// touch of a file costs one disk command per advice window, and the
+// fault-time lookahead maps the new neighbours in the same fault.
 //
-// One builder (cluster) grows the faulting block into a run, left before
-// right, inside the window and — for swap — the slot's device, from the
-// candidates two enumerators offer it. The enumerators own only their
-// locking protocol. The amap's (anonNeighbours) TryLocks the faulting
-// anon's VA neighbours — anon locks are peers, so a busy neighbour drops
-// out — and keeps the locks across the allocation and the I/O. The
-// object's (objNeighbours) walks index neighbours under the object lock,
-// which every frame allocation drops: each survivor and the faulting
-// index itself are re-verified under the retaken lock, and objPagein
-// starts over until the page's state holds still. A cluster that cannot
-// get its frames or whose read fails degrades to the centre page alone —
-// a second run, of length one — and only that run's error fails the
-// fault.
+// Swap-backed memory has no fixed home, so pageout lays it out for the
+// read: a dirty cluster takes its contiguous slots in layout-key order
+// (flight.swapRun) — amap and slot for an anon, object and index for an
+// aobj page — which makes slot order VA order inside a cluster. A fault on
+// a swapped-out anon (anonPagein) walks outward from its slot through the
+// amap inside the advice window, taking each neighbour while it TryLocks,
+// is swapped out and holds exactly the next swap slot, stopping on each
+// side at the first that does not; the locks stay held across the
+// allocation and the I/O. A fault on a swapped-out aobj page goes through
+// the aobj pager's get, which offers objNeighbours the same window. The
+// key is a hint: what is read is decided by the slots held at fault time.
+//
+// cfg.DisableClustering and random advice narrow every run to one page
+// per command; cfg.PageinCluster > 0 caps a swap-backed run.
+//
+// objNeighbours walks index neighbours under the object lock, which every
+// frame allocation drops: each survivor and the faulting index itself are
+// re-verified under the retaken lock, and objPagein starts over until the
+// page's state holds still; one builder (cluster) grows the faulting
+// block into a run over the blocks offered, left before right, inside the
+// window and — for swap — the slot's device. A cluster that cannot get
+// its frames or whose read fails degrades to the centre page alone — a
+// second run, of length one — and only that run's error fails the fault.
 package uvm
 
 import (
@@ -232,13 +240,12 @@ type Config struct {
 	// sharded page queues. 0 or 1 keeps the classic single scan, whose
 	// operation order is byte-deterministic on single-threaded runs.
 	ReclaimWorkers int
-	// PageinCluster is the largest clustered-pagein window of swap-backed
-	// memory, in pages: on a swapped-out anon fault, up to this many
-	// adjacent allocated slots are read with one I/O (the read-side mirror
-	// of clustered pageout). It also sizes the aobj clustered-pagein
-	// window: an aobj fault drags in neighbour pages whose swap slots
-	// adjoin the faulting one. 0 or 1 pages in one slot at a time. File
-	// pageins do not look at it: they fill the fault's advice window.
+	// PageinCluster caps the run of a swap-backed pagein, in pages. 0, the
+	// default, is no cap: a fault on a swapped-out anon or aobj page reads,
+	// with one I/O, as much of its advice window as sits in adjoining swap
+	// slots (pageout lays clusters out in VA order to that end). > 0 caps
+	// the run at that many pages; 1 is one slot per I/O. File pageins do
+	// not look at it. Kept for bench/uvmperf's ref.async_io row.
 	PageinCluster int
 	// AsyncWriteback makes the object writeback flights — Msync, vnode
 	// recycling, last-unmap write-back (objwb.go) — asynchronous: dirty
@@ -298,6 +305,9 @@ type System struct {
 	kmap      *vmMap
 	kentryUse atomic.Int32
 
+	// layoutIDs numbers amaps and aobjs in creation order (layoutKey.id).
+	layoutIDs atomic.Uint32
+
 	// Cached counter handles for the fault path and the per-page loop
 	// paths, resolved once at boot so they skip the string-keyed Stats
 	// lookup (the counterhandle analyzer enforces this idiom in loops).
@@ -315,7 +325,11 @@ type System struct {
 	ctrMapLockHeld     sim.Counter
 	ctrMapLockHeldMax  sim.Counter
 
-	ctrPageIns        sim.Counter
+	ctrPageIns         sim.Counter
+	ctrAnonPageIns     sim.Counter
+	ctrPageinClusters  sim.Counter
+	ctrPageinClustered sim.Counter
+
 	ctrPageOuts       sim.Counter
 	ctrObjWbClusters  sim.Counter
 	ctrObjWbPages     sim.Counter
@@ -390,6 +404,9 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrMapLockHeld = m.Stats.Counter("uvm.map.lockheld_ns")
 	s.ctrMapLockHeldMax = m.Stats.Counter("uvm.map.lockheld_max_ns")
 	s.ctrPageIns = m.Stats.Counter(sim.CtrPageIns)
+	s.ctrAnonPageIns = m.Stats.Counter("uvm.anon.pagein")
+	s.ctrPageinClusters = m.Stats.Counter(sim.CtrPageinClusters)
+	s.ctrPageinClustered = m.Stats.Counter(sim.CtrPageinClustered)
 	s.ctrPageOuts = m.Stats.Counter(sim.CtrPageOuts)
 	s.ctrObjWbClusters = m.Stats.Counter(sim.CtrObjWbClusters)
 	s.ctrObjWbPages = m.Stats.Counter(sim.CtrObjWbPages)
@@ -432,9 +449,22 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	return s
 }
 
-// pageinWindow reads the live clustered-pagein window (cfg.PageinCluster
-// unless the control plane has moved it).
-func (s *System) pageinWindow() int { return int(s.pageinClusterA.Load()) }
+// pageinCap reads the live cap on a swap-backed pagein run
+// (cfg.PageinCluster unless the control plane has moved it); 0 is no cap.
+func (s *System) pageinCap() int { return int(s.pageinClusterA.Load()) }
+
+// swapRunMax returns how many of the n pages of a fault's window one
+// swap-backed pagein may read: all of them, unless clustering is off or
+// the cap is lower.
+func (s *System) swapRunMax(n int) int {
+	if s.cfg.DisableClustering {
+		return 1
+	}
+	if limit := s.pageinCap(); limit > 0 && limit < n {
+		return limit
+	}
+	return n
+}
 
 // lookaheadBoost reads the control plane's extra read-ahead pages (0
 // unless autotuning).

@@ -58,7 +58,7 @@ func (p *Process) Transfer(pages []*phys.Page, prot param.Prot) (param.VAddr, er
 	e.amap = s.newAmap(len(pages))
 
 	for i, pg := range pages {
-		a := s.newAnon()
+		a := s.newAnon(e.amap, i)
 		a.page = pg
 		if pg.LoanCount.Load() > 0 {
 			// The page arrives on loan: the anon inherits the loan
