@@ -14,9 +14,9 @@
 //	                              -churn -ops)
 //
 // Experiment ids: table1 table2 table3 fig2 fig5 fig6 datamove rc
-// scaling pressure reclaimbw objwb traffic autotune. Machine profiles:
-// hdd97 (default, the paper's testbed), nvme, ramdisk. Without -profile
-// the traffic and autotune experiments cover both hdd97 and nvme.
+// scaling pressure reclaimbw objwb traffic. Machine profiles: hdd97
+// (default, the paper's testbed), nvme, ramdisk. Without -profile the
+// traffic experiment covers both hdd97 and nvme.
 package main
 
 import (

@@ -37,7 +37,6 @@ var Levels = []string{
 	"diskaio",   // disk.AsyncWriter.mu — window admission/completion state
 	"disk",      // Disk.mu — the device itself
 	"faultplan", // disk.FaultPlan.mu — fault-rule schedule state
-	"control",   // control.Plane.mu — the feedback control plane
 	"leaf",      // terminal: nothing is ever acquired while held
 }
 

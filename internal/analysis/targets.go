@@ -18,7 +18,6 @@ var lockCorePackages = []string{
 	"internal/disk",
 	"internal/sysv",
 	"internal/bsdvm",
-	"internal/control",
 }
 
 // simdetPackages feed the paper reports: wall-clock reads, math/rand

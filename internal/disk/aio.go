@@ -21,14 +21,11 @@ import "sync"
 // different submissions may run concurrently and in any order; each
 // callback runs exactly once, off the submitter's goroutine.
 //
-// The window is a live setting, not a fixed capacity: SetWindow may
-// grow or shrink it while writes are on the wire (the control plane's
-// feedback loop resizes it from observed completion latency). Admission
-// is therefore a condvar-gated counter rather than a channel semaphore.
-// Shrinking never cancels anything — writes admitted under the old,
-// larger window complete and deliver their callbacks normally; the new
-// bound only gates future admissions, which wait until completions bring
-// the in-flight count under it.
+// The window is a setting of the writer, not a fixed capacity: boot
+// applies the configured window with SetWindow to writers that already
+// exist (a swap device's, the filesystem's). Admission is a condvar-gated
+// counter, so a changed bound gates the next admission and never cancels
+// a write already admitted.
 
 // DefaultAIOWindow is the in-flight write window used when a writer is
 // created with a non-positive window.
@@ -47,23 +44,10 @@ type AsyncWriter struct {
 	//uvm:lock diskaio
 	mu       sync.Mutex
 	cond     *sync.Cond
-	window   int // admission bound; live, see SetWindow
+	window   int // admission bound, see SetWindow
 	admitted int // writes holding a window slot (released before done)
 	inFlight int // writes submitted (admitted or not) whose done callback has not returned
-
-	// gate, when non-nil, runs on each write's I/O goroutine after the
-	// write has been admitted and before its transfer starts. Test hook:
-	// the live-resize race tests use it to hold a known number of writes
-	// in flight while the window shrinks. Must be set before Submit.
-	gate func()
 }
-
-// SetTestGate installs fn to run on each write's I/O goroutine after
-// admission and before the transfer. Test hook only: the live-resize
-// race tests in this package and in internal/swap use it to hold a known
-// number of writes in flight while the window is resized. Must be set
-// before the writes it should gate are submitted; nil removes it.
-func (w *AsyncWriter) SetTestGate(fn func()) { w.gate = fn }
 
 // NewAsyncWriter creates a writer for d admitting window concurrent
 // writes (DefaultAIOWindow if window <= 0).
@@ -76,19 +60,10 @@ func NewAsyncWriter(d *Disk, window int) *AsyncWriter {
 	return w
 }
 
-// Window returns the writer's current in-flight admission bound.
-func (w *AsyncWriter) Window() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.window
-}
-
-// SetWindow changes the in-flight admission bound, effective
-// immediately (n <= 0 restores DefaultAIOWindow). Growing wakes blocked
-// submitters; shrinking lets every write admitted under the old bound
-// complete and drain normally while new submissions wait for the
-// in-flight count to fall under the new bound. Safe to call at any time,
-// concurrently with Submit and completions.
+// SetWindow changes the in-flight admission bound of an existing writer
+// (n <= 0 restores DefaultAIOWindow). It gates the next admission: writes
+// already admitted complete normally, and blocked submitters are woken to
+// re-check the bound.
 func (w *AsyncWriter) SetWindow(n int) {
 	if n <= 0 {
 		n = DefaultAIOWindow
@@ -124,9 +99,6 @@ func (w *AsyncWriter) Submit(start int64, bufs [][]byte, done func(error)) {
 	w.mu.Unlock()
 
 	go func() {
-		if gate := w.gate; gate != nil {
-			gate()
-		}
 		w.io.Lock()
 		err := w.d.WritePagesDeferred(start, bufs)
 		w.io.Unlock()

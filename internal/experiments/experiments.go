@@ -129,9 +129,6 @@ func All(quick bool) []Runner {
 		{"traffic", "Traffic: multi-tenant Zipf workload, fault tail latency (beyond the paper)", func(w io.Writer) error {
 			return ReportTraffic(w, quick, TrafficOverrides{ZipfS: -1})
 		}},
-		{"autotune", "Autotune: feedback controllers vs static sweeps (beyond the paper)", func(w io.Writer) error {
-			return ReportAutotune(w, quick)
-		}},
 	}
 }
 

@@ -51,10 +51,9 @@ func (c MatrixCell) Name() string {
 // MatrixWorkloads returns the matrix's workload names in canonical
 // order: the boot/exec scenario from internal/workload, the reclaim
 // bandwidth cell, the object writeback cell, the multi-tenant traffic
-// cell, the allocator-layout cell (per-CPU caches vs single pool), and
-// the autotune cell (feedback controllers vs best static setting).
+// cell, and the allocator-layout cell (per-CPU caches vs single pool).
 func MatrixWorkloads() []string {
-	return []string{"scenario", "reclaim", "objwb", "traffic", "alloc", "autotune"}
+	return []string{"scenario", "reclaim", "objwb", "traffic", "alloc"}
 }
 
 // MatrixFaultPlan returns the fault schedule the matrix's fault cells
@@ -118,8 +117,6 @@ func runMatrixCell(wl, prof string, faults, quick bool) (c MatrixCell) {
 		c.Err = matrixTraffic(prof, quick, &buf)
 	case "alloc":
 		c.Err = matrixAlloc(prof, &buf)
-	case "autotune":
-		c.Err = matrixAutotune(prof, quick, &buf)
 	default:
 		c.Err = fmt.Errorf("matrix: unknown workload %q (valid: %v)", wl, MatrixWorkloads())
 	}

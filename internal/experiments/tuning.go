@@ -6,12 +6,12 @@ import (
 )
 
 // The named tunings of UVM's I/O pipelines — the axis reclaimbw, objwb,
-// traffic, autotune and the matrix cells all vary. uvm.DefaultConfig()
-// is the synchronous one: one pagedaemon that blocks on every cluster
-// write, Msync writing its clusters on the caller's clock. The three
-// below are the pipelines at window w, so "the full pipeline" means the
-// same thing everywhere; an experiment's intermediate stage is an edit of
-// one of them, and the AutoTune run sets that flag on its starting point.
+// traffic and the matrix cells all vary. uvm.DefaultConfig() is the
+// synchronous one: one pagedaemon that blocks on every cluster write,
+// Msync writing its clusters on the caller's clock. The three below are
+// the pipelines at window w, so "the full pipeline" means the same thing
+// everywhere; an experiment's intermediate stage is an edit of one of
+// them.
 
 // reclaimPipeline is the full reclaim pipeline at pageout window w:
 // async clustered pageout, four parallel reclaim workers, clustered

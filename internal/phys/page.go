@@ -383,7 +383,7 @@ func (m *Mem) BusyPages() []*Page {
 // false. It takes no locks — the visitor sees each frame's atomics
 // (owner, state bits) at whatever instant it reaches them, like
 // BusyPages — so it suits lazy sweeps that re-verify under the owner
-// lock before acting (the syncer's dirty-page trickle).
+// lock before acting.
 func (m *Mem) ForEachFrame(fn func(*Page) bool) {
 	for i := range m.frames {
 		if !fn(&m.frames[i]) {

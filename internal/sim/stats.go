@@ -153,7 +153,7 @@ const (
 	CtrDiskDeferredNs  = "disk.deferred_ns" // device-busy time of deferred (overlapped) I/O
 	// CtrDiskWritesDeferred counts deferred (overlapped) write commands;
 	// CtrDiskDeferredNs / CtrDiskWritesDeferred is the per-completion
-	// device-busy latency the control plane steers window depth by.
+	// device-busy latency of an overlapped write.
 	CtrDiskWritesDeferred = "disk.writes.deferred"
 	CtrSwapSlotsLive      = "swap.slots.live"
 	CtrSwapIOs            = "swap.ios"

@@ -23,13 +23,10 @@ import (
 const DefaultAIOWindow = disk.DefaultAIOWindow
 
 // SetAIOWindow sets the per-device in-flight window for asynchronous
-// cluster writes; n <= 0 restores the default. The change is live: every
-// device writer is resized immediately — writes admitted under an old,
-// larger window complete and drain normally, new submissions wait for
-// the in-flight count to fall under the new bound — and devices
-// configured after the call use the new window too. Safe to call at any
-// time, concurrently with WriteClusterAsync (the control plane resizes
-// the window from observed completion latency).
+// cluster writes; n <= 0 restores the default. It reaches the writers of
+// devices that already exist as well as devices configured after the
+// call: boot applies uvm.Config.PageoutWindow to a machine whose swap
+// devices were added when it was built.
 func (s *Swap) SetAIOWindow(n int) {
 	if n <= 0 {
 		n = DefaultAIOWindow
@@ -39,10 +36,6 @@ func (s *Swap) SetAIOWindow(n int) {
 		d.writer.SetWindow(n)
 	}
 }
-
-// AIOWindow returns the configured per-device in-flight window
-// (test/debug helper).
-func (s *Swap) AIOWindow() int { return int(s.aioWindow.Load()) }
 
 // AIOInFlight returns the number of asynchronous cluster writes currently
 // submitted but not yet completed (test/debug helper).

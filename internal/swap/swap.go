@@ -237,7 +237,7 @@ type Swap struct {
 	nInUse atomic.Int64 // lock-free in-use count across all shards
 
 	// aioWindow is the configured per-device async-write window (see
-	// aio.go); each device's writer carries the live value.
+	// aio.go), so a device added later starts with it.
 	aioWindow atomic.Int32
 }
 
@@ -280,7 +280,7 @@ func (s *Swap) AddDevice(dev *disk.Disk, priority int) {
 	s.devs.Store(t)
 	// After the publish, so a SetAIOWindow racing this call either finds
 	// the device in the topology or has already stored the window read here.
-	d.writer.SetWindow(s.AIOWindow())
+	d.writer.SetWindow(int(s.aioWindow.Load()))
 	s.stats.Inc("swap.devices")
 	s.stats.Add("swap.shards", int64(len(d.shards)))
 }

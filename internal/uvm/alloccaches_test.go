@@ -122,8 +122,8 @@ func TestAllocCachesDaemonReapRescuesWaiter(t *testing.T) {
 	}
 	gate.Store(openGate())
 	s.pd.gate = func() { <-gate.Load().(chan struct{}) }
-	if parked >= s.pd.lowMark() {
-		t.Fatalf("test sizing broken: parked=%d must stay below pd.low=%d", parked, s.pd.lowMark())
+	if parked >= s.pd.low {
+		t.Fatalf("test sizing broken: parked=%d must stay below pd.low=%d", parked, s.pd.low)
 	}
 
 	// Drain the machine completely: pool and magazines all empty. The

@@ -3,7 +3,6 @@ package uvm
 import (
 	"sync"
 
-	"uvm/internal/control"
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/pmap"
@@ -311,9 +310,8 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 }
 
 // lookaheadStack is how many neighbours lookahead collects on its own
-// stack: the deepest advice window (sequential, 8 ahead) plus the control
-// plane's largest boost. Only a wider window than that spills to the heap.
-const lookaheadStack = 8 + control.MaxLookaheadBoost
+// stack: the deepest advice window (param.AdviceSequential, 8 ahead).
+const lookaheadStack = 8
 
 // lookahead maps in resident neighbour pages around a fault (§5.4). Only
 // pages already resident are touched — "this mechanism only works for
@@ -359,13 +357,6 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 	ahead, behind := e.advice.Lookahead()
 	if ahead == 0 && behind == 0 {
 		return
-	}
-	if boost := s.lookaheadBoost(); boost > 0 && ahead > 0 {
-		// Control plane: widen the forward window past the advice
-		// baseline while the batched-entry payoff holds up. Never applied
-		// to Random-advice entries (ahead == 0) — their zero window is a
-		// correctness choice, not a tuning.
-		ahead += boost
 	}
 	base := param.Trunc(faultVA)
 	lo := e.start

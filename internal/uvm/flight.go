@@ -13,8 +13,8 @@ import (
 // flight is UVM's one page-write mechanism — the pager API's single
 // put(pages, sync|async) (§6) with its single completion path behind it.
 // Every write of a dirty page to backing store, whoever asks for it
-// (pagedaemon pageout, Msync, vnode recycling, last-unmap flush, the
-// syncer), is a flight:
+// (pagedaemon pageout, Msync, vnode recycling, last-unmap flush), is a
+// flight:
 //
 //   - a set of pages the submitter has marked Busy — claimed for this
 //     flight, so every other path skips or sleeps on them;
@@ -314,16 +314,13 @@ func (fl *flight) runDone(pages []*phys.Page, toSwap bool, err error) {
 	}
 	s.ctrPageOuts.Add(int64(len(fl.ok)))
 	fl.owners.releaseAll()
-	if fl.async {
-		s.tunerTick()
-	}
 	s.flMu.Lock()
 	fl.done = true
 	s.flights.Add(-1)
 	s.flGen++
 	s.flCond.Broadcast()
 	s.flMu.Unlock()
-	if fl.async && fl.evict && len(fl.ok) > 0 && s.pd != nil && s.mach.Mem.FreePages() < s.pd.lowMark() {
+	if fl.async && fl.evict && len(fl.ok) > 0 && s.pd != nil && s.mach.Mem.FreePages() < s.pd.low {
 		s.pd.kick() // memory still short: keep the daemon running
 	}
 }

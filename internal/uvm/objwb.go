@@ -9,9 +9,8 @@ import (
 )
 
 // Object writeback: the paths that clean dirty uobject pages without
-// evicting them — Msync, vnode recycling, the last-unmap flush, the
-// syncer. Each is one clean-policy flight (flight.go) over the object's
-// dirty pages:
+// evicting them — Msync, vnode recycling, the last-unmap flush. Each is
+// one clean-policy flight (flight.go) over the object's dirty pages:
 //
 //  1. Collect. Under o.mu, the dirty in-range page indices are
 //     snapshotted and sorted (Go map iteration order is random; the
@@ -34,7 +33,7 @@ import (
 //     holding no locks — clears Dirty then Busy and wakes every path
 //     sleeping on a busy page. Callers that need msync semantics wait on
 //     the flight; callers that only want the data on its way (last
-//     unmap, syncer) fire and forget.
+//     unmap) fire and forget.
 //
 // Busy pages observed under o.mu always belong to such a flush: every
 // other Busy setter (pager get, pagedaemon clustering) holds the

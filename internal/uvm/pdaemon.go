@@ -56,12 +56,9 @@ var (
 type pagedaemon struct {
 	s *System
 
-	// Watermarks: wake the daemon when free pages drop below lowA; each
-	// round reclaims toward highA. Atomics because the control plane may
-	// retarget them live (setWatermarks) while the daemon, completions
-	// and blocked allocators read them.
-	lowA  atomic.Int64
-	highA atomic.Int64
+	// Watermarks, fixed at boot: wake the daemon when free pages drop
+	// below low; each round reclaims toward high (2×low).
+	low, high int
 
 	wake chan struct{} // doorbell; buffered(1), rung by kick
 	done chan struct{} // closed when the daemon goroutine exits
@@ -83,38 +80,13 @@ type pagedaemon struct {
 func newPagedaemon(s *System, low int) *pagedaemon {
 	pd := &pagedaemon{
 		s:    s,
+		low:  low,
+		high: 2 * low,
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	pd.lowA.Store(int64(low))
-	pd.highA.Store(int64(2 * low))
 	pd.cond = sync.NewCond(&pd.mu)
 	return pd
-}
-
-// lowMark and highMark read the current watermarks.
-func (pd *pagedaemon) lowMark() int  { return int(pd.lowA.Load()) }
-func (pd *pagedaemon) highMark() int { return int(pd.highA.Load()) }
-
-// setWatermarks retargets the daemon live: low is the new wake
-// threshold, high the new per-round reclaim target (the control plane
-// keeps high = 2×low, like the static boot sizing). The phys watermark
-// callback is re-registered so allocations fire the doorbell at the new
-// threshold, and the doorbell is rung once — raising the low mark may
-// mean the machine is suddenly below it, and no allocation may come
-// along to notice. Safe from any goroutine, including ones holding VM
-// locks (it only stores atomics and rings the non-blocking doorbell);
-// allocators blocked in waitForFree are unaffected — they wait on round
-// generations, not watermark values, so no wakeup can be lost across a
-// resize.
-func (pd *pagedaemon) setWatermarks(low, high int) {
-	if low < 1 || high <= low {
-		return // controller bug; bounds are enforced upstream, keep safe
-	}
-	pd.lowA.Store(int64(low))
-	pd.highA.Store(int64(high))
-	pd.s.mach.Mem.SetLowWater(low, pd.kick)
-	pd.kick()
 }
 
 // kick rings the daemon's doorbell. Non-blocking and lock-free, so it is
@@ -150,7 +122,7 @@ func (pd *pagedaemon) run() {
 			}
 		}
 		free := pd.s.mach.Mem.FreePages()
-		if free >= pd.lowMark() {
+		if free >= pd.low {
 			pd.mu.Lock()
 			if pd.waiters == 0 {
 				// Spurious wakeup: no one waiting and memory is fine.
@@ -166,7 +138,7 @@ func (pd *pagedaemon) run() {
 			pd.mu.Unlock()
 			continue
 		}
-		target := pd.highMark() - free
+		target := pd.high - free
 		if target < pd.s.cfg.ReclaimBatch {
 			target = pd.s.cfg.ReclaimBatch
 		}
@@ -195,10 +167,9 @@ func (pd *pagedaemon) run() {
 		// with the next scan; if the next scan finds everything already
 		// in flight it frees and submits nothing, stops re-kicking, and
 		// the flights' completions take over the kick.)
-		if (freed > 0 || submitted > 0) && pd.s.mach.Mem.FreePages() < pd.lowMark() {
+		if (freed > 0 || submitted > 0) && pd.s.mach.Mem.FreePages() < pd.low {
 			pd.kick()
 		}
-		pd.s.tunerTick()
 	}
 }
 
@@ -212,8 +183,7 @@ func (pd *pagedaemon) waitForFree() error {
 	pd.s.mach.Stats.Inc(sim.CtrPdBlocked)
 	// Wakeup-to-satisfy latency: how long (simulated) this allocator was
 	// stalled. The clock advances on other goroutines' work while we
-	// sleep, so the delta is the paging work the stall waited out — the
-	// signal the watermark controller sizes the low mark from.
+	// sleep, so the delta is the paging work the stall waited out.
 	start := pd.s.mach.Clock.Now()
 	defer func() {
 		pd.s.mach.Stats.Add(sim.CtrPdWaitNs, int64(pd.s.mach.Clock.Since(start)))

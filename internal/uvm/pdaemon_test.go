@@ -264,8 +264,8 @@ func TestLowWaterAutoSizing(t *testing.T) {
 		cfg.LowWater = c.explicit
 		s := BootConfig(m, cfg)
 		testutil.SweepOnCleanup(t, s)
-		if s.pd.lowMark() != c.want {
-			t.Errorf("ram=%d explicit=%d: low=%d, want %d", c.ram, c.explicit, s.pd.lowMark(), c.want)
+		if s.pd.low != c.want {
+			t.Errorf("ram=%d explicit=%d: low=%d, want %d", c.ram, c.explicit, s.pd.low, c.want)
 		}
 		s.Shutdown()
 	}

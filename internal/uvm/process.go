@@ -471,7 +471,6 @@ func (p *Process) access(addr param.VAddr, write bool, use func(*phys.Page)) err
 		access = param.ProtWrite
 	}
 	s := p.sys
-	s.tunerTick() // the fault/touch entry is the control plane's clock source
 	if pte, ok := p.pm.Extract(addr); ok && pte.Prot.Allows(access) {
 		pg := pte.Page
 		touch := func() {

@@ -96,13 +96,12 @@
 // swap locations reassigned into one contiguous run, else one slot per
 // page) and the dirty vnode pages, plus every owner lock the pass kept;
 // the last completion detaches and frees the written pages and releases
-// the owners. Msync, vnode recycling, the last-unmap flush and the syncer
-// (objwb.go) are clean flights over one object's dirty pages, marked
-// Busy under the object lock and handed over without it; the completion
-// clears Dirty and Busy and the pages stay resident. A fault or file
-// write that hits a Busy page sleeps on the flight condvar. Under either
-// policy a page whose write failed stays dirty and just gives its Busy
-// claim back.
+// the owners. Msync, vnode recycling and the last-unmap flush (objwb.go)
+// are clean flights over one object's dirty pages, marked Busy under the
+// object lock and handed over without it; the completion clears Dirty and
+// Busy and the pages stay resident. A fault or file write that hits a
+// Busy page sleeps on the flight condvar. Under either policy a page
+// whose write failed stays dirty and just gives its Busy claim back.
 //
 // Run length is a property of the pages, not of who waits: every flight
 // leaves as runs of consecutive backing-store blocks — object pages cut
@@ -266,15 +265,6 @@ type Config struct {
 	// run of consecutive object pages any flight writes with one command,
 	// synchronous or asynchronous, flush or pageout. 0 means MaxCluster.
 	WritebackCluster int
-	// AutoTune engages the feedback control plane (internal/control,
-	// autotune.go): the pageout/writeback windows, pagein cluster,
-	// lookahead and pagedaemon watermarks become live settings steered by
-	// observed completion latency, hit rates and allocation stalls, and a
-	// periodic syncer trickles dirty object pages through the writeback
-	// engine. Requires the asynchronous pagedaemon (no effect with
-	// InlineReclaim). Off — the default — every knob stays exactly at its
-	// configured static value and runs remain byte-deterministic.
-	AutoTune bool
 }
 
 // DefaultConfig returns UVM's standard tuning.
@@ -293,14 +283,6 @@ type System struct {
 
 	// pd is the asynchronous pagedaemon (nil with cfg.InlineReclaim).
 	pd *pagedaemon
-
-	// tuner is the feedback control plane (nil unless AutoTune; see
-	// autotune.go). The knobs it steers live here as atomics — always
-	// initialised from cfg, so with the tuner off every read returns the
-	// static configured value and behaviour is unchanged.
-	tuner          *autotuner
-	pageinClusterA atomic.Int32
-	lookaheadA     atomic.Int32 // extra read-ahead pages over the advice baseline
 
 	kmap      *vmMap
 	kentryUse atomic.Int32
@@ -417,7 +399,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrUbcReads = m.Stats.Counter("uvm.ubc.reads")
 	s.ctrUbcWrites = m.Stats.Counter("uvm.ubc.writes")
 	s.flCond = sync.NewCond(&s.flMu)
-	s.pageinClusterA.Store(int32(cfg.PageinCluster))
 	if cfg.AsyncWriteback && cfg.WritebackWindow > 0 {
 		m.FS.SetWriteWindow(cfg.WritebackWindow)
 	}
@@ -440,43 +421,23 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 			m.Swap.SetAIOWindow(cfg.PageoutWindow)
 		}
 		s.pd = newPagedaemon(s, s.lowWater())
-		m.Mem.SetLowWater(s.pd.lowMark(), s.pd.kick)
+		m.Mem.SetLowWater(s.pd.low, s.pd.kick)
 		go s.pd.run()
-		if cfg.AutoTune {
-			s.startAutotune()
-		}
 	}
 	return s
 }
 
-// pageinCap reads the live cap on a swap-backed pagein run
-// (cfg.PageinCluster unless the control plane has moved it); 0 is no cap.
-func (s *System) pageinCap() int { return int(s.pageinClusterA.Load()) }
-
 // swapRunMax returns how many of the n pages of a fault's window one
 // swap-backed pagein may read: all of them, unless clustering is off or
-// the cap is lower.
+// cfg.PageinCluster is lower.
 func (s *System) swapRunMax(n int) int {
 	if s.cfg.DisableClustering {
 		return 1
 	}
-	if limit := s.pageinCap(); limit > 0 && limit < n {
+	if limit := s.cfg.PageinCluster; limit > 0 && limit < n {
 		return limit
 	}
 	return n
-}
-
-// lookaheadBoost reads the control plane's extra read-ahead pages (0
-// unless autotuning).
-func (s *System) lookaheadBoost() int { return int(s.lookaheadA.Load()) }
-
-// tunerTick gives the control plane a chance to advance an epoch. Called
-// from completion paths and the fault entry with no VM locks held; a
-// single nil check when autotuning is off.
-func (s *System) tunerTick() {
-	if t := s.tuner; t != nil {
-		t.tick()
-	}
 }
 
 // lowWater sizes the pagedaemon's wake threshold for this machine.
@@ -507,11 +468,6 @@ func (s *System) lowWater() int {
 // inline in allocating goroutines — so shutdown order is forgiving.
 // Idempotent.
 func (s *System) Shutdown() {
-	if s.tuner != nil {
-		// Stop the syncer first: it submits new flights, so it must be
-		// quiescent before "nothing in the air" means anything.
-		s.tuner.stop()
-	}
 	if s.pd != nil {
 		s.pd.stop()
 	}

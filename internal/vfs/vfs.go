@@ -207,17 +207,10 @@ type FS struct {
 }
 
 // SetWriteWindow sets the in-flight window for asynchronous vnode write
-// clusters; n <= 0 restores disk.DefaultAIOWindow. The change is live:
-// writes admitted under an old, larger window complete and drain
-// normally, new submissions wait for the in-flight count to fall under
-// the new bound. Safe to call at any time, concurrently with
-// WriteClusterAsync (the control plane resizes the window from observed
-// completion latency).
+// clusters; n <= 0 restores disk.DefaultAIOWindow. It reaches the
+// filesystem's existing writer: boot applies uvm.Config.WritebackWindow
+// to a filesystem built with the machine.
 func (fs *FS) SetWriteWindow(n int) { fs.aw.SetWindow(n) }
-
-// WriteWindow returns the current in-flight window for asynchronous
-// vnode write clusters (test/debug helper).
-func (fs *FS) WriteWindow() int { return fs.aw.Window() }
 
 // DrainWrites blocks until every asynchronous vnode cluster write
 // submitted so far has completed (its done callback has returned).
