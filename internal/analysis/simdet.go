@@ -8,11 +8,10 @@ import (
 
 // SimDetAnalyzer guards sim-clock determinism in the packages that feed
 // the paper reports: wall-clock reads (time.Now and friends) are flagged
-// unless waived with //uvm:wallclock <reason> (the traffic driver's
-// latency histogram times wall clock on purpose), math/rand is flagged
-// unless waived with //uvm:rand-ok (workloads must use the seeded
-// sim.RNG), and iterating a Go map — whose order is randomised per run —
-// is flagged unless waived with //uvm:maporder-ok, because map order
+// unless waived with //uvm:wallclock <reason> (a latency histogram
+// times wall clock on purpose), math/rand is flagged unless waived with
+// //uvm:rand-ok (workloads must use the seeded sim.RNG), and iterating
+// a Go map — whose order is randomised per run — is flagged unless waived with //uvm:maporder-ok, because map order
 // leaking into I/O submission or report strings is exactly the class of
 // nondeterminism the PR-5 Msync bug shipped.
 var SimDetAnalyzer = &Analyzer{

@@ -245,10 +245,10 @@ func TestObjectCacheReuseAfterEviction(t *testing.T) {
 // swap double-free: when a merge adopts a shadow's swap slots, slot
 // ownership must move with them — the donor's destroyPager must not
 // free adopted slots and the adopter must free exactly what it took.
-// Fork/exit churn over a region twice RAM (the traffic driver's
-// pattern, shrunk) pages shadow chains out and collapses them over and
-// over; the buggy block-granular transfer panics with "double free of
-// slot" in here. After every process exits, no swap may stay in use.
+// Fork/exit churn over a region twice RAM pages shadow chains out and
+// collapses them over and over; the buggy block-granular transfer
+// panics with "double free of slot" in here. After every process
+// exits, no swap may stay in use.
 func TestCollapseSwapOwnership(t *testing.T) {
 	m := vmapi.NewMachine(vmapi.MachineConfig{
 		RAMPages:  64,

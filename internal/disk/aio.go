@@ -22,10 +22,10 @@ import "sync"
 // callback runs exactly once, off the submitter's goroutine.
 //
 // The window is a setting of the writer, not a fixed capacity: boot
-// applies the configured window with SetWindow to writers that already
-// exist (a swap device's, the filesystem's). Admission is a condvar-gated
-// counter, so a changed bound gates the next admission and never cancels
-// a write already admitted.
+// applies the configured window with SetWindow to a swap device's writer,
+// which already exists. Admission is a condvar-gated counter, so a
+// changed bound gates the next admission and never cancels a write
+// already admitted.
 
 // DefaultAIOWindow is the in-flight write window used when a writer is
 // created with a non-positive window.

@@ -14,8 +14,8 @@ import (
 // into data: a list of rules, each naming a fault class (read error,
 // write error, torn cluster write, whole-device death) and when it
 // triggers (a specific block, or the Nth matching command), installable
-// from vmapi.MachineConfig so the experiment matrix can run the same
-// workload under systematically varied fault schedules.
+// from vmapi.MachineConfig so the same workload can run under
+// systematically varied fault schedules.
 //
 // Semantics are physical. A command that faults at block k has already
 // moved the first k pages: those pages are durable (writes) or filled

@@ -41,15 +41,6 @@ func SetProfile(name string) error {
 	return nil
 }
 
-// CurrentProfile returns the profile experiments boot with, naming the
-// default explicitly.
-func CurrentProfile() string {
-	if profile == "" {
-		return sim.DefaultProfile
-	}
-	return profile
-}
-
 // stdConfig is the paper's testbed: 32 MB of RAM (§6).
 func stdConfig() vmapi.MachineConfig {
 	return vmapi.MachineConfig{
@@ -75,7 +66,7 @@ func bigMemConfig() vmapi.MachineConfig {
 // how far its proactive reclaim runs ahead depends on goroutine
 // scheduling. Inline reclaim is also what the 1999 system effectively
 // did — UVM shipped under the pre-SMP big lock. The daemon's own effect
-// is measured where it belongs: the Pressure and Scaling experiments.
+// is measured where it belongs: bench/uvmperf, under concurrent load.
 func uvmDeterministic(m *vmapi.Machine) vmapi.System {
 	cfg := uvm.DefaultConfig()
 	cfg.InlineReclaim = true
@@ -114,29 +105,7 @@ func All(quick bool) []Runner {
 			return ReportDataMovement(w)
 		}},
 		{"rc", "§8: /etc/rc-style script time", func(w io.Writer) error { return ReportRC(w) }},
-		{"scaling", "Scaling: parallel fault throughput (beyond the paper)", func(w io.Writer) error {
-			return ReportScaling(w, []NamedBooter{{"bsdvm", bsdvm.Boot}, {"uvm", uvm.Boot}})
-		}},
-		{"pressure", "Pressure: reclaim tail latency, inline vs pagedaemon (beyond the paper)", func(w io.Writer) error {
-			return ReportPressure(w, pressureWorkers(quick), iters(quick, 600, 2500))
-		}},
-		{"reclaimbw", "ReclaimBW: pageout bandwidth, sync vs async vs parallel reclaim (beyond the paper)", func(w io.Writer) error {
-			return ReportReclaimBW(w, iters(quick, 1500, 6000))
-		}},
-		{"objwb", "ObjWB: object writeback (msync) bandwidth, sync vs async vs clustered (beyond the paper)", func(w io.Writer) error {
-			return ReportObjWB(w, iters(quick, 4, 16))
-		}},
-		{"traffic", "Traffic: multi-tenant Zipf workload, fault tail latency (beyond the paper)", func(w io.Writer) error {
-			return ReportTraffic(w, quick, TrafficOverrides{ZipfS: -1})
-		}},
 	}
-}
-
-func pressureWorkers(quick bool) []int {
-	if quick {
-		return []int{1, 2}
-	}
-	return []int{1, 2, 4, 8}
 }
 
 func iters(quick bool, q, full int) int {

@@ -1,10 +1,16 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 	"time"
+
+	"uvm/internal/bsdvm"
+	"uvm/internal/disk"
+	"uvm/internal/param"
+	"uvm/internal/sim"
+	"uvm/internal/vmapi"
+	"uvm/internal/vmapi/testutil"
 )
 
 // The experiment tests verify the paper's qualitative claims — who wins,
@@ -217,15 +223,24 @@ func TestAllRunnersExecute(t *testing.T) {
 	}
 }
 
+// TestLookup pins the registry to the paper: the eight reports, in paper
+// order, and nothing else — load beyond the paper is bench/uvmperf's.
 func TestLookup(t *testing.T) {
+	var ids []string
+	for _, r := range All(true) {
+		ids = append(ids, r.ID)
+	}
+	if got, want := strings.Join(ids, " "), "table1 table2 table3 fig2 fig5 fig6 datamove rc"; got != want {
+		t.Errorf("All(true) ids = %q, want %q", got, want)
+	}
 	if _, ok := Lookup("fig5", true); !ok {
 		t.Error("fig5 not found")
 	}
-	if _, ok := Lookup("nope", true); ok {
-		t.Error("bogus id found")
+	for _, id := range []string{"nope", "traffic"} {
+		if _, ok := Lookup(id, true); ok {
+			t.Errorf("Lookup(%q) found a runner", id)
+		}
 	}
-	var w io.Writer = io.Discard
-	_ = w
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
@@ -250,5 +265,110 @@ func TestExperimentsDeterministic(t *testing.T) {
 				t.Fatalf("non-deterministic output:\n--- run1:\n%s\n--- run2:\n%s", a.String(), b.String())
 			}
 		})
+	}
+}
+
+// withProfile runs f with every experiment machine booting the named
+// profile, and restores the default afterwards.
+func withProfile(t *testing.T, prof string, f func()) {
+	t.Helper()
+	if err := SetProfile(prof); err != nil {
+		t.Fatal(err)
+	}
+	defer SetProfile("")
+	f()
+}
+
+// TestMatrixCells runs the profile matrix uvmbench -profile offers: every
+// paper report on every machine profile, plus one fault cell per profile
+// that pages the paper's 32 MB machine past RAM and back under a swap
+// plan of torn cluster writes, write errors and read errors. A failed
+// access is the behaviour under test, so it is logged, not fatal; each
+// fault cell must see every rule fire and end with a clean Busy sweep.
+func TestMatrixCells(t *testing.T) {
+	const mb = 40
+	for _, prof := range sim.Profiles() {
+		t.Run(prof, func(t *testing.T) {
+			withProfile(t, prof, func() {
+				for _, r := range All(true) {
+					var sb strings.Builder
+					if err := r.Run(&sb); err != nil {
+						t.Errorf("%s: %v", r.ID, err)
+					} else if sb.Len() == 0 {
+						t.Errorf("%s: empty report", r.ID)
+					}
+				}
+				cfg := stdConfig()
+				bsdPlan, uvmPlan := matrixFaultPlan(), matrixFaultPlan()
+				cfg.SwapFaultPlan = bsdPlan
+				bsd := bsdvm.Boot(vmapi.NewMachine(cfg))
+				cfg.SwapFaultPlan = uvmPlan
+				uv := uvmDeterministic(vmapi.NewMachine(cfg))
+				for i, sys := range []vmapi.System{bsd, uv} {
+					plan := []*disk.FaultPlan{bsdPlan, uvmPlan}[i]
+					p, err := sys.NewProcess("allocator")
+					if err != nil {
+						t.Fatal(err)
+					}
+					size := param.VSize(mb) << 20
+					va, err := p.Mmap(0, size, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					failed := 0
+					for pass := 0; pass < 2; pass++ {
+						for off := param.VSize(0); off < size; off += param.PageSize {
+							if err := p.WriteBytes(va+param.VAddr(off), []byte{byte(1 + pass)}); err != nil {
+								failed++
+							}
+						}
+					}
+					for j, kind := range []string{"torn write", "write error", "read error"} {
+						if plan.Fired(j) == 0 {
+							t.Errorf("%s: no %s fired", sys.Name(), kind)
+						}
+					}
+					t.Logf("%s: fired torn=%d write=%d read=%d, failed accesses %d",
+						sys.Name(), plan.Fired(0), plan.Fired(1), plan.Fired(2), failed)
+					p.Exit()
+					testutil.ShutdownSweep(t, sys)
+				}
+			})
+		})
+	}
+}
+
+// matrixFaultPlan is the fault cell's swap plan: a torn cluster write,
+// then transient write and read errors, each count-limited so the system
+// has to absorb every class and then recover. Fresh per machine — plans
+// hold per-device trigger state.
+func matrixFaultPlan() *disk.FaultPlan {
+	return disk.NewFaultPlan(
+		disk.FaultRule{Kind: disk.FaultTornWrite, Block: disk.BlockAny, AfterOps: 8, Count: 3, TornPages: 2},
+		disk.FaultRule{Kind: disk.FaultWriteError, Block: disk.BlockAny, AfterOps: 15, Count: 2},
+		disk.FaultRule{Kind: disk.FaultReadError, Block: disk.BlockAny, AfterOps: 10, Count: 3},
+	)
+}
+
+// TestMatrixProfilesDiffer checks the profiles actually change the
+// machine: the same Figure 5 point past RAM must cost both systems less
+// simulated time on ramdisk than on hdd97 (ramdisk I/O is nearly free).
+func TestMatrixProfilesDiffer(t *testing.T) {
+	point := func(prof string) (p F5Point) {
+		withProfile(t, prof, func() {
+			points, err := Figure5([]int{40})
+			if err != nil {
+				t.Fatalf("%s: %v", prof, err)
+			}
+			p = points[0]
+		})
+		return p
+	}
+	hdd, ram := point("hdd97"), point("ramdisk")
+	if ram.BSD >= hdd.BSD {
+		t.Errorf("BSD VM: ramdisk sim time %v not below hdd97 %v", ram.BSD, hdd.BSD)
+	}
+	if ram.UVM >= hdd.UVM {
+		t.Errorf("UVM: ramdisk sim time %v not below hdd97 %v", ram.UVM, hdd.UVM)
 	}
 }

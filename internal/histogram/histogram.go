@@ -1,7 +1,7 @@
 // Package histogram provides a lock-free, fixed-bucket latency
 // histogram for hot paths that record one duration per operation from
-// many goroutines — the traffic driver times every page fault through
-// one of these.
+// many goroutines — bench/uvmperf times every request through one of
+// these.
 //
 // The layout is log-linear (the HdrHistogram idea, shrunk to what the
 // simulation needs): values below subCount nanoseconds get their own
@@ -14,9 +14,8 @@
 //
 // Recording is lock-free but not snapshot-consistent: a Quantile taken
 // while writers are still recording sees some prefix of their updates.
-// The intended protocol is the one the traffic driver uses — each
-// worker records into its own shard and the shards are Merged after the
-// workers join — which also keeps the hot cells out of false sharing.
+// The intended protocol is one shard per worker, Merged after the
+// workers join, which also keeps the hot cells out of false sharing.
 package histogram
 
 import (

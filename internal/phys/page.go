@@ -367,8 +367,8 @@ func (m *Mem) InactivePages() int {
 // the system quiescent (no faults running, pipelines drained, Shutdown
 // complete) the answer must be empty: a Busy page at that point is a
 // leaked claim from an error path that forgot to release it. The
-// fault-injection suite and the experiment matrix assert exactly that at
-// end of run.
+// fault-injection suite and bench/uvmperf assert exactly that at end of
+// run.
 func (m *Mem) BusyPages() []*Page {
 	var busy []*Page
 	for i := range m.frames {

@@ -36,7 +36,7 @@
 // together in the reverse order.
 //
 // Bucket lock traffic is counted in the pmap.pv.* stats (acquisitions
-// and contended acquisitions); experiments.Scaling reports the ratio as
+// and contended acquisitions); bench/uvmperf reports the ratio as
 // fault-path pv contention.
 //
 // The simulated processor is i386-like: each 4 MB-aligned region of a
@@ -213,7 +213,7 @@ type MMU struct {
 	// shards is the number of live buckets (a power of two ≤ pvShards).
 	// Set once at boot — before any translation exists — by SetPVShards;
 	// 1 degrades the table to the classic single-mutex layout, kept as
-	// the measured contrast for BenchmarkPVContention.
+	// the measured contrast for bench/uvmperf's ref.pv1 row.
 	shards  int
 	buckets [pvShards]pvBucket
 

@@ -107,9 +107,9 @@ func DefaultCosts() *Costs {
 // machine — the 333 MHz / 32 MB testbed with a late-1990s IDE disk — so
 // every clustering and overlap win is implicitly a claim about that
 // disk's seek/transfer ratio. The named profiles below keep the CPU-side
-// cost table fixed and swap only the disk model, which is what lets the
-// experiment matrix ask "does this pipeline still pay off when seeks are
-// nearly free?" without changing any other variable.
+// cost table fixed and swap only the disk model, which is what lets a
+// run ask "does this pipeline still pay off when seeks are nearly
+// free?" without changing any other variable.
 //
 //   - hdd97: the calibrated default (DefaultCosts) — 6 ms positioning,
 //     2 ms command overhead, 500 µs per 4 KB page (~8 MB/s media rate).

@@ -184,8 +184,8 @@ const (
 	CtrPageinClustered = "uvm.pagein.clustered"       // extra pages brought in by clustering
 
 	// Sharded pmap reverse-map (pv) counters (internal/pmap). The
-	// contended/acquires ratio is the fault path's pv-lock contention;
-	// experiments.Scaling reports it at each goroutine count.
+	// contended/acquires ratio is the fault path's pv-lock contention
+	// (bench/uvmperf's pmap.pv_contended_ratio).
 	CtrPVAcquires   = "pmap.pv.acquires"     // pv bucket lock acquisitions
 	CtrPVContended  = "pmap.pv.contended"    // acquisitions that found the bucket held
 	CtrPVBatches    = "pmap.pv.batch.enters" // Pmap.EnterBatch calls
@@ -212,8 +212,8 @@ const (
 	// Page-allocator counters (internal/phys/alloccache.go). The
 	// contended/acquires ratio is the fault path's allocation-lock
 	// contention — on the global pool's queue shards in single-pool mode,
-	// on the per-CPU magazines when free-page caches are enabled;
-	// experiments.Scaling reports it at each goroutine count.
+	// on the per-CPU magazines when free-page caches are enabled
+	// (bench/uvmperf's phys.alloc_contended_ratio).
 	CtrAllocAcquires  = "phys.alloc.acquires"  // alloc-path lock acquisitions (shard or magazine)
 	CtrAllocContended = "phys.alloc.contended" // acquisitions that found the lock held
 	CtrAllocHits      = "phys.alloc.hits"      // allocations served from a warm magazine

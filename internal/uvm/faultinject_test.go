@@ -2,7 +2,9 @@ package uvm
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"uvm/internal/disk"
 	"uvm/internal/param"
@@ -236,4 +238,124 @@ func TestSwapDeviceDeathMidPageout(t *testing.T) {
 		t.Error("async writes still in flight after Shutdown on a dead device")
 	}
 	busySweep(t, m, "after shutdown")
+}
+
+// TestFaultPlanReclaimOnEveryProfile runs the full reclaim pipeline —
+// async clustered pageout, four reclaim workers, clustered pagein —
+// under overcommit on every machine profile, with a swap fault plan that
+// tears cluster writes, fails whole writes and fails reads, each a few
+// times and then never again. Four producers stamp every page of
+// private regions that together demand twice RAM, then, once all have
+// finished, stamp them all again, so the second pass pages back in what
+// the first pushed out. A failed access is the behaviour under test, so
+// it is counted, not fatal. Every rule must
+// fire; once the plan is lifted every page must read back the last stamp
+// that was written successfully, whatever tore or failed on its way to
+// swap; and Shutdown must leave no page Busy. The profiles must also
+// differ: ramdisk I/O is nearly free, so the run costs hdd97 far more
+// simulated time.
+func TestFaultPlanReclaimOnEveryProfile(t *testing.T) {
+	const (
+		producers = 4
+		region    = 512 // pages per producer: 4 × 512 = 2 × RAM
+		passes    = 2
+	)
+	rules := []disk.FaultRule{
+		{Kind: disk.FaultTornWrite, Block: disk.BlockAny, AfterOps: 8, Count: 3, TornPages: 2},
+		{Kind: disk.FaultWriteError, Block: disk.BlockAny, AfterOps: 15, Count: 2},
+		{Kind: disk.FaultReadError, Block: disk.BlockAny, AfterOps: 10, Count: 3},
+	}
+	simTime := map[string]time.Duration{}
+	for _, prof := range sim.Profiles() {
+		t.Run(prof, func(t *testing.T) {
+			plan := disk.NewFaultPlan(rules...)
+			m := vmapi.NewMachine(vmapi.MachineConfig{
+				RAMPages:      1024,
+				SwapPages:     65536,
+				FSPages:       1024,
+				MaxVnodes:     16,
+				Profile:       prof,
+				SwapFaultPlan: plan,
+			})
+			cfg := DefaultConfig()
+			cfg.AsyncPageout = true
+			cfg.PageoutWindow = 4
+			cfg.ReclaimWorkers = 4
+			cfg.PageinCluster = 8
+			s := BootConfig(m, cfg)
+			testutil.SweepOnCleanup(t, s)
+
+			procs := make([]*Process, producers)
+			vas := make([]param.VAddr, producers)
+			for i := range procs {
+				procs[i] = newProc(t, s, "producer")
+				va, err := procs[i].Mmap(0, region*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vas[i] = va
+			}
+
+			// want[i][pg] is the last stamp producer i wrote successfully
+			// to page pg (0: never written, reads back as zero fill).
+			want := make([][]byte, producers)
+			failed := make([]int, producers)
+			sim0 := m.Clock.Now()
+			for i := range want {
+				want[i] = make([]byte, region)
+			}
+			for pass := 0; pass < passes; pass++ {
+				var wg sync.WaitGroup
+				for i := range procs {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						stamp := byte(1 + pass + passes*i)
+						for pg := 0; pg < region; pg++ {
+							if err := procs[i].WriteBytes(vas[i]+param.VAddr(pg)*param.PageSize, []byte{stamp}); err != nil {
+								failed[i]++
+								continue
+							}
+							want[i][pg] = stamp
+						}
+					}(i)
+				}
+				wg.Wait()
+			}
+			simTime[prof] = m.Clock.Now() - sim0
+
+			// Check by kind, not by rule, so a plan that lost a rule fails.
+			fired := map[disk.FaultKind]int64{}
+			for j, r := range rules {
+				fired[r.Kind] += plan.Fired(j)
+			}
+			for _, k := range []disk.FaultKind{disk.FaultTornWrite, disk.FaultWriteError, disk.FaultReadError} {
+				if fired[k] == 0 {
+					t.Errorf("no %v fault fired", k)
+				}
+			}
+			if m.Stats.Get(sim.CtrPdAsyncClusters) == 0 {
+				t.Error("no async pageout cluster: the pipeline under test never ran")
+			}
+			t.Logf("%s: %d pageouts, %d pageins, failed accesses %v, sim %v",
+				prof, m.Stats.Get(sim.CtrPageOuts), m.Stats.Get(sim.CtrPageIns), failed, simTime[prof])
+
+			m.SwapDisk.SetFaultPlan(nil)
+			buf := make([]byte, 1)
+			for i, p := range procs {
+				for pg := 0; pg < region; pg++ {
+					if err := p.ReadBytes(vas[i]+param.VAddr(pg)*param.PageSize, buf); err != nil {
+						t.Fatalf("producer %d page %d: read after lifting the plan: %v", i, pg, err)
+					}
+					if buf[0] != want[i][pg] {
+						t.Fatalf("producer %d page %d reads %d, last successful write was %d", i, pg, buf[0], want[i][pg])
+					}
+				}
+				p.Exit()
+			}
+		})
+	}
+	if hdd, ram := simTime["hdd97"], simTime["ramdisk"]; ram >= hdd {
+		t.Errorf("ramdisk run took %v simulated, not below hdd97's %v", ram, hdd)
+	}
 }

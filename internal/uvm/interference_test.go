@@ -6,21 +6,29 @@ import (
 	"time"
 
 	"uvm/internal/param"
+	"uvm/internal/sim"
 	"uvm/internal/vmapi"
-	"uvm/internal/workload"
 )
 
-// TestTrafficFaultCountsWritebackInterference pins down what the
-// traffic driver's reclaim-interference column measures on the
-// writeback side: a tenant faulting a page whose contents are on the
-// wire (an asynchronous msync flush owns it, Busy set) must block in
-// waitObjPageIdle until the completion — and that block is visible in
-// workload.ReclaimInterference. The gates make the race deterministic:
-// wbGate holds every flush completion, msyncGate runs once the clusters
-// are submitted, so the tenant's fault provably lands while the I/O is
-// in flight. Removing the fault path's busy-wait (fault.go's Busy loop)
-// fails this test twice over — the fault completes while the flush owns
-// the page, and the interference delta stays zero.
+// reclaimInterference sums the counters that record a collision with
+// in-flight reclaim I/O: sleeps on an object page whose writeback is on
+// the wire (waitObjPageIdle) plus allocations that blocked on the
+// pagedaemon's round.
+func reclaimInterference(st *sim.Stats) int64 {
+	return st.Get(sim.CtrObjWbWaits) + st.Get(sim.CtrPdBlocked)
+}
+
+// TestTrafficFaultCountsWritebackInterference pins down what reclaim
+// interference means on the writeback side: a tenant faulting a page
+// whose contents are on the wire (an asynchronous msync flush owns it,
+// Busy set) must block in waitObjPageIdle until the completion — and
+// that block is visible in reclaimInterference. The gates make the race
+// deterministic: wbGate holds every flush completion, msyncGate runs
+// once the clusters are submitted, so the tenant's fault provably lands
+// while the I/O is in flight. Removing the fault path's busy-wait
+// (fault.go's Busy loop) fails this test twice over — the fault
+// completes while the flush owns the page, and the interference delta
+// stays zero.
 func TestTrafficFaultCountsWritebackInterference(t *testing.T) {
 	s, m := bootWb(t, 256, func(c *Config) {
 		c.AsyncWriteback = true
@@ -37,15 +45,15 @@ func TestTrafficFaultCountsWritebackInterference(t *testing.T) {
 	}
 	dirtyPages(t, t0, va, 0)
 
-	// Tenant 1 maps the same file read-only before the flush — the
-	// traffic driver's file-serve shape — but faults nothing yet.
+	// Tenant 1 maps the same file read-only before the flush — a
+	// file-serve shape — but faults nothing yet.
 	t1 := newProc(t, s, "tenant1")
 	tva, err := t1.Mmap(0, 4*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	base := workload.ReclaimInterference(m.Stats)
+	base := reclaimInterference(m.Stats)
 	release := make(chan struct{})
 	s.wbGate = func() { <-release }
 	defer func() { s.wbGate = nil }()
@@ -63,7 +71,7 @@ func TestTrafficFaultCountsWritebackInterference(t *testing.T) {
 			close(doneCh)
 		}()
 		deadline := time.Now().Add(5 * time.Second)
-		for workload.ReclaimInterference(m.Stats) == base {
+		for reclaimInterference(m.Stats) == base {
 			if time.Now().After(deadline) {
 				t.Error("tenant fault never blocked on the in-flight writeback (no interference counted)")
 				break
@@ -84,7 +92,7 @@ func TestTrafficFaultCountsWritebackInterference(t *testing.T) {
 	if faultErr != nil {
 		t.Fatalf("blocked tenant fault failed: %v", faultErr)
 	}
-	if d := workload.ReclaimInterference(m.Stats) - base; d < 1 {
+	if d := reclaimInterference(m.Stats) - base; d < 1 {
 		t.Errorf("reclaim-interference delta = %d, want >= 1", d)
 	}
 }

@@ -220,7 +220,7 @@ type Config struct {
 	LowWater int
 	// InlineReclaim disables the asynchronous pagedaemon: allocating
 	// goroutines reclaim inline, as both systems did before the daemon
-	// existed (ablation for the memory-pressure experiment). Implies
+	// existed (what the paper reports run with). Implies
 	// synchronous pageout regardless of AsyncPageout.
 	InlineReclaim bool
 	// AsyncPageout overlaps pageout I/O with the next reclaim scan: the
@@ -256,11 +256,6 @@ type Config struct {
 	// which keeps single-threaded runs byte-deterministic — and recycle
 	// and last-unmap queue their pages through the buffer cache.
 	AsyncWriteback bool
-	// WritebackWindow bounds in-flight asynchronous object writeback
-	// clusters on the filesystem disk (the vnode backend's window; the
-	// aobj backend shares the swap device window, see PageoutWindow).
-	// 0 means disk.DefaultAIOWindow. Only meaningful with AsyncWriteback.
-	WritebackWindow int
 	// WritebackCluster caps pages per object writeback I/O — the longest
 	// run of consecutive object pages any flight writes with one command,
 	// synchronous or asynchronous, flush or pageout. 0 means MaxCluster.
@@ -399,9 +394,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrUbcReads = m.Stats.Counter("uvm.ubc.reads")
 	s.ctrUbcWrites = m.Stats.Counter("uvm.ubc.writes")
 	s.flCond = sync.NewCond(&s.flMu)
-	if cfg.AsyncWriteback && cfg.WritebackWindow > 0 {
-		m.FS.SetWriteWindow(cfg.WritebackWindow)
-	}
 	s.kmap = s.newMap("kernel", param.KernelBase, param.KernelMax, true)
 
 	// Kernel text, data, bss — always-wired segments. Because they are

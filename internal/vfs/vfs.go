@@ -206,12 +206,6 @@ type FS struct {
 	aw *disk.AsyncWriter
 }
 
-// SetWriteWindow sets the in-flight window for asynchronous vnode write
-// clusters; n <= 0 restores disk.DefaultAIOWindow. It reaches the
-// filesystem's existing writer: boot applies uvm.Config.WritebackWindow
-// to a filesystem built with the machine.
-func (fs *FS) SetWriteWindow(n int) { fs.aw.SetWindow(n) }
-
 // DrainWrites blocks until every asynchronous vnode cluster write
 // submitted so far has completed (its done callback has returned).
 func (fs *FS) DrainWrites() { fs.aw.Drain() }
