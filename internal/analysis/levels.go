@@ -21,7 +21,7 @@ var Levels = []string{
 	"map",       // vmMap.mu — the per-address-space map lock
 	"vnobj",     // System.vnObjMu — vnode<->object identity
 	"object",    // uobject.mu
-	"amap",      // amap.mu (including the hybrid amap's chunk state)
+	"amap",      // amap.mu — the amap's reference count and slots
 	"anon",      // anon.mu
 	"pageident", // phys.Page.mu — per-frame identity (owner/off)
 	"wbcond",    // System.flMu — flight counters/result lists and the completion condvar

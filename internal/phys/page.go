@@ -545,10 +545,9 @@ func (sh *memShard) detachLocked(p *Page) {
 	p.queue = QueueNone
 }
 
-// NumQueueShards returns the page-queue shard count. Reclaim workers use
-// it to carve the inactive queue into disjoint shard ranges for
-// ScanInactiveRange.
-func NumQueueShards() int { return numShards }
+// scanStack is how many snapshot candidates ScanInactive keeps on its own
+// stack; a larger snapshot spills to the heap.
+const scanStack = 512
 
 // ScanInactive calls fn on up to max pages in global LRU order from the
 // inactive queue. fn runs without any queue lock held so it may call back
@@ -556,19 +555,6 @@ func NumQueueShards() int { return numShards }
 // loaned pages. This is the pagedaemon's entry point. The shards are
 // merged by sequence stamp, so the visit order matches what a single
 // global inactive queue would produce.
-func (m *Mem) ScanInactive(max int, fn func(*Page) bool) {
-	m.ScanInactiveRange(0, numShards, max, fn)
-}
-
-// scanStack is how many snapshot candidates ScanInactiveRange keeps on its
-// own stack; a larger snapshot spills to the heap.
-const scanStack = 512
-
-// ScanInactiveRange is ScanInactive restricted to queue shards
-// [loShard, hiShard): it visits up to max inactive pages homed in those
-// shards, merged to the LRU order of the covered subset. Parallel reclaim
-// workers each scan a disjoint range, so they never hand one another the
-// same page; with the full range it is exactly ScanInactive.
 //
 // Each shard's candidates are snapshotted under its lock into one segment
 // of a shared buffer. A segment is in queue order, which is stamp order
@@ -578,13 +564,7 @@ const scanStack = 512
 // costs one pass over the shard heads per page handed to fn and stops
 // when fn does, so a scan that wanted only the first few pages never
 // orders the rest.
-func (m *Mem) ScanInactiveRange(loShard, hiShard, max int, fn func(*Page) bool) {
-	if loShard < 0 {
-		loShard = 0
-	}
-	if hiShard > numShards {
-		hiShard = numShards
-	}
+func (m *Mem) ScanInactive(max int, fn func(*Page) bool) {
 	// The LRU stamp is copied out while the shard lock is held: p.seq is
 	// re-stamped (under other shard locks) whenever a page moves queues,
 	// so the merge below must not touch the live field.
@@ -598,7 +578,7 @@ func (m *Mem) ScanInactiveRange(loShard, hiShard, max int, fn func(*Page) bool) 
 		end  [numShards]int // one past each segment's last candidate
 	)
 	cand := buf[:0]
-	for i := loShard; i < hiShard; i++ {
+	for i := range m.shards {
 		first := len(cand)
 		sh := &m.shards[i]
 		sh.mu.Lock()
@@ -619,7 +599,7 @@ func (m *Mem) ScanInactiveRange(loShard, hiShard, max int, fn func(*Page) bool) 
 	}
 	for ; max > 0; max-- {
 		oldest := -1
-		for i := loShard; i < hiShard; i++ {
+		for i := range m.shards {
 			if head[i] < end[i] && (oldest < 0 || cand[head[i]].seq < cand[head[oldest]].seq) {
 				oldest = i
 			}

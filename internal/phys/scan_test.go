@@ -11,13 +11,13 @@ import (
 // scanReference is the inactive scan as it was before the lazy merge, kept
 // here as the order the merge is checked against: snapshot up to max
 // candidates per shard, sort the lot by stamp, keep the first max.
-func scanReference(m *Mem, loShard, hiShard, max int) []*Page {
+func scanReference(m *Mem, max int) []*Page {
 	type candidate struct {
 		p   *Page
 		seq uint64
 	}
 	var cand []candidate
-	for i := loShard; i < hiShard; i++ {
+	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		cnt := 0
@@ -51,9 +51,9 @@ func scanReference(m *Mem, loShard, hiShard, max int) []*Page {
 
 // scanVisits runs the scan, stopping after stop visits (never, if stop is
 // negative), and returns what it visited.
-func scanVisits(m *Mem, loShard, hiShard, max, stop int) []*Page {
+func scanVisits(m *Mem, max, stop int) []*Page {
 	var got []*Page
-	m.ScanInactiveRange(loShard, hiShard, max, func(p *Page) bool {
+	m.ScanInactive(max, func(p *Page) bool {
 		got = append(got, p)
 		return len(got) != stop
 	})
@@ -105,11 +105,11 @@ func randomQueues(r *sim.RNG) *Mem {
 	return m
 }
 
-// TestScanMergeMatchesSortedSnapshot: over random queue states, shard
-// ranges of one to sixteen shards and limits below and above the queue
-// depth, the lazy merge visits exactly the pages, in exactly the order,
-// that sorting the whole snapshot did — and a visitor that stops after any
-// number of pages has seen exactly that prefix.
+// TestScanMergeMatchesSortedSnapshot: over random queue states and limits
+// below and above the queue depth, the lazy merge of all sixteen shards
+// visits exactly the pages, in exactly the order, that sorting the whole
+// snapshot did — and a visitor that stops after any number of pages has
+// seen exactly that prefix.
 func TestScanMergeMatchesSortedSnapshot(t *testing.T) {
 	r := sim.NewRNG(20)
 	states := 60
@@ -118,36 +118,30 @@ func TestScanMergeMatchesSortedSnapshot(t *testing.T) {
 	}
 	for state := 0; state < states; state++ {
 		m := randomQueues(r)
-		for trial := 0; trial < 6; trial++ {
-			lo := r.Intn(numShards)
-			hi := lo + 1 + r.Intn(numShards-lo)
-			if trial == 0 {
-				lo, hi = 0, numShards
-			}
-			depth := 0
-			for i := lo; i < hi; i++ {
-				depth += m.shards[i].inactive.n
-			}
-			for _, max := range []int{1, 1 + r.Intn(depth+1), depth/(hi-lo) + 1, depth, 4*depth + 7} {
-				want := scanReference(m, lo, hi, max)
-				for stop := -1; stop <= len(want)+1; stop++ {
-					if stop == 0 {
-						continue // a visitor cannot stop before its first page
-					}
-					wantN := len(want)
-					if stop > 0 && stop < wantN {
-						wantN = stop
-					}
-					got := scanVisits(m, lo, hi, max, stop)
-					if len(got) != wantN {
-						t.Fatalf("state %d shards [%d,%d) max %d stop %d: visited %d pages, want %d",
-							state, lo, hi, max, stop, len(got), wantN)
-					}
-					for i, p := range got {
-						if p != want[i] {
-							t.Fatalf("state %d shards [%d,%d) max %d stop %d: visit %d is frame %#x (stamp %d), want %#x (stamp %d)",
-								state, lo, hi, max, stop, i, p.PA, p.seq, want[i].PA, want[i].seq)
-						}
+		depth := m.InactivePages()
+		maxes := []int{1, depth/numShards + 1, depth, 4*depth + 7}
+		for trial := 0; trial < 4; trial++ {
+			maxes = append(maxes, 1+r.Intn(depth+1))
+		}
+		for _, max := range maxes {
+			want := scanReference(m, max)
+			for stop := -1; stop <= len(want)+1; stop++ {
+				if stop == 0 {
+					continue // a visitor cannot stop before its first page
+				}
+				wantN := len(want)
+				if stop > 0 && stop < wantN {
+					wantN = stop
+				}
+				got := scanVisits(m, max, stop)
+				if len(got) != wantN {
+					t.Fatalf("state %d max %d stop %d: visited %d pages, want %d",
+						state, max, stop, len(got), wantN)
+				}
+				for i, p := range got {
+					if p != want[i] {
+						t.Fatalf("state %d max %d stop %d: visit %d is frame %#x (stamp %d), want %#x (stamp %d)",
+							state, max, stop, i, p.PA, p.seq, want[i].PA, want[i].seq)
 					}
 				}
 			}
@@ -158,9 +152,9 @@ func TestScanMergeMatchesSortedSnapshot(t *testing.T) {
 // TestScanMergeConcurrentQueueTraffic scans while other goroutines move
 // the same frames between the queues and the free list. No reference order
 // exists for a moving queue, so the scan is held to what must hold anyway:
-// at most max pages, none twice, each homed in a shard of the range. Under
-// -race this is also the check that the snapshot copies every stamp it
-// compares out from under the shard lock.
+// at most max pages, none twice. Under -race this is also the check that
+// the snapshot copies every stamp it compares out from under the shard
+// lock.
 func TestScanMergeConcurrentQueueTraffic(t *testing.T) {
 	m := newTestMem(512)
 	var pages []*Page
@@ -208,18 +202,13 @@ func TestScanMergeConcurrentQueueTraffic(t *testing.T) {
 		rounds = 100
 	}
 	for round := 0; round < rounds; round++ {
-		lo := r.Intn(numShards)
-		hi := lo + 1 + r.Intn(numShards-lo)
 		max := 1 + r.Intn(600)
 		seen := make(map[*Page]bool)
-		m.ScanInactiveRange(lo, hi, max, func(p *Page) bool {
+		m.ScanInactive(max, func(p *Page) bool {
 			if seen[p] {
 				t.Errorf("round %d: frame %#x visited twice", round, p.PA)
 			}
 			seen[p] = true
-			if int(p.home) < lo || int(p.home) >= hi {
-				t.Errorf("round %d: frame %#x of shard %d visited by a scan of [%d,%d)", round, p.PA, p.home, lo, hi)
-			}
 			return true
 		})
 		if len(seen) > max {
@@ -245,7 +234,7 @@ func TestScanInactiveAllocs(t *testing.T) {
 	visited := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		visited = 0
-		m.ScanInactiveRange(0, numShards, scanStack, func(*Page) bool {
+		m.ScanInactive(scanStack, func(*Page) bool {
 			visited++
 			return true
 		})

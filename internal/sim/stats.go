@@ -174,12 +174,11 @@ const (
 	CtrPdDirect     = "uvm.pdaemon.direct"     // direct-reclaim fallbacks
 	CtrPdWaitNs     = "uvm.pdaemon.wait_ns"    // simulated ns allocators spent blocked on free pages
 
-	// Reclaim I/O pipeline counters (async pageout, parallel reclaim
-	// workers, clustered pagein — internal/uvm/pdaemon.go, pagein.go).
+	// Reclaim I/O pipeline counters (async pageout, clustered pagein —
+	// internal/uvm/pdaemon.go, pagein.go).
 	CtrPdAsyncClusters = "uvm.pdaemon.async.clusters" // clusters submitted asynchronously
 	CtrPdAsyncPages    = "uvm.pdaemon.async.pages"    // pages riding async clusters
 	CtrPdAsyncErrors   = "uvm.pdaemon.async.errors"   // async writes that failed
-	CtrPdWorkerRounds  = "uvm.pdaemon.worker.rounds"  // per-worker reclaim passes
 	CtrPageinClusters  = "uvm.pagein.clusters"        // clustered pagein I/Os
 	CtrPageinClustered = "uvm.pagein.clustered"       // extra pages brought in by clustering
 

@@ -151,72 +151,58 @@ func (s *System) dropAnonPage(pg *phys.Page, loanedView bool) {
 	}
 }
 
-// amapImpl is the amap storage interface. The paper (§5.2) notes UVM
-// deliberately separates the amap interface from its implementation so the
-// latter can be swapped (array now, hybrid hash/array later); this
-// interface is that seam.
-type amapImpl interface {
-	get(slot int) *anon
-	set(slot int, a *anon)
-	nslots() int
-	// foreach visits every non-nil slot; return false to stop.
-	foreach(fn func(slot int, a *anon) bool)
-}
-
-// arrayAmap is the array-based implementation UVM currently uses (§5.3:
-// "an array-based implementation whose space cost varies with the number
-// of virtual pages covered").
-type arrayAmap struct {
+// amap is an anonymous memory map: a set of anons covering a range of
+// virtual pages (§5.2). refs counts the map entries referencing it. mu
+// guards refs and the slots; it nests below map and object locks and above
+// anon locks.
+//
+// The storage is the array UVM ships with (§5.3: "an array-based
+// implementation whose space cost varies with the number of virtual pages
+// covered"), held inline, one slot per page. §5.3 also suggests a
+// hash/array hybrid for large sparse amaps; it was built behind an
+// interface and measured against the array on the benchmark's workloads,
+// showed no win that held across seeds, and was not kept.
+type amap struct {
+	//uvm:lock amap
+	mu    sync.Mutex
 	anons []*anon
+	refs  int
+	id    uint32 // layoutKey.id of the anons made for this amap; immutable
 }
 
-func (aa *arrayAmap) get(slot int) *anon {
-	if slot < 0 || slot >= len(aa.anons) {
+// get returns the anon in slot, or nil for an empty or out-of-range slot.
+func (am *amap) get(slot int) *anon {
+	if slot < 0 || slot >= len(am.anons) {
 		return nil
 	}
-	return aa.anons[slot]
+	return am.anons[slot]
 }
 
-func (aa *arrayAmap) set(slot int, a *anon) {
-	if slot < 0 || slot >= len(aa.anons) {
-		panic(fmt.Sprintf("uvm: amap slot %d out of range [0,%d)", slot, len(aa.anons)))
+// set stores a (nil empties the slot); slot must be in range.
+func (am *amap) set(slot int, a *anon) {
+	if slot < 0 || slot >= len(am.anons) {
+		panic(fmt.Sprintf("uvm: amap slot %d out of range [0,%d)", slot, len(am.anons)))
 	}
-	aa.anons[slot] = a
+	am.anons[slot] = a
 }
 
-func (aa *arrayAmap) nslots() int { return len(aa.anons) }
-
-func (aa *arrayAmap) foreach(fn func(int, *anon) bool) {
-	for i, a := range aa.anons {
+// foreach visits every non-nil slot in slot order; fn returns false to
+// stop.
+func (am *amap) foreach(fn func(slot int, a *anon) bool) {
+	for i, a := range am.anons {
 		if a != nil && !fn(i, a) {
 			return
 		}
 	}
 }
 
-// amap is an anonymous memory map: a set of anons covering a range of
-// virtual pages (§5.2). refs counts the map entries referencing it. mu
-// guards refs and the impl contents; it nests below map and object locks
-// and above anon locks.
-type amap struct {
-	//uvm:lock amap
-	mu   sync.Mutex
-	impl amapImpl
-	refs int
-	id   uint32 // layoutKey.id of the anons made for this amap; immutable
-}
-
 func (s *System) newAmap(nslots int) *amap {
 	s.mach.Clock.Advance(s.mach.Costs.AmapAlloc)
-	// The array implementation pays per-slot initialisation up front; the
-	// hybrid's hash form only pays for the header until slots populate
-	// (the §5.3 space/time trade).
-	if s.cfg.AmapImpl == AmapArray || nslots <= hybridThresholdSlots {
-		s.mach.Clock.ChargeN(nslots, s.mach.Costs.AmapPerSlot)
-	}
+	// The array pays per-slot initialisation up front.
+	s.mach.Clock.ChargeN(nslots, s.mach.Costs.AmapPerSlot)
 	s.ctrAmapAlloc.Inc()
 	s.ctrAmapLive.Inc()
-	return &amap{impl: s.newAmapImpl(nslots), refs: 1, id: s.layoutIDs.Add(1)}
+	return &amap{anons: make([]*anon, nslots), refs: 1, id: s.layoutIDs.Add(1)}
 }
 
 // amapRef adds a map-entry reference.
@@ -245,9 +231,9 @@ func (s *System) amapUnref(am *amap) {
 		am.mu.Unlock()
 		return
 	}
-	am.impl.foreach(func(slot int, a *anon) bool {
+	am.foreach(func(slot int, a *anon) bool {
 		s.anonUnref(a)
-		am.impl.set(slot, nil)
+		am.set(slot, nil)
 		return true
 	})
 	am.mu.Unlock()
@@ -281,9 +267,9 @@ func (s *System) amapCopy(e *entry) {
 	n := e.pages()
 	na := s.newAmap(n) // private until published below
 	for i := 0; i < n; i++ {
-		if a := am.impl.get(e.amapOff + i); a != nil {
+		if a := am.get(e.amapOff + i); a != nil {
 			s.anonRef(a)
-			na.impl.set(i, a)
+			na.set(i, a)
 		}
 	}
 	am.mu.Unlock()

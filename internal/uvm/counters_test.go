@@ -43,7 +43,6 @@ func TestCachedCounterHandlesFeedStats(t *testing.T) {
 		{sim.CtrObjWbPages, s.ctrObjWbPages},
 		{sim.CtrPdRounds, s.ctrPdRounds},
 		{sim.CtrPdDirect, s.ctrPdDirect},
-		{sim.CtrPdWorkerRounds, s.ctrPdWorkerRounds},
 		{"uvm.ubc.reads", s.ctrUbcReads},
 		{"uvm.ubc.writes", s.ctrUbcWrites},
 	}

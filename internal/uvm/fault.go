@@ -103,9 +103,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 	}
 	owner.Unlock()
 
-	if !s.cfg.DisableLookahead {
-		s.lookahead(p, e, va)
-	}
+	s.lookahead(p, e, va)
 	unlockMap()
 	return nil
 }
@@ -119,7 +117,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 		// ---- Layer 1: the amap (anonymous) layer. ----
 		if am := e.amap; am != nil {
 			am.mu.Lock()
-			if a := am.impl.get(e.slotOf(va)); a != nil {
+			if a := am.get(e.slotOf(va)); a != nil {
 				return s.faultAnon(e, am, a, e.slotOf(va), write)
 			}
 			am.mu.Unlock()
@@ -165,7 +163,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 				s.mach.Mem.CopyData(np, pg)
 				am := e.amap
 				am.mu.Lock()
-				if am.impl.get(e.slotOf(va)) != nil {
+				if am.get(e.slotOf(va)) != nil {
 					// Another fault promoted this slot first: discard our
 					// copy and resolve through the amap layer instead.
 					am.mu.Unlock()
@@ -179,7 +177,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 					// must go before the anon is published.
 					s.mach.MMU.PageProtect(pg, param.ProtNone)
 				}
-				am.impl.set(e.slotOf(va), na)
+				am.set(e.slotOf(va), na)
 				na.mu.Lock() // hold the anon across the pmap entry
 				am.mu.Unlock()
 				o.mu.Unlock()
@@ -219,14 +217,14 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 		}
 		am := e.amap
 		am.mu.Lock()
-		if am.impl.get(e.slotOf(va)) != nil {
+		if am.get(e.slotOf(va)) != nil {
 			// Lost a race with a concurrent fault on the same page: retry
 			// and resolve through the existing anon.
 			am.mu.Unlock()
 			s.anonUnref(na)
 			continue
 		}
-		am.impl.set(e.slotOf(va), na)
+		am.set(e.slotOf(va), na)
 		na.mu.Lock()
 		am.mu.Unlock()
 		return np, e.prot, &na.mu, nil
@@ -300,7 +298,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 		// they mapped read-only from the anon it replaces.
 		s.mach.MMU.PageProtect(pg, param.ProtNone)
 	}
-	am.impl.set(slot, na)
+	am.set(slot, na)
 	a.mu.Unlock()
 	s.anonUnref(a)
 	na.mu.Lock() // hold the fresh anon across the pmap entry
@@ -382,7 +380,7 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 			if va == base {
 				continue
 			}
-			if a := am.impl.get(e.slotOf(va)); a != nil {
+			if a := am.get(e.slotOf(va)); a != nil {
 				// The anon owns this VA even when swapped out — never
 				// fall through to the (possibly stale) object copy
 				// beneath it. A busy anon just drops out of the window.

@@ -35,8 +35,9 @@ func TestAnonFaultAllocs(t *testing.T) {
 		}
 		got := testing.AllocsPerRun(200, cycle)
 		t.Logf("mmap + %d write faults + munmap: %.0f allocations", npages, got)
-		if got > 64 {
-			t.Errorf("want <= 64 allocations")
+		// 36 measured; 2 of headroom.
+		if got > 38 {
+			t.Errorf("want <= 38 allocations")
 		}
 	})
 

@@ -204,7 +204,7 @@ func TestSwapDeviceDeathMidPageout(t *testing.T) {
 	s := BootConfig(m, cfg)
 	testutil.SweepOnCleanup(t, s)
 	// Let a couple of swap commands through, then die. At most
-	// 2×MaxCluster pages escape before death, so a 512-page demand
+	// 2×maxCluster pages escape before death, so a 512-page demand
 	// against 96 pages of RAM is guaranteed to strand the workload.
 	m.SwapDisk.SetFaultPlan(disk.NewFaultPlan(
 		disk.FaultRule{Kind: disk.FaultDeviceDeath, Block: disk.BlockAny, AfterOps: 2}))
@@ -241,10 +241,10 @@ func TestSwapDeviceDeathMidPageout(t *testing.T) {
 }
 
 // TestFaultPlanReclaimOnEveryProfile runs the full reclaim pipeline —
-// async clustered pageout, four reclaim workers, clustered pagein —
-// under overcommit on every machine profile, with a swap fault plan that
-// tears cluster writes, fails whole writes and fails reads, each a few
-// times and then never again. Four producers stamp every page of
+// async clustered pageout, clustered pagein — under overcommit on every
+// machine profile, with a swap fault plan that tears cluster writes,
+// fails whole writes and fails reads, each a few times and then never
+// again. Four producers stamp every page of
 // private regions that together demand twice RAM, then, once all have
 // finished, stamp them all again, so the second pass pages back in what
 // the first pushed out. A failed access is the behaviour under test, so
@@ -280,7 +280,6 @@ func TestFaultPlanReclaimOnEveryProfile(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.AsyncPageout = true
 			cfg.PageoutWindow = 4
-			cfg.ReclaimWorkers = 4
 			cfg.PageinCluster = 8
 			s := BootConfig(m, cfg)
 			testutil.SweepOnCleanup(t, s)

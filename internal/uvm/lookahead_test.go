@@ -185,7 +185,7 @@ func TestLookaheadAnonShadowsObject(t *testing.T) {
 // TestLookaheadVsReclaimRace covers the batched window deterministically:
 // a reclaim pass runs *between* lookahead's candidate collection and its
 // EnterBatch (via the lookaheadGate test hook, on the faulting
-// goroutine — the same reclaimRange body a pagedaemon round dispatches).
+// goroutine — the same reclaimScan body a pagedaemon round runs).
 // Because collection holds every candidate's owner lock across the
 // window, reclaim's TryLock must skip the collected neighbour: the page
 // is neither freed nor remapped stale, and the batch maps the live frame.

@@ -140,7 +140,7 @@ func (m *vmMap) runlock() { m.mu.RUnlock() }
 
 func (s *System) allocEntry(m *vmMap) *entry {
 	if m.kernel {
-		if int(s.kentryUse.Add(1)) > s.cfg.KernelEntryPool {
+		if s.kentryUse.Add(1) > kernelEntryPool {
 			panic("uvm: kernel map entry pool exhausted")
 		}
 	}
@@ -451,7 +451,7 @@ func (m *vmMap) checkIntegrity() error {
 		if cur.prev != prev {
 			return errf("broken prev link at %x", cur.start)
 		}
-		if cur.amap != nil && cur.amapOff+cur.pages() > cur.amap.impl.nslots() {
+		if cur.amap != nil && cur.amapOff+cur.pages() > len(cur.amap.anons) {
 			return errf("entry %x-%x overruns its amap", cur.start, cur.end)
 		}
 		prev = cur

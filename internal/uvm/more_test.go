@@ -2,12 +2,12 @@ package uvm
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"uvm/internal/param"
 	"uvm/internal/sim"
 	"uvm/internal/vmapi"
-	"uvm/internal/vmapi/testutil"
 )
 
 // Additional coverage for UVM internals: map entry passing with file
@@ -188,26 +188,44 @@ func TestPartialMunmapKeepsSiblingData(t *testing.T) {
 	checkMaps(t, p)
 }
 
+// TestMaxClusterRespected checks every pageout write on its own: none
+// carries more than maxCluster pages, and the daemon, whose rounds aim at
+// more than maxCluster pages on this machine, fills at least one.
 func TestMaxClusterRespected(t *testing.T) {
-	m := testMachine(64)
-	cfg := DefaultConfig()
-	cfg.MaxCluster = 8
-	cfg.ReclaimBatch = 8
-	s := BootConfig(m, cfg)
-	testutil.SweepOnCleanup(t, s)
-	p, _ := s.NewProcess("p")
-	const pages = 128
+	s, m := bootTest(t, 512)
+	// The swap disk consults FailWrite for each block of a write command
+	// before counting the command in disk.writes, so every call made for
+	// one command sees the same count, and the next command a higher one.
+	var mu sync.Mutex
+	writes := map[int64]int{} // disk.writes before the command -> its pages
+	m.SwapDisk.FailWrite = func(int64) error {
+		mu.Lock()
+		writes[m.Stats.Get(sim.CtrDiskWrites)]++
+		mu.Unlock()
+		return nil
+	}
+	p := newProc(t, s, "p")
+	const pages = 1024 // twice RAM, all dirty
 	va, _ := p.Mmap(0, pages*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
 	if err := p.TouchRange(va, pages*param.PageSize, true); err != nil {
 		t.Fatal(err)
 	}
-	clusters := m.Stats.Get("uvm.pdaemon.clusters")
-	outs := m.Stats.Get(sim.CtrPageOuts)
-	if clusters == 0 || outs == 0 {
-		t.Fatal("no clustered pageout")
+	s.Shutdown()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(writes) == 0 {
+		t.Fatal("no pageout")
 	}
-	if outs/clusters > 8 {
-		t.Fatalf("average cluster %d pages exceeds MaxCluster 8", outs/clusters)
+	longest := 0
+	for _, n := range writes {
+		if n > maxCluster {
+			t.Errorf("one pageout write carried %d pages, cap %d", n, maxCluster)
+		}
+		longest = max(longest, n)
+	}
+	t.Logf("%d pageout writes, longest %d pages", len(writes), longest)
+	if longest < maxCluster {
+		t.Errorf("longest of %d pageout writes carried %d pages: no cluster reached the cap %d", len(writes), longest, maxCluster)
 	}
 }
 

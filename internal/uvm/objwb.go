@@ -113,7 +113,7 @@ func (s *System) wbClusterMax() int {
 	case s.cfg.WritebackCluster > 0:
 		return s.cfg.WritebackCluster
 	}
-	return s.cfg.MaxCluster
+	return maxCluster
 }
 
 // flushObjectRange cleans the dirty pages of o with index in

@@ -292,7 +292,7 @@ func (s *System) anonRun(am *amap, a *anon, slot, lo, hi, limit int, buf []*anon
 // lock is free right now, and it is swapped out, unloaned and holds
 // exactly that slot. Anything else is nil. Caller holds am.mu.
 func (am *amap) swappedAt(i int, want int64) *anon {
-	b := am.impl.get(i)
+	b := am.get(i)
 	if b == nil || !b.mu.TryLock() {
 		return nil
 	}

@@ -128,7 +128,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		}
 	}
 	e := p.m.lookupQuiet(va)
-	anonOf := func(i int) *anon { return e.amap.impl.get(e.slotOf(at(i))) }
+	anonOf := func(i int) *anon { return e.amap.get(e.slotOf(at(i))) }
 	blk := func(i int) int64 {
 		switch owner {
 		case "anon":

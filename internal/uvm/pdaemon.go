@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"uvm/internal/param"
 	"uvm/internal/phys"
@@ -44,9 +43,8 @@ var (
 //     not a stall either: the waiter sleeps until one completes and
 //     retries.
 //
-// Rounds fan out to cfg.ReclaimWorkers parallel workers over disjoint
-// queue-shard ranges (reclaimRound); the daemon remains the only
-// watermark coordinator.
+// Each round is one reclaimScan of the whole inactive queue, in global
+// LRU order; the daemon is the only watermark coordinator.
 //
 // Shutdown (System.Shutdown) marks the daemon, broadcasts so blocked
 // allocators unwedge immediately, joins the goroutine, and then waits
@@ -138,11 +136,8 @@ func (pd *pagedaemon) run() {
 			pd.mu.Unlock()
 			continue
 		}
-		target := pd.high - free
-		if target < pd.s.cfg.ReclaimBatch {
-			target = pd.s.cfg.ReclaimBatch
-		}
-		freed, submitted := pd.s.reclaimRound(target)
+		target := max(pd.high-free, reclaimBatch)
+		freed, submitted := pd.s.reclaimScan(target, pd.s.cfg.AsyncPageout)
 		if freed == 0 && submitted == 0 {
 			// The queues gave nothing and no I/O is on the wire from this
 			// round. Before declaring a stall, reap any frames parked in
@@ -277,7 +272,7 @@ func (s *System) allocPage(owner any, off param.PageOff, zero bool) (*phys.Page,
 		if s.pd != nil {
 			s.ctrPdDirect.Inc()
 		}
-		if s.reclaimCount(s.cfg.ReclaimBatch) > 0 {
+		if s.reclaimCount(reclaimBatch) > 0 {
 			direct++
 			continue
 		}
@@ -344,12 +339,12 @@ func (os ownerSet) releaseAll() {
 	}
 }
 
-// reclaimCount is UVM's pagedaemon scan, run synchronously over every
-// queue shard on behalf of an allocating goroutine (the direct-reclaim
-// fallback): that goroutine needs a page now, so its pageout never goes
-// async. It returns the pages freed; see reclaimRange for the scan.
+// reclaimCount is UVM's pagedaemon scan, run synchronously on behalf of
+// an allocating goroutine (the direct-reclaim fallback): that goroutine
+// needs a page now, so its pageout never goes async. It returns the pages
+// freed; see reclaimScan for the scan.
 func (s *System) reclaimCount(target int) int {
-	freed, _ := s.reclaimRange(0, phys.NumQueueShards(), target, false)
+	freed, _ := s.reclaimScan(target, false)
 	if freed == 0 {
 		// A fruitless scan is not a stall while free frames sit parked in
 		// per-CPU allocation magazines: reap them into the global pool so
@@ -361,55 +356,14 @@ func (s *System) reclaimCount(target int) int {
 	return freed
 }
 
-// reclaimRound is the daemon's per-round entry point. The daemon itself
-// is the only coordinator — it sized the round's target from the
-// watermarks — and this function fans the scan out to cfg.ReclaimWorkers
-// workers over disjoint page-queue shard ranges (or runs the classic
-// single full-range scan for 0/1 workers, which keeps single-threaded
-// runs byte-deterministic). It returns the pages freed synchronously and
-// the pages submitted as in-flight asynchronous cluster writes.
-func (s *System) reclaimRound(target int) (freed, submitted int) {
-	async := s.cfg.AsyncPageout
-	nsh := phys.NumQueueShards()
-	workers := s.cfg.ReclaimWorkers
-	if workers > nsh {
-		workers = nsh
-	}
-	if workers < 2 {
-		return s.reclaimRange(0, nsh, target, async)
-	}
-	// Stock the inactive queue once up front, under the coordinator, so
-	// workers start from a refilled queue instead of each aging pages.
-	if s.mach.Mem.InactivePages() < target*2 {
-		s.mach.Mem.RefillInactive(target * 2)
-	}
-	per := (target + workers - 1) / workers
-	var (
-		wg     sync.WaitGroup
-		freedN atomic.Int64
-		subN   atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*nsh/workers, (w+1)*nsh/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, sub := s.reclaimRange(lo, hi, per, async)
-			freedN.Add(int64(f))
-			subN.Add(int64(sub))
-			s.ctrPdWorkerRounds.Inc()
-		}()
-	}
-	wg.Wait()
-	return int(freedN.Load()), int(subN.Load())
-}
-
-// reclaimRange runs the second-chance reclaim scan over queue shards
-// [loShard, hiShard): up to four passes of scan, classify and submit
-// until target pages are freed (or in flight, when async). It is the
-// body every reclaim flavour shares — the single daemon, each parallel
-// worker, and the direct-reclaim fallback differ only in their shard
-// range, target and async flag.
+// reclaimScan runs the second-chance reclaim scan over the inactive
+// queue in global LRU order: up to four passes of scan, classify and
+// submit until target pages are freed (or in flight, when async). It
+// returns the pages freed synchronously and the pages submitted as
+// in-flight asynchronous cluster writes. It is the one body every
+// reclaimer shares — a daemon round and the direct-reclaim fallback
+// differ only in their target and async flag — and its operation order
+// is byte-deterministic on single-threaded runs.
 //
 // Its signature improvement over BSD VM (§6) is aggressive clustering of
 // anonymous memory: because anonymous pages have no permanent home on
@@ -430,7 +384,7 @@ func (s *System) reclaimRound(target int) (freed, submitted int) {
 // owner and then pages back in from the freshly assigned slot. Multiple
 // reclaimers (the daemon plus direct-reclaim fallbacks) may run at once:
 // the TryLock/re-verify protocol makes them skip each other's pages.
-func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, submitted int) {
+func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 	// The ablation (one page, one I/O — Figure 5's BSD curve) and the
 	// inline-reclaim configuration keep every write synchronous.
 	async = async && s.pd != nil && !s.cfg.DisableClustering
@@ -448,7 +402,7 @@ func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, 
 		var vnWbOrder []*uobject
 		vnPages := 0
 		held := make(ownerSet)
-		s.mach.Mem.ScanInactiveRange(loShard, hiShard, target*4, func(pg *phys.Page) bool {
+		s.mach.Mem.ScanInactive(target*4, func(pg *phys.Page) bool {
 			if freed+submitted+len(cluster)+vnPages >= target {
 				return false
 			}
@@ -487,7 +441,7 @@ func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, 
 					freed++
 				case vnObj == nil:
 					// Anonymous memory (anon or aobj page) clusters to swap.
-					if claimed = len(cluster) < s.cfg.MaxCluster; claimed {
+					if claimed = len(cluster) < maxCluster; claimed {
 						cluster = append(cluster, pg)
 					}
 				default:

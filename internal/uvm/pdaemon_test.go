@@ -186,22 +186,19 @@ func TestInlineReclaimAblation(t *testing.T) {
 }
 
 // TestDaemonAndDirectReclaimConcurrently drives heavy overcommit from
-// many goroutines with a small reclaim batch, so daemon rounds and
-// direct-reclaim fallbacks overlap. Run with -race; data integrity is
-// verified per worker.
+// many goroutines on a machine small against the reclaim batch (64 of
+// 384 pages, one sixth), so daemon rounds and direct-reclaim fallbacks
+// overlap. Run with -race; data integrity is verified per worker.
 func TestDaemonAndDirectReclaimConcurrently(t *testing.T) {
-	// Swap must hold the whole demand (8 workers x 64 pages, all dirty,
+	// Swap must hold the whole demand (8 workers x 256 pages, all dirty,
 	// possibly all alive at once): testMachine's 4x RAM plus RAM itself
-	// falls 32 pages short of it, and whether the workers overlap enough
-	// to notice is up to the scheduler — a true ErrDeadlock, not a bug.
-	m := vmapi.NewMachine(vmapi.MachineConfig{RAMPages: 96, SwapPages: 1024, FSPages: 4096, MaxVnodes: 50})
-	cfg := DefaultConfig()
-	cfg.ReclaimBatch = 16
-	cfg.MaxCluster = 8
-	s := BootConfig(m, cfg)
+	// falls short of it, and whether the workers overlap enough to notice
+	// is up to the scheduler — a true ErrDeadlock, not a bug.
+	m := vmapi.NewMachine(vmapi.MachineConfig{RAMPages: 384, SwapPages: 4096, FSPages: 4096, MaxVnodes: 50})
+	s := BootConfig(m, DefaultConfig())
 	defer testutil.ShutdownSweep(t, s)
 
-	const workers, pages = 8, 64
+	const workers, pages = 8, 256
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -251,21 +248,16 @@ func TestDaemonAndDirectReclaimConcurrently(t *testing.T) {
 // TestLowWaterAutoSizing pins the automatic watermark formula.
 func TestLowWaterAutoSizing(t *testing.T) {
 	cases := []struct {
-		ram, explicit, want int
+		ram, want int
 	}{
-		{64, 0, 16},        // tiny machine: clamped to total/4
-		{8192, 0, 128},     // the 32 MB paper machine: 2×MaxCluster
-		{1 << 16, 0, 1024}, // big machine: total/64 dominates
-		{8192, 99, 99},     // explicit override wins
+		{64, 16},        // tiny machine: clamped to total/4
+		{8192, 128},     // the 32 MB paper machine: 2×maxCluster
+		{1 << 16, 1024}, // big machine: total/64 dominates
 	}
 	for _, c := range cases {
-		m := testMachine(c.ram)
-		cfg := DefaultConfig()
-		cfg.LowWater = c.explicit
-		s := BootConfig(m, cfg)
-		testutil.SweepOnCleanup(t, s)
+		s, _ := bootTest(t, c.ram)
 		if s.pd.low != c.want {
-			t.Errorf("ram=%d explicit=%d: low=%d, want %d", c.ram, c.explicit, s.pd.low, c.want)
+			t.Errorf("ram=%d: low=%d, want %d", c.ram, s.pd.low, c.want)
 		}
 		s.Shutdown()
 	}

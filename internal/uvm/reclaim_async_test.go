@@ -128,64 +128,6 @@ func TestAsyncCompletionRacesShutdown(t *testing.T) {
 	}
 }
 
-// TestReclaimWorkersRaceAllocators runs the parallel-worker daemon
-// against concurrently allocating and unmapping processes under -race:
-// workers scan disjoint queue-shard ranges while allocators fault, so
-// every TryLock/re-verify path in the scan gets exercised.
-func TestReclaimWorkersRaceAllocators(t *testing.T) {
-	m := vmapi.NewMachine(vmapi.MachineConfig{
-		RAMPages:  128,
-		SwapPages: 8192,
-		FSPages:   1024,
-		MaxVnodes: 16,
-	})
-	cfg := DefaultConfig()
-	cfg.AsyncPageout = true
-	cfg.ReclaimWorkers = 4
-	cfg.PageoutWindow = 2
-	s := BootConfig(m, cfg)
-	testutil.SweepOnCleanup(t, s)
-
-	// Regions stay mapped (no Munmap) so the combined demand — 4×320
-	// pages against 128 of RAM — keeps the daemon's workers reclaiming
-	// for the whole run, racing the allocators' faults.
-	const workers, pages, sweeps = 4, 320, 2
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p, err := s.NewProcess(fmt.Sprintf("alloc%d", w))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			va, err := p.Mmap(0, pages*param.PageSize, param.ProtRW,
-				vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for sweep := 0; sweep < sweeps; sweep++ {
-				if err := p.TouchRange(va, pages*param.PageSize, true); err != nil {
-					t.Errorf("worker %d sweep %d: %v", w, sweep, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	s.Shutdown()
-	if m.Stats.Get(sim.CtrPdWorkerRounds) == 0 {
-		t.Errorf("parallel reclaim workers never dispatched; counters:\n%s", m.Stats.String())
-	}
-	t.Logf("worker rounds=%d async clusters=%d freed=%d direct=%d",
-		m.Stats.Get(sim.CtrPdWorkerRounds),
-		m.Stats.Get(sim.CtrPdAsyncClusters),
-		m.Stats.Get(sim.CtrPdFreed),
-		m.Stats.Get(sim.CtrPdDirect))
-}
-
 // TestPageinClusterReadsNeighbours drives a deterministic single-thread
 // sweep that pages a region out in contiguous clusters, then re-faults
 // it with clustered pagein enabled: neighbour pages must come back with

@@ -57,7 +57,7 @@ func TestPageoutLayoutFollowsVA(t *testing.T) {
 	for w, p := range procs {
 		e := p.m.lookupQuiet(vas[w])
 		swapped := func(i int) (int64, bool) {
-			a := e.amap.impl.get(e.amapOff + i)
+			a := e.amap.get(e.amapOff + i)
 			if a == nil || a.page != nil || a.swslot == swap.NoSlot {
 				return 0, false
 			}
@@ -144,7 +144,7 @@ func TestClusteredPageinAllocs(t *testing.T) {
 	e := p.m.lookupQuiet(va)
 	evict := func() {
 		for i := 0; i < n; i++ {
-			pg := e.amap.impl.get(e.amapOff + i).page
+			pg := e.amap.get(e.amapOff + i).page
 			m.MMU.PageProtect(pg, param.ProtNone)
 			pg.Referenced.Store(false)
 			m.Mem.Deactivate(pg)

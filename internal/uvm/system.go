@@ -73,18 +73,17 @@
 // woken by phys.Mem's low-water callback; allocators that find the free
 // list empty block on the daemon's condition variable instead of
 // reclaiming inline, and retry once a reclaim round completes. Reclaim —
-// whether in the daemon, a reclaim worker, or the direct-reclaim
-// fallback — acquires anon/object locks only with TryLock and skips
-// pages whose owner is busy, so it can run concurrently with any
-// allocation path — even one that already holds map, amap, anon or
-// object locks — without deadlocking; pages clustered for pageout keep
+// whether in the daemon or the direct-reclaim fallback — acquires
+// anon/object locks only with TryLock and skips pages whose owner is
+// busy, so it can run concurrently with any allocation path — even one
+// that already holds map, amap, anon or object locks — without
+// deadlocking; pages clustered for pageout keep
 // their owner locked until the I/O completes, which is what makes a
 // concurrent fault on a page mid-pageout block and then cleanly page
 // back in. System.Shutdown stops the daemon gracefully, releasing any
 // blocked allocators, and waits out the writes still in the air.
-// With cfg.ReclaimWorkers > 1 the daemon dispatches that many workers
-// per round over disjoint page-queue shard ranges; the daemon itself
-// remains the only watermark/round coordinator.
+// Every reclaimer runs the same single scan of the inactive queue in
+// global LRU order (reclaimScan).
 //
 // # Flights
 //
@@ -131,7 +130,7 @@
 // the swap allocator, the flight and daemon condvar mutexes). A
 // completion must never lock a map, an amap, an anon or an object, and
 // never blocks on a TryLock-only path, so it cannot deadlock against
-// faults, reclaim workers, or Shutdown.
+// faults, reclaim, or Shutdown.
 //
 // # Pageins
 //
@@ -192,32 +191,27 @@ import (
 	"uvm/internal/vmapi"
 )
 
+// Sizing constants. Each has the one value UVM runs with.
+const (
+	// maxCluster is the largest anonymous pageout cluster the pagedaemon
+	// assembles (64 pages = 256 KB, UVM's default), and the default cap on
+	// an object writeback run.
+	maxCluster = 64
+	// reclaimBatch is the smallest free target of one reclaim round or
+	// direct-reclaim pass.
+	reclaimBatch = 64
+	// kernelEntryPool bounds kernel map entries, as in BSD VM.
+	kernelEntryPool = 4000
+)
+
 // Config tunes UVM. Use DefaultConfig as the baseline.
 type Config struct {
-	// ReclaimBatch is the pagedaemon's per-activation free target.
-	ReclaimBatch int
-	// MaxCluster is the largest anonymous pageout cluster the pagedaemon
-	// assembles (64 pages = 256 KB, UVM's default).
-	MaxCluster int
 	// DisableClustering is the one switch for "no clustering anywhere":
 	// every page write — anonymous pageout, file pageout, Msync, recycle,
 	// synchronous or not — is one page per I/O to the page's own slot or
 	// block, the pagedaemon's flights stay synchronous, and every file
 	// pagein reads one page (the BSD VM ablation for Figure 5).
 	DisableClustering bool
-	// DisableLookahead turns off fault-time neighbour mapping (ablation
-	// for Table 2).
-	DisableLookahead bool
-	// KernelEntryPool bounds kernel map entries, as in BSD VM.
-	KernelEntryPool int
-	// AmapImpl selects the anonymous-map storage strategy: the array
-	// implementation UVM ships with, or the hash/array hybrid the paper
-	// suggests for large sparse amaps (§5.3).
-	AmapImpl AmapImplKind
-	// LowWater is the free-page threshold (in pages) at which the
-	// asynchronous pagedaemon is woken. 0 sizes it automatically from
-	// the machine: max(2×MaxCluster, total/64), capped at total/4.
-	LowWater int
 	// InlineReclaim disables the asynchronous pagedaemon: allocating
 	// goroutines reclaim inline, as both systems did before the daemon
 	// existed (what the paper reports run with). Implies
@@ -234,11 +228,6 @@ type Config struct {
 	// swap device (backpressure on the daemon's scan). 0 means
 	// swap.DefaultAIOWindow.
 	PageoutWindow int
-	// ReclaimWorkers is the number of parallel reclaim workers the
-	// daemon dispatches per round, each scanning a disjoint range of the
-	// sharded page queues. 0 or 1 keeps the classic single scan, whose
-	// operation order is byte-deterministic on single-threaded runs.
-	ReclaimWorkers int
 	// PageinCluster caps the run of a swap-backed pagein, in pages. 0, the
 	// default, is no cap: a fault on a swapped-out anon or aobj page reads,
 	// with one I/O, as much of its advice window as sits in adjoining swap
@@ -258,18 +247,13 @@ type Config struct {
 	AsyncWriteback bool
 	// WritebackCluster caps pages per object writeback I/O — the longest
 	// run of consecutive object pages any flight writes with one command,
-	// synchronous or asynchronous, flush or pageout. 0 means MaxCluster.
+	// synchronous or asynchronous, flush or pageout. 0 means maxCluster
+	// (64).
 	WritebackCluster int
 }
 
-// DefaultConfig returns UVM's standard tuning.
-func DefaultConfig() Config {
-	return Config{
-		ReclaimBatch:    64,
-		MaxCluster:      64,
-		KernelEntryPool: 4000,
-	}
-}
+// DefaultConfig returns UVM's standard tuning: every switch off.
+func DefaultConfig() Config { return Config{} }
 
 // System is a booted UVM instance.
 type System struct {
@@ -307,15 +291,14 @@ type System struct {
 	ctrPageinClusters  sim.Counter
 	ctrPageinClustered sim.Counter
 
-	ctrPageOuts       sim.Counter
-	ctrObjWbClusters  sim.Counter
-	ctrObjWbPages     sim.Counter
-	ctrPdRounds       sim.Counter
-	ctrPdFreed        sim.Counter
-	ctrPdDirect       sim.Counter
-	ctrPdWorkerRounds sim.Counter
-	ctrUbcReads       sim.Counter
-	ctrUbcWrites      sim.Counter
+	ctrPageOuts      sim.Counter
+	ctrObjWbClusters sim.Counter
+	ctrObjWbPages    sim.Counter
+	ctrPdRounds      sim.Counter
+	ctrPdFreed       sim.Counter
+	ctrPdDirect      sim.Counter
+	ctrUbcReads      sim.Counter
+	ctrUbcWrites     sim.Counter
 
 	// vnObjMu serialises vnode<->uvm_object identity: the create-or-ref
 	// decision in vnodeObject must be atomic across concurrent mappers
@@ -390,7 +373,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrPdRounds = m.Stats.Counter(sim.CtrPdRounds)
 	s.ctrPdFreed = m.Stats.Counter(sim.CtrPdFreed)
 	s.ctrPdDirect = m.Stats.Counter(sim.CtrPdDirect)
-	s.ctrPdWorkerRounds = m.Stats.Counter(sim.CtrPdWorkerRounds)
 	s.ctrUbcReads = m.Stats.Counter("uvm.ubc.reads")
 	s.ctrUbcWrites = m.Stats.Counter("uvm.ubc.writes")
 	s.flCond = sync.NewCond(&s.flMu)
@@ -432,13 +414,11 @@ func (s *System) swapRunMax(n int) int {
 	return n
 }
 
-// lowWater sizes the pagedaemon's wake threshold for this machine.
+// lowWater sizes the pagedaemon's wake threshold for this machine:
+// max(2×maxCluster, total/64), capped at total/4.
 func (s *System) lowWater() int {
-	if s.cfg.LowWater > 0 {
-		return s.cfg.LowWater
-	}
 	total := s.mach.Mem.TotalPages()
-	low := 2 * s.cfg.MaxCluster
+	low := 2 * maxCluster
 	if low < total/64 {
 		low = total / 64
 	}

@@ -71,7 +71,7 @@ func (p *Process) Transfer(pages []*phys.Page, prot param.Prot) (param.VAddr, er
 			pg.Dirty.Store(true) // anonymous now; must reach swap if evicted
 			s.mach.Mem.Activate(pg)
 		}
-		e.amap.impl.set(i, a)
+		e.amap.set(i, a)
 	}
 	m.insert(e)
 	m.unlock()

@@ -259,34 +259,59 @@ func TestReadFaultOnPrivateAllocatesNothing(t *testing.T) {
 	p.m.mu.Unlock()
 }
 
+// TestForkCOWIsolation: after a fork neither side's writes reach the
+// other, over a small dense mapping and a large sparse one (3 of 4096
+// pages ever touched, so the child's amap copy is mostly empty slots),
+// and exit leaves no anon behind.
 func TestForkCOWIsolation(t *testing.T) {
-	s, _ := bootTest(t, 512)
-	parent := newProc(t, s, "parent")
-	va, _ := parent.Mmap(0, 4*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
-	parent.WriteBytes(va, []byte("parent data"))
+	for _, c := range []struct {
+		name  string
+		pages int
+		at    []int // the pages the parent writes before the fork
+	}{
+		{"dense", 4, []int{0}},
+		{"sparse", 4096, []int{0, 2048, 4095}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, m := bootTest(t, 512)
+			parent := newProc(t, s, "parent")
+			va, _ := parent.Mmap(0, param.VSize(c.pages)*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+			for _, pg := range c.at {
+				parent.WriteBytes(va+param.VAddr(pg)*param.PageSize, []byte("parent data"))
+			}
 
-	childI, err := parent.Fork("child")
-	if err != nil {
-		t.Fatal(err)
-	}
-	child := childI.(*Process)
+			childI, err := parent.Fork("child")
+			if err != nil {
+				t.Fatal(err)
+			}
+			child := childI.(*Process)
 
-	b := make([]byte, 11)
-	child.ReadBytes(va, b)
-	if string(b) != "parent data" {
-		t.Fatalf("child read %q", b)
+			b := make([]byte, 11)
+			for _, pg := range c.at {
+				at := va + param.VAddr(pg)*param.PageSize
+				child.ReadBytes(at, b)
+				if string(b) != "parent data" {
+					t.Fatalf("page %d: child read %q", pg, b)
+				}
+				child.WriteBytes(at, []byte("child data!"))
+				parent.ReadBytes(at, b)
+				if string(b) != "parent data" {
+					t.Fatalf("page %d: child write leaked to parent: %q", pg, b)
+				}
+				parent.WriteBytes(at, []byte("parent two!"))
+				child.ReadBytes(at, b)
+				if string(b) != "child data!" {
+					t.Fatalf("page %d: parent write leaked to child: %q", pg, b)
+				}
+			}
+			checkMaps(t, parent, child)
+			child.Exit()
+			parent.Exit()
+			if got := m.Stats.Get("uvm.anon.live"); got != 0 {
+				t.Fatalf("%d anons leaked after both exits", got)
+			}
+		})
 	}
-	child.WriteBytes(va, []byte("child data!"))
-	parent.ReadBytes(va, b)
-	if string(b) != "parent data" {
-		t.Fatalf("child write leaked to parent: %q", b)
-	}
-	parent.WriteBytes(va, []byte("parent two!"))
-	child.ReadBytes(va, b)
-	if string(b) != "child data!" {
-		t.Fatalf("parent write leaked to child: %q", b)
-	}
-	checkMaps(t, parent, child)
 }
 
 func TestFigure3Sequence(t *testing.T) {
@@ -309,14 +334,14 @@ func TestFigure3Sequence(t *testing.T) {
 	// Write middle page: amap 1 with anon 1 in the middle slot.
 	parent.WriteBytes(va+param.PageSize, []byte{1})
 	parent.m.mu.Lock()
-	if pe.amap == nil || pe.amap.impl.get(pe.amapOff+1) == nil {
+	if pe.amap == nil || pe.amap.get(pe.amapOff+1) == nil {
 		t.Fatal("write fault did not install anon in middle slot")
 	}
-	anon1 := pe.amap.impl.get(pe.amapOff + 1)
+	anon1 := pe.amap.get(pe.amapOff + 1)
 	if anon1.refs != 1 {
 		t.Fatalf("anon1 refs = %d", anon1.refs)
 	}
-	if pe.amap.impl.get(pe.amapOff) != nil || pe.amap.impl.get(pe.amapOff+2) != nil {
+	if pe.amap.get(pe.amapOff) != nil || pe.amap.get(pe.amapOff+2) != nil {
 		t.Fatal("untouched slots must stay empty")
 	}
 	parent.m.mu.Unlock()
@@ -341,13 +366,13 @@ func TestFigure3Sequence(t *testing.T) {
 	if pe.amap == ce.amap {
 		t.Fatal("parent did not get its own amap")
 	}
-	if ce.amap.impl.get(ce.amapOff+1) != anon1 {
+	if ce.amap.get(ce.amapOff+1) != anon1 {
 		t.Fatal("anon1 left the original amap")
 	}
 	if anon1.refs != 1 {
 		t.Fatalf("anon1 refs after parent copy = %d, want 1", anon1.refs)
 	}
-	pAnon := pe.amap.impl.get(pe.amapOff + 1)
+	pAnon := pe.amap.get(pe.amapOff + 1)
 	if pAnon == anon1 || pAnon == nil {
 		t.Fatal("parent's middle anon wrong")
 	}
@@ -365,7 +390,7 @@ func TestFigure3Sequence(t *testing.T) {
 	if ce.needsCopy {
 		t.Fatal("child needs-copy not cleared")
 	}
-	if ce.amap.impl.get(ce.amapOff+2) == nil {
+	if ce.amap.get(ce.amapOff+2) == nil {
 		t.Fatal("anon 3 missing")
 	}
 	parent.m.mu.Unlock()
