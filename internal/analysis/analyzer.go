@@ -65,7 +65,7 @@ func (p *Pass) Reportf(pos token.Pos, waiverKind string, format string, args ...
 	})
 }
 
-// Suite returns the uvmlint analyzers in their canonical order.
+// Suite returns the four analyzers in their canonical order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		LockOrderAnalyzer,
@@ -83,7 +83,7 @@ type Target struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Facts resolves previously computed facts for imported module
-	// packages; may be nil when the package has no module-local imports.
+	// packages (nil for a package not checked before this one).
 	Facts func(pkgPath string) *PackageFacts
 }
 
@@ -109,9 +109,6 @@ func RunSuite(t *Target, analyzers []*Analyzer) ([]Diagnostic, *PackageFacts, er
 			Facts:     t.Facts,
 			OwnFacts:  facts,
 			diags:     &diags,
-		}
-		if pass.Facts == nil {
-			pass.Facts = func(string) *PackageFacts { return nil }
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, t.Path, err)

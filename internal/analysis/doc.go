@@ -1,4 +1,4 @@
-// Package analysis is uvmlint: a static-analysis suite that enforces
+// Package analysis is the project's static-analysis suite: it enforces
 // the concurrency and determinism invariants this codebase otherwise
 // keeps only in prose (the lock-hierarchy note atop internal/uvm/system.go,
 // the completion-callback rules, the "no wall clock in report paths"
@@ -6,8 +6,8 @@
 //
 // The suite is self-contained — it deliberately re-implements the small
 // slice of golang.org/x/tools/go/analysis it needs (Analyzer, Pass,
-// Diagnostic, an analysistest-style fixture runner and a go-vet
-// unitchecker driver) so the module keeps its zero-dependency build.
+// Diagnostic and an analysistest-style fixture runner) so the module
+// keeps its zero-dependency build.
 //
 // Four analyzers:
 //
@@ -35,7 +35,7 @@
 //     inside loops are flagged where the cached sim.Counter handle is
 //     the established idiom.
 //
-// The annotation grammar is documented in docs/analysis.md. The driver
-// is cmd/uvmlint, runnable standalone (uvmlint ./...) or as a go vet
-// tool (go vet -vettool=$(which uvmlint) ./...).
+// The annotation grammar is documented in docs/analysis.md. The suite
+// runs as a Go test, go test ./internal/analysis: TestSuiteCleanOverRealTree
+// loads every package of the module and fails on any diagnostic.
 package analysis

@@ -18,9 +18,8 @@ type FuncFact struct {
 
 // PackageFacts is what one analyzed package exports to its importers:
 // the declared levels of its annotated lock fields and the lock
-// summaries of its functions. Facts are carried in memory by the
-// standalone driver and serialized as the vetx facts file by the go vet
-// unitchecker mode.
+// summaries of its functions. LoadResult.Run carries them in memory
+// from each package to the packages checked after it.
 type PackageFacts struct {
 	// Fields maps "TypeName.FieldName" to the field's declared level.
 	Fields map[string]string
@@ -102,7 +101,7 @@ func ComputeFacts(t *Target, dirs *Directives) *PackageFacts {
 				}
 				if pkgPath == t.Pkg.Path() {
 					s.callees[key] = true
-				} else if imp := t.factsFor(pkgPath); imp != nil {
+				} else if imp := t.Facts(pkgPath); imp != nil {
 					if ff, ok := imp.Funcs[key]; ok {
 						for _, l := range ff.Acquires {
 							s.acquires[l] = true
@@ -147,14 +146,6 @@ func ComputeFacts(t *Target, dirs *Directives) *PackageFacts {
 		facts.Funcs[key] = FuncFact{Acquires: levels, Waits: s.waits}
 	}
 	return facts
-}
-
-// factsFor resolves imported facts, tolerating a nil Facts func.
-func (t *Target) factsFor(pkgPath string) *PackageFacts {
-	if t.Facts == nil {
-		return nil
-	}
-	return t.Facts(pkgPath)
 }
 
 // inspectNoFuncLit walks n calling fn on every node, without descending
@@ -265,10 +256,8 @@ func (r *resolver) fillLevel(site *lockSite, owner *types.Named, field *types.Va
 		}
 		return
 	}
-	if r.facts != nil {
-		if pf := r.facts(ownerPkg.Path()); pf != nil {
-			site.level = pf.Fields[site.fieldKey]
-		}
+	if pf := r.facts(ownerPkg.Path()); pf != nil {
+		site.level = pf.Fields[site.fieldKey]
 	}
 }
 

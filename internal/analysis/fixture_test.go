@@ -19,16 +19,11 @@ func runFixture(t *testing.T, pkgPaths []string, analyzers []*Analyzer, overlay 
 	if err != nil {
 		t.Fatalf("load fixture %v: %v", pkgPaths, err)
 	}
-	var all []Diagnostic
-	for _, tgt := range res.Targets {
-		diags, facts, err := RunSuite(tgt, analyzers)
-		if err != nil {
-			t.Fatalf("run suite on %s: %v", tgt.Path, err)
-		}
-		res.Facts[tgt.Path] = facts
-		all = append(all, diags...)
+	diags, err := res.Run(analyzers)
+	if err != nil {
+		t.Fatalf("run suite on %v: %v", pkgPaths, err)
 	}
-	return all
+	return diags
 }
 
 // expectation is one `// want` comment in a fixture file.
@@ -177,10 +172,12 @@ func TestCounterHandleMutation(t *testing.T) {
 	}
 }
 
-// TestSuiteCleanOverRealTree is the fence the tentpole demands: the
-// full analyzer suite must produce zero diagnostics over the module
+// TestSuiteCleanOverRealTree is the blocking check of the analyzer
+// suite: the full suite must produce zero diagnostics over the module
 // itself — every true positive fixed, every accepted exception waived
-// with a reason.
+// with a reason. It also fails if a package some analyzer targets was
+// not loaded, so a loader that drops packages cannot pass it by checking
+// nothing.
 func TestSuiteCleanOverRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -189,14 +186,22 @@ func TestSuiteCleanOverRealTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
+	loaded := make(map[string]bool, len(res.Targets))
 	for _, tgt := range res.Targets {
-		diags, facts, err := RunSuite(tgt, nil)
-		if err != nil {
-			t.Fatalf("run suite on %s: %v", tgt.Path, err)
+		loaded[tgt.Path] = true
+	}
+	for _, set := range [][]string{lockCorePackages, simdetPackages, counterPackages} {
+		for _, pkg := range set {
+			if !loaded["uvm/"+pkg] {
+				t.Errorf("uvm/%s was not loaded, so the suite never checked it", pkg)
+			}
 		}
-		res.Facts[tgt.Path] = facts
-		for _, d := range diags {
-			t.Errorf("%s", d)
-		}
+	}
+	diags, err := res.Run(nil)
+	if err != nil {
+		t.Fatalf("run suite: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
 	}
 }

@@ -5,7 +5,7 @@ package analysis
 // internal/uvm/system.go — map -> object -> amap -> anon -> page
 // identity -> leaf — with the leaf tier split into its documented
 // sub-levels (pmap above pv bucket, magazine above queue shard, the
-// async-writer head above its window bookkeeping, and so on).
+// async writer's window above its disk, and so on).
 //
 // A blocking acquisition is legal only if its level sits strictly below
 // every level already held; TryLock acquisitions are exempt from the
@@ -33,7 +33,6 @@ var Levels = []string{
 	"swapreg",   // Swap.mu — device registry (AddDevice only)
 	"swap",      // swap allocator shard locks
 	"vfs",       // FS.mu — vnode cache and file table
-	"diskhead",  // disk.AsyncWriter.io — one transfer head per disk
 	"diskaio",   // disk.AsyncWriter.mu — window admission/completion state
 	"disk",      // Disk.mu — the device itself
 	"faultplan", // disk.FaultPlan.mu — fault-rule schedule state

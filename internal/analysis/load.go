@@ -22,20 +22,38 @@ import (
 // library: module packages are parsed and checked from source (the
 // analyzers need syntax for the //uvm: directives), their standard
 // library imports are satisfied from the build cache's export data via
-// `go list -export` and the stdlib gc importer.
+// `go list -export` and the stdlib gc importer. LoadPackages and
+// LoadFixture differ only in where they find package sources; both
+// order the parsed packages with topoOrder and check them with checkAll.
 
 // LoadResult is a set of type-checked module packages in dependency
-// order, pre-wired so that RunSuite facts computed for earlier packages
-// are visible to later ones through Target.Facts.
+// order, pre-wired so that facts computed for earlier packages are
+// visible to later ones through Target.Facts.
 type LoadResult struct {
-	Fset    *token.FileSet
 	Targets []*Target
-	// Facts is filled by the caller as it runs the suite over Targets
-	// in order; each Target.Facts reads it.
-	Facts map[string]*PackageFacts
+	// facts is filled by Run as it runs the suite over Targets in
+	// order; each Target.Facts reads it.
+	facts map[string]*PackageFacts
 }
 
-// listedPackage is the slice of `go list -json` output the loader needs.
+// Run runs analyzers (nil for the full Suite) over every target in
+// dependency order, threading each package's facts to its importers, and
+// returns every diagnostic.
+func (r *LoadResult) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
+	var all []Diagnostic
+	for _, t := range r.Targets {
+		diags, facts, err := RunSuite(t, analyzers)
+		if err != nil {
+			return nil, err
+		}
+		r.facts[t.Path] = facts
+		all = append(all, diags...)
+	}
+	return all, nil
+}
+
+// listedPackage is the slice of `go list -json` output the loader needs,
+// plus the package's parsed files.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
@@ -43,83 +61,44 @@ type listedPackage struct {
 	Standard   bool
 	GoFiles    []string
 	Imports    []string
+
+	files []*ast.File
 }
 
-// LoadPackages loads patterns (e.g. "./...") from dir.
+const parseMode = parser.ParseComments | parser.SkipObjectResolution
+
+// LoadPackages loads patterns (e.g. "./...") from dir. Only the
+// packages' GoFiles are loaded: the suite audits production code, and
+// tests may freely range maps and read the wall clock.
 func LoadPackages(dir string, patterns []string) (*LoadResult, error) {
-	args := append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,GoFiles,Imports"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
-	}
-	stdExports := make(map[string]string)
-	var mod []*listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding: %v", err)
-		}
-		if p.Standard {
-			if p.Export != "" {
-				stdExports[p.ImportPath] = p.Export
-			}
-			continue
-		}
-		pkg := p
-		mod = append(mod, &pkg)
-	}
-
-	fset := token.NewFileSet()
-	res := &LoadResult{Fset: fset, Facts: make(map[string]*PackageFacts)}
-	checked := make(map[string]*types.Package)
-	std := stdImporter(fset, stdExports)
-
-	byPath := make(map[string]*listedPackage, len(mod))
-	for _, p := range mod {
-		byPath[p.ImportPath] = p
-	}
-	order, err := topoOrder(mod, byPath)
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-
-	for _, p := range order {
-		var files []*ast.File
+	fset := token.NewFileSet()
+	mod := make(map[string]*listedPackage)
+	for _, p := range listed {
+		if p.Standard {
+			continue
+		}
 		for _, name := range p.GoFiles {
 			path := name
 			if !filepath.IsAbs(path) {
 				path = filepath.Join(p.Dir, name)
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+			f, err := parser.ParseFile(fset, path, nil, parseMode)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 			}
-			files = append(files, f)
+			p.files = append(p.files, f)
 		}
-		pkg, info, err := check(fset, p.ImportPath, files, &mixedImporter{std: std, mod: checked})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = pkg
-		facts := res.Facts
-		res.Targets = append(res.Targets, &Target{
-			Path:      p.ImportPath,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Facts:     func(path string) *PackageFacts { return facts[path] },
-		})
+		mod[p.ImportPath] = p
 	}
-	return res, nil
+	order, err := topoOrder(mod)
+	if err != nil {
+		return nil, err
+	}
+	return checkAll(fset, order, listed)
 }
 
 // LoadFixture loads fixture packages from srcRoot/src/<importpath>,
@@ -129,15 +108,11 @@ func LoadPackages(dir string, patterns []string) (*LoadResult, error) {
 // tests strip waiver directives with it).
 func LoadFixture(srcRoot string, pkgPaths []string, overlay func(filename string, src []byte) []byte) (*LoadResult, error) {
 	fset := token.NewFileSet()
-	res := &LoadResult{Fset: fset, Facts: make(map[string]*PackageFacts)}
-
-	// Parse the requested fixtures plus any fixture packages they
-	// import, then topologically order them.
-	parsed := make(map[string][]*ast.File)
+	fixtures := make(map[string]*listedPackage)
 	var stdNeeded []string
 	var parsePkg func(path string) error
 	parsePkg = func(path string) error {
-		if _, ok := parsed[path]; ok {
+		if _, ok := fixtures[path]; ok {
 			return nil
 		}
 		dir := filepath.Join(srcRoot, "src", filepath.FromSlash(path))
@@ -145,16 +120,13 @@ func LoadFixture(srcRoot string, pkgPaths []string, overlay func(filename string
 		if err != nil {
 			return fmt.Errorf("fixture %s: %v", path, err)
 		}
-		var files []*ast.File
-		var names []string
+		p := &listedPackage{ImportPath: path}
+		fixtures[path] = p
 		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				names = append(names, e.Name())
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+				continue
 			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			full := filepath.Join(dir, name)
+			full := filepath.Join(dir, e.Name())
 			src, err := os.ReadFile(full)
 			if err != nil {
 				return err
@@ -162,20 +134,18 @@ func LoadFixture(srcRoot string, pkgPaths []string, overlay func(filename string
 			if overlay != nil {
 				src = overlay(full, src)
 			}
-			f, err := parser.ParseFile(fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
+			f, err := parser.ParseFile(fset, full, src, parseMode)
 			if err != nil {
 				return fmt.Errorf("fixture %s: %v", path, err)
 			}
-			files = append(files, f)
-		}
-		parsed[path] = files
-		for _, f := range files {
+			p.files = append(p.files, f)
 			for _, imp := range f.Imports {
 				ipath, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {
 					continue
 				}
-				if fixtureDir := filepath.Join(srcRoot, "src", filepath.FromSlash(ipath)); dirExists(fixtureDir) {
+				p.Imports = append(p.Imports, ipath)
+				if dirExists(filepath.Join(srcRoot, "src", filepath.FromSlash(ipath))) {
 					if err := parsePkg(ipath); err != nil {
 						return err
 					}
@@ -191,138 +161,94 @@ func LoadFixture(srcRoot string, pkgPaths []string, overlay func(filename string
 			return nil, err
 		}
 	}
-
-	stdExports, err := stdExportData(stdNeeded)
-	if err != nil {
-		return nil, err
-	}
-	std := stdImporter(fset, stdExports)
-	checked := make(map[string]*types.Package)
-
-	// Topo order over the fixture-to-fixture import edges.
-	var order []string
-	visited := make(map[string]int) // 0 new, 1 visiting, 2 done
-	var visit func(path string) error
-	visit = func(path string) error {
-		switch visited[path] {
-		case 1:
-			return fmt.Errorf("fixture import cycle at %s", path)
-		case 2:
-			return nil
-		}
-		visited[path] = 1
-		for _, f := range parsed[path] {
-			for _, imp := range f.Imports {
-				ipath, _ := strconv.Unquote(imp.Path.Value)
-				if _, ok := parsed[ipath]; ok {
-					if err := visit(ipath); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		visited[path] = 2
-		order = append(order, path)
-		return nil
-	}
-	var all []string
-	for path := range parsed {
-		all = append(all, path)
-	}
-	sort.Strings(all)
-	for _, path := range all {
-		if err := visit(path); err != nil {
+	var std []*listedPackage
+	if len(stdNeeded) > 0 {
+		var err error
+		if std, err = goList("", stdNeeded); err != nil {
 			return nil, err
 		}
 	}
+	order, err := topoOrder(fixtures)
+	if err != nil {
+		return nil, err
+	}
+	return checkAll(fset, order, std)
+}
 
-	for _, path := range order {
-		files := parsed[path]
-		pkg, info, err := check(fset, path, files, &mixedImporter{std: std, mod: checked})
-		if err != nil {
-			return nil, fmt.Errorf("fixture %s: %v", path, err)
+// goList runs `go list -export -deps -json` over patterns in dir.
+func goList(dir string, patterns []string) ([]*listedPackage, error) {
+	args := append([]string{"list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,Standard,GoFiles,Imports"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+	}
+	var listed []*listedPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err == io.EOF {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list: decoding: %v", err)
 		}
-		checked[path] = pkg
-		facts := res.Facts
+		listed = append(listed, p)
+	}
+}
+
+// checkAll type-checks the parsed packages of order, which topoOrder
+// sorted. Each package imports the ones checked before it from source
+// and every other package from the standard library export data listed
+// in std.
+func checkAll(fset *token.FileSet, order, std []*listedPackage) (*LoadResult, error) {
+	exports := make(map[string]string)
+	for _, p := range std {
+		if p.Standard && p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	imp := &mixedImporter{
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			file, ok := exports[path]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(file)
+		}),
+		mod: make(map[string]*types.Package),
+	}
+	res := &LoadResult{facts: make(map[string]*PackageFacts)}
+	for _, p := range order {
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Implicits:  make(map[ast.Node]types.Object),
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, p.files, info)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
+		}
+		imp.mod[p.ImportPath] = pkg
 		res.Targets = append(res.Targets, &Target{
-			Path:      path,
+			Path:      p.ImportPath,
 			Fset:      fset,
-			Files:     files,
+			Files:     p.files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			Facts:     func(p string) *PackageFacts { return facts[p] },
+			Facts:     func(path string) *PackageFacts { return res.facts[path] },
 		})
 	}
 	return res, nil
 }
 
-// stdExportData resolves export-data files for the given stdlib import
-// paths (and their dependencies) via one `go list -export` run.
-func stdExportData(paths []string) (map[string]string, error) {
-	exports := make(map[string]string)
-	if len(paths) == 0 {
-		return exports, nil
-	}
-	sort.Strings(paths)
-	paths = dedupeStrings(paths)
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export,Standard"}, paths...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list -export %v: %v\n%s", paths, err, stderr.String())
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
-}
-
-// NewCheckInfo returns a types.Info with the maps the analyzers need.
-func NewCheckInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-}
-
-func check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
-	info := NewCheckInfo()
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, info, nil
-}
-
-// stdImporter builds a gc-export-data importer over the given
-// path->file map.
-func stdImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-}
-
 // mixedImporter serves module packages from the already-checked set and
-// everything else from the stdlib export-data importer.
+// everything else from the stdlib export data.
 type mixedImporter struct {
 	std types.Importer
 	mod map[string]*types.Package
@@ -337,9 +263,11 @@ func (m *mixedImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-func topoOrder(pkgs []*listedPackage, byPath map[string]*listedPackage) ([]*listedPackage, error) {
+// topoOrder orders pkgs so that every package comes after the ones it
+// imports from the same set; imports outside the set are ignored.
+func topoOrder(pkgs map[string]*listedPackage) ([]*listedPackage, error) {
 	var order []*listedPackage
-	state := make(map[string]int)
+	state := make(map[string]int) // 0 new, 1 visiting, 2 done
 	var visit func(p *listedPackage) error
 	visit = func(p *listedPackage) error {
 		switch state[p.ImportPath] {
@@ -350,7 +278,7 @@ func topoOrder(pkgs []*listedPackage, byPath map[string]*listedPackage) ([]*list
 		}
 		state[p.ImportPath] = 1
 		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
+			if dep, ok := pkgs[imp]; ok {
 				if err := visit(dep); err != nil {
 					return err
 				}
@@ -360,10 +288,13 @@ func topoOrder(pkgs []*listedPackage, byPath map[string]*listedPackage) ([]*list
 		order = append(order, p)
 		return nil
 	}
-	sorted := append([]*listedPackage(nil), pkgs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ImportPath < sorted[j].ImportPath })
-	for _, p := range sorted {
-		if err := visit(p); err != nil {
+	paths := make([]string, 0, len(pkgs))
+	for path := range pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if err := visit(pkgs[path]); err != nil {
 			return nil, err
 		}
 	}
@@ -373,16 +304,4 @@ func topoOrder(pkgs []*listedPackage, byPath map[string]*listedPackage) ([]*list
 func dirExists(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && st.IsDir()
-}
-
-func dedupeStrings(s []string) []string {
-	out := s[:0]
-	var last string
-	for i, v := range s {
-		if i == 0 || v != last {
-			out = append(out, v)
-		}
-		last = v
-	}
-	return out
 }

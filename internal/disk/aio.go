@@ -14,12 +14,13 @@ import "sync"
 // its window's worth of writes at once; a submitter that finds the window
 // full blocks until a completion opens a slot — the natural backpressure
 // that keeps a fast producer (an msync sweep, the pagedaemon's scan) from
-// burying a slow disk. Writes through one writer are serialised by an I/O
-// mutex (one head per disk), but the data transfer runs off the
-// submitter's goroutine and is charged as deferred I/O, so the submitter's
-// simulated clock never pays for an overlapped write. Completions for
-// different submissions may run concurrently and in any order; each
-// callback runs exactly once, off the submitter's goroutine.
+// burying a slow disk. Transfers queue at the device: each write holds
+// the Disk's own lock for its whole command, so there is one head per
+// disk. The transfer runs off the submitter's goroutine and is charged as
+// deferred I/O, so the submitter's simulated clock never pays for an
+// overlapped write. Completions for different submissions may run
+// concurrently and in any order; each callback runs exactly once, off the
+// submitter's goroutine.
 //
 // The window is a setting of the writer, not a fixed capacity: boot
 // applies the configured window with SetWindow to a swap device's writer,
@@ -35,11 +36,6 @@ const DefaultAIOWindow = 4
 // to one Disk.
 type AsyncWriter struct {
 	d *Disk
-
-	// io serialises the transfers of overlapped writes: one head per
-	// disk, so concurrent submissions still queue at the device.
-	//uvm:lock diskhead
-	io sync.Mutex
 
 	//uvm:lock diskaio
 	mu       sync.Mutex
@@ -99,9 +95,7 @@ func (w *AsyncWriter) Submit(start int64, bufs [][]byte, done func(error)) {
 	w.mu.Unlock()
 
 	go func() {
-		w.io.Lock()
 		err := w.d.WritePagesDeferred(start, bufs)
-		w.io.Unlock()
 		// Release the window slot before running the callback, so a slow
 		// completion (or one that submits follow-on work) never blocks
 		// the next admission — matching the original channel-semaphore

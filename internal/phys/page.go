@@ -17,11 +17,13 @@
 // identical to a single global queue, which keeps single-threaded
 // simulations deterministic and bit-for-bit comparable across runs.
 //
-// The free lists are LIFO: Free pushes the head that Alloc pops, so the
-// frame a munmap or exit just released is the next one handed out and
-// the zero-fill or copy that follows lands in lines still in the cache.
-// Which free frame is reused is not a replacement decision — LRU order
-// lives in the active/inactive queues and is unaffected.
+// Each shard's free list is LIFO: Free pushes the head that Alloc pops.
+// Alloc rotates a cursor across the shards, so this is not a machine-wide
+// stack: within one shard, the frame a munmap or exit just released is
+// the next one that shard hands out, and the zero-fill or copy that
+// follows lands in lines still in the cache. Which free frame is reused
+// is not a replacement decision — LRU order lives in the active/inactive
+// queues and is unaffected.
 //
 // Allocation has two layouts. With the per-CPU free-page caches off
 // (the default, and the byte-deterministic configuration the paper
@@ -430,9 +432,10 @@ func (m *Mem) Alloc(owner any, off param.PageOff, zero bool) (*Page, error) {
 // the per-CPU caches on — the freeing goroutine's magazine, which drains
 // to the pool in batches. The caller must have removed all mappings.
 // Free is where a frame leaves whatever paging queue it is on — callers
-// do not Dequeue first — and it goes to the head of the free list, the
-// end Alloc pops: the frame just released is the next one handed out,
-// while its lines are still in the cache.
+// do not Dequeue first — and it goes to the head of its shard's free
+// list, the end Alloc pops: the frame just released is the next one that
+// shard hands out, while its lines are still in the cache. Alloc rotates
+// across the shards, so the next Alloc overall may come from another one.
 func (m *Mem) Free(p *Page) {
 	if n := len(m.caches); n > 0 {
 		m.FreeCPU(cpuSlot(n), p)
