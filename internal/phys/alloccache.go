@@ -183,8 +183,8 @@ func (m *Mem) refillLocked(c *allocCache) int {
 	want := m.allocBatch
 	start := int(m.allocCursor.Add(1) - 1)
 	got := 0
-	for i := 0; i < numShards && got < want; i++ {
-		sh := &m.shards[(start+i)%numShards]
+	for i := 0; i < NumShards && got < want; i++ {
+		sh := &m.shards[(start+i)%NumShards]
 		m.lockShardAlloc(sh)
 		for got < want {
 			p := sh.free.popHead()
@@ -271,7 +271,7 @@ func (m *Mem) drainLocked(c *allocCache, n int) {
 	copy(victims, c.pages[:n])
 	c.pages = append(c.pages[:0], c.pages[n:]...)
 	m.ctrAllocDrains.Inc()
-	for sh := 0; sh < numShards; sh++ {
+	for sh := 0; sh < NumShards; sh++ {
 		locked := false
 		for _, p := range victims {
 			if int(p.home) != sh {

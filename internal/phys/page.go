@@ -7,33 +7,44 @@
 // all verified against actual bytes by the test suites of the higher
 // layers.
 //
-// Concurrency: the queues are sharded — each frame has a home shard
-// (by frame number) holding its free/active/inactive list membership
-// under a per-shard mutex, so page allocation and LRU queue traffic from
-// independent faulting goroutines does not serialise on one lock. A
-// global monotonic sequence number is stamped on every queue insertion,
-// and the pagedaemon entry points (ScanInactive, RefillInactive) merge
-// the shards in sequence order — the observable LRU order is therefore
-// identical to a single global queue, which keeps single-threaded
-// simulations deterministic and bit-for-bit comparable across runs.
+// Concurrency: the queues are sharded — each frame belongs for life to
+// one shard (by frame number) holding its free/active/inactive list
+// membership under a per-shard mutex, so page allocation and LRU queue
+// traffic from independent faulting goroutines does not serialise on one
+// lock. A global monotonic sequence number is stamped on every queue
+// insertion, and the pagedaemon entry points (ScanInactive,
+// RefillInactive) merge the shards in sequence order — the observable LRU
+// order is therefore identical to a single global queue, which keeps
+// single-threaded simulations deterministic and bit-for-bit comparable
+// across runs.
 //
-// Each shard's free list is LIFO: Free pushes the head that Alloc pops.
-// Alloc rotates a cursor across the shards, so this is not a machine-wide
-// stack: within one shard, the frame a munmap or exit just released is
-// the next one that shard hands out, and the zero-fill or copy that
-// follows lands in lines still in the cache. Which free frame is reused
-// is not a replacement decision — LRU order lives in the active/inactive
-// queues and is unaffected.
+// Each shard's free list is LIFO: Free pushes the head that allocation
+// pops. Within one shard, the frame a munmap or exit just released is the
+// next one that shard hands out, and the zero-fill or copy that follows
+// lands in lines still in the cache. Which free frame is reused is not a
+// replacement decision — LRU order lives in the active/inactive queues and
+// is unaffected.
+//
+// Anonymous memory allocates near a home shard: AllocNear starts at the
+// shard it is given and falls through to the next ones only when that
+// shard's free list is empty. The VM layer gives every address space a
+// home and allocates its anonymous frames there; since Free returns a
+// frame to the shard it belongs to, a process keeps reusing its own
+// frames, and their shard lock (and the pmap layer's pv buckets, which
+// hash the same frame numbers) stay on the core that faults them. Callers
+// with no address space — object pages, which many address spaces share,
+// and kernel pages — use Alloc, which rotates a cursor across the shards
+// so concurrent allocators rarely meet on one lock.
 //
 // Allocation has two layouts. With the per-CPU free-page caches off
 // (the default, and the byte-deterministic configuration the paper
-// experiments run with) Alloc and Free work directly on the sharded
-// free lists — the single global pool. With SetAllocCaches, allocating
-// goroutines are spread across private magazines of free frames that
-// refill from and drain to that pool in batches (see alloccache.go), so
-// the pool stops being a machine-wide serialisation point; the pool is
-// still where every frame ultimately lives and the only layer reclaim
-// has to understand.
+// experiments run with) AllocNear, Alloc and Free work directly on the
+// sharded free lists — the single global pool. With SetAllocCaches,
+// allocating goroutines are spread across private magazines of free
+// frames that refill from and drain to that pool in batches (see
+// alloccache.go), so the pool stops being a machine-wide serialisation
+// point; the pool is still where every frame ultimately lives and the
+// only layer reclaim has to understand.
 //
 // Either way, the free-page count is a lock-free atomic maintained by
 // the allocation paths; it counts every free frame — pooled or parked
@@ -76,10 +87,11 @@ const (
 	QueueWired // not a real queue: wired pages are off all queues
 )
 
-// numShards is the page-queue shard count. A small power of two: enough
-// to spread queue traffic from concurrently faulting goroutines, few
-// enough that merge scans stay cheap.
-const numShards = 16
+// NumShards is the page-queue shard count, and so the number of distinct
+// homes AllocNear can be given. A small power of two: enough to spread
+// queue traffic from concurrently faulting goroutines, few enough that
+// merge scans stay cheap.
+const NumShards = 16
 
 // Page is one physical page frame (a vm_page structure).
 type Page struct {
@@ -183,6 +195,9 @@ func (p *Page) Loaned() bool { return p.LoanCount.Load() > 0 }
 // Queue returns the queue the page is currently on.
 func (p *Page) Queue() QueueKind { return p.queue }
 
+// Shard returns the queue shard the frame belongs to, in [0, NumShards).
+func (p *Page) Shard() int { return int(p.home) }
+
 // String renders the page's identity and state for debug output.
 func (p *Page) String() string {
 	return fmt.Sprintf("page(pa=%#x owner=%T off=%#x q=%d wire=%d loan=%d dirty=%v)",
@@ -242,16 +257,22 @@ func (l *pageList) popHead() *Page {
 
 // memShard is one slice of the page queues: every frame belongs to
 // exactly one shard, and all of that frame's queue membership is
-// guarded by the shard's mutex.
+// guarded by the shard's mutex. A shard is three whole cache lines, a
+// line of padding after its lock and lists, so two shards locked by two
+// cores never share a line.
 type memShard struct {
 	//uvm:lock pageq
 	mu       sync.Mutex
 	free     pageList
 	active   pageList
 	inactive pageList
+	_        sim.CacheLinePad
+	_        [48]byte // rounds the shard up to 192 bytes
 }
 
-// Mem is the physical memory of the simulated machine.
+// Mem is the physical memory of the simulated machine. The fields every
+// allocation only reads come first; the counters it writes follow, each
+// on a line of its own, and then the shards.
 type Mem struct {
 	clock *sim.Clock
 	costs *sim.Costs
@@ -259,12 +280,7 @@ type Mem struct {
 
 	total  int
 	frames []Page
-	shards [numShards]memShard
 
-	seqCtr      atomic.Uint64 // global LRU stamp source
-	allocCursor atomic.Uint64 // round-robin shard hint for Alloc
-
-	freeCnt  atomic.Int64 // lock-free count of free frames, pooled or cached
 	lowWater atomic.Int64 // free-page threshold that fires lowWake
 	lowWake  atomic.Value // func(): pagedaemon doorbell, must not block
 
@@ -287,6 +303,15 @@ type Mem struct {
 	ctrAllocReaps     sim.Counter
 	ctrZeroed         sim.Counter
 	ctrCopied         sim.Counter
+
+	_           sim.CacheLinePad
+	seqCtr      atomic.Uint64 // global LRU stamp source
+	_           sim.CacheLinePad
+	allocCursor atomic.Uint64 // round-robin start shard of Alloc
+	_           sim.CacheLinePad
+	freeCnt     atomic.Int64 // lock-free count of free frames, pooled or cached
+	_           sim.CacheLinePad
+	shards      [NumShards]memShard
 }
 
 // NewMem boots a machine with npages page frames. All frame data buffers
@@ -311,7 +336,7 @@ func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *M
 		p := &m.frames[i]
 		p.PA = param.PAddr(i) << param.PageShift
 		p.Data = arena[i*param.PageSize : (i+1)*param.PageSize : (i+1)*param.PageSize]
-		p.home = uint8(i % numShards)
+		p.home = uint8(i % NumShards)
 		p.queue = QueueFree
 		m.shards[p.home].free.pushTail(p)
 	}
@@ -394,24 +419,35 @@ func (m *Mem) ForEachFrame(fn func(*Page) bool) {
 	}
 }
 
-// Alloc takes a free frame. If zero is set the frame is zero-filled
-// (and the zeroing cost charged); otherwise its previous contents are
-// undefined, exactly like a real free-list page.
-//
-// With the per-CPU caches enabled the frame comes from the calling
-// goroutine's magazine (AllocCPU with a goroutine-affine slot) and the
-// global pool is only touched on a refill. Without them the pool is the
-// allocator: allocation rotates across the queue shards so concurrent
-// allocators rarely meet on one lock, and a shard whose free list is
-// empty falls through to the next.
+// Alloc takes a free frame for a caller with no address space: an object
+// page, which many address spaces may map, or a kernel page. It is
+// AllocNear with no home, so allocation rotates across the queue shards
+// and concurrent allocators rarely meet on one lock.
 func (m *Mem) Alloc(owner any, off param.PageOff, zero bool) (*Page, error) {
+	return m.AllocNear(-1, owner, off, zero)
+}
+
+// AllocNear takes a free frame, starting at shard home (taken mod
+// NumShards) and falling through to the next shards in order when its
+// free list is empty. A negative home starts where Alloc's rotating cursor
+// points. If zero is set the frame is zero-filled (and the zeroing cost
+// charged); otherwise its previous contents are undefined, exactly like a
+// real free-list page.
+//
+// With the per-CPU caches enabled the home is ignored: the frame comes
+// from the calling goroutine's magazine (AllocCPU with a goroutine-affine
+// slot) and the shards are only touched on a refill.
+func (m *Mem) AllocNear(home int, owner any, off param.PageOff, zero bool) (*Page, error) {
 	if len(m.caches) > 0 {
 		return m.AllocCPU(cpuSlot(len(m.caches)), owner, off, zero)
 	}
-	start := int(m.allocCursor.Add(1) - 1)
+	start := home
+	if home < 0 {
+		start = int(m.allocCursor.Add(1) - 1)
+	}
 	var p *Page
-	for i := 0; i < numShards; i++ {
-		sh := &m.shards[(start+i)%numShards]
+	for i := 0; i < NumShards; i++ {
+		sh := &m.shards[(start+i)%NumShards]
 		m.lockShardAlloc(sh)
 		p = sh.free.popHead()
 		if p != nil {
@@ -428,14 +464,15 @@ func (m *Mem) Alloc(owner any, off param.PageOff, zero bool) (*Page, error) {
 	return p, nil
 }
 
-// Free returns a frame to the free set: its home free list, or — with
-// the per-CPU caches on — the freeing goroutine's magazine, which drains
-// to the pool in batches. The caller must have removed all mappings.
-// Free is where a frame leaves whatever paging queue it is on — callers
-// do not Dequeue first — and it goes to the head of its shard's free
-// list, the end Alloc pops: the frame just released is the next one that
-// shard hands out, while its lines are still in the cache. Alloc rotates
-// across the shards, so the next Alloc overall may come from another one.
+// Free returns a frame to the free set: the free list of the shard it
+// belongs to, or — with the per-CPU caches on — the freeing goroutine's
+// magazine, which drains to the pool in batches. The caller must have
+// removed all mappings. Free is where a frame leaves whatever paging queue
+// it is on — callers do not Dequeue first — and it goes to the head of its
+// shard's free list, the end allocation pops: the frame just released is
+// the next one that shard hands out, while its lines are still in the
+// cache. An address space allocating near that shard as its home gets it
+// back; an Alloc rotating across the shards may be served by another one.
 func (m *Mem) Free(p *Page) {
 	if n := len(m.caches); n > 0 {
 		m.FreeCPU(cpuSlot(n), p)
@@ -577,8 +614,8 @@ func (m *Mem) ScanInactive(max int, fn func(*Page) bool) {
 	}
 	var (
 		buf  [scanStack]candidate
-		head [numShards]int // next unvisited candidate of each segment
-		end  [numShards]int // one past each segment's last candidate
+		head [NumShards]int // next unvisited candidate of each segment
+		end  [NumShards]int // one past each segment's last candidate
 	)
 	cand := buf[:0]
 	for i := range m.shards {

@@ -453,7 +453,7 @@ func TestFreeListIsLIFO(t *testing.T) {
 	}
 	for _, tc := range cells {
 		t.Run(tc.name, func(t *testing.T) {
-			const npages = 4 * numShards
+			const npages = 4 * NumShards
 			m := newTestMem(npages)
 			m.SetAllocCaches(tc.caches, tc.batch)
 			for m.FreePages() > 0 {
@@ -462,8 +462,8 @@ func TestFreeListIsLIFO(t *testing.T) {
 				}
 			}
 			// Free three frames of shard 0 interleaved with two of shard 1.
-			var freed [numShards][]*Page
-			for _, i := range []int{0, 1, numShards, numShards + 1, 2 * numShards} {
+			var freed [NumShards][]*Page
+			for _, i := range []int{0, 1, NumShards, NumShards + 1, 2 * NumShards} {
 				p := &m.frames[i]
 				m.Free(p)
 				freed[p.home] = append(freed[p.home], p)
@@ -471,7 +471,7 @@ func TestFreeListIsLIFO(t *testing.T) {
 			if tc.reap {
 				m.ReapCaches()
 			}
-			var got [numShards][]*Page
+			var got [NumShards][]*Page
 			for m.FreePages() > 0 {
 				p, err := m.Alloc(nil, 0, false)
 				if err != nil {

@@ -119,7 +119,7 @@ func TestScanMergeMatchesSortedSnapshot(t *testing.T) {
 	for state := 0; state < states; state++ {
 		m := randomQueues(r)
 		depth := m.InactivePages()
-		maxes := []int{1, depth/numShards + 1, depth, 4*depth + 7}
+		maxes := []int{1, depth/NumShards + 1, depth, 4*depth + 7}
 		for trial := 0; trial < 4; trial++ {
 			maxes = append(maxes, 1+r.Intn(depth+1))
 		}

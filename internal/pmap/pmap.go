@@ -85,11 +85,15 @@ type BatchEntry struct {
 }
 
 // pvBucket is one shard of the reverse map: its mutex guards the pv list
-// (phys.Page.PV) of every page whose frame number hashes here.
+// (phys.Page.PV) of every page whose frame number hashes here. A bucket is
+// two whole cache lines, a line of padding after its lock and count, so
+// two buckets locked by two cores never share a line.
 type pvBucket struct {
 	//uvm:lock pvbucket
 	mu sync.Mutex
 	n  int // live pv entries under this bucket
+	_  sim.CacheLinePad
+	_  [48]byte // rounds the bucket up to 128 bytes
 }
 
 // pvOwner returns the address space a pv entry belongs to (nil for the
@@ -215,6 +219,7 @@ type MMU struct {
 	// 1 degrades the table to the classic single-mutex layout, kept as
 	// the measured contrast for bench/uvmperf's ref.pv1 row.
 	shards  int
+	_       sim.CacheLinePad // keeps shards, read by every lookup, off buckets[0]'s line
 	buckets [pvShards]pvBucket
 
 	// Cached counter cells: the fault path bumps these on every bucket

@@ -17,11 +17,24 @@ import (
 	"time"
 )
 
+// CacheLinePad is one cache line of padding: 64 bytes, the line size of
+// Go's amd64 target. Placed between two words that different cores write,
+// it keeps them on different lines, so a store to one does not take the
+// other's line away from the core working on it.
+type CacheLinePad struct{ _ [cacheLine]byte }
+
+const cacheLine = 64
+
 // Clock is a virtual clock. Components charge time to it as they perform
 // simulated work; experiments read it to produce "measured" durations.
 // All methods are safe for concurrent use.
+//
+// Every layer on every core advances the one clock, so the clock fills a
+// whole line: an 8-byte object would share a 16-byte block of Go's tiny
+// allocator, and with it a line, with whatever was allocated next to it.
 type Clock struct {
 	now atomic.Int64 // virtual nanoseconds since boot
+	_   [cacheLine - 8]byte
 }
 
 // NewClock returns a clock at virtual time zero.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -235,4 +236,17 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+// TestHotWordsOnOwnCacheLines is the layout fence for the ledger every
+// core writes: the clock and each counter cell fill at least a line, so
+// Go's tiny allocator cannot pack two of them, or one of them and
+// anything else, into one line.
+func TestHotWordsOnOwnCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(cell{}); size%64 != 0 {
+		t.Errorf("counter cell is %d bytes, want a multiple of 64", size)
+	}
+	if size := unsafe.Sizeof(Clock{}); size < 64 {
+		t.Errorf("Clock is %d bytes, want at least a 64-byte line", size)
+	}
 }

@@ -19,7 +19,16 @@ import (
 // load-bearing for the fine-grained-locking fault path — a Stats mutex
 // would reintroduce a global serialisation point.
 type Stats struct {
-	m sync.Map // string -> *int64, updated with atomics
+	m sync.Map // string -> *cell, updated with atomics
+}
+
+// cell is one counter, alone on its cache line: counters are bumped from
+// every core, and 8-byte cells would be packed two to a 16-byte block by
+// Go's tiny allocator, so two counters bumped by different cores would
+// keep taking one line from each other.
+type cell struct {
+	n int64
+	_ [cacheLine - 8]byte
 }
 
 // NewStats returns an empty counter set.
@@ -28,10 +37,10 @@ func NewStats() *Stats { return &Stats{} }
 // cell returns the counter cell for name, creating it on first use.
 func (s *Stats) cell(name string) *int64 {
 	if v, ok := s.m.Load(name); ok {
-		return v.(*int64)
+		return &v.(*cell).n
 	}
-	v, _ := s.m.LoadOrStore(name, new(int64))
-	return v.(*int64)
+	v, _ := s.m.LoadOrStore(name, new(cell))
+	return &v.(*cell).n
 }
 
 // Add increments counter name by delta (delta may be negative for
@@ -46,7 +55,7 @@ func (s *Stats) Inc(name string) { s.Add(name, 1) }
 // Get returns the current value of the counter (zero if never touched).
 func (s *Stats) Get(name string) int64 {
 	if v, ok := s.m.Load(name); ok {
-		return atomic.LoadInt64(v.(*int64))
+		return atomic.LoadInt64(&v.(*cell).n)
 	}
 	return 0
 }
@@ -59,9 +68,9 @@ func (s *Stats) Max(name string, v int64) {
 		if v <= 0 {
 			return // match map semantics: no key is created for a no-op Max
 		}
-		cv, _ = s.m.LoadOrStore(name, new(int64))
+		cv, _ = s.m.LoadOrStore(name, new(cell))
 	}
-	Counter{v: cv.(*int64)}.Max(v)
+	Counter{v: &cv.(*cell).n}.Max(v)
 }
 
 // Counter is a cached handle to one counter cell, for hot paths that bump
@@ -95,7 +104,7 @@ func (c Counter) Max(v int64) {
 func (s *Stats) Snapshot() map[string]int64 {
 	out := make(map[string]int64)
 	s.m.Range(func(k, v any) bool {
-		out[k.(string)] = atomic.LoadInt64(v.(*int64))
+		out[k.(string)] = atomic.LoadInt64(&v.(*cell).n)
 		return true
 	})
 	return out

@@ -148,7 +148,7 @@ func TestAllocCachesDaemonReapRescuesWaiter(t *testing.T) {
 	got := make(chan *phys.Page, 1)
 	fail := make(chan error, 1)
 	go func() {
-		pg, err := s.allocPage(&grabOwner{}, 0, false)
+		pg, err := s.allocPage(noHome, &grabOwner{}, 0, false)
 		if err != nil {
 			fail <- err
 			return

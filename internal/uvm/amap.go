@@ -168,6 +168,7 @@ type amap struct {
 	anons []*anon
 	refs  int
 	id    uint32 // layoutKey.id of the anons made for this amap; immutable
+	home  uint8  // phys queue shard its anons' frames come from: its map's home; immutable
 }
 
 // get returns the anon in slot, or nil for an empty or out-of-range slot.
@@ -196,13 +197,14 @@ func (am *amap) foreach(fn func(slot int, a *anon) bool) {
 	}
 }
 
-func (s *System) newAmap(nslots int) *amap {
+// newAmap creates an amap for a map whose home is home.
+func (s *System) newAmap(home uint8, nslots int) *amap {
 	s.mach.Clock.Advance(s.mach.Costs.AmapAlloc)
 	// The array pays per-slot initialisation up front.
 	s.mach.Clock.ChargeN(nslots, s.mach.Costs.AmapPerSlot)
 	s.ctrAmapAlloc.Inc()
 	s.ctrAmapLive.Inc()
-	return &amap{anons: make([]*anon, nslots), refs: 1, id: s.layoutIDs.Add(1)}
+	return &amap{anons: make([]*anon, nslots), refs: 1, id: s.layoutIDs.Add(1), home: home}
 }
 
 // amapRef adds a map-entry reference.
@@ -249,12 +251,12 @@ func (s *System) amapUnref(am *amap) {
 //     the entry's slice, bumping each anon's reference count. No page data
 //     moves; that is deferred to the per-anon copy-on-write fault.
 //
-// Caller holds the entry's map lock exclusively — amapCopy mutates the
-// entry itself.
-func (s *System) amapCopy(e *entry) {
+// Caller holds the lock of m, the entry's map, exclusively — amapCopy
+// mutates the entry itself. A new amap takes m's home.
+func (s *System) amapCopy(m *vmMap, e *entry) {
 	defer func() { e.needsCopy = false }()
 	if e.amap == nil {
-		e.amap = s.newAmap(e.pages())
+		e.amap = s.newAmap(m.home, e.pages())
 		e.amapOff = 0
 		return
 	}
@@ -265,7 +267,7 @@ func (s *System) amapCopy(e *entry) {
 		return
 	}
 	n := e.pages()
-	na := s.newAmap(n) // private until published below
+	na := s.newAmap(m.home, n) // private until published below
 	for i := 0; i < n; i++ {
 		if a := am.get(e.amapOff + i); a != nil {
 			s.anonRef(a)

@@ -76,7 +76,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 			return vmapi.ErrFault
 		}
 		if (write && e.needsCopy) || (e.amap == nil && e.obj == nil) {
-			s.amapCopy(e)
+			s.amapCopy(m, e)
 		}
 	}
 
@@ -239,7 +239,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 // orders that probe after the attach.
 func (s *System) newAnonPage(am *amap, slot int, zero bool) (*anon, *phys.Page, error) {
 	na := s.newAnon(am, slot)
-	np, err := s.allocPage(nil, 0, zero)
+	np, err := s.allocPage(int(am.home), nil, 0, zero)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -98,7 +98,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	}
 	switch backend {
 	case "anon":
-		am := s.newAmap(n)
+		am := s.newAmap(0, n)
 		for i := 0; i < n; i++ {
 			a, pg, err := s.newAnonPage(am, i, true)
 			if err != nil {

@@ -115,7 +115,7 @@ func (s *System) unloan(pages []*phys.Page) {
 // while it was released.
 func (s *System) breakObjLoan(o *uobject, idx int, pg *phys.Page) (*phys.Page, bool, error) {
 	o.mu.Unlock()
-	np, err := s.allocPage(o, param.PageToOff(idx), false)
+	np, err := s.allocPage(noHome, o, param.PageToOff(idx), false)
 	o.mu.Lock()
 	if err != nil {
 		return nil, false, err
@@ -152,7 +152,7 @@ func (s *System) breakObjLoan(o *uobject, idx int, pg *phys.Page) (*phys.Page, b
 func (s *System) AllocKernelPages(n int, fill func(idx int, buf []byte)) ([]*phys.Page, error) {
 	pages := make([]*phys.Page, 0, n)
 	for i := 0; i < n; i++ {
-		pg, err := s.allocPage(nil, 0, fill == nil)
+		pg, err := s.allocPage(noHome, nil, 0, fill == nil)
 		if err != nil {
 			for _, q := range pages {
 				q.WireCount.Store(0)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"uvm/internal/param"
+	"uvm/internal/phys"
 	"uvm/internal/pmap"
 	"uvm/internal/vmapi"
 )
@@ -91,10 +92,14 @@ type vmMap struct {
 	n        int
 
 	pmap *pmap.Pmap
+	home uint8 // phys queue shard the anonymous frames of this address space come from
 
 	lockedAt time.Duration // write-lock hold tracking (stats)
 }
 
+// newMap creates a map whose home is the next phys queue shard in turn, so
+// address spaces created one after another allocate from different
+// shards. Fork gives the child its parent's home instead.
 func (s *System) newMap(name string, min, max param.VAddr, kernel bool) *vmMap {
 	return &vmMap{
 		sys:      s,
@@ -104,6 +109,7 @@ func (s *System) newMap(name string, min, max param.VAddr, kernel bool) *vmMap {
 		max:      max,
 		allocMax: max,
 		pmap:     s.mach.MMU.NewPmap(name),
+		home:     uint8((s.maps.Add(1) - 1) % phys.NumShards),
 	}
 }
 

@@ -80,7 +80,7 @@ func (p *Process) Export(addr param.VAddr, length param.VSize, mode CopyMode) (*
 		// Sharing (or COW-exporting) a needs-copy entry requires a real
 		// amap so both sides reference the same anons (§5.4).
 		if e.needsCopy && mode != ExportDonate {
-			s.amapCopy(e)
+			s.amapCopy(m, e)
 		}
 		pc := tokenPiece{
 			length:    param.VSize(e.end - e.start),

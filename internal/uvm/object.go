@@ -175,7 +175,7 @@ func (s *System) freeObjectPage(o *uobject, idx int, pg *phys.Page) {
 // handed back with raced=true.
 func (s *System) allocObjPageLocked(o *uobject, idx int, zero bool) (pg *phys.Page, raced bool, err error) {
 	o.mu.Unlock()
-	pg, err = s.allocPage(o, param.PageToOff(idx), zero)
+	pg, err = s.allocPage(noHome, o, param.PageToOff(idx), zero)
 	o.mu.Lock()
 	if err != nil {
 		return nil, false, err
@@ -285,7 +285,7 @@ func (s *System) newDeviceObject(n int, fill func(idx int, buf []byte)) (*uobjec
 	dp := &devPager{sys: s}
 	o := &uobject{ops: dp, refs: 1, sizePg: n, pages: make(map[int]*phys.Page)}
 	for i := 0; i < n; i++ {
-		pg, err := s.allocPage(o, param.PageToOff(i), false)
+		pg, err := s.allocPage(noHome, o, param.PageToOff(i), false)
 		if err != nil {
 			return nil, err
 		}

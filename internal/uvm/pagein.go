@@ -230,7 +230,7 @@ func (s *System) anonPagein(e *entry, am *amap, a *anon, slot int) error {
 	lo, hi := e.adviceSlots(slot)
 	if limit := s.swapRunMax(hi - lo + 1); limit > 1 {
 		if run := s.anonRun(am, a, slot, lo, hi, limit, anons[:]); len(run) > 1 {
-			err := s.pageinAnons(run, a, pages[:0])
+			err := s.pageinAnons(am, run, a, pages[:0])
 			for _, b := range run {
 				if b != a {
 					b.mu.Unlock()
@@ -242,15 +242,16 @@ func (s *System) anonPagein(e *entry, am *amap, a *anon, slot int) error {
 		}
 	}
 	anons[0] = a
-	return s.pageinAnons(anons[:1], a, pages[:0])
+	return s.pageinAnons(am, anons[:1], a, pages[:0])
 }
 
-// pageinAnons allocates a frame for each anon of run — locked, swapped
-// out, in consecutive slots — and pages the run in. pages is scratch.
-func (s *System) pageinAnons(run []*anon, centre *anon, pages []pageinPage) error {
+// pageinAnons allocates a frame near am's home for each anon of run —
+// anons of am, locked, swapped out, in consecutive slots — and pages the
+// run in. pages is scratch.
+func (s *System) pageinAnons(am *amap, run []*anon, centre *anon, pages []pageinPage) error {
 	r := pagein{start: run[0].swslot, centre: int(centre.swslot - run[0].swslot), pages: pages}
 	for _, b := range run {
-		pg, err := s.allocPage(b, 0, false)
+		pg, err := s.allocPage(int(am.home), b, 0, false)
 		if err != nil {
 			return s.finishRun(r, err)
 		}

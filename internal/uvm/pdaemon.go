@@ -241,16 +241,22 @@ const (
 	allocRetryLimit = 1 << 16
 )
 
-// allocPage allocates a page frame. On shortage the allocating goroutine
+// noHome is allocPage's home for a frame no one address space owns: an
+// object page or a kernel page. phys.Mem.AllocNear then rotates across the
+// shards as Alloc does.
+const noHome = -1
+
+// allocPage allocates a page frame near shard home (see
+// phys.Mem.AllocNear). On shortage the allocating goroutine
 // does not reclaim inline (unless cfg.InlineReclaim): it wakes the
 // pagedaemon, blocks until a reclaim round completes, and retries.
 // Direct reclaim remains as a fallback for when the daemon cannot make
 // progress — for example when this goroutine itself holds the lock of
 // the only owner with evictable pages — and after Shutdown.
-func (s *System) allocPage(owner any, off param.PageOff, zero bool) (*phys.Page, error) {
+func (s *System) allocPage(home int, owner any, off param.PageOff, zero bool) (*phys.Page, error) {
 	direct := 0
 	for attempt := 0; attempt < allocRetryLimit; attempt++ {
-		pg, err := s.mach.Mem.Alloc(owner, off, zero)
+		pg, err := s.mach.Mem.AllocNear(home, owner, off, zero)
 		if err == nil {
 			return pg, nil
 		}
@@ -261,7 +267,7 @@ func (s *System) allocPage(owner any, off param.PageOff, zero bool) (*phys.Page,
 			// The daemon stalled or is shutting down. Memory may still
 			// have been freed since our failed attempt (by the round we
 			// raced, or by frees elsewhere): retry before escalating.
-			if pg, err := s.mach.Mem.Alloc(owner, off, zero); err == nil {
+			if pg, err := s.mach.Mem.AllocNear(home, owner, off, zero); err == nil {
 				return pg, nil
 			}
 		}

@@ -355,6 +355,7 @@ func (p *Process) Fork(name string) (vmapi.Process, error) {
 	}
 	s.addProc(child)
 	pm, cm := p.m, child.m
+	cm.home = pm.home // a process tree allocates from one shard
 	pm.lock()
 	cm.lock()
 	for e := pm.head; e != nil; e = e.next {
@@ -365,7 +366,7 @@ func (p *Process) Fork(name string) (vmapi.Process, error) {
 			// Sharing a needs-copy mapping requires materialising the
 			// amap first so both processes genuinely share it (§5.4).
 			if e.needsCopy {
-				s.amapCopy(e)
+				s.amapCopy(pm, e)
 			}
 			ce := s.allocEntry(cm)
 			*ce = *e

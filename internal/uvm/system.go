@@ -268,6 +268,8 @@ type System struct {
 
 	// layoutIDs numbers amaps and aobjs in creation order (layoutKey.id).
 	layoutIDs atomic.Uint32
+	// maps numbers maps in creation order; it deals out their homes.
+	maps atomic.Uint32
 
 	// Cached counter handles for the fault path and the per-page loop
 	// paths, resolved once at boot so they skip the string-keyed Stats

@@ -55,7 +55,7 @@ func (p *Process) Transfer(pages []*phys.Page, prot param.Prot) (param.VAddr, er
 	e.prot, e.maxProt = prot, param.ProtRWX
 	e.inherit = param.InheritCopy
 	e.cow = true
-	e.amap = s.newAmap(len(pages))
+	e.amap = s.newAmap(m.home, len(pages))
 
 	for i, pg := range pages {
 		a := s.newAnon(e.amap, i)
