@@ -4,8 +4,8 @@ package analysis
 // is the machine-readable form of the ordering documented atop
 // internal/uvm/system.go — map -> object -> amap -> anon -> page
 // identity -> leaf — with the leaf tier split into its documented
-// sub-levels (pmap above pv bucket, magazine above queue shard, the
-// async writer's window above its disk, and so on).
+// sub-levels (pmap above pv bucket, magazine above queue shard, and so
+// on).
 //
 // A blocking acquisition is legal only if its level sits strictly below
 // every level already held; TryLock acquisitions are exempt from the
@@ -24,18 +24,14 @@ var Levels = []string{
 	"amap",      // amap.mu — the amap's reference count and slots
 	"anon",      // anon.mu
 	"pageident", // phys.Page.mu — per-frame identity (owner/off)
-	"wbcond",    // System.flMu — flight counters/result lists and the completion condvar
-	"daemon",    // the pagedaemon's condvar mutex
+	"wbcond",    // System.flMu — flight counters/result lists, the pagedaemon's state, and their condvars
 	"pmap",      // Pmap.mu — one address space's page table
 	"pvbucket",  // MMU reverse-map bucket locks (strict leaves within pmap)
 	"magazine",  // phys per-CPU free-page magazines
 	"pageq",     // phys page-queue shards
-	"swapreg",   // Swap.mu — device registry (AddDevice only)
-	"swap",      // swap allocator shard locks
+	"swap",      // swap allocator shard locks, and Swap.mu (AddDevice only)
 	"vfs",       // FS.mu — vnode cache and file table
-	"diskaio",   // disk.AsyncWriter.mu — window admission/completion state
 	"disk",      // Disk.mu — the device itself
-	"faultplan", // disk.FaultPlan.mu — fault-rule schedule state
 	"leaf",      // terminal: nothing is ever acquired while held
 }
 

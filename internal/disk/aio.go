@@ -37,7 +37,7 @@ const DefaultAIOWindow = 4
 type AsyncWriter struct {
 	d *Disk
 
-	//uvm:lock diskaio
+	//uvm:lock leaf
 	mu       sync.Mutex
 	cond     *sync.Cond
 	window   int // admission bound, see SetWindow

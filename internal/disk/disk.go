@@ -172,6 +172,15 @@ func (d *Disk) admit(start int64, n int, write bool) (int, error) {
 	return k, err
 }
 
+// cmdKind is what one device command does with its pages.
+type cmdKind int
+
+const (
+	cmdRead          cmdKind = iota // medium into the buffers, on the caller's clock
+	cmdWrite                        // buffers onto the medium, on the caller's clock
+	cmdWriteDeferred                // buffers onto the medium, into the deferred ledger
+)
+
 // ReadPages transfers len(bufs) consecutive blocks starting at start into
 // the supplied page buffers. Each buffer must be param.PageSize long.
 //
@@ -179,28 +188,7 @@ func (d *Disk) admit(start int64, n int, write bool) (int, error) {
 // pages into their buffers; only those k pages are charged and counted,
 // and the head stops after them.
 func (d *Disk) ReadPages(start int64, bufs [][]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkRange(start, int64(len(bufs))); err != nil {
-		return err
-	}
-	if err := validateBufs(bufs); err != nil {
-		return err
-	}
-	k, err := d.admit(start, len(bufs), false)
-	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
-		// Dead controller: the command never reaches the medium.
-		d.stats.Inc("disk.errors")
-		return err
-	}
-	d.charge(start, k)
-	d.ctrReads.Inc()
-	d.ctrPagesRead.Add(int64(k))
-	d.readBlocks(start, bufs[:k])
-	if err != nil {
-		d.stats.Inc("disk.errors")
-	}
-	return err
+	return d.command(cmdRead, start, bufs)
 }
 
 // WritePages transfers len(data) consecutive blocks starting at start from
@@ -211,27 +199,7 @@ func (d *Disk) ReadPages(start int64, bufs [][]byte) error {
 // cluster write looks like), only they are charged and counted, and the
 // head stops after them.
 func (d *Disk) WritePages(start int64, data [][]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkRange(start, int64(len(data))); err != nil {
-		return err
-	}
-	if err := validateBufs(data); err != nil {
-		return err
-	}
-	k, err := d.admit(start, len(data), true)
-	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
-		d.stats.Inc("disk.errors")
-		return err
-	}
-	d.charge(start, k)
-	d.ctrWrites.Inc()
-	d.ctrPagesWritten.Add(int64(k))
-	d.writeBlocks(start, data[:k])
-	if err != nil {
-		d.stats.Inc("disk.errors")
-	}
-	return err
+	return d.command(cmdWrite, start, data)
 }
 
 // WritePagesDeferred stores data like WritePages but charges no time to
@@ -239,51 +207,68 @@ func (d *Disk) WritePages(start int64, data [][]byte) error {
 // buffer-cache flush, whose background time the simulation does not
 // model. Deferred writes are counted separately in the stats.
 func (d *Disk) WritePagesDeferred(start int64, data [][]byte) error {
+	return d.command(cmdWriteDeferred, start, data)
+}
+
+// command is every device command's one body: range and buffer checks,
+// admission against the fault schedule, then the charge, the count and
+// the copy of the k pages admitted (absent blocks read as zeros). A dead
+// controller fails the command before it reaches the medium; any other
+// fault stops it after k pages.
+func (d *Disk) command(kind cmdKind, start int64, bufs [][]byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.checkRange(start, int64(len(data))); err != nil {
+	if err := d.checkRange(start, int64(len(bufs))); err != nil {
 		return err
 	}
-	if err := validateBufs(data); err != nil {
+	if err := validateBufs(bufs); err != nil {
 		return err
 	}
-	k, err := d.admit(start, len(data), true)
+	k, err := d.admit(start, len(bufs), kind != cmdRead)
 	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
+		// Dead controller: the command never reaches the medium.
 		d.stats.Inc("disk.errors")
 		return err
 	}
-	d.stats.Inc(sim.CtrDiskWritesDeferred)
-	d.chargeDeferred(start, k)
-	d.writeBlocks(start, data[:k])
+	switch kind {
+	case cmdRead:
+		d.charge(start, k)
+		d.ctrReads.Inc()
+		d.ctrPagesRead.Add(int64(k))
+	case cmdWrite:
+		d.charge(start, k)
+		d.ctrWrites.Inc()
+		d.ctrPagesWritten.Add(int64(k))
+	case cmdWriteDeferred:
+		// The device-busy time goes to the disk.deferred_ns ledger
+		// instead of the caller's clock: the command overlaps the caller's
+		// execution, but the disk is still occupied, and the ledger is what
+		// makes clustering's fewer-commands win measurable for overlapped
+		// writeback. The head model is untouched: deferred commands are
+		// reordered by the syncer, so they do not perturb the synchronous
+		// cost sequence.
+		d.stats.Inc(sim.CtrDiskWritesDeferred)
+		busy := d.costs.DiskOp + d.costs.DiskSeek + time.Duration(k)*d.costs.DiskPageIO
+		d.stats.Add(sim.CtrDiskDeferredNs, int64(busy))
+	}
+	for i, buf := range bufs[:k] {
+		blk := &d.blocks[start+int64(i)]
+		switch {
+		case kind != cmdRead:
+			if *blk == nil {
+				*blk = make([]byte, param.PageSize)
+			}
+			copy(*blk, buf)
+		case *blk != nil:
+			copy(buf, *blk)
+		default:
+			clear(buf)
+		}
+	}
 	if err != nil {
 		d.stats.Inc("disk.errors")
 	}
 	return err
-}
-
-// readBlocks copies the first len(bufs) blocks at start into their
-// buffers (absent blocks read as zeros). Caller holds d.mu and has
-// already validated, charged and counted the transfer.
-func (d *Disk) readBlocks(start int64, bufs [][]byte) {
-	for i, buf := range bufs {
-		if src := d.blocks[start+int64(i)]; src != nil {
-			copy(buf, src)
-		} else {
-			clear(buf)
-		}
-	}
-}
-
-// writeBlocks stores the first len(data) blocks at start. Caller holds
-// d.mu and has already validated, charged and counted the transfer.
-func (d *Disk) writeBlocks(start int64, data [][]byte) {
-	for i, src := range data {
-		blk := start + int64(i)
-		if d.blocks[blk] == nil {
-			d.blocks[blk] = make([]byte, param.PageSize)
-		}
-		copy(d.blocks[blk], src)
-	}
 }
 
 // checkRange rejects I/O outside [0, nblocks). The bound is checked
@@ -310,16 +295,4 @@ func (d *Disk) charge(start int64, n int) {
 	}
 	d.clock.ChargeN(n, d.costs.DiskPageIO)
 	d.head = start + int64(n)
-}
-
-// chargeDeferred accounts a deferred I/O command's device-busy time in
-// the disk.deferred_ns ledger instead of the caller's clock (the command
-// overlaps the caller's execution, but the disk is still occupied — the
-// ledger is what makes clustering's fewer-commands win measurable for
-// overlapped writeback). The head model is untouched: deferred commands
-// are reordered by the syncer, so they do not perturb the synchronous
-// cost sequence.
-func (d *Disk) chargeDeferred(start int64, n int) {
-	busy := d.costs.DiskOp + d.costs.DiskSeek + time.Duration(n)*d.costs.DiskPageIO
-	d.stats.Add(sim.CtrDiskDeferredNs, int64(busy))
 }

@@ -91,7 +91,7 @@ type FaultRule struct {
 // decides the command's fate. A FaultPlan must not be shared between
 // disks (its trigger counters are per-device state).
 type FaultPlan struct {
-	//uvm:lock faultplan
+	//uvm:lock leaf
 	mu    sync.Mutex
 	rules []FaultRule
 	seen  []int64 // matching commands observed, per rule

@@ -551,6 +551,14 @@ func (m *Mem) ActivateIfInactive(p *Page) bool {
 	return true
 }
 
+// Inactive reports whether the page is on the inactive queue.
+func (m *Mem) Inactive(p *Page) bool {
+	sh := m.shardOf(p)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return p.queue == QueueInactive
+}
+
 // Deactivate moves the page to the inactive queue, making it a pageout
 // candidate.
 func (m *Mem) Deactivate(p *Page) {

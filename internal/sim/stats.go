@@ -180,7 +180,7 @@ const (
 	CtrPdRounds     = "uvm.pdaemon.rounds"     // daemon reclaim rounds
 	CtrPdWakeups    = "uvm.pdaemon.wakeups"    // doorbell rings delivered
 	CtrPdBlocked    = "uvm.pdaemon.blocked"    // allocators that had to wait
-	CtrPdDirect     = "uvm.pdaemon.direct"     // direct-reclaim fallbacks
+	CtrPdDirect     = "uvm.pdaemon.direct"     // allocators' inline reclaim passes on a system booted with a daemon
 	CtrPdWaitNs     = "uvm.pdaemon.wait_ns"    // simulated ns allocators spent blocked on free pages
 
 	// Reclaim I/O pipeline counters (async pageout, clustered pagein —

@@ -14,8 +14,8 @@
 // The allocator is sharded so that it is never a serialisation point on
 // the pageout path: each device's slot space is split into contiguous
 // shards, each with its own mutex, free-slot bitmap and next-fit hint.
-// Concurrent reclaim — the asynchronous pagedaemon plus any goroutines in
-// the direct-reclaim fallback — lands on different shards via a
+// Concurrent reclaim — the asynchronous pagedaemon plus any allocators
+// running an inline reclaim pass — lands on different shards via a
 // round-robin cursor and proceeds without contention. The global in-use
 // count is a lock-free atomic, so capacity checks and accounting never
 // take a lock at all. Devices small enough for a single shard (everything
@@ -224,7 +224,7 @@ type Swap struct {
 	stats *sim.Stats
 
 	// mu serialises AddDevice only.
-	//uvm:lock swapreg
+	//uvm:lock swap
 	mu   sync.Mutex
 	devs atomic.Pointer[topo]
 

@@ -47,7 +47,7 @@ import (
 //
 // Completion context: runDone may run on an I/O goroutine holding the
 // handed-over owner locks and nothing else. It may touch page state, the
-// page queues, the swap allocator, flMu and the daemon's condvar; it must
+// page queues, the swap allocator and flMu with its condvars; it must
 // never lock a map, an amap, an anon or an object.
 type flight struct {
 	s      *System
@@ -342,6 +342,12 @@ func (fl *flight) wait() (int, error) {
 func (s *System) waitFlight() bool {
 	s.flMu.Lock()
 	defer s.flMu.Unlock()
+	return s.waitFlightLocked()
+}
+
+// waitFlightLocked is waitFlight with flMu held. A flight finishes under
+// flMu, so one counted here has not finished yet.
+func (s *System) waitFlightLocked() bool {
 	if s.flights.Load() == 0 {
 		return false
 	}

@@ -20,16 +20,18 @@ import (
 // loaned frame is orphaned to its borrowers (breakObjLoan). The
 // pagedaemon skips loaned pages, so pageout cannot yank a loan either.
 //
-// Concurrency: the loan count is taken under the page owner's lock (so a
-// loan cannot race a pageout or teardown of the same page), and the
-// keep-or-free decision when loans drop is made under the page identity
-// lock (so the last borrower and a dying owner cannot double-free the
-// frame).
+// Concurrency: the loan count is taken under the page owner's lock
+// (holdPage), so a loan cannot race a pageout or teardown of the same
+// page, and the keep-or-free decision when loans drop is made under the
+// page identity lock, so the last borrower and a dying owner cannot
+// double-free the frame.
 
 // Loanout loans npages pages starting at addr, faulting them resident
 // first if needed. The returned pages are held by "the kernel" (the
 // caller) until LoanReturn, or until they are handed onward with
-// Transfer.
+// Transfer. If a page cannot be had — ErrFault for an address with no
+// readable mapping — the pages already loaned are returned and none is
+// held.
 func (p *Process) Loanout(addr param.VAddr, npages int) ([]*phys.Page, error) {
 	if p.exited.Load() {
 		return nil, vmapi.ErrExited
@@ -38,47 +40,30 @@ func (p *Process) Loanout(addr param.VAddr, npages int) ([]*phys.Page, error) {
 		return nil, vmapi.ErrInvalid
 	}
 	s := p.sys
-
 	pages := make([]*phys.Page, 0, npages)
+	loan := func(pg *phys.Page) {
+		s.loanPage(pg)
+		pages = append(pages, pg)
+	}
 	for i := 0; i < npages; i++ {
-		va := addr + param.VAddr(i)*param.PageSize
-		loaned := false
-		for attempt := 0; attempt < 16 && !loaned; attempt++ {
-			pte, ok := p.pm.Lookup(va)
-			if !ok || pte.Page == nil {
-				if err := s.fault(p, va, param.ProtRead, nil); err != nil {
-					s.unloan(pages)
-					return nil, err
-				}
-				continue
-			}
-			pg := pte.Page
-			release, ok := s.lockPageOwner(pg)
-			if !ok {
-				continue
-			}
-			if pte2, still := p.pm.Lookup(va); !still || pte2.Page != pg {
-				release() // evicted or replaced between lookup and lock
-				continue
-			}
-			pg.LoanCount.Add(1)
-			// All mappings become read-only so any write faults and the COW
-			// machinery keeps the borrowers' view stable.
-			s.mach.MMU.PageProtect(pg, param.ProtRead)
-			// The borrower (kernel I/O path) maps the page into its own
-			// address space.
-			s.mach.Clock.Advance(s.mach.Costs.PmapEnter)
-			release()
-			pages = append(pages, pg)
-			loaned = true
-		}
-		if !loaned {
+		if err := p.holdPage(addr+param.VAddr(i)*param.PageSize, param.ProtRead, loan); err != nil {
 			s.unloan(pages)
-			return nil, vmapi.ErrFault
+			return nil, err
 		}
 	}
 	s.mach.Stats.Add(sim.CtrLoanouts, int64(len(pages)))
 	return pages, nil
+}
+
+// loanPage takes one loan on pg. Caller holds pg's owner lock.
+func (s *System) loanPage(pg *phys.Page) {
+	pg.LoanCount.Add(1)
+	// All mappings become read-only so any write faults and the COW
+	// machinery keeps the borrowers' view stable.
+	s.mach.MMU.PageProtect(pg, param.ProtRead)
+	// The borrower (kernel I/O path) maps the page into its own address
+	// space.
+	s.mach.Clock.Advance(s.mach.Costs.PmapEnter)
 }
 
 // LoanReturn ends a loan obtained from Loanout (for pages that were not

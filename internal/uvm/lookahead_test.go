@@ -139,7 +139,7 @@ func TestLookaheadAnonShadowsObject(t *testing.T) {
 	m.MMU.PageProtect(anonPg, param.ProtNone)
 	anonPg.Referenced.Store(false)
 	m.Mem.Deactivate(anonPg)
-	if s.reclaimCount(1) == 0 {
+	if freed, _ := s.reclaimScan(1, false); freed == 0 {
 		t.Fatal("could not page the private copy out")
 	}
 
@@ -224,7 +224,7 @@ func TestLookaheadVsReclaimRace(t *testing.T) {
 		gateRan = true
 		// The neighbour's anon is locked by lookahead right now; the
 		// reclaim pass must TryLock-skip it rather than free the page.
-		s.reclaimCount(npages)
+		s.reclaimScan(npages, false)
 	}
 	defer func() { s.lookaheadGate = nil }()
 
@@ -281,7 +281,7 @@ func TestLookaheadSkipsNeighbourEvictedBeforeFault(t *testing.T) {
 	m.MMU.PageProtect(pte1.Page, param.ProtNone)
 	pte1.Page.Referenced.Store(false)
 	m.Mem.Deactivate(pte1.Page)
-	if s.reclaimCount(1) == 0 {
+	if freed, _ := s.reclaimScan(1, false); freed == 0 {
 		t.Fatal("could not evict the neighbour")
 	}
 

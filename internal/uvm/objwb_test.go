@@ -401,7 +401,7 @@ func TestMsyncVsPagedaemonRace(t *testing.T) {
 	s.msyncGate = func() {
 		// Pages busy, completions held: run a reclaim pass over
 		// everything. It must skip every busy page.
-		s.reclaimCount(64)
+		s.reclaimScan(64, false)
 		close(release)
 	}
 	defer func() { s.msyncGate = nil }()

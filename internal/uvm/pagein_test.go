@@ -118,7 +118,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 			pte.Page.Referenced.Store(false)
 			m.Mem.Deactivate(pte.Page)
 		}
-		if freed := s.reclaimCount(n); freed != n {
+		if freed, _ := s.reclaimScan(n, false); freed != n {
 			t.Fatalf("evicted %d of %d pages", freed, n)
 		}
 		if shape == "random" {

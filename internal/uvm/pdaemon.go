@@ -1,7 +1,6 @@
 package uvm
 
 import (
-	"errors"
 	"sort"
 	"sync"
 
@@ -9,13 +8,6 @@ import (
 	"uvm/internal/phys"
 	"uvm/internal/sim"
 	"uvm/internal/vmapi"
-)
-
-// Sentinel results of waiting on the pagedaemon; both send the allocator
-// down the direct-reclaim fallback path.
-var (
-	errPdStalled  = errors.New("uvm: pagedaemon reclaim round freed nothing")
-	errPdShutdown = errors.New("uvm: pagedaemon has shut down")
 )
 
 // pagedaemon is UVM's asynchronous pageout daemon: one goroutine per
@@ -35,16 +27,18 @@ var (
 //     and re-kicks itself while it is making progress below the low
 //     mark, so it normally runs ahead of allocators and they never block
 //     at all.
-//  4. A round that frees nothing and has no pageout I/O in flight does
-//     not re-kick: the waiters are told (errPdStalled) and fall back to
-//     reclaiming directly, which tolerates owners locked by the waiting
-//     goroutine itself the same way the daemon does (TryLock + skip).
-//     A fruitless round while flights are pending (System.flights) is
-//     not a stall either: the waiter sleeps until one completes and
-//     retries.
+//  4. A round that frees nothing is not a stall while flights are
+//     pending (System.flights): the waiter sleeps on until one
+//     completes, and retries. Otherwise the round does not re-kick and
+//     the allocator, after one more attempt, runs the one inline pass
+//     itself (allocPage), which skips owners it holds itself the way
+//     the daemon does (TryLock + skip).
 //
 // Each round is one reclaimScan of the whole inactive queue, in global
-// LRU order; the daemon is the only watermark coordinator.
+// LRU order; the daemon is the only watermark coordinator. Its state
+// lives under the flight mutex (flMu), so a waiter watches for a round
+// and then a flight in one critical section; its condvar is its own, so
+// rounds do not wake page-busy sleepers.
 //
 // Shutdown (System.Shutdown) marks the daemon, broadcasts so blocked
 // allocators unwedge immediately, joins the goroutine, and then waits
@@ -61,8 +55,7 @@ type pagedaemon struct {
 	wake chan struct{} // doorbell; buffered(1), rung by kick
 	done chan struct{} // closed when the daemon goroutine exits
 
-	//uvm:lock daemon
-	mu       sync.Mutex
+	// Guarded by s.flMu.
 	cond     *sync.Cond // signalled after every completed round
 	gen      uint64     // completed reclaim rounds
 	genFreed int        // pages freed by the most recent round
@@ -76,15 +69,14 @@ type pagedaemon struct {
 }
 
 func newPagedaemon(s *System, low int) *pagedaemon {
-	pd := &pagedaemon{
+	return &pagedaemon{
 		s:    s,
 		low:  low,
 		high: 2 * low,
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
+		cond: sync.NewCond(&s.flMu),
 	}
-	pd.cond = sync.NewCond(&pd.mu)
-	return pd
 }
 
 // kick rings the daemon's doorbell. Non-blocking and lock-free, so it is
@@ -99,9 +91,19 @@ func (pd *pagedaemon) kick() {
 }
 
 func (pd *pagedaemon) stopping() bool {
-	pd.mu.Lock()
-	defer pd.mu.Unlock()
+	pd.s.flMu.Lock()
+	defer pd.s.flMu.Unlock()
 	return pd.shutdown
+}
+
+// finishRound publishes a completed round that freed pages and wakes
+// every waiter.
+func (pd *pagedaemon) finishRound(freed int) {
+	pd.s.flMu.Lock()
+	pd.gen++
+	pd.genFreed = freed
+	pd.cond.Broadcast()
+	pd.s.flMu.Unlock()
 }
 
 // run is the daemon goroutine: sleep on the doorbell, reclaim toward the
@@ -121,39 +123,15 @@ func (pd *pagedaemon) run() {
 		}
 		free := pd.s.mach.Mem.FreePages()
 		if free >= pd.low {
-			pd.mu.Lock()
-			if pd.waiters == 0 {
-				// Spurious wakeup: no one waiting and memory is fine.
-				pd.mu.Unlock()
-				continue
-			}
-			// Waiters raced a round that already refilled the free list
-			// (their Alloc failed before it completed): report the round
-			// without evicting anything more.
-			pd.gen++
-			pd.genFreed = free
-			pd.cond.Broadcast()
-			pd.mu.Unlock()
+			// Any waiters raced a round that already refilled the free
+			// list: report a round without evicting anything more.
+			pd.finishRound(free)
 			continue
 		}
 		target := max(pd.high-free, reclaimBatch)
 		freed, submitted := pd.s.reclaimScan(target, pd.s.cfg.AsyncPageout)
-		if freed == 0 && submitted == 0 {
-			// The queues gave nothing and no I/O is on the wire from this
-			// round. Before declaring a stall, reap any frames parked in
-			// idle per-CPU allocation magazines back into the global pool:
-			// they already counted as free, but waiters' retries (and the
-			// watermark's notion of reachable memory) need them in the
-			// pool, not private to goroutines that stopped allocating.
-			freed = pd.s.mach.Mem.ReapCaches()
-		}
 		pd.s.ctrPdRounds.Inc()
-
-		pd.mu.Lock()
-		pd.gen++
-		pd.genFreed = freed
-		pd.cond.Broadcast()
-		pd.mu.Unlock()
+		pd.finishRound(freed)
 
 		// Still under pressure and making progress — pages freed, or
 		// clusters on the wire whose completions will free them: run
@@ -169,57 +147,46 @@ func (pd *pagedaemon) run() {
 }
 
 // waitForFree blocks the calling allocator until the daemon completes a
-// reclaim round (or until shutdown). nil means the allocation is worth
-// retrying: the round freed pages, or it freed nothing but writes were
-// pending and one has now completed — like a kernel thread sleeping on
-// pageout I/O. errPdStalled/errPdShutdown mean the caller should reclaim
-// directly.
-func (pd *pagedaemon) waitForFree() error {
-	pd.s.mach.Stats.Inc(sim.CtrPdBlocked)
+// reclaim round and reports whether it is worth retrying the allocation:
+// the round freed pages, or it freed nothing while flights were pending
+// and one has now completed — like a kernel thread sleeping on pageout
+// I/O. false (a fruitless round with nothing in flight, or shutdown)
+// sends the caller to the inline pass.
+func (pd *pagedaemon) waitForFree() bool {
+	s := pd.s
+	s.mach.Stats.Inc(sim.CtrPdBlocked)
 	// Wakeup-to-satisfy latency: how long (simulated) this allocator was
 	// stalled. The clock advances on other goroutines' work while we
 	// sleep, so the delta is the paging work the stall waited out.
-	start := pd.s.mach.Clock.Now()
+	start := s.mach.Clock.Now()
 	defer func() {
-		pd.s.mach.Stats.Add(sim.CtrPdWaitNs, int64(pd.s.mach.Clock.Since(start)))
+		s.mach.Stats.Add(sim.CtrPdWaitNs, int64(s.mach.Clock.Since(start)))
 	}()
-	pd.mu.Lock()
-	defer pd.mu.Unlock()
+	s.flMu.Lock()
+	defer s.flMu.Unlock()
 	if pd.shutdown {
-		return errPdShutdown
+		return false
 	}
 	pd.waiters++
-	defer func() { pd.waiters-- }()
 	pd.kick()
 	gen := pd.gen
 	for pd.gen == gen && !pd.shutdown {
 		pd.cond.Wait()
 	}
-	switch {
-	case pd.gen == gen: // unblocked by shutdown, not by a round
-		return errPdShutdown
-	case pd.genFreed > 0:
-		return nil
-	}
-	// A fruitless round. With writes pending that is not a stall: their
+	pd.waiters--
+	// A fruitless round with writes pending is not a stall: their
 	// completions free pages or leave them clean and droppable.
-	pd.mu.Unlock()
-	waited := pd.s.waitFlight()
-	pd.mu.Lock()
-	if waited {
-		return nil
-	}
-	return errPdStalled
+	return pd.gen != gen && (pd.genFreed > 0 || s.waitFlightLocked())
 }
 
 // stop shuts the daemon down: blocked allocators are released
 // immediately, then the goroutine is joined. Idempotent.
 func (pd *pagedaemon) stop() {
-	pd.mu.Lock()
+	pd.s.flMu.Lock()
 	already := pd.shutdown
 	pd.shutdown = true
 	pd.cond.Broadcast()
-	pd.mu.Unlock()
+	pd.s.flMu.Unlock()
 	if !already {
 		// Ring the doorbell so a daemon asleep on it re-checks the flag.
 		select {
@@ -230,16 +197,10 @@ func (pd *pagedaemon) stop() {
 	<-pd.done
 }
 
-const (
-	// directReclaimLimit bounds consecutive direct-reclaim fallbacks per
-	// allocation, preserving the pre-daemon "4 attempts then deadlock"
-	// semantics for inline mode.
-	directReclaimLimit = 3
-	// allocRetryLimit is a livelock backstop: an allocator that keeps
-	// losing freshly reclaimed pages to other goroutines eventually
-	// reports deadlock rather than spinning forever.
-	allocRetryLimit = 1 << 16
-)
+// allocRetryLimit is a livelock backstop: an allocator that keeps
+// losing freshly reclaimed pages to other goroutines eventually reports
+// deadlock rather than spinning forever.
+const allocRetryLimit = 1 << 16
 
 // noHome is allocPage's home for a frame no one address space owns: an
 // object page or a kernel page. phys.Mem.AllocNear then rotates across the
@@ -247,46 +208,35 @@ const (
 const noHome = -1
 
 // allocPage allocates a page frame near shard home (see
-// phys.Mem.AllocNear). On shortage the allocating goroutine
-// does not reclaim inline (unless cfg.InlineReclaim): it wakes the
-// pagedaemon, blocks until a reclaim round completes, and retries.
-// Direct reclaim remains as a fallback for when the daemon cannot make
-// progress — for example when this goroutine itself holds the lock of
-// the only owner with evictable pages — and after Shutdown.
+// phys.Mem.AllocNear); it is the one loop every allocator that finds no
+// free frame goes through. With a daemon running it sleeps in
+// waitForFree and retries. Without one (cfg.InlineReclaim, after
+// Shutdown), or after a round that made no progress, it runs the one
+// inline pass and retries on progress. ErrDeadlock means that pass freed
+// nothing while no frame was free and no flight pending.
 func (s *System) allocPage(home int, owner any, off param.PageOff, zero bool) (*phys.Page, error) {
-	direct := 0
+	daemon := s.pd != nil
 	for attempt := 0; attempt < allocRetryLimit; attempt++ {
-		pg, err := s.mach.Mem.AllocNear(home, owner, off, zero)
-		if err == nil {
+		if pg, err := s.mach.Mem.AllocNear(home, owner, off, zero); err == nil {
 			return pg, nil
 		}
-		if s.pd != nil {
-			if werr := s.pd.waitForFree(); werr == nil {
-				continue // the daemon freed pages; retry the allocation
-			}
-			// The daemon stalled or is shutting down. Memory may still
-			// have been freed since our failed attempt (by the round we
-			// raced, or by frees elsewhere): retry before escalating.
-			if pg, err := s.mach.Mem.AllocNear(home, owner, off, zero); err == nil {
-				return pg, nil
-			}
-		}
-		// Inline mode, a stalled daemon, or shutdown: reclaim directly.
-		if direct >= directReclaimLimit {
-			return nil, vmapi.ErrDeadlock
+		if daemon {
+			// No progress sends the next shortage down the inline pass,
+			// after one more attempt at the allocation.
+			daemon = s.pd.waitForFree()
+			continue
 		}
 		if s.pd != nil {
 			s.ctrPdDirect.Inc()
+			daemon = true // the shortage after this pass waits on the daemon again
 		}
-		if s.reclaimCount(reclaimBatch) > 0 {
-			direct++
+		if freed, _ := s.reclaimScan(reclaimBatch, false); freed > 0 {
 			continue
 		}
 		// Nothing evictable right now. That is not deadlock if frames were
 		// freed elsewhere meanwhile, nor while flights are pending: their
 		// completions free pages or leave them clean and droppable, so
-		// sleep until one lands. Either way try again, and do not count
-		// the pass against the limit.
+		// sleep until one lands and try again.
 		if s.mach.Mem.FreePages() == 0 && !s.waitFlight() {
 			return nil, vmapi.ErrDeadlock
 		}
@@ -345,31 +295,19 @@ func (os ownerSet) releaseAll() {
 	}
 }
 
-// reclaimCount is UVM's pagedaemon scan, run synchronously on behalf of
-// an allocating goroutine (the direct-reclaim fallback): that goroutine
-// needs a page now, so its pageout never goes async. It returns the pages
-// freed; see reclaimScan for the scan.
-func (s *System) reclaimCount(target int) int {
-	freed, _ := s.reclaimScan(target, false)
-	if freed == 0 {
-		// A fruitless scan is not a stall while free frames sit parked in
-		// per-CPU allocation magazines: reap them into the global pool so
-		// the caller's retry can reach them from any goroutine. (The
-		// frames were already counted free — the watermark never lied —
-		// they were just private to idle magazines.)
-		freed = s.mach.Mem.ReapCaches()
-	}
-	return freed
-}
-
 // reclaimScan runs the second-chance reclaim scan over the inactive
 // queue in global LRU order: up to four passes of scan, classify and
 // submit until target pages are freed (or in flight, when async). It
 // returns the pages freed synchronously and the pages submitted as
 // in-flight asynchronous cluster writes. It is the one body every
-// reclaimer shares — a daemon round and the direct-reclaim fallback
+// reclaimer shares — a daemon round and an allocator's inline pass
 // differ only in their target and async flag — and its operation order
 // is byte-deterministic on single-threaded runs.
+//
+// A scan that frees and submits nothing reaps the frames parked in idle
+// per-CPU allocation magazines into the global pool and counts them as
+// freed: they were already counted free — the watermark never lied —
+// but only the goroutines that parked them could reach them.
 //
 // Its signature improvement over BSD VM (§6) is aggressive clustering of
 // anonymous memory: because anonymous pages have no permanent home on
@@ -388,7 +326,7 @@ func (s *System) reclaimCount(target int) int {
 // pass, which takes over the locks of their owners until its last write
 // completes, so a concurrent fault on a page mid-pageout blocks on the
 // owner and then pages back in from the freshly assigned slot. Multiple
-// reclaimers (the daemon plus direct-reclaim fallbacks) may run at once:
+// reclaimers (the daemon plus allocators' inline passes) may run at once:
 // the TryLock/re-verify protocol makes them skip each other's pages.
 func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 	// The ablation (one page, one I/O — Figure 5's BSD curve) and the
@@ -425,7 +363,11 @@ func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 				return true // owner busy, gone or foreign: skip this page
 			}
 			// Re-verify under the owner lock: the frame must still belong
-			// to this owner and still be evictable.
+			// to this owner, still be evictable, and still be on the
+			// inactive queue. A snapshot entry may since have been freed
+			// and handed to a fault in progress, which names the page's
+			// anon before it locks it; the frame sits on no queue until
+			// that fault has mapped it.
 			var vnObj *uobject // the owner, when it is a vnode object
 			resident := false
 			switch o := owner.(type) {
@@ -438,7 +380,7 @@ func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 				}
 			}
 			claimed := false
-			if resident && pg.Owner() == owner && !pg.Busy.Load() && !pg.Wired() && !pg.Loaned() {
+			if resident && pg.Owner() == owner && !pg.Busy.Load() && !pg.Wired() && !pg.Loaned() && s.mach.Mem.Inactive(pg) {
 				s.mach.MMU.PageProtect(pg, param.ProtNone)
 				switch {
 				case !pg.Dirty.Load():
@@ -503,6 +445,9 @@ func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 		if err != nil {
 			break // could not clean (e.g. swap exhausted): stop trying
 		}
+	}
+	if freed+submitted == 0 {
+		freed = s.mach.Mem.ReapCaches()
 	}
 	return freed, submitted
 }

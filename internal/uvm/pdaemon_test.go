@@ -14,7 +14,8 @@ import (
 
 // Tests for the asynchronous pagedaemon: wakeup of blocked allocators,
 // graceful shutdown while allocators are blocked, the inline-reclaim
-// ablation, and a -race stress of daemon vs. direct reclaim.
+// ablation, a -race stress of daemon rounds vs. inline passes, and the
+// one ErrDeadlock of a machine with nothing left to reclaim.
 
 // gateDaemon installs the test gate before any allocation has happened,
 // returning a release function. While gated, the daemon accepts doorbell
@@ -27,8 +28,8 @@ func gateDaemon(s *System) (release func()) {
 }
 
 func waitersOf(s *System) int {
-	s.pd.mu.Lock()
-	defer s.pd.mu.Unlock()
+	s.flMu.Lock()
+	defer s.flMu.Unlock()
 	return s.pd.waiters
 }
 
@@ -187,15 +188,26 @@ func TestInlineReclaimAblation(t *testing.T) {
 
 // TestDaemonAndDirectReclaimConcurrently drives heavy overcommit from
 // many goroutines on a machine small against the reclaim batch (64 of
-// 384 pages, one sixth), so daemon rounds and direct-reclaim fallbacks
-// overlap. Run with -race; data integrity is verified per worker.
+// 384 pages, one sixth), so reclaim passes overlap: daemon rounds and
+// allocators' inline passes by default, and only inline passes —
+// several at once — under InlineReclaim. Run with -race; data integrity
+// is verified per worker, and no allocation may report ErrDeadlock while
+// swap has room.
 func TestDaemonAndDirectReclaimConcurrently(t *testing.T) {
+	for _, inline := range []bool{false, true} {
+		t.Run(map[bool]string{false: "Daemon", true: "InlineReclaim"}[inline], func(t *testing.T) {
+			reclaimConcurrently(t, inline)
+		})
+	}
+}
+
+func reclaimConcurrently(t *testing.T, inline bool) {
 	// Swap must hold the whole demand (8 workers x 256 pages, all dirty,
 	// possibly all alive at once): testMachine's 4x RAM plus RAM itself
 	// falls short of it, and whether the workers overlap enough to notice
 	// is up to the scheduler — a true ErrDeadlock, not a bug.
 	m := vmapi.NewMachine(vmapi.MachineConfig{RAMPages: 384, SwapPages: 4096, FSPages: 4096, MaxVnodes: 50})
-	s := BootConfig(m, DefaultConfig())
+	s := BootConfig(m, Config{InlineReclaim: inline})
 	defer testutil.ShutdownSweep(t, s)
 
 	const workers, pages = 8, 256
@@ -242,6 +254,41 @@ func TestDaemonAndDirectReclaimConcurrently(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStalledRoundReportsDeadlock wires all of RAM with Mlock, so
+// nothing is evictable and no write is in flight: the next allocation
+// must report ErrDeadlock, and promptly — with the daemon, after one
+// fruitless round and one fruitless inline pass; without, after the pass.
+func TestStalledRoundReportsDeadlock(t *testing.T) {
+	for _, inline := range []bool{false, true} {
+		t.Run(map[bool]string{false: "Daemon", true: "InlineReclaim"}[inline], func(t *testing.T) {
+			const ram = 64
+			m := testMachine(ram)
+			s := BootConfig(m, Config{InlineReclaim: inline})
+			testutil.SweepOnCleanup(t, s)
+			defer s.Shutdown()
+			p := newProc(t, s, "wirer")
+			va, _ := p.Mmap(0, 2*ram*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+			if err := p.Mlock(va, 2*ram*param.PageSize); err != vmapi.ErrDeadlock || m.Mem.FreePages() != 0 {
+				t.Fatalf("Mlock of twice RAM: %v with %d frames free, want ErrDeadlock with none", err, m.Mem.FreePages())
+			}
+			other, _ := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+			done := make(chan error, 1)
+			go func() { done <- p.Access(other, true) }()
+			select {
+			case err := <-done:
+				if err != vmapi.ErrDeadlock {
+					t.Fatalf("allocation with all of RAM wired: %v, want ErrDeadlock", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("allocation with all of RAM wired is still waiting")
+			}
+			if err := p.Munlock(va, 2*ram*param.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

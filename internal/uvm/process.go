@@ -462,7 +462,8 @@ func (p *Process) Access(addr param.VAddr, write bool) error {
 // the copyin/copyout tail: it runs on the resolved page while that page's
 // owner lock is still held, so the pagedaemon cannot evict the page, and
 // a fork or loanout cannot write-protect it, between the touch and the
-// copy.
+// copy. It is holdPage with the hardware's charges: the translation walk
+// (Extract) and the touch; a touch without a tail takes no lock.
 func (p *Process) access(addr param.VAddr, write bool, use func(*phys.Page)) error {
 	if p.exited.Load() {
 		return vmapi.ErrExited
@@ -485,22 +486,34 @@ func (p *Process) access(addr param.VAddr, write bool, use func(*phys.Page)) err
 			touch()
 			return nil
 		}
-		// One lock-and-verify attempt: the page must still be mapped here
-		// with the needed protection once its owner is locked. On any miss
-		// the fault path below redoes the resolution and runs use itself.
-		if release, ok := s.lockPageOwner(pg); ok {
-			pte, ok = p.pm.Lookup(addr)
-			if ok = ok && pte.Page == pg && pte.Prot.Allows(access); ok {
-				touch()
-				use(pg)
-			}
+		if release := p.lockMapped(addr, pg, access); release != nil {
+			touch()
+			use(pg)
 			release()
-			if ok {
-				return nil
-			}
+			return nil
 		}
 	}
 	return s.fault(p, addr, access, use)
+}
+
+// holdPage runs fn on the page mapped at va with access, under the
+// page's owner lock, so the pagedaemon cannot evict the page, nor a fork
+// or loanout write-protect it, while fn runs. It is the one body behind
+// every kernel path that must hold the page at a user address — loanout,
+// wiring, and (with its own charges) access. A resident page takes one
+// lock-and-verify attempt; on any miss the fault handler resolves the
+// page and runs fn itself, so the error is the fault's: ErrFault means
+// va has no mapping that allows access. The walk is uncharged: the
+// callers' costs are their own.
+func (p *Process) holdPage(va param.VAddr, access param.Prot, fn func(*phys.Page)) error {
+	if pte, ok := p.pm.Lookup(va); ok && pte.Page != nil && pte.Prot.Allows(access) {
+		if release := p.lockMapped(va, pte.Page, access); release != nil {
+			fn(pte.Page)
+			release()
+			return nil
+		}
+	}
+	return p.sys.fault(p, va, access, fn)
 }
 
 // TouchRange implements vmapi.Process.
@@ -547,33 +560,27 @@ func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 	return nil
 }
 
-// lockPageOwner locks whatever structure owns pg — an anon, a uobject,
-// or (for ownerless loaned frames) the page identity itself — and
-// returns a release func. It reports failure if ownership changed
-// underneath the acquisition (caller should refault and retry).
-func (s *System) lockPageOwner(pg *phys.Page) (func(), bool) {
+// lockMapped locks whatever structure owns pg — an anon or a uobject;
+// an ownerless loaned frame has none — and re-verifies, under that lock,
+// that pg still has that owner and that va still maps pg with access. It
+// returns the release func, or nil if anything changed underneath.
+func (p *Process) lockMapped(va param.VAddr, pg *phys.Page, access param.Prot) func() {
 	owner := pg.Owner()
+	release := func() {}
 	switch o := owner.(type) {
 	case *anon:
 		o.mu.Lock()
-		if pg.Owner() == owner {
-			return o.mu.Unlock, true
-		}
-		o.mu.Unlock()
+		release = o.mu.Unlock
 	case *uobject:
 		o.mu.Lock()
-		if pg.Owner() == owner {
-			return o.mu.Unlock, true
-		}
-		o.mu.Unlock()
+		release = o.mu.Unlock
 	case nil:
-		// Ownerless frame (orphaned loan, kernel page): serialise on
-		// the page identity lock itself.
-		verified := false
-		pg.WithIdentity(func(cur any) { verified = cur == nil })
-		if verified {
-			return func() {}, true
-		}
+	default:
+		return nil
 	}
-	return nil, false
+	if pte, ok := p.pm.Lookup(va); pg.Owner() != owner || !ok || pte.Page != pg || !pte.Prot.Allows(access) {
+		release()
+		return nil
+	}
+	return release
 }

@@ -149,7 +149,7 @@ func TestClusteredPageinAllocs(t *testing.T) {
 			pg.Referenced.Store(false)
 			m.Mem.Deactivate(pg)
 		}
-		if freed := s.reclaimCount(n); freed != n {
+		if freed, _ := s.reclaimScan(n, false); freed != n {
 			t.Fatalf("evicted %d of %d pages", freed, n)
 		}
 	}

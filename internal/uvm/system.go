@@ -34,12 +34,15 @@
 //
 // The lock ordering is:
 //
-//	map -> object -> amap -> anon -> page identity -> leaf
+//	map -> object -> amap -> anon -> page identity -> flights -> leaf
 //
-// where "leaf" covers the pmap/MMU locks, the phys queue shards, the
-// sharded swap allocator, vfs and disk — none of which acquire VM-layer
-// locks. Two map locks nest only parent-before-child during fork (the
-// child is not yet visible to any other goroutine).
+// where "flights" is System.flMu — the flights' counters and the
+// pagedaemon's state, with their two condvars — and "leaf" covers the
+// pmap/MMU locks, the phys queue shards, the swap allocator, vfs and disk
+// — none of which acquire VM-layer locks. Two map locks nest only
+// parent-before-child during fork (the child is not yet visible to any
+// other goroutine). internal/analysis.Levels is the machine-checked form
+// of this order.
 //
 // Within the pmap leaf there is one further level: a pmap's own mutex
 // nests above the MMU's sharded reverse-map (pv) bucket locks, at most
@@ -70,20 +73,23 @@
 // # Pageout
 //
 // Reclaim runs in a dedicated pagedaemon goroutine (see pdaemon.go),
-// woken by phys.Mem's low-water callback; allocators that find the free
-// list empty block on the daemon's condition variable instead of
-// reclaiming inline, and retry once a reclaim round completes. Reclaim —
-// whether in the daemon or the direct-reclaim fallback — acquires
-// anon/object locks only with TryLock and skips pages whose owner is
-// busy, so it can run concurrently with any allocation path — even one
-// that already holds map, amap, anon or object locks — without
-// deadlocking; pages clustered for pageout keep
-// their owner locked until the I/O completes, which is what makes a
-// concurrent fault on a page mid-pageout block and then cleanly page
-// back in. System.Shutdown stops the daemon gracefully, releasing any
-// blocked allocators, and waits out the writes still in the air.
-// Every reclaimer runs the same single scan of the inactive queue in
-// global LRU order (reclaimScan).
+// woken by phys.Mem's low-water callback. Every allocator that finds the
+// free list empty goes through one loop (allocPage): it sleeps on the
+// daemon's condition variable until a round, or a flight after a
+// fruitless round, makes progress, and retries. Without a daemon
+// (cfg.InlineReclaim, or after Shutdown), or when a round made no
+// progress, the allocator runs the one inline pass itself; it reports
+// ErrDeadlock only when that pass frees nothing while no frame is free
+// and no flight is pending. Reclaim — a daemon round or an inline pass
+// — acquires anon/object locks only with TryLock and skips pages whose
+// owner is busy, so it can run concurrently with any allocation path —
+// even one that already holds map, amap, anon or object locks — without
+// deadlocking; pages clustered for pageout keep their owner locked until
+// the I/O completes, which is what makes a concurrent fault on a page
+// mid-pageout block and then cleanly page back in. System.Shutdown stops
+// the daemon gracefully, releasing any blocked allocators, and waits out
+// the writes still in the air. Every reclaimer runs the same single scan
+// of the inactive queue in global LRU order (reclaimScan).
 //
 // # Flights
 //
@@ -114,22 +120,21 @@
 // runs. By default every flight is synchronous: each run is written with
 // the clock-charged primitive and the completion runs inline on the
 // submitter, which keeps single-threaded runs byte-deterministic. With
-// cfg.AsyncPageout the daemon's flights (never a direct reclaimer's — it
-// needs a page now) and with cfg.AsyncWriteback the object flushes go
+// cfg.AsyncPageout the daemon's flights (never an allocator's inline
+// pass — it needs a page now) and with cfg.AsyncWriteback the object flushes go
 // through the backend's bounded in-flight window (disk.AsyncWriter: vnode
 // pages via the filesystem's writer, swap pages via the device's) and
 // complete on I/O goroutines while the submitter scans on or merely
-// waits. System.flights counts those flights in the air: a pagedaemon
-// round or direct-reclaim pass that frees nothing while the count is
+// waits. System.flights counts those flights in the air: an allocator
+// whose daemon round or inline pass frees nothing while the count is
 // non-zero sleeps for a completion instead of reporting a stall or
 // ErrDeadlock, and Shutdown waits for the count to reach zero.
 //
 // Completions inherit the lock order mid-chain: they hold (but never
 // acquire) the anon/object locks handed over, and may only take locks
-// strictly below them — page identity and leaf locks (phys queue shards,
-// the swap allocator, the flight and daemon condvar mutexes). A
-// completion must never lock a map, an amap, an anon or an object, and
-// never blocks on a TryLock-only path, so it cannot deadlock against
+// strictly below them — page identity, flMu and leaf locks (phys queue
+// shards, the swap allocator). A completion must never lock a map, an
+// amap, an anon or an object, and never blocks on a TryLock-only path, so it cannot deadlock against
 // faults, reclaim, or Shutdown.
 //
 // # Pageins
@@ -197,8 +202,8 @@ const (
 	// assembles (64 pages = 256 KB, UVM's default), and the default cap on
 	// an object writeback run.
 	maxCluster = 64
-	// reclaimBatch is the smallest free target of one reclaim round or
-	// direct-reclaim pass.
+	// reclaimBatch is the smallest free target of one daemon round, and
+	// the target of an allocator's inline pass.
 	reclaimBatch = 64
 	// kernelEntryPool bounds kernel map entries, as in BSD VM.
 	kernelEntryPool = 4000
@@ -220,9 +225,8 @@ type Config struct {
 	// AsyncPageout overlaps pageout I/O with the next reclaim scan: the
 	// pagedaemon's flights go through the backends' in-flight windows
 	// and it keeps scanning; the completion frees the pages and releases
-	// their owners. Daemon rounds only — direct reclaim in an allocating
-	// goroutine stays synchronous, because that goroutine needs a page
-	// now.
+	// their owners. Daemon rounds only — an allocator's inline pass
+	// stays synchronous, because that goroutine needs a page now.
 	AsyncPageout bool
 	// PageoutWindow bounds in-flight asynchronous cluster writes per
 	// swap device (backpressure on the daemon's scan). 0 means
@@ -331,7 +335,8 @@ type System struct {
 
 	// Flight state (flight.go). flights counts the flights started and
 	// not yet finished; it falls under flMu. flMu also guards every
-	// flight's pending counter and result lists, and flGen, which each
+	// flight's pending counter and result lists, the pagedaemon's round
+	// state (pd.cond, its own condvar on flMu), and flGen, which each
 	// flight completion bumps before broadcasting flCond: paths that find
 	// an object page busy, waiters on one flight, allocators out of
 	// evictable pages and Shutdown all sleep there.

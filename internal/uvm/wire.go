@@ -2,6 +2,7 @@ package uvm
 
 import (
 	"uvm/internal/param"
+	"uvm/internal/phys"
 	"uvm/internal/vmapi"
 )
 
@@ -21,40 +22,24 @@ import (
 
 // wirePagesNoMap faults the range resident and wires the pages via the
 // pmap and page structures only — the map is never touched. Each page is
-// wired under its owner's lock after re-verifying the mapping, so a
-// concurrent pageout between the fault and the wire retries cleanly.
+// wired under its owner's lock (holdPage), so a concurrent pageout
+// cannot take it between the fault and the wire.
 func (p *Process) wirePagesNoMap(start, end param.VAddr) error {
 	s := p.sys
 	for va := start; va < end; va += param.PageSize {
-		wired := false
-		for attempt := 0; attempt < 16 && !wired; attempt++ {
-			pte, ok := p.pm.Lookup(va)
-			if !ok || pte.Page == nil {
-				if err := s.fault(p, va, param.ProtRead, nil); err != nil {
-					return err
-				}
-				continue
-			}
-			pg := pte.Page
-			release, ok := s.lockPageOwner(pg)
-			if !ok {
-				continue
-			}
-			if pte2, still := p.pm.Lookup(va); !still || pte2.Page != pg {
-				release()
-				continue
-			}
-			pg.WireCount.Add(1)
-			s.mach.Mem.Dequeue(pg)
-			release()
-			p.pm.ChangeWiring(va, true)
-			wired = true
+		if err := p.holdPage(va, param.ProtRead, s.wirePage); err != nil {
+			return err
 		}
-		if !wired {
-			return vmapi.ErrFault
-		}
+		p.pm.ChangeWiring(va, true)
 	}
 	return nil
+}
+
+// wirePage takes one wiring on pg and takes it off the paging queues.
+// Caller holds pg's owner lock.
+func (s *System) wirePage(pg *phys.Page) {
+	pg.WireCount.Add(1)
+	s.mach.Mem.Dequeue(pg)
 }
 
 // unwirePagesNoMap reverses wirePagesNoMap.
@@ -63,7 +48,7 @@ func (p *Process) unwirePagesNoMap(start, end param.VAddr) {
 	for va := start; va < end; va += param.PageSize {
 		if pte, ok := p.pm.Lookup(va); ok && pte.Page != nil {
 			pg := pte.Page
-			if release, ok := s.lockPageOwner(pg); ok {
+			if release := p.lockMapped(va, pg, param.ProtNone); release != nil {
 				if pg.WireCount.Load() > 0 && pg.WireCount.Add(-1) == 0 {
 					s.mach.Mem.Activate(pg)
 				}
