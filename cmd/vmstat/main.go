@@ -58,8 +58,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vmstat: %v\n", err)
 		os.Exit(1)
 	}
-	// Stop the pagedaemon before reading the counters so the report is a
-	// quiescent snapshot.
+	// Wait out reclaim and in-flight writes before reading the counters
+	// so the report is a quiescent snapshot.
 	sys.Shutdown()
 
 	fmt.Printf("system: %s  scenario: %s\n", sys.Name(), *scenario)

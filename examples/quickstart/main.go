@@ -74,8 +74,8 @@ func main() {
 	proc.ReadBytes(va, buf[:9])
 	fmt.Printf("parent unaffected: %q\n", buf[:9])
 
-	// Allocate more anonymous memory than RAM: the pagedaemon clusters
-	// the pageout.
+	// Allocate more anonymous memory than RAM: reclaim clusters the
+	// pageout.
 	big, err := proc.Mmap(0, 48<<20, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
 	if err != nil {
 		log.Fatal(err)

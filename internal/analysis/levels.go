@@ -24,7 +24,7 @@ var Levels = []string{
 	"amap",      // amap.mu — the amap's reference count and slots
 	"anon",      // anon.mu
 	"pageident", // phys.Page.mu — per-frame identity (owner/off)
-	"wbcond",    // System.flMu — flight counters/result lists, the pagedaemon's state, and their condvars
+	"wbcond",    // System.flMu — flight counters/result lists, the reclaim pass's state, and their condvar
 	"pmap",      // Pmap.mu — one address space's page table
 	"pvbucket",  // MMU reverse-map bucket locks (strict leaves within pmap)
 	"magazine",  // phys per-CPU free-page magazines

@@ -60,22 +60,9 @@ func bigMemConfig() vmapi.MachineConfig {
 	return cfg
 }
 
-// uvmDeterministic boots UVM with inline reclaim. The paper experiments
-// measure the simulated clock and must produce byte-identical reports on
-// identical runs; an asynchronous pagedaemon cannot promise that, because
-// how far its proactive reclaim runs ahead depends on goroutine
-// scheduling. Inline reclaim is also what the 1999 system effectively
-// did — UVM shipped under the pre-SMP big lock. The daemon's own effect
-// is measured where it belongs: bench/uvmperf, under concurrent load.
-func uvmDeterministic(m *vmapi.Machine) vmapi.System {
-	cfg := uvm.DefaultConfig()
-	cfg.InlineReclaim = true
-	return uvm.BootConfig(m, cfg)
-}
-
 // pair boots both systems on fresh, identical machines.
 func pair(cfg vmapi.MachineConfig) (bsd, uv vmapi.System) {
-	return bsdvm.Boot(vmapi.NewMachine(cfg)), uvmDeterministic(vmapi.NewMachine(cfg))
+	return bsdvm.Boot(vmapi.NewMachine(cfg)), uvm.Boot(vmapi.NewMachine(cfg))
 }
 
 // Runner is one experiment: it writes its report to w.

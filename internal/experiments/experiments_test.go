@@ -9,6 +9,7 @@ import (
 	"uvm/internal/disk"
 	"uvm/internal/param"
 	"uvm/internal/sim"
+	"uvm/internal/uvm"
 	"uvm/internal/vmapi"
 	"uvm/internal/vmapi/testutil"
 )
@@ -303,7 +304,7 @@ func TestMatrixCells(t *testing.T) {
 				cfg.SwapFaultPlan = bsdPlan
 				bsd := bsdvm.Boot(vmapi.NewMachine(cfg))
 				cfg.SwapFaultPlan = uvmPlan
-				uv := uvmDeterministic(vmapi.NewMachine(cfg))
+				uv := uvm.Boot(vmapi.NewMachine(cfg))
 				for i, sys := range []vmapi.System{bsd, uv} {
 					plan := []*disk.FaultPlan{bsdPlan, uvmPlan}[i]
 					p, err := sys.NewProcess("allocator")

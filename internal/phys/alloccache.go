@@ -12,15 +12,12 @@ package phys
 // common case takes one uncontended lock, and the global queue shards
 // see only 1/batch of the allocation traffic.
 //
-// The global pool remains the sole watermark authority: the lock-free
-// free counter counts every free frame wherever it sits (pool or
-// magazine), Alloc still fires the low-water doorbell from the same
-// place, and the pagedaemon's wakeup/condvar protocol is unchanged. When
-// the pool runs dry the allocator raids sibling magazines (TryLock only,
-// so magazine-to-magazine acquisition can never form a blocking cycle),
-// and reclaim can reap every magazine back into the pool when a round
-// cannot otherwise reach low water — so frames parked in an idle
-// goroutine's magazine are never out of reach.
+// The lock-free free counter counts every free frame wherever it sits
+// (pool or magazine). When the pool runs dry the allocator raids sibling
+// magazines (TryLock only, so magazine-to-magazine acquisition can never
+// form a blocking cycle), and reclaim reaps every magazine back into the
+// pool when a pass finds nothing else to free — so frames parked in an
+// idle goroutine's magazine are never out of reach.
 //
 // Lock order within phys: a magazine lock nests above the queue-shard
 // locks (refill, drain and reap take shard locks while holding the
@@ -291,9 +288,9 @@ func (m *Mem) drainLocked(c *allocCache, n int) {
 }
 
 // ReapCaches flushes every magazine back into the global free lists and
-// returns the number of frames moved. Reclaim calls it when a round
-// cannot otherwise reach low water: the reaped frames were already
-// counted free (the watermark never lied), but after the reap they are
+// returns the number of frames moved. Reclaim calls it when a pass
+// frees nothing else: the reaped frames were already counted free (the
+// free count never lied), but after the reap they are
 // reachable from the global pool instead of parked with idle goroutines.
 // Safe to call at any time from any goroutine; magazines are locked one
 // at a time.
@@ -314,15 +311,11 @@ func (m *Mem) ReapCaches() int {
 
 // finishAlloc applies the common post-allocation protocol to a frame
 // just taken off a free structure: charge the cost, maintain the
-// lock-free free counter and fire the low-water doorbell, stamp the
-// owner, and reset the state bits. Shared by Alloc and AllocCPU so the
-// watermark protocol is identical on both paths.
+// lock-free free counter, stamp the owner, and reset the state bits.
+// Shared by Alloc and AllocCPU so the free count is kept identically on
+// both paths.
 func (m *Mem) finishAlloc(p *Page, owner any, off param.PageOff, zero bool) {
-	if free := m.freeCnt.Add(-1); free < m.lowWater.Load() {
-		if wake, ok := m.lowWake.Load().(func()); ok {
-			wake()
-		}
-	}
+	m.freeCnt.Add(-1)
 	m.clock.Advance(m.costs.PageAlloc)
 	p.SetOwner(owner, off)
 	p.Dirty.Store(false)

@@ -48,11 +48,10 @@
 //
 // Either way, the free-page count is a lock-free atomic maintained by
 // the allocation paths; it counts every free frame — pooled or parked
-// in a magazine — so watermark checks never touch the shard locks and
-// never miss cached frames. SetLowWater registers a wakeup callback
-// fired from allocation whenever the count drops below the low-water
-// mark; this is how the asynchronous pagedaemon is woken ahead of
-// actual exhaustion.
+// in a magazine — so reading it never touches the shard locks and never
+// misses cached frames. Memory carries no watermark and calls nothing
+// back: an allocator that finds no free frame gets ErrNoMemory and
+// reclaims, itself, through its VM system.
 //
 // Page state bits (Dirty, Referenced, Busy, WireCount, LoanCount) are
 // atomics: they are read lock-free by queue scans while being written
@@ -73,7 +72,7 @@ import (
 )
 
 // ErrNoMemory is returned by Alloc when the free list is empty. Callers
-// (the fault handlers) react by waking their pagedaemon and retrying.
+// (the fault handlers) react by reclaiming and retrying.
 var ErrNoMemory = errors.New("phys: out of physical memory")
 
 // QueueKind identifies which paging queue a page is on.
@@ -281,9 +280,6 @@ type Mem struct {
 	total  int
 	frames []Page
 
-	lowWater atomic.Int64 // free-page threshold that fires lowWake
-	lowWake  atomic.Value // func(): pagedaemon doorbell, must not block
-
 	// Per-CPU free-page caches (alloccache.go). Empty caches = disabled:
 	// allocation runs on the global pool exactly as before the magazines
 	// existed. allocGate is the refill-to-use test hook.
@@ -344,18 +340,6 @@ func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *M
 	return m
 }
 
-// SetLowWater registers a low-water mark and a wakeup callback: whenever
-// an allocation leaves fewer than pages frames free, wake is called from
-// Alloc (with no queue locks held). wake must be cheap and non-blocking —
-// the pagedaemon's doorbell is a non-blocking channel send. Passing 0
-// disables the watermark.
-func (m *Mem) SetLowWater(pages int, wake func()) {
-	m.lowWater.Store(int64(pages))
-	if wake != nil {
-		m.lowWake.Store(wake)
-	}
-}
-
 func (m *Mem) shardOf(p *Page) *memShard { return &m.shards[p.home] }
 
 // TotalPages returns the amount of physical memory in pages.
@@ -363,7 +347,7 @@ func (m *Mem) TotalPages() int { return m.total }
 
 // FreePages returns the current number of free frames, wherever they
 // sit — the global pool plus every per-CPU magazine. It reads the
-// lock-free counter, so watermark polls never contend with allocators.
+// lock-free counter, so polling it never contends with allocators.
 func (m *Mem) FreePages() int { return int(m.freeCnt.Load()) }
 
 // ActivePages and InactivePages return the queue depths.

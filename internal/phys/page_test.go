@@ -3,7 +3,6 @@ package phys
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -368,46 +367,6 @@ func TestPageDataDistinct(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLowWaterWakeFires(t *testing.T) {
-	m := newTestMem(16)
-	var fired atomic.Int32
-	m.SetLowWater(8, func() { fired.Add(1) })
-	var pages []*Page
-	// Draining down to (but not below) the mark must stay silent: the
-	// callback fires when free < low, i.e. from the 9th allocation on.
-	for i := 0; i < 8; i++ {
-		p, err := m.Alloc(nil, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages = append(pages, p)
-	}
-	if fired.Load() != 0 {
-		t.Fatalf("wake fired %d times above the mark", fired.Load())
-	}
-	p, err := m.Alloc(nil, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pages = append(pages, p)
-	if fired.Load() == 0 {
-		t.Fatal("wake did not fire below the low-water mark")
-	}
-	// Freeing back above the mark silences it again.
-	for _, p := range pages {
-		m.Free(p)
-	}
-	n := fired.Load()
-	q, err := m.Alloc(nil, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Free(q)
-	if fired.Load() != n {
-		t.Fatal("wake fired with plenty of memory free")
 	}
 }
 

@@ -173,18 +173,19 @@ const (
 	CtrLoanouts      = "uvm.loanouts"
 	CtrTransfers     = "uvm.transfers"
 
-	// Asynchronous pagedaemon counters (internal/uvm/pdaemon.go).
+	// Reclaim counters (internal/uvm/reclaim.go). The names keep the
+	// pagedaemon's prefix, which the bench reads: reclaim runs as one
+	// single-flight pass on an allocating goroutine.
 	CtrPdFreed      = "uvm.pdaemon.freed"      // pages freed by reclaim
 	CtrPdClusters   = "uvm.pdaemon.clusters"   // clustered pageout I/Os
 	CtrPdReassigned = "uvm.pdaemon.reassigned" // swap slots reassigned
-	CtrPdRounds     = "uvm.pdaemon.rounds"     // daemon reclaim rounds
-	CtrPdWakeups    = "uvm.pdaemon.wakeups"    // doorbell rings delivered
-	CtrPdBlocked    = "uvm.pdaemon.blocked"    // allocators that had to wait
-	CtrPdDirect     = "uvm.pdaemon.direct"     // allocators' inline reclaim passes on a system booted with a daemon
-	CtrPdWaitNs     = "uvm.pdaemon.wait_ns"    // simulated ns allocators spent blocked on free pages
+	CtrPdRounds     = "uvm.pdaemon.rounds"     // single-flight reclaim passes run
+	CtrPdBlocked    = "uvm.pdaemon.blocked"    // allocators that waited on another allocator's pass
+	CtrPdDirect     = "uvm.pdaemon.direct"     // always 0: kept until the bench drops its row
+	CtrPdWaitNs     = "uvm.pdaemon.wait_ns"    // simulated ns allocators spent waiting on another's pass
 
 	// Reclaim I/O pipeline counters (async pageout, clustered pagein —
-	// internal/uvm/pdaemon.go, pagein.go).
+	// internal/uvm/reclaim.go, flight.go, pagein.go).
 	CtrPdAsyncClusters = "uvm.pdaemon.async.clusters" // clusters submitted asynchronously
 	CtrPdAsyncPages    = "uvm.pdaemon.async.pages"    // pages riding async clusters
 	CtrPdAsyncErrors   = "uvm.pdaemon.async.errors"   // async writes that failed

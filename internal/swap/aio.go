@@ -8,9 +8,8 @@ import (
 )
 
 // This file is the asynchronous half of the swap I/O path: cluster
-// writes whose completions are delivered by callback, which is how the
-// pagedaemon overlaps its next inactive-queue scan with pageout I/O still
-// on the wire.
+// writes whose completions are delivered by callback, which is how a
+// reclaim pass overlaps its scan with pageout I/O still on the wire.
 //
 // The window, backpressure and in-flight accounting all live in
 // disk.AsyncWriter — the engine shared with the vfs writeback path. Each

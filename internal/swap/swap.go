@@ -14,8 +14,8 @@
 // The allocator is sharded so that it is never a serialisation point on
 // the pageout path: each device's slot space is split into contiguous
 // shards, each with its own mutex, free-slot bitmap and next-fit hint.
-// Concurrent reclaim — the asynchronous pagedaemon plus any allocators
-// running an inline reclaim pass — lands on different shards via a
+// Concurrent slot traffic — the reclaim pass's pageout, object
+// writeback and pageins freeing slots — lands on different shards via a
 // round-robin cursor and proceeds without contention. The global in-use
 // count is a lock-free atomic, so capacity checks and accounting never
 // take a lock at all. Devices small enough for a single shard (everything

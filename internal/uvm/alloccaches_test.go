@@ -1,9 +1,7 @@
 package uvm
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,9 +13,9 @@ import (
 )
 
 // Tests for the per-CPU free-page caches under the full VM stack: racing
-// allocators against the pagedaemon's watermark protocol, and the
-// daemon's magazine reap rescuing a blocked allocator when the page
-// queues have nothing left to give.
+// allocators against each other's reclaim passes, and a pass's magazine
+// reap rescuing a waiting allocator when the page queues have nothing
+// left to give.
 
 func bootCachesTest(t *testing.T, ramPages, caches int) (*System, *vmapi.Machine) {
 	t.Helper()
@@ -36,10 +34,10 @@ func bootCachesTest(t *testing.T, ramPages, caches int) (*System, *vmapi.Machine
 // TestAllocCachesRacingAllocatorsVsPagedaemon overcommits a caches-on
 // machine from 8 goroutines at once — 3x RAM of anonymous pages, touched
 // twice — so allocation traffic runs through the magazines while the
-// pagedaemon is continuously woken by the low-water doorbell and evicts
-// to swap. Every fault must complete: the magazines may never hide
-// frames from the watermark protocol or wedge a waiter. Runs in the
-// explicit -race CI step.
+// allocators' single-flight reclaim passes evict to swap and the others
+// wait on them. Every fault must complete: the magazines may never hide
+// frames from reclaim or wedge a waiter. Runs in the explicit -race CI
+// step.
 func TestAllocCachesRacingAllocatorsVsPagedaemon(t *testing.T) {
 	const (
 		workers     = 8
@@ -80,57 +78,42 @@ func TestAllocCachesRacingAllocatorsVsPagedaemon(t *testing.T) {
 	if st.Get(sim.CtrAllocHits) == 0 {
 		t.Error("no magazine hits: the cached allocation path never ran")
 	}
-	if st.Get(sim.CtrPdWakeups) == 0 {
-		t.Error("pagedaemon never woken: the overcommit did not cross the low watermark")
+	if st.Get(sim.CtrPdRounds) == 0 {
+		t.Error("no reclaim pass ran: the overcommit never emptied the free list")
 	}
 	if st.Get(sim.CtrPageOuts) == 0 {
 		t.Error("nothing paged out despite 3x RAM of dirty anon pages")
 	}
-	t.Logf("alloc acquires=%d contended=%d hits=%d refills=%d drains=%d steals=%d reaps=%d pd-wakeups=%d",
+	t.Logf("alloc acquires=%d contended=%d hits=%d refills=%d drains=%d steals=%d reaps=%d passes=%d waits=%d",
 		st.Get(sim.CtrAllocAcquires), st.Get(sim.CtrAllocContended),
 		st.Get(sim.CtrAllocHits), st.Get(sim.CtrAllocRefills),
 		st.Get(sim.CtrAllocDrains), st.Get(sim.CtrAllocSteals),
-		st.Get(sim.CtrAllocReaps), st.Get(sim.CtrPdWakeups))
+		st.Get(sim.CtrAllocReaps), st.Get(sim.CtrPdRounds), st.Get(sim.CtrPdBlocked))
 }
 
 // TestAllocCachesDaemonReapRescuesWaiter constructs, deterministically,
 // the one situation where frames parked in magazines could wedge the
 // system: the global pool and every magazine are empty, an allocator is
-// blocked in waitForFree, and the only free frames then appear in a
-// magazine the blocked goroutine cannot reach (parked there by a freeing
-// goroutine, fewer than the low watermark, with nothing evictable on the
-// page queues). The daemon's round frees nothing from the queues — before
-// this PR's reap fallback it would declare a stall and the waiter would
-// fall into direct reclaim and ErrDeadlock. With the fallback, the round
-// reaps the magazines into the pool, broadcasts, and the waiter's retry
+// waiting on a reclaim pass, and the only free frames then appear in a
+// magazine the waiting goroutine cannot reach (parked there by a freeing
+// goroutine, with nothing evictable on the page queues). The pass frees
+// nothing from the queues; without its reap fallback the waiter's own
+// pass would free nothing either and report ErrDeadlock. With it, the
+// pass reaps the magazines into the pool, and the waiter's retry
 // succeeds.
 func TestAllocCachesDaemonReapRescuesWaiter(t *testing.T) {
 	const (
 		ramPages = 128
 		caches   = 4
-		parked   = 8 // frames freed into a magazine: below pd.low (32 here)
+		parked   = 8 // frames freed into a magazine
 	)
 	s, m := bootCachesTest(t, ramPages, caches)
 
-	// Togglable daemon gate, installed before any allocation: closed =
-	// the daemon parks before its next reclaim round.
-	var gate atomic.Value // chan struct{}; receiving proceeds when closed
-	openGate := func() chan struct{} {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
-	}
-	gate.Store(openGate())
-	s.pd.gate = func() { <-gate.Load().(chan struct{}) }
-	if parked >= s.pd.low {
-		t.Fatalf("test sizing broken: parked=%d must stay below pd.low=%d", parked, s.pd.low)
-	}
-
 	// Drain the machine completely: pool and magazines all empty. The
 	// grabbed frames are raw (never enqueued), so the page queues hold
-	// nothing the daemon could evict.
+	// nothing a pass could evict. Then hold the reclaim slot, so the next
+	// allocation waits on the held pass.
 	type grabOwner struct{}
-	gate.Store(make(chan struct{}))
 	var grabbed []*phys.Page
 	for {
 		pg, err := m.Mem.Alloc(&grabOwner{}, 0, false)
@@ -143,8 +126,11 @@ func TestAllocCachesDaemonReapRescuesWaiter(t *testing.T) {
 		t.Fatalf("grabbed %d frames, want all %d", len(grabbed), ramPages)
 	}
 
+	finish := holdReclaim(s)
+	defer finish()
+
 	// Block an allocator: Alloc fails (nothing free anywhere), so it
-	// registers as a waiter and sleeps on the daemon's condvar.
+	// waits for the held pass to end.
 	got := make(chan *phys.Page, 1)
 	fail := make(chan error, 1)
 	go func() {
@@ -155,17 +141,11 @@ func TestAllocCachesDaemonReapRescuesWaiter(t *testing.T) {
 		}
 		got <- pg
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for waitersOf(s) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("allocator never registered as a pagedaemon waiter")
-		}
-		runtime.Gosched()
-	}
+	waitBlocked(t, m, 1)
 
 	// Park a handful of frames in a magazine — NOT the pool. freeCnt
-	// rises (the watermark never lies) but stays below pd.low, and the
-	// blocked goroutine cannot retry until a round completes.
+	// rises (the free count never lies), and the waiting goroutine
+	// cannot retry until the pass ends.
 	reapsBefore := m.Stats.Get(sim.CtrAllocReaps)
 	for i := 0; i < parked; i++ {
 		m.Mem.FreeCPU(2, grabbed[len(grabbed)-1-i])
@@ -176,16 +156,16 @@ func TestAllocCachesDaemonReapRescuesWaiter(t *testing.T) {
 			free, cached, parked)
 	}
 
-	// Open the gate: the round scans empty queues, frees nothing, reaps
-	// the magazines, and broadcasts. The waiter's retry must succeed.
-	close(gate.Load().(chan struct{}))
+	// Run the pass: it scans empty queues, frees nothing, reaps the
+	// magazines, and ends. The waiter's retry must succeed.
+	finish()
 	select {
 	case pg := <-got:
 		grabbed = append(grabbed, pg)
 	case err := <-fail:
 		t.Fatalf("blocked allocator failed instead of being rescued by the magazine reap: %v", err)
 	case <-time.After(10 * time.Second):
-		t.Fatal("blocked allocator still waiting after the daemon round")
+		t.Fatal("blocked allocator still waiting after the pass")
 	}
 	if reaps := m.Stats.Get(sim.CtrAllocReaps); reaps == reapsBefore {
 		t.Errorf("phys.alloc.reaps did not advance: the rescue did not come from the magazine reap")

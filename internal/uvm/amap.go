@@ -19,7 +19,7 @@ import (
 //
 // mu guards every field. It sits below the amap lock and above the page
 // identity lock in the package lock order; the fault path holds it from
-// resolution through pmap entry so the pagedaemon (which TryLocks it)
+// resolution through pmap entry so reclaim (which TryLocks it)
 // can never yank the page out from under a fault in progress.
 type anon struct {
 	//uvm:lock anon

@@ -42,7 +42,6 @@ func TestCachedCounterHandlesFeedStats(t *testing.T) {
 		{sim.CtrObjWbClusters, s.ctrObjWbClusters},
 		{sim.CtrObjWbPages, s.ctrObjWbPages},
 		{sim.CtrPdRounds, s.ctrPdRounds},
-		{sim.CtrPdDirect, s.ctrPdDirect},
 		{"uvm.ubc.reads", s.ctrUbcReads},
 		{"uvm.ubc.writes", s.ctrUbcWrites},
 	}

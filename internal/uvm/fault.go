@@ -28,7 +28,7 @@ import (
 // concurrently; it is upgraded to exclusive only when the fault must
 // mutate the entry itself (clear needs-copy / allocate the amap). The
 // resolved page's owner (anon or object) stays locked from resolution
-// through the pmap entry, so the pagedaemon — which TryLocks owners —
+// through the pmap entry, so reclaim — which TryLocks owners —
 // can never free a page out from under a fault in progress. use, when
 // non-nil, runs on the resolved page after it is mapped and before that
 // lock is released (the copyin/copyout tail, see Process.access).

@@ -38,7 +38,6 @@ func busySweep(t *testing.T, m *vmapi.Machine, when string) {
 // fault — must come back intact.
 func TestPageinReadErrorFailsFaultCleanly(t *testing.T) {
 	s, m := bootPipeline(t, 128, func(c *Config) {
-		c.InlineReclaim = true // deterministic: reclaim inline, pageout sync
 		c.PageinCluster = 8
 	})
 	p := newProc(t, s, "victim")

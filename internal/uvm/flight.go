@@ -13,13 +13,13 @@ import (
 // flight is UVM's one page-write mechanism — the pager API's single
 // put(pages, sync|async) (§6) with its single completion path behind it.
 // Every write of a dirty page to backing store, whoever asks for it
-// (pagedaemon pageout, Msync, vnode recycling, last-unmap flush), is a
+// (reclaim's pageout, Msync, vnode recycling, last-unmap flush), is a
 // flight:
 //
 //   - a set of pages the submitter has marked Busy — claimed for this
 //     flight, so every other path skips or sleeps on them;
 //   - the owner locks handed over with those pages, possibly none. The
-//     pagedaemon hands over the anon/object locks its scan TryLocked, so a
+//     reclaim pass hands over the anon/object locks its scan TryLocked, so a
 //     fault on a page mid-pageout blocks on its owner; flushes hand over
 //     nothing and rely on Busy alone;
 //   - a completion policy. evict: the written page is detached from its
@@ -320,9 +320,6 @@ func (fl *flight) runDone(pages []*phys.Page, toSwap bool, err error) {
 	s.flGen++
 	s.flCond.Broadcast()
 	s.flMu.Unlock()
-	if fl.async && fl.evict && len(fl.ok) > 0 && s.pd != nil && s.mach.Mem.FreePages() < s.pd.low {
-		s.pd.kick() // memory still short: keep the daemon running
-	}
 }
 
 // wait blocks until the flight has finished and returns the pages

@@ -17,8 +17,8 @@ import (
 // preserved: if the owner writes a loaned anon page, the fault routine
 // gives the owner a fresh private copy (faultAnon); if a shared object
 // page on loan is written, the object receives a fresh copy and the
-// loaned frame is orphaned to its borrowers (breakObjLoan). The
-// pagedaemon skips loaned pages, so pageout cannot yank a loan either.
+// loaned frame is orphaned to its borrowers (breakObjLoan). Reclaim
+// skips loaned pages, so pageout cannot yank a loan either.
 //
 // Concurrency: the loan count is taken under the page owner's lock
 // (holdPage), so a loan cannot race a pageout or teardown of the same

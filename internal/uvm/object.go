@@ -168,7 +168,7 @@ func (s *System) freeObjectPage(o *uobject, idx int, pg *phys.Page) {
 // allocObjPageLocked allocates a frame for page idx of o while o.mu is
 // held by the caller. The object lock is dropped around the allocation —
 // otherwise a reclaim triggered by memory pressure could not evict any
-// page belonging to o (the pagedaemon TryLocks owners), and a single
+// page belonging to o (reclaim TryLocks owners), and a single
 // object owning most of RAM would deadlock the system. After relocking,
 // a concurrent fault may have made the page resident; in that case the
 // fresh frame is returned to the allocator and the resident page is

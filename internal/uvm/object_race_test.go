@@ -2,7 +2,6 @@ package uvm
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"uvm/internal/param"
@@ -22,35 +21,24 @@ import (
 // blind stress loop never lands in it (and on a single-CPU host never
 // can). The test instead constructs the interleaving deterministically:
 //
-//  1. the free list is drained to zero with the pagedaemon held in its
-//     test gate, so get's allocation must block in waitForFree — with
-//     o.mu dropped;
+//  1. the free list is drained to zero with the test holding the
+//     single-flight reclaim slot, so get's allocation must wait for the
+//     held pass — with o.mu dropped;
 //  2. a reassigner goroutine, parked on o.mu, then gets the lock, moves
 //     the backing copy to a fresh slot, frees the old one with
-//     FreeRange, and only then opens the daemon's gate;
-//  3. the daemon reclaims, the blocked allocation resumes, and get
+//     FreeRange, and only then runs the held pass;
+//  3. the pass reclaims, the waiting allocation resumes, and get
 //     re-acquires o.mu.
 //
-// The gate ordering guarantees the reassignment happens inside get's
+// The slot ordering guarantees the reassignment happens inside get's
 // window on any GOMAXPROCS. The fixed get re-reads aobjSlots[idx] under
 // the re-acquired lock and returns the right data; the unfixed one reads
 // the freed slot.
 func TestAObjPageinRacesFreeRange(t *testing.T) {
 	s, m := bootTest(t, 96)
-	// Togglable daemon gate: closed = the daemon parks before its next
-	// reclaim round. Installed before any allocation, like gateDaemon.
-	var gate atomic.Value // chan struct{}; receiving proceeds when closed
-	openGate := func() chan struct{} {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
-	}
-	gate.Store(openGate())
-	s.pd.gate = func() { <-gate.Load().(chan struct{}) }
-
 	o := s.newAObj(1)
 
-	// Victim region: 2x RAM of evictable anon pages for the daemon to
+	// Victim region: 2x RAM of evictable anon pages for the held pass to
 	// reclaim while the test's pagein waits for a frame.
 	victim := newProc(t, s, "victim")
 	const victimPages = 192
@@ -80,13 +68,13 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 	o.aobjSlots[0] = slot
 
 	for iter := 0; iter < 4; iter++ {
-		// Stock the queues with evictable pages (gate open), then close
-		// the gate and drain the free list to zero: the next allocation
-		// must block on the parked daemon.
+		// Stock the queues with evictable pages, then hold the reclaim
+		// slot and drain the free list to zero: the next allocation must
+		// wait on the held pass.
 		if err := victim.TouchRange(vva, victimPages*param.PageSize, true); err != nil {
 			t.Fatal(err)
 		}
-		gate.Store(make(chan struct{}))
+		finish := holdReclaim(s)
 		for {
 			pg, err := m.Mem.Alloc(&grabOwner{}, 0, false)
 			if errors.Is(err, phys.ErrNoMemory) {
@@ -102,14 +90,14 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			// Reassigner: acquires o.mu the moment get drops it (get
-			// itself is stuck in waitForFree until we open the gate, so
-			// this cannot run late), moves the backing copy to a fresh
-			// slot and frees the old one — what pageout reassignment
-			// does — then lets the daemon run.
+			// itself waits on the held pass until we run it, so this
+			// cannot run late), moves the backing copy to a fresh slot
+			// and frees the old one — what pageout reassignment does —
+			// then runs the held pass.
 			defer close(done)
 			o.mu.Lock()
 			defer o.mu.Unlock()
-			defer func() { close(gate.Load().(chan struct{})) }()
+			defer finish()
 			if _, resident := o.pages[0]; resident {
 				t.Error("page resident before the gated pagein ran")
 				return

@@ -36,7 +36,7 @@ import (
 //     unmap) fire and forget.
 //
 // Busy pages observed under o.mu always belong to such a flush: every
-// other Busy setter (pager get, pagedaemon clustering) holds the
+// other Busy setter (pager get, reclaim clustering) holds the
 // object/anon lock for the whole busy window. waitObjPageIdle exploits
 // that — it sleeps on the flight condvar, which exactly those
 // completions broadcast.

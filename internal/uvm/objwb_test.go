@@ -161,7 +161,6 @@ func TestMsyncDeterministicOrder(t *testing.T) {
 	run := func() (time.Duration, int64) {
 		m := testMachine(512)
 		cfg := DefaultConfig()
-		cfg.InlineReclaim = true
 		s := BootConfig(m, cfg)
 		defer testutil.ShutdownSweep(t, s)
 		err := m.FS.Create("/det", 64*param.PageSize, nil)
@@ -538,7 +537,7 @@ func TestPdaemonVnodeAsyncPut(t *testing.T) {
 // object and leave as runs of consecutive file blocks, so the file disk
 // sees far fewer write commands than pages — and every byte survives.
 func TestPdaemonVnodePutClusters(t *testing.T) {
-	s, m := bootWb(t, 128, func(c *Config) { c.InlineReclaim = true })
+	s, m := bootWb(t, 128, nil)
 	vn := mkfile(t, m, "/big", 512, 0)
 	defer vn.Unref()
 	p := newProc(t, s, "p")
@@ -623,7 +622,6 @@ func TestAobjPageinClusterRoundTrip(t *testing.T) {
 	run := func(cluster int) (string, int64, int64) {
 		m := testMachine(64)
 		cfg := DefaultConfig()
-		cfg.InlineReclaim = true
 		cfg.PageinCluster = cluster
 		s := BootConfig(m, cfg)
 		defer testutil.ShutdownSweep(t, s)

@@ -28,7 +28,7 @@ import (
 //     around the faulting index inside that range (and inside the file). A
 //     file's blocks are consecutive, so the block of page idx is idx.
 //   - Swap-backed memory has no fixed home, so the layout is made to fit:
-//     when the pagedaemon reassigns a dirty cluster into one contiguous run
+//     when reclaim reassigns a dirty cluster into one contiguous run
 //     of swap slots it first orders the cluster by layout key — amap and
 //     slot for an anon, object and index for an aobj page — so inside a
 //     cluster slot order is VA order (flight.swapRun). A pagein then reads

@@ -65,6 +65,15 @@ func TestPageinTable(t *testing.T) {
 	}
 }
 
+// hookAllocs runs hook inside every frame allocation from here on, with
+// no phys lock held: one magazine that refills a frame at a time makes
+// every allocation refill, and the allocation gate runs between a refill
+// and its use. SetAllocGate(nil) removes the hook.
+func hookAllocs(m *vmapi.Machine, hook func()) {
+	m.Mem.SetAllocCaches(1, 1)
+	m.Mem.SetAllocGate(hook)
+}
+
 func pageinCell(t *testing.T, owner, shape, outcome string) {
 	const n = 8
 	centre := 3
@@ -74,7 +83,6 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 	}
 	m := vmapi.NewMachine(mc)
 	cfg := DefaultConfig()
-	cfg.InlineReclaim = true // no daemon: nothing but the fault touches memory
 	switch shape {
 	case "single":
 		cfg.PageinCluster = 1
@@ -217,7 +225,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		// re-verification that must notice.
 		victim, pre = lo, outcome == "nbr-resident"
 		o, vIdx, allocs := e.obj, e.objIndex(at(victim)), 0
-		m.Mem.SetLowWater(m.Mem.TotalPages()+1, func() { // runs inside every frame allocation
+		hookAllocs(m, func() {
 			if allocs++; allocs != 3 {
 				return // 1: the centre's frame, 2: the victim's, 3: the next neighbour's
 			}
@@ -290,7 +298,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 	err = p.ReadBytes(at(centre), got)
 	after := m.Stats.Snapshot()
 	dev.SetFaultPlan(nil)
-	m.Mem.SetLowWater(0, nil)
+	m.Mem.SetAllocGate(nil)
 	if outcome == "nbr-busy" {
 		anonOf(victim).mu.Unlock()
 	}
@@ -385,7 +393,6 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 	}
 	m := vmapi.NewMachine(vmapi.MachineConfig{RAMPages: 256, SwapPages: 256, FSPages: 1024, MaxVnodes: 8})
 	cfg := DefaultConfig()
-	cfg.InlineReclaim = true // no daemon: nothing but the fault touches memory
 	cfg.DisableClustering = noClustering
 	s := BootConfig(m, cfg)
 	testutil.SweepOnCleanup(t, s)
@@ -446,7 +453,7 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 			pre[victim], byHook = true, 1
 		}
 		allocs := 0
-		m.Mem.SetLowWater(m.Mem.TotalPages()+1, func() { // runs inside every frame allocation
+		hookAllocs(m, func() {
 			if allocs++; allocs != 3 {
 				return // 1: the centre's frame, 2: the victim's, 3: the next neighbour's
 			}
@@ -494,7 +501,7 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 	err = p.ReadBytes(at(c), got)
 	after := m.Stats.Snapshot()
 	m.FSDisk.SetFaultPlan(nil)
-	m.Mem.SetLowWater(0, nil)
+	m.Mem.SetAllocGate(nil)
 
 	if outcome == "centre-err" {
 		if !errors.Is(err, disk.ErrInjected) {

@@ -460,7 +460,7 @@ func (p *Process) Access(addr param.VAddr, write bool) error {
 
 // access touches addr, faulting it in if need be. use, when non-nil, is
 // the copyin/copyout tail: it runs on the resolved page while that page's
-// owner lock is still held, so the pagedaemon cannot evict the page, and
+// owner lock is still held, so reclaim cannot evict the page, and
 // a fork or loanout cannot write-protect it, between the touch and the
 // copy. It is holdPage with the hardware's charges: the translation walk
 // (Extract) and the touch; a touch without a tail takes no lock.
@@ -497,7 +497,7 @@ func (p *Process) access(addr param.VAddr, write bool, use func(*phys.Page)) err
 }
 
 // holdPage runs fn on the page mapped at va with access, under the
-// page's owner lock, so the pagedaemon cannot evict the page, nor a fork
+// page's owner lock, so reclaim cannot evict the page, nor a fork
 // or loanout write-protect it, while fn runs. It is the one body behind
 // every kernel path that must hold the page at a user address — loanout,
 // wiring, and (with its own charges) access. A resident page takes one

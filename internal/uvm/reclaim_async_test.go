@@ -134,7 +134,6 @@ func TestAsyncCompletionRacesShutdown(t *testing.T) {
 // the faulting page in shared I/Os, and every byte must be intact.
 func TestPageinClusterReadsNeighbours(t *testing.T) {
 	s, m := bootPipeline(t, 128, func(c *Config) {
-		c.InlineReclaim = true // deterministic: reclaim inline, pageout sync
 		c.PageinCluster = 8
 	})
 	p := newProc(t, s, "sweep")
@@ -164,7 +163,6 @@ func TestPageinClusterMatchesSingleSlotData(t *testing.T) {
 	run := func(window int) *System {
 		m := testMachine(128)
 		cfg := DefaultConfig()
-		cfg.InlineReclaim = true
 		cfg.PageinCluster = window
 		s := BootConfig(m, cfg)
 		testutil.SweepOnCleanup(t, s)

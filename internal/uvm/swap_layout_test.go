@@ -130,7 +130,6 @@ func TestClusteredPageinAllocs(t *testing.T) {
 	const n, centre = 8, 3
 	m := testMachine(256)
 	cfg := DefaultConfig()
-	cfg.InlineReclaim = true // no daemon: nothing but the test touches memory
 	s := BootConfig(m, cfg)
 	testutil.SweepOnCleanup(t, s)
 	p := newProc(t, s, "p")

@@ -26,8 +26,8 @@
 //   - each amap, anon and uobject carries its own mutex guarding its
 //     reference count and contents;
 //   - page state bits are atomics and page identity (owner) has a
-//     per-page mutex (see internal/phys), so loan teardown and the
-//     pagedaemon can make atomic keep-or-free decisions about frames
+//     per-page mutex (see internal/phys), so loan teardown and
+//     reclaim can make atomic keep-or-free decisions about frames
 //     whose owner is changing;
 //   - the page queues in internal/phys are sharded with per-shard locks;
 //   - the stat counters in internal/sim are lock-free atomics.
@@ -36,8 +36,8 @@
 //
 //	map -> object -> amap -> anon -> page identity -> flights -> leaf
 //
-// where "flights" is System.flMu — the flights' counters and the
-// pagedaemon's state, with their two condvars — and "leaf" covers the
+// where "flights" is System.flMu — the flights' counters and the reclaim
+// pass's state, with one condvar — and "leaf" covers the
 // pmap/MMU locks, the phys queue shards, the swap allocator, vfs and disk
 // — none of which acquire VM-layer locks. Two map locks nest only
 // parent-before-child during fork (the child is not yet visible to any
@@ -72,31 +72,28 @@
 //
 // # Pageout
 //
-// Reclaim runs in a dedicated pagedaemon goroutine (see pdaemon.go),
-// woken by phys.Mem's low-water callback. Every allocator that finds the
-// free list empty goes through one loop (allocPage): it sleeps on the
-// daemon's condition variable until a round, or a flight after a
-// fruitless round, makes progress, and retries. Without a daemon
-// (cfg.InlineReclaim, or after Shutdown), or when a round made no
-// progress, the allocator runs the one inline pass itself; it reports
-// ErrDeadlock only when that pass frees nothing while no frame is free
-// and no flight is pending. Reclaim — a daemon round or an inline pass
-// — acquires anon/object locks only with TryLock and skips pages whose
-// owner is busy, so it can run concurrently with any allocation path —
-// even one that already holds map, amap, anon or object locks — without
+// Reclaim runs on the allocating goroutine (see reclaim.go), and one pass
+// at a time. Every allocator that finds the free list empty goes through
+// one loop (allocPage): it runs the reclaim pass — one scan of the
+// inactive queue in global LRU order (reclaimScan) — or, if another
+// allocator is running it, sleeps until that pass ends; then it retries.
+// There is no daemon and no watermark. An allocator reports ErrDeadlock
+// only when its own pass frees nothing while no frame is free and no
+// flight is pending. The pass acquires anon/object locks only with
+// TryLock and skips pages whose owner is busy, so it can run concurrently
+// with any allocation path — even one that already holds map, amap, anon
+// or object locks, including the allocators waiting on it — without
 // deadlocking; pages clustered for pageout keep their owner locked until
 // the I/O completes, which is what makes a concurrent fault on a page
-// mid-pageout block and then cleanly page back in. System.Shutdown stops
-// the daemon gracefully, releasing any blocked allocators, and waits out
-// the writes still in the air. Every reclaimer runs the same single scan
-// of the inactive queue in global LRU order (reclaimScan).
+// mid-pageout block and then cleanly page back in. System.Shutdown waits
+// for a running pass to end and then for the writes still in the air.
 //
 // # Flights
 //
 // Every write of a dirty page to backing store is a flight (flight.go):
 // a set of Busy pages, the owner locks handed over with them (possibly
 // none), a completion policy and a pending-run counter, with one
-// completion function behind it. The pagedaemon's pageout is an evict
+// completion function behind it. Reclaim's pageout is an evict
 // flight — one per scan pass, carrying the dirty anon/aobj cluster (its
 // swap locations reassigned into one contiguous run, else one slot per
 // page) and the dirty vnode pages, plus every owner lock the pass kept;
@@ -120,15 +117,14 @@
 // runs. By default every flight is synchronous: each run is written with
 // the clock-charged primitive and the completion runs inline on the
 // submitter, which keeps single-threaded runs byte-deterministic. With
-// cfg.AsyncPageout the daemon's flights (never an allocator's inline
-// pass — it needs a page now) and with cfg.AsyncWriteback the object flushes go
-// through the backend's bounded in-flight window (disk.AsyncWriter: vnode
-// pages via the filesystem's writer, swap pages via the device's) and
-// complete on I/O goroutines while the submitter scans on or merely
-// waits. System.flights counts those flights in the air: an allocator
-// whose daemon round or inline pass frees nothing while the count is
-// non-zero sleeps for a completion instead of reporting a stall or
-// ErrDeadlock, and Shutdown waits for the count to reach zero.
+// cfg.AsyncPageout the reclaim pass's flights and with cfg.AsyncWriteback
+// the object flushes go through the backend's bounded in-flight window
+// (disk.AsyncWriter: vnode pages via the filesystem's writer, swap pages
+// via the device's) and complete on I/O goroutines while the submitter
+// scans on or merely waits. System.flights counts those flights in the
+// air: an allocator whose pass frees nothing while the count is non-zero
+// sleeps for a completion instead of reporting ErrDeadlock, and Shutdown
+// waits for the count to reach zero.
 //
 // Completions inherit the lock order mid-chain: they hold (but never
 // acquire) the anon/object locks handed over, and may only take locks
@@ -198,12 +194,11 @@ import (
 
 // Sizing constants. Each has the one value UVM runs with.
 const (
-	// maxCluster is the largest anonymous pageout cluster the pagedaemon
+	// maxCluster is the largest anonymous pageout cluster reclaim
 	// assembles (64 pages = 256 KB, UVM's default), and the default cap on
 	// an object writeback run.
 	maxCluster = 64
-	// reclaimBatch is the smallest free target of one daemon round, and
-	// the target of an allocator's inline pass.
+	// reclaimBatch is the free target of one reclaim pass.
 	reclaimBatch = 64
 	// kernelEntryPool bounds kernel map entries, as in BSD VM.
 	kernelEntryPool = 4000
@@ -214,22 +209,16 @@ type Config struct {
 	// DisableClustering is the one switch for "no clustering anywhere":
 	// every page write — anonymous pageout, file pageout, Msync, recycle,
 	// synchronous or not — is one page per I/O to the page's own slot or
-	// block, the pagedaemon's flights stay synchronous, and every file
+	// block, reclaim's flights stay synchronous, and every file
 	// pagein reads one page (the BSD VM ablation for Figure 5).
 	DisableClustering bool
-	// InlineReclaim disables the asynchronous pagedaemon: allocating
-	// goroutines reclaim inline, as both systems did before the daemon
-	// existed (what the paper reports run with). Implies
-	// synchronous pageout regardless of AsyncPageout.
-	InlineReclaim bool
-	// AsyncPageout overlaps pageout I/O with the next reclaim scan: the
-	// pagedaemon's flights go through the backends' in-flight windows
-	// and it keeps scanning; the completion frees the pages and releases
-	// their owners. Daemon rounds only — an allocator's inline pass
-	// stays synchronous, because that goroutine needs a page now.
+	// AsyncPageout overlaps pageout I/O with the reclaim scan: the pass's
+	// flights go through the backends' in-flight windows and it keeps
+	// scanning; the completion frees the pages and releases their owners.
+	// An allocator whose pass only submitted waits for one completion.
 	AsyncPageout bool
 	// PageoutWindow bounds in-flight asynchronous cluster writes per
-	// swap device (backpressure on the daemon's scan). 0 means
+	// swap device (backpressure on the reclaim scan). 0 means
 	// swap.DefaultAIOWindow.
 	PageoutWindow int
 	// PageinCluster caps the run of a swap-backed pagein, in pages. 0, the
@@ -263,9 +252,6 @@ func DefaultConfig() Config { return Config{} }
 type System struct {
 	mach *vmapi.Machine
 	cfg  Config
-
-	// pd is the asynchronous pagedaemon (nil with cfg.InlineReclaim).
-	pd *pagedaemon
 
 	kmap      *vmMap
 	kentryUse atomic.Int32
@@ -302,7 +288,6 @@ type System struct {
 	ctrObjWbPages    sim.Counter
 	ctrPdRounds      sim.Counter
 	ctrPdFreed       sim.Counter
-	ctrPdDirect      sim.Counter
 	ctrUbcReads      sim.Counter
 	ctrUbcWrites     sim.Counter
 
@@ -335,16 +320,20 @@ type System struct {
 
 	// Flight state (flight.go). flights counts the flights started and
 	// not yet finished; it falls under flMu. flMu also guards every
-	// flight's pending counter and result lists, the pagedaemon's round
-	// state (pd.cond, its own condvar on flMu), and flGen, which each
-	// flight completion bumps before broadcasting flCond: paths that find
-	// an object page busy, waiters on one flight, allocators out of
-	// evictable pages and Shutdown all sleep there.
+	// flight's pending counter and result lists, flGen, which each flight
+	// completion bumps before broadcasting flCond, and the reclaim pass's
+	// state (reclaim.go): reclaiming while a pass runs, reclaimGen bumped
+	// as each ends, and shutdown. Paths that find an object page busy,
+	// waiters on one flight or on the pass, allocators out of evictable
+	// pages and Shutdown all sleep on flCond.
 	flights atomic.Int32
 	//uvm:lock wbcond
-	flMu   sync.Mutex
-	flCond *sync.Cond
-	flGen  uint64
+	flMu       sync.Mutex
+	flCond     *sync.Cond
+	flGen      uint64
+	reclaiming bool
+	reclaimGen uint64
+	shutdown   bool
 }
 
 // Boot boots UVM on machine m with default configuration.
@@ -379,7 +368,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrObjWbPages = m.Stats.Counter(sim.CtrObjWbPages)
 	s.ctrPdRounds = m.Stats.Counter(sim.CtrPdRounds)
 	s.ctrPdFreed = m.Stats.Counter(sim.CtrPdFreed)
-	s.ctrPdDirect = m.Stats.Counter(sim.CtrPdDirect)
 	s.ctrUbcReads = m.Stats.Counter("uvm.ubc.reads")
 	s.ctrUbcWrites = m.Stats.Counter("uvm.ubc.writes")
 	s.flCond = sync.NewCond(&s.flMu)
@@ -397,13 +385,8 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 		}
 	}
 
-	if !cfg.InlineReclaim {
-		if cfg.PageoutWindow > 0 {
-			m.Swap.SetAIOWindow(cfg.PageoutWindow)
-		}
-		s.pd = newPagedaemon(s, s.lowWater())
-		m.Mem.SetLowWater(s.pd.low, s.pd.kick)
-		go s.pd.run()
+	if cfg.PageoutWindow > 0 {
+		m.Swap.SetAIOWindow(cfg.PageoutWindow)
 	}
 	return s
 }
@@ -421,36 +404,19 @@ func (s *System) swapRunMax(n int) int {
 	return n
 }
 
-// lowWater sizes the pagedaemon's wake threshold for this machine:
-// max(2×maxCluster, total/64), capped at total/4.
-func (s *System) lowWater() int {
-	total := s.mach.Mem.TotalPages()
-	low := 2 * maxCluster
-	if low < total/64 {
-		low = total / 64
-	}
-	if low > total/4 {
-		low = total / 4
-	}
-	if low < 1 {
-		low = 1
-	}
-	return low
-}
-
-// Shutdown implements vmapi.System: it stops the pagedaemon goroutine,
-// releasing any allocators blocked on it, waits for it to exit, and then
-// waits for every flight still in the air — the daemon's pageouts and
-// fire-and-forget object writebacks alike; Msync and recycle wait for
-// their own — so no completion touches VM structures after Shutdown
-// returns. The system remains usable — reclaim falls back to running
-// inline in allocating goroutines — so shutdown order is forgiving.
-// Idempotent.
+// Shutdown implements vmapi.System: from here on every reclaim pass is
+// synchronous. It waits for a running pass to end and then for every
+// flight still in the air — asynchronous pageouts and fire-and-forget
+// object writebacks alike; Msync and recycle wait for their own — so no
+// completion touches VM structures after Shutdown returns. The system
+// remains usable, so shutdown order is forgiving. Idempotent.
 func (s *System) Shutdown() {
-	if s.pd != nil {
-		s.pd.stop()
-	}
 	s.flMu.Lock()
+	s.shutdown = true
+	// A pass that started before the flag may still submit asynchronously.
+	for gen := s.reclaimGen; s.reclaiming && s.reclaimGen == gen; {
+		s.flCond.Wait()
+	}
 	for s.flights.Load() > 0 {
 		s.flCond.Wait()
 	}

@@ -4,7 +4,11 @@
 //
 // In 4.4BSD, unreferenced vnodes persist on a free list in the hope of
 // being reused; when the kernel needs a vnode and the table is at
-// `desiredvnodes`, the least recently used unreferenced vnode is recycled.
+// `desiredvnodes`, the vnode at the head of the free list — the least
+// recently released — is recycled. FS keeps that list the same way: an
+// intrusive doubly linked list through the vnodes, in release order.
+// Releasing a vnode appends it, reactivating one unlinks it, and
+// recycling takes the head, each in constant time.
 // The two VM systems interact with this cache very differently (paper §4):
 //
 //   - BSD VM keeps its own, separate, 100-entry cache of unreferenced
@@ -51,7 +55,9 @@ type Vnode struct {
 	f  *file
 
 	refs int
-	lru  int64 // sequence number of last deref, for LRU ordering
+	// prev and next link the vnode on its filesystem's free list while
+	// refs is 0. Guarded by fs.mu.
+	prev, next *Vnode
 
 	// VMObj and OnRecycle belong to the VM system that memory-mapped this
 	// file. OnRecycle is invoked when the vnode layer recycles the vnode;
@@ -182,8 +188,7 @@ func (v *Vnode) Unref() {
 	}
 	v.refs--
 	if v.refs == 0 {
-		v.fs.lruSeq++
-		v.lru = v.fs.lruSeq
+		v.fs.pushFreeLocked(v)
 	}
 }
 
@@ -199,7 +204,10 @@ type FS struct {
 	files     map[string]*file
 	vnodes    map[string]*Vnode // in-core vnodes, active or free
 	maxVnodes int
-	lruSeq    int64
+	// The free list: the unreferenced in-core vnodes, least recently
+	// released at the head.
+	freeHead, freeTail *Vnode
+	nfree              int
 
 	// aw is the bounded-window asynchronous writer for the filesystem
 	// disk, shared by every vnode's WriteClusterAsync.
@@ -264,61 +272,82 @@ func (fs *FS) Create(name string, size int, fill func(pageIdx int, buf []byte)) 
 }
 
 // Open looks a file up and returns a referenced vnode, allocating or
-// reusing an in-core vnode (namei + vget). If the table is full, the least
-// recently used unreferenced vnode is recycled — invoking its VM hook.
+// reusing an in-core vnode (namei + vget). If the table is full, the vnode
+// at the head of the free list is recycled — invoking its VM hook.
 func (fs *FS) Open(name string) (*Vnode, error) {
 	fs.clock.Advance(fs.costs.NameLookup)
 	fs.mu.Lock()
-
 	f, ok := fs.files[name]
 	if !ok {
 		fs.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if v, ok := fs.vnodes[name]; ok {
-		// Cache hit: possibly reactivating a free-list vnode, with any VM
-		// pages still attached — this is the path that makes UVM fast in
-		// Figure 2.
-		v.refs++
-		fs.mu.Unlock()
-		return v, nil
-	}
-
-	// Need a new vnode; recycle if the table is full.
-	if len(fs.vnodes) >= fs.maxVnodes {
-		victim := fs.lruVictimLocked()
+	for {
+		if v, ok := fs.vnodes[name]; ok {
+			// Cache hit: possibly reactivating a free-list vnode, with any VM
+			// pages still attached — this is the path that makes UVM fast in
+			// Figure 2.
+			if v.refs == 0 {
+				fs.unlinkFreeLocked(v)
+			}
+			v.refs++
+			fs.mu.Unlock()
+			return v, nil
+		}
+		if len(fs.vnodes) < fs.maxVnodes {
+			fs.clock.Advance(fs.costs.VnodeAlloc)
+			v := &Vnode{fs: fs, f: f, refs: 1}
+			fs.vnodes[name] = v
+			fs.mu.Unlock()
+			return v, nil
+		}
+		// The table is full: recycle the least recently released vnode.
+		victim := fs.freeHead
 		if victim == nil {
 			fs.mu.Unlock()
 			return nil, ErrTooMany
 		}
+		// The recycle hook runs without fs.mu, and it — or another
+		// goroutine meanwhile — may open this very name or fill the slot
+		// just freed: look the name up again.
 		fs.recycleLocked(victim)
 	}
-	fs.clock.Advance(fs.costs.VnodeAlloc)
-	v := &Vnode{fs: fs, f: f, refs: 1}
-	fs.vnodes[name] = v
-	fs.mu.Unlock()
-	return v, nil
 }
 
-// lruVictimLocked picks the least recently used unreferenced vnode.
-func (fs *FS) lruVictimLocked() *Vnode {
-	var victim *Vnode
-	//uvm:maporder-ok strict minimum over unique LRU sequence numbers; order-independent
-	for _, v := range fs.vnodes {
-		if v.refs > 0 {
-			continue
-		}
-		if victim == nil || v.lru < victim.lru {
-			victim = v
-		}
+// pushFreeLocked appends an unreferenced vnode to the tail of the free
+// list. Caller holds fs.mu.
+func (fs *FS) pushFreeLocked(v *Vnode) {
+	v.prev, v.next = fs.freeTail, nil
+	if fs.freeTail != nil {
+		fs.freeTail.next = v
+	} else {
+		fs.freeHead = v
 	}
-	return victim
+	fs.freeTail = v
+	fs.nfree++
+}
+
+// unlinkFreeLocked takes v off the free list. Caller holds fs.mu.
+func (fs *FS) unlinkFreeLocked(v *Vnode) {
+	if v.prev != nil {
+		v.prev.next = v.next
+	} else {
+		fs.freeHead = v.next
+	}
+	if v.next != nil {
+		v.next.prev = v.prev
+	} else {
+		fs.freeTail = v.prev
+	}
+	v.prev, v.next = nil, nil
+	fs.nfree--
 }
 
 // recycleLocked destroys an unreferenced vnode, calling the VM hook so any
 // embedded memory object is terminated first. Caller holds fs.mu; the hook
 // is called without it (it may call back into the vnode layer).
 func (fs *FS) recycleLocked(v *Vnode) {
+	fs.unlinkFreeLocked(v)
 	delete(fs.vnodes, v.f.name)
 	fs.stats.Inc("vfs.recycles")
 	if v.OnRecycle != nil {
@@ -338,18 +367,12 @@ func (fs *FS) VnodesInCore() int {
 	return len(fs.vnodes)
 }
 
-// FreeVnodes returns how many in-core vnodes are unreferenced.
+// FreeVnodes returns how many in-core vnodes are unreferenced: the length
+// of the free list.
 func (fs *FS) FreeVnodes() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	n := 0
-	//uvm:maporder-ok counting only; the sum is order-independent
-	for _, v := range fs.vnodes {
-		if v.refs == 0 {
-			n++
-		}
-	}
-	return n
+	return fs.nfree
 }
 
 // Files returns the number of files that exist.

@@ -3,6 +3,7 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"uvm/internal/disk"
@@ -338,5 +339,176 @@ func TestManyFilesDistinctExtents(t *testing.T) {
 	}
 	if fs.Files() != 20 {
 		t.Fatalf("files = %d", fs.Files())
+	}
+}
+
+// TestOpenRecycleReentry covers the window in which Open has recycled a
+// vnode and dropped the filesystem lock to run its VM hook: whatever opens
+// the same name meanwhile — the hook itself, or another goroutine — must
+// leave the file with one vnode, and the table within its size.
+func TestOpenRecycleReentry(t *testing.T) {
+	setup := func(t *testing.T) (*FS, *Vnode) {
+		fs, _ := newTestFS(1)
+		for _, name := range []string{"a", "b"} {
+			if err := fs.Create(name, param.PageSize, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, err := fs.Open("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Unref()
+		return fs, a
+	}
+	check := func(t *testing.T, fs *FS, inner, outer *Vnode) {
+		t.Helper()
+		if inner != outer {
+			t.Fatalf("two vnodes for one file: %v and %v", inner, outer)
+		}
+		if refs := outer.Refs(); refs != 2 {
+			t.Fatalf("vnode holds %d refs, want 2", refs)
+		}
+		if n := fs.VnodesInCore(); n > fs.MaxVnodes() {
+			t.Fatalf("%d vnodes in core, table holds %d", n, fs.MaxVnodes())
+		}
+	}
+
+	t.Run("HookOpensSameName", func(t *testing.T) {
+		fs, a := setup(t)
+		var inner *Vnode
+		a.SetVMObj(nil, func(*Vnode) {
+			var err error
+			if inner, err = fs.Open("b"); err != nil {
+				t.Error(err)
+			}
+		})
+		outer, err := fs.Open("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, fs, inner, outer)
+	})
+
+	// One goroutine's Open recycles "a" and sits in its hook while a
+	// second opens "b" into the slot just freed. Run with -race.
+	t.Run("ConcurrentSameName", func(t *testing.T) {
+		fs, a := setup(t)
+		entered, proceed := make(chan struct{}), make(chan struct{})
+		a.SetVMObj(nil, func(*Vnode) {
+			close(entered)
+			<-proceed
+		})
+		type opened struct {
+			v   *Vnode
+			err error
+		}
+		first := make(chan opened, 1)
+		go func() {
+			v, err := fs.Open("b")
+			first <- opened{v, err}
+		}()
+		<-entered
+		second, err := fs.Open("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(proceed)
+		got := <-first
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		check(t, fs, second, got.v)
+	})
+}
+
+// TestVnodeFreeListOrder runs a seeded sequence of opens and releases
+// against a model of the linear-scan rule the free list replaced: the
+// recycle victim is the unreferenced in-core vnode with the oldest
+// release. Every recycle must pick the model's victim, and the table's
+// counts must match the model's after every step.
+func TestVnodeFreeListOrder(t *testing.T) {
+	const files, maxVnodes, steps = 24, 8, 4000
+	fs, _ := newTestFS(maxVnodes)
+	for i := 0; i < files; i++ {
+		if err := fs.Create(fmt.Sprintf("/f%d", i), param.PageSize, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type modelVnode struct {
+		refs     int
+		released int64 // sequence number of the last release
+	}
+	model := map[string]*modelVnode{} // the in-core vnodes
+	var seq int64
+	var held []*Vnode // one entry per reference the test holds
+	var recycled []string
+	onRecycle := func(v *Vnode) { recycled = append(recycled, v.Name()) }
+
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < steps; step++ {
+		if len(held) > 0 && (rng.Intn(2) == 0 || len(held) >= maxVnodes) {
+			i := rng.Intn(len(held))
+			v := held[i]
+			held = append(held[:i], held[i+1:]...)
+			v.Unref()
+			mv := model[v.Name()]
+			if mv.refs--; mv.refs == 0 {
+				seq++
+				mv.released = seq
+			}
+		} else {
+			name := fmt.Sprintf("/f%d", rng.Intn(files))
+			want := ""
+			if _, ok := model[name]; !ok && len(model) >= maxVnodes {
+				var oldest int64
+				for n, mv := range model {
+					if mv.refs == 0 && (want == "" || mv.released < oldest) {
+						want, oldest = n, mv.released
+					}
+				}
+			}
+			recycled = recycled[:0]
+			v, err := fs.Open(name)
+			if want == "" && len(model) >= maxVnodes && model[name] == nil {
+				if !errors.Is(err, ErrTooMany) {
+					t.Fatalf("step %d: Open(%s) with every vnode held: %v, want ErrTooMany", step, name, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("step %d: Open(%s): %v", step, name, err)
+			}
+			switch {
+			case want == "" && len(recycled) != 0:
+				t.Fatalf("step %d: Open(%s) recycled %v, want none", step, name, recycled)
+			case want != "" && (len(recycled) != 1 || recycled[0] != want):
+				t.Fatalf("step %d: Open(%s) recycled %v, want %s", step, name, recycled, want)
+			}
+			if want != "" {
+				delete(model, want)
+			}
+			mv := model[name]
+			if mv == nil {
+				mv = &modelVnode{}
+				model[name] = mv
+				v.SetVMObj(nil, onRecycle)
+			}
+			mv.refs++
+			held = append(held, v)
+		}
+		free := 0
+		for _, mv := range model {
+			if mv.refs == 0 {
+				free++
+			}
+		}
+		if fs.VnodesInCore() != len(model) || fs.FreeVnodes() != free {
+			t.Fatalf("step %d: %d in core, %d free; model has %d, %d",
+				step, fs.VnodesInCore(), fs.FreeVnodes(), len(model), free)
+		}
+	}
+	for _, v := range held {
+		v.Unref()
 	}
 }

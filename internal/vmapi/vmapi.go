@@ -228,11 +228,11 @@ type System interface {
 	// TotalMapEntries returns the map entries allocated system-wide
 	// (kernel map plus every live process map) — the Table 1 metric.
 	TotalMapEntries() int
-	// Shutdown stops any background kernel threads the system started
-	// (UVM's pagedaemon) and waits for them to exit. The system remains
-	// usable afterwards — reclaim degrades to running inline in the
-	// allocating goroutine — so teardown ordering is forgiving.
-	// Idempotent; a no-op for systems with no kernel threads.
+	// Shutdown waits out the system's background work — for UVM, a
+	// running reclaim pass and the writes still in flight — so a report
+	// read afterwards is a quiescent snapshot. The system remains usable
+	// afterwards, so teardown ordering is forgiving. Idempotent; a no-op
+	// for systems with no background work.
 	Shutdown()
 
 	// NewShmSegment creates a System V style shared anonymous memory
