@@ -29,7 +29,7 @@ var Levels = []string{
 	"pvbucket",  // MMU reverse-map bucket locks (strict leaves within pmap)
 	"magazine",  // phys per-CPU free-page magazines
 	"pageq",     // phys page-queue shards
-	"swap",      // swap allocator shard locks, and Swap.mu (AddDevice only)
+	"swap",      // swap allocator shard locks
 	"vfs",       // FS.mu — vnode cache and file table
 	"disk",      // Disk.mu — the device itself
 	"leaf",      // terminal: nothing is ever acquired while held

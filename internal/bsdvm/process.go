@@ -134,7 +134,7 @@ func (p *process) Mincore(addr param.VAddr, length param.VSize) ([]bool, error) 
 	if p.exited {
 		return nil, vmapi.ErrExited
 	}
-	if length == 0 {
+	if end := addr + param.VAddr(length); length == 0 || end < addr || end > param.UserMax {
 		return nil, vmapi.ErrInvalid
 	}
 	p.sys.big.Lock()
@@ -161,6 +161,7 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	if p.exited {
 		return 0, vmapi.ErrExited
 	}
+	length = param.RoundSize(length) // 0 also for a length that wraps
 	if length == 0 || !flags.Valid() || !param.PageAligned(param.VAddr(off)) {
 		return 0, vmapi.ErrInvalid
 	}
@@ -170,7 +171,6 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	if flags&vmapi.MapAnon == 0 && vn == nil {
 		return 0, vmapi.ErrInvalid
 	}
-	length = param.RoundSize(length)
 
 	s := p.sys
 	s.big.Lock()
@@ -181,7 +181,7 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	m.lock()
 	var va param.VAddr
 	if flags&vmapi.MapFixed != 0 {
-		if !param.PageAligned(addr) || addr+param.VAddr(length) > m.allocMax {
+		if end := addr + param.VAddr(length); !param.PageAligned(addr) || addr < m.min || end < addr || end > m.allocMax {
 			m.unlock()
 			return 0, vmapi.ErrInvalid
 		}

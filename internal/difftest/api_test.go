@@ -121,38 +121,59 @@ func TestVforkSemanticsMatch(t *testing.T) {
 	}
 }
 
-func TestSecondSwapDeviceSpillover(t *testing.T) {
-	// swapctl -a: adding a second swap device under pressure lets the
-	// workload proceed past the first device's capacity, on both systems.
+// TestMapFixedOutsideMap: a MapFixed mapping or a Mincore range that
+// wraps the address space, starts below the map or ends past UserMax is
+// ErrInvalid on both systems, and leaves the map as it was.
+func TestMapFixedOutsideMap(t *testing.T) {
+	const top = param.VAddr(0xffff_ffff_ffff_f000) // the last page: two pages from here wrap
+	fixed := vmapi.MapFixed | vmapi.MapAnon | vmapi.MapPrivate
+	rows := []struct {
+		name string
+		call func(p vmapi.Process) error
+	}{
+		{"mmap-wraps", func(p vmapi.Process) error {
+			_, err := p.Mmap(top, 2*param.PageSize, param.ProtRW, fixed, nil, 0)
+			return err
+		}},
+		{"mmap-below-text", func(p vmapi.Process) error {
+			_, err := p.Mmap(param.UserTextBase-param.PageSize, param.PageSize, param.ProtRW, fixed, nil, 0)
+			return err
+		}},
+		{"mmap-length-wraps", func(p vmapi.Process) error {
+			_, err := p.Mmap(param.UserTextBase, param.VSize(top)+1, param.ProtRW, fixed, nil, 0)
+			return err
+		}},
+		{"mmap-past-usermax", func(p vmapi.Process) error {
+			_, err := p.Mmap(param.UserMax-param.PageSize, 2*param.PageSize, param.ProtRW, fixed, nil, 0)
+			return err
+		}},
+		{"mincore-wraps", func(p vmapi.Process) error {
+			_, err := p.Mincore(top, 2*param.PageSize)
+			return err
+		}},
+		{"mincore-past-usermax", func(p vmapi.Process) error {
+			_, err := p.Mincore(param.UserMax-param.PageSize, 2*param.PageSize)
+			return err
+		}},
+	}
 	for name, boot := range boots() {
-		name, boot := name, boot
-		t.Run(name, func(t *testing.T) {
-			mach := vmapi.NewMachine(vmapi.MachineConfig{
-				RAMPages: 64, SwapPages: 64, FSPages: 256, MaxVnodes: 8,
+		for _, row := range rows {
+			t.Run(name+"/"+row.name, func(t *testing.T) {
+				sys := boot(vmapi.NewMachine(vmapi.MachineConfig{
+					RAMPages: 64, SwapPages: 64, FSPages: 64, MaxVnodes: 4,
+				}))
+				p, _ := sys.NewProcess("p")
+				if _, err := p.Mmap(0, 4*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				before := p.MapEntryCount()
+				if err := row.call(p); err != vmapi.ErrInvalid {
+					t.Errorf("err = %v, want ErrInvalid", err)
+				}
+				if got := p.MapEntryCount(); got != before {
+					t.Errorf("map entries %d -> %d", before, got)
+				}
 			})
-			sys := boot(mach)
-			// A second, larger swap device at lower priority.
-			mach.Swap.AddDevice(mach.FSDisk, 10) // reuse a spare disk as swap
-			p, _ := sys.NewProcess("pig")
-			const pages = 160 // needs RAM + both devices
-			va, _ := p.Mmap(0, pages*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
-			for i := 0; i < pages; i++ {
-				if err := p.WriteBytes(va+param.VAddr(i)*param.PageSize, []byte{byte(i)}); err != nil {
-					t.Fatalf("page %d with two swap devices: %v", i, err)
-				}
-			}
-			b := make([]byte, 1)
-			for i := 0; i < pages; i++ {
-				if err := p.ReadBytes(va+param.VAddr(i)*param.PageSize, b); err != nil {
-					t.Fatalf("read %d: %v", i, err)
-				}
-				if b[0] != byte(i) {
-					t.Fatalf("page %d corrupted across swap devices: %#x", i, b[0])
-				}
-			}
-			if mach.Swap.Devices() != 2 {
-				t.Fatal("device count wrong")
-			}
-		})
+		}
 	}
 }

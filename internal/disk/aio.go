@@ -4,28 +4,26 @@ import "sync"
 
 // This file is the generalised asynchronous write engine shared by every
 // paging backend: a bounded in-flight window of page-run writes to one
-// disk, with completions delivered by callback. It started life inside
-// internal/swap (the pagedaemon's async cluster pageout, PR 3) and was
-// hoisted here so the object writeback pipeline — msync, aobj pageout,
-// vnode recycling — can push vnode pages through the filesystem disk with
-// exactly the same machinery that pushes anonymous clusters to swap.
+// disk, with completions delivered by callback. The swap disk's writer
+// carries a reclaim pass's asynchronous cluster pageout; the filesystem
+// disk's carries the object writeback pipeline — msync, aobj pageout,
+// vnode recycling — with exactly the same machinery.
 //
-// The model is unchanged from the swap original. A writer admits at most
-// its window's worth of writes at once; a submitter that finds the window
-// full blocks until a completion opens a slot — the natural backpressure
-// that keeps a fast producer (an msync sweep, the pagedaemon's scan) from
-// burying a slow disk. Transfers queue at the device: each write holds
-// the Disk's own lock for its whole command, so there is one head per
-// disk. The transfer runs off the submitter's goroutine and is charged as
-// deferred I/O, so the submitter's simulated clock never pays for an
-// overlapped write. Completions for different submissions may run
-// concurrently and in any order; each callback runs exactly once, off the
-// submitter's goroutine.
+// A writer admits at most its window's worth of writes at once; a
+// submitter that finds the window full blocks until a completion opens a
+// slot — the natural backpressure that keeps a fast producer (an msync
+// sweep, a reclaim pass) from burying a slow disk. Transfers queue at the
+// device: each write holds the Disk's own lock for its whole command, so
+// there is one head per disk. The transfer runs off the submitter's
+// goroutine and is charged as deferred I/O, so the submitter's simulated
+// clock never pays for an overlapped write. Completions for different
+// submissions may run concurrently and in any order; each callback runs
+// exactly once, off the submitter's goroutine.
 //
 // The window is a setting of the writer, not a fixed capacity: boot
-// applies the configured window with SetWindow to a swap device's writer,
-// which already exists. Admission is a condvar-gated counter, so a
-// changed bound gates the next admission and never cancels a write
+// applies the configured window with SetWindow to the swap disk's
+// writer, which already exists. Admission is a condvar-gated counter, so
+// a changed bound gates the next admission and never cancels a write
 // already admitted.
 
 // DefaultAIOWindow is the in-flight write window used when a writer is

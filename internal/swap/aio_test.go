@@ -1,6 +1,7 @@
 package swap
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,9 +31,7 @@ func TestWriteClusterAsyncRoundTrip(t *testing.T) {
 		bufs[i] = pageOf(byte(0x10 + i))
 	}
 	done := make(chan error, 1)
-	if err := s.WriteClusterAsync(start, bufs, func(err error) { done <- err }); err != nil {
-		t.Fatal(err)
-	}
+	s.WriteClusterAsync(start, bufs, func(err error) { done <- err })
 	if err := <-done; err != nil {
 		t.Fatalf("completion: %v", err)
 	}
@@ -61,8 +60,8 @@ func TestWriteClusterAsyncRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteClusterAsyncWindow checks the per-device in-flight window: with
-// the device's I/O gated shut, exactly `window` writes are admitted and
+// TestWriteClusterAsyncWindow checks the in-flight window: with
+// the disk's I/O gated shut, exactly `window` writes are admitted and
 // the next submission blocks until a completion opens a slot.
 func TestWriteClusterAsyncWindow(t *testing.T) {
 	clock := sim.NewClock()
@@ -84,9 +83,7 @@ func TestWriteClusterAsyncWindow(t *testing.T) {
 			return
 		}
 		bufs := [][]byte{pageOf(1), pageOf(2)}
-		if err := s.WriteClusterAsync(start, bufs, func(error) { completions.Add(1) }); err != nil {
-			t.Error(err)
-		}
+		s.WriteClusterAsync(start, bufs, func(error) { completions.Add(1) })
 	}
 	for i := 0; i < window; i++ {
 		submit() // admitted immediately: the window has room
@@ -124,9 +121,7 @@ func TestWriteClusterAsyncReportsWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	if err := s.WriteClusterAsync(start, [][]byte{pageOf(1), pageOf(2)}, func(err error) { done <- err }); err != nil {
-		t.Fatal(err)
-	}
+	s.WriteClusterAsync(start, [][]byte{pageOf(1), pageOf(2)}, func(err error) { done <- err })
 	if err := <-done; err == nil {
 		t.Fatal("injected write error not delivered to the completion")
 	}
@@ -141,8 +136,7 @@ func TestReadClusterAcrossShards(t *testing.T) {
 	if s.Shards() < 2 {
 		t.Fatalf("fixture not sharded: %d", s.Shards())
 	}
-	d := s.devs.Load().devices[0]
-	boundary := d.shardSize // first slot of the second shard
+	boundary := s.shardSize // first slot of the second shard
 	// Write a recognisable pattern across the boundary, slot by slot.
 	for i := int64(-2); i < 2; i++ {
 		if err := s.WriteSlot(boundary+i, pageOf(byte(0x40+i))); err != nil {
@@ -164,25 +158,47 @@ func TestReadClusterAcrossShards(t *testing.T) {
 	}
 }
 
-// TestReadClusterNeverSpansDevices: a read run that would cross into the
-// next device is rejected, mirroring WriteCluster.
-func TestReadClusterNeverSpansDevices(t *testing.T) {
-	clock := sim.NewClock()
-	costs := sim.DefaultCosts()
-	stats := sim.NewStats()
-	s := New(clock, costs, stats, disk.New(clock, costs, stats, 8))
-	s.AddDevice(disk.New(clock, costs, stats, 8), 1)
-	rd := [][]byte{make([]byte, param.PageSize), make([]byte, param.PageSize)}
-	if err := s.ReadCluster(7, rd); err == nil {
-		t.Fatal("read cluster spanning devices not rejected")
+// TestClusterIOPastDeviceEnd: a run that reaches past the swap disk's
+// last slot is rejected by the disk's range check, synchronously or
+// through the completion, and moves no data.
+func TestClusterIOPastDeviceEnd(t *testing.T) {
+	const slots = 8
+	async := func(s *Swap, start int64, bufs [][]byte) error {
+		done := make(chan error, 1)
+		s.WriteClusterAsync(start, bufs, func(err error) { done <- err })
+		return <-done
 	}
-	lo, hi := s.DeviceBounds(7)
-	if lo != 0 || hi != 8 {
-		t.Fatalf("DeviceBounds(7) = [%d,%d)", lo, hi)
-	}
-	lo, hi = s.DeviceBounds(8)
-	if lo != 8 || hi != 16 {
-		t.Fatalf("DeviceBounds(8) = [%d,%d)", lo, hi)
+	for _, c := range []struct {
+		name  string
+		start int64
+		n     int
+		io    func(s *Swap, start int64, bufs [][]byte) error
+	}{
+		{"read/last-slot-plus-one", slots - 1, 2, (*Swap).ReadCluster},
+		{"read/past-end", slots, 1, (*Swap).ReadCluster},
+		{"read/negative", -1, 2, (*Swap).ReadCluster},
+		{"write/last-slot-plus-one", slots - 1, 2, (*Swap).WriteCluster},
+		{"write/past-end", slots, 1, (*Swap).WriteCluster},
+		{"async/last-slot-plus-one", slots - 1, 2, async},
+		{"async/past-end", slots, 1, async},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, stats := newTestSwap(slots)
+			bufs := make([][]byte, c.n)
+			for i := range bufs {
+				bufs[i] = pageOf(0xee)
+			}
+			if err := c.io(s, c.start, bufs); !errors.Is(err, disk.ErrOutOfRange) {
+				t.Fatalf("I/O of %d slots at %d on a %d-slot disk: err = %v, want ErrOutOfRange", c.n, c.start, slots, err)
+			}
+			if r, w := stats.Get(sim.CtrDiskReads), stats.Get(sim.CtrDiskWrites)+stats.Get(sim.CtrDiskWritesDeferred); r != 0 || w != 0 {
+				t.Fatalf("rejected I/O reached the medium: %d reads, %d writes", r, w)
+			}
+			last := make([]byte, param.PageSize)
+			if err := s.ReadSlot(slots-1, last); err != nil || last[0] != 0 {
+				t.Fatalf("last slot after a rejected run: %#x, %v", last[0], err)
+			}
+		})
 	}
 }
 
@@ -209,10 +225,7 @@ func TestAsyncWritesRaceReads(t *testing.T) {
 					bufs[i] = pageOf(byte(start + int64(i)))
 				}
 				done := make(chan error, 1)
-				if err := s.WriteClusterAsync(start, bufs, func(err error) { done <- err }); err != nil {
-					t.Error(err)
-					return
-				}
+				s.WriteClusterAsync(start, bufs, func(err error) { done <- err })
 				if err := <-done; err != nil {
 					t.Error(err)
 					return

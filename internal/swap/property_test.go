@@ -1,6 +1,7 @@
 package swap
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,9 +17,10 @@ import (
 //  1. no slot is ever handed out twice while allocated (no double-alloc),
 //  2. SlotsInUse and the live-slot counter track the model exactly
 //     (no leak, no drift),
-//  3. a contiguous run stays within one device,
-//  4. once a device's death has been observed, no new allocation lands
-//     on it (retirement from the scan — swap.go's Dead() check).
+//  3. a contiguous run stays within the device,
+//  4. once the device's death has been observed, AllocContig fails with
+//     ErrNoSwap and hands nothing out (swap.go's Dead() check), while
+//     frees of the runs still live keep working.
 //
 // The deterministic variant replays a fixed-seed op stream on one
 // goroutine so a failure is a repeatable counterexample; the concurrent
@@ -27,19 +29,14 @@ import (
 // arbitrary byte stream so `go test -fuzz` can search for new
 // counterexamples.
 
-// propSwap builds the two-device topology the properties run on: a
-// preferred device dev0 and a lower-priority spill device, each big
-// enough to shard. Killing dev0 mid-stream forces the retirement path
-// while the spill device keeps the allocator serviceable.
-func propSwap() (s *Swap, stats *sim.Stats, dev0 *disk.Disk, devSlots int64) {
-	devSlots = 4096
+// propSwap builds the device the properties run on, big enough to
+// shard. Killing it mid-stream forces the dead-disk path.
+func propSwap() (s *Swap, stats *sim.Stats, dev *disk.Disk) {
 	clock := sim.NewClock()
 	costs := sim.DefaultCosts()
 	stats = sim.NewStats()
-	dev0 = disk.New(clock, costs, stats, devSlots)
-	s = New(clock, costs, stats, dev0)
-	s.AddDevice(disk.New(clock, costs, stats, devSlots), 10)
-	return s, stats, dev0, devSlots
+	dev = disk.New(clock, costs, stats, 4096)
+	return New(clock, costs, stats, dev), stats, dev
 }
 
 // propModel is the reference bookkeeping a single-threaded op stream is
@@ -59,20 +56,21 @@ func newPropModel(t *testing.T, s *Swap, stats *sim.Stats) *propModel {
 
 // alloc runs one AllocContig and folds a success into the model,
 // checking the no-double-alloc, containment and dead-device properties.
-func (m *propModel) alloc(n int, deadLo, deadHi int64) {
+func (m *propModel) alloc(n int, dead bool) {
 	m.t.Helper()
 	start, err := m.s.AllocContig(n)
+	if dead {
+		if !errors.Is(err, ErrNoSwap) {
+			m.t.Fatalf("AllocContig(%d) on the dead device = %d, %v; want ErrNoSwap", n, start, err)
+		}
+		return
+	}
 	if err != nil {
-		return // full (or everything left is on the dead device) — legal
+		return // full — legal
 	}
-	lo, hi := m.s.DeviceBounds(start)
-	if start+int64(n) > hi {
-		m.t.Fatalf("cluster [%d,%d) spans past its device end %d", start, start+int64(n), hi)
+	if start < 0 || start+int64(n) > m.s.Slots() {
+		m.t.Fatalf("cluster [%d,%d) escapes the device's %d slots", start, start+int64(n), m.s.Slots())
 	}
-	if deadHi > deadLo && start >= deadLo && start < deadHi {
-		m.t.Fatalf("allocated slot %d on the dead device [%d,%d)", start, deadLo, deadHi)
-	}
-	_ = lo
 	for i := int64(0); i < int64(n); i++ {
 		if m.slots[start+i] {
 			m.t.Fatalf("slot %d double-allocated (cluster [%d,%d))", start+i, start, start+int64(n))
@@ -123,22 +121,25 @@ func (m *propModel) check() {
 // model invariants after every operation.
 func TestAllocatorPropertyDeterministic(t *testing.T) {
 	const ops = 4000
-	s, stats, dev0, devSlots := propSwap()
+	s, stats, dev := propSwap()
 	m := newPropModel(t, s, stats)
 	rng := sim.NewRNG(42)
-	deadLo, deadHi := int64(0), int64(0)
+	dead := false
 	for op := 0; op < ops; op++ {
 		if op == ops/2 {
-			dev0.Kill()
-			deadLo, deadHi = 0, devSlots // dev0 spans [0, devSlots)
+			if len(m.owned) == 0 {
+				t.Fatal("fixture: nothing live at the kill, so no free after it is checked")
+			}
+			dev.Kill()
+			dead = true
 		}
 		switch rng.Intn(4) {
 		case 0:
 			m.free(rng.Uint64())
 		case 1:
-			m.alloc(1, deadLo, deadHi)
+			m.alloc(1, dead)
 		default:
-			m.alloc(1+rng.Intn(64), deadLo, deadHi)
+			m.alloc(1+rng.Intn(64), dead)
 		}
 		m.check()
 	}
@@ -151,27 +152,27 @@ func TestAllocatorPropertyDeterministic(t *testing.T) {
 	if live := stats.Get(sim.CtrSwapSlotsLive); live != 0 {
 		t.Fatalf("live-slot counter drifted: %d", live)
 	}
-	// The surviving device still serves the largest pageout cluster.
-	if _, err := s.AllocContig(64); err != nil {
-		t.Fatalf("allocator wedged after kill+drain: %v", err)
+	// An empty dead device still hands nothing out.
+	if slot, err := s.AllocContig(64); !errors.Is(err, ErrNoSwap) {
+		t.Fatalf("AllocContig on the drained dead device = %d, %v; want ErrNoSwap", slot, err)
 	}
 }
 
 // TestAllocatorPropertyConcurrent runs the same op mix from 8 workers
-// (the async pagedaemon + direct-reclaim shape) with a shared registry
-// that catches cross-worker double-allocation, while a mid-stream
-// device kill exercises retirement under load. Run with -race.
+// (concurrent reclaim passes and pageins) with a shared registry that
+// catches cross-worker double-allocation, while a mid-stream device kill
+// exercises the dead-disk path under load. Run with -race.
 //
 // The dead-device property needs care under concurrency: an allocation
-// already inside AllocContig when Kill lands may legitimately return a
-// dead-device slot. The assertion therefore only applies when the kill
-// flag was observed set *before* the allocation started.
+// already inside AllocContig when Kill lands may legitimately succeed.
+// The assertion therefore only applies when the kill flag was observed
+// set *before* the allocation started.
 func TestAllocatorPropertyConcurrent(t *testing.T) {
 	const (
 		workers = 8
 		rounds  = 600
 	)
-	s, stats, dev0, devSlots := propSwap()
+	s, stats, dev := propSwap()
 
 	var (
 		regMu    sync.Mutex
@@ -209,8 +210,8 @@ func TestAllocatorPropertyConcurrent(t *testing.T) {
 			var mine []held
 			for r := 0; r < rounds; r++ {
 				if w == 0 && r == rounds/2 {
-					killed.Store(true) // flag first: observers must see it before the kill takes effect
-					dev0.Kill()
+					dev.Kill()
+					killed.Store(true) // kill first: a worker that sees the flag must find the disk dead
 				}
 				switch {
 				case rng.Intn(3) == 0 && len(mine) > 0:
@@ -227,14 +228,14 @@ func TestAllocatorPropertyConcurrent(t *testing.T) {
 					}
 					deadBefore := killed.Load()
 					start, err := s.AllocContig(n)
+					if deadBefore && !errors.Is(err, ErrNoSwap) {
+						t.Errorf("worker %d: AllocContig(%d) after observing the kill = %d, %v; want ErrNoSwap", w, n, start, err)
+					}
 					if err != nil {
 						continue
 					}
-					if deadBefore && start < devSlots {
-						t.Errorf("worker %d allocated slot %d on the dead device after observing the kill", w, start)
-					}
-					if lo, hi := s.DeviceBounds(start); start < lo || start+int64(n) > hi {
-						t.Errorf("cluster [%d,%d) escapes device [%d,%d)", start, start+int64(n), lo, hi)
+					if start < 0 || start+int64(n) > s.Slots() {
+						t.Errorf("cluster [%d,%d) escapes the device's %d slots", start, start+int64(n), s.Slots())
 					}
 					claim(w, start, n)
 					mine = append(mine, held{start, n})
@@ -257,15 +258,15 @@ func TestAllocatorPropertyConcurrent(t *testing.T) {
 	if live := stats.Get(sim.CtrSwapSlotsLive); live != 0 {
 		t.Fatalf("live-slot counter drifted: %d", live)
 	}
-	if _, err := s.AllocContig(64); err != nil {
-		t.Fatalf("allocator wedged after concurrent stress: %v", err)
+	if slot, err := s.AllocContig(64); !errors.Is(err, ErrNoSwap) {
+		t.Fatalf("AllocContig on the drained dead device = %d, %v; want ErrNoSwap", slot, err)
 	}
 }
 
 // FuzzSwapAllocFree interprets an arbitrary byte stream as an op
-// sequence over the two-device allocator — two bits select the op, the
-// rest of the byte sizes clusters or picks the range to free, one
-// marker byte kills the preferred device — and checks the same model
+// sequence over the allocator — two bits select the op, the rest of the
+// byte sizes clusters or picks the range to free, one marker byte kills
+// the device — and checks the same model
 // invariants. The seed corpus covers each op class and a kill; `go test
 // -fuzz=FuzzSwapAllocFree` searches for counterexamples beyond it.
 func FuzzSwapAllocFree(f *testing.F) {
@@ -273,20 +274,20 @@ func FuzzSwapAllocFree(f *testing.F) {
 	f.Add([]byte{0x7F, 0x7F, 0xFF, 0x01, 0xFF, 0x40}) // big clusters around a kill
 	f.Add([]byte{0x41, 0x41, 0x00, 0x41, 0x00, 0x41}) // alloc/free churn
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		s, stats, dev0, devSlots := propSwap()
+		s, stats, dev := propSwap()
 		m := newPropModel(t, s, stats)
-		deadLo, deadHi := int64(0), int64(0)
+		dead := false
 		for _, b := range stream {
 			switch {
 			case b == 0xFF: // kill marker
-				dev0.Kill()
-				deadLo, deadHi = 0, devSlots
+				dev.Kill()
+				dead = true
 			case b>>6 == 0: // free: low bits pick the range
 				m.free(uint64(b))
 			case b>>6 == 1: // single-slot alloc
-				m.alloc(1, deadLo, deadHi)
+				m.alloc(1, dead)
 			default: // cluster alloc, 1..64 slots from the low bits
-				m.alloc(1+int(b&0x3F), deadLo, deadHi)
+				m.alloc(1+int(b&0x3F), dead)
 			}
 			m.check()
 		}
@@ -295,6 +296,9 @@ func FuzzSwapAllocFree(f *testing.F) {
 		}
 		if s.SlotsInUse() != 0 {
 			t.Fatalf("slots leaked after drain: %d", s.SlotsInUse())
+		}
+		if live := stats.Get(sim.CtrSwapSlotsLive); live != 0 {
+			t.Fatalf("live-slot counter drifted: %d", live)
 		}
 	})
 }

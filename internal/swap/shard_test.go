@@ -4,13 +4,12 @@ import (
 	"sync"
 	"testing"
 
-	"uvm/internal/disk"
 	"uvm/internal/sim"
 )
 
 // Tests for the sharded allocator: shard sizing, cluster containment,
 // and a -race stress of concurrent alloc/free from many goroutines (the
-// asynchronous pagedaemon plus direct-reclaim fallback pattern).
+// pattern of concurrent reclaim passes and pageins).
 
 func TestShardCountScalesWithDeviceSize(t *testing.T) {
 	cases := []struct {
@@ -20,7 +19,7 @@ func TestShardCountScalesWithDeviceSize(t *testing.T) {
 		{8, 1},      // tiny test devices stay single-shard (deterministic)
 		{1024, 1},   // still too small to split
 		{2048, 2},   // the first size worth splitting
-		{8192, 8},   // capped at maxShardsPerDevice
+		{8192, 8},   // capped at maxShards
 		{32768, 8},  // a 128 MB partition
 		{100000, 8}, // shard cap holds for any size
 	}
@@ -74,33 +73,6 @@ func TestClusterNeverSpansShards(t *testing.T) {
 			t.Fatalf("cluster [%d,%d] crosses the shard boundary at %d",
 				start, start+63, (start/shardSize+1)*shardSize)
 		}
-	}
-}
-
-func TestShardedMultiDevicePriorityStillHolds(t *testing.T) {
-	// Priority order must survive sharding: the preferred device fills
-	// before any allocation touches the other one.
-	clock := sim.NewClock()
-	costs := sim.DefaultCosts()
-	stats := sim.NewStats()
-	d0 := disk.New(clock, costs, stats, 2048)
-	s := New(clock, costs, stats, d0)
-	s.AddDevice(disk.New(clock, costs, stats, 2048), 10)
-	for i := 0; i < 2048; i++ {
-		slot, err := s.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slot >= 2048 {
-			t.Fatalf("allocation %d spilled to the low-priority device early (slot %d)", i, slot)
-		}
-	}
-	spill, err := s.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spill < 2048 {
-		t.Fatalf("expected spill to device 1, got slot %d", spill)
 	}
 }
 

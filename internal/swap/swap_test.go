@@ -194,7 +194,7 @@ func TestClusterIOIsOneOperation(t *testing.T) {
 }
 
 func TestReassignmentPattern(t *testing.T) {
-	// The UVM pagedaemon pattern: pages hold scattered slots; allocate a
+	// The UVM pageout pattern: pages hold scattered slots; allocate a
 	// fresh contiguous run, free the old slots, write once.
 	s, _ := newTestSwap(64)
 	var old []int64
@@ -234,5 +234,65 @@ func TestBadClusterSize(t *testing.T) {
 	}
 	if _, err := s.AllocContig(-1); err == nil {
 		t.Fatal("negative cluster accepted")
+	}
+}
+
+func TestClusterLargerThanDevice(t *testing.T) {
+	s, _ := newTestSwap(8)
+	if _, err := s.AllocContig(9); !errors.Is(err, ErrNoSwap) {
+		t.Fatalf("cluster larger than the device: %v", err)
+	}
+	if start, err := s.AllocContig(8); err != nil || start != 0 {
+		t.Fatalf("cluster the size of the device: %d, %v", start, err)
+	}
+}
+
+// TestClusterNeverSpansDevices: a cluster that does not fit in the free
+// tail of the device is placed whole in a hole further back, never run
+// past the device's last slot.
+func TestClusterNeverSpansDevices(t *testing.T) {
+	s, _ := newTestSwap(16)
+	head, err := s.AllocContig(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AllocContig(2); err != nil {
+		t.Fatal(err)
+	}
+	// Four slots stay free at the tail, ten at the head.
+	s.FreeRange(head, 10)
+	start, err := s.AllocContig(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if start+8 > s.Slots() {
+		t.Fatalf("cluster [%d,%d) runs past the device's end at %d", start, start+8, s.Slots())
+	}
+}
+
+// TestSlotIsDiskBlock: slot n is block n of the swap disk, with no
+// translation on the way.
+func TestSlotIsDiskBlock(t *testing.T) {
+	clock := sim.NewClock()
+	costs := sim.DefaultCosts()
+	stats := sim.NewStats()
+	dev := disk.New(clock, costs, stats, 8)
+	s := New(clock, costs, stats, dev)
+	out := make([]byte, param.PageSize)
+	out[0] = 0xd5
+	if err := s.WriteSlot(5, out); err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, param.PageSize)
+	if err := dev.ReadPages(5, [][]byte{raw}); err != nil || raw[0] != 0xd5 {
+		t.Fatalf("disk block 5 after writing slot 5: %#x, %v", raw[0], err)
+	}
+	raw[0] = 0x5d
+	if err := dev.WritePages(6, [][]byte{raw}); err != nil {
+		t.Fatal(err)
+	}
+	in := make([]byte, param.PageSize)
+	if err := s.ReadSlot(6, in); err != nil || in[0] != 0x5d {
+		t.Fatalf("slot 6 after writing disk block 6: %#x, %v", in[0], err)
 	}
 }

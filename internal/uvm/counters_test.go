@@ -42,8 +42,6 @@ func TestCachedCounterHandlesFeedStats(t *testing.T) {
 		{sim.CtrObjWbClusters, s.ctrObjWbClusters},
 		{sim.CtrObjWbPages, s.ctrObjWbPages},
 		{sim.CtrPdRounds, s.ctrPdRounds},
-		{"uvm.ubc.reads", s.ctrUbcReads},
-		{"uvm.ubc.writes", s.ctrUbcWrites},
 	}
 	for _, h := range handles {
 		before := m.Stats.Get(h.name)

@@ -149,7 +149,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 			// pager's to bring in, along with whatever else it sees fit to read
 			// in the entry's advice window for the lookahead below to map.
 			lo, hi := e.adviceRange(idx)
-			pg, err := s.objPage(o, idx, lo, hi, false)
+			pg, err := s.objPage(o, idx, lo, hi)
 			if err != nil {
 				o.mu.Unlock()
 				if na != nil {
@@ -236,13 +236,14 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 // anonymous content lives only in RAM until paged — and names the anon as
 // its owner only once the anon points back at it: a reclaim scan working from a stale queue snapshot may
 // probe the frame the moment it has an owner, and the page identity lock
-// orders that probe after the attach.
+// orders that probe after the attach. The frame comes first, so a failed
+// allocation leaves no anon to undo.
 func (s *System) newAnonPage(am *amap, slot int, zero bool) (*anon, *phys.Page, error) {
-	na := s.newAnon(am, slot)
 	np, err := s.allocPage(int(am.home), nil, 0, zero)
 	if err != nil {
 		return nil, nil, err
 	}
+	na := s.newAnon(am, slot)
 	np.Dirty.Store(true)
 	na.page = np
 	np.SetOwner(na, 0)

@@ -108,14 +108,11 @@ func (fl *flight) run(pages []*phys.Page, vn *vfs.Vnode, start int64) {
 		s.mach.Stats.Inc(sim.CtrPdAsyncClusters)
 		s.mach.Stats.Add(sim.CtrPdAsyncPages, int64(len(pages)))
 	}
-	if vn != nil {
-		err = vn.WriteClusterAsync(int(start), pageBufs(pages), done)
-	} else {
-		err = s.mach.Swap.WriteClusterAsync(start, pageBufs(pages), done)
-	}
-	if err != nil {
+	if vn == nil {
+		s.mach.Swap.WriteClusterAsync(start, pageBufs(pages), done)
+	} else if err = vn.WriteClusterAsync(int(start), pageBufs(pages), done); err != nil {
 		// Malformed request, reported synchronously: done is never called.
-		fl.runDone(pages, vn == nil, err)
+		fl.runDone(pages, false, err)
 		return
 	}
 	fl.issued += len(pages)

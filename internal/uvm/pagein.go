@@ -21,8 +21,8 @@ import (
 // command. There is one rule for every backing store: a pagein fills the
 // fault's advice window with one I/O. How far a run may reach is the
 // pager's decision (that is why get allocates the pages), inside what the
-// caller is prepared to use — a fault, the entry's advice window clipped
-// to the entry; file read/write, the rest of the request:
+// fault is prepared to use — the entry's advice window clipped to the
+// entry:
 //
 //   - The vnode pager reads the maximal stretch of non-resident pages
 //     around the faulting index inside that range (and inside the file). A
@@ -68,7 +68,7 @@ import (
 
 // pageinStack is how many pages of a run a pagein keeps on its own stack:
 // the deepest advice window (sequential — the page and eight ahead). Only
-// a longer run, such as a file read's, spills to the heap.
+// a longer run spills to the heap.
 const pageinStack = 9
 
 // pageinPage is one frame of a pagein and the place it attaches.
@@ -156,7 +156,7 @@ func (s *System) finishRun(r pagein, err error) error {
 // nobody joins costs no allocation.
 type cluster struct {
 	centre, window int64
-	lo, hi         int64 // a run stays within [lo, hi]: the window, cut at the swap device's edge
+	lo, hi         int64 // a run stays within [lo, hi], the window
 	centreID       int   // the enumerator's name for the centre's owner
 	ids            []int // by block-lo: 1 + the name of the block's owner, 0 for none
 }
@@ -164,12 +164,6 @@ type cluster struct {
 func newCluster(centre int64, id, window int) cluster {
 	w := int64(window)
 	return cluster{centre: centre, window: w, lo: centre - w + 1, hi: centre + w - 1, centreID: id}
-}
-
-// clip keeps the run inside [lo, hi): cluster I/O never crosses a swap
-// device. Called before the first offer.
-func (c *cluster) clip(lo, hi int64) {
-	c.lo, c.hi = max(c.lo, lo), min(c.hi, hi-1)
 }
 
 // id returns the name entered for blk's owner.
@@ -184,8 +178,8 @@ func (c *cluster) id(blk int64) (int, bool) {
 	return id - 1, id != 0
 }
 
-// offer enters blk as a candidate unless it lies off the centre's
-// device, outside the window, or is already claimed.
+// offer enters blk as a candidate unless it lies outside the window or
+// is already claimed.
 func (c *cluster) offer(blk int64, id int) bool {
 	if _, dup := c.id(blk); dup || blk < c.lo || blk > c.hi {
 		return false
@@ -262,7 +256,7 @@ func (s *System) pageinAnons(am *amap, run []*anon, centre *anon, pages []pagein
 
 // anonRun returns, in slot order, a and the neighbours of a in am that
 // one I/O can bring in with it: walking outward from slot, ahead and then
-// behind, inside amap slots [lo, hi] and a's swap device, each neighbour
+// behind, inside amap slots [lo, hi] and the swap disk, each neighbour
 // joins while it holds exactly the next swap slot (swappedAt), and the
 // first that does not ends the walk on its side. At most limit anons; the
 // neighbours returned are locked. buf is scratch for a window that fits it.
@@ -270,13 +264,13 @@ func (s *System) anonRun(am *amap, a *anon, slot, lo, hi, limit int, buf []*anon
 	if hi-lo >= len(buf) {
 		buf = make([]*anon, hi-lo+1)
 	}
-	devLo, devHi := s.mach.Swap.DeviceBounds(a.swslot) // a run never crosses a swap device
-	first, last := slot, slot                          // the run so far; slot i of am is buf[i-lo]
+	slots := s.mach.Swap.Slots()
+	first, last := slot, slot // the run so far; slot i of am is buf[i-lo]
 	buf[slot-lo] = a
 	for _, step := range [2]int{+1, -1} {
 		for i := slot + step; lo <= i && i <= hi && last-first+1 < limit; i += step {
 			want := a.swslot + int64(i-slot)
-			if want < devLo || want >= devHi {
+			if want < 0 || want >= slots {
 				break
 			}
 			if buf[i-lo] = am.swappedAt(i, want); buf[i-lo] == nil {
@@ -382,9 +376,6 @@ func (s *System) objNeighbours(o *uobject, idx int, blk int64, pg *phys.Page, lo
 		return ok && cur == b && o.pages[n] == nil
 	}
 	c := newCluster(blk, idx, window)
-	if o.vnode == nil {
-		c.clip(s.mach.Swap.DeviceBounds(blk))
-	}
 	for n := lo; n <= hi; n++ {
 		if b, ok := o.blockOf(n); ok && o.pages[n] == nil {
 			c.offer(b, n)
@@ -433,12 +424,12 @@ func (s *System) objNeighbours(o *uobject, idx int, blk int64, pg *phys.Page, lo
 // objPage returns page idx of o, resident: the pager's get brings it in
 // if need be — the pager allocates the page itself (§6), and may fill
 // other non-resident pages of [lo, hi], the range the caller is prepared
-// to use, with the same I/O. A Busy page belongs to a flight; unless
-// busyOK the call sleeps until the completion gives it back. Called with
+// to use, with the same I/O. A Busy page belongs to a flight; the call
+// sleeps until the completion gives it back. Called with
 // o.mu held; both get (around its allocations) and the sleep drop it, so
 // the page is looked up afresh after each — get's raced path can hand
 // back a page that a concurrent flush claimed in that window.
-func (s *System) objPage(o *uobject, idx, lo, hi int, busyOK bool) (*phys.Page, error) {
+func (s *System) objPage(o *uobject, idx, lo, hi int) (*phys.Page, error) {
 	for {
 		pg, ok := o.pages[idx]
 		if !ok {
@@ -447,7 +438,7 @@ func (s *System) objPage(o *uobject, idx, lo, hi int, busyOK bool) (*phys.Page, 
 				return nil, err
 			}
 		}
-		if busyOK || !pg.Busy.Load() {
+		if !pg.Busy.Load() {
 			return pg, nil
 		}
 		s.waitObjPageIdle(o, pg)

@@ -22,10 +22,11 @@ import (
 // noclustering: DisableClustering} x outcome {healthy disk; read error on
 // the faulting page's block; read error on a neighbour's block only; a
 // neighbour that drops out — an anon that is TryLock-busy, already
-// resident, holding a slot that is not the next one, or sitting across a
-// swap device's edge, each of which ends the walk on its side of the fault
-// and leaves the other side alone; an aobj page made resident or stripped
-// of its slot while o.mu is down for a frame allocation}, plus the vnode
+// resident, holding a slot that is not the next one, or one that would
+// need the slot past the swap device's last, each of which ends the walk
+// on its side of the fault and leaves the other side alone; an aobj page
+// made resident or stripped of its slot while o.mu is down for a frame
+// allocation}, plus the vnode
 // owner under the first two shapes — a file pagein does not look at
 // PageinCluster, so both fill the advice window. Each such cell builds an
 // eight-page region whose data sits on backing store — paged out in a
@@ -40,8 +41,8 @@ import (
 func TestPageinTable(t *testing.T) {
 	for _, owner := range []string{"anon", "aobj", "vnode"} {
 		for _, shape := range []string{"single", "cluster", "random", "noclustering"} {
-			for _, outcome := range []string{"ok", "centre-err", "nbr-err", "nbr-busy", "nbr-resident", "nbr-noslot", "nbr-moved", "dev-edge"} {
-				anonOnly := outcome == "nbr-busy" || outcome == "nbr-moved" || outcome == "dev-edge"
+			for _, outcome := range []string{"ok", "centre-err", "nbr-err", "nbr-busy", "nbr-resident", "nbr-noslot", "nbr-moved", "swap-edge"} {
+				anonOnly := outcome == "nbr-busy" || outcome == "nbr-moved" || outcome == "swap-edge"
 				switch {
 				case (shape == "random" || shape == "noclustering") && (outcome != "ok" || owner == "vnode"), // the file half has the vnode's
 					outcome == "nbr-err" && (shape == "single" || owner == "vnode"), // a run of one has no neighbours
@@ -78,8 +79,8 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 	const n = 8
 	centre := 3
 	mc := vmapi.MachineConfig{RAMPages: 256, SwapPages: 256, FSPages: 1024, MaxVnodes: 8}
-	if outcome == "dev-edge" {
-		mc.SwapPages = n + 4 // the region's cluster, and four slots up to the device's edge
+	if outcome == "swap-edge" {
+		mc.SwapPages = n + 4 // the region's cluster, and four slots up to the device's end
 	}
 	m := vmapi.NewMachine(mc)
 	cfg := DefaultConfig()
@@ -191,22 +192,18 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 			t.Fatal(err)
 		}
 		moveTo(victim, spare)
-	case "dev-edge":
-		// Pages 0-3 to the last four slots of the first device, pages 4-7 to
-		// the first four of a second one: consecutive slot numbers throughout,
-		// and a fault on page 4 whose neighbour behind is one device away.
-		m.Swap.AddDevice(disk.New(m.Clock, m.Costs, m.Stats, 64), 1)
-		tail, err1 := m.Swap.AllocContig(4)
-		head, err2 := m.Swap.AllocContig(4)
-		if _, edge := m.Swap.DeviceBounds(tail); err1 != nil || err2 != nil || tail+4 != edge || head != edge {
-			t.Fatalf("slots %d (%v) and %d (%v) do not straddle the device edge at %d", tail, err1, head, err2, edge)
+	case "swap-edge":
+		// Pages 0-3 to the last four slots of the swap device: the fault on
+		// page 3 holds the last slot, so the walk ahead stops at Slots() and
+		// the run is the four pages behind it and nothing past the end.
+		tail, err := m.Swap.AllocContig(4)
+		if err != nil || tail+4 != m.Swap.Slots() {
+			t.Fatalf("slots %d (%v) do not end at the device's end %d", tail, err, m.Swap.Slots())
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i <= centre; i++ {
 			moveTo(i, tail+int64(i))
 		}
-		centre = 4
-		lo, hi = centre-3, n-1
-		victim = centre - 1
+		victim = centre + 1
 	case "nbr-resident", "nbr-noslot":
 		if owner == "anon" {
 			victim, pre = centre+2, true
@@ -437,8 +434,14 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 	case "nbr-err":
 		badBlock = c + 1
 	case "nbr-resident":
-		if n, err := s.FileRead(vn, (c+2)*param.PageSize, got[:1]); n != 1 || err != nil {
-			t.Fatalf("FileRead: n=%d err=%v", n, err)
+		o.mu.Lock()
+		pg, err := s.objPage(o, c+2, c+2, c+2)
+		if err == nil {
+			m.Mem.Activate(pg)
+		}
+		o.mu.Unlock()
+		if err != nil || !bytes.Equal(pg.Data, want(c+2)) {
+			t.Fatalf("objPage(%d): err=%v", c+2, err)
 		}
 		pre[c+2] = true
 	case "nbr-raced":
@@ -585,26 +588,6 @@ func TestColdFileTouchClustersReads(t *testing.T) {
 		if got := after[name] - before[name]; got != want {
 			t.Errorf("%s grew by %d, want %d", name, got, want)
 		}
-	}
-}
-
-// TestFileReadClustersReads: a FileRead of a whole cold file offers the
-// pager the rest of the request, so the file arrives with one command.
-func TestFileReadClustersReads(t *testing.T) {
-	s, m, vn := coldFile(t)
-	before := m.Stats.Snapshot()
-	buf := make([]byte, 8*param.PageSize)
-	if n, err := s.FileRead(vn, 0, buf); n != len(buf) || err != nil {
-		t.Fatalf("FileRead: n=%d err=%v", n, err)
-	}
-	for i := 0; i < 8; i++ {
-		if buf[i*param.PageSize] != 0xC0+byte(i) {
-			t.Fatalf("page %d reads %#x", i, buf[i*param.PageSize])
-		}
-	}
-	after := m.Stats.Snapshot()
-	if cmds, moved := after[sim.CtrDiskReads]-before[sim.CtrDiskReads], after[sim.CtrDiskPagesRead]-before[sim.CtrDiskPagesRead]; cmds != 1 || moved != 8 {
-		t.Errorf("%d read commands moved %d pages, want 1 moving 8", cmds, moved)
 	}
 }
 

@@ -112,7 +112,7 @@ func (p *Process) Mincore(addr param.VAddr, length param.VSize) ([]bool, error) 
 	if p.exited.Load() {
 		return nil, vmapi.ErrExited
 	}
-	if length == 0 {
+	if end := addr + param.VAddr(length); length == 0 || end < addr || end > param.UserMax {
 		return nil, vmapi.ErrInvalid
 	}
 	start := param.Trunc(addr)
@@ -134,13 +134,13 @@ func (p *Process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	if p.exited.Load() {
 		return 0, vmapi.ErrExited
 	}
+	length = param.RoundSize(length) // 0 also for a length that wraps
 	if length == 0 || !flags.Valid() || !param.PageAligned(param.VAddr(off)) {
 		return 0, vmapi.ErrInvalid
 	}
 	if (flags&vmapi.MapAnon != 0) == (vn != nil) {
 		return 0, vmapi.ErrInvalid
 	}
-	length = param.RoundSize(length)
 
 	s := p.sys
 	m := p.m
@@ -155,7 +155,7 @@ func (p *Process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	var removed []*entry
 	var va param.VAddr
 	if flags&vmapi.MapFixed != 0 {
-		if !param.PageAligned(addr) || addr+param.VAddr(length) > m.allocMax {
+		if end := addr + param.VAddr(length); !param.PageAligned(addr) || addr < m.min || end < addr || end > m.allocMax {
 			m.unlock()
 			return 0, vmapi.ErrInvalid
 		}

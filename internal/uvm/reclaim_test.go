@@ -315,6 +315,30 @@ func reclaimConcurrently(t *testing.T, async bool) {
 	}
 }
 
+// TestAnonLiveAfterFailedFault: a fault whose frame allocation reports
+// ErrDeadlock leaves no anon behind, so once the process exits the
+// uvm.anon.live gauge — the leak detector of the tests and examples —
+// reads 0.
+func TestAnonLiveAfterFailedFault(t *testing.T) {
+	const ram = 64
+	m := testMachine(ram)
+	s := BootConfig(m, DefaultConfig())
+	testutil.SweepOnCleanup(t, s)
+	p := newProc(t, s, "wirer")
+	va, _ := p.Mmap(0, 2*ram*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+	if err := p.Mlock(va, 2*ram*param.PageSize); err != vmapi.ErrDeadlock || m.Mem.FreePages() != 0 {
+		t.Fatalf("Mlock of twice RAM: %v with %d frames free, want ErrDeadlock with none", err, m.Mem.FreePages())
+	}
+	other, _ := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+	if err := p.Access(other, true); err != vmapi.ErrDeadlock {
+		t.Fatalf("touch with all of RAM wired: %v, want ErrDeadlock", err)
+	}
+	p.Exit()
+	if live := m.Stats.Get("uvm.anon.live"); live != 0 {
+		t.Fatalf("uvm.anon.live = %d after exit, want 0", live)
+	}
+}
+
 // TestStalledRoundReportsDeadlock wires all of RAM with Mlock, so
 // nothing is evictable and no write is in flight: the next allocation
 // must report ErrDeadlock, and promptly — after one fruitless pass,

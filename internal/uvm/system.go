@@ -147,12 +147,11 @@
 // pagein is a run of one.
 //
 // There is one rule for every backing store: a pagein fills the fault's
-// advice window with one I/O. A path that needs an object page (the
-// fault, file read/write) goes through objPage — a sleep on the flight
-// condvar while the page is Busy, the pager's get if it is not resident —
-// and tells get the index range it is prepared to use: a fault, the
-// entry's advice window clipped to the entry; file read/write, the rest of
-// the request. The pager decides how much of it one I/O brings in. The
+// advice window with one I/O. A fault that needs an object page goes
+// through objPage — a sleep on the flight condvar while the page is Busy,
+// the pager's get if it is not resident — and tells get the index range
+// it is prepared to use: the entry's advice window clipped to the entry.
+// The pager decides how much of it one I/O brings in. The
 // vnode pager reads the whole stretch of non-resident pages around the
 // faulting index inside that range and the file, so a cold sequential
 // touch of a file costs one disk command per advice window, and the
@@ -178,7 +177,7 @@
 // re-verified under the retaken lock, and objPagein starts over until the
 // page's state holds still; one builder (cluster) grows the faulting
 // block into a run over the blocks offered, left before right, inside the
-// window and — for swap — the slot's device. A cluster that cannot get
+// window. A cluster that cannot get
 // its frames or whose read fails degrades to the centre page alone — a
 // second run, of length one — and only that run's error fails the fault.
 package uvm
@@ -217,8 +216,8 @@ type Config struct {
 	// scanning; the completion frees the pages and releases their owners.
 	// An allocator whose pass only submitted waits for one completion.
 	AsyncPageout bool
-	// PageoutWindow bounds in-flight asynchronous cluster writes per
-	// swap device (backpressure on the reclaim scan). 0 means
+	// PageoutWindow bounds in-flight asynchronous cluster writes to the
+	// swap disk (backpressure on the reclaim scan). 0 means
 	// swap.DefaultAIOWindow.
 	PageoutWindow int
 	// PageinCluster caps the run of a swap-backed pagein, in pages. 0, the
@@ -288,8 +287,6 @@ type System struct {
 	ctrObjWbPages    sim.Counter
 	ctrPdRounds      sim.Counter
 	ctrPdFreed       sim.Counter
-	ctrUbcReads      sim.Counter
-	ctrUbcWrites     sim.Counter
 
 	// vnObjMu serialises vnode<->uvm_object identity: the create-or-ref
 	// decision in vnodeObject must be atomic across concurrent mappers
@@ -368,8 +365,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrObjWbPages = m.Stats.Counter(sim.CtrObjWbPages)
 	s.ctrPdRounds = m.Stats.Counter(sim.CtrPdRounds)
 	s.ctrPdFreed = m.Stats.Counter(sim.CtrPdFreed)
-	s.ctrUbcReads = m.Stats.Counter("uvm.ubc.reads")
-	s.ctrUbcWrites = m.Stats.Counter("uvm.ubc.writes")
 	s.flCond = sync.NewCond(&s.flMu)
 	s.kmap = s.newMap("kernel", param.KernelBase, param.KernelMax, true)
 

@@ -214,10 +214,6 @@ type FS struct {
 	aw *disk.AsyncWriter
 }
 
-// DrainWrites blocks until every asynchronous vnode cluster write
-// submitted so far has completed (its done callback has returned).
-func (fs *FS) DrainWrites() { fs.aw.Drain() }
-
 // NewFS creates a filesystem on dev with an in-core table of maxVnodes
 // vnodes (the kernel's `desiredvnodes`).
 func NewFS(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk, maxVnodes int) *FS {
