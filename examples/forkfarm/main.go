@@ -5,11 +5,10 @@
 // ever misses); under UVM the amap/anon reference counts make the whole
 // collapse machinery unnecessary.
 //
-//	go run ./examples/forkfarm [-profile hdd97|nvme|ramdisk]
+//	go run ./examples/forkfarm
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -25,11 +24,8 @@ const (
 )
 
 func main() {
-	profile := flag.String("profile", "", "machine profile: hdd97 | nvme | ramdisk (default hdd97)")
-	flag.Parse()
 	cfg := vmapi.MachineConfig{
 		RAMPages: 2048, SwapPages: 8192, FSPages: 1024, MaxVnodes: 100,
-		Profile: *profile,
 	}
 	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)

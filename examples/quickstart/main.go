@@ -1,11 +1,10 @@
 // Command quickstart boots a simulated machine, runs UVM on it, and exercises the
 // basic API — file mapping, copy-on-write, fork isolation, and paging.
 //
-//	go run ./examples/quickstart [-profile hdd97|nvme|ramdisk]
+//	go run ./examples/quickstart
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -15,15 +14,8 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "", "machine profile: hdd97 | nvme | ramdisk (default hdd97)")
-	flag.Parse()
-
-	// The paper's 32 MB testbed by default; -profile swaps the disk model
-	// and machine-size preset.
-	cfg, err := vmapi.ProfileConfig(*profile)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The paper's 32 MB testbed.
+	cfg := vmapi.DefaultConfig()
 	mach := vmapi.NewMachine(cfg)
 	sys := uvm.Boot(mach)
 

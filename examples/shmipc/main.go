@@ -2,11 +2,10 @@
 // consumers of anonymous memory — used for a producer/consumer ring
 // buffer between two processes, on both VM systems.
 //
-//	go run ./examples/shmipc [-profile hdd97|nvme|ramdisk]
+//	go run ./examples/shmipc
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -23,12 +22,7 @@ const (
 )
 
 func main() {
-	profile := flag.String("profile", "", "machine profile: hdd97 | nvme | ramdisk (default hdd97)")
-	flag.Parse()
-	cfg, err := vmapi.ProfileConfig(*profile)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cfg := vmapi.DefaultConfig()
 	for _, boot := range []vmapi.Booter{bsdvm.Boot, uvm.Boot} {
 		mach := vmapi.NewMachine(cfg)
 		sys := boot(mach)

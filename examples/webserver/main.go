@@ -4,11 +4,10 @@
 // disk speed even though memory is free; UVM — whose file pages live and
 // die with the vnode cache — keeps serving from memory (Figure 2).
 //
-//	go run ./examples/webserver [-profile hdd97|nvme|ramdisk]
+//	go run ./examples/webserver
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -19,14 +18,11 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "", "machine profile: hdd97 | nvme | ramdisk (default hdd97)")
-	flag.Parse()
 	cfg := vmapi.MachineConfig{
 		RAMPages:  96 << 20 >> 12, // plenty of RAM: the cache policy is the only limit
 		SwapPages: 32768,
 		FSPages:   65536,
 		MaxVnodes: 2000,
-		Profile:   *profile,
 	}
 	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)

@@ -3,11 +3,10 @@
 // moves it to a consumer three ways: classic double copy, page loanout +
 // page transfer (zero copy, COW preserved), and map entry passing.
 //
-//	go run ./examples/zerocopy [-profile hdd97|nvme|ramdisk]
+//	go run ./examples/zerocopy
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -19,13 +18,7 @@ import (
 const msgPages = 64 // 256 KB message
 
 func main() {
-	profile := flag.String("profile", "", "machine profile: hdd97 | nvme | ramdisk (default hdd97)")
-	flag.Parse()
-	cfg, err := vmapi.ProfileConfig(*profile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mach := vmapi.NewMachine(cfg)
+	mach := vmapi.NewMachine(vmapi.DefaultConfig())
 	sys := uvm.BootConfig(mach, uvm.DefaultConfig())
 
 	producer := mustProc(sys, "producer")

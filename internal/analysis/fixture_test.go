@@ -15,11 +15,11 @@ import (
 // cross-package summaries work) and returns every diagnostic.
 func runFixture(t *testing.T, pkgPaths []string, analyzers []*Analyzer, overlay func(string, []byte) []byte) []Diagnostic {
 	t.Helper()
-	res, err := LoadFixture("testdata", pkgPaths, overlay)
+	res, err := loadFixture("testdata", pkgPaths, overlay)
 	if err != nil {
 		t.Fatalf("load fixture %v: %v", pkgPaths, err)
 	}
-	diags, err := res.Run(analyzers)
+	diags, err := res.run(analyzers)
 	if err != nil {
 		t.Fatalf("run suite on %v: %v", pkgPaths, err)
 	}
@@ -182,7 +182,7 @@ func TestSuiteCleanOverRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	res, err := LoadPackages("../..", []string{"./..."})
+	res, err := loadPackages("../..", []string{"./..."})
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestSuiteCleanOverRealTree(t *testing.T) {
 			}
 		}
 	}
-	diags, err := res.Run(nil)
+	diags, err := res.run(nil)
 	if err != nil {
 		t.Fatalf("run suite: %v", err)
 	}

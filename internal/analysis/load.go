@@ -22,8 +22,8 @@ import (
 // library: module packages are parsed and checked from source (the
 // analyzers need syntax for the //uvm: directives), their standard
 // library imports are satisfied from the build cache's export data via
-// `go list -export` and the stdlib gc importer. LoadPackages and
-// LoadFixture differ only in where they find package sources; both
+// `go list -export` and the stdlib gc importer. loadPackages and
+// loadFixture differ only in where they find package sources; both
 // order the parsed packages with topoOrder and check them with checkAll.
 
 // LoadResult is a set of type-checked module packages in dependency
@@ -31,15 +31,15 @@ import (
 // visible to later ones through Target.Facts.
 type LoadResult struct {
 	Targets []*Target
-	// facts is filled by Run as it runs the suite over Targets in
+	// facts is filled by run as it runs the suite over Targets in
 	// order; each Target.Facts reads it.
 	facts map[string]*PackageFacts
 }
 
-// Run runs analyzers (nil for the full Suite) over every target in
+// run runs analyzers (nil for the full Suite) over every target in
 // dependency order, threading each package's facts to its importers, and
 // returns every diagnostic.
-func (r *LoadResult) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
+func (r *LoadResult) run(analyzers []*Analyzer) ([]Diagnostic, error) {
 	var all []Diagnostic
 	for _, t := range r.Targets {
 		diags, facts, err := RunSuite(t, analyzers)
@@ -67,10 +67,10 @@ type listedPackage struct {
 
 const parseMode = parser.ParseComments | parser.SkipObjectResolution
 
-// LoadPackages loads patterns (e.g. "./...") from dir. Only the
+// loadPackages loads patterns (e.g. "./...") from dir. Only the
 // packages' GoFiles are loaded: the suite audits production code, and
 // tests may freely range maps and read the wall clock.
-func LoadPackages(dir string, patterns []string) (*LoadResult, error) {
+func loadPackages(dir string, patterns []string) (*LoadResult, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -101,12 +101,12 @@ func LoadPackages(dir string, patterns []string) (*LoadResult, error) {
 	return checkAll(fset, order, listed)
 }
 
-// LoadFixture loads fixture packages from srcRoot/src/<importpath>,
+// loadFixture loads fixture packages from srcRoot/src/<importpath>,
 // resolving fixture-to-fixture imports under the same root and
 // everything else from the standard library. overlay, if non-nil, may
 // rewrite each file's source before parsing (the mutation-verification
 // tests strip waiver directives with it).
-func LoadFixture(srcRoot string, pkgPaths []string, overlay func(filename string, src []byte) []byte) (*LoadResult, error) {
+func loadFixture(srcRoot string, pkgPaths []string, overlay func(filename string, src []byte) []byte) (*LoadResult, error) {
 	fset := token.NewFileSet()
 	fixtures := make(map[string]*listedPackage)
 	var stdNeeded []string

@@ -517,8 +517,8 @@ func TestObjectCacheKeepsPagesResident(t *testing.T) {
 	p.TouchRange(va, 4*param.PageSize, false)
 	p.Munmap(va, 4*param.PageSize)
 	vn.Unref()
-	if s.ObjCacheSize() != 1 {
-		t.Fatalf("object cache size = %d after unmap", s.ObjCacheSize())
+	if s.objCacheSize() != 1 {
+		t.Fatalf("object cache size = %d after unmap", s.objCacheSize())
 	}
 
 	// Remap: no disk reads needed, pages persisted.
@@ -564,8 +564,8 @@ func TestObjectCacheLimitEviction(t *testing.T) {
 		m.FS.Create(name, param.PageSize, func(_ int, b []byte) { b[0] = byte(i) })
 		touch(name)
 	}
-	if s.ObjCacheSize() != 5 {
-		t.Fatalf("cache size = %d, want limit 5", s.ObjCacheSize())
+	if s.objCacheSize() != 5 {
+		t.Fatalf("cache size = %d, want limit 5", s.objCacheSize())
 	}
 	if m.Stats.Get("bsdvm.objcache.evictions") != 5 {
 		t.Fatalf("evictions = %d", m.Stats.Get("bsdvm.objcache.evictions"))

@@ -87,7 +87,7 @@ func TestDisableObjCache(t *testing.T) {
 	va, _ := p.Mmap(0, 2*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
 	p.TouchRange(va, 2*param.PageSize, false)
 	p.Munmap(va, 2*param.PageSize)
-	if s.ObjCacheSize() != 0 {
+	if s.objCacheSize() != 0 {
 		t.Fatal("object cached despite DisableObjCache")
 	}
 	// Remapping re-reads the disk (no cache).

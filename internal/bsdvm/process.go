@@ -126,9 +126,6 @@ func (p *process) MapEntryCount() int {
 	return p.m.n
 }
 
-// ResidentPages implements vmapi.Process.
-func (p *process) ResidentPages() int { return p.pm.ResidentCount() }
-
 // Mincore implements vmapi.Process: per-page residency of the range.
 func (p *process) Mincore(addr param.VAddr, length param.VSize) ([]bool, error) {
 	if p.exited {

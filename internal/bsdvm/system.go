@@ -190,9 +190,9 @@ func (s *System) TotalMapEntries() int {
 	return total
 }
 
-// ObjCacheSize reports the number of objects in the VM object cache
+// objCacheSize reports the number of objects in the VM object cache
 // (test/experiment helper).
-func (s *System) ObjCacheSize() int {
+func (s *System) objCacheSize() int {
 	s.big.Lock()
 	defer s.big.Unlock()
 	return s.cache.size()

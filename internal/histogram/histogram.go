@@ -13,9 +13,8 @@
 // from any number of goroutines.
 //
 // Recording is lock-free but not snapshot-consistent: a Quantile taken
-// while writers are still recording sees some prefix of their updates.
-// The intended protocol is one shard per worker, Merged after the
-// workers join, which also keeps the hot cells out of false sharing.
+// while writers are still recording sees some prefix of their updates,
+// so read a histogram after its writers are done.
 package histogram
 
 import (
@@ -101,26 +100,6 @@ func (h *Hist) Count() int64 { return h.count.Load() }
 // Max returns the largest recorded value exactly (not bucket-rounded);
 // zero if nothing was recorded.
 func (h *Hist) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Merge folds o's observations into h. The usual pattern is one shard
-// per worker goroutine, merged after the workers join; merging a shard
-// that is still being recorded into yields a prefix, not corruption.
-func (h *Hist) Merge(o *Hist) {
-	total := int64(0)
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-			total += n
-		}
-	}
-	h.count.Add(total)
-	for {
-		cur, om := h.max.Load(), o.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-}
 
 // Quantile returns the value at quantile q in [0, 1]: the upper bound of
 // the bucket holding the ⌈q·count⌉-th smallest observation (so

@@ -114,77 +114,47 @@ func TestEmptyHist(t *testing.T) {
 	}
 }
 
-// TestMergeShards checks that per-worker shards merged into one
-// histogram report exactly what a single histogram fed all the
-// observations would: counts add, buckets add, the max propagates.
-func TestMergeShards(t *testing.T) {
-	shards := []*Hist{New(), New(), New()}
-	whole := New()
-	v := time.Duration(1)
-	for i := 0; i < 300; i++ {
-		shards[i%3].Record(v)
-		whole.Record(v)
-		v = (v*7 + 3) % 100_000 // deterministic spread over several ranges
-	}
-	merged := New()
-	for _, sh := range shards {
-		merged.Merge(sh)
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("merged count %d != whole count %d", merged.Count(), whole.Count())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
-		if m, w := merged.Quantile(q), whole.Quantile(q); m != w {
-			t.Errorf("Quantile(%v): merged %v != whole %v", q, m, w)
-		}
-	}
-	if merged.Max() != whole.Max() {
-		t.Errorf("merged max %v != whole max %v", merged.Max(), whole.Max())
-	}
-}
-
 // TestHistConcurrentRecord is the -race stress: 8 goroutines hammer one
-// histogram (the shared-sink pattern) while 8 more record into private
-// shards that are merged after the join. Totals must come out exact.
+// histogram (the shared-sink pattern). Totals must come out exact, and
+// after the join every quantile must match a histogram fed the same
+// observations from one goroutine.
 func TestHistConcurrentRecord(t *testing.T) {
 	const (
 		workers = 8
 		perW    = 20_000
 	)
-	shared := New()
-	shards := make([]*Hist, workers)
-	for i := range shards {
-		shards[i] = New()
+	stream := func(w int, record func(time.Duration)) {
+		v := time.Duration(w + 1)
+		for i := 0; i < perW; i++ {
+			record(v)
+			v = (v*13 + 7) % 1_000_000
+		}
 	}
+	shared := New()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			v := time.Duration(w + 1)
-			for i := 0; i < perW; i++ {
-				shared.Record(v)
-				shards[w].Record(v)
-				v = (v*13 + 7) % 1_000_000
-			}
+			stream(w, shared.Record)
 		}(w)
 	}
 	wg.Wait()
 	if shared.Count() != workers*perW {
 		t.Errorf("shared count = %d, want %d", shared.Count(), workers*perW)
 	}
-	merged := New()
-	for _, sh := range shards {
-		merged.Merge(sh)
+	serial := New()
+	for w := 0; w < workers; w++ {
+		stream(w, serial.Record)
 	}
-	if merged.Count() != workers*perW {
-		t.Errorf("merged count = %d, want %d", merged.Count(), workers*perW)
-	}
-	// Identical observation streams: the shared sink and the merged
-	// shards must agree bucket-for-bucket, so every quantile matches.
+	// Identical observations: the shared sink and the serial one must
+	// agree bucket-for-bucket, so every quantile and the max match.
 	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if s, m := shared.Quantile(q), merged.Quantile(q); s != m {
-			t.Errorf("Quantile(%v): shared %v != merged %v", q, s, m)
+		if s, r := shared.Quantile(q), serial.Quantile(q); s != r {
+			t.Errorf("Quantile(%v): shared %v != serial %v", q, s, r)
 		}
+	}
+	if shared.Max() != serial.Max() {
+		t.Errorf("shared max %v != serial max %v", shared.Max(), serial.Max())
 	}
 }

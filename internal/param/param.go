@@ -55,9 +55,6 @@ const (
 	ProtRW  = ProtRead | ProtWrite
 	ProtRX  = ProtRead | ProtExec
 	ProtRWX = ProtRead | ProtWrite | ProtExec
-
-	// ProtAll is the maximum protection any mapping may carry.
-	ProtAll = ProtRWX
 )
 
 // Allows reports whether p grants every bit in want.
@@ -146,9 +143,6 @@ func Trunc(va VAddr) VAddr { return va &^ VAddr(PageMask) }
 
 // Round rounds a virtual address up to a page boundary.
 func Round(va VAddr) VAddr { return (va + VAddr(PageMask)) &^ VAddr(PageMask) }
-
-// TruncSize rounds a size down to a whole number of pages.
-func TruncSize(sz VSize) VSize { return sz &^ VSize(PageMask) }
 
 // RoundSize rounds a size up to a whole number of pages.
 func RoundSize(sz VSize) VSize { return (sz + VSize(PageMask)) &^ VSize(PageMask) }

@@ -73,13 +73,13 @@ func (m *Mem) SetAllocCaches(n, batch int) {
 	m.allocBatch = batch
 }
 
-// AllocCaches returns the number of configured magazines (0 when the
+// allocCaches returns the number of configured magazines (0 when the
 // per-CPU caches are disabled and allocation runs on the global pool).
-func (m *Mem) AllocCaches() int { return len(m.caches) }
+func (m *Mem) allocCaches() int { return len(m.caches) }
 
 // CachedFreePages counts the free frames currently parked in magazines.
-// Together with FreeListLen it partitions FreePages when the system is
-// quiescent; the property tests assert exactly that.
+// Together with the global pool's free lists it partitions FreePages
+// when the system is quiescent; the property tests assert exactly that.
 func (m *Mem) CachedFreePages() int {
 	n := 0
 	for _, c := range m.caches {

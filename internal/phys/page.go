@@ -1,6 +1,6 @@
 // Package phys models physical memory: the vm_page array, the free list,
-// and the active/inactive page queues that the pagedaemons of both VM
-// systems scan.
+// and the active/inactive page queues that UVM's single-flight reclaim
+// pass and BSD VM's pagedaemon scan.
 //
 // Unlike a pure counter model, every frame carries a real 4 KB data
 // buffer. Copy-on-write, page loanout, swap round-trips and file I/O are
@@ -12,7 +12,7 @@
 // membership under a per-shard mutex, so page allocation and LRU queue
 // traffic from independent faulting goroutines does not serialise on one
 // lock. A global monotonic sequence number is stamped on every queue
-// insertion, and the pagedaemon entry points (ScanInactive,
+// insertion, and the reclaim entry points (ScanInactive,
 // RefillInactive) merge the shards in sequence order — the observable LRU
 // order is therefore identical to a single global queue, which keeps
 // single-threaded simulations deterministic and bit-for-bit comparable
@@ -56,9 +56,9 @@
 // Page state bits (Dirty, Referenced, Busy, WireCount, LoanCount) are
 // atomics: they are read lock-free by queue scans while being written
 // under the owning VM structure's lock. Page *identity* (Owner, Off) is
-// guarded by a small per-page mutex so the pagedaemon can safely chase a
-// page's owner while loan-break and teardown paths re-home or orphan the
-// frame.
+// guarded by a small per-page mutex so the single-flight reclaim pass can
+// safely chase a page's owner while loan-break and teardown paths re-home
+// or orphan the frame.
 package phys
 
 import (
@@ -83,7 +83,6 @@ const (
 	QueueFree
 	QueueActive
 	QueueInactive
-	QueueWired // not a real queue: wired pages are off all queues
 )
 
 // NumShards is the page-queue shard count, and so the number of distinct
@@ -102,7 +101,7 @@ type Page struct {
 	// page. The concrete types belong to the VM system that allocated the
 	// page (a memory object or an anon). Guarded by mu, because loan
 	// orphaning and loan-break change a page's owner while other paths
-	// (the pagedaemon, loan teardown) are inspecting it.
+	// (the single-flight reclaim pass, loan teardown) are inspecting it.
 	//uvm:lock pageident
 	mu    sync.Mutex
 	owner any
@@ -515,11 +514,11 @@ func (m *Mem) Activate(p *Page) {
 }
 
 // ActivateIfInactive gives a page a second chance — but only if it is
-// still on the inactive queue. The pagedaemon works from a lock-free
-// snapshot; by the time it decides a page deserves reactivation the
-// frame may have been freed (or reallocated and even wired) by its
-// owner, and blindly activating it would pull a free frame off the free
-// list forever. Reports whether the page was moved.
+// still on the inactive queue. The single-flight reclaim pass works from
+// a lock-free snapshot; by the time it decides a page deserves
+// reactivation the frame may have been freed (or reallocated and even
+// wired) by its owner, and blindly activating it would pull a free frame
+// off the free list forever. Reports whether the page was moved.
 func (m *Mem) ActivateIfInactive(p *Page) bool {
 	seq := m.seqCtr.Add(1)
 	sh := m.shardOf(p)
@@ -584,9 +583,10 @@ const scanStack = 512
 // ScanInactive calls fn on up to max pages in global LRU order from the
 // inactive queue. fn runs without any queue lock held so it may call back
 // into Mem; the scan snapshots candidates first, skipping busy, wired and
-// loaned pages. This is the pagedaemon's entry point. The shards are
-// merged by sequence stamp, so the visit order matches what a single
-// global inactive queue would produce.
+// loaned pages. This is the entry point of UVM's single-flight reclaim
+// pass and of BSD VM's pagedaemon. The shards are merged by sequence
+// stamp, so the visit order matches what a single global inactive queue
+// would produce.
 //
 // Each shard's candidates are snapshotted under its lock into one segment
 // of a shared buffer. A segment is in queue order, which is stamp order
@@ -649,7 +649,8 @@ func (m *Mem) ScanInactive(max int, fn func(*Page) bool) {
 
 // RefillInactive moves up to n pages from the global LRU head of the
 // active queue to the inactive queue (the clock-hand "page aging" step
-// both pagedaemons perform when the inactive queue runs short).
+// the single-flight reclaim pass and BSD VM's pagedaemon perform when the
+// inactive queue runs short).
 // Referenced pages get a second chance: their reference bit is cleared
 // and they return to the active tail. All shards are locked for the
 // duration so the merge sees a consistent ordering.
@@ -705,10 +706,10 @@ func (m *Mem) RefillInactive(n int) int {
 	return moved
 }
 
-// FreeListLen counts the global pool's free lists directly (debug
+// freeListLen counts the global pool's free lists directly (debug
 // helper). Frames parked in per-CPU magazines are not included; see
 // CachedFreePages for those.
-func (m *Mem) FreeListLen() int {
+func (m *Mem) freeListLen() int {
 	n := 0
 	for i := range m.shards {
 		sh := &m.shards[i]

@@ -390,8 +390,8 @@ func TestFreeCountTracksAllocFree(t *testing.T) {
 		}
 	}
 	// The lock-free counter must agree with the actual lists.
-	if m.FreePages() != m.FreeListLen() {
-		t.Fatalf("counter %d != free lists %d", m.FreePages(), m.FreeListLen())
+	if m.FreePages() != m.freeListLen() {
+		t.Fatalf("counter %d != free lists %d", m.FreePages(), m.freeListLen())
 	}
 }
 

@@ -109,7 +109,7 @@ func propMem(k, batch, npages int) *Mem {
 // selection. It reports invariant-1 violations via t.
 func propStep(t testing.TB, m *Mem, op, arg int, live map[*Page]bool, order *[]*Page) {
 	t.Helper()
-	k := m.AllocCaches()
+	k := m.allocCaches()
 	switch op {
 	case 0, 1, 2: // alloc on CPU arg (weighted: allocation dominates)
 		pg, err := m.AllocCPU(arg%k, nil, 0, false)

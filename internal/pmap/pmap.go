@@ -572,8 +572,8 @@ func (p *Pmap) ResidentCount() int {
 	return len(p.pt)
 }
 
-// WiredCount returns the number of wired translations.
-func (p *Pmap) WiredCount() int {
+// wiredCount returns the number of wired translations.
+func (p *Pmap) wiredCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.wired
@@ -645,8 +645,8 @@ func (m *MMU) PageProtect(pg *phys.Page, prot param.Prot) {
 	}
 }
 
-// PageMappings returns how many translations currently map pg.
-func (m *MMU) PageMappings(pg *phys.Page) int {
+// pageMappings returns how many translations currently map pg.
+func (m *MMU) pageMappings(pg *phys.Page) int {
 	b := m.bucketOf(pg)
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -654,10 +654,4 @@ func (m *MMU) PageMappings(pg *phys.Page) int {
 		return 0
 	}
 	return 1 + len(pg.PV.More)
-}
-
-// PageReferenced gathers and clears the simulated reference bit for pg.
-// (On real hardware this scans PTE reference bits via the pv list.)
-func (m *MMU) PageReferenced(pg *phys.Page) bool {
-	return pg.Referenced.Swap(false)
 }

@@ -54,8 +54,8 @@ func TestEnterExtract(t *testing.T) {
 	if pm.ResidentCount() != 1 {
 		t.Fatalf("resident = %d", pm.ResidentCount())
 	}
-	if f.mmu.PageMappings(pg) != 1 {
-		t.Fatalf("pv count = %d", f.mmu.PageMappings(pg))
+	if f.mmu.pageMappings(pg) != 1 {
+		t.Fatalf("pv count = %d", f.mmu.pageMappings(pg))
 	}
 }
 
@@ -81,10 +81,10 @@ func TestReplaceTranslation(t *testing.T) {
 	if pte.Page != b || pte.Prot != param.ProtRW {
 		t.Fatalf("replacement failed: %+v", pte)
 	}
-	if f.mmu.PageMappings(a) != 0 {
+	if f.mmu.pageMappings(a) != 0 {
 		t.Fatal("stale pv entry on replaced page")
 	}
-	if f.mmu.PageMappings(b) != 1 {
+	if f.mmu.pageMappings(b) != 1 {
 		t.Fatal("missing pv entry on new page")
 	}
 	if pm.ResidentCount() != 1 {
@@ -112,7 +112,7 @@ func TestRemoveRange(t *testing.T) {
 	if _, ok := pm.Lookup(va0 + param.PageSize); ok {
 		t.Fatal("middle page survived")
 	}
-	if f.mmu.PageMappings(pages[1]) != 0 || f.mmu.PageMappings(pages[2]) != 0 {
+	if f.mmu.pageMappings(pages[1]) != 0 || f.mmu.pageMappings(pages[2]) != 0 {
 		t.Fatal("pv entries survived removal")
 	}
 }
@@ -161,7 +161,7 @@ func TestPageProtectAllSpaces(t *testing.T) {
 	if p1.ResidentCount() != 0 || p2.ResidentCount() != 0 {
 		t.Fatal("ProtNone left mappings behind")
 	}
-	if f.mmu.PageMappings(pg) != 0 {
+	if f.mmu.pageMappings(pg) != 0 {
 		t.Fatal("pv list not emptied")
 	}
 }
@@ -171,22 +171,22 @@ func TestWiring(t *testing.T) {
 	pm := f.mmu.NewPmap("p")
 	pg := f.page(t)
 	pm.Enter(va0, pg, param.ProtRW, true)
-	if pm.WiredCount() != 1 {
-		t.Fatalf("wired = %d", pm.WiredCount())
+	if pm.wiredCount() != 1 {
+		t.Fatalf("wired = %d", pm.wiredCount())
 	}
 	pm.ChangeWiring(va0, false)
-	if pm.WiredCount() != 0 {
-		t.Fatalf("unwire failed: %d", pm.WiredCount())
+	if pm.wiredCount() != 0 {
+		t.Fatalf("unwire failed: %d", pm.wiredCount())
 	}
 	pm.ChangeWiring(va0, true)
 	pm.ChangeWiring(va0, true) // idempotent
-	if pm.WiredCount() != 1 {
-		t.Fatalf("double wire counted twice: %d", pm.WiredCount())
+	if pm.wiredCount() != 1 {
+		t.Fatalf("double wire counted twice: %d", pm.wiredCount())
 	}
 	// Replacing a wired translation with an unwired one drops the count.
 	pm.Enter(va0, pg, param.ProtRW, false)
-	if pm.WiredCount() != 0 {
-		t.Fatalf("replace did not unwire: %d", pm.WiredCount())
+	if pm.wiredCount() != 0 {
+		t.Fatalf("replace did not unwire: %d", pm.wiredCount())
 	}
 }
 
@@ -228,9 +228,9 @@ func TestRemoveAll(t *testing.T) {
 		pm.Enter(va0+param.VAddr(i)*param.PageSize, f.page(t), param.ProtRW, i == 0)
 	}
 	pm.RemoveAll()
-	if pm.ResidentCount() != 0 || pm.WiredCount() != 0 || pm.PTPages() != 0 {
+	if pm.ResidentCount() != 0 || pm.wiredCount() != 0 || pm.PTPages() != 0 {
 		t.Fatalf("teardown incomplete: res=%d wired=%d pt=%d",
-			pm.ResidentCount(), pm.WiredCount(), pm.PTPages())
+			pm.ResidentCount(), pm.wiredCount(), pm.PTPages())
 	}
 }
 
@@ -241,27 +241,15 @@ func TestSharedPageAcrossSpaces(t *testing.T) {
 	pg := f.page(t)
 	p1.Enter(va0, pg, param.ProtRW, false)
 	p2.Enter(va0, pg, param.ProtRead, false)
-	if f.mmu.PageMappings(pg) != 2 {
-		t.Fatalf("pv count = %d", f.mmu.PageMappings(pg))
+	if f.mmu.pageMappings(pg) != 2 {
+		t.Fatalf("pv count = %d", f.mmu.pageMappings(pg))
 	}
 	p1.Remove(va0, va0+param.PageSize)
-	if f.mmu.PageMappings(pg) != 1 {
-		t.Fatalf("pv count after one removal = %d", f.mmu.PageMappings(pg))
+	if f.mmu.pageMappings(pg) != 1 {
+		t.Fatalf("pv count after one removal = %d", f.mmu.pageMappings(pg))
 	}
 	pte, ok := p2.Lookup(va0)
 	if !ok || pte.Page != pg {
 		t.Fatal("other space's mapping disturbed")
-	}
-}
-
-func TestPageReferenced(t *testing.T) {
-	f := newFixture(2)
-	pg := f.page(t)
-	pg.Referenced.Store(true)
-	if !f.mmu.PageReferenced(pg) {
-		t.Fatal("reference bit not seen")
-	}
-	if f.mmu.PageReferenced(pg) {
-		t.Fatal("reference bit not cleared")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // frame mapped 1, 2 or 5 times (once per pmap, so the first pmap holds
 // the inline entry and the rest sit in the overflow), then one operation
 // on the mapping of a victim pmap — the inline holder or the last
-// overflow entry — or on the page. Every cell asserts PageMappings, every
+// overflow entry — or on the page. Every cell asserts pageMappings, every
 // pmap's Lookup, the pv <-> page-table inverse, and that the frame, once
 // unmapped and freed, carries no pv entry into its next owner.
 func TestPVInFrameTable(t *testing.T) {
@@ -98,11 +98,11 @@ func TestPVInFrameTable(t *testing.T) {
 							t.Errorf("%v: translation %v survived", pm, pte)
 						}
 					}
-					if got := f.mmu.PageMappings(pg); got != want {
-						t.Errorf("PageMappings = %d, want %d", got, want)
+					if got := f.mmu.pageMappings(pg); got != want {
+						t.Errorf("pageMappings = %d, want %d", got, want)
 					}
-					if got := f.mmu.PageMappings(other); got != wantOther {
-						t.Errorf("PageMappings(replacement) = %d, want %d", got, wantOther)
+					if got := f.mmu.pageMappings(other); got != wantOther {
+						t.Errorf("pageMappings(replacement) = %d, want %d", got, wantOther)
 					}
 					checkInverse(t, f, pms)
 
@@ -116,11 +116,11 @@ func TestPVInFrameTable(t *testing.T) {
 					next := f.mmu.NewPmap("next")
 					for f.mem.FreePages() > 0 {
 						np := f.page(t)
-						if got := f.mmu.PageMappings(np); got != 0 {
+						if got := f.mmu.pageMappings(np); got != 0 {
 							t.Errorf("frame PA=%#x was allocated carrying %d pv entries", np.PA, got)
 						}
 						next.Enter(va0+param.VAddr(np.PA), np, param.ProtRead, false)
-						if got := f.mmu.PageMappings(np); got != 1 {
+						if got := f.mmu.pageMappings(np); got != 1 {
 							t.Errorf("frame PA=%#x has %d mappings after its first Enter", np.PA, got)
 						}
 					}

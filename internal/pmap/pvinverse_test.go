@@ -167,7 +167,7 @@ func (f *pvFuzzer) step() {
 			case 1:
 				f.mmu.PageProtect(pg, param.ProtRead)
 			default:
-				f.mmu.PageMappings(pg)
+				f.mmu.pageMappings(pg)
 			}
 		case 4: // wiring flips
 			f.pm.ChangeWiring(f.va(f.rng.Intn(f.nva)), f.rng.Intn(2) == 0)
@@ -273,16 +273,16 @@ func TestEnterBatchMatchesEnter(t *testing.T) {
 	bpm.EnterBatch(seq(bpgs))
 
 	if spm.ResidentCount() != bpm.ResidentCount() ||
-		spm.WiredCount() != bpm.WiredCount() ||
+		spm.wiredCount() != bpm.wiredCount() ||
 		spm.PTPages() != bpm.PTPages() {
 		t.Fatalf("bookkeeping diverged: single res=%d wired=%d pt=%d, batched res=%d wired=%d pt=%d",
-			spm.ResidentCount(), spm.WiredCount(), spm.PTPages(),
-			bpm.ResidentCount(), bpm.WiredCount(), bpm.PTPages())
+			spm.ResidentCount(), spm.wiredCount(), spm.PTPages(),
+			bpm.ResidentCount(), bpm.wiredCount(), bpm.PTPages())
 	}
 	for i := range spgs {
-		if single.mmu.PageMappings(spgs[i]) != batched.mmu.PageMappings(bpgs[i]) {
+		if single.mmu.pageMappings(spgs[i]) != batched.mmu.pageMappings(bpgs[i]) {
 			t.Fatalf("page %d: pv count %d (single) vs %d (batched)",
-				i, single.mmu.PageMappings(spgs[i]), batched.mmu.PageMappings(bpgs[i]))
+				i, single.mmu.pageMappings(spgs[i]), batched.mmu.pageMappings(bpgs[i]))
 		}
 	}
 	for _, va := range []param.VAddr{0x1000, 0x2000, 0x40000000} {

@@ -49,16 +49,16 @@ func TestRemoveBatchMatchesRemove(t *testing.T) {
 			batch.pm.RemoveBatch(window.start, window.end)
 
 			if loop.pm.ResidentCount() != batch.pm.ResidentCount() ||
-				loop.pm.WiredCount() != batch.pm.WiredCount() ||
+				loop.pm.wiredCount() != batch.pm.wiredCount() ||
 				loop.pm.PTPages() != batch.pm.PTPages() {
 				t.Fatalf("bookkeeping diverged: loop res=%d wired=%d pt=%d, batch res=%d wired=%d pt=%d",
-					loop.pm.ResidentCount(), loop.pm.WiredCount(), loop.pm.PTPages(),
-					batch.pm.ResidentCount(), batch.pm.WiredCount(), batch.pm.PTPages())
+					loop.pm.ResidentCount(), loop.pm.wiredCount(), loop.pm.PTPages(),
+					batch.pm.ResidentCount(), batch.pm.wiredCount(), batch.pm.PTPages())
 			}
 			for i := range loop.pgs {
-				if loop.f.mmu.PageMappings(loop.pgs[i]) != batch.f.mmu.PageMappings(batch.pgs[i]) {
+				if loop.f.mmu.pageMappings(loop.pgs[i]) != batch.f.mmu.pageMappings(batch.pgs[i]) {
 					t.Fatalf("page %d: pv count %d (loop) vs %d (batch)", i,
-						loop.f.mmu.PageMappings(loop.pgs[i]), batch.f.mmu.PageMappings(batch.pgs[i]))
+						loop.f.mmu.pageMappings(loop.pgs[i]), batch.f.mmu.pageMappings(batch.pgs[i]))
 				}
 			}
 			for _, va := range []param.VAddr{0x1000, 0x2000, 0x5000, 0x40000000} {

@@ -75,9 +75,6 @@ func (s *Stats) Max(name string, v int64) {
 
 // Counter is a cached handle to one counter cell, for hot paths that bump
 // the same counter on every operation and cannot afford the name lookup.
-// A handle taken before Stats.Reset keeps writing to the old (discarded)
-// generation of the cell; like Reset itself, handles are meant to be
-// taken once at subsystem construction, not interleaved with resets.
 type Counter struct{ v *int64 }
 
 // Counter returns a cached handle for name, creating the cell on first
@@ -110,16 +107,6 @@ func (s *Stats) Snapshot() map[string]int64 {
 	return out
 }
 
-// Reset clears every counter. Counter cells handed out concurrently with
-// a Reset may apply their update to the old generation; Reset is meant
-// for test/experiment setup, not for use while workloads are running.
-func (s *Stats) Reset() {
-	s.m.Range(func(k, _ any) bool {
-		s.m.Delete(k)
-		return true
-	})
-}
-
 // String renders the counters sorted by name, one per line.
 func (s *Stats) String() string {
 	snap := s.Snapshot()
@@ -140,26 +127,20 @@ func (s *Stats) String() string {
 // define their own ad-hoc names; these constants exist so the experiment
 // drivers and tests do not depend on string literals scattered around.
 const (
-	CtrFaults          = "vm.faults"
-	CtrFaultsRead      = "vm.faults.read"
-	CtrFaultsWrite     = "vm.faults.write"
-	CtrPageIns         = "vm.pageins"
-	CtrPageOuts        = "vm.pageouts"
-	CtrPagesCopied     = "vm.pages.copied"
-	CtrPagesZeroed     = "vm.pages.zeroed"
-	CtrMapEntriesLive  = "vm.mapentries.live"
-	CtrMapEntriesTotal = "vm.mapentries.total"
-	CtrObjectsLive     = "vm.objects.live"
-	CtrAnonsLive       = "vm.anons.live"
-	CtrAmapsLive       = "vm.amaps.live"
-	CtrCollapses       = "bsdvm.collapses"
-	CtrChainWalk       = "bsdvm.chainwalk"
-	CtrDiskReads       = "disk.reads"
-	CtrDiskWrites      = "disk.writes"
-	CtrDiskSeeks       = "disk.seeks"
-	CtrDiskPagesRead   = "disk.pages.read"
-	CtrDiskPagesWrite  = "disk.pages.written"
-	CtrDiskDeferredNs  = "disk.deferred_ns" // device-busy time of deferred (overlapped) I/O
+	CtrFaults         = "vm.faults"
+	CtrFaultsRead     = "vm.faults.read"
+	CtrFaultsWrite    = "vm.faults.write"
+	CtrPageIns        = "vm.pageins"
+	CtrPageOuts       = "vm.pageouts"
+	CtrPagesCopied    = "vm.pages.copied"
+	CtrPagesZeroed    = "vm.pages.zeroed"
+	CtrChainWalk      = "bsdvm.chainwalk"
+	CtrDiskReads      = "disk.reads"
+	CtrDiskWrites     = "disk.writes"
+	CtrDiskSeeks      = "disk.seeks"
+	CtrDiskPagesRead  = "disk.pages.read"
+	CtrDiskPagesWrite = "disk.pages.written"
+	CtrDiskDeferredNs = "disk.deferred_ns" // device-busy time of deferred (overlapped) I/O
 	// CtrDiskWritesDeferred counts deferred (overlapped) write commands;
 	// CtrDiskDeferredNs / CtrDiskWritesDeferred is the per-completion
 	// device-busy latency of an overlapped write.

@@ -35,8 +35,8 @@ func TestWriteClusterAsyncRoundTrip(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("completion: %v", err)
 	}
-	s.DrainAsync()
-	if got := s.AIOInFlight(); got != 0 {
+	s.writer.Drain()
+	if got := s.writer.InFlight(); got != 0 {
 		t.Fatalf("in flight after drain = %d", got)
 	}
 	if got := stats.Get(sim.CtrSwapAIOWrites); got != 1 {
@@ -88,7 +88,7 @@ func TestWriteClusterAsyncWindow(t *testing.T) {
 	for i := 0; i < window; i++ {
 		submit() // admitted immediately: the window has room
 	}
-	if got := s.AIOInFlight(); got != window {
+	if got := s.writer.InFlight(); got != window {
 		t.Fatalf("in flight = %d, want %d", got, window)
 	}
 	extraAdmitted := make(chan struct{})
@@ -103,7 +103,7 @@ func TestWriteClusterAsyncWindow(t *testing.T) {
 	}
 	close(gate) // let the writes finish
 	<-extraAdmitted
-	s.DrainAsync()
+	s.writer.Drain()
 	if got := completions.Load(); got != window+1 {
 		t.Fatalf("completions = %d, want %d", got, window+1)
 	}
@@ -125,7 +125,7 @@ func TestWriteClusterAsyncReportsWriteError(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("injected write error not delivered to the completion")
 	}
-	s.DrainAsync()
+	s.writer.Drain()
 }
 
 // TestReadClusterAcrossShards: shards partition the *allocator*, not the
@@ -133,8 +133,8 @@ func TestWriteClusterAsyncReportsWriteError(t *testing.T) {
 // single legal I/O.
 func TestReadClusterAcrossShards(t *testing.T) {
 	s, _ := newTestSwap(4096) // big enough to split into multiple shards
-	if s.Shards() < 2 {
-		t.Fatalf("fixture not sharded: %d", s.Shards())
+	if len(s.shards) < 2 {
+		t.Fatalf("fixture not sharded: %d", len(s.shards))
 	}
 	boundary := s.shardSize // first slot of the second shard
 	// Write a recognisable pattern across the boundary, slot by slot.
@@ -259,8 +259,8 @@ func TestAsyncWritesRaceReads(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	s.DrainAsync()
-	if got := s.AIOInFlight(); got != 0 {
+	s.writer.Drain()
+	if got := s.writer.InFlight(); got != 0 {
 		t.Fatalf("in flight after drain = %d", got)
 	}
 }

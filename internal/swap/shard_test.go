@@ -25,7 +25,7 @@ func TestShardCountScalesWithDeviceSize(t *testing.T) {
 	}
 	for _, c := range cases {
 		s, _ := newTestSwap(c.slots)
-		if got := s.Shards(); got != c.want {
+		if got := len(s.shards); got != c.want {
 			t.Errorf("%d slots: %d shards, want %d", c.slots, got, c.want)
 		}
 	}
@@ -35,8 +35,8 @@ func TestShardedDeviceStillFillsCompletely(t *testing.T) {
 	// Every slot must be reachable even though allocation rotates shards.
 	const slots = 2048 // 2 shards
 	s, _ := newTestSwap(slots)
-	if s.Shards() != 2 {
-		t.Fatalf("want a sharded device, got %d shards", s.Shards())
+	if len(s.shards) != 2 {
+		t.Fatalf("want a sharded device, got %d shards", len(s.shards))
 	}
 	seen := make(map[int64]bool)
 	for i := 0; i < slots; i++ {
@@ -60,8 +60,8 @@ func TestShardedDeviceStillFillsCompletely(t *testing.T) {
 func TestClusterNeverSpansShards(t *testing.T) {
 	const slots = 4096 // 4 shards of 1024
 	s, _ := newTestSwap(slots)
-	if s.Shards() != 4 {
-		t.Fatalf("want 4 shards, got %d", s.Shards())
+	if len(s.shards) != 4 {
+		t.Fatalf("want 4 shards, got %d", len(s.shards))
 	}
 	shardSize := int64(slots / 4)
 	for i := 0; i < 40; i++ {
@@ -130,7 +130,7 @@ func TestConcurrentAllocFreeStress(t *testing.T) {
 		t.Fatalf("live-slot counter drifted: %d", live)
 	}
 	for i := int64(0); i < slots; i++ {
-		if s.InUse(i) {
+		if s.inUse(i) {
 			t.Fatalf("slot %d still marked in use after all frees", i)
 		}
 	}

@@ -190,9 +190,6 @@ func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk) *
 	return s
 }
 
-// Shards returns the shard count (test/debug helper).
-func (s *Swap) Shards() int { return len(s.shards) }
-
 // shardFor returns the shard owning a slot.
 func (s *Swap) shardFor(slot int64) *shard {
 	return s.shards[min(slot/s.shardSize, int64(len(s.shards))-1)]
@@ -292,8 +289,8 @@ func (s *Swap) WriteCluster(start int64, bufs [][]byte) error {
 	return s.dev.WritePages(start, bufs)
 }
 
-// InUse reports whether a slot is allocated (test/debug helper).
-func (s *Swap) InUse(slot int64) bool {
+// inUse reports whether a slot is allocated (test/debug helper).
+func (s *Swap) inUse(slot int64) bool {
 	if slot < 0 || slot >= s.Slots() {
 		return false
 	}

@@ -59,7 +59,7 @@ func TestAllocContig(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 16; i++ {
-		if !s.InUse(start + i) {
+		if !s.inUse(start + i) {
 			t.Fatalf("slot %d not marked", start+i)
 		}
 	}
@@ -221,7 +221,7 @@ func TestReassignmentPattern(t *testing.T) {
 		t.Fatalf("in use = %d, want 15 (8 new + 7 burned)", s.SlotsInUse())
 	}
 	for i := int64(0); i < 8; i++ {
-		if !s.InUse(start + i) {
+		if !s.inUse(start + i) {
 			t.Fatal("reassigned cluster not held")
 		}
 	}

@@ -41,23 +41,28 @@ import (
 // cfg.DisableClustering and random advice (an empty window) make every
 // run one page long; cfg.PageinCluster > 0 caps a swap-backed run.
 //
-// The two kinds of owner differ only in their locking protocol:
+// One walk (walkRun) decides what joins every run: outward from the
+// faulting page, ahead first and then behind, a neighbour joins while its
+// page is missing and its block is exactly the next one, and the first
+// that is not ends the walk on its side. A file's block is its index, and
+// pageout lays swap runs out in index order, so a run in block order is a
+// run in index order and a fault pays for the run it reads and at most
+// two probes more. The two kinds of owner differ only in their locking
+// protocol:
 //
-//   - anonRun walks outward from the faulting anon through its VA
-//     neighbours in the amap, taking each while it is swapped out, unloaned
-//     and holds exactly the next slot, and stopping on each side at the
-//     first that does not — so a fault pays for the run it reads and at
-//     most two probes more. Anon locks are peers in the lock order
-//     (blocking could deadlock with a fault walking the other way), so
-//     neighbours are TryLocked only — a busy one ends the walk on its side
-//     — and the locks stay held across the frame allocation and the I/O.
+//   - anonRun walks the faulting anon's VA neighbours in the amap. Anon
+//     locks are peers in the lock order (blocking could deadlock with a
+//     fault walking the other way), so neighbours are TryLocked only — a
+//     busy one ends the walk on its side — and the locks stay held across
+//     the frame allocation and the I/O.
 //   - objNeighbours walks the faulting index's neighbours in the object:
-//     its resident-page map and, for an aobj, its slot table, feeding the
-//     cluster type, the run builder for blocks that may lie in any order.
-//     Every frame allocation drops o.mu (allocObjPageLocked), so each
-//     survivor, and the faulting index itself, is re-verified under the
-//     retaken lock; objPagein loops until the page's state holds still,
-//     and from the final check to the read the lock is held continuously.
+//     its resident-page map and, for an aobj, its slot table. Every frame
+//     allocation drops o.mu (allocObjPageLocked), so it allocates the
+//     walk's frames in ascending block order, re-verifies the faulting
+//     index under the retaken lock and walks again over the neighbours
+//     that are still waiting; objPagein loops until the page's state holds
+//     still, and from the final check to the read the lock is held
+//     continuously.
 //
 // Clustering is an optimisation, never a new way to fail a fault: a
 // cluster that cannot get its frames or whose read fails degrades to the
@@ -66,9 +71,9 @@ import (
 // neighbours are activated but not mapped; the fault-time lookahead maps
 // the now-resident neighbours in the same fault.
 
-// pageinStack is how many pages of a run a pagein keeps on its own stack:
-// the deepest advice window (sequential — the page and eight ahead). Only
-// a longer run spills to the heap.
+// pageinStack is the longest run a pagein reads, and so the length of the
+// stack arrays its runs live in: the deepest advice window (sequential —
+// the page and eight ahead). A run never reaches past its fault's window.
 const pageinStack = 9
 
 // pageinPage is one frame of a pagein and the place it attaches.
@@ -96,13 +101,10 @@ func (s *System) pagein(r pagein) error {
 // only function in this package that reads backing store.
 func (s *System) readRun(r pagein) error {
 	var stack [pageinStack][]byte
-	bufs := stack[:0]
-	if len(r.pages) > len(stack) {
-		bufs = make([][]byte, 0, len(r.pages))
-	}
-	for _, p := range r.pages {
+	bufs := stack[:len(r.pages)]
+	for i, p := range r.pages {
 		p.pg.Busy.Store(true)
-		bufs = append(bufs, p.pg.Data)
+		bufs[i] = p.pg.Data
 	}
 	if r.o != nil && r.o.vnode != nil {
 		return r.o.vnode.ReadPages(int(r.start), bufs)
@@ -150,66 +152,19 @@ func (s *System) finishRun(r pagein, err error) error {
 	return nil
 }
 
-// cluster builds the run around a faulting block of an object:
-// objNeighbours offers it the willing neighbours' blocks, in whatever order
-// they lie, and bounds answers with the contiguous run to read. A centre
-// nobody joins costs no allocation.
-type cluster struct {
-	centre, window int64
-	lo, hi         int64 // a run stays within [lo, hi], the window
-	centreID       int   // the enumerator's name for the centre's owner
-	ids            []int // by block-lo: 1 + the name of the block's owner, 0 for none
-}
-
-func newCluster(centre int64, id, window int) cluster {
-	w := int64(window)
-	return cluster{centre: centre, window: w, lo: centre - w + 1, hi: centre + w - 1, centreID: id}
-}
-
-// id returns the name entered for blk's owner.
-func (c *cluster) id(blk int64) (int, bool) {
-	if blk == c.centre {
-		return c.centreID, true
-	}
-	if c.ids == nil || blk < c.lo || blk > c.hi {
-		return 0, false
-	}
-	id := c.ids[blk-c.lo]
-	return id - 1, id != 0
-}
-
-// offer enters blk as a candidate unless it lies outside the window or
-// is already claimed.
-func (c *cluster) offer(blk int64, id int) bool {
-	if _, dup := c.id(blk); dup || blk < c.lo || blk > c.hi {
-		return false
-	}
-	if c.ids == nil {
-		c.ids = make([]int, c.hi-c.lo+1)
-	}
-	c.ids[blk-c.lo] = id + 1
-	return true
-}
-
-// drop withdraws a candidate.
-func (c *cluster) drop(blk int64) { c.ids[blk-c.lo] = 0 }
-
-// bounds grows the centre block into the largest contiguous run the
-// candidates cover, left before right, capped at the window.
-func (c *cluster) bounds() (lo, hi int64) {
-	lo, hi = c.centre, c.centre
-	for grew := true; grew && hi-lo < c.window-1; {
-		grew = false
-		if _, ok := c.id(lo - 1); ok {
-			lo--
-			grew = true
-		}
-		if _, ok := c.id(hi + 1); ok && hi-lo < c.window-1 {
-			hi++
-			grew = true
+// walkRun grows a pagein run outward from page c, whose block is blk,
+// inside [lo, hi]: ahead first, then behind, at most limit pages. Page i
+// joins while holds(i, blk+i-c) — it is missing and sits in exactly the
+// block that extends the run — and the first that does not ends the walk
+// on its side. The run is [first, last].
+func walkRun(c int, blk int64, lo, hi, limit int, holds func(i int, want int64) bool) (first, last int) {
+	first, last = c, c
+	for _, step := range [2]int{+1, -1} {
+		for i := c + step; lo <= i && i <= hi && last-first+1 < limit && holds(i, blk+int64(i-c)); i += step {
+			first, last = min(first, i), max(last, i)
 		}
 	}
-	return lo, hi
+	return first, last
 }
 
 // anonPagein brings a's data in from swap and, with the same I/O, the
@@ -255,30 +210,20 @@ func (s *System) pageinAnons(am *amap, run []*anon, centre *anon, pages []pagein
 }
 
 // anonRun returns, in slot order, a and the neighbours of a in am that
-// one I/O can bring in with it: walking outward from slot, ahead and then
-// behind, inside amap slots [lo, hi] and the swap disk, each neighbour
-// joins while it holds exactly the next swap slot (swappedAt), and the
-// first that does not ends the walk on its side. At most limit anons; the
-// neighbours returned are locked. buf is scratch for a window that fits it.
+// one I/O can bring in with it: walkRun over amap slots [lo, hi] from
+// slot, where a neighbour joins while it holds exactly the next swap slot
+// (swappedAt) inside the swap disk. At most limit anons; the neighbours
+// returned are locked. buf holds the window.
 func (s *System) anonRun(am *amap, a *anon, slot, lo, hi, limit int, buf []*anon) []*anon {
-	if hi-lo >= len(buf) {
-		buf = make([]*anon, hi-lo+1)
-	}
 	slots := s.mach.Swap.Slots()
-	first, last := slot, slot // the run so far; slot i of am is buf[i-lo]
-	buf[slot-lo] = a
-	for _, step := range [2]int{+1, -1} {
-		for i := slot + step; lo <= i && i <= hi && last-first+1 < limit; i += step {
-			want := a.swslot + int64(i-slot)
-			if want < 0 || want >= slots {
-				break
-			}
-			if buf[i-lo] = am.swappedAt(i, want); buf[i-lo] == nil {
-				break
-			}
-			first, last = min(first, i), max(last, i)
+	buf[slot-lo] = a // slot i of am is buf[i-lo]
+	first, last := walkRun(slot, a.swslot, lo, hi, limit, func(i int, want int64) bool {
+		if want < 0 || want >= slots {
+			return false
 		}
-	}
+		buf[i-lo] = am.swappedAt(i, want)
+		return buf[i-lo] != nil
+	})
 	return buf[first-lo : last-lo+1]
 }
 
@@ -311,8 +256,8 @@ func (o *uobject) blockOf(idx int) (int64, bool) {
 
 // objPagein is the get of the two pagers with a backing store: it makes
 // page idx of o resident, allocating the frame itself, and with the same
-// I/O reads the neighbours in [lo, hi] whose blocks extend idx's into a
-// contiguous run of at most window. Called with o.mu held.
+// I/O reads the neighbours in [lo, hi] that walkRun lets join idx's
+// block, at most window pages. Called with o.mu held.
 //
 // Every pass allocates idx's frame and, when clustering, its
 // neighbours', and each allocation drops o.mu: a concurrent fault can
@@ -341,16 +286,15 @@ func (s *System) objPagein(o *uobject, idx, lo, hi, window int) (*phys.Page, err
 			o.pages[idx] = pg
 			return pg, nil
 		}
-		one := [1]pageinPage{{pg: pg, idx: idx}} // a run of one stays off the heap
-		r := pagein{o: o, start: blk, pages: one[:]}
+		var run [pageinStack]pageinPage
+		run[0] = pageinPage{pg: pg, idx: idx}
+		r := pagein{o: o, start: blk, pages: run[:1]}
 		if window > 1 {
-			run, start, still := s.objNeighbours(o, idx, blk, pg, lo, hi, window)
-			if !still {
+			var still bool
+			if r.pages, r.start, still = s.objNeighbours(o, idx, blk, pg, lo, hi, window, run[:]); !still {
 				continue
 			}
-			if run != nil {
-				r.start, r.centre, r.pages = start, int(blk-start), run
-			}
+			r.centre = int(blk - r.start)
 		}
 		if err = s.pagein(r); err == nil {
 			return pg, nil
@@ -363,62 +307,44 @@ func (s *System) objPagein(o *uobject, idx, lo, hi, window int) (*phys.Page, err
 }
 
 // objNeighbours builds the run around page idx of o, whose data sits in
-// block blk and whose frame is pg: the pages in [lo, hi] that are not
-// resident and whose blocks extend blk into a contiguous run. Called
-// with o.mu held; allocating the neighbours' frames drops it, so the run
-// returned (nil when idx stands alone) holds only what was re-verified
-// afterwards, and begins at block start. still is false when idx itself
-// became resident or changed block meanwhile: every frame, pg included,
-// has been freed and the caller starts over.
-func (s *System) objNeighbours(o *uobject, idx int, blk int64, pg *phys.Page, lo, hi, window int) (run []pageinPage, start int64, still bool) {
-	awaiting := func(n int, b int64) bool {
-		cur, ok := o.blockOf(n)
-		return ok && cur == b && o.pages[n] == nil
+// block blk and whose frame is pg: walkRun over [lo, hi], at most window
+// pages, where a neighbour joins while it is not resident and its block
+// is the next one. Called with o.mu held; allocating the neighbours'
+// frames, in ascending block order, drops it, so idx is re-verified
+// afterwards and the walk is made again over the neighbours that got a
+// frame and still await their block. The run returned lives in buf, holds
+// idx and begins at block start. still is false when idx itself became
+// resident or changed block meanwhile: every frame, pg included, has been
+// freed and the caller starts over.
+func (s *System) objNeighbours(o *uobject, idx int, blk int64, pg *phys.Page, lo, hi, window int, buf []pageinPage) (run []pageinPage, start int64, still bool) {
+	awaiting := func(n int, want int64) bool {
+		b, ok := o.blockOf(n)
+		return ok && b == want && o.pages[n] == nil
 	}
-	c := newCluster(blk, idx, window)
-	for n := lo; n <= hi; n++ {
-		if b, ok := o.blockOf(n); ok && o.pages[n] == nil {
-			c.offer(b, n)
-		}
-	}
-	first, last := c.bounds()
-	if first == last {
-		return nil, blk, true
-	}
-	frames := make([]*phys.Page, last-first+1) // by block-first
-	frames[blk-first] = pg
-	for b := first; b <= last; b++ {
-		if b == blk {
+	first, last := walkRun(idx, blk, lo, hi, window, awaiting)
+	for n := first; n <= last; n++ { // page n is buf[n-first]
+		buf[n-first] = pageinPage{pg: pg, idx: n}
+		if n == idx {
 			continue
 		}
 		// A neighbour that became resident, or for which memory ran short,
 		// leaves the window.
-		n, _ := c.id(b)
-		if f, raced, err := s.allocObjPageLocked(o, n, false); err == nil && !raced {
-			frames[b-first] = f
+		f, raced, err := s.allocObjPageLocked(o, n, false)
+		if err != nil || raced {
+			f = nil
 		}
+		buf[n-first].pg = f
 	}
 	still = awaiting(idx, blk)
-	for b := first; b <= last; b++ {
-		if n, _ := c.id(b); b != blk && (frames[b-first] == nil || !awaiting(n, b)) {
-			c.drop(b)
-		}
-	}
-	runLo, runHi := c.bounds()
-	if still {
-		run = make([]pageinPage, 0, runHi-runLo+1)
-	}
-	for b := first; b <= last; b++ {
-		switch f := frames[b-first]; {
-		case f == nil:
-		case !still || b < runLo || b > runHi:
+	runFirst, runLast := walkRun(idx, blk, first, last, window, func(n int, want int64) bool {
+		return buf[n-first].pg != nil && awaiting(n, want)
+	})
+	for n := first; n <= last; n++ {
+		if f := buf[n-first].pg; f != nil && (!still || n < runFirst || n > runLast) {
 			s.mach.Mem.Free(f)
-		default:
-			n, _ := c.id(b)
-			run = append(run, pageinPage{pg: f, idx: n})
 		}
 	}
-	return run, runLo, still
+	return buf[runFirst-first : runLast-first+1], blk + int64(runFirst-idx), still
 }
 
 // objPage returns page idx of o, resident: the pager's get brings it in

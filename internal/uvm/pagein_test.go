@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -22,11 +23,13 @@ import (
 // noclustering: DisableClustering} x outcome {healthy disk; read error on
 // the faulting page's block; read error on a neighbour's block only; a
 // neighbour that drops out — an anon that is TryLock-busy, already
-// resident, holding a slot that is not the next one, or one that would
-// need the slot past the swap device's last, each of which ends the walk
-// on its side of the fault and leaves the other side alone; an aobj page
-// made resident or stripped of its slot while o.mu is down for a frame
-// allocation}, plus the vnode
+// resident, or one that would need the slot past the swap device's last;
+// an anon or aobj page holding a slot that is not the next one (moved
+// away, or reversed: the neighbours on either side of the fault trade
+// slots, so each sits next to the fault's slot on the wrong side) — each
+// of which ends the walk on its side of the fault and leaves the other
+// side alone; an aobj page made resident or stripped of its slot while
+// o.mu is down for a frame allocation}, plus the vnode
 // owner under the first two shapes — a file pagein does not look at
 // PageinCluster, so both fill the advice window. Each such cell builds an
 // eight-page region whose data sits on backing store — paged out in a
@@ -41,12 +44,14 @@ import (
 func TestPageinTable(t *testing.T) {
 	for _, owner := range []string{"anon", "aobj", "vnode"} {
 		for _, shape := range []string{"single", "cluster", "random", "noclustering"} {
-			for _, outcome := range []string{"ok", "centre-err", "nbr-err", "nbr-busy", "nbr-resident", "nbr-noslot", "nbr-moved", "swap-edge"} {
-				anonOnly := outcome == "nbr-busy" || outcome == "nbr-moved" || outcome == "swap-edge"
+			for _, outcome := range []string{"ok", "centre-err", "nbr-err", "nbr-busy", "nbr-resident", "nbr-noslot", "nbr-moved", "nbr-reversed", "swap-edge"} {
+				anonOnly := outcome == "nbr-busy" || outcome == "swap-edge"
+				swapOnly := outcome == "nbr-moved" || outcome == "nbr-reversed"
 				switch {
 				case (shape == "random" || shape == "noclustering") && (outcome != "ok" || owner == "vnode"), // the file half has the vnode's
 					outcome == "nbr-err" && (shape == "single" || owner == "vnode"), // a run of one has no neighbours
 					anonOnly && (owner != "anon" || shape != "cluster"),
+					swapOnly && (owner == "vnode" || shape != "cluster"),
 					outcome == "nbr-resident" && (owner == "vnode" || shape != "cluster"),
 					outcome == "nbr-noslot" && (owner != "aobj" || shape != "cluster"):
 					continue
@@ -62,6 +67,20 @@ func TestPageinTable(t *testing.T) {
 					vnodePageinCell(t, advice, config == "noclustering", outcome)
 				})
 			}
+		}
+	}
+}
+
+// TestAdviceWindowsFitPageinStack: every advice window — the page and
+// the neighbours Lookahead names on either side — fits the stack arrays a
+// pagein run lives in. A run never reaches past its fault's window, so a
+// wider window must widen pageinStack with it.
+func TestAdviceWindowsFitPageinStack(t *testing.T) {
+	for a := 0; a <= math.MaxUint8; a++ {
+		advice := param.Advice(a)
+		if ahead, behind := advice.Lookahead(); ahead+behind+1 > pageinStack {
+			t.Errorf("%v advice: a window of %d ahead and %d behind is %d pages, pageinStack holds %d",
+				advice, ahead, behind, ahead+behind+1, pageinStack)
 		}
 	}
 }
@@ -163,14 +182,22 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 			t.Fatalf("region page %d resident before the fault", i)
 		}
 	}
-	// moveTo re-homes a swapped-out anon's data to another slot, by hand.
-	moveTo := func(i int, slot int64) {
-		a := anonOf(i)
+	// place re-homes page i's swapped-out data to slot, by hand; moveTo
+	// also frees the slot it held.
+	place := func(i int, slot int64) {
 		if err := m.Swap.WriteSlot(slot, want(i)); err != nil {
 			t.Fatal(err)
 		}
-		m.Swap.Free(a.swslot)
-		a.swslot = slot
+		if owner == "anon" {
+			anonOf(i).swslot = slot
+		} else {
+			e.obj.aobjSlots[e.objIndex(at(i))] = slot
+		}
+	}
+	moveTo := func(i int, slot int64) {
+		old := blk(i)
+		place(i, slot)
+		m.Swap.Free(old)
 	}
 
 	// The window the fault offers the pager, then the outcome's condition:
@@ -192,6 +219,13 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 			t.Fatal(err)
 		}
 		moveTo(victim, spare)
+	case "nbr-reversed":
+		// The neighbour ahead takes the slot just below the fault's and the
+		// one behind the slot just above it: adjacent, in the wrong order.
+		victim = centre + 1
+		behind, ahead := blk(centre-1), blk(victim)
+		place(victim, behind)
+		place(centre-1, ahead)
 	case "swap-edge":
 		// Pages 0-3 to the last four slots of the swap device: the fault on
 		// page 3 holds the last slot, so the walk ahead stops at Slots() and
@@ -250,6 +284,9 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		lo = victim + 1
 	default:
 		hi = victim - 1
+	}
+	if outcome == "nbr-reversed" {
+		lo = centre // the neighbour behind holds the wrong slot too
 	}
 	switch outcome {
 	case "centre-err", "nbr-err":

@@ -101,12 +101,6 @@ func (p *Process) MapEntryCount() int {
 	return p.m.n
 }
 
-// ResidentPages implements vmapi.Process.
-func (p *Process) ResidentPages() int { return p.pm.ResidentCount() }
-
-// PTPages returns the page-table page count tracked in the pmap.
-func (p *Process) PTPages() int { return p.pm.PTPages() }
-
 // Mincore implements vmapi.Process: per-page residency of the range.
 func (p *Process) Mincore(addr param.VAddr, length param.VSize) ([]bool, error) {
 	if p.exited.Load() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uvm/internal/param"
+	"uvm/internal/phys"
 	"uvm/internal/sim"
 	"uvm/internal/swap"
 	"uvm/internal/vmapi"
@@ -122,28 +123,51 @@ func TestSwapPageinClustersByDefault(t *testing.T) {
 }
 
 // TestClusteredPageinAllocs fences the heap traffic of a clustered
-// anonymous pagein: the fault that brings an eight-page window back from
-// swap — eight frames, one read, the install, the lookahead that maps the
-// seven neighbours — allocates nothing. The run, its frames and its I/O
-// vector live on the faulting goroutine's stack.
+// pagein: the fault that brings an eight-page window back — eight
+// frames, one read, the install, the lookahead that maps the seven
+// neighbours — allocates nothing, from swap (a private anonymous region)
+// and from a file (a shared file mapping whose pages were all evicted).
+// The run, its frames and its I/O vector live on the faulting goroutine's
+// stack.
 func TestClusteredPageinAllocs(t *testing.T) {
+	for _, owner := range []string{"anon", "file"} {
+		t.Run(owner, func(t *testing.T) { clusteredPageinAllocs(t, owner) })
+	}
+}
+
+func clusteredPageinAllocs(t *testing.T, owner string) {
 	const n, centre = 8, 3
 	m := testMachine(256)
 	cfg := DefaultConfig()
 	s := BootConfig(m, cfg)
 	testutil.SweepOnCleanup(t, s)
 	p := newProc(t, s, "p")
-	va, err := p.Mmap(0, n*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+	var va param.VAddr
+	var err error
+	pagedInCtr := "uvm.anon.pagein"
+	if owner == "file" {
+		vn := mkfile(t, m, "/allocs", n, 0xA0)
+		defer vn.Unref()
+		va, err = p.Mmap(0, n*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
+		pagedInCtr = sim.CtrPageIns
+	} else {
+		va, err = p.Mmap(0, n*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.TouchRange(va, n*param.PageSize, true); err != nil {
+	if err := p.TouchRange(va, n*param.PageSize, owner == "anon"); err != nil {
 		t.Fatal(err)
 	}
 	e := p.m.lookupQuiet(va)
 	evict := func() {
 		for i := 0; i < n; i++ {
-			pg := e.amap.get(e.amapOff + i).page
+			var pg *phys.Page
+			if owner == "anon" {
+				pg = e.amap.get(e.amapOff + i).page
+			} else {
+				pg = e.obj.pages[i]
+			}
 			m.MMU.PageProtect(pg, param.ProtNone)
 			pg.Referenced.Store(false)
 			m.Mem.Deactivate(pg)
@@ -157,7 +181,7 @@ func TestClusteredPageinAllocs(t *testing.T) {
 	const rounds = 50
 	for round := 0; round <= rounds; round++ {
 		evict()
-		pagedIn := m.Stats.Get("uvm.anon.pagein")
+		pagedIn := m.Stats.Get(pagedInCtr)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := p.Access(va+centre*param.PageSize, false)
@@ -165,7 +189,7 @@ func TestClusteredPageinAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Stats.Get("uvm.anon.pagein") - pagedIn; got != n {
+		if got := m.Stats.Get(pagedInCtr) - pagedIn; got != n {
 			t.Fatalf("the fault paged in %d pages, want %d: the cell is not measuring a clustered pagein", got, n)
 		}
 		if round > 0 { // the first fault grows the page table

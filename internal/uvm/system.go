@@ -172,14 +172,14 @@
 // cfg.DisableClustering and random advice narrow every run to one page
 // per command; cfg.PageinCluster > 0 caps a swap-backed run.
 //
-// objNeighbours walks index neighbours under the object lock, which every
-// frame allocation drops: each survivor and the faulting index itself are
-// re-verified under the retaken lock, and objPagein starts over until the
-// page's state holds still; one builder (cluster) grows the faulting
-// block into a run over the blocks offered, left before right, inside the
-// window. A cluster that cannot get
-// its frames or whose read fails degrades to the centre page alone — a
-// second run, of length one — and only that run's error fails the fault.
+// objNeighbours makes the same walk (walkRun: ahead, then behind, each
+// neighbour while its block is the next one) over index neighbours under
+// the object lock, which every frame allocation drops: the faulting index
+// is re-verified under the retaken lock and the walk made again over the
+// survivors, and objPagein starts over until the page's state holds
+// still. A cluster that cannot get its frames or whose read fails
+// degrades to the centre page alone — a second run, of length one — and
+// only that run's error fails the fault.
 package uvm
 
 import (
@@ -218,7 +218,7 @@ type Config struct {
 	AsyncPageout bool
 	// PageoutWindow bounds in-flight asynchronous cluster writes to the
 	// swap disk (backpressure on the reclaim scan). 0 means
-	// swap.DefaultAIOWindow.
+	// disk.DefaultAIOWindow.
 	PageoutWindow int
 	// PageinCluster caps the run of a swap-backed pagein, in pages. 0, the
 	// default, is no cap: a fault on a swapped-out anon or aobj page reads,

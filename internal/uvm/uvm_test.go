@@ -754,8 +754,8 @@ func TestPTPagesTrackedInPmapOnly(t *testing.T) {
 	if got := p.MapEntryCount(); got != base {
 		t.Fatalf("PT allocation changed map entries under UVM: %d -> %d", base, got)
 	}
-	if p.PTPages() != 2 {
-		t.Fatalf("pmap PT pages = %d, want 2", p.PTPages())
+	if p.pm.PTPages() != 2 {
+		t.Fatalf("pmap PT pages = %d, want 2", p.pm.PTPages())
 	}
 }
 

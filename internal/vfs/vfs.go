@@ -87,14 +87,14 @@ func (v *Vnode) SetVMObj(obj any, onRecycle func(*Vnode)) {
 // Name returns the file's path name.
 func (v *Vnode) Name() string { return v.f.name }
 
-// Size returns the file size in bytes.
-func (v *Vnode) Size() int { return v.f.size }
+// size returns the file size in bytes.
+func (v *Vnode) size() int { return v.f.size }
 
 // NumPages returns the file size in pages.
 func (v *Vnode) NumPages() int { return v.f.npages }
 
-// Refs returns the current use count (test/debug).
-func (v *Vnode) Refs() int {
+// refCount returns the current use count (test/debug).
+func (v *Vnode) refCount() int {
 	v.fs.mu.Lock()
 	defer v.fs.mu.Unlock()
 	return v.refs
@@ -356,23 +356,23 @@ func (fs *FS) recycleLocked(v *Vnode) {
 	v.VMObj = nil
 }
 
-// VnodesInCore returns how many vnodes are in the table (active + free).
-func (fs *FS) VnodesInCore() int {
+// vnodesInCore returns how many vnodes are in the table (active + free).
+func (fs *FS) vnodesInCore() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return len(fs.vnodes)
 }
 
-// FreeVnodes returns how many in-core vnodes are unreferenced: the length
+// freeVnodes returns how many in-core vnodes are unreferenced: the length
 // of the free list.
-func (fs *FS) FreeVnodes() int {
+func (fs *FS) freeVnodes() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.nfree
 }
 
-// Files returns the number of files that exist.
-func (fs *FS) Files() int {
+// numFiles returns the number of files that exist.
+func (fs *FS) numFiles() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return len(fs.files)

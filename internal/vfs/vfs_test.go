@@ -33,7 +33,7 @@ func TestCreateOpenRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Size() != 3*param.PageSize || v.NumPages() != 3 || v.Name() != "/etc/passwd" {
+	if v.size() != 3*param.PageSize || v.NumPages() != 3 || v.Name() != "/etc/passwd" {
 		t.Fatalf("metadata wrong: %v", v)
 	}
 	buf := make([]byte, param.PageSize)
@@ -69,20 +69,20 @@ func TestRefCounting(t *testing.T) {
 	fs, _ := newTestFS(4)
 	fs.Create("/f", param.PageSize, nil)
 	v, _ := fs.Open("/f")
-	if v.Refs() != 1 {
-		t.Fatalf("refs = %d", v.Refs())
+	if v.refCount() != 1 {
+		t.Fatalf("refs = %d", v.refCount())
 	}
 	v.Ref()
-	if v.Refs() != 2 {
-		t.Fatalf("refs = %d", v.Refs())
+	if v.refCount() != 2 {
+		t.Fatalf("refs = %d", v.refCount())
 	}
 	v.Unref()
 	v.Unref()
-	if v.Refs() != 0 {
-		t.Fatalf("refs = %d", v.Refs())
+	if v.refCount() != 0 {
+		t.Fatalf("refs = %d", v.refCount())
 	}
-	if fs.FreeVnodes() != 1 {
-		t.Fatalf("free vnodes = %d", fs.FreeVnodes())
+	if fs.freeVnodes() != 1 {
+		t.Fatalf("free vnodes = %d", fs.freeVnodes())
 	}
 	// Reopening reactivates the same vnode.
 	v2, _ := fs.Open("/f")
@@ -149,8 +149,8 @@ func TestLRURecycling(t *testing.T) {
 	if stats.Get("vfs.recycles") != 1 {
 		t.Fatalf("recycle counter = %d", stats.Get("vfs.recycles"))
 	}
-	if fs.VnodesInCore() != 3 {
-		t.Fatalf("in-core vnodes = %d", fs.VnodesInCore())
+	if fs.vnodesInCore() != 3 {
+		t.Fatalf("in-core vnodes = %d", fs.vnodesInCore())
 	}
 	v3.Unref()
 
@@ -309,8 +309,8 @@ func TestZeroLengthFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Size() != 0 {
-		t.Fatalf("size = %d", v.Size())
+	if v.size() != 0 {
+		t.Fatalf("size = %d", v.size())
 	}
 	v.Unref()
 }
@@ -337,8 +337,8 @@ func TestManyFilesDistinctExtents(t *testing.T) {
 		}
 		v.Unref()
 	}
-	if fs.Files() != 20 {
-		t.Fatalf("files = %d", fs.Files())
+	if fs.numFiles() != 20 {
+		t.Fatalf("files = %d", fs.numFiles())
 	}
 }
 
@@ -366,10 +366,10 @@ func TestOpenRecycleReentry(t *testing.T) {
 		if inner != outer {
 			t.Fatalf("two vnodes for one file: %v and %v", inner, outer)
 		}
-		if refs := outer.Refs(); refs != 2 {
+		if refs := outer.refCount(); refs != 2 {
 			t.Fatalf("vnode holds %d refs, want 2", refs)
 		}
-		if n := fs.VnodesInCore(); n > fs.MaxVnodes() {
+		if n := fs.vnodesInCore(); n > fs.MaxVnodes() {
 			t.Fatalf("%d vnodes in core, table holds %d", n, fs.MaxVnodes())
 		}
 	}
@@ -503,9 +503,9 @@ func TestVnodeFreeListOrder(t *testing.T) {
 				free++
 			}
 		}
-		if fs.VnodesInCore() != len(model) || fs.FreeVnodes() != free {
+		if fs.vnodesInCore() != len(model) || fs.freeVnodes() != free {
 			t.Fatalf("step %d: %d in core, %d free; model has %d, %d",
-				step, fs.VnodesInCore(), fs.FreeVnodes(), len(model), free)
+				step, fs.vnodesInCore(), fs.freeVnodes(), len(model), free)
 		}
 	}
 	for _, v := range held {

@@ -310,9 +310,6 @@ type Process interface {
 
 	// MapEntryCount returns the live map entries in this process' map.
 	MapEntryCount() int
-	// ResidentPages returns the number of resident pages mapped by the
-	// process (its RSS).
-	ResidentPages() int
 	// Mincore reports, for each page of [addr, addr+length), whether it
 	// is resident in this process' address space (the mincore system
 	// call).
