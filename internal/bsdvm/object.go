@@ -161,7 +161,7 @@ func (s *System) flushDirty(o *object) {
 	//uvm:maporder-ok deferred writes charge fixed per-page time and never move the disk head
 	for idx, pg := range o.pages {
 		if pg.Dirty.Load() {
-			_ = o.vnode.WritePageAsync(idx, pg.Data)
+			_ = o.vnode.WritePageAsync(idx, pg.Freeze())
 			pg.Dirty.Store(false)
 		}
 	}

@@ -176,11 +176,12 @@ func (s *System) pagein(o *object, idx int) (*phys.Page, error) {
 		return nil, err
 	}
 	pg.Busy.Store(true)
+	var block [1][]byte
 	if o.pager.vn != nil {
-		err = o.pager.vn.ReadPage(idx, pg.Data)
+		err = o.pager.vn.ReadBlocks(idx, block[:])
 	} else {
 		slot := o.pager.swp.slots[idx]
-		err = s.mach.Swap.ReadSlot(slot, pg.Data)
+		err = s.mach.Swap.ReadBlocks(slot, block[:])
 	}
 	pg.Busy.Store(false)
 	if err != nil {
@@ -188,6 +189,7 @@ func (s *System) pagein(o *object, idx int) (*phys.Page, error) {
 		s.mach.Mem.Free(pg)
 		return nil, err
 	}
+	pg.Share(block[0])
 	pg.Dirty.Store(o.anon) // anon data only lives on swap until written back again
 	// The page is resident in o now, so it must live on the paging
 	// queues regardless of what the fault maps: when the fault copies
@@ -206,7 +208,7 @@ func (s *System) pageout(o *object, pg *phys.Page) error {
 	pg.Busy.Store(true)
 	defer func() { pg.Busy.Store(false) }()
 	if o.vnode != nil && !o.anon {
-		if err := o.vnode.WritePage(idx, pg.Data); err != nil {
+		if err := o.vnode.WriteBlocks(idx, [][]byte{pg.Freeze()}); err != nil {
 			return err
 		}
 	} else {
@@ -215,7 +217,7 @@ func (s *System) pageout(o *object, pg *phys.Page) error {
 		if err != nil {
 			return err
 		}
-		if err := s.mach.Swap.WriteSlot(slot, pg.Data); err != nil {
+		if err := s.mach.Swap.WriteBlocks(slot, [][]byte{pg.Freeze()}); err != nil {
 			return err
 		}
 	}

@@ -350,7 +350,7 @@ func (p *process) Msync(addr param.VAddr, length param.VSize) error {
 			if !pg.Dirty.Load() {
 				continue
 			}
-			if err := cur.obj.vnode.WritePage(idx, pg.Data); err != nil {
+			if err := cur.obj.vnode.WriteBlocks(idx, [][]byte{pg.Freeze()}); err != nil {
 				return err
 			}
 			pg.Dirty.Store(false)
@@ -661,9 +661,9 @@ func (p *process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 		chunk := buf[done : done+n]
 		err := p.access(va, write, func(pg *phys.Page) {
 			if write {
-				copy(pg.Data[pageOff:], chunk)
+				copy(pg.Writable()[pageOff:], chunk)
 			} else {
-				copy(chunk, pg.Data[pageOff:])
+				copy(chunk, pg.Data()[pageOff:])
 			}
 		})
 		if err != nil {

@@ -70,7 +70,7 @@ func TestConcurrentFaultLoanTransferDisjoint(t *testing.T) {
 						errs <- fmt.Errorf("w%d loanout: %w", w, err)
 						return
 					}
-					if got := loan[0].Data[0]; got != shadow[pg] {
+					if got := loan[0].Data()[0]; got != shadow[pg] {
 						errs <- fmt.Errorf("w%d loaned page byte = %#x, want %#x", w, got, shadow[pg])
 						return
 					}
@@ -222,9 +222,9 @@ func TestLoanoutVersusPagedaemon(t *testing.T) {
 				// While on loan, the pagedaemon must leave the frames
 				// alone: the borrower's view stays byte-stable.
 				for i, pg := range loan {
-					if pg.Data[0] != byte(0x40+w) || pg.Data[1] != byte(i) {
+					if pg.Data()[0] != byte(0x40+w) || pg.Data()[1] != byte(i) {
 						errs <- fmt.Errorf("loaner%d it%d page %d: borrowed view corrupted: %#x %#x",
-							w, it, i, pg.Data[0], pg.Data[1])
+							w, it, i, pg.Data()[0], pg.Data()[1])
 						return
 					}
 				}
@@ -237,7 +237,7 @@ func TestLoanoutVersusPagedaemon(t *testing.T) {
 					return
 				}
 				for i, pg := range loan {
-					if pg.Data[0] != byte(0x40+w) || pg.Data[1] != byte(i) {
+					if pg.Data()[0] != byte(0x40+w) || pg.Data()[1] != byte(i) {
 						errs <- fmt.Errorf("loaner%d it%d page %d: borrower disturbed by owner write",
 							w, it, i)
 						return

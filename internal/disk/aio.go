@@ -79,8 +79,9 @@ func (w *AsyncWriter) InFlight() int {
 // Submit queues an asynchronous write of len(bufs) consecutive blocks
 // starting at start, returning as soon as the window has admitted it and
 // blocking only while the window is full. done is invoked exactly once,
-// from another goroutine, with the write's result; the caller must treat
-// the buffers as owned by the I/O until then.
+// from another goroutine, with the write's result. The buffers are handed
+// over: they become the blocks (Disk.WriteBlocksDeferred), and the caller
+// must never write them again.
 func (w *AsyncWriter) Submit(start int64, bufs [][]byte, done func(error)) {
 	w.mu.Lock()
 	// Counted before the window wait, so a Drain racing a submitter that
@@ -93,7 +94,7 @@ func (w *AsyncWriter) Submit(start int64, bufs [][]byte, done func(error)) {
 	w.mu.Unlock()
 
 	go func() {
-		err := w.d.WritePagesDeferred(start, bufs)
+		err := w.d.WriteBlocksDeferred(start, bufs)
 		// Release the window slot before running the callback, so a slow
 		// completion (or one that submits follow-on work) never blocks
 		// the next admission — matching the original channel-semaphore

@@ -9,8 +9,19 @@
 // driven purely by whether a file access goes to memory or to the disk at
 // all.
 //
-// Blocks are page-sized. Data is stored for real, so swap round-trips and
-// file reads are verified byte-for-byte by the test suite.
+// Blocks are page-sized and hold real bytes, so swap round-trips and file
+// reads are verified byte-for-byte by the test suite. A block is an
+// immutable buffer, never written once stored: a command stores or hands
+// out block pointers under the disk lock and copies no page bytes there.
+// The block interface (ReadBlocks, WriteBlocks, WriteBlocksDeferred)
+// shares buffers with its caller — a write keeps the caller's buffers as
+// the blocks, and a read hands out the blocks themselves — so a caller
+// must never write a buffer it has passed or received: this is how
+// physical frames and disk blocks share page data (see internal/phys).
+// The page interface (ReadPages, WritePages, WritePagesDeferred) serves
+// callers with ordinary buffers: a write copies them into fresh blocks
+// before taking the lock, a read copies the blocks out after releasing
+// it.
 package disk
 
 import (
@@ -34,12 +45,11 @@ var ErrNoSpace = errors.New("disk: no space")
 type Disk struct {
 	clock *sim.Clock
 	costs *sim.Costs
-	stats *sim.Stats
 
 	//uvm:lock disk
 	mu      sync.Mutex
 	nblocks int64
-	blocks  [][]byte // by block; filled on first write, a nil block reads as zeros
+	blocks  [][]byte // by block, each immutable once stored; a nil block reads as zeros
 	head    int64    // block the head sits after (sequential detection)
 	nextfit int64    // bump pointer for Alloc
 
@@ -64,6 +74,9 @@ type Disk struct {
 	ctrReads, ctrPagesRead     sim.Counter
 	ctrWrites, ctrPagesWritten sim.Counter
 	ctrSeeks                   sim.Counter
+	ctrWritesDeferred          sim.Counter
+	ctrDeferredNs              sim.Counter
+	ctrErrors, ctrDeaths       sim.Counter
 }
 
 // New creates a disk with nblocks page-sized blocks.
@@ -74,7 +87,6 @@ func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, nblocks int64) *D
 	return &Disk{
 		clock:   clock,
 		costs:   costs,
-		stats:   stats,
 		nblocks: nblocks,
 		blocks:  make([][]byte, nblocks),
 		head:    -1,
@@ -84,6 +96,11 @@ func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, nblocks int64) *D
 		ctrWrites:       stats.Counter(sim.CtrDiskWrites),
 		ctrPagesWritten: stats.Counter(sim.CtrDiskPagesWrite),
 		ctrSeeks:        stats.Counter(sim.CtrDiskSeeks),
+
+		ctrWritesDeferred: stats.Counter(sim.CtrDiskWritesDeferred),
+		ctrDeferredNs:     stats.Counter(sim.CtrDiskDeferredNs),
+		ctrErrors:         stats.Counter("disk.errors"),
+		ctrDeaths:         stats.Counter("disk.deaths"),
 	}
 }
 
@@ -128,7 +145,8 @@ func (d *Disk) Dead() bool { return d.dead.Load() }
 // rule.
 func (d *Disk) Kill() { d.dead.Store(true) }
 
-// validateBufs checks every buffer is exactly one page long. Runs before
+// validateBufs checks every buffer is exactly one page long (a block
+// read only overwrites its entries, so it skips the check). Runs before
 // any accounting: a malformed request never moves the head or charges
 // time, because no command was ever issued to the device.
 func validateBufs(bufs [][]byte) error {
@@ -155,7 +173,7 @@ func (d *Disk) admit(start int64, n int, write bool) (int, error) {
 		k, die, err = d.plan.admit(start, n, write)
 		if die {
 			d.dead.Store(true)
-			d.stats.Inc("disk.deaths")
+			d.ctrDeaths.Inc()
 		}
 	}
 	hook := d.FailRead
@@ -188,7 +206,7 @@ const (
 // pages into their buffers; only those k pages are charged and counted,
 // and the head stops after them.
 func (d *Disk) ReadPages(start int64, bufs [][]byte) error {
-	return d.command(cmdRead, start, bufs)
+	return d.command(cmdRead, start, bufs, true)
 }
 
 // WritePages transfers len(data) consecutive blocks starting at start from
@@ -199,7 +217,7 @@ func (d *Disk) ReadPages(start int64, bufs [][]byte) error {
 // cluster write looks like), only they are charged and counted, and the
 // head stops after them.
 func (d *Disk) WritePages(start int64, data [][]byte) error {
-	return d.command(cmdWrite, start, data)
+	return d.command(cmdWrite, start, data, true)
 }
 
 // WritePagesDeferred stores data like WritePages but charges no time to
@@ -207,28 +225,84 @@ func (d *Disk) WritePages(start int64, data [][]byte) error {
 // buffer-cache flush, whose background time the simulation does not
 // model. Deferred writes are counted separately in the stats.
 func (d *Disk) WritePagesDeferred(start int64, data [][]byte) error {
-	return d.command(cmdWriteDeferred, start, data)
+	return d.command(cmdWriteDeferred, start, data, true)
 }
+
+// ReadBlocks is ReadPages sharing the blocks: it sets blocks[i] to block
+// start+i itself, nil for a block never written (which reads as zeros),
+// for the first k entries of a command that faults at block k. The
+// caller must never write a block it receives.
+func (d *Disk) ReadBlocks(start int64, blocks [][]byte) error {
+	return d.command(cmdRead, start, blocks, false)
+}
+
+// WriteBlocks is WritePages keeping the buffers: block start+i becomes
+// blocks[i] itself, which the caller must never write again.
+func (d *Disk) WriteBlocks(start int64, blocks [][]byte) error {
+	return d.command(cmdWrite, start, blocks, false)
+}
+
+// WriteBlocksDeferred is WritePagesDeferred keeping the buffers, as
+// WriteBlocks does.
+func (d *Disk) WriteBlocksDeferred(start int64, blocks [][]byte) error {
+	return d.command(cmdWriteDeferred, start, blocks, false)
+}
+
+// copyStack is how many block pointers a copying command keeps on its own
+// stack; a longer command's spill to the heap.
+const copyStack = 64
 
 // command is every device command's one body: range and buffer checks,
 // admission against the fault schedule, then the charge, the count and
-// the copy of the k pages admitted (absent blocks read as zeros). A dead
-// controller fails the command before it reaches the medium; any other
-// fault stops it after k pages.
-func (d *Disk) command(kind cmdKind, start int64, bufs [][]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// the transfer of the k pages admitted. A dead controller fails the
+// command before it reaches the medium; any other fault stops it after k
+// pages. Under the lock the transfer only stores or snapshots block
+// pointers. With copyBufs the caller's buffers are its own: a write
+// copies them into fresh blocks before the lock is taken, and a read
+// copies the snapshot out (absent blocks as zeros) after it is released.
+func (d *Disk) command(kind cmdKind, start int64, bufs [][]byte, copyBufs bool) error {
 	if err := d.checkRange(start, int64(len(bufs))); err != nil {
 		return err
 	}
-	if err := validateBufs(bufs); err != nil {
-		return err
+	if kind != cmdRead || copyBufs {
+		if err := validateBufs(bufs); err != nil {
+			return err
+		}
 	}
-	k, err := d.admit(start, len(bufs), kind != cmdRead)
+	blocks := bufs
+	if copyBufs {
+		var stack [copyStack][]byte
+		blocks = append(stack[:0], bufs...)
+		if kind != cmdRead {
+			for i, buf := range bufs {
+				blocks[i] = append([]byte(nil), buf...)
+			}
+		}
+	}
+	k, err := d.transfer(kind, start, blocks)
+	if copyBufs && kind == cmdRead {
+		for i, blk := range blocks[:k] {
+			if blk != nil {
+				copy(bufs[i], blk)
+			} else {
+				clear(bufs[i])
+			}
+		}
+	}
+	return err
+}
+
+// transfer is command's part under the disk lock: admission, the charge
+// and counts of the k pages admitted, and the block pointers' move — a
+// write stores blocks[:k], a read overwrites them with the blocks.
+func (d *Disk) transfer(kind cmdKind, start int64, blocks [][]byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	k, err := d.admit(start, len(blocks), kind != cmdRead)
 	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
 		// Dead controller: the command never reaches the medium.
-		d.stats.Inc("disk.errors")
-		return err
+		d.ctrErrors.Inc()
+		return 0, err
 	}
 	switch kind {
 	case cmdRead:
@@ -247,28 +321,19 @@ func (d *Disk) command(kind cmdKind, start int64, bufs [][]byte) error {
 		// writeback. The head model is untouched: deferred commands are
 		// reordered by the syncer, so they do not perturb the synchronous
 		// cost sequence.
-		d.stats.Inc(sim.CtrDiskWritesDeferred)
+		d.ctrWritesDeferred.Inc()
 		busy := d.costs.DiskOp + d.costs.DiskSeek + time.Duration(k)*d.costs.DiskPageIO
-		d.stats.Add(sim.CtrDiskDeferredNs, int64(busy))
+		d.ctrDeferredNs.Add(int64(busy))
 	}
-	for i, buf := range bufs[:k] {
-		blk := &d.blocks[start+int64(i)]
-		switch {
-		case kind != cmdRead:
-			if *blk == nil {
-				*blk = make([]byte, param.PageSize)
-			}
-			copy(*blk, buf)
-		case *blk != nil:
-			copy(buf, *blk)
-		default:
-			clear(buf)
-		}
+	if kind == cmdRead {
+		copy(blocks[:k], d.blocks[start:])
+	} else {
+		copy(d.blocks[start:], blocks[:k])
 	}
 	if err != nil {
-		d.stats.Inc("disk.errors")
+		d.ctrErrors.Inc()
 	}
-	return err
+	return k, err
 }
 
 // checkRange rejects I/O outside [0, nblocks). The bound is checked

@@ -2,10 +2,23 @@
 // and the active/inactive page queues that UVM's single-flight reclaim
 // pass and BSD VM's pagedaemon scan.
 //
-// Unlike a pure counter model, every frame carries a real 4 KB data
-// buffer. Copy-on-write, page loanout, swap round-trips and file I/O are
-// all verified against actual bytes by the test suites of the higher
-// layers.
+// Unlike a pure counter model, every frame holds real bytes: copy-on-write,
+// page loanout, swap round-trips and file I/O are all verified against
+// them by the test suites of the higher layers. Page data moves by
+// reference and is copied only when someone stores (the sharing rule):
+// a frame's bytes live either in its own writable 4 KB buffer or in an
+// immutable shared buffer — the one zero page, or a disk block. A frame
+// starts on the zero page. Zero points it back there, CopyData at its
+// source's shared buffer, a pagein at the block it read (Share). A write
+// to backing store hands the disk the frame's buffer (Freeze): a shared
+// one as it is, and the frame's own one too, which then becomes the
+// block — immutable, shared by the frame until its next store. Data is
+// the read view. Every in-place writer calls Writable first, the one
+// place a shared buffer's bytes are copied into the frame's own buffer,
+// which is allocated then if the frame has none. No buffer is
+// reference-counted: a shared buffer is never written, so it can be held
+// by any number of frames and disk blocks at once, and the garbage
+// collector frees one that none holds.
 //
 // Concurrency: the queues are sharded — each frame belongs for life to
 // one shard (by frame number) holding its free/active/inactive list
@@ -20,7 +33,7 @@
 //
 // Each shard's free list is LIFO: Free pushes the head that allocation
 // pops. Within one shard, the frame a munmap or exit just released is the
-// next one that shard hands out, and the zero-fill or copy that follows
+// next one that shard hands out, and the first store into its own buffer
 // lands in lines still in the cache. Which free frame is reused is not a
 // replacement decision — LRU order lives in the active/inactive queues and
 // is unaffected.
@@ -93,8 +106,15 @@ const NumShards = 16
 
 // Page is one physical page frame (a vm_page structure).
 type Page struct {
-	PA   param.PAddr
-	Data []byte // always param.PageSize bytes
+	PA param.PAddr
+
+	// The frame's bytes, param.PageSize of them: data is own, or an
+	// immutable shared buffer (see the package comment); own is nil until
+	// the frame's first store and after a write has made it a block.
+	// Written only by the goroutine that may store into the frame — its
+	// owner's lock holder, or the I/O path holding it Busy.
+	data []byte
+	own  []byte
 
 	// Identity: which higher-level entity owns this frame. Exactly one of
 	// these is meaningful for an allocated page; both are zero for a free
@@ -143,6 +163,48 @@ type PVList struct {
 	First PVEntry
 	More  []PVEntry
 }
+
+// zeroPage is the one zero page every zero-filled frame shares until its
+// first store. It is never written.
+var zeroPage = make([]byte, param.PageSize)
+
+// Data returns the frame's bytes for reading. They may be a shared
+// buffer: never write through the result — call Writable.
+func (p *Page) Data() []byte { return p.data }
+
+// Writable returns the frame's own buffer, holding the frame's bytes,
+// for an in-place store. A frame that shares a buffer first copies its
+// bytes into its own, allocating one if it has none: the only copy the
+// sharing rule makes.
+func (p *Page) Writable() []byte {
+	if !p.ownsData() {
+		p.own = append(p.own[:0], p.data...)
+		p.data = p.own
+	}
+	return p.own
+}
+
+// Freeze returns an immutable buffer holding the frame's bytes, for a
+// write to hand to the disk. A shared buffer is returned as it is; the
+// frame's own buffer is given away, becoming immutable, and the frame
+// shares it until its next store. Nothing is copied.
+func (p *Page) Freeze() []byte {
+	if p.ownsData() {
+		p.own = nil
+	}
+	return p.data
+}
+
+// Share points the frame at an immutable buffer, such as a block a
+// pagein read; nil, a block never written, is the zero page.
+func (p *Page) Share(b []byte) {
+	if b == nil {
+		b = zeroPage
+	}
+	p.data = b
+}
+
+func (p *Page) ownsData() bool { return p.own != nil && &p.data[0] == &p.own[0] }
 
 // Owner returns the structure that currently owns this frame (nil for a
 // free or orphaned frame).
@@ -309,8 +371,7 @@ type Mem struct {
 	shards      [NumShards]memShard
 }
 
-// NewMem boots a machine with npages page frames. All frame data buffers
-// are carved from one arena allocation.
+// NewMem boots a machine with npages page frames, each on the zero page.
 func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *Mem {
 	if npages <= 0 {
 		panic("phys: non-positive memory size")
@@ -325,12 +386,11 @@ func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *M
 	m.ctrAllocReaps = stats.Counter(sim.CtrAllocReaps)
 	m.ctrZeroed = stats.Counter(sim.CtrPagesZeroed)
 	m.ctrCopied = stats.Counter(sim.CtrPagesCopied)
-	arena := make([]byte, npages*param.PageSize)
 	m.frames = make([]Page, npages)
 	for i := range m.frames {
 		p := &m.frames[i]
 		p.PA = param.PAddr(i) << param.PageShift
-		p.Data = arena[i*param.PageSize : (i+1)*param.PageSize : (i+1)*param.PageSize]
+		p.data = zeroPage
 		p.home = uint8(i % NumShards)
 		p.queue = QueueFree
 		m.shards[p.home].free.pushTail(p)
@@ -483,22 +543,31 @@ func (m *Mem) freePrep(p *Page) {
 	m.clock.Advance(m.costs.PageFree)
 	p.SetOwner(nil, 0)
 	p.Dirty.Store(false)
-}
-
-// Zero clears a frame's data, charging the zeroing cost.
-func (m *Mem) Zero(p *Page) {
-	m.clock.Advance(m.costs.PageZero)
-	m.ctrZeroed.Inc()
-	for i := range p.Data {
-		p.Data[i] = 0
+	// A free frame's contents are undefined: drop any shared buffer.
+	p.data = zeroPage
+	if p.own != nil {
+		p.data = p.own
 	}
 }
 
-// CopyData copies src's data into dst, charging the 4 KB copy cost.
+// Zero clears a frame's data, charging the zeroing cost. The frame
+// shares the zero page until its first store.
+func (m *Mem) Zero(p *Page) {
+	m.clock.Advance(m.costs.PageZero)
+	m.ctrZeroed.Inc()
+	p.data = zeroPage
+}
+
+// CopyData gives dst src's data, charging the 4 KB copy cost. dst shares
+// src's buffer when that is a shared one; src's own buffer, which src
+// may still store into, is copied into dst's own.
 func (m *Mem) CopyData(dst, src *Page) {
 	m.clock.Advance(m.costs.PageCopy)
 	m.ctrCopied.Inc()
-	copy(dst.Data, src.Data)
+	dst.data = src.data
+	if src.ownsData() {
+		dst.Writable()
+	}
 }
 
 // Activate puts the page on the active queue (most recently used end).

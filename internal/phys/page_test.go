@@ -52,12 +52,13 @@ func TestAllocFreeCycle(t *testing.T) {
 func TestZeroFillAlloc(t *testing.T) {
 	m := newTestMem(2)
 	p, _ := m.Alloc(nil, 0, false)
-	for i := range p.Data {
-		p.Data[i] = 0xee
+	buf := p.Writable()
+	for i := range buf {
+		buf[i] = 0xee
 	}
 	m.Free(p)
 	p2, _ := m.Alloc(nil, 0, true)
-	for i, b := range p2.Data {
+	for i, b := range p2.Data() {
 		if b != 0 {
 			t.Fatalf("zero-fill alloc byte %d = %#x", i, b)
 		}
@@ -69,7 +70,7 @@ func TestDirtyFreeListReuse(t *testing.T) {
 	// What matters is that Free clears identity, not data.
 	m := newTestMem(1)
 	p, _ := m.Alloc("a", 0, false)
-	p.Data[0] = 0x77
+	p.Writable()[0] = 0x77
 	m.Free(p)
 	q, _ := m.Alloc(nil, 0, false)
 	if q.Owner() != nil {
@@ -81,12 +82,13 @@ func TestCopyData(t *testing.T) {
 	m := newTestMem(2)
 	src, _ := m.Alloc(nil, 0, true)
 	dst, _ := m.Alloc(nil, 0, false)
-	for i := range src.Data {
-		src.Data[i] = byte(i)
+	buf := src.Writable()
+	for i := range buf {
+		buf[i] = byte(i)
 	}
 	m.CopyData(dst, src)
-	for i := range dst.Data {
-		if dst.Data[i] != byte(i) {
+	for i, b := range dst.Data() {
+		if b != byte(i) {
 			t.Fatalf("copy mismatch at %d", i)
 		}
 	}
@@ -351,7 +353,8 @@ func TestConcurrentQueueTraffic(t *testing.T) {
 }
 
 func TestPageDataDistinct(t *testing.T) {
-	// Frames must never share underlying data storage.
+	// A store into one frame never shows in another, though both share the
+	// zero page until then.
 	m := newTestMem(8)
 	prop := func(fill byte) bool {
 		a, err1 := m.Alloc(nil, 0, true)
@@ -359,8 +362,8 @@ func TestPageDataDistinct(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		a.Data[0] = fill
-		ok := b.Data[0] == 0 || fill == 0
+		a.Writable()[0] = fill
+		ok := b.Data()[0] == 0 || fill == 0
 		m.Free(a)
 		m.Free(b)
 		return ok

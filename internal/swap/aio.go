@@ -1,7 +1,5 @@
 package swap
 
-import "uvm/internal/sim"
-
 // This file is the asynchronous half of the swap I/O path: cluster
 // writes whose completions are delivered by callback, which is how a
 // reclaim pass overlaps its scan with pageout I/O still on the wire.
@@ -19,10 +17,10 @@ func (s *Swap) SetAIOWindow(n int) { s.writer.SetWindow(n) }
 // soon as the disk's window has admitted it, blocking only while the
 // window is full. done is invoked exactly once, from another goroutine,
 // with the write's result — disk.ErrOutOfRange for a run past the end of
-// the disk; the caller must treat the buffers as owned by the I/O until
-// then.
+// the disk. The buffers are handed over as the slots' blocks
+// (disk.AsyncWriter.Submit): the caller must never write them again.
 func (s *Swap) WriteClusterAsync(start int64, bufs [][]byte, done func(error)) {
-	s.stats.Inc(sim.CtrSwapAIOWrites)
-	s.stats.Add(sim.CtrSwapAIOPages, int64(len(bufs)))
+	s.ctrAIOWrites.Inc()
+	s.ctrAIOPages.Add(int64(len(bufs)))
 	s.writer.Submit(start, bufs, done)
 }

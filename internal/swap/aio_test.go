@@ -50,7 +50,7 @@ func TestWriteClusterAsyncRoundTrip(t *testing.T) {
 	for i := range rd {
 		rd[i] = make([]byte, param.PageSize)
 	}
-	if err := s.ReadCluster(start, rd); err != nil {
+	if err := s.ReadBlocks(start, rd); err != nil {
 		t.Fatal(err)
 	}
 	for i := range rd {
@@ -139,7 +139,7 @@ func TestReadClusterAcrossShards(t *testing.T) {
 	boundary := s.shardSize // first slot of the second shard
 	// Write a recognisable pattern across the boundary, slot by slot.
 	for i := int64(-2); i < 2; i++ {
-		if err := s.WriteSlot(boundary+i, pageOf(byte(0x40+i))); err != nil {
+		if err := s.WriteCluster(boundary+i, [][]byte{pageOf(byte(0x40 + i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestReadClusterAcrossShards(t *testing.T) {
 	for i := range rd {
 		rd[i] = make([]byte, param.PageSize)
 	}
-	if err := s.ReadCluster(boundary-2, rd); err != nil {
+	if err := s.ReadBlocks(boundary-2, rd); err != nil {
 		t.Fatalf("read across shard boundary: %v", err)
 	}
 	for i := range rd {
@@ -174,9 +174,9 @@ func TestClusterIOPastDeviceEnd(t *testing.T) {
 		n     int
 		io    func(s *Swap, start int64, bufs [][]byte) error
 	}{
-		{"read/last-slot-plus-one", slots - 1, 2, (*Swap).ReadCluster},
-		{"read/past-end", slots, 1, (*Swap).ReadCluster},
-		{"read/negative", -1, 2, (*Swap).ReadCluster},
+		{"read/last-slot-plus-one", slots - 1, 2, (*Swap).ReadBlocks},
+		{"read/past-end", slots, 1, (*Swap).ReadBlocks},
+		{"read/negative", -1, 2, (*Swap).ReadBlocks},
 		{"write/last-slot-plus-one", slots - 1, 2, (*Swap).WriteCluster},
 		{"write/past-end", slots, 1, (*Swap).WriteCluster},
 		{"async/last-slot-plus-one", slots - 1, 2, async},
@@ -235,7 +235,7 @@ func TestAsyncWritesRaceReads(t *testing.T) {
 				for i := range rd {
 					rd[i] = make([]byte, param.PageSize)
 				}
-				if err := s.ReadCluster(start, rd); err != nil {
+				if err := s.ReadBlocks(start, rd); err != nil {
 					t.Error(err)
 					return
 				}

@@ -31,8 +31,14 @@
 // Cluster writes can also be submitted asynchronously (WriteClusterAsync,
 // aio.go): the disk admits a bounded in-flight window of writes whose
 // completions are delivered by callback, which is how a reclaim pass
-// overlaps pageout I/O with the rest of its work. ReadCluster is the
-// read-side mirror of WriteCluster, used by clustered pagein.
+// overlaps pageout I/O with the rest of its work.
+//
+// # Page buffers
+//
+// The VM systems move page data by reference (internal/phys): ReadBlocks,
+// WriteBlocks and WriteClusterAsync share the slots' immutable blocks
+// with the frames, so a pageout or pagein copies no page bytes. ReadSlot
+// and WriteCluster serve callers with ordinary buffers, and copy.
 package swap
 
 import (
@@ -147,7 +153,6 @@ func shardCount(size int64) int {
 type Swap struct {
 	clock *sim.Clock
 	costs *sim.Costs
-	stats *sim.Stats
 
 	dev       *disk.Disk
 	shards    []*shard
@@ -161,6 +166,8 @@ type Swap struct {
 	// per-command I/O count, resolved once at construction.
 	ctrSlotsLive sim.Counter
 	ctrIOs       sim.Counter
+	ctrAIOWrites sim.Counter
+	ctrAIOPages  sim.Counter
 
 	nInUse atomic.Int64 // lock-free in-use count across all shards
 }
@@ -168,10 +175,12 @@ type Swap struct {
 // New creates a swap subsystem whose slots are the blocks of dev.
 func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk) *Swap {
 	size := dev.Blocks()
-	s := &Swap{clock: clock, costs: costs, stats: stats, dev: dev,
+	s := &Swap{clock: clock, costs: costs, dev: dev,
 		writer: disk.NewAsyncWriter(dev, 0)}
 	s.ctrSlotsLive = stats.Counter(sim.CtrSwapSlotsLive)
 	s.ctrIOs = stats.Counter(sim.CtrSwapIOs)
+	s.ctrAIOWrites = stats.Counter(sim.CtrSwapAIOWrites)
+	s.ctrAIOPages = stats.Counter(sim.CtrSwapAIOPages)
 	k := shardCount(size)
 	s.shardSize = size / int64(k)
 	for i := 0; i < k; i++ {
@@ -266,27 +275,30 @@ func (s *Swap) FreeRange(slot int64, n int) {
 
 // ReadSlot pages a single slot into buf.
 func (s *Swap) ReadSlot(slot int64, buf []byte) error {
-	return s.ReadCluster(slot, [][]byte{buf})
-}
-
-// ReadCluster pages len(bufs) contiguous slots starting at start in with a
-// single I/O operation — the read-side mirror of WriteCluster, used by
-// clustered pagein.
-func (s *Swap) ReadCluster(start int64, bufs [][]byte) error {
 	s.ctrIOs.Inc()
-	return s.dev.ReadPages(start, bufs)
+	return s.dev.ReadPages(slot, [][]byte{buf})
 }
 
-// WriteSlot pages buf out to a single slot.
-func (s *Swap) WriteSlot(slot int64, buf []byte) error {
-	return s.WriteCluster(slot, [][]byte{buf})
+// ReadBlocks pages len(blocks) contiguous slots starting at start in with
+// a single I/O operation, sharing their blocks (disk.Disk.ReadBlocks):
+// the read of a pagein, clustered or not.
+func (s *Swap) ReadBlocks(start int64, blocks [][]byte) error {
+	s.ctrIOs.Inc()
+	return s.dev.ReadBlocks(start, blocks)
 }
 
 // WriteCluster pages a contiguous cluster out with a single I/O
-// operation.
+// operation, copying bufs.
 func (s *Swap) WriteCluster(start int64, bufs [][]byte) error {
 	s.ctrIOs.Inc()
 	return s.dev.WritePages(start, bufs)
+}
+
+// WriteBlocks is WriteCluster keeping the buffers as the slots' blocks
+// (disk.Disk.WriteBlocks): the write of a pageout.
+func (s *Swap) WriteBlocks(start int64, blocks [][]byte) error {
+	s.ctrIOs.Inc()
+	return s.dev.WriteBlocks(start, blocks)
 }
 
 // inUse reports whether a slot is allocated (test/debug helper).

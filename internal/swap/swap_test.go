@@ -147,7 +147,7 @@ func TestSlotIORoundTrip(t *testing.T) {
 	for i := range out {
 		out[i] = byte(i * 3)
 	}
-	if err := s.WriteSlot(slot, out); err != nil {
+	if err := s.WriteCluster(slot, [][]byte{out}); err != nil {
 		t.Fatal(err)
 	}
 	in := make([]byte, param.PageSize)
@@ -280,7 +280,7 @@ func TestSlotIsDiskBlock(t *testing.T) {
 	s := New(clock, costs, stats, dev)
 	out := make([]byte, param.PageSize)
 	out[0] = 0xd5
-	if err := s.WriteSlot(5, out); err != nil {
+	if err := s.WriteCluster(5, [][]byte{out}); err != nil {
 		t.Fatal(err)
 	}
 	raw := make([]byte, param.PageSize)

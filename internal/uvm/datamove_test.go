@@ -29,8 +29,8 @@ func TestLoanoutSharesPagesZeroCopy(t *testing.T) {
 		t.Fatal("loanout copied data")
 	}
 	// The kernel sees the process' bytes directly.
-	if string(pages[0].Data[:7]) != "loan me" {
-		t.Fatalf("kernel view = %q", pages[0].Data[:7])
+	if string(pages[0].Data()[:7]) != "loan me" {
+		t.Fatalf("kernel view = %q", pages[0].Data()[:7])
 	}
 	for _, pg := range pages {
 		if !pg.Loaned() {
@@ -62,8 +62,8 @@ func TestLoanPreservesCOWOnOwnerWrite(t *testing.T) {
 	if err := p.WriteBytes(va, []byte{0xbb}); err != nil {
 		t.Fatal(err)
 	}
-	if pages[0].Data[0] != 0xaa {
-		t.Fatalf("borrower's view changed to %#x", pages[0].Data[0])
+	if pages[0].Data()[0] != 0xaa {
+		t.Fatalf("borrower's view changed to %#x", pages[0].Data()[0])
 	}
 	b := make([]byte, 1)
 	p.ReadBytes(va, b)
@@ -88,8 +88,8 @@ func TestLoanedPagesSurvivePageout(t *testing.T) {
 	if err := hog.TouchRange(hva, 120*param.PageSize, true); err != nil {
 		t.Fatal(err)
 	}
-	if pages[0].Data[0] != 0x5e {
-		t.Fatalf("loaned page disturbed by pageout: %#x", pages[0].Data[0])
+	if pages[0].Data()[0] != 0x5e {
+		t.Fatalf("loaned page disturbed by pageout: %#x", pages[0].Data()[0])
 	}
 	p.LoanReturn(pages)
 }
@@ -106,8 +106,8 @@ func TestLoanSurvivesOwnerExit(t *testing.T) {
 	free := m.Mem.FreePages()
 	p.Exit()
 	// The frame is orphaned, not freed: the borrower still reads it.
-	if pages[0].Data[0] != 0x77 {
-		t.Fatalf("orphaned loan corrupted: %#x", pages[0].Data[0])
+	if pages[0].Data()[0] != 0x77 {
+		t.Fatalf("orphaned loan corrupted: %#x", pages[0].Data()[0])
 	}
 	if pages[0].Owner() != nil {
 		t.Fatal("owner not cleared at exit")
@@ -130,16 +130,16 @@ func TestLoanoutOfFileMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pages[0].Data[0] != 0x10 || pages[1].Data[0] != 0x11 {
-		t.Fatalf("loaned file pages wrong: %#x %#x", pages[0].Data[0], pages[1].Data[0])
+	if pages[0].Data()[0] != 0x10 || pages[1].Data()[0] != 0x11 {
+		t.Fatalf("loaned file pages wrong: %#x %#x", pages[0].Data()[0], pages[1].Data()[0])
 	}
 	// Writing the shared mapping during the loan gives the object a fresh
 	// page; the borrowers keep the old bytes.
 	if err := p.WriteBytes(va, []byte{0xee}); err != nil {
 		t.Fatal(err)
 	}
-	if pages[0].Data[0] != 0x10 {
-		t.Fatalf("borrower saw shared-file write: %#x", pages[0].Data[0])
+	if pages[0].Data()[0] != 0x10 {
+		t.Fatalf("borrower saw shared-file write: %#x", pages[0].Data()[0])
 	}
 	b := make([]byte, 1)
 	p.ReadBytes(va, b)

@@ -36,7 +36,7 @@ import (
 // slot run (swapRun), whatever the flight's mode. "Synchronous" is not a
 // second pipeline, it is a flag that decides only whose clock pays and
 // where the completion runs: a synchronous flight issues each run with
-// the clock-charged primitive (Swap.WriteCluster, Vnode.WritePages) and
+// the clock-charged primitive (Swap.WriteBlocks, Vnode.WriteBlocks) and
 // runs the completion inline on the submitter, one run at a time,
 // stopping at the first error. An asynchronous flight pushes its runs
 // through the backend's bounded in-flight window (disk.AsyncWriter,
@@ -85,12 +85,13 @@ func (fl *flight) run(pages []*phys.Page, vn *vfs.Vnode, start int64) {
 	err := fl.err
 	s.flMu.Unlock()
 	if !fl.async {
+		var stack [maxCluster][]byte
 		switch {
 		case err != nil: // an earlier run failed: stop writing
 		case vn != nil:
-			err = vn.WritePages(int(start), pageBufs(pages))
+			err = vn.WriteBlocks(int(start), frozen(stack[:0], pages))
 		default:
-			err = s.mach.Swap.WriteCluster(start, pageBufs(pages))
+			err = s.mach.Swap.WriteBlocks(start, frozen(stack[:0], pages))
 		}
 		fl.runDone(pages, vn == nil, err)
 		return
@@ -105,12 +106,14 @@ func (fl *flight) run(pages []*phys.Page, vn *vfs.Vnode, start int64) {
 		s.ctrObjWbClusters.Inc()
 		s.ctrObjWbPages.Add(int64(len(pages)))
 	} else {
-		s.mach.Stats.Inc(sim.CtrPdAsyncClusters)
-		s.mach.Stats.Add(sim.CtrPdAsyncPages, int64(len(pages)))
+		s.ctrPdAsyncClusters.Inc()
+		s.ctrPdAsyncPages.Add(int64(len(pages)))
 	}
+	// The I/O goroutine holds the async run's blocks: they live on the heap.
+	blocks := frozen(make([][]byte, 0, len(pages)), pages)
 	if vn == nil {
-		s.mach.Swap.WriteClusterAsync(start, pageBufs(pages), done)
-	} else if err = vn.WriteClusterAsync(int(start), pageBufs(pages), done); err != nil {
+		s.mach.Swap.WriteClusterAsync(start, blocks, done)
+	} else if err = vn.WriteClusterAsync(int(start), blocks, done); err != nil {
 		// Malformed request, reported synchronously: done is never called.
 		fl.runDone(pages, false, err)
 		return
@@ -118,12 +121,13 @@ func (fl *flight) run(pages []*phys.Page, vn *vfs.Vnode, start int64) {
 	fl.issued += len(pages)
 }
 
-func pageBufs(pages []*phys.Page) [][]byte {
-	bufs := make([][]byte, len(pages))
-	for i, pg := range pages {
-		bufs[i] = pg.Data
+// frozen appends the pages' immutable buffers (phys.Page.Freeze) to
+// blocks, for a run's write to hand to the disk.
+func frozen(blocks [][]byte, pages []*phys.Page) [][]byte {
+	for _, pg := range pages {
+		blocks = append(blocks, pg.Freeze())
 	}
-	return bufs
+	return blocks
 }
 
 // fail records pages that could not even be issued (no swap slot, no

@@ -91,7 +91,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 			pg.Dirty.Store(false)
 			return
 		}
-		copy(pg.Data, bytes.Repeat([]byte{0xA0 + byte(i)}, param.PageSize))
+		copy(pg.Writable(), bytes.Repeat([]byte{0xA0 + byte(i)}, param.PageSize))
 		pg.Dirty.Store(true)
 		pages = append(pages, pg)
 		idxs = append(idxs, i)

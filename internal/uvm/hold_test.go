@@ -104,8 +104,8 @@ func TestHoldPageTable(t *testing.T) {
 					t.Error("the step ran without the page's owner lock held")
 				case faultsIn != w.faults || mapFree == (w.faults > 0):
 					t.Errorf("the step ran after %d faults, map free %v", faultsIn, mapFree)
-				case held.Data[0] != w.data:
-					t.Errorf("the held page holds %#x, want %#x", held.Data[0], w.data)
+				case held.Data()[0] != w.data:
+					t.Errorf("the held page holds %#x, want %#x", held.Data()[0], w.data)
 				case held.Owner().(*anon).mu.TryLock():
 					held.Owner().(*anon).mu.Unlock()
 				default:

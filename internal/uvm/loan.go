@@ -147,7 +147,7 @@ func (s *System) AllocKernelPages(n int, fill func(idx int, buf []byte)) ([]*phy
 		}
 		pg.WireCount.Store(1)
 		if fill != nil {
-			fill(i, pg.Data)
+			fill(i, pg.Writable())
 		}
 		pages = append(pages, pg)
 	}

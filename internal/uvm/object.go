@@ -291,7 +291,7 @@ func (s *System) newDeviceObject(n int, fill func(idx int, buf []byte)) (*uobjec
 		}
 		pg.WireCount.Store(1) // device memory never pages
 		if fill != nil {
-			fill(i, pg.Data)
+			fill(i, pg.Writable())
 		}
 		dp.frames = append(dp.frames, pg)
 	}

@@ -62,7 +62,7 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Swap.WriteSlot(slot, fill(slot)); err != nil {
+	if err := m.Swap.WriteCluster(slot, [][]byte{fill(slot)}); err != nil {
 		t.Fatal(err)
 	}
 	o.aobjSlots[0] = slot
@@ -108,7 +108,7 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := m.Swap.WriteSlot(ns, fill(ns)); err != nil {
+			if err := m.Swap.WriteCluster(ns, [][]byte{fill(ns)}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -123,9 +123,9 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 		}
 		<-done
 		cur := o.aobjSlots[0]
-		if pg.Data[0] != byte(cur) || pg.Data[param.PageSize-1] != byte(cur) {
+		if pg.Data()[0] != byte(cur) || pg.Data()[param.PageSize-1] != byte(cur) {
 			t.Fatalf("iter %d: stale pagein: object points at slot %d (pattern %#x) but page holds %#x",
-				iter, cur, byte(cur), pg.Data[0])
+				iter, cur, byte(cur), pg.Data()[0])
 		}
 		// Evict and release the drained frames for the next iteration.
 		delete(o.pages, 0)

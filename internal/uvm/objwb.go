@@ -141,7 +141,7 @@ func (s *System) bdwriteDirtyLocked(o *uobject) {
 	for _, idx := range sortedPageIdxs(o, 0, maxPageIdx) {
 		pg := o.pages[idx]
 		if pg.Dirty.Load() {
-			_ = o.vnode.WritePageAsync(idx, pg.Data)
+			_ = o.vnode.WritePageAsync(idx, pg.Freeze())
 			pg.Dirty.Store(false)
 		}
 	}

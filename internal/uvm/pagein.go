@@ -98,18 +98,26 @@ func (s *System) pagein(r pagein) error {
 }
 
 // readRun marks r's frames Busy and issues the run's one I/O. It is the
-// only function in this package that reads backing store.
+// only function in this package that reads backing store. The frames
+// share the blocks read (phys.Page.Share); no page bytes are copied.
 func (s *System) readRun(r pagein) error {
 	var stack [pageinStack][]byte
-	bufs := stack[:len(r.pages)]
-	for i, p := range r.pages {
+	blocks := stack[:len(r.pages)]
+	for _, p := range r.pages {
 		p.pg.Busy.Store(true)
-		bufs[i] = p.pg.Data
 	}
+	var err error
 	if r.o != nil && r.o.vnode != nil {
-		return r.o.vnode.ReadPages(int(r.start), bufs)
+		err = r.o.vnode.ReadBlocks(int(r.start), blocks)
+	} else {
+		err = s.mach.Swap.ReadBlocks(r.start, blocks)
 	}
-	return s.mach.Swap.ReadCluster(r.start, bufs)
+	if err == nil {
+		for i, p := range r.pages {
+			p.pg.Share(blocks[i])
+		}
+	}
+	return err
 }
 
 // finishRun is the one install site. err is the outcome of the run's

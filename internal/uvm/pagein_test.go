@@ -185,7 +185,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 	// place re-homes page i's swapped-out data to slot, by hand; moveTo
 	// also frees the slot it held.
 	place := func(i int, slot int64) {
-		if err := m.Swap.WriteSlot(slot, want(i)); err != nil {
+		if err := m.Swap.WriteCluster(slot, [][]byte{want(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if owner == "anon" {
@@ -246,7 +246,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			copy(pg.Data, want(victim))
+			copy(pg.Writable(), want(victim))
 			a.page = pg
 			m.Mem.Activate(pg)
 			break
@@ -269,7 +269,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 				if err != nil {
 					t.Error(err)
 				}
-				copy(pg.Data, want(victim))
+				copy(pg.Writable(), want(victim))
 				pg.Dirty.Store(true)
 				o.pages[vIdx] = pg
 				m.Mem.Activate(pg)
@@ -477,7 +477,7 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 			m.Mem.Activate(pg)
 		}
 		o.mu.Unlock()
-		if err != nil || !bytes.Equal(pg.Data, want(c+2)) {
+		if err != nil || !bytes.Equal(pg.Data(), want(c+2)) {
 			t.Fatalf("objPage(%d): err=%v", c+2, err)
 		}
 		pre[c+2] = true
@@ -502,7 +502,7 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 			if err != nil {
 				t.Error(err)
 			}
-			copy(pg.Data, want(victim))
+			copy(pg.Writable(), want(victim))
 			o.pages[victim] = pg
 			m.Mem.Activate(pg)
 			o.mu.Unlock()
@@ -555,8 +555,8 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 		pg := o.pages[i]
 		if (pg != nil) != (installed[i] || pre[i]) {
 			t.Errorf("file page %d resident=%v, want %v (run %d..%d)", i, pg != nil, installed[i] || pre[i], runLo, runHi)
-		} else if pg != nil && !bytes.Equal(pg.Data, want(i)) {
-			t.Errorf("file page %d holds %#x, want %#x", i, pg.Data[0], want(i)[0])
+		} else if pg != nil && !bytes.Equal(pg.Data(), want(i)) {
+			t.Errorf("file page %d holds %#x, want %#x", i, pg.Data()[0], want(i)[0])
 		}
 		if i < mapLo || i > mapHi {
 			continue

@@ -541,9 +541,9 @@ func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 		chunk := buf[done : done+n]
 		err := p.access(va, write, func(pg *phys.Page) {
 			if write {
-				copy(pg.Data[pageOff:], chunk)
+				copy(pg.Writable()[pageOff:], chunk)
 			} else {
-				copy(chunk, pg.Data[pageOff:])
+				copy(chunk, pg.Data()[pageOff:])
 			}
 		})
 		if err != nil {

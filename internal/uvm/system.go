@@ -282,11 +282,13 @@ type System struct {
 	ctrPageinClusters  sim.Counter
 	ctrPageinClustered sim.Counter
 
-	ctrPageOuts      sim.Counter
-	ctrObjWbClusters sim.Counter
-	ctrObjWbPages    sim.Counter
-	ctrPdRounds      sim.Counter
-	ctrPdFreed       sim.Counter
+	ctrPageOuts        sim.Counter
+	ctrObjWbClusters   sim.Counter
+	ctrObjWbPages      sim.Counter
+	ctrPdAsyncClusters sim.Counter
+	ctrPdAsyncPages    sim.Counter
+	ctrPdRounds        sim.Counter
+	ctrPdFreed         sim.Counter
 
 	// vnObjMu serialises vnode<->uvm_object identity: the create-or-ref
 	// decision in vnodeObject must be atomic across concurrent mappers
@@ -363,6 +365,8 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrPageOuts = m.Stats.Counter(sim.CtrPageOuts)
 	s.ctrObjWbClusters = m.Stats.Counter(sim.CtrObjWbClusters)
 	s.ctrObjWbPages = m.Stats.Counter(sim.CtrObjWbPages)
+	s.ctrPdAsyncClusters = m.Stats.Counter(sim.CtrPdAsyncClusters)
+	s.ctrPdAsyncPages = m.Stats.Counter(sim.CtrPdAsyncPages)
 	s.ctrPdRounds = m.Stats.Counter(sim.CtrPdRounds)
 	s.ctrPdFreed = m.Stats.Counter(sim.CtrPdFreed)
 	s.flCond = sync.NewCond(&s.flMu)

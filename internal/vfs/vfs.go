@@ -107,13 +107,11 @@ func (v *Vnode) String() string {
 
 // ReadPage reads page idx of the file from disk into buf.
 func (v *Vnode) ReadPage(idx int, buf []byte) error {
-	if idx < 0 || idx >= v.f.npages {
-		return ErrBadOffset
-	}
-	return v.fs.dev.ReadPages(v.f.start+int64(idx), [][]byte{buf})
+	return v.ReadPages(idx, [][]byte{buf})
 }
 
-// ReadPages reads n consecutive pages starting at idx in a single I/O.
+// ReadPages reads n consecutive pages starting at idx into bufs in a
+// single I/O.
 func (v *Vnode) ReadPages(idx int, bufs [][]byte) error {
 	if idx < 0 || idx+len(bufs) > v.f.npages {
 		return ErrBadOffset
@@ -121,31 +119,48 @@ func (v *Vnode) ReadPages(idx int, bufs [][]byte) error {
 	return v.fs.dev.ReadPages(v.f.start+int64(idx), bufs)
 }
 
-// WritePage writes page idx of the file back to disk synchronously.
-func (v *Vnode) WritePage(idx int, buf []byte) error {
-	return v.WritePages(idx, [][]byte{buf})
-}
-
-// WritePages writes len(bufs) consecutive pages starting at idx back to
-// disk synchronously, in a single I/O.
-func (v *Vnode) WritePages(idx int, bufs [][]byte) error {
-	if idx < 0 || idx+len(bufs) > v.f.npages {
+// ReadBlocks is ReadPages sharing the file's blocks
+// (disk.Disk.ReadBlocks): the read of a pagein.
+func (v *Vnode) ReadBlocks(idx int, blocks [][]byte) error {
+	if idx < 0 || idx+len(blocks) > v.f.npages {
 		return ErrBadOffset
 	}
-	return v.fs.dev.WritePages(v.f.start+int64(idx), bufs)
+	return v.fs.dev.ReadBlocks(v.f.start+int64(idx), blocks)
+}
+
+// WritePage writes page idx of the file back to disk synchronously,
+// copying buf.
+func (v *Vnode) WritePage(idx int, buf []byte) error {
+	if idx < 0 || idx >= v.f.npages {
+		return ErrBadOffset
+	}
+	return v.fs.dev.WritePages(v.f.start+int64(idx), [][]byte{buf})
+}
+
+// WriteBlocks writes len(blocks) consecutive pages starting at idx back
+// to disk synchronously, in a single I/O, keeping the buffers as the
+// file's blocks (disk.Disk.WriteBlocks): the caller must never write them
+// again.
+func (v *Vnode) WriteBlocks(idx int, blocks [][]byte) error {
+	if idx < 0 || idx+len(blocks) > v.f.npages {
+		return ErrBadOffset
+	}
+	return v.fs.dev.WriteBlocks(v.f.start+int64(idx), blocks)
 }
 
 // WritePageAsync queues page idx for write-back through the buffer cache:
 // the caller pays only the in-memory copy; the disk write happens "later"
 // (the data is durable immediately in the simulation, but no disk time is
-// charged to the caller — matching a bdwrite of a dirty mapped page).
-func (v *Vnode) WritePageAsync(idx int, buf []byte) error {
+// charged to the caller — matching a bdwrite of a dirty mapped page). The
+// block is handed over as the file's (disk.Disk.WriteBlocksDeferred): the
+// caller must never write it again.
+func (v *Vnode) WritePageAsync(idx int, block []byte) error {
 	if idx < 0 || idx >= v.f.npages {
 		return ErrBadOffset
 	}
 	v.fs.clock.Advance(v.fs.costs.PageCopy)
-	v.fs.stats.Inc("vfs.asyncwrites")
-	return v.fs.dev.WritePagesDeferred(v.f.start+int64(idx), [][]byte{buf})
+	v.fs.ctrAsyncWrites.Inc()
+	return v.fs.dev.WriteBlocksDeferred(v.f.start+int64(idx), [][]byte{block})
 }
 
 // WriteClusterAsync queues len(bufs) consecutive pages starting at idx
@@ -153,16 +168,17 @@ func (v *Vnode) WritePageAsync(idx int, buf []byte) error {
 // write window (the same disk.AsyncWriter engine that backs swap's async
 // cluster pageout). The submitter pays only the in-memory copies and
 // blocks only while the window is full; done is invoked exactly once,
-// from another goroutine, with the write's result, and the caller must
-// treat the buffers as owned by the I/O until then. This is the vnode
-// backend of UVM's object writeback pipeline (msync, vnode recycling).
+// from another goroutine, with the write's result. The buffers are handed
+// over as the file's blocks (disk.AsyncWriter.Submit): the caller must
+// never write them again. This is the vnode backend of UVM's object
+// writeback pipeline (msync, vnode recycling).
 func (v *Vnode) WriteClusterAsync(idx int, bufs [][]byte, done func(error)) error {
 	if idx < 0 || idx+len(bufs) > v.f.npages {
 		return ErrBadOffset
 	}
 	v.fs.clock.ChargeN(len(bufs), v.fs.costs.PageCopy)
-	v.fs.stats.Inc("vfs.aio.writes")
-	v.fs.stats.Add("vfs.aio.pages", int64(len(bufs)))
+	v.fs.ctrAIOWrites.Inc()
+	v.fs.ctrAIOPages.Add(int64(len(bufs)))
 	v.fs.aw.Submit(v.f.start+int64(idx), bufs, done)
 	return nil
 }
@@ -212,6 +228,9 @@ type FS struct {
 	// aw is the bounded-window asynchronous writer for the filesystem
 	// disk, shared by every vnode's WriteClusterAsync.
 	aw *disk.AsyncWriter
+
+	// Cached handles for the counters every write-back bumps.
+	ctrAsyncWrites, ctrAIOWrites, ctrAIOPages sim.Counter
 }
 
 // NewFS creates a filesystem on dev with an in-core table of maxVnodes
@@ -226,6 +245,10 @@ func NewFS(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk,
 		files:     make(map[string]*file),
 		vnodes:    make(map[string]*Vnode),
 		maxVnodes: maxVnodes,
+
+		ctrAsyncWrites: stats.Counter("vfs.asyncwrites"),
+		ctrAIOWrites:   stats.Counter("vfs.aio.writes"),
+		ctrAIOPages:    stats.Counter("vfs.aio.pages"),
 	}
 }
 
@@ -254,10 +277,10 @@ func (fs *FS) Create(name string, size int, fill func(pageIdx int, buf []byte)) 
 		bufs := make([][]byte, npages)
 		arena := make([]byte, npages*param.PageSize)
 		for i := range bufs {
-			bufs[i] = arena[i*param.PageSize : (i+1)*param.PageSize]
+			bufs[i] = arena[i*param.PageSize : (i+1)*param.PageSize : (i+1)*param.PageSize]
 			fill(i, bufs[i])
 		}
-		if err := fs.dev.WritePages(start, bufs); err != nil {
+		if err := fs.dev.WriteBlocks(start, bufs); err != nil {
 			return err
 		}
 	}

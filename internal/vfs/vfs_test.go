@@ -280,7 +280,7 @@ func TestWritePagesMultipage(t *testing.T) {
 		bufs[i][0] = byte(0x40 + i)
 	}
 	before := stats.Get(sim.CtrDiskWrites)
-	if err := v.WritePages(2, bufs); err != nil {
+	if err := v.WriteBlocks(2, bufs); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Get(sim.CtrDiskWrites)-before != 1 {
@@ -292,7 +292,7 @@ func TestWritePagesMultipage(t *testing.T) {
 			t.Fatalf("page %d after the write: err=%v content=%#x", 2+i, err, in[0])
 		}
 	}
-	if err := v.WritePages(6, bufs); !errors.Is(err, ErrBadOffset) {
+	if err := v.WriteBlocks(6, bufs); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("overlong write: %v", err)
 	}
 	if err := v.ReadPage(6, in); err != nil || in[0] != 0 {
