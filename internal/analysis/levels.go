@@ -2,8 +2,8 @@ package analysis
 
 // Levels is the declared lock hierarchy, highest (outermost) first. It
 // is the machine-readable form of the ordering documented atop
-// internal/uvm/system.go — map -> object -> amap -> anon -> page
-// identity -> leaf — with the leaf tier split into its documented
+// internal/uvm/system.go — map -> object -> amap -> anon -> flights ->
+// leaf — with the leaf tier split into its documented
 // sub-levels (pmap above pv bucket, magazine above queue shard, and so
 // on).
 //
@@ -15,24 +15,23 @@ package analysis
 // docs/analysis.md lists these same names; scripts/check-docs.sh fails
 // if the two sets drift apart.
 var Levels = []string{
-	"system",    // process tables, bsdvm's big kernel lock
-	"shmreg",    // sysv.Registry.mu — held across segment attach/detach
-	"shmseg",    // uvm shmSegment.mu — held across the target map lock
-	"map",       // vmMap.mu — the per-address-space map lock
-	"vnobj",     // System.vnObjMu — vnode<->object identity
-	"object",    // uobject.mu
-	"amap",      // amap.mu — the amap's reference count and slots
-	"anon",      // anon.mu
-	"pageident", // phys.Page.mu — per-frame identity (owner/off)
-	"wbcond",    // System.flMu — flight counters/result lists, the reclaim pass's state, and their condvar
-	"pmap",      // Pmap.mu — one address space's page table
-	"pvbucket",  // MMU reverse-map bucket locks (strict leaves within pmap)
-	"magazine",  // phys per-CPU free-page magazines
-	"pageq",     // phys page-queue shards
-	"swap",      // swap allocator shard locks
-	"vfs",       // FS.mu — vnode cache and file table
-	"disk",      // Disk.mu — the device itself
-	"leaf",      // terminal: nothing is ever acquired while held
+	"system",   // process tables, bsdvm's big kernel lock
+	"shmreg",   // sysv.Registry.mu — held across segment attach/detach
+	"shmseg",   // uvm shmSegment.mu — held across the target map lock
+	"map",      // vmMap.mu — the per-address-space map lock
+	"vnobj",    // System.vnObjMu — vnode<->object identity
+	"object",   // uobject.mu
+	"amap",     // amap.mu — the amap's reference count and slots
+	"anon",     // anon.mu
+	"wbcond",   // System.flMu — flight counters/result lists, the reclaim pass's state, and their condvar
+	"pmap",     // Pmap.mu — one address space's page table
+	"pvbucket", // MMU reverse-map bucket locks (strict leaves within pmap)
+	"magazine", // phys per-CPU free-page magazines
+	"pageq",    // phys page-queue shards
+	"swap",     // swap allocator shard locks
+	"vfs",      // FS.mu — vnode cache and file table
+	"disk",     // Disk.mu — the device itself
+	"leaf",     // terminal: nothing is ever acquired while held
 }
 
 // levelRank maps a level name to its position in Levels (0 = outermost).

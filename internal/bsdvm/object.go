@@ -12,8 +12,10 @@ func errf(format string, args ...any) error { return fmt.Errorf("bsdvm: "+format
 
 // object is a vm_object: a stand-alone memory object under VM-system
 // control, holding resident pages and — for copy-on-write — a link to the
-// object it shadows.
+// object it shadows. The embedded Ident is how its frames name it as
+// their owner.
 type object struct {
+	phys.Ident
 	id   int
 	refs int
 
@@ -52,13 +54,15 @@ func (s *System) newObject(sizePg int, anon bool) *object {
 	s.mach.Stats.Inc("bsdvm.object.alloc")
 	s.mach.Stats.Inc("bsdvm.object.live")
 	s.nextObjID++
-	return &object{
+	o := &object{
 		id:     s.nextObjID,
 		refs:   1,
 		sizePg: sizePg,
 		pages:  make(map[int]*phys.Page),
 		anon:   anon,
 	}
+	o.Name(o)
+	return o
 }
 
 // vnodeObject finds or creates the memory object for a file. BSD VM

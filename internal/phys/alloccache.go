@@ -318,11 +318,11 @@ func (m *Mem) finishAlloc(p *Page, owner any, off param.PageOff, zero bool) {
 	m.freeCnt.Add(-1)
 	m.clock.Advance(m.costs.PageAlloc)
 	p.SetOwner(owner, off)
+	p.refs.Store(ownerRef)
 	p.Dirty.Store(false)
 	p.Referenced.Store(false)
 	p.Busy.Store(false)
 	p.WireCount.Store(0)
-	p.LoanCount.Store(0)
 	if zero {
 		m.Zero(p)
 	}

@@ -66,12 +66,13 @@
 // back: an allocator that finds no free frame gets ErrNoMemory and
 // reclaims, itself, through its VM system.
 //
-// Page state bits (Dirty, Referenced, Busy, WireCount, LoanCount) are
-// atomics: they are read lock-free by queue scans while being written
-// under the owning VM structure's lock. Page *identity* (Owner, Off) is
-// guarded by a small per-page mutex so the single-flight reclaim pass can
-// safely chase a page's owner while loan-break and teardown paths re-home
-// or orphan the frame.
+// A frame's state bits and identity (Owner, Off) are atomics, written
+// under the owning VM structure's lock or while no one else can reach the
+// frame, and read lock-free: a reader that acts on the owner it read
+// locks that owner and checks again that it still holds the frame. A
+// loaned frame lives until its owner (Disown) and its last borrower
+// (Unloan) have let go, counted in one atomic word: whichever drops the
+// last reference frees the frame.
 package phys
 
 import (
@@ -116,16 +117,14 @@ type Page struct {
 	data []byte
 	own  []byte
 
-	// Identity: which higher-level entity owns this frame. Exactly one of
-	// these is meaningful for an allocated page; both are zero for a free
-	// page. The concrete types belong to the VM system that allocated the
-	// page (a memory object or an anon). Guarded by mu, because loan
-	// orphaning and loan-break change a page's owner while other paths
-	// (the single-flight reclaim pass, loan teardown) are inspecting it.
-	//uvm:lock pageident
-	mu    sync.Mutex
-	owner any
-	off   param.PageOff
+	// Identity: the structure that owns this frame — a memory object or
+	// an anon of the VM system that allocated it — and the frame's offset
+	// within it; off is stored first. refs is the lifetime word: ownerRef
+	// until the owner (or an owner-less frame's allocator) lets go, plus
+	// loanRef per loan.
+	owner atomic.Pointer[Ident]
+	off   atomic.Uint64
+	refs  atomic.Int32
 
 	// State bits maintained by the VM systems and the pmap layer.
 	// Atomics: written under the owning structure's lock, read lock-free
@@ -134,7 +133,6 @@ type Page struct {
 	Referenced atomic.Bool
 	Busy       atomic.Bool // page is being paged in/out
 	WireCount  atomic.Int32
-	LoanCount  atomic.Int32 // UVM page loanout: >0 means read-only shared loan
 
 	home       uint8  // queue shard this frame always lives in
 	seq        uint64 // global LRU stamp of the last queue insertion
@@ -206,51 +204,76 @@ func (p *Page) Share(b []byte) {
 
 func (p *Page) ownsData() bool { return p.own != nil && &p.data[0] == &p.own[0] }
 
+// Ident is what a frame points at to name its owner. Each structure that
+// owns frames embeds one and names itself with Name when it is made, so
+// re-homing a frame is one atomic store and allocates nothing; any other
+// owner is boxed in a fresh Ident.
+type Ident struct{ owner any }
+
+// Name makes id name owner, the structure that embeds it.
+func (id *Ident) Name(owner any) { id.owner = owner }
+
+func (id *Ident) ident() *Ident { return id }
+
+func identFor(owner any) *Ident {
+	switch o := owner.(type) {
+	case nil:
+		return nil
+	case interface{ ident() *Ident }:
+		return o.ident()
+	}
+	return &Ident{owner}
+}
+
 // Owner returns the structure that currently owns this frame (nil for a
-// free or orphaned frame).
+// free, owner-less or orphaned frame).
 func (p *Page) Owner() any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.owner
+	if id := p.owner.Load(); id != nil {
+		return id.owner
+	}
+	return nil
 }
 
 // Off returns the page-aligned offset of this frame within its owner.
-func (p *Page) Off() param.PageOff {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.off
-}
+func (p *Page) Off() param.PageOff { return param.PageOff(p.off.Load()) }
 
-// SetOwner re-homes the frame to a new owner (or orphans it with nil).
+// SetOwner re-homes the frame to a new owner. Caller holds the new
+// owner's lock, or the frame is one no one else can reach.
 func (p *Page) SetOwner(owner any, off param.PageOff) {
-	p.mu.Lock()
-	p.owner = owner
-	p.off = off
-	p.mu.Unlock()
+	p.off.Store(uint64(off))
+	p.owner.Store(identFor(owner))
 }
 
-// WithIdentity runs fn with the page identity lock held, passing the
-// current owner. fn may call SetOwnerLocked-style updates via the
-// returned owner reference only; it must not take other page locks.
-// This is the primitive behind race-free loan teardown: "drop my loan
-// and free the frame if the owner has also gone" must be one atomic
-// decision.
-func (p *Page) WithIdentity(fn func(owner any)) {
-	p.mu.Lock()
-	fn(p.owner)
-	p.mu.Unlock()
+const ownerRef, loanRef = 1, 2 // the references refs counts
+
+// Loan takes a loan on the frame, keeping it alive for the borrower
+// after its owner lets go. Caller holds the owner's lock.
+func (p *Page) Loan() { p.refs.Add(loanRef) }
+
+// Unloan returns a loan and reports whether that was the frame's last
+// reference, in which case the caller frees the frame.
+func (p *Page) Unloan() bool {
+	n := p.refs.Add(-loanRef)
+	if n < 0 {
+		panic("phys: loan count underflow " + p.String())
+	}
+	return n == 0
 }
 
-// Orphan clears the owner. It must only be called from within a
-// WithIdentity callback (which holds the identity lock); the borrowers
-// of a loaned frame keep the data alive until the last loan drops.
-func (p *Page) Orphan() { p.owner = nil }
+// Disown orphans the frame, dropping its owner's reference, and reports
+// whether that was the last one, in which case the caller frees the
+// frame. A frame that may be loaned must be off the paging queues first
+// (Mem.Dequeue): the last borrower may free it as soon as Disown returns.
+func (p *Page) Disown() bool {
+	p.owner.Store(nil)
+	return p.refs.Add(-ownerRef) == 0
+}
 
 // Wired reports whether the page is wired (must stay resident).
 func (p *Page) Wired() bool { return p.WireCount.Load() > 0 }
 
 // Loaned reports whether the page is currently loaned out.
-func (p *Page) Loaned() bool { return p.LoanCount.Load() > 0 }
+func (p *Page) Loaned() bool { return p.refs.Load() >= loanRef }
 
 // Queue returns the queue the page is currently on.
 func (p *Page) Queue() QueueKind { return p.queue }
@@ -261,7 +284,7 @@ func (p *Page) Shard() int { return int(p.home) }
 // String renders the page's identity and state for debug output.
 func (p *Page) String() string {
 	return fmt.Sprintf("page(pa=%#x owner=%T off=%#x q=%d wire=%d loan=%d dirty=%v)",
-		p.PA, p.Owner(), p.Off(), p.queue, p.WireCount.Load(), p.LoanCount.Load(), p.Dirty.Load())
+		p.PA, p.Owner(), p.Off(), p.queue, p.WireCount.Load(), p.refs.Load()/loanRef, p.Dirty.Load())
 }
 
 // pageList is an intrusive doubly-linked list of pages.
@@ -537,11 +560,11 @@ func (m *Mem) freePrep(p *Page) {
 	if p.WireCount.Load() > 0 {
 		panic("phys: freeing wired page " + p.String())
 	}
-	if p.LoanCount.Load() > 0 {
+	if p.Loaned() {
 		panic("phys: freeing loaned page " + p.String())
 	}
 	m.clock.Advance(m.costs.PageFree)
-	p.SetOwner(nil, 0)
+	p.owner.Store(nil)
 	p.Dirty.Store(false)
 	// A free frame's contents are undefined: drop any shared buffer.
 	p.data = zeroPage
@@ -684,7 +707,7 @@ func (m *Mem) ScanInactive(max int, fn func(*Page) bool) {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		for p := sh.inactive.head; p != nil && len(cand)-first < max; p = p.next {
-			if p.Busy.Load() || p.WireCount.Load() > 0 || p.LoanCount.Load() > 0 {
+			if p.Busy.Load() || p.Wired() || p.Loaned() {
 				continue
 			}
 			cand = append(cand, candidate{p, p.seq})

@@ -128,7 +128,7 @@ func TestFreePanicsOnWiredOrLoaned(t *testing.T) {
 	p.WireCount.Store(1)
 	mustPanic(t, func() { m.Free(p) })
 	p.WireCount.Store(0)
-	p.LoanCount.Store(1)
+	p.Loan()
 	mustPanic(t, func() { m.Free(p) })
 }
 
@@ -152,7 +152,7 @@ func TestScanInactiveOrderAndSkips(t *testing.T) {
 	}
 	order[1].Busy.Store(true)
 	order[2].WireCount.Store(1)
-	order[3].LoanCount.Store(1)
+	order[3].Loan()
 
 	var scanned []*Page
 	m.ScanInactive(10, func(p *Page) bool {

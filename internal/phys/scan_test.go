@@ -22,7 +22,7 @@ func scanReference(m *Mem, max int) []*Page {
 		sh.mu.Lock()
 		cnt := 0
 		for p := sh.inactive.head; p != nil && cnt < max; p = p.next {
-			if p.Busy.Load() || p.WireCount.Load() > 0 || p.LoanCount.Load() > 0 {
+			if p.Busy.Load() || p.WireCount.Load() > 0 || p.Loaned() {
 				continue
 			}
 			cand = append(cand, candidate{p, p.seq})
@@ -87,7 +87,7 @@ func randomQueues(r *sim.RNG) *Mem {
 			case 1:
 				p.WireCount.Store(1)
 			case 2:
-				p.LoanCount.Store(1)
+				p.Loan()
 			}
 		case k < 10:
 			m.Activate(p)

@@ -17,20 +17,17 @@ import (
 // An anon with a single reference is writable in place; an anon referenced
 // by more than one amap is copy-on-write.
 //
-// mu guards every field. It sits below the amap lock and above the page
-// identity lock in the package lock order; the fault path holds it from
-// resolution through pmap entry so reclaim (which TryLocks it)
-// can never yank the page out from under a fault in progress.
+// mu guards every field. It sits below the amap lock in the package lock
+// order; the fault path holds it from resolution through pmap entry so
+// reclaim (which TryLocks it) can never yank the page out from under a
+// fault in progress. The anon's frame names it by its Ident.
 type anon struct {
+	phys.Ident
 	//uvm:lock anon
 	mu     sync.Mutex
 	refs   int
 	page   *phys.Page
 	swslot int64
-	// loaned marks an anon whose page is *borrowed* via page loanout /
-	// page transfer (§7) rather than owned: the page's true owner is
-	// another anon or object (or nobody, if the owner has since died).
-	loaned bool
 	// layout says where pageout should put the anon's data relative to the
 	// rest of a cluster: next to its VA neighbours. It names the amap slot
 	// the anon was made for, is set when the anon is and never changes, so
@@ -42,8 +39,7 @@ type anon struct {
 
 // layoutKey orders the pages of one pageout cluster (flight.swapRun): by
 // the amap or aobj they belong to, then by slot or page index, which is VA
-// order wherever one mapping is concerned. Eight bytes, so that carrying
-// one leaves the anon in the allocation size class it had without.
+// order wherever one mapping is concerned.
 type layoutKey struct {
 	id  uint32 // amap.id or uobject.id; they share one sequence
 	idx uint32 // amap slot, or page index in the aobj
@@ -74,7 +70,9 @@ func (s *System) newAnon(am *amap, slot int) *anon {
 	s.mach.Clock.Advance(s.mach.Costs.AnonAlloc)
 	s.ctrAnonAlloc.Inc()
 	s.ctrAnonLive.Inc()
-	return &anon{refs: 1, swslot: swap.NoSlot, layout: newLayoutKey(am.id, slot)}
+	a := &anon{refs: 1, swslot: swap.NoSlot, layout: newLayoutKey(am.id, slot)}
+	a.Name(a)
+	return a
 }
 
 // anonRef adds a reference (a new amap slot pointing at the anon).
@@ -99,13 +97,12 @@ func (s *System) anonUnref(a *anon) {
 	}
 	pg := a.page
 	a.page = nil
-	loanedView := a.loaned
 	slot := a.swslot
 	a.swslot = swap.NoSlot
 	a.mu.Unlock()
 
 	if pg != nil {
-		s.dropAnonPage(pg, loanedView)
+		s.dropAnonPage(a, pg)
 	}
 	if slot != swap.NoSlot {
 		s.mach.Swap.Free(slot)
@@ -114,39 +111,26 @@ func (s *System) anonUnref(a *anon) {
 	s.ctrAnonLive.Add(-1)
 }
 
-// dropAnonPage releases a dying anon's hold on pg. The keep-or-free
-// decision races with concurrent loan returns, so it is made atomically
-// under the page identity lock. On every path the page's translations
-// are removed once, and a frame that is freed leaves its paging queue in
-// Mem.Free.
-func (s *System) dropAnonPage(pg *phys.Page, loanedView bool) {
-	freeIt, unmapped := false, false
-	pg.WithIdentity(func(owner any) {
-		switch {
-		case loanedView:
-			// This anon merely borrowed the page: drop the loan; free the
-			// frame only if the true owner is already gone and we were
-			// the last borrower.
-			freeIt = pg.LoanCount.Add(-1) == 0 && owner == nil
-		case pg.LoanCount.Load() > 0:
-			// Dying owner of a loaned-out page: orphan the frame. The
-			// borrowers keep the data; the last of them frees it. If the
-			// last loan was returned while we were deciding, the frame is
-			// already unreachable and we free it ourselves.
-			pg.Orphan()
+// dropAnonPage releases dying anon a's reference to pg and frees the
+// frame if that was the last one. An anon that pg does not name as its
+// owner borrowed it (page transfer of a loaned page, §7), and holds a loan.
+// The page's translations are removed once, and a frame that is freed
+// leaves its paging queue in Mem.Free.
+func (s *System) dropAnonPage(a *anon, pg *phys.Page) {
+	if pg.Owner() != a {
+		if pg.Unloan() {
 			s.mach.MMU.PageProtect(pg, param.ProtNone)
-			s.mach.Mem.Dequeue(pg)
-			unmapped = true
-			freeIt = pg.LoanCount.Load() == 0
-		default:
-			pg.WireCount.Store(0)
-			freeIt = true
+			s.mach.Mem.Free(pg)
 		}
-	})
-	if freeIt {
-		if !unmapped {
-			s.mach.MMU.PageProtect(pg, param.ProtNone)
-		}
+		return
+	}
+	s.mach.MMU.PageProtect(pg, param.ProtNone)
+	pg.WireCount.Store(0)
+	if pg.Loaned() {
+		// The borrowers keep the data, off the paging queues.
+		s.mach.Mem.Dequeue(pg)
+	}
+	if pg.Disown() {
 		s.mach.Mem.Free(pg)
 	}
 }

@@ -234,10 +234,10 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 // newAnonPage allocates a fresh anon and its frame for a fault in
 // progress that will put them at slot of am. The frame is born dirty —
 // anonymous content lives only in RAM until paged — and names the anon as
-// its owner only once the anon points back at it: a reclaim scan working from a stale queue snapshot may
-// probe the frame the moment it has an owner, and the page identity lock
-// orders that probe after the attach. The frame comes first, so a failed
-// allocation leaves no anon to undo.
+// its owner only once the anon points back at it: a reclaim scan working
+// from a stale queue snapshot may probe the frame the moment it has an
+// owner, and the atomic owner store publishes the attach to that probe.
+// The frame comes first, so a failed allocation leaves no anon to undo.
 func (s *System) newAnonPage(am *amap, slot int, zero bool) (*anon, *phys.Page, error) {
 	np, err := s.allocPage(int(am.home), nil, 0, zero)
 	if err != nil {

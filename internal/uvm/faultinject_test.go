@@ -230,6 +230,12 @@ func TestSwapDeviceDeathMidPageout(t *testing.T) {
 	if _, err := m.Swap.AllocContig(2); err == nil {
 		t.Error("AllocContig still places runs on the dead device")
 	}
+	// Nor are single-page writes to old slots: a pass over pages bound
+	// for a dead device submits nothing, so the allocator reports after a
+	// few passes instead of retrying writes that can only fail.
+	if rounds := m.Stats.Get(sim.CtrPdRounds); rounds >= 100 {
+		t.Errorf("%d reclaim passes before reporting; a dead device must end the retries at once", rounds)
+	}
 
 	// Shutdown drains: failed completions count too.
 	s.Shutdown()

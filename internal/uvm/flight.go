@@ -3,6 +3,7 @@ package uvm
 import (
 	"slices"
 
+	"uvm/internal/disk"
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/sim"
@@ -164,11 +165,16 @@ func (fl *flight) vnodeRun(vn *vfs.Vnode, idx int, pages []*phys.Page) {
 // come back with one I/O (anonPagein, aobjPager.get). Under
 // cfg.DisableClustering, or when swap is too fragmented for a run, each
 // page goes to its own slot (existing, else freshly allocated) with its
-// own I/O — precisely BSD VM's behaviour (Figure 5's two curves). Caller
-// holds every page's owner lock.
+// own I/O — precisely BSD VM's behaviour (Figure 5's two curves). On a
+// dead swap device the pages fail without I/O. Caller holds every page's
+// owner lock.
 func (fl *flight) swapRun(pages []*phys.Page) {
 	s := fl.s
 	if fl.stopped(pages) {
+		return
+	}
+	if s.mach.SwapDisk.Dead() {
+		fl.fail(pages, true, disk.ErrDeviceDead)
 		return
 	}
 	if !s.cfg.DisableClustering && len(pages) > 1 {

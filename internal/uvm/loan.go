@@ -13,18 +13,18 @@ import (
 // structures.
 //
 // A loaned page is made read-only in every address space; the loan is
-// recorded in the page's loan count. Copy-on-write is gracefully
+// a reference to the frame (phys.Page.Loan). Copy-on-write is gracefully
 // preserved: if the owner writes a loaned anon page, the fault routine
 // gives the owner a fresh private copy (faultAnon); if a shared object
 // page on loan is written, the object receives a fresh copy and the
 // loaned frame is orphaned to its borrowers (breakObjLoan). Reclaim
 // skips loaned pages, so pageout cannot yank a loan either.
 //
-// Concurrency: the loan count is taken under the page owner's lock
-// (holdPage), so a loan cannot race a pageout or teardown of the same
-// page, and the keep-or-free decision when loans drop is made under the
-// page identity lock, so the last borrower and a dying owner cannot
-// double-free the frame.
+// Concurrency: a loan is taken under the page owner's lock (holdPage), so
+// it cannot race a pageout or teardown of the same page. The owner and
+// each loan hold one reference to the frame, counted in one atomic word
+// (phys.Page.Disown, Unloan): whoever drops the last one frees the frame,
+// so the last borrower and a dying owner cannot both free it.
 
 // Loanout loans npages pages starting at addr, faulting them resident
 // first if needed. The returned pages are held by "the kernel" (the
@@ -57,7 +57,7 @@ func (p *Process) Loanout(addr param.VAddr, npages int) ([]*phys.Page, error) {
 
 // loanPage takes one loan on pg. Caller holds pg's owner lock.
 func (s *System) loanPage(pg *phys.Page) {
-	pg.LoanCount.Add(1)
+	pg.Loan()
 	// All mappings become read-only so any write faults and the COW
 	// machinery keeps the borrowers' view stable.
 	s.mach.MMU.PageProtect(pg, param.ProtRead)
@@ -75,18 +75,9 @@ func (p *Process) LoanReturn(pages []*phys.Page) {
 
 func (s *System) unloan(pages []*phys.Page) {
 	for _, pg := range pages {
-		if pg.LoanCount.Load() <= 0 {
-			panic("uvm: loan count underflow")
-		}
 		// The borrower tears down its kernel mapping of the page.
 		s.mach.Clock.Advance(s.mach.Costs.PmapRemove)
-		freeIt := false
-		pg.WithIdentity(func(owner any) {
-			if pg.LoanCount.Add(-1) == 0 && owner == nil {
-				freeIt = true
-			}
-		})
-		if freeIt {
+		if pg.Unloan() {
 			s.mach.MMU.PageProtect(pg, param.ProtNone)
 			s.mach.Mem.Free(pg)
 		}
@@ -105,7 +96,7 @@ func (s *System) breakObjLoan(o *uobject, idx int, pg *phys.Page) (*phys.Page, b
 	if err != nil {
 		return nil, false, err
 	}
-	if cur, ok := o.pages[idx]; !ok || cur != pg || !pg.Loaned() {
+	if !owns(o, pg) || !pg.Loaned() {
 		s.mach.Mem.Free(np)
 		return nil, true, nil
 	}
@@ -116,12 +107,7 @@ func (s *System) breakObjLoan(o *uobject, idx int, pg *phys.Page) (*phys.Page, b
 	// while we were copying, the orphan is already unreachable — free it.
 	s.mach.MMU.PageProtect(pg, param.ProtNone)
 	s.mach.Mem.Dequeue(pg)
-	freeIt := false
-	pg.WithIdentity(func(any) {
-		pg.Orphan()
-		freeIt = pg.LoanCount.Load() == 0
-	})
-	if freeIt {
+	if pg.Disown() {
 		s.mach.Mem.Free(pg)
 	}
 	o.pages[idx] = np

@@ -40,8 +40,10 @@ type pagerOps interface {
 //
 // mu guards refs, the resident-page map and the aobj swap-slot map. It
 // nests below the map lock and above the amap/anon locks (the write
-// fault that promotes an object page into a fresh anon holds both).
+// fault that promotes an object page into a fresh anon holds both). Its
+// frames name it by its Ident.
 type uobject struct {
+	phys.Ident
 	//uvm:lock object
 	mu     sync.Mutex
 	ops    pagerOps
@@ -94,6 +96,7 @@ func (s *System) vnodeObject(vn *vfs.Vnode) *uobject {
 		pages:  make(map[int]*phys.Page),
 		vnode:  vn,
 	}
+	o.Name(o)
 	vn.Ref()
 	// The recycle hook: when the vnode layer recycles this vnode, UVM
 	// terminates the embedded object (§4 — the single-cache design).
@@ -231,7 +234,7 @@ func (ap *aobjPager) name() string { return "aobj" }
 func (s *System) newAObj(n int) *uobject {
 	s.mach.Clock.Advance(s.mach.Costs.ObjectAlloc)
 	s.mach.Stats.Inc("uvm.uobj.aobj.created")
-	return &uobject{
+	o := &uobject{
 		ops:       &aobjPager{sys: s},
 		refs:      1,
 		sizePg:    n,
@@ -239,6 +242,8 @@ func (s *System) newAObj(n int) *uobject {
 		aobjSlots: make(map[int]int64),
 		id:        s.layoutIDs.Add(1),
 	}
+	o.Name(o)
+	return o
 }
 
 // get reads idx's swap slot and, with the same I/O, the adjoining slots
@@ -284,6 +289,7 @@ func (dp *devPager) name() string { return "device" }
 func (s *System) newDeviceObject(n int, fill func(idx int, buf []byte)) (*uobject, error) {
 	dp := &devPager{sys: s}
 	o := &uobject{ops: dp, refs: 1, sizePg: n, pages: make(map[int]*phys.Page)}
+	o.Name(o)
 	for i := 0; i < n; i++ {
 		pg, err := s.allocPage(noHome, o, param.PageToOff(i), false)
 		if err != nil {

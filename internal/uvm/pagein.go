@@ -237,14 +237,14 @@ func (s *System) anonRun(am *amap, a *anon, slot, lo, hi, limit int, buf []*anon
 
 // swappedAt returns the anon in slot i of am, locked, if its data can ride
 // in a run that has swap slot want at that place: the anon is there, its
-// lock is free right now, and it is swapped out, unloaned and holds
-// exactly that slot. Anything else is nil. Caller holds am.mu.
+// lock is free right now, and it is swapped out and holds exactly that
+// slot. Anything else is nil. Caller holds am.mu.
 func (am *amap) swappedAt(i int, want int64) *anon {
 	b := am.get(i)
 	if b == nil || !b.mu.TryLock() {
 		return nil
 	}
-	if b.page != nil || b.loaned || b.swslot != want {
+	if b.page != nil || b.swslot != want {
 		b.mu.Unlock()
 		return nil
 	}

@@ -556,7 +556,7 @@ func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 
 // lockMapped locks whatever structure owns pg — an anon or a uobject;
 // an ownerless loaned frame has none — and re-verifies, under that lock,
-// that pg still has that owner and that va still maps pg with access. It
+// that it still owns pg and that va still maps pg with access. It
 // returns the release func, or nil if anything changed underneath.
 func (p *Process) lockMapped(va param.VAddr, pg *phys.Page, access param.Prot) func() {
 	owner := pg.Owner()
@@ -568,11 +568,8 @@ func (p *Process) lockMapped(va param.VAddr, pg *phys.Page, access param.Prot) f
 	case *uobject:
 		o.mu.Lock()
 		release = o.mu.Unlock
-	case nil:
-	default:
-		return nil
 	}
-	if pte, ok := p.pm.Lookup(va); pg.Owner() != owner || !ok || pte.Page != pg || !pte.Prot.Allows(access) {
+	if pte, ok := p.pm.Lookup(va); !owns(owner, pg) || !ok || pte.Page != pg || !pte.Prot.Allows(access) {
 		release()
 		return nil
 	}

@@ -113,29 +113,21 @@ func (s *System) reclaimPass(async bool) (freed, submitted int) {
 // so reclaim can never deadlock against a fault in progress.
 type ownerSet map[any]struct{}
 
-func (os ownerSet) holds(owner any) bool { _, ok := os[owner]; return ok }
-
 // tryAcquire locks owner unless it is already held by this set or
 // unavailable. It reports whether the caller may proceed under the lock,
 // and whether the lock was newly acquired (and must be released if the
 // page is not clustered).
 func (os ownerSet) tryAcquire(owner any) (proceed, acquired bool) {
-	if os.holds(owner) {
+	if _, held := os[owner]; held {
 		return true, false
 	}
 	switch o := owner.(type) {
 	case *anon:
-		if !o.mu.TryLock() {
-			return false, false
-		}
+		acquired = o.mu.TryLock()
 	case *uobject:
-		if !o.mu.TryLock() {
-			return false, false
-		}
-	default:
-		return false, false
+		acquired = o.mu.TryLock()
 	}
-	return true, true
+	return acquired, acquired
 }
 
 func (os ownerSet) keep(owner any) { os[owner] = struct{}{} }
@@ -147,6 +139,22 @@ func releaseOwner(owner any) {
 	case *uobject:
 		o.mu.Unlock()
 	}
+}
+
+// owns is the re-check after locking the owner read from pg lock-free (pg
+// may have been freed or re-homed meanwhile): pg still names owner, and
+// owner has pg resident. An orphaned frame's nil owner owns it.
+func owns(owner any, pg *phys.Page) bool {
+	if pg.Owner() != owner {
+		return false
+	}
+	switch o := owner.(type) {
+	case *anon:
+		return o.page == pg
+	case *uobject:
+		return o.pages[pageIdx(pg)] == pg
+	}
+	return owner == nil
 }
 
 func (os ownerSet) releaseAll() {
@@ -227,26 +235,16 @@ func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 			// and handed to a fault in progress, which names the page's
 			// anon before it locks it; the frame sits on no queue until
 			// that fault has mapped it.
-			var vnObj *uobject // the owner, when it is a vnode object
-			resident := false
-			switch o := owner.(type) {
-			case *anon:
-				resident = o.page == pg
-			case *uobject:
-				resident = o.pages[pageIdx(pg)] == pg
-				if o.aobjSlots == nil {
-					vnObj = o
-				}
-			}
+			obj, _ := owner.(*uobject)
 			claimed := false
-			if resident && pg.Owner() == owner && !pg.Busy.Load() && !pg.Wired() && !pg.Loaned() && s.mach.Mem.Inactive(pg) {
+			if owns(owner, pg) && !pg.Busy.Load() && !pg.Wired() && !pg.Loaned() && s.mach.Mem.Inactive(pg) {
 				s.mach.MMU.PageProtect(pg, param.ProtNone)
 				switch {
 				case !pg.Dirty.Load():
 					// Clean: the backing copy is current; just free.
 					s.evictPage(pg, owner)
 					freed++
-				case vnObj == nil:
+				case obj == nil || obj.aobjSlots != nil:
 					// Anonymous memory (anon or aobj page) clusters to swap.
 					if claimed = len(cluster) < maxCluster; claimed {
 						cluster = append(cluster, pg)
@@ -257,10 +255,10 @@ func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 					if vnWb == nil {
 						vnWb = make(map[*uobject][]*phys.Page)
 					}
-					if _, ok := vnWb[vnObj]; !ok {
-						vnWbOrder = append(vnWbOrder, vnObj)
+					if _, ok := vnWb[obj]; !ok {
+						vnWbOrder = append(vnWbOrder, obj)
 					}
-					vnWb[vnObj] = append(vnWb[vnObj], pg)
+					vnWb[obj] = append(vnWb[obj], pg)
 					vnPages++
 					claimed = true
 				}

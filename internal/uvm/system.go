@@ -25,16 +25,16 @@
 //     needs-copy / allocating the amap);
 //   - each amap, anon and uobject carries its own mutex guarding its
 //     reference count and contents;
-//   - page state bits are atomics and page identity (owner) has a
-//     per-page mutex (see internal/phys), so loan teardown and
-//     reclaim can make atomic keep-or-free decisions about frames
-//     whose owner is changing;
+//   - page state bits, identity and loan references are atomics (see
+//     internal/phys): whoever acts on a frame's owner locks it and
+//     re-checks that it still holds the frame (owns), and a dying
+//     owner and its last borrower free a loaned frame exactly once;
 //   - the page queues in internal/phys are sharded with per-shard locks;
 //   - the stat counters in internal/sim are lock-free atomics.
 //
 // The lock ordering is:
 //
-//	map -> object -> amap -> anon -> page identity -> flights -> leaf
+//	map -> object -> amap -> anon -> flights -> leaf
 //
 // where "flights" is System.flMu — the flights' counters and the reclaim
 // pass's state, with one condvar — and "leaf" covers the
@@ -128,7 +128,7 @@
 //
 // Completions inherit the lock order mid-chain: they hold (but never
 // acquire) the anon/object locks handed over, and may only take locks
-// strictly below them — page identity, flMu and leaf locks (phys queue
+// strictly below them — flMu and leaf locks (phys queue
 // shards, the swap allocator). A completion must never lock a map, an
 // amap, an anon or an object, and never blocks on a TryLock-only path, so it cannot deadlock against
 // faults, reclaim, or Shutdown.

@@ -60,12 +60,9 @@ func (p *Process) Transfer(pages []*phys.Page, prot param.Prot) (param.VAddr, er
 	for i, pg := range pages {
 		a := s.newAnon(e.amap, i)
 		a.page = pg
-		if pg.LoanCount.Load() > 0 {
-			// The page arrives on loan: the anon inherits the loan
-			// reference held by the caller.
-			a.loaned = true
-		} else {
-			// Free-standing kernel page: the anon takes ownership.
+		// A page that arrives on loan keeps its owner: the anon inherits
+		// the caller's loan. A free-standing kernel page becomes the anon's.
+		if !pg.Loaned() {
 			pg.SetOwner(a, 0)
 			pg.WireCount.Store(0)
 			pg.Dirty.Store(true) // anonymous now; must reach swap if evicted
