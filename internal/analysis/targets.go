@@ -28,6 +28,7 @@ var simdetPackages = []string{
 	"internal/experiments",
 	"internal/uvm",
 	"internal/bsdvm",
+	"internal/vmmap",
 	"internal/swap",
 	"internal/vfs",
 	"internal/disk",

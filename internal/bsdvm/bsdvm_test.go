@@ -59,7 +59,7 @@ func mkfile(t *testing.T, m *vmapi.Machine, name string, pages int, fill byte) *
 func checkMaps(t *testing.T, ps ...*process) {
 	t.Helper()
 	for _, p := range ps {
-		if err := p.m.checkIntegrity(); err != nil {
+		if err := p.m.Check(nil); err != nil {
 			t.Fatalf("map integrity (%s): %v", p.name, err)
 		}
 	}
@@ -392,7 +392,7 @@ func TestShadowChainGrowth(t *testing.T) {
 	// First write fault: shadow 1.
 	parent.WriteBytes(va+param.PageSize, []byte{1})
 	parent.sys.big.Lock()
-	e := parent.m.lookup(va)
+	e := parent.m.Lookup(va)
 	objs1, _, _ := chainStats(e)
 	parent.sys.big.Unlock()
 	if objs1 != 2 { // shadow1 -> file object
@@ -407,8 +407,8 @@ func TestShadowChainGrowth(t *testing.T) {
 	child.WriteBytes(va+2*param.PageSize, []byte{3})
 
 	parent.sys.big.Lock()
-	pObjs, _, _ := chainStats(parent.m.lookup(va))
-	cObjs, _, _ := chainStats(child.m.lookup(va))
+	pObjs, _, _ := chainStats(parent.m.Lookup(va))
+	cObjs, _, _ := chainStats(child.m.Lookup(va))
 	parent.sys.big.Unlock()
 	// Collapse may shorten chains opportunistically, but both must still
 	// be chains (>= 2 objects) and isolation must hold.
@@ -459,7 +459,7 @@ func TestCollapseReclaimsRedundantPages(t *testing.T) {
 	}
 	// With collapse running, the chain stays bounded.
 	s.big.Lock()
-	objs, total, reachable := chainStats(parent.m.lookup(va))
+	objs, total, reachable := chainStats(parent.m.Lookup(va))
 	s.big.Unlock()
 	if objs > 3 {
 		t.Fatalf("chain grew to %d objects despite collapse", objs)
@@ -825,7 +825,7 @@ func TestMapIntegrityUnderRandomOps(t *testing.T) {
 			}
 		}
 		s.big.Lock()
-		err := p.m.checkIntegrity()
+		err := p.m.Check(nil)
 		s.big.Unlock()
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)

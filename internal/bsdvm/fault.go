@@ -34,7 +34,7 @@ func (s *System) fault(p *process, va param.VAddr, access param.Prot) error {
 	m.lock()
 	defer m.unlock()
 
-	e := m.lookup(va)
+	e := m.Lookup(va)
 	if e == nil || e.placeholder || e.obj == nil {
 		return vmapi.ErrFault
 	}
@@ -121,7 +121,7 @@ func (s *System) fault(p *process, va param.VAddr, access param.Prot) error {
 	// re-looks-up the map to confirm nothing changed while objects were
 	// (potentially) unlocked for I/O — one of the operations the paper
 	// notes BSD performs "multiple times at different layers" (§1.1).
-	if m.lookup(va) != e {
+	if m.Lookup(va) != e {
 		return vmapi.ErrFault
 	}
 

@@ -6,15 +6,14 @@ import (
 	"uvm/internal/param"
 	"uvm/internal/pmap"
 	"uvm/internal/vmapi"
+	"uvm/internal/vmmap"
 )
 
 // entry is a vm_map_entry: one record of a mapping in a map.
 type entry struct {
-	prev, next *entry
-
-	start, end param.VAddr
-	obj        *object       // backing memory object (nil for placeholder entries)
-	off        param.PageOff // offset of start within obj
+	vmmap.Link[entry]
+	obj *object       // backing memory object (nil for placeholder entries)
+	off param.PageOff // offset of Start within obj
 
 	prot, maxProt param.Prot
 	inherit       param.Inherit
@@ -30,27 +29,21 @@ type entry struct {
 	placeholder bool
 }
 
-func (e *entry) pages() int { return int((e.end - e.start) >> param.PageShift) }
+// Shift implements vmmap.Entry.
+func (e *entry) Shift(n int) { e.off += param.PageOff(n) << param.PageShift }
 
 // pageIndex returns the object page index backing va within this entry.
 func (e *entry) pageIndex(va param.VAddr) int {
-	return param.OffToPage(e.off) + int((param.Trunc(va)-e.start)>>param.PageShift)
+	return param.OffToPage(e.off) + int((param.Trunc(va)-e.Start)>>param.PageShift)
 }
 
-// vmMap is a vm_map: a sorted doubly-linked list of entries describing one
-// address space (a process' or the kernel's).
+// vmMap is a vm_map: the sorted entry list describing one address space
+// (a process' or the kernel's). In a process map, the entries past
+// AllocMax are page-table placeholders.
 type vmMap struct {
+	vmmap.Map[entry, *entry]
 	sys    *System
-	name   string
 	kernel bool
-
-	min, max param.VAddr
-	// allocMax caps findSpace allocations; map entries beyond it (up to
-	// max) are reserved for bookkeeping placeholders.
-	allocMax param.VAddr
-	head     *entry
-	tail     *entry
-	n        int
 
 	pmap *pmap.Pmap
 
@@ -58,15 +51,9 @@ type vmMap struct {
 }
 
 func (s *System) newMap(name string, min, max param.VAddr, kernel bool) *vmMap {
-	return &vmMap{
-		sys:      s,
-		name:     name,
-		kernel:   kernel,
-		min:      min,
-		max:      max,
-		allocMax: max,
-		pmap:     s.mach.MMU.NewPmap(name),
-	}
+	m := &vmMap{sys: s, kernel: kernel, pmap: s.mach.MMU.NewPmap(name)}
+	m.Map = vmmap.New(name, min, max, s.mach.Clock, s.mach.Costs, m.dup)
+	return m
 }
 
 // lock and unlock charge the simulated map-lock cost and account the hold
@@ -105,180 +92,15 @@ func (s *System) freeEntry(m *vmMap, e *entry) {
 	s.mach.Stats.Add("bsdvm.mapentry.live", -1)
 }
 
-// insert links e into the sorted entry list. Caller holds the map lock.
-func (m *vmMap) insert(e *entry) {
-	var after *entry
-	for cur := m.head; cur != nil; cur = cur.next {
-		if cur.start >= e.end {
-			break
-		}
-		if cur.end > e.start {
-			panic("bsdvm: overlapping map entries: " + m.name)
-		}
-		after = cur
-	}
-	if after == nil {
-		e.next = m.head
-		e.prev = nil
-		if m.head != nil {
-			m.head.prev = e
-		} else {
-			m.tail = e
-		}
-		m.head = e
-	} else {
-		e.prev = after
-		e.next = after.next
-		after.next = e
-		if e.next != nil {
-			e.next.prev = e
-		} else {
-			m.tail = e
-		}
-	}
-	m.n++
-}
-
-// unlink removes e from the list. Caller holds the map lock.
-func (m *vmMap) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		m.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		m.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	m.n--
-}
-
-// lookup finds the entry containing va, charging the per-entry scan cost
-// the real list walk pays. Caller holds the map lock.
-func (m *vmMap) lookup(va param.VAddr) *entry {
-	for cur := m.head; cur != nil; cur = cur.next {
-		m.sys.mach.Clock.Advance(m.sys.mach.Costs.MapLookupEntry)
-		if va >= cur.start && va < cur.end {
-			return cur
-		}
-		if cur.start > va {
-			return nil
-		}
-	}
-	return nil
-}
-
-// findSpace locates a free range of the given length, first-fit from hint
-// (or the map floor). Caller holds the map lock.
-func (m *vmMap) findSpace(hint param.VAddr, length param.VSize) (param.VAddr, error) {
-	if length == 0 {
-		return 0, vmapi.ErrInvalid
-	}
-	start := m.min
-	if hint > start {
-		start = param.Trunc(hint)
-	}
-	for cur := m.head; cur != nil; cur = cur.next {
-		m.sys.mach.Clock.Advance(m.sys.mach.Costs.MapLookupEntry)
-		if cur.end <= start {
-			continue
-		}
-		if cur.start >= start && param.VSize(cur.start-start) >= length {
-			return start, nil
-		}
-		if cur.end > start {
-			start = cur.end
-		}
-	}
-	if start+param.VAddr(length) > m.allocMax || start+param.VAddr(length) < start {
-		return 0, vmapi.ErrNoSpace
-	}
-	return start, nil
-}
-
-// clipStart splits e so that it begins exactly at va, allocating a new
-// entry for the head portion. Caller holds the map lock; va must lie
-// strictly inside e.
-func (m *vmMap) clipStart(e *entry, va param.VAddr) {
-	if va <= e.start || va >= e.end {
-		return
-	}
-	headE := m.sys.allocEntry(m)
-	*headE = *e
-	headE.prev, headE.next = nil, nil
-	headE.end = va
-
-	e.off += param.PageOff(va - e.start)
-	e.start = va
-	if e.obj != nil {
-		// The split range now holds two references to the object.
-		e.obj.refs++
-	}
-
-	// Link headE immediately before e.
-	headE.prev = e.prev
-	headE.next = e
-	if e.prev != nil {
-		e.prev.next = headE
-	} else {
-		m.head = headE
-	}
-	e.prev = headE
-	m.n++
-}
-
-// clipEnd splits e so that it ends exactly at va, allocating a new entry
-// for the tail portion. Caller holds the map lock.
-func (m *vmMap) clipEnd(e *entry, va param.VAddr) {
-	if va <= e.start || va >= e.end {
-		return
-	}
-	tailE := m.sys.allocEntry(m)
-	*tailE = *e
-	tailE.prev, tailE.next = nil, nil
-	tailE.start = va
-	tailE.off = e.off + param.PageOff(va-e.start)
-
-	e.end = va
+// dup is the allocating half of a clip: a copy of e holding its own
+// reference to e's object.
+func (m *vmMap) dup(e *entry) *entry {
+	d := m.sys.allocEntry(m)
+	*d = *e
 	if e.obj != nil {
 		e.obj.refs++
 	}
-
-	tailE.next = e.next
-	tailE.prev = e
-	if e.next != nil {
-		e.next.prev = tailE
-	} else {
-		m.tail = tailE
-	}
-	e.next = tailE
-	m.n++
-}
-
-// entriesIn collects the entries overlapping [start, end), clipping the
-// boundary entries so the result covers exactly the requested range.
-// Caller holds the map lock.
-func (m *vmMap) entriesIn(start, end param.VAddr) []*entry {
-	var out []*entry
-	for cur := m.head; cur != nil; cur = cur.next {
-		m.sys.mach.Clock.Advance(m.sys.mach.Costs.MapLookupEntry)
-		if cur.end <= start {
-			continue
-		}
-		if cur.start >= end {
-			break
-		}
-		if cur.start < start {
-			m.clipStart(cur, start)
-		}
-		if cur.end > end {
-			m.clipEnd(cur, end)
-		}
-		out = append(out, cur)
-	}
-	return out
+	return d
 }
 
 // unmapRange is BSD VM's single-phase unmap: with the map locked, entries
@@ -287,10 +109,10 @@ func (m *vmMap) entriesIn(start, end param.VAddr) []*entry {
 // The paper's §3.1 point is precisely that this last step does not need
 // the lock but holds it anyway. Caller holds the map lock.
 func (m *vmMap) unmapRange(start, end param.VAddr) {
-	removed := m.entriesIn(start, end)
+	removed := m.EntriesIn(start, end)
 	for _, e := range removed {
-		m.unlink(e)
-		m.pmap.Remove(e.start, e.end)
+		m.Unlink(e)
+		m.pmap.Remove(e.Start, e.End)
 		if e.obj != nil {
 			// Reference dropped under the map lock (single phase).
 			m.sys.deallocate(e.obj)
@@ -304,7 +126,7 @@ func (m *vmMap) unmapRange(start, end param.VAddr) {
 func (m *vmMap) protect(start, end param.VAddr, prot param.Prot) error {
 	m.lock()
 	defer m.unlock()
-	entries := m.entriesIn(start, end)
+	entries := m.EntriesIn(start, end)
 	if len(entries) == 0 {
 		return vmapi.ErrFault
 	}
@@ -313,37 +135,7 @@ func (m *vmMap) protect(start, end param.VAddr, prot param.Prot) error {
 			return vmapi.ErrInvalid
 		}
 		e.prot = prot
-		m.pmap.Protect(e.start, e.end, prot)
-	}
-	return nil
-}
-
-// checkIntegrity verifies the sorted, non-overlapping, in-bounds invariant
-// (tests call this after every mutation sequence).
-func (m *vmMap) checkIntegrity() error {
-	count := 0
-	var prev *entry
-	for cur := m.head; cur != nil; cur = cur.next {
-		count++
-		if cur.start >= cur.end {
-			return errf("entry %x-%x empty or inverted", cur.start, cur.end)
-		}
-		if cur.start < m.min || cur.end > m.max {
-			return errf("entry %x-%x outside map %x-%x", cur.start, cur.end, m.min, m.max)
-		}
-		if prev != nil && prev.end > cur.start {
-			return errf("entries overlap: %x-%x then %x-%x", prev.start, prev.end, cur.start, cur.end)
-		}
-		if cur.prev != prev {
-			return errf("broken prev link at %x", cur.start)
-		}
-		prev = cur
-	}
-	if m.tail != prev {
-		return errf("tail mismatch")
-	}
-	if count != m.n {
-		return errf("entry count %d != n %d", count, m.n)
+		m.pmap.Protect(e.Start, e.End, prot)
 	}
 	return nil
 }

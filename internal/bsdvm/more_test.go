@@ -43,7 +43,7 @@ func TestCollapseBypass(t *testing.T) {
 	// chain back to something short.
 	p.TouchRange(va, 4*param.PageSize, true)
 	s.big.Lock()
-	objs, _, _ := chainStats(p.m.lookup(va))
+	objs, _, _ := chainStats(p.m.Lookup(va))
 	s.big.Unlock()
 	if objs > 3 {
 		t.Fatalf("chain not collapsed after children exited: %d objects", objs)
@@ -124,7 +124,7 @@ func TestMprotectRespectsMaxProt(t *testing.T) {
 	p := newProc(t, s, "p")
 	va, _ := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
 	s.big.Lock()
-	e := p.m.lookup(va)
+	e := p.m.Lookup(va)
 	e.maxProt = param.ProtRead | param.ProtWrite
 	s.big.Unlock()
 	if err := p.Mprotect(va, param.PageSize, param.ProtRWX); !errors.Is(err, vmapi.ErrInvalid) {
@@ -140,7 +140,7 @@ func TestMadviseStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.big.Lock()
-	adv := p.m.lookup(va).advice
+	adv := p.m.Lookup(va).advice
 	s.big.Unlock()
 	if adv != param.AdviceSequential {
 		t.Fatalf("advice = %v", adv)
@@ -174,7 +174,7 @@ func TestChainStatsAccounting(t *testing.T) {
 	p.TouchRange(va, 3*param.PageSize, true)
 
 	s.big.Lock()
-	objs, total, reachable := chainStats(p.m.lookup(va))
+	objs, total, reachable := chainStats(p.m.Lookup(va))
 	s.big.Unlock()
 	if objs != 1 || total != 3 || reachable != 3 {
 		t.Fatalf("flat object stats: objs=%d total=%d reachable=%d", objs, total, reachable)
@@ -185,7 +185,7 @@ func TestChainStatsAccounting(t *testing.T) {
 	c, _ := p.Fork("c")
 	p.WriteBytes(va, []byte{9})
 	s.big.Lock()
-	objs, total, reachable = chainStats(p.m.lookup(va))
+	objs, total, reachable = chainStats(p.m.Lookup(va))
 	s.big.Unlock()
 	if objs != 2 {
 		t.Fatalf("objs = %d after fork+write", objs)

@@ -8,8 +8,6 @@ import (
 	"uvm/internal/vfs"
 )
 
-func errf(format string, args ...any) error { return fmt.Errorf("bsdvm: "+format, args...) }
-
 // object is a vm_object: a stand-alone memory object under VM-system
 // control, holding resident pages and — for copy-on-write — a link to the
 // object it shadows. The embedded Ident is how its frames name it as
@@ -95,7 +93,7 @@ func (s *System) vnodeObject(vn *vfs.Vnode) *object {
 // this on the first fault of any kind — even a read fault, where it is
 // unnecessary (the Table 3 read/private anomaly).
 func (s *System) shadowEntry(e *entry) {
-	sh := s.newObject(e.pages(), true)
+	sh := s.newObject(e.Pages(), true)
 	sh.shadow = e.obj // entry's reference moves to the shadow
 	sh.shadowOff = param.OffToPage(e.off)
 	e.obj = sh

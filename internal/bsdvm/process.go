@@ -55,7 +55,7 @@ func (s *System) NewProcess(name string) (vmapi.Process, error) {
 func (s *System) newProcessLocked(name string) (*process, error) {
 	p := &process{sys: s, name: name}
 	p.m = s.newMap(name, param.UserTextBase, ptRegionBase+ptRegionSize, false)
-	p.m.allocMax = param.UserMax
+	p.m.AllocMax = param.UserMax
 	p.pm = p.m.pmap
 	p.nextPT = ptRegionBase
 
@@ -93,11 +93,11 @@ func (p *process) addPTEntry() {
 		p.nextPT += param.PageSize
 	}
 	e := p.sys.allocEntry(p.m)
-	e.start, e.end = va, va+param.PageSize
+	e.Start, e.End = va, va+param.PageSize
 	e.prot, e.maxProt = param.ProtRW, param.ProtRW
 	e.wired = 1
 	e.placeholder = true
-	p.m.insert(e)
+	p.m.Insert(e)
 	p.ptEntries = append(p.ptEntries, e)
 }
 
@@ -108,8 +108,8 @@ func (p *process) removePTEntry() {
 	}
 	e := p.ptEntries[n-1]
 	p.ptEntries = p.ptEntries[:n-1]
-	p.m.unlink(e)
-	p.ptFreeVAs = append(p.ptFreeVAs, e.start)
+	p.m.Unlink(e)
+	p.ptFreeVAs = append(p.ptFreeVAs, e.Start)
 	p.sys.freeEntry(p.m, e)
 }
 
@@ -123,7 +123,7 @@ func (p *process) Exited() bool { return p.exited }
 func (p *process) MapEntryCount() int {
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
-	return p.m.n
+	return p.m.Len()
 }
 
 // Mincore implements vmapi.Process: per-page residency of the range.
@@ -131,19 +131,12 @@ func (p *process) Mincore(addr param.VAddr, length param.VSize) ([]bool, error) 
 	if p.exited {
 		return nil, vmapi.ErrExited
 	}
-	if end := addr + param.VAddr(length); length == 0 || end < addr || end > param.UserMax {
-		return nil, vmapi.ErrInvalid
-	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
-	start := param.Trunc(addr)
-	end := param.Round(addr + param.VAddr(length))
-	out := make([]bool, 0, (end-start)>>param.PageShift)
-	for va := start; va < end; va += param.PageSize {
+	return vmapi.Mincore(addr, length, func(va param.VAddr) bool {
 		_, ok := p.pm.Lookup(va)
-		out = append(out, ok)
-	}
-	return out, nil
+		return ok
+	})
 }
 
 // Mmap implements vmapi.Process using BSD VM's two-step process: the
@@ -158,15 +151,9 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	if p.exited {
 		return 0, vmapi.ErrExited
 	}
-	length = param.RoundSize(length) // 0 also for a length that wraps
-	if length == 0 || !flags.Valid() || !param.PageAligned(param.VAddr(off)) {
-		return 0, vmapi.ErrInvalid
-	}
-	if flags&vmapi.MapAnon != 0 && vn != nil {
-		return 0, vmapi.ErrInvalid
-	}
-	if flags&vmapi.MapAnon == 0 && vn == nil {
-		return 0, vmapi.ErrInvalid
+	length, err := vmapi.MmapArgs(addr, length, flags, vn, off)
+	if err != nil {
+		return 0, err
 	}
 
 	s := p.sys
@@ -178,15 +165,10 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	m.lock()
 	var va param.VAddr
 	if flags&vmapi.MapFixed != 0 {
-		if end := addr + param.VAddr(length); !param.PageAligned(addr) || addr < m.min || end < addr || end > m.allocMax {
-			m.unlock()
-			return 0, vmapi.ErrInvalid
-		}
 		m.unmapRange(addr, addr+param.VAddr(length))
 		va = addr
 	} else {
-		var err error
-		va, err = m.findSpace(addr, length)
+		va, err = m.FindSpace(addr, length)
 		if err != nil {
 			m.unlock()
 			return 0, err
@@ -203,7 +185,7 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	}
 
 	e := s.allocEntry(m)
-	e.start, e.end = va, va+param.VAddr(length)
+	e.Start, e.End = va, va+param.VAddr(length)
 	e.obj = obj
 	e.off = off
 	e.prot = param.ProtRW // the default protection, not the requested one
@@ -216,7 +198,7 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	if private && vn != nil {
 		e.cow, e.needsCopy = true, true
 	}
-	m.insert(e)
+	m.Insert(e)
 	m.unlock()
 
 	// ---- Step 2: fix up non-default attributes with a second pass. ----
@@ -235,50 +217,48 @@ func (p *process) Munmap(addr param.VAddr, length param.VSize) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
-	if !param.PageAligned(addr) || length == 0 {
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || !param.PageAligned(addr) || length == 0 {
 		return vmapi.ErrInvalid
 	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
 	m := p.m
 	m.lock()
-	m.unmapRange(addr, addr+param.VAddr(param.RoundSize(length)))
+	m.unmapRange(start, end)
 	m.unlock()
 	return nil
 }
 
-// Mprotect implements vmapi.Process. The range is clipped to page
-// boundaries before entries are split (clipping at a raw, unaligned
-// address would corrupt an entry's object geometry); same rule as UVM.
+// Mprotect implements vmapi.Process.
 func (p *process) Mprotect(addr param.VAddr, length param.VSize, prot param.Prot) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
+	start, end, err := vmapi.MappedRange(addr, length)
+	if err != nil {
+		return err
+	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
-	if length == 0 {
-		end = start
-	}
 	return p.m.protect(start, end, prot)
 }
 
-// Minherit implements vmapi.Process. The range is clipped to page
-// boundaries so the inheritance covers exactly the pages it names and
-// never bleeds onto the rest of a large entry; same rule as UVM.
+// Minherit implements vmapi.Process.
 func (p *process) Minherit(addr param.VAddr, length param.VSize, inh param.Inherit) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
-	if length == 0 {
-		return nil
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || start == end {
+		return err
 	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
 	m := p.m
 	m.lock()
 	defer m.unlock()
-	for _, e := range m.entriesIn(param.Trunc(addr), param.Round(addr+param.VAddr(length))) {
+	for _, e := range m.EntriesIn(start, end) {
 		e.inherit = inh
 	}
 	return nil
@@ -290,15 +270,16 @@ func (p *process) Madvise(addr param.VAddr, length param.VSize, adv param.Advice
 	if p.exited {
 		return vmapi.ErrExited
 	}
-	if length == 0 {
-		return nil
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || start == end {
+		return err
 	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
 	m := p.m
 	m.lock()
 	defer m.unlock()
-	for _, e := range m.entriesIn(param.Trunc(addr), param.Round(addr+param.VAddr(length))) {
+	for _, e := range m.EntriesIn(start, end) {
 		e.advice = adv
 	}
 	return nil
@@ -310,29 +291,21 @@ func (p *process) Msync(addr param.VAddr, length param.VSize) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
-	if length == 0 {
-		return nil
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || start == end {
+		return err
 	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
 	m := p.m
 	m.lock()
 	defer m.unlock()
-	// Page-rounded range, same rule as UVM: the flush covers exactly the
-	// pages [Trunc(addr), Round(addr+length)) touches.
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
-	for cur := m.head; cur != nil; cur = cur.next {
-		if cur.end <= start || cur.start >= end || cur.obj == nil || cur.obj.vnode == nil {
+	for cur := range m.All() {
+		if cur.End <= start || cur.Start >= end || cur.obj == nil || cur.obj.vnode == nil {
 			continue
 		}
 		// Flush only the object pages the requested range maps.
-		lo, hi := cur.start, cur.end
-		if start > lo {
-			lo = start
-		}
-		if end < hi {
-			hi = end
-		}
+		lo, hi := max(cur.Start, start), min(cur.End, end)
 		loIdx, hiIdx := cur.pageIndex(lo), cur.pageIndex(hi-1)
 		// Snapshot and sort the resident indices: the write order decides
 		// the disk head's path, and Go map iteration order would make it
@@ -365,7 +338,7 @@ func (p *process) Msync(addr param.VAddr, length param.VSize) error {
 func (p *process) wireRange(addr, end param.VAddr) error {
 	m := p.m
 	m.lock()
-	entries := m.entriesIn(addr, end)
+	entries := m.EntriesIn(addr, end)
 	if len(entries) == 0 {
 		m.unlock()
 		return vmapi.ErrFault
@@ -396,7 +369,7 @@ func (p *process) wireRange(addr, end param.VAddr) error {
 func (p *process) unwireRange(addr, end param.VAddr) {
 	m := p.m
 	m.lock()
-	for _, e := range m.entriesIn(addr, end) {
+	for _, e := range m.EntriesIn(addr, end) {
 		if e.wired > 0 {
 			e.wired--
 		}
@@ -418,9 +391,13 @@ func (p *process) Mlock(addr param.VAddr, length param.VSize) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
+	start, end, err := vmapi.MappedRange(addr, length)
+	if err != nil {
+		return err
+	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
-	return p.wireRange(param.Trunc(addr), param.Round(addr+param.VAddr(length)))
+	return p.wireRange(start, end)
 }
 
 // Munlock implements vmapi.Process.
@@ -428,45 +405,50 @@ func (p *process) Munlock(addr param.VAddr, length param.VSize) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || start == end {
+		return err
+	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
-	p.unwireRange(param.Trunc(addr), param.Round(addr+param.VAddr(length)))
+	p.unwireRange(start, end)
 	return nil
 }
 
 // Sysctl implements vmapi.Process: BSD wires the user's buffer *in the
-// process map* for the duration of the call (§3.2), fragmenting it.
+// process map* for the duration of the call (§3.2), fragmenting it. The
+// kernel copies the result out to the wired buffer.
 func (p *process) Sysctl(addr param.VAddr, length param.VSize) error {
-	if p.exited {
-		return vmapi.ErrExited
-	}
-	p.sys.big.Lock()
-	defer p.sys.big.Unlock()
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
-	if err := p.wireRange(start, end); err != nil {
-		return err
-	}
-	// The kernel copies the result out to the wired buffer.
-	p.sys.mach.Clock.ChargeN(param.Pages(param.VSize(end-start)), p.sys.mach.Costs.PageTouch)
-	p.unwireRange(start, end)
-	return nil
+	return p.withBufferWired(addr, length, func(pages int) {
+		p.sys.mach.Clock.ChargeN(pages, p.sys.mach.Costs.PageTouch)
+	})
 }
 
 // Physio implements vmapi.Process: raw device I/O into a user buffer,
 // which BSD likewise wires through the process map.
 func (p *process) Physio(addr param.VAddr, length param.VSize) error {
+	return p.withBufferWired(addr, length, func(pages int) {
+		p.sys.mach.Clock.Advance(p.sys.mach.Costs.DiskOp)
+		p.sys.mach.Clock.ChargeN(pages, p.sys.mach.Costs.DiskPageIO)
+	})
+}
+
+// withBufferWired runs op on the pages of a user buffer while they are
+// wired through the process map.
+func (p *process) withBufferWired(addr param.VAddr, length param.VSize, op func(pages int)) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
+	start, end, err := vmapi.MappedRange(addr, length)
+	if err != nil {
+		return err
+	}
 	p.sys.big.Lock()
 	defer p.sys.big.Unlock()
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
 	if err := p.wireRange(start, end); err != nil {
 		return err
 	}
-	npages := param.Pages(param.VSize(end - start))
-	p.sys.mach.Clock.Advance(p.sys.mach.Costs.DiskOp)
-	p.sys.mach.Clock.ChargeN(npages, p.sys.mach.Costs.DiskPageIO)
+	op(param.Pages(param.VSize(end - start)))
 	p.unwireRange(start, end)
 	return nil
 }
@@ -490,38 +472,21 @@ func (p *process) Fork(name string) (vmapi.Process, error) {
 	pm, cm := p.m, child.m
 	pm.lock()
 	cm.lock()
-	for e := pm.head; e != nil; e = e.next {
-		if e.placeholder {
+	for e := range pm.All() {
+		if e.placeholder || e.inherit == param.InheritNone {
 			continue
 		}
-		switch e.inherit {
-		case param.InheritNone:
-			continue
-		case param.InheritShare:
-			ce := s.allocEntry(cm)
-			*ce = *e
-			ce.prev, ce.next = nil, nil
-			ce.wired = 0
-			if ce.obj != nil {
-				ce.obj.refs++
-			}
-			cm.insert(ce)
-		case param.InheritCopy:
-			ce := s.allocEntry(cm)
-			*ce = *e
-			ce.prev, ce.next = nil, nil
-			ce.wired = 0
-			if e.obj != nil {
-				e.obj.refs++
-				e.cow, e.needsCopy = true, true
-				ce.cow, ce.needsCopy = true, true
-				// Write-protect the parent's resident pages so its next
-				// store faults (the per-page fork overhead both systems
-				// pay, §5.3).
-				p.pm.Protect(e.start, e.end, e.prot&^param.ProtWrite)
-			}
-			cm.insert(ce)
+		ce := cm.dup(e)
+		ce.wired = 0
+		if e.inherit == param.InheritCopy && e.obj != nil {
+			e.cow, e.needsCopy = true, true
+			ce.cow, ce.needsCopy = true, true
+			// Write-protect the parent's resident pages so its next
+			// store faults (the per-page fork overhead both systems
+			// pay, §5.3).
+			p.pm.Protect(e.Start, e.End, e.prot&^param.ProtWrite)
 		}
+		cm.Insert(ce)
 	}
 	cm.unlock()
 	pm.unlock()
@@ -632,44 +597,15 @@ func (p *process) access(addr param.VAddr, write bool, use func(*phys.Page)) err
 
 // TouchRange implements vmapi.Process.
 func (p *process) TouchRange(addr param.VAddr, length param.VSize, write bool) error {
-	end := addr + param.VAddr(param.RoundSize(length))
-	for va := param.Trunc(addr); va < end; va += param.PageSize {
-		if err := p.Access(va, write); err != nil {
-			return err
-		}
-	}
-	return nil
+	return vmapi.TouchRange(addr, length, write, p.Access)
 }
 
 // ReadBytes implements vmapi.Process.
 func (p *process) ReadBytes(addr param.VAddr, buf []byte) error {
-	return p.copyBytes(addr, buf, false)
+	return vmapi.CopyBytes(addr, buf, false, p.access)
 }
 
 // WriteBytes implements vmapi.Process.
 func (p *process) WriteBytes(addr param.VAddr, data []byte) error {
-	return p.copyBytes(addr, data, true)
-}
-
-// copyBytes is the copyin/copyout path: each page-sized chunk is copied
-// as the tail of the access that makes its page resident (see access).
-func (p *process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
-	for done := 0; done < len(buf); {
-		va := addr + param.VAddr(done)
-		pageOff := int(va & param.PageMask)
-		n := min(param.PageSize-pageOff, len(buf)-done)
-		chunk := buf[done : done+n]
-		err := p.access(va, write, func(pg *phys.Page) {
-			if write {
-				copy(pg.Writable()[pageOff:], chunk)
-			} else {
-				copy(chunk, pg.Data()[pageOff:])
-			}
-		})
-		if err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
+	return vmapi.CopyBytes(addr, data, true, p.access)
 }

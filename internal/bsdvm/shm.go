@@ -46,18 +46,18 @@ func (seg *shmSegment) Attach(pi vmapi.Process, prot param.Prot) (param.VAddr, e
 	m.lock()
 	defer m.unlock()
 	length := param.VSize(seg.npages) * param.PageSize
-	va, err := m.findSpace(param.MmapHintBase, length)
+	va, err := m.FindSpace(param.MmapHintBase, length)
 	if err != nil {
 		return 0, err
 	}
 	e := s.allocEntry(m)
-	e.start, e.end = va, va+param.VAddr(length)
+	e.Start, e.End = va, va+param.VAddr(length)
 	e.obj = seg.obj
 	seg.obj.refs++
 	e.prot = param.ProtRW // two-step: default first...
 	e.maxProt = param.ProtRWX
 	e.inherit = param.InheritShare
-	m.insert(e)
+	m.Insert(e)
 	s.mach.Stats.Inc("bsdvm.shm.attach")
 	if prot != param.ProtRW {
 		// ...then the second pass for non-default protections.

@@ -156,15 +156,15 @@ func (s *System) KernelAlloc(npages int, prot param.Prot) (param.VAddr, error) {
 func (s *System) kernelAllocLocked(npages int, prot param.Prot) (param.VAddr, error) {
 	s.kmap.lock()
 	defer s.kmap.unlock()
-	va, err := s.kmap.findSpace(0, param.VSize(npages)*param.PageSize)
+	va, err := s.kmap.FindSpace(0, param.VSize(npages)*param.PageSize)
 	if err != nil {
 		return 0, err
 	}
 	e := s.allocEntry(s.kmap)
-	e.start, e.end = va, va+param.VAddr(npages)*param.PageSize
+	e.Start, e.End = va, va+param.VAddr(npages)*param.PageSize
 	e.prot, e.maxProt = prot, param.ProtRWX
 	e.wired = 1
-	s.kmap.insert(e)
+	s.kmap.Insert(e)
 	return va, nil
 }
 
@@ -172,20 +172,20 @@ func (s *System) kernelAllocLocked(npages int, prot param.Prot) (param.VAddr, er
 func (s *System) KernelMapEntries() int {
 	s.big.Lock()
 	defer s.big.Unlock()
-	return s.kmap.n
+	return s.kmap.Len()
 }
 
 // TotalMapEntries implements vmapi.System.
 func (s *System) TotalMapEntries() int {
 	s.big.Lock()
 	defer s.big.Unlock()
-	total := s.kmap.n
+	total := s.kmap.Len()
 	//uvm:maporder-ok summing counts; order-independent
 	for p := range s.procs {
 		if p.vforked {
 			continue // shares its parent's map; counting it would double
 		}
-		total += p.m.n
+		total += p.m.Len()
 	}
 	return total
 }

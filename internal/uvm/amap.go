@@ -240,7 +240,7 @@ func (s *System) amapUnref(am *amap) {
 func (s *System) amapCopy(m *vmMap, e *entry) {
 	defer func() { e.needsCopy = false }()
 	if e.amap == nil {
-		e.amap = s.newAmap(m.home, e.pages())
+		e.amap = s.newAmap(m.home, e.Pages())
 		e.amapOff = 0
 		return
 	}
@@ -250,7 +250,7 @@ func (s *System) amapCopy(m *vmMap, e *entry) {
 		am.mu.Unlock()
 		return
 	}
-	n := e.pages()
+	n := e.Pages()
 	na := s.newAmap(m.home, n) // private until published below
 	for i := 0; i < n; i++ {
 		if a := am.get(e.amapOff + i); a != nil {

@@ -53,7 +53,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 		}
 	}
 
-	e := m.lookup(va)
+	e := m.Lookup(va)
 	if e == nil || !e.prot.Allows(access) {
 		unlockMap()
 		return vmapi.ErrFault
@@ -70,7 +70,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 		m.runlock()
 		m.lockNoCharge()
 		wlocked = true
-		e = m.lookupQuiet(va)
+		e = m.LookupQuiet(va)
 		if e == nil || !e.prot.Allows(access) {
 			unlockMap()
 			return vmapi.ErrFault
@@ -358,13 +358,13 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 		return
 	}
 	base := param.Trunc(faultVA)
-	lo := e.start
-	if span := param.VAddr(behind) * param.PageSize; base-e.start > span {
+	lo := e.Start
+	if span := param.VAddr(behind) * param.PageSize; base-e.Start > span {
 		lo = base - span
 	}
 	hi := base + param.VAddr(ahead+1)*param.PageSize
-	if hi > e.end {
-		hi = e.end
+	if hi > e.End {
+		hi = e.End
 	}
 
 	var (

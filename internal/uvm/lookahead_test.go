@@ -146,7 +146,7 @@ func TestLookaheadAnonShadowsObject(t *testing.T) {
 	// The object's page 1 must be resident for the shadow rule to be
 	// exercised (the buggy fall-through needs something to find).
 	p.m.rlock()
-	e := p.m.lookupQuiet(va)
+	e := p.m.LookupQuiet(va)
 	o := e.obj
 	idx := e.objIndex(va + param.PageSize)
 	p.m.runlock()

@@ -61,15 +61,15 @@ func (p *Process) Export(addr param.VAddr, length param.VSize, mode CopyMode) (*
 	if p.exited.Load() {
 		return nil, vmapi.ErrExited
 	}
-	if !param.PageAligned(addr) || length == 0 {
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || !param.PageAligned(addr) || length == 0 {
 		return nil, vmapi.ErrInvalid
 	}
 	s := p.sys
 
 	m := p.m
 	m.lock()
-	end := addr + param.VAddr(param.RoundSize(length))
-	entries := m.entriesIn(addr, end)
+	entries := m.EntriesIn(start, end)
 	if len(entries) == 0 {
 		m.unlock()
 		return nil, vmapi.ErrFault
@@ -83,7 +83,7 @@ func (p *Process) Export(addr param.VAddr, length param.VSize, mode CopyMode) (*
 			s.amapCopy(m, e)
 		}
 		pc := tokenPiece{
-			length:    param.VSize(e.end - e.start),
+			length:    param.VSize(e.End - e.Start),
 			amap:      e.amap,
 			amapOff:   e.amapOff,
 			obj:       e.obj,
@@ -109,7 +109,7 @@ func (p *Process) Export(addr param.VAddr, length param.VSize, mode CopyMode) (*
 			pc.cow, pc.needsCopy = true, true
 			if e.cow {
 				e.needsCopy = true
-				p.pm.Protect(e.start, e.end, e.prot&^param.ProtWrite)
+				p.pm.Protect(e.Start, e.End, e.prot&^param.ProtWrite)
 			}
 			if e.amap != nil {
 				s.amapRef(e.amap)
@@ -119,8 +119,8 @@ func (p *Process) Export(addr param.VAddr, length param.VSize, mode CopyMode) (*
 			}
 		case ExportDonate:
 			// The references move into the token.
-			m.unlink(e)
-			m.pmap.Remove(e.start, e.end)
+			m.Unlink(e)
+			m.pmap.Remove(e.Start, e.End)
 			donated = append(donated, e)
 		default:
 			m.unlock()
@@ -155,7 +155,7 @@ func (p *Process) Import(tok *MapToken) (param.VAddr, error) {
 		m.unlock()
 		return 0, vmapi.ErrExited
 	}
-	base, err := m.findSpace(param.MmapHintBase, tok.TotalSize())
+	base, err := m.FindSpace(param.MmapHintBase, tok.TotalSize())
 	if err != nil {
 		m.unlock()
 		return 0, err
@@ -163,15 +163,15 @@ func (p *Process) Import(tok *MapToken) (param.VAddr, error) {
 	va := base
 	for _, pc := range tok.pieces {
 		e := s.allocEntry(m)
-		e.start, e.end = va, va+param.VAddr(pc.length)
+		e.Start, e.End = va, va+param.VAddr(pc.length)
 		e.amap, e.amapOff = pc.amap, pc.amapOff
 		e.obj, e.off = pc.obj, pc.off
 		e.prot, e.maxProt = pc.prot, pc.maxProt
 		e.advice = pc.advice
 		e.inherit = param.InheritCopy
 		e.cow, e.needsCopy = pc.cow, pc.needsCopy
-		m.insert(e)
-		va = e.end
+		m.Insert(e)
+		va = e.End
 	}
 	m.unlock()
 	tok.used = true

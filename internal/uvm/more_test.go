@@ -234,7 +234,7 @@ func TestMprotectRespectsMaxProt(t *testing.T) {
 	p := newProc(t, s, "p")
 	va, _ := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
 	p.m.mu.Lock()
-	e := p.m.lookup(va)
+	e := p.m.Lookup(va)
 	e.maxProt = param.ProtRW
 	p.m.mu.Unlock()
 	if err := p.Mprotect(va, param.PageSize, param.ProtRWX); !errors.Is(err, vmapi.ErrInvalid) {

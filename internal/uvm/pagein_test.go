@@ -155,7 +155,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 			}
 		}
 	}
-	e := p.m.lookupQuiet(va)
+	e := p.m.LookupQuiet(va)
 	anonOf := func(i int) *anon { return e.amap.get(e.slotOf(at(i))) }
 	blk := func(i int) int64 {
 		switch owner {
@@ -451,7 +451,7 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 		t.Fatal(err)
 	}
 	at := func(i int) param.VAddr { return va + param.VAddr(i-mapLo)*param.PageSize }
-	o := p.m.lookupQuiet(va).obj
+	o := p.m.LookupQuiet(va).obj
 
 	// The window the lookahead maps, and the one the fault offers the pager.
 	ahead, behind := advice.Lookahead()

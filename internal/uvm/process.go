@@ -98,7 +98,7 @@ func (p *Process) Exited() bool { return p.exited.Load() }
 func (p *Process) MapEntryCount() int {
 	p.m.mu.RLock()
 	defer p.m.mu.RUnlock()
-	return p.m.n
+	return p.m.Len()
 }
 
 // Mincore implements vmapi.Process: per-page residency of the range.
@@ -106,16 +106,7 @@ func (p *Process) Mincore(addr param.VAddr, length param.VSize) ([]bool, error) 
 	if p.exited.Load() {
 		return nil, vmapi.ErrExited
 	}
-	if end := addr + param.VAddr(length); length == 0 || end < addr || end > param.UserMax {
-		return nil, vmapi.ErrInvalid
-	}
-	start := param.Trunc(addr)
-	end := param.Round(addr + param.VAddr(length))
-	out := make([]bool, 0, (end-start)>>param.PageShift)
-	for va := start; va < end; va += param.PageSize {
-		out = append(out, p.mapped(va))
-	}
-	return out, nil
+	return vmapi.Mincore(addr, length, p.mapped)
 }
 
 // Mmap implements vmapi.Process — in one step. The entry is created with
@@ -128,12 +119,9 @@ func (p *Process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	if p.exited.Load() {
 		return 0, vmapi.ErrExited
 	}
-	length = param.RoundSize(length) // 0 also for a length that wraps
-	if length == 0 || !flags.Valid() || !param.PageAligned(param.VAddr(off)) {
-		return 0, vmapi.ErrInvalid
-	}
-	if (flags&vmapi.MapAnon != 0) == (vn != nil) {
-		return 0, vmapi.ErrInvalid
+	length, err := vmapi.MmapArgs(addr, length, flags, vn, off)
+	if err != nil {
+		return 0, err
 	}
 
 	s := p.sys
@@ -149,15 +137,10 @@ func (p *Process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	var removed []*entry
 	var va param.VAddr
 	if flags&vmapi.MapFixed != 0 {
-		if end := addr + param.VAddr(length); !param.PageAligned(addr) || addr < m.min || end < addr || end > m.allocMax {
-			m.unlock()
-			return 0, vmapi.ErrInvalid
-		}
 		removed = m.unmapPhase1(addr, addr+param.VAddr(length))
 		va = addr
 	} else {
-		var err error
-		va, err = m.findSpace(addr, length)
+		va, err = m.FindSpace(addr, length)
 		if err != nil {
 			m.unlock()
 			return 0, err
@@ -166,7 +149,7 @@ func (p *Process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 
 	private := flags&vmapi.MapPrivate != 0
 	e := s.allocEntry(m)
-	e.start, e.end = va, va+param.VAddr(length)
+	e.Start, e.End = va, va+param.VAddr(length)
 	e.prot = prot // the requested protection, set in one step
 	e.maxProt = param.ProtRWX
 	e.off = off
@@ -190,7 +173,7 @@ func (p *Process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 		// Shared file mapping: object only.
 		e.obj = s.vnodeObject(vn)
 	}
-	m.insert(e)
+	m.Insert(e)
 	m.unlock()
 
 	// Fixed-replacement teardown happens after the lock drops (phase 2).
@@ -207,13 +190,14 @@ func (p *Process) Munmap(addr param.VAddr, length param.VSize) error {
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
-	if !param.PageAligned(addr) || length == 0 {
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || !param.PageAligned(addr) || length == 0 {
 		return vmapi.ErrInvalid
 	}
 	s := p.sys
 	m := p.m
 	m.lock()
-	removed := m.unmapPhase1(addr, addr+param.VAddr(param.RoundSize(length)))
+	removed := m.unmapPhase1(start, end)
 	m.unlock()
 	s.unmapPhase2(m, removed)
 	return nil
@@ -226,9 +210,9 @@ func (p *Process) Mprotect(addr param.VAddr, length param.VSize, prot param.Prot
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
-	if length == 0 {
-		end = start
+	start, end, err := vmapi.MappedRange(addr, length)
+	if err != nil {
+		return err
 	}
 	return p.m.protect(start, end, prot)
 }
@@ -243,14 +227,14 @@ func (p *Process) Minherit(addr param.VAddr, length param.VSize, inh param.Inher
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
-	if length == 0 {
-		return nil
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || start == end {
+		return err
 	}
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
 	m := p.m
 	m.lock()
 	defer m.unlock()
-	for _, e := range m.entriesIn(start, end) {
+	for _, e := range m.EntriesIn(start, end) {
 		e.inherit = inh
 	}
 	return nil
@@ -263,14 +247,14 @@ func (p *Process) Madvise(addr param.VAddr, length param.VSize, adv param.Advice
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
-	if length == 0 {
-		return nil
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || start == end {
+		return err
 	}
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
 	m := p.m
 	m.lock()
 	defer m.unlock()
-	for _, e := range m.entriesIn(start, end) {
+	for _, e := range m.EntriesIn(start, end) {
 		e.advice = adv
 	}
 	return nil
@@ -291,12 +275,12 @@ func (p *Process) Msync(addr param.VAddr, length param.VSize) error {
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
-	if length == 0 {
-		return nil
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || start == end {
+		return err
 	}
 	s := p.sys
 	m := p.m
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
 
 	type span struct {
 		o            *uobject
@@ -304,8 +288,8 @@ func (p *Process) Msync(addr param.VAddr, length param.VSize) error {
 	}
 	var spans []span
 	m.rlock()
-	for cur := m.head; cur != nil; cur = cur.next {
-		if cur.end <= start || cur.start >= end || cur.obj == nil {
+	for cur := range m.All() {
+		if cur.End <= start || cur.Start >= end || cur.obj == nil {
 			continue
 		}
 		o := cur.obj
@@ -313,13 +297,7 @@ func (p *Process) Msync(addr param.VAddr, length param.VSize) error {
 			continue // no backing store to sync (device pager)
 		}
 		// Flush only the object pages the requested range maps.
-		lo, hi := cur.start, cur.end
-		if start > lo {
-			lo = start
-		}
-		if end < hi {
-			hi = end
-		}
+		lo, hi := max(cur.Start, start), min(cur.End, end)
 		s.objRef(o)
 		spans = append(spans, span{o: o, loIdx: cur.objIndex(lo), hiIdx: cur.objIndex(hi - 1)})
 	}
@@ -352,7 +330,7 @@ func (p *Process) Fork(name string) (vmapi.Process, error) {
 	cm.home = pm.home // a process tree allocates from one shard
 	pm.lock()
 	cm.lock()
-	for e := pm.head; e != nil; e = e.next {
+	for e := range pm.All() {
 		switch e.inherit {
 		case param.InheritNone:
 			continue
@@ -362,37 +340,21 @@ func (p *Process) Fork(name string) (vmapi.Process, error) {
 			if e.needsCopy {
 				s.amapCopy(pm, e)
 			}
-			ce := s.allocEntry(cm)
-			*ce = *e
-			ce.prev, ce.next = nil, nil
+			ce := cm.dup(e)
 			ce.wired = 0
-			if ce.amap != nil {
-				s.amapRef(ce.amap)
-			}
-			if ce.obj != nil {
-				s.objRef(ce.obj)
-			}
-			cm.insert(ce)
+			cm.Insert(ce)
 		case param.InheritCopy:
-			ce := s.allocEntry(cm)
-			*ce = *e
-			ce.prev, ce.next = nil, nil
+			ce := cm.dup(e)
 			ce.wired = 0
 			ce.cow, ce.needsCopy = true, true
-			if ce.amap != nil {
-				s.amapRef(ce.amap)
-			}
-			if ce.obj != nil {
-				s.objRef(ce.obj)
-			}
 			if e.cow {
 				// The parent's own view also becomes needs-copy, and its
 				// resident pages are write-protected so the next store
 				// faults (the shared per-page fork cost, §5.3).
 				e.needsCopy = true
-				p.pm.Protect(e.start, e.end, e.prot&^param.ProtWrite)
+				p.pm.Protect(e.Start, e.End, e.prot&^param.ProtWrite)
 			}
-			cm.insert(ce)
+			cm.Insert(ce)
 		}
 	}
 	cm.unlock()
@@ -512,46 +474,17 @@ func (p *Process) holdPage(va param.VAddr, access param.Prot, fn func(*phys.Page
 
 // TouchRange implements vmapi.Process.
 func (p *Process) TouchRange(addr param.VAddr, length param.VSize, write bool) error {
-	end := addr + param.VAddr(param.RoundSize(length))
-	for va := param.Trunc(addr); va < end; va += param.PageSize {
-		if err := p.Access(va, write); err != nil {
-			return err
-		}
-	}
-	return nil
+	return vmapi.TouchRange(addr, length, write, p.Access)
 }
 
 // ReadBytes implements vmapi.Process.
 func (p *Process) ReadBytes(addr param.VAddr, buf []byte) error {
-	return p.copyBytes(addr, buf, false)
+	return vmapi.CopyBytes(addr, buf, false, p.access)
 }
 
 // WriteBytes implements vmapi.Process.
 func (p *Process) WriteBytes(addr param.VAddr, data []byte) error {
-	return p.copyBytes(addr, data, true)
-}
-
-// copyBytes is the copyin/copyout path: each page-sized chunk is copied
-// as the tail of the access that makes its page resident (see access).
-func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
-	for done := 0; done < len(buf); {
-		va := addr + param.VAddr(done)
-		pageOff := int(va & param.PageMask)
-		n := min(param.PageSize-pageOff, len(buf)-done)
-		chunk := buf[done : done+n]
-		err := p.access(va, write, func(pg *phys.Page) {
-			if write {
-				copy(pg.Writable()[pageOff:], chunk)
-			} else {
-				copy(chunk, pg.Data()[pageOff:])
-			}
-		})
-		if err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
+	return vmapi.CopyBytes(addr, data, true, p.access)
 }
 
 // lockMapped locks whatever structure owns pg — an anon or a uobject;

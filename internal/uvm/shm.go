@@ -59,17 +59,17 @@ func (seg *shmSegment) Attach(pi vmapi.Process, prot param.Prot) (param.VAddr, e
 		return 0, vmapi.ErrExited
 	}
 	length := param.VSize(seg.npages) * param.PageSize
-	va, err := m.findSpace(param.MmapHintBase, length)
+	va, err := m.FindSpace(param.MmapHintBase, length)
 	if err != nil {
 		return 0, err
 	}
 	e := s.allocEntry(m)
-	e.start, e.end = va, va+param.VAddr(length)
+	e.Start, e.End = va, va+param.VAddr(length)
 	e.obj = seg.obj
 	s.objRef(seg.obj)
 	e.prot, e.maxProt = prot, param.ProtRWX
 	e.inherit = param.InheritShare
-	m.insert(e)
+	m.Insert(e)
 	s.mach.Stats.Inc("uvm.shm.attach")
 	return va, nil
 }

@@ -56,7 +56,7 @@ func TestPageoutLayoutFollowsVA(t *testing.T) {
 
 	together, apart := 0, 0
 	for w, p := range procs {
-		e := p.m.lookupQuiet(vas[w])
+		e := p.m.LookupQuiet(vas[w])
 		swapped := func(i int) (int64, bool) {
 			a := e.amap.get(e.amapOff + i)
 			if a == nil || a.page != nil || a.swslot == swap.NoSlot {
@@ -159,7 +159,7 @@ func clusteredPageinAllocs(t *testing.T, owner string) {
 	if err := p.TouchRange(va, n*param.PageSize, owner == "anon"); err != nil {
 		t.Fatal(err)
 	}
-	e := p.m.lookupQuiet(va)
+	e := p.m.LookupQuiet(va)
 	evict := func() {
 		for i := 0; i < n; i++ {
 			var pg *phys.Page

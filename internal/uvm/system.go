@@ -438,12 +438,12 @@ func (s *System) KernelAlloc(npages int, prot param.Prot) (param.VAddr, error) {
 func (s *System) kernelAlloc(npages int, prot param.Prot) (param.VAddr, error) {
 	s.kmap.lock()
 	defer s.kmap.unlock()
-	va, err := s.kmap.findSpace(0, param.VSize(npages)*param.PageSize)
+	va, err := s.kmap.FindSpace(0, param.VSize(npages)*param.PageSize)
 	if err != nil {
 		return 0, err
 	}
 	e := s.allocEntry(s.kmap)
-	e.start, e.end = va, va+param.VAddr(npages)*param.PageSize
+	e.Start, e.End = va, va+param.VAddr(npages)*param.PageSize
 	e.prot, e.maxProt = prot, param.ProtRWX
 	e.wired = 1
 	s.kmap.insertOrMerge(e)
@@ -454,7 +454,7 @@ func (s *System) kernelAlloc(npages int, prot param.Prot) (param.VAddr, error) {
 func (s *System) KernelMapEntries() int {
 	s.kmap.mu.RLock()
 	defer s.kmap.mu.RUnlock()
-	return s.kmap.n
+	return s.kmap.Len()
 }
 
 // TotalMapEntries implements vmapi.System.
@@ -462,7 +462,7 @@ func (s *System) TotalMapEntries() int {
 	s.procMu.Lock()
 	defer s.procMu.Unlock()
 	s.kmap.mu.RLock()
-	total := s.kmap.n
+	total := s.kmap.Len()
 	s.kmap.mu.RUnlock()
 	//uvm:maporder-ok summing counts; order-independent
 	for p := range s.procs {
@@ -470,7 +470,7 @@ func (s *System) TotalMapEntries() int {
 			continue // shares its parent's map; counting it would double
 		}
 		p.m.mu.RLock()
-		total += p.m.n
+		total += p.m.Len()
 		p.m.mu.RUnlock()
 	}
 	return total

@@ -45,13 +45,13 @@ func (p *Process) Transfer(pages []*phys.Page, prot param.Prot) (param.VAddr, er
 		return 0, vmapi.ErrExited
 	}
 	length := param.VSize(len(pages)) * param.PageSize
-	va, err := m.findSpace(param.MmapHintBase, length)
+	va, err := m.FindSpace(param.MmapHintBase, length)
 	if err != nil {
 		m.unlock()
 		return 0, err
 	}
 	e := s.allocEntry(m)
-	e.start, e.end = va, va+param.VAddr(length)
+	e.Start, e.End = va, va+param.VAddr(length)
 	e.prot, e.maxProt = prot, param.ProtRWX
 	e.inherit = param.InheritCopy
 	e.cow = true
@@ -70,7 +70,7 @@ func (p *Process) Transfer(pages []*phys.Page, prot param.Prot) (param.VAddr, er
 		}
 		e.amap.set(i, a)
 	}
-	m.insert(e)
+	m.Insert(e)
 	m.unlock()
 	s.mach.Stats.Add(sim.CtrTransfers, int64(len(pages)))
 	return va, nil

@@ -55,6 +55,17 @@ func mkfile(t *testing.T, m *vmapi.Machine, name string, pages int, fill byte) *
 	return vn
 }
 
+// checkIntegrity is the shared list check plus UVM's own invariant: an
+// entry never overruns its amap.
+func (m *vmMap) checkIntegrity() error {
+	return m.Check(func(e *entry) error {
+		if e.amap != nil && e.amapOff+e.Pages() > len(e.amap.anons) {
+			return fmt.Errorf("uvm: entry %x-%x overruns its amap", e.Start, e.End)
+		}
+		return nil
+	})
+}
+
 func checkMaps(t *testing.T, ps ...*Process) {
 	t.Helper()
 	for _, p := range ps {
@@ -100,7 +111,7 @@ func TestZeroFillMappingHasNullObject(t *testing.T) {
 	p := newProc(t, s, "p")
 	va, _ := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
 	p.m.mu.Lock()
-	e := p.m.lookup(va)
+	e := p.m.Lookup(va)
 	if e.obj != nil {
 		t.Fatal("zero-fill mapping has an object")
 	}
@@ -128,7 +139,7 @@ func TestSharedFileMappingHasNullAmap(t *testing.T) {
 	va, _ := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapShared, vn, 0)
 	p.Access(va, true)
 	p.m.mu.Lock()
-	e := p.m.lookup(va)
+	e := p.m.Lookup(va)
 	if e.amap != nil {
 		t.Fatal("shared file mapping grew an amap")
 	}
@@ -253,7 +264,7 @@ func TestReadFaultOnPrivateAllocatesNothing(t *testing.T) {
 		t.Fatal("read fault on private mapping allocated anonymous-memory structures")
 	}
 	p.m.mu.Lock()
-	if e := p.m.lookup(va); !e.needsCopy {
+	if e := p.m.Lookup(va); !e.needsCopy {
 		t.Fatal("needs-copy cleared by a read fault")
 	}
 	p.m.mu.Unlock()
@@ -325,7 +336,7 @@ func TestFigure3Sequence(t *testing.T) {
 
 	// Establish: needs-copy, no amap.
 	parent.m.mu.Lock()
-	pe := parent.m.lookup(va)
+	pe := parent.m.Lookup(va)
 	if !pe.needsCopy || pe.amap != nil {
 		t.Fatal("establish state wrong")
 	}
@@ -350,7 +361,7 @@ func TestFigure3Sequence(t *testing.T) {
 	childI, _ := parent.Fork("child")
 	child := childI.(*Process)
 	parent.m.mu.Lock()
-	ce := child.m.lookup(va)
+	ce := child.m.Lookup(va)
 	if !pe.needsCopy || !ce.needsCopy {
 		t.Fatal("needs-copy not set in both after fork")
 	}
@@ -869,12 +880,12 @@ func TestDevicePager(t *testing.T) {
 	}
 	p := newProc(t, s, "p")
 	p.m.lock()
-	va, _ := p.m.findSpace(0, 2*param.PageSize)
+	va, _ := p.m.FindSpace(0, 2*param.PageSize)
 	e := s.allocEntry(p.m)
-	e.start, e.end = va, va+2*param.PageSize
+	e.Start, e.End = va, va+2*param.PageSize
 	e.obj = rom
 	e.prot, e.maxProt = param.ProtRead, param.ProtRX
-	p.m.insert(e)
+	p.m.Insert(e)
 	p.m.unlock()
 
 	b := make([]byte, 1)

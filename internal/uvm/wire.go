@@ -62,43 +62,37 @@ func (p *Process) unwirePagesNoMap(start, end param.VAddr) {
 // Sysctl implements vmapi.Process: the user buffer is wired for the
 // duration of the call, with the wired state recorded on the process'
 // kernel stack — the map is untouched and no entry fragmentation occurs
-// (§3.2).
+// (§3.2). The kernel copies the result out to the wired buffer.
 func (p *Process) Sysctl(addr param.VAddr, length param.VSize) error {
-	if p.exited.Load() {
-		return vmapi.ErrExited
-	}
-	s := p.sys
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
-	if err := p.wirePagesNoMap(start, end); err != nil {
-		return err
-	}
-	p.pushKstackWire(start, end)
-
-	// The kernel copies the result out to the wired buffer.
-	s.mach.Clock.ChargeN(param.Pages(param.VSize(end-start)), s.mach.Costs.PageTouch)
-
-	p.popKstackWire()
-	p.unwirePagesNoMap(start, end)
-	return nil
+	return p.withBufferWired(addr, length, func(pages int) {
+		p.sys.mach.Clock.ChargeN(pages, p.sys.mach.Costs.PageTouch)
+	})
 }
 
 // Physio implements vmapi.Process: raw device I/O with the buffer wired
 // through the kernel stack record, not the map (§3.2).
 func (p *Process) Physio(addr param.VAddr, length param.VSize) error {
+	return p.withBufferWired(addr, length, func(pages int) {
+		p.sys.mach.Clock.Advance(p.sys.mach.Costs.DiskOp)
+		p.sys.mach.Clock.ChargeN(pages, p.sys.mach.Costs.DiskPageIO)
+	})
+}
+
+// withBufferWired runs op on the pages of a user buffer while they are
+// wired, the wiring recorded on the kernel stack.
+func (p *Process) withBufferWired(addr param.VAddr, length param.VSize, op func(pages int)) error {
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
-	s := p.sys
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
+	start, end, err := vmapi.MappedRange(addr, length)
+	if err != nil {
+		return err
+	}
 	if err := p.wirePagesNoMap(start, end); err != nil {
 		return err
 	}
 	p.pushKstackWire(start, end)
-
-	npages := param.Pages(param.VSize(end - start))
-	s.mach.Clock.Advance(s.mach.Costs.DiskOp)
-	s.mach.Clock.ChargeN(npages, s.mach.Costs.DiskPageIO)
-
+	op(param.Pages(param.VSize(end - start)))
 	p.popKstackWire()
 	p.unwirePagesNoMap(start, end)
 	return nil
@@ -123,11 +117,14 @@ func (p *Process) Mlock(addr param.VAddr, length param.VSize) error {
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
+	start, end, err := vmapi.MappedRange(addr, length)
+	if err != nil {
+		return err
+	}
 
 	m := p.m
 	m.lock()
-	entries := m.entriesIn(start, end)
+	entries := m.EntriesIn(start, end)
 	if len(entries) == 0 {
 		m.unlock()
 		return vmapi.ErrFault
@@ -145,11 +142,14 @@ func (p *Process) Munlock(addr param.VAddr, length param.VSize) error {
 	if p.exited.Load() {
 		return vmapi.ErrExited
 	}
-	start, end := param.Trunc(addr), param.Round(addr+param.VAddr(length))
+	start, end, err := vmapi.PageRange(addr, length)
+	if err != nil || start == end {
+		return err
+	}
 
 	m := p.m
 	m.lock()
-	for _, e := range m.entriesIn(start, end) {
+	for _, e := range m.EntriesIn(start, end) {
 		if e.wired > 0 {
 			e.wired--
 		}
