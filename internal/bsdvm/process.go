@@ -334,7 +334,9 @@ func (p *process) Msync(addr param.VAddr, length param.VSize) error {
 
 // wireRange wires [addr, end) the BSD VM way: the range's entries are
 // clipped (fragmenting the map — permanently), their wired counts raised,
-// and the pages faulted in and wired.
+// and the pages faulted in and wired. On failure it puts back the wired
+// counts and unwires the pages it wired, so a failed call leaves nothing
+// wired; the clipping stays.
 func (p *process) wireRange(addr, end param.VAddr) error {
 	m := p.m
 	m.lock()
@@ -351,6 +353,8 @@ func (p *process) wireRange(addr, end param.VAddr) error {
 	for va := addr; va < end; va += param.PageSize {
 		if _, ok := p.pm.Lookup(va); !ok {
 			if err := p.sys.fault(p, va, param.ProtRead); err != nil {
+				p.unwireEntries(addr, end)
+				p.unwirePages(addr, va)
 				return err
 			}
 		}
@@ -367,6 +371,12 @@ func (p *process) wireRange(addr, end param.VAddr) error {
 // unwireRange reverses wireRange — but the entry fragmentation it caused
 // is never repaired.
 func (p *process) unwireRange(addr, end param.VAddr) {
+	p.unwireEntries(addr, end)
+	p.unwirePages(addr, end)
+}
+
+// unwireEntries drops one wiring from each map entry in [addr, end).
+func (p *process) unwireEntries(addr, end param.VAddr) {
 	m := p.m
 	m.lock()
 	for _, e := range m.EntriesIn(addr, end) {
@@ -375,6 +385,10 @@ func (p *process) unwireRange(addr, end param.VAddr) {
 		}
 	}
 	m.unlock()
+}
+
+// unwirePages drops one wiring from each resident page in [addr, end).
+func (p *process) unwirePages(addr, end param.VAddr) {
 	for va := addr; va < end; va += param.PageSize {
 		if pte, ok := p.pm.Lookup(va); ok && pte.Page != nil && pte.Page.WireCount.Load() > 0 {
 			pte.Page.WireCount.Add(-1)

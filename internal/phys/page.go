@@ -472,6 +472,9 @@ func (m *Mem) BusyPages() []*Page {
 	return busy
 }
 
+// Frame returns the frame with physical frame number pfn.
+func (m *Mem) Frame(pfn int) *Page { return &m.frames[pfn] }
+
 // ForEachFrame visits every physical frame in PA order until fn returns
 // false. It takes no locks — the visitor sees each frame's atomics
 // (owner, state bits) at whatever instant it reaches them, like

@@ -28,26 +28,35 @@
 // Locking: a pmap's own mutex (p.mu, guarding its page table) nests
 // ABOVE pv bucket locks — Enter/Remove update the page table and the
 // reverse map under p.mu so the two stay mutually inverse at every
-// instant. At most one bucket is ever held at a time (batch operations
-// visit their buckets one after another in ascending index), and bucket
-// locks are leaves: nothing is acquired under them. PageProtect snapshots
-// a page's pv list under its bucket and releases the bucket before
-// touching any pmap, so it never holds a bucket and a pmap mutex
-// together in the reverse order.
+// instant. At most one bucket is ever held at a time (a batch applies its
+// pv edits in VA order, taking a bucket once for each run of adjacent
+// edits that hash to it), and bucket locks are leaves: nothing is
+// acquired under them. PageProtect snapshots a page's pv list under its
+// bucket and releases the bucket before touching any pmap, so it never
+// holds a bucket and a pmap mutex together in the reverse order.
 //
 // Bucket lock traffic is counted in the pmap.pv.* stats (acquisitions
 // and contended acquisitions); bench/uvmperf reports the ratio as
 // fault-path pv contention.
 //
-// The simulated processor is i386-like: each 4 MB-aligned region of a
-// pmap's virtual address space that contains at least one mapping needs a
-// page-table page, which is wired kernel memory. Whose bookkeeping records
-// that wired memory is one of the Table 1 differences between the two VM
-// systems, so the pmap reports page-table page allocation through a hook.
+// # The page table
+//
+// The simulated processor is the i386, and a pmap's translations live in
+// its two-level page table. The page directory names, in VA order, each
+// 4 MB region of the address space that holds at least one translation,
+// with that region's live PTE count and its page-table page: 1024 32-bit
+// PTEs, the frame's physical address in the high 20 bits and the valid,
+// wired and protection bits in the low ones. A page-table page holds no
+// pointers; a PTE names its frame through the machine's frame array. A
+// range operation walks the present page-table pages in VA order. A
+// page-table page is wired kernel memory, allocated when its region gains
+// its first translation and freed when it loses its last. Whose
+// bookkeeping records that wired memory is one of the Table 1 differences
+// between the two VM systems, so the pmap reports both transitions
+// through hooks.
 package pmap
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -60,6 +69,22 @@ import (
 // ptRegionShift selects the i386 page-table granularity: one page-table
 // page maps 4 MB (1024 PTEs of 4 KB).
 const ptRegionShift = 22
+
+const (
+	ptRegionSize = param.VAddr(1) << ptRegionShift
+	ptEntries    = 1 << (ptRegionShift - param.PageShift)
+
+	// vaLimit is the end of the 32-bit virtual address space, and
+	// maxFrames the number of frames a 32-bit PTE can name.
+	vaLimit   = param.VAddr(1) << 32
+	maxFrames = 1 << (32 - param.PageShift)
+
+	// The low bits of a PTE; the frame address fills the high 20.
+	pteValid     uint32 = 1 << 0
+	pteWired     uint32 = 1 << 1
+	pteProtShift        = 2 // three bits: param.ProtRWX
+	pteFrame            = ^uint32(param.PageSize - 1)
+)
 
 // pvShards is the number of reverse-map buckets. 64 comfortably exceeds
 // any plausible host core count, so two concurrent faults on different
@@ -82,6 +107,29 @@ type BatchEntry struct {
 	Page  *phys.Page
 	Prot  param.Prot
 	Wired bool
+}
+
+// ptPage is one page-table page: the 32-bit PTEs of one 4 MB region.
+type ptPage [ptEntries]uint32
+
+// pde is one page-directory entry: a present page-table page, the base
+// VA of the region it maps and how many of its PTEs are valid.
+type pde struct {
+	base param.VAddr
+	n    int
+	pt   *ptPage
+}
+
+// ptIndex returns the index of va's PTE within its page-table page.
+func ptIndex(va param.VAddr) int { return int(va>>param.PageShift) & (ptEntries - 1) }
+
+// encodePTE builds the PTE word mapping pg.
+func encodePTE(pg *phys.Page, prot param.Prot, wired bool) uint32 {
+	w := uint32(pg.PA) | uint32(prot&param.ProtRWX)<<pteProtShift | pteValid
+	if wired {
+		w |= pteWired
+	}
+	return w
 }
 
 // pvBucket is one shard of the reverse map: its mutex guards the pv list
@@ -159,44 +207,16 @@ type pvOp struct {
 // of half as many, edits the reverse map without touching the heap.
 const pvBatch = 64
 
-// groupByBucket reorders ops in place so that each bucket's edits are
-// adjacent, buckets ascending, and a bucket's edits stay in the order
-// they were recorded: a stable counting sort by bucket.
-func groupByBucket(ops []pvOp) {
-	var (
-		next [pvShards + 1]int // next[b+1] counts, then next[b] = output cursor of bucket b
-		buf  [pvBatch]pvOp
-	)
-	sorted := buf[:]
-	if len(ops) > len(buf) {
-		sorted = make([]pvOp, len(ops))
-	}
-	for i := range ops {
-		next[ops[i].bucket+1]++
-	}
-	for b := 1; b < len(next); b++ {
-		next[b] += next[b-1]
-	}
-	for i := range ops {
-		b := ops[i].bucket
-		sorted[next[b]] = ops[i]
-		next[b]++
-	}
-	copy(ops, sorted)
-}
-
-// applyPVLocked applies a batch of reverse-map edits of p's translations:
-// ascending bucket order, each bucket locked once, one bucket held at a
-// time, a bucket's edits in the order they were recorded. Caller holds
-// p.mu, so the batch is atomic against every other edit of this pmap.
+// applyPVLocked applies reverse-map edits of p's translations in the
+// order they were recorded, one bucket held at a time, each run of
+// adjacent edits under one bucket in one acquisition. Caller holds p.mu,
+// so the batch is atomic against every other edit of this pmap.
 func (p *Pmap) applyPVLocked(ops []pvOp) {
-	if len(ops) > 1 {
-		groupByBucket(ops)
-	}
 	for i := 0; i < len(ops); {
-		b := &p.mmu.buckets[ops[i].bucket]
+		idx := ops[i].bucket
+		b := &p.mmu.buckets[idx]
 		p.mmu.lockBucket(b)
-		for idx := ops[i].bucket; i < len(ops) && ops[i].bucket == idx; i++ {
+		for ; i < len(ops) && ops[i].bucket == idx; i++ {
 			if op := &ops[i]; op.add {
 				b.addLocked(op.pg, p, op.va)
 			} else {
@@ -213,6 +233,7 @@ type MMU struct {
 	clock *sim.Clock
 	costs *sim.Costs
 	stats *sim.Stats
+	mem   *phys.Mem // the frames PTEs name
 
 	// shards is the number of live buckets (a power of two ≤ pvShards).
 	// Set once at boot — before any translation exists — by SetPVShards;
@@ -232,12 +253,17 @@ type MMU struct {
 	ctrRmBatchPages sim.Counter
 }
 
-// NewMMU creates the machine's MMU.
-func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats) *MMU {
+// NewMMU creates the MMU of a machine whose physical memory is mem. It
+// panics if a 32-bit PTE cannot name every frame of mem.
+func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, mem *phys.Mem) *MMU {
+	if mem.TotalPages() > maxFrames {
+		panic(fmt.Sprintf("pmap: %d frames, a 32-bit PTE names %d", mem.TotalPages(), maxFrames))
+	}
 	m := &MMU{
 		clock:           clock,
 		costs:           costs,
 		stats:           stats,
+		mem:             mem,
 		shards:          pvShards,
 		ctrAcquires:     stats.Counter(sim.CtrPVAcquires),
 		ctrContended:    stats.Counter(sim.CtrPVContended),
@@ -284,6 +310,22 @@ func (m *MMU) bucketIndex(pg *phys.Page) int {
 
 func (m *MMU) bucketOf(pg *phys.Page) *pvBucket { return &m.buckets[m.bucketIndex(pg)] }
 
+// pvOp builds the reverse-map edit adding or removing a mapping of pg.
+func (m *MMU) pvOp(pg *phys.Page, va param.VAddr, add bool) pvOp {
+	return pvOp{pg: pg, va: va, bucket: uint8(m.bucketIndex(pg)), add: add}
+}
+
+// frame returns the frame a valid PTE word maps.
+func (m *MMU) frame(w uint32) *phys.Page { return m.mem.Frame(int(w >> param.PageShift)) }
+
+// decode returns the translation a PTE word holds, if it is valid.
+func (m *MMU) decode(w uint32) (PTE, bool) {
+	if w&pteValid == 0 {
+		return PTE{}, false
+	}
+	return PTE{Page: m.frame(w), Prot: param.Prot(w>>pteProtShift) & param.ProtRWX, Wired: w&pteWired != 0}, true
+}
+
 // lockBucket acquires b counting the acquisition, and whether it had to
 // wait, in the pmap.pv.* stats.
 func (m *MMU) lockBucket(b *pvBucket) {
@@ -300,11 +342,11 @@ type Pmap struct {
 	name string
 
 	//uvm:lock pmap
-	mu        sync.Mutex
-	pt        map[param.VAddr]PTE
-	ptRegions map[param.VAddr]int // 4MB region base -> live PTE count
-	wired     int
-	lookups   uint64 // Lookup calls served
+	mu      sync.Mutex
+	dir     []pde   // the page directory: present page-table pages, ascending base
+	spare   *ptPage // the last emptied page-table page, reused by the next region
+	wired   int
+	lookups uint64 // Lookup calls served
 
 	// OnPTAlloc/OnPTFree fire when a page-table page is allocated or
 	// freed for this pmap. BSD VM points these at kernel-map wiring (which
@@ -316,81 +358,138 @@ type Pmap struct {
 
 // NewPmap creates an empty address-space pmap.
 func (m *MMU) NewPmap(name string) *Pmap {
-	return &Pmap{
-		mmu:       m,
-		name:      name,
-		pt:        make(map[param.VAddr]PTE),
-		ptRegions: make(map[param.VAddr]int),
-	}
+	return &Pmap{mmu: m, name: name}
 }
 
 // String names the pmap's address space in panics and test failures.
 func (p *Pmap) String() string { return fmt.Sprintf("pmap(%s)", p.name) }
 
-// applyPTLocked updates the page table for one translation — PTE write,
-// page-table region refcount, wired accounting — and reports the
-// reverse-map delta the caller must apply: the replaced page whose pv
-// entry must go (nil if none) and whether pg needs a new pv entry.
-// Caller holds p.mu; both Enter and EnterBatch funnel through here so
-// their bookkeeping cannot drift apart.
-func (p *Pmap) applyPTLocked(va param.VAddr, pg *phys.Page, prot param.Prot, wired bool) (removeOld *phys.Page, add bool) {
-	old, had := p.pt[va]
-	p.pt[va] = PTE{Page: pg, Prot: prot, Wired: wired}
-	if !had {
-		p.ptRegionRefLocked(va, +1)
+// findLocked returns the directory index of va's page-table page and
+// whether it is present; if not, the index is where it would go. Caller
+// holds p.mu.
+func (p *Pmap) findLocked(va param.VAddr) (int, bool) {
+	base := va &^ (ptRegionSize - 1)
+	lo, hi := 0, len(p.dir)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); p.dir[h].base < base {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
-	if had && old.Wired {
-		p.wired--
+	return lo, lo < len(p.dir) && p.dir[lo].base == base
+}
+
+// slotLocked returns va's PTE and the directory index of its page-table
+// page, or nil if that page is not present. Caller holds p.mu.
+func (p *Pmap) slotLocked(va param.VAddr) (*uint32, int) {
+	i, ok := p.findLocked(va)
+	if !ok {
+		return nil, i
 	}
+	return &p.dir[i].pt[ptIndex(va)], i
+}
+
+// pteLocked returns va's PTE word, 0 if va is unmapped. Caller holds p.mu.
+func (p *Pmap) pteLocked(va param.VAddr) uint32 {
+	if w, _ := p.slotLocked(va); w != nil {
+		return *w
+	}
+	return 0
+}
+
+// allocPTLocked inserts a page-table page for va's region at directory
+// index i — the spare if there is one. Caller holds p.mu.
+func (p *Pmap) allocPTLocked(i int, va param.VAddr) {
+	pt := p.spare
+	if pt == nil {
+		pt = new(ptPage)
+	}
+	p.spare = nil
+	p.dir = slices.Insert(p.dir, i, pde{base: va &^ (ptRegionSize - 1), pt: pt})
+	if p.OnPTAlloc != nil {
+		p.OnPTAlloc()
+	}
+}
+
+// freePTLocked drops the emptied page-table page at directory index i,
+// keeping it as the spare if there is none. Caller holds p.mu.
+func (p *Pmap) freePTLocked(i int) {
+	if p.spare == nil {
+		p.spare = p.dir[i].pt
+	}
+	p.dir = slices.Delete(p.dir, i, i+1)
+	if p.OnPTFree != nil {
+		p.OnPTFree()
+	}
+}
+
+// enterLocked writes va's PTE — allocating its page-table page if need
+// be, keeping the live and wired counts — and appends to ops the
+// reverse-map edits the caller owes: the replaced page's pv entry goes,
+// pg's arrives. Caller holds p.mu; Enter and EnterBatch both funnel
+// through here so their bookkeeping cannot drift apart.
+func (p *Pmap) enterLocked(ops []pvOp, va param.VAddr, pg *phys.Page, prot param.Prot, wired bool) []pvOp {
+	i, ok := p.findLocked(va)
+	if !ok {
+		p.allocPTLocked(i, va)
+	}
+	e := &p.dir[i]
+	slot := &e.pt[ptIndex(va)]
+	old, w := *slot, encodePTE(pg, prot, wired)
+	*slot = w
 	if wired {
 		p.wired++
 	}
-	if had && old.Page != pg {
-		removeOld = old.Page
+	if old&pteValid == 0 {
+		e.n++
+	} else {
+		if old&pteWired != 0 {
+			p.wired--
+		}
+		if old&pteFrame == w&pteFrame {
+			return ops
+		}
+		ops = append(ops, p.mmu.pvOp(p.mmu.frame(old), va, false))
 	}
-	return removeOld, !had || old.Page != pg
+	return append(ops, p.mmu.pvOp(pg, va, true))
+}
+
+// mustMap panics unless va can be entered: page-aligned, and inside the
+// 32-bit virtual address space.
+func mustMap(va param.VAddr, op string) {
+	if !param.PageAligned(va) {
+		panic("pmap: unaligned " + op)
+	}
+	if va >= vaLimit {
+		panic(fmt.Sprintf("pmap: %s at %#x, beyond the 32-bit address space", op, va))
+	}
 }
 
 // Enter establishes (or replaces) the translation for va. The page gains a
 // pv entry so page-level operations can find this mapping.
 func (p *Pmap) Enter(va param.VAddr, pg *phys.Page, prot param.Prot, wired bool) {
-	if !param.PageAligned(va) {
-		panic("pmap: unaligned Enter")
-	}
+	mustMap(va, "Enter")
 	p.mmu.clock.Advance(p.mmu.costs.PmapEnter)
 
+	var buf [2]pvOp
 	p.mu.Lock()
-	removeOld, add := p.applyPTLocked(va, pg, prot, wired)
-	if removeOld != nil {
-		b := p.mmu.bucketOf(removeOld)
-		p.mmu.lockBucket(b)
-		b.removeLocked(removeOld, p, va)
-		b.mu.Unlock()
-	}
-	if add {
-		b := p.mmu.bucketOf(pg)
-		p.mmu.lockBucket(b)
-		b.addLocked(pg, p, va)
-		b.mu.Unlock()
-	}
+	p.applyPVLocked(p.enterLocked(buf[:0], va, pg, prot, wired))
 	p.mu.Unlock()
 }
 
 // EnterBatch establishes every translation in entries, exactly as the
 // equivalent sequence of Enter calls would, but takes the pmap mutex once
-// and each affected pv bucket once for the whole batch instead of once
-// per page. The batched fault-ahead path uses it to amortise lock traffic
-// across the advice window. VAs must be page-aligned; the per-entry
-// PmapEnter cost is charged as usual, so a batch costs the same simulated
-// time as the loop it replaces.
+// for the whole batch instead of once per page. The batched fault-ahead
+// path uses it to amortise lock traffic across the advice window. VAs
+// must be page-aligned; the per-entry PmapEnter cost is charged as usual,
+// so a batch costs the same simulated time as the loop it replaces.
 func (p *Pmap) EnterBatch(entries []BatchEntry) {
 	if len(entries) == 0 {
 		return
 	}
 	for _, be := range entries {
-		if !param.PageAligned(be.VA) {
-			panic("pmap: unaligned EnterBatch")
-		}
+		mustMap(be.VA, "EnterBatch")
 	}
 	p.mmu.clock.ChargeN(len(entries), p.mmu.costs.PmapEnter)
 	p.mmu.ctrBatches.Inc()
@@ -400,13 +499,7 @@ func (p *Pmap) EnterBatch(entries []BatchEntry) {
 	ops := buf[:0]
 	p.mu.Lock()
 	for _, be := range entries {
-		removeOld, add := p.applyPTLocked(be.VA, be.Page, be.Prot, be.Wired)
-		if removeOld != nil {
-			ops = append(ops, pvOp{pg: removeOld, va: be.VA, bucket: uint8(p.mmu.bucketIndex(removeOld))})
-		}
-		if add {
-			ops = append(ops, pvOp{pg: be.Page, va: be.VA, bucket: uint8(p.mmu.bucketIndex(be.Page)), add: true})
-		}
+		ops = p.enterLocked(ops, be.VA, be.Page, be.Prot, be.Wired)
 	}
 	p.applyPVLocked(ops)
 	p.mu.Unlock()
@@ -415,42 +508,24 @@ func (p *Pmap) EnterBatch(entries []BatchEntry) {
 // Remove tears down all translations in [start, end).
 func (p *Pmap) Remove(start, end param.VAddr) {
 	for va := param.Trunc(start); va < end; va += param.PageSize {
-		p.removeOne(va)
+		p.removeIf(va, nil)
 	}
 }
 
 // RemoveBatch tears down every translation in [start, end) exactly as the
 // equivalent sequence of Remove calls would, but takes the pmap mutex
-// once and each affected pv bucket once for the whole window instead of
-// once per page — the teardown mirror of EnterBatch, used by UVM's
-// two-phase unmap and address-space exit. The per-translation PmapRemove
-// cost is charged as usual, so a batch costs the same simulated time as
-// the loop it replaces.
+// once for the whole window instead of once per page — the teardown
+// mirror of EnterBatch, used by UVM's two-phase unmap and address-space
+// exit. It walks only the present page-table pages. The per-translation
+// PmapRemove cost is charged as usual, so a batch costs the same
+// simulated time as the loop it replaces.
 func (p *Pmap) RemoveBatch(start, end param.VAddr) {
-	start = param.Trunc(start)
-
 	var buf [pvBatch]pvOp
 	ops := buf[:0]
 	p.mu.Lock()
-	// Collect the translations of the window: for a window smaller than
-	// the page table, walk the VA range directly (already sorted); for
-	// a huge or whole-space window (RemoveAll), scan the table instead
-	// of stepping through an astronomically sparse range, and sort so
-	// the pv edits land in the same order the Remove loop produced.
-	if span := uint64(end-start) >> param.PageShift; end > start && span < uint64(len(p.pt)) {
-		for va := start; va < end; va += param.PageSize {
-			if pte, ok := p.pt[va]; ok {
-				ops = append(ops, p.dropPTLocked(va, pte))
-			}
-		}
-	} else {
-		for va, pte := range p.pt {
-			if va >= start && va < end {
-				ops = append(ops, p.dropPTLocked(va, pte))
-			}
-		}
-		slices.SortFunc(ops, func(a, b pvOp) int { return cmp.Compare(a.va, b.va) })
-	}
+	p.walkLocked(param.Trunc(start), end, func(e *pde, va param.VAddr, slot *uint32) {
+		ops = append(ops, p.clearLocked(e, va, slot))
+	})
 	p.applyPVLocked(ops)
 	p.mu.Unlock()
 	if len(ops) == 0 {
@@ -462,18 +537,39 @@ func (p *Pmap) RemoveBatch(start, end param.VAddr) {
 	p.mmu.ctrRmBatchPages.Add(int64(len(ops)))
 }
 
-func (p *Pmap) removeOne(va param.VAddr) { p.removeIf(va, nil) }
+// walkLocked calls fn on every valid PTE in [start, end) — start
+// page-aligned — in VA order, with its directory entry, and frees each
+// page-table page fn empties. Caller holds p.mu.
+func (p *Pmap) walkLocked(start, end param.VAddr, fn func(e *pde, va param.VAddr, slot *uint32)) {
+	i, _ := p.findLocked(start)
+	for i < len(p.dir) && p.dir[i].base < end {
+		e := &p.dir[i]
+		hi := min(end, e.base+ptRegionSize)
+		for va := max(start, e.base); va < hi && e.n > 0; va += param.PageSize {
+			if slot := &e.pt[ptIndex(va)]; *slot&pteValid != 0 {
+				fn(e, va, slot)
+			}
+		}
+		if e.n == 0 {
+			p.freePTLocked(i)
+		} else {
+			i++
+		}
+	}
+}
 
-// dropPTLocked deletes va's translation pte from the page table — PTE,
-// page-table region refcount, wired accounting — and returns the
-// reverse-map edit the caller still owes. Caller holds p.mu.
-func (p *Pmap) dropPTLocked(va param.VAddr, pte PTE) pvOp {
-	delete(p.pt, va)
-	p.ptRegionRefLocked(va, -1)
-	if pte.Wired {
+// clearLocked invalidates va's PTE slot in page-table page e, keeping the
+// live and wired counts, and returns the reverse-map edit the caller
+// still owes. Caller holds p.mu, in a walk that frees e if this emptied
+// it.
+func (p *Pmap) clearLocked(e *pde, va param.VAddr, slot *uint32) pvOp {
+	w := *slot
+	*slot = 0
+	e.n--
+	if w&pteWired != 0 {
 		p.wired--
 	}
-	return pvOp{pg: pte.Page, va: va, bucket: uint8(p.mmu.bucketIndex(pte.Page))}
+	return p.mmu.pvOp(p.mmu.frame(w), va, false)
 }
 
 // removeIf tears down va's translation. With only non-nil the teardown
@@ -481,40 +577,41 @@ func (p *Pmap) dropPTLocked(va param.VAddr, pte PTE) pvOp {
 // works from a pv snapshot taken under the bucket lock, and a
 // translation replaced after the snapshot must not be collateral damage.
 func (p *Pmap) removeIf(va param.VAddr, only *phys.Page) {
+	var buf [1]pvOp
+	ops := buf[:0]
 	p.mu.Lock()
-	pte, ok := p.pt[va]
-	if !ok || (only != nil && pte.Page != only) {
-		p.mu.Unlock()
-		return
-	}
-	op := p.dropPTLocked(va, pte)
-	b := &p.mmu.buckets[op.bucket]
-	p.mmu.lockBucket(b)
-	b.removeLocked(op.pg, p, va)
-	b.mu.Unlock()
+	p.walkLocked(va, va+param.PageSize, func(e *pde, va param.VAddr, slot *uint32) {
+		if only == nil || *slot&pteFrame == uint32(only.PA) {
+			ops = append(ops, p.clearLocked(e, va, slot))
+		}
+	})
+	p.applyPVLocked(ops)
 	p.mu.Unlock()
+	if len(ops) > 0 {
+		p.mmu.clock.Advance(p.mmu.costs.PmapRemove)
+	}
+}
 
-	p.mmu.clock.Advance(p.mmu.costs.PmapRemove)
+// narrow clears the protection bits of PTE slot that prot does not grant.
+func narrow(slot *uint32, prot param.Prot) {
+	*slot &^= uint32(^prot&param.ProtRWX) << pteProtShift
 }
 
 // Protect narrows the hardware protection of every translation in
 // [start, end) to prot. With ProtNone the translations are removed
 // (matching pmap_protect semantics on the i386), batched — the pmap
-// mutex and each pv bucket taken once for the window.
+// mutex taken once for the window.
 func (p *Pmap) Protect(start, end param.VAddr, prot param.Prot) {
 	if prot == param.ProtNone {
 		p.RemoveBatch(start, end)
 		return
 	}
-	for va := param.Trunc(start); va < end; va += param.PageSize {
-		p.mu.Lock()
-		if pte, ok := p.pt[va]; ok {
-			p.mmu.clock.Advance(p.mmu.costs.PmapProtect)
-			pte.Prot &= prot
-			p.pt[va] = pte
-		}
-		p.mu.Unlock()
-	}
+	p.mu.Lock()
+	p.walkLocked(param.Trunc(start), end, func(_ *pde, _ param.VAddr, slot *uint32) {
+		p.mmu.clock.Advance(p.mmu.costs.PmapProtect)
+		narrow(slot, prot)
+	})
+	p.mu.Unlock()
 }
 
 // Extract returns the translation for va, if any. It charges the cost of a
@@ -522,9 +619,9 @@ func (p *Pmap) Protect(start, end param.VAddr, prot param.Prot) {
 func (p *Pmap) Extract(va param.VAddr) (PTE, bool) {
 	p.mmu.clock.Advance(p.mmu.costs.PmapExtract)
 	p.mu.Lock()
-	pte, ok := p.pt[param.Trunc(va)]
+	w := p.pteLocked(va)
 	p.mu.Unlock()
-	return pte, ok
+	return p.mmu.decode(w)
 }
 
 // Lookup is Extract without the cost charge: the fault path's checks of
@@ -533,9 +630,9 @@ func (p *Pmap) Extract(va param.VAddr) (PTE, bool) {
 func (p *Pmap) Lookup(va param.VAddr) (PTE, bool) {
 	p.mu.Lock()
 	p.lookups++
-	pte, ok := p.pt[param.Trunc(va)]
+	w := p.pteLocked(va)
 	p.mu.Unlock()
-	return pte, ok
+	return p.mmu.decode(w)
 }
 
 // Lookups returns how many Lookup calls the pmap has served. Tests fence
@@ -550,18 +647,15 @@ func (p *Pmap) Lookups() uint64 {
 func (p *Pmap) ChangeWiring(va param.VAddr, wired bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pte, ok := p.pt[param.Trunc(va)]
-	if !ok {
+	slot, _ := p.slotLocked(va)
+	if slot == nil || *slot&pteValid == 0 || (*slot&pteWired != 0) == wired {
 		return
 	}
-	if pte.Wired != wired {
-		if wired {
-			p.wired++
-		} else {
-			p.wired--
-		}
-		pte.Wired = wired
-		p.pt[param.Trunc(va)] = pte
+	*slot ^= pteWired
+	if wired {
+		p.wired++
+	} else {
+		p.wired--
 	}
 }
 
@@ -569,7 +663,11 @@ func (p *Pmap) ChangeWiring(va param.VAddr, wired bool) {
 func (p *Pmap) ResidentCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.pt)
+	n := 0
+	for _, e := range p.dir {
+		n += e.n
+	}
+	return n
 }
 
 // wiredCount returns the number of wired translations.
@@ -583,33 +681,12 @@ func (p *Pmap) wiredCount() int {
 func (p *Pmap) PTPages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.ptRegions)
-}
-
-// ptRegionRefLocked adjusts the PTE count of va's 4 MB region, firing the
-// allocation/free hooks at the 0<->1 transitions. Caller holds p.mu.
-func (p *Pmap) ptRegionRefLocked(va param.VAddr, delta int) {
-	region := va >> ptRegionShift << ptRegionShift
-	n := p.ptRegions[region] + delta
-	switch {
-	case n < 0:
-		panic("pmap: page-table region refcount underflow")
-	case n == 0:
-		delete(p.ptRegions, region)
-		if p.OnPTFree != nil {
-			p.OnPTFree()
-		}
-	default:
-		if p.ptRegions[region] == 0 && p.OnPTAlloc != nil {
-			p.OnPTAlloc()
-		}
-		p.ptRegions[region] = n
-	}
+	return len(p.dir)
 }
 
 // RemoveAll tears down every translation (address-space teardown). It is
-// a whole-space RemoveBatch: the pmap mutex and each affected pv bucket
-// are taken once for the entire space.
+// a whole-space RemoveBatch: the pmap mutex is taken once for the entire
+// space.
 func (p *Pmap) RemoveAll() {
 	p.RemoveBatch(0, ^param.VAddr(0))
 }
@@ -636,10 +713,9 @@ func (m *MMU) PageProtect(pg *phys.Page, prot param.Prot) {
 			continue
 		}
 		pm.mu.Lock()
-		if pte, ok := pm.pt[e.VA]; ok && pte.Page == pg {
+		if slot, _ := pm.slotLocked(e.VA); slot != nil && *slot&pteValid != 0 && *slot&pteFrame == uint32(pg.PA) {
 			m.clock.Advance(m.costs.PmapProtect)
-			pte.Prot &= prot
-			pm.pt[e.VA] = pte
+			narrow(slot, prot)
 		}
 		pm.mu.Unlock()
 	}

@@ -17,10 +17,8 @@ func newFixture(npages int) *fixture {
 	clock := sim.NewClock()
 	costs := sim.DefaultCosts()
 	stats := sim.NewStats()
-	return &fixture{
-		mmu: NewMMU(clock, costs, stats),
-		mem: phys.NewMem(clock, costs, stats, npages),
-	}
+	mem := phys.NewMem(clock, costs, stats, npages)
+	return &fixture{mmu: NewMMU(clock, costs, stats, mem), mem: mem}
 }
 
 func (f *fixture) page(t *testing.T) *phys.Page {

@@ -39,12 +39,13 @@ func checkInverse(t *testing.T, f *fixture, pmaps []*Pmap) {
 	for _, pm := range pmaps {
 		pm.mu.Lock()
 		wired := 0
-		for va, pte := range pm.pt {
+		pm.walkLocked(0, vaLimit, func(_ *pde, va param.VAddr, slot *uint32) {
+			pte, _ := mmu.decode(*slot)
 			want[pvKey{pm, va}] = pte.Page
 			if pte.Wired {
 				wired++
 			}
-		}
+		})
 		if pm.wired != wired {
 			t.Errorf("%v: wired count %d, but %d wired PTEs", pm, pm.wired, wired)
 		}

@@ -324,7 +324,7 @@ const lookaheadStack = 8
 // — every fault of a fresh zero-fill region faulted front to back, as far
 // as the pages ahead go — costs the one amap lock and no pmap lookup. The
 // survivors enter the pmap through one Pmap.EnterBatch, which takes the
-// pmap mutex and each pv bucket once for the whole window. Every
+// pmap mutex once for the whole window. Every
 // collected page's owner (anon or object) stays locked from collection
 // through the batch entry, so reclaim — which TryLocks owners — can never
 // free a collected page before it is mapped. The batch and the list of

@@ -315,6 +315,23 @@ func reclaimConcurrently(t *testing.T, async bool) {
 	}
 }
 
+// wireAllOfRAM mlocks the n-page mapping at va one page at a time until
+// an Mlock finds no frame to fault in: that Mlock must report ErrDeadlock
+// with no frame free, and every frame of RAM is then wired. (One Mlock of
+// more than RAM would not do: a failed Mlock leaves nothing wired.)
+func wireAllOfRAM(t *testing.T, m *vmapi.Machine, p *Process, va param.VAddr, n int) {
+	t.Helper()
+	for i := range n {
+		if err := p.Mlock(va+param.VAddr(i)*param.PageSize, param.PageSize); err != nil {
+			if err != vmapi.ErrDeadlock || m.Mem.FreePages() != 0 {
+				t.Fatalf("Mlock of page %d: %v with %d frames free, want ErrDeadlock with none", i, err, m.Mem.FreePages())
+			}
+			return
+		}
+	}
+	t.Fatalf("Mlock wired all %d pages of a mapping twice RAM", n)
+}
+
 // TestAnonLiveAfterFailedFault: a fault whose frame allocation reports
 // ErrDeadlock leaves no anon behind, so once the process exits the
 // uvm.anon.live gauge — the leak detector of the tests and examples —
@@ -326,9 +343,7 @@ func TestAnonLiveAfterFailedFault(t *testing.T) {
 	testutil.SweepOnCleanup(t, s)
 	p := newProc(t, s, "wirer")
 	va, _ := p.Mmap(0, 2*ram*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
-	if err := p.Mlock(va, 2*ram*param.PageSize); err != vmapi.ErrDeadlock || m.Mem.FreePages() != 0 {
-		t.Fatalf("Mlock of twice RAM: %v with %d frames free, want ErrDeadlock with none", err, m.Mem.FreePages())
-	}
+	wireAllOfRAM(t, m, p, va, 2*ram)
 	other, _ := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
 	if err := p.Access(other, true); err != vmapi.ErrDeadlock {
 		t.Fatalf("touch with all of RAM wired: %v, want ErrDeadlock", err)
@@ -353,9 +368,7 @@ func TestStalledRoundReportsDeadlock(t *testing.T) {
 			defer s.Shutdown()
 			p := newProc(t, s, "wirer")
 			va, _ := p.Mmap(0, 2*ram*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
-			if err := p.Mlock(va, 2*ram*param.PageSize); err != vmapi.ErrDeadlock || m.Mem.FreePages() != 0 {
-				t.Fatalf("Mlock of twice RAM: %v with %d frames free, want ErrDeadlock with none", err, m.Mem.FreePages())
-			}
+			wireAllOfRAM(t, m, p, va, 2*ram)
 			other, _ := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
 			done := make(chan error, 1)
 			go func() { done <- p.Access(other, true) }()

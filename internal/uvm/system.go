@@ -46,8 +46,8 @@
 //
 // Within the pmap leaf there is one further level: a pmap's own mutex
 // nests above the MMU's sharded reverse-map (pv) bucket locks, at most
-// one bucket is held at a time (batch operations visit buckets in
-// ascending index, one after another), and bucket locks are strict
+// one bucket is held at a time (a batch applies its pv edits in VA
+// order, one bucket after another), and bucket locks are strict
 // leaves — nothing is acquired under them (see the locking note in
 // internal/pmap). The batched fault-ahead path (lookahead) resolves its
 // whole advice window under one amap lock acquisition — candidate anons

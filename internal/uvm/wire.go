@@ -23,11 +23,13 @@ import (
 // wirePagesNoMap faults the range resident and wires the pages via the
 // pmap and page structures only — the map is never touched. Each page is
 // wired under its owner's lock (holdPage), so a concurrent pageout
-// cannot take it between the fault and the wire.
+// cannot take it between the fault and the wire. On failure it unwires
+// the pages it wired, so a failed call leaves nothing wired.
 func (p *Process) wirePagesNoMap(start, end param.VAddr) error {
 	s := p.sys
 	for va := start; va < end; va += param.PageSize {
 		if err := p.holdPage(va, param.ProtRead, s.wirePage); err != nil {
+			p.unwirePagesNoMap(start, va)
 			return err
 		}
 		p.pm.ChangeWiring(va, true)
@@ -134,7 +136,23 @@ func (p *Process) Mlock(addr param.VAddr, length param.VSize) error {
 	}
 	m.unlock()
 
-	return p.wirePagesNoMap(start, end)
+	if err := p.wirePagesNoMap(start, end); err != nil {
+		p.unwireEntries(start, end)
+		return err
+	}
+	return nil
+}
+
+// unwireEntries drops one mlock wiring from each map entry in [start, end).
+func (p *Process) unwireEntries(start, end param.VAddr) {
+	m := p.m
+	m.lock()
+	for _, e := range m.EntriesIn(start, end) {
+		if e.wired > 0 {
+			e.wired--
+		}
+	}
+	m.unlock()
 }
 
 // Munlock implements vmapi.Process.
@@ -147,15 +165,7 @@ func (p *Process) Munlock(addr param.VAddr, length param.VSize) error {
 		return err
 	}
 
-	m := p.m
-	m.lock()
-	for _, e := range m.EntriesIn(start, end) {
-		if e.wired > 0 {
-			e.wired--
-		}
-	}
-	m.unlock()
-
+	p.unwireEntries(start, end)
 	p.unwirePagesNoMap(start, end)
 	return nil
 }

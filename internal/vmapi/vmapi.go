@@ -198,7 +198,7 @@ func NewMachine(cfg MachineConfig) *Machine {
 		Costs:    costs,
 		Stats:    stats,
 		Mem:      mem,
-		MMU:      pmap.NewMMU(clock, costs, stats),
+		MMU:      pmap.NewMMU(clock, costs, stats, mem),
 		Swap:     sw,
 		FS:       vfs.NewFS(clock, costs, stats, fsDisk, cfg.MaxVnodes),
 		FSDisk:   fsDisk,
