@@ -29,6 +29,7 @@ var simdetPackages = []string{
 	"internal/uvm",
 	"internal/bsdvm",
 	"internal/vmmap",
+	"internal/pageidx",
 	"internal/swap",
 	"internal/vfs",
 	"internal/disk",

@@ -65,7 +65,7 @@ func (s *System) fault(p *process, va param.VAddr, access param.Prot) error {
 		s.mach.Clock.Advance(s.mach.Costs.LockAcquire)
 		s.mach.Clock.Advance(s.mach.Costs.ChainSearch)
 		s.ctrChainWalk.Inc()
-		if q, ok := obj.pages[idx]; ok {
+		if q, ok := obj.pages.Get(idx); ok {
 			pg, foundObj = q, obj
 			break
 		}

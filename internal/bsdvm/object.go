@@ -2,7 +2,9 @@ package bsdvm
 
 import (
 	"fmt"
+	"math"
 
+	"uvm/internal/pageidx"
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/vfs"
@@ -18,7 +20,7 @@ type object struct {
 	refs int
 
 	sizePg int
-	pages  map[int]*phys.Page // page index within object -> resident page
+	pages  pageidx.Index[*phys.Page] // page index within object -> resident page
 
 	// Shadow chain: this object's page i corresponds to shadow's page
 	// i + shadowOff.
@@ -42,7 +44,7 @@ func (o *object) String() string {
 		kind = "vnode:" + o.vnode.Name()
 	}
 	return fmt.Sprintf("obj%d(%s refs=%d pages=%d shadow=%v)",
-		o.id, kind, o.refs, len(o.pages), o.shadow != nil)
+		o.id, kind, o.refs, o.pages.Len(), o.shadow != nil)
 }
 
 // newObject allocates a vm_object. Every allocation is charged; this is
@@ -56,7 +58,6 @@ func (s *System) newObject(sizePg int, anon bool) *object {
 		id:     s.nextObjID,
 		refs:   1,
 		sizePg: sizePg,
-		pages:  make(map[int]*phys.Page),
 		anon:   anon,
 	}
 	o.Name(o)
@@ -132,8 +133,7 @@ func (s *System) deallocate(o *object) {
 func (s *System) terminate(o *object) {
 	// Flush modified file pages back before the pages die.
 	s.flushDirty(o)
-	//uvm:maporder-ok frees interchangeable frames; no cost depends on free order
-	for idx, pg := range o.pages {
+	for idx, pg := range o.pages.Range(0, math.MaxInt) {
 		s.freeObjectPage(o, idx, pg)
 	}
 	if o.pager != nil {
@@ -160,8 +160,7 @@ func (s *System) flushDirty(o *object) {
 	if o.vnode == nil || o.anon {
 		return
 	}
-	//uvm:maporder-ok deferred writes charge fixed per-page time and never move the disk head
-	for idx, pg := range o.pages {
+	for idx, pg := range o.pages.Range(0, math.MaxInt) {
 		if pg.Dirty.Load() {
 			_ = o.vnode.WritePageAsync(idx, pg.Freeze())
 			pg.Dirty.Store(false)
@@ -172,12 +171,16 @@ func (s *System) flushDirty(o *object) {
 // freeObjectPage removes one resident page from o and frees the frame.
 func (s *System) freeObjectPage(o *object, idx int, pg *phys.Page) {
 	s.mach.MMU.PageProtect(pg, param.ProtNone)
-	delete(o.pages, idx)
+	o.pages.Delete(idx)
 	s.mach.Mem.Dequeue(pg)
-	if pg.WireCount.Load() > 0 {
-		pg.WireCount.Store(0) // teardown of wired placeholder pages
-	}
+	pg.WireCount.Store(0) // teardown of wired placeholder pages
 	s.mach.Mem.Free(pg)
+}
+
+// hasPage reports whether page idx is resident in o.
+func (o *object) hasPage(idx int) bool {
+	_, ok := o.pages.Get(idx)
+	return ok
 }
 
 // hasSwap reports whether the object has assigned swap for page idx.
@@ -188,18 +191,12 @@ func (o *object) hasSwap(idx int) bool {
 // contributes reports whether o holds any page or swap data in the window
 // [off, off+n) — used by the collapse bypass test.
 func (o *object) contributes(off, n int) bool {
-	//uvm:maporder-ok boolean any-match; order-independent
-	for idx := range o.pages {
-		if idx >= off && idx < off+n {
-			return true
-		}
+	for range o.pages.Range(off, off+n-1) {
+		return true
 	}
 	if o.pager != nil && o.pager.swp != nil {
-		//uvm:maporder-ok boolean any-match; order-independent
-		for idx := range o.pager.swp.slots {
-			if idx >= off && idx < off+n {
-				return true
-			}
+		for range o.pager.swp.slots.Range(off, off+n-1) {
+			return true
 		}
 	}
 	return false
@@ -226,26 +223,24 @@ func (s *System) collapse(o *object) {
 			// Merge: pull sh's pages and swap up into o where o has no
 			// data of its own; anything o already covers is redundant and
 			// dies here.
-			//uvm:maporder-ok each page moves or dies independently at its own index; order-independent
-			for idx, pg := range sh.pages {
+			for idx, pg := range sh.pages.Range(0, math.MaxInt) {
 				top := idx - o.shadowOff
-				if top >= 0 && top < o.sizePg && o.pages[top] == nil && !o.hasSwap(top) {
-					delete(sh.pages, idx)
+				if top >= 0 && top < o.sizePg && !o.hasPage(top) && !o.hasSwap(top) {
+					sh.pages.Delete(idx)
 					pg.SetOwner(o, param.PageToOff(top))
-					o.pages[top] = pg
+					o.pages.Set(top, pg)
 				} else {
 					s.freeObjectPage(sh, idx, pg)
 					s.ctrCollapseRedund.Inc()
 				}
 			}
 			if sh.pager != nil && sh.pager.swp != nil {
-				//uvm:maporder-ok each slot adopts into a fixed destination index; order-independent
-				for idx, slot := range sh.pager.swp.slots {
+				for idx, slot := range sh.pager.swp.slots.Range(0, math.MaxInt) {
 					top := idx - o.shadowOff
-					if top >= 0 && top < o.sizePg && o.pages[top] == nil && !o.hasSwap(top) {
+					if top >= 0 && top < o.sizePg && !o.hasPage(top) && !o.hasSwap(top) {
 						s.ensureSwapPager(o)
 						o.pager.swp.adopt(top, slot, sh.pager.swp)
-						delete(sh.pager.swp.slots, idx)
+						sh.pager.swp.slots.Delete(idx)
 					}
 					// Slots left behind are freed by destroyPager below.
 				}
@@ -287,8 +282,7 @@ func chainStats(e *entry) (objects, totalPages, reachablePages int) {
 	off := 0
 	for o := e.obj; o != nil; o = o.shadow {
 		objects++
-		//uvm:maporder-ok counting with a seen-set; totals are order-independent
-		for idx := range o.pages {
+		for idx := range o.pages.Range(0, math.MaxInt) {
 			top := idx - off
 			totalPages++
 			if top >= 0 && !seen[top] {

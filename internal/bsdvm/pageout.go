@@ -39,7 +39,7 @@ func (s *System) reclaim(target int) error {
 					return true
 				}
 			}
-			delete(o.pages, param.OffToPage(pg.Off()))
+			o.pages.Delete(param.OffToPage(pg.Off()))
 			s.mach.Mem.Dequeue(pg)
 			s.mach.Mem.Free(pg)
 			freed++

@@ -1,6 +1,9 @@
 package bsdvm
 
 import (
+	"math"
+
+	"uvm/internal/pageidx"
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/sim"
@@ -32,10 +35,10 @@ type vmPager struct {
 // the donor's block stayed with the donor).
 type swapPager struct {
 	sys     *System
-	blocks  map[int]int64  // block index -> first slot of blocks this pager allocated
-	slots   map[int]int64  // page index -> assigned slot
-	adopted map[int64]bool // slots taken over from collapsed shadows, owned individually
-	ceded   map[int64]bool // slots inside our blocks whose ownership moved to an adopter
+	blocks  pageidx.Index[int64] // block index -> first slot of blocks this pager allocated
+	slots   pageidx.Index[int64] // page index -> assigned slot
+	adopted map[int64]bool       // slots taken over from collapsed shadows, owned individually
+	ceded   map[int64]bool       // slots inside our blocks whose ownership moved to an adopter
 }
 
 // newVnodePager allocates the vm_pager + vn_pager pair for a file.
@@ -55,8 +58,6 @@ func (s *System) ensureSwapPager(o *object) {
 	s.mach.Stats.Inc("bsdvm.pager.alloc")
 	o.pager = &vmPager{swp: &swapPager{
 		sys:     s,
-		blocks:  make(map[int]int64),
-		slots:   make(map[int]int64),
 		adopted: make(map[int64]bool),
 		ceded:   make(map[int64]bool),
 	}}
@@ -80,8 +81,7 @@ func (s *System) hashRemove(p *vmPager) {
 // and its individually adopted slots.
 func (s *System) destroyPager(p *vmPager) {
 	if p.swp != nil {
-		//uvm:maporder-ok swap frees clear bitmap bits; next-fit allocation sees only the free set
-		for _, start := range p.swp.blocks {
+		for _, start := range p.swp.blocks.Range(0, math.MaxInt) {
 			if len(p.swp.ceded) == 0 {
 				s.mach.Swap.FreeRange(start, swapBlockPages)
 				continue
@@ -96,17 +96,14 @@ func (s *System) destroyPager(p *vmPager) {
 		for slot := range p.swp.adopted {
 			s.mach.Swap.Free(slot)
 		}
-		p.swp.blocks = nil
-		p.swp.slots = nil
-		p.swp.adopted = nil
-		p.swp.ceded = nil
+		*p.swp = swapPager{sys: s}
 	}
 	s.hashRemove(p)
 }
 
 // hasSlot reports whether page idx has swap data.
 func (sp *swapPager) hasSlot(idx int) bool {
-	_, ok := sp.slots[idx]
+	_, ok := sp.slots.Get(idx)
 	return ok
 }
 
@@ -114,21 +111,21 @@ func (sp *swapPager) hasSlot(idx int) bool {
 // first use. The slot is fixed: idx always maps to the same position in
 // its block.
 func (sp *swapPager) slotFor(idx int) (int64, error) {
-	if slot, ok := sp.slots[idx]; ok {
+	if slot, ok := sp.slots.Get(idx); ok {
 		return slot, nil
 	}
 	blk := idx / swapBlockPages
-	start, ok := sp.blocks[blk]
+	start, ok := sp.blocks.Get(blk)
 	if !ok {
 		var err error
 		start, err = sp.sys.mach.Swap.AllocContig(swapBlockPages)
 		if err != nil {
 			return 0, err
 		}
-		sp.blocks[blk] = start
+		sp.blocks.Set(blk, start)
 	}
 	slot := start + int64(idx%swapBlockPages)
-	sp.slots[idx] = slot
+	sp.slots.Set(idx, slot)
 	return slot, nil
 }
 
@@ -141,7 +138,7 @@ func (sp *swapPager) slotFor(idx int) (int64, error) {
 // adopter cannot even name the donor's block start when the shadow
 // offset is not block-aligned.
 func (sp *swapPager) adopt(idx int, slot int64, donor *swapPager) {
-	sp.slots[idx] = slot
+	sp.slots.Set(idx, slot)
 	sp.adopted[slot] = true
 	if donor.adopted[slot] {
 		// The donor itself adopted this slot from a deeper shadow; the
@@ -180,12 +177,12 @@ func (s *System) pagein(o *object, idx int) (*phys.Page, error) {
 	if o.pager.vn != nil {
 		err = o.pager.vn.ReadBlocks(idx, block[:])
 	} else {
-		slot := o.pager.swp.slots[idx]
+		slot, _ := o.pager.swp.slots.Get(idx)
 		err = s.mach.Swap.ReadBlocks(slot, block[:])
 	}
 	pg.Busy.Store(false)
 	if err != nil {
-		delete(o.pages, idx)
+		o.pages.Delete(idx)
 		s.mach.Mem.Free(pg)
 		return nil, err
 	}
@@ -232,7 +229,7 @@ func (s *System) allocPage(o *object, idx int, zero bool) (*phys.Page, error) {
 	for attempt := 0; ; attempt++ {
 		pg, err := s.mach.Mem.Alloc(o, param.PageToOff(idx), zero)
 		if err == nil {
-			o.pages[idx] = pg
+			o.pages.Set(idx, pg)
 			return pg, nil
 		}
 		if attempt >= 3 {

@@ -1,8 +1,6 @@
 package bsdvm
 
 import (
-	"sort"
-
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/pmap"
@@ -307,19 +305,9 @@ func (p *process) Msync(addr param.VAddr, length param.VSize) error {
 		// Flush only the object pages the requested range maps.
 		lo, hi := max(cur.Start, start), min(cur.End, end)
 		loIdx, hiIdx := cur.pageIndex(lo), cur.pageIndex(hi-1)
-		// Snapshot and sort the resident indices: the write order decides
-		// the disk head's path, and Go map iteration order would make it
-		// (and so the simulated time) differ run to run.
-		idxs := make([]int, 0, len(cur.obj.pages))
-		//uvm:maporder-ok indices are sorted below
-		for idx := range cur.obj.pages {
-			if idx >= loIdx && idx <= hiIdx {
-				idxs = append(idxs, idx)
-			}
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			pg := cur.obj.pages[idx]
+		// In ascending index order: the write order decides the disk
+		// head's path, and so the simulated time.
+		for idx, pg := range cur.obj.pages.Range(loIdx, hiIdx) {
 			if !pg.Dirty.Load() {
 				continue
 			}

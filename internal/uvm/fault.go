@@ -467,7 +467,7 @@ func (p *Process) mapped(va param.VAddr) bool {
 // lookahead window, if the VA is not mapped already. Called with o.mu
 // held; the caller keeps it held until after the batched pmap entry.
 func (s *System) lookaheadObjPage(p *Process, e *entry, o *uobject, va param.VAddr) (pmap.BatchEntry, bool) {
-	op, ok := o.pages[e.objIndex(va)]
+	op, ok := o.pages.Get(e.objIndex(va))
 	if !ok || op.Busy.Load() || op.WireCount.Load() > 0 || p.mapped(va) {
 		return pmap.BatchEntry{}, false
 	}

@@ -132,8 +132,8 @@ func TestMsyncSteadyStateAllocs(t *testing.T) {
 	if perCycle >= param.PageSize {
 		t.Errorf("%.0f bytes per cycle: a page buffer is allocated", perCycle)
 	}
-	// 12 measured; 2 of headroom.
-	if got > 14 {
-		t.Errorf("want <= 14 allocations")
+	// 10 measured; 2 of headroom.
+	if got > 12 {
+		t.Errorf("want <= 12 allocations")
 	}
 }

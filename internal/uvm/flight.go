@@ -244,15 +244,15 @@ func (fl *flight) stopped(pages []*phys.Page) bool {
 	return err != nil
 }
 
-// objRuns issues o's claimed pages — pages[i] at index idxs[i], ascending
-// — as runs of consecutive indices, at most wbClusterMax long: the one
-// run policy of every submitter, whatever the flight's mode. Vnode pages
-// go to the file; aobj pages to swap. Caller holds o.mu.
-func (fl *flight) objRuns(o *uobject, idxs []int, pages []*phys.Page) {
-	for lo, hi := 0, 0; lo < len(idxs); lo = hi {
-		hi = runEnd(idxs, lo, fl.s.wbClusterMax())
+// objRuns issues o's claimed pages, in ascending index order, as runs of
+// consecutive indices, at most wbClusterMax long: the one run policy of
+// every submitter, whatever the flight's mode. Vnode pages go to the
+// file; aobj pages to swap. Caller holds o.mu.
+func (fl *flight) objRuns(o *uobject, pages []*phys.Page) {
+	for lo, hi := 0, 0; lo < len(pages); lo = hi {
+		hi = runEnd(pages, lo, fl.s.wbClusterMax())
 		if o.vnode != nil {
-			fl.vnodeRun(o.vnode, idxs[lo], pages[lo:hi])
+			fl.vnodeRun(o.vnode, pageIdx(pages[lo]), pages[lo:hi])
 		} else {
 			fl.swapRun(pages[lo:hi])
 		}
@@ -370,7 +370,7 @@ func (s *System) evictPage(pg *phys.Page, owner any) {
 	case *anon:
 		o.page = nil
 	case *uobject:
-		delete(o.pages, pageIdx(pg))
+		o.pages.Delete(pageIdx(pg))
 	}
 	s.mach.Mem.Free(pg)
 	s.ctrPdFreed.Inc()
@@ -378,12 +378,12 @@ func (s *System) evictPage(pg *phys.Page, owner any) {
 
 func pageIdx(pg *phys.Page) int { return param.OffToPage(pg.Off()) }
 
-// runEnd returns the end of the run of consecutive page indices that
-// starts at idxs[lo] (ascending), at most max long — each run leaves in
+// runEnd returns the end of the run of pages at consecutive indices that
+// starts at pages[lo] (ascending), at most max long — each run leaves in
 // one I/O.
-func runEnd(idxs []int, lo, max int) int {
+func runEnd(pages []*phys.Page, lo, max int) int {
 	hi := lo + 1
-	for hi < len(idxs) && hi-lo < max && idxs[hi] == idxs[hi-1]+1 {
+	for hi < len(pages) && hi-lo < max && pageIdx(pages[hi]) == pageIdx(pages[hi-1])+1 {
 		hi++
 	}
 	return hi
@@ -394,7 +394,7 @@ func (s *System) currentSlot(pg *phys.Page) int64 {
 	case *anon:
 		return owner.swslot
 	case *uobject:
-		if slot, ok := owner.aobjSlots[pageIdx(pg)]; ok {
+		if slot, ok := owner.aobjSlots.Get(pageIdx(pg)); ok {
 			return slot
 		}
 	}
@@ -406,7 +406,7 @@ func (s *System) setSlot(pg *phys.Page, slot int64) {
 	case *anon:
 		owner.swslot = slot
 	case *uobject:
-		owner.aobjSlots[pageIdx(pg)] = slot
+		owner.aobjSlots.Set(pageIdx(pg), slot)
 	}
 }
 

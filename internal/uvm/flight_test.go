@@ -180,7 +180,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 	if backend == "anon" || backend == "aobj" && evict {
 		fl.swapRun(pages)
 	} else {
-		fl.objRuns(obj, idxs, pages)
+		fl.objRuns(obj, pages)
 	}
 	fl.submit()
 	if !evict {
@@ -248,7 +248,8 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 		case *anon:
 			attached = o.page == pg
 		case *uobject:
-			attached = o.pages[i] == pg
+			cur, _ := o.pages.Get(i)
+			attached = cur == pg
 		}
 		switch {
 		case k >= wantWritten: // failed: dirty, resident, and back on the active queue if it was leaving
@@ -270,7 +271,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 		}
 	}
 	if cleanIdx >= 0 {
-		if pg := obj.pages[cleanIdx]; pg == nil || pg.Dirty.Load() {
+		if pg, _ := obj.pages.Get(cleanIdx); pg == nil || pg.Dirty.Load() {
 			t.Errorf("the clean page in the gap was touched: %v", pg)
 		}
 	}
@@ -301,7 +302,7 @@ func flightCell(t *testing.T, n int, evict, async bool, backend, cond string) {
 					continue
 				}
 				rerr = vn.ReadPage(i, buf)
-			} else if slot, ok := o.aobjSlots[i]; ok {
+			} else if slot, ok := o.aobjSlots.Get(i); ok {
 				slots++
 				rerr = m.Swap.ReadSlot(slot, buf)
 			} else {

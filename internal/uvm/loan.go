@@ -110,7 +110,7 @@ func (s *System) breakObjLoan(o *uobject, idx int, pg *phys.Page) (*phys.Page, b
 	if pg.Disown() {
 		s.mach.Mem.Free(pg)
 	}
-	o.pages[idx] = np
+	o.pages.Set(idx, np)
 	s.mach.Mem.Activate(np)
 	s.mach.Stats.Inc("uvm.loan.broken")
 	return np, false, nil

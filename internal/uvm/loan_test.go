@@ -1,6 +1,7 @@
 package uvm
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -167,3 +168,94 @@ func TestLoanLifetimeTable(t *testing.T) {
 
 // fill is the byte page i of a loan table cell starts with.
 func fill(i int) byte { return 0x40 + byte(i) }
+
+// TestLoanTeardownTable: an object torn down while one of its pages is on
+// loan drops its reference to the frame and leaves it to the borrower,
+// as a dying anon does. The object dies at its last unmap (a shared
+// anonymous region, whose aobj goes with it) or when the vnode cache
+// recycles its vnode (a file mapping); the loans come back before the
+// teardown or after it. Until they come back the borrower reads its data
+// intact, and once both sides let go every loaned frame is free, with
+// FreePages back where it started: one over is a double free.
+func TestLoanTeardownTable(t *testing.T) {
+	const loanPages = 8
+	objects := []struct {
+		name string
+		// setup maps loanPages pages at va, page i holding fill(i).
+		setup func(t *testing.T, p *Process) param.VAddr
+		// teardown drops the last mapping and makes the object die.
+		teardown func(t *testing.T, p *Process, va param.VAddr)
+	}{
+		{"aobj-last-munmap", func(t *testing.T, p *Process) param.VAddr {
+			va, err := p.Mmap(0, loanPages*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapShared, nil, 0)
+			for i := 0; i < loanPages && err == nil; i++ {
+				err = p.WriteBytes(va+param.VAddr(i)*param.PageSize, []byte{fill(i)})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return va
+		}, func(t *testing.T, p *Process, va param.VAddr) {
+			if err := p.Munmap(va, loanPages*param.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"vnode-recycle", func(t *testing.T, p *Process) param.VAddr {
+			vn := mkfile(t, p.sys.mach, "/lent", loanPages, fill(0))
+			defer vn.Unref()
+			va, err := p.Mmap(0, loanPages*param.PageSize, param.ProtRead, vmapi.MapShared, vn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return va
+		}, func(t *testing.T, p *Process, va param.VAddr) {
+			if err := p.Munmap(va, loanPages*param.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			// Opening more files than the vnode table holds recycles the
+			// idle vnode, and its object with it.
+			m := p.sys.mach
+			recycled := m.Stats.Get("uvm.uobj.vnode.recycled")
+			for i := 0; m.Stats.Get("uvm.uobj.vnode.recycled") == recycled; i++ {
+				if i > 2*m.FS.MaxVnodes() {
+					t.Fatal("the file's vnode was never recycled")
+				}
+				mkfile(t, m, fmt.Sprintf("/other%d", i), 1, 0).Unref()
+			}
+		}},
+	}
+	for _, o := range objects {
+		for _, returned := range []string{"before", "after"} {
+			t.Run(o.name+"/returned-"+returned, func(t *testing.T) {
+				s, m := bootTest(t, 256)
+				p := newProc(t, s, "lender")
+				free := m.Mem.FreePages()
+				va := o.setup(t, p)
+				pages, err := p.Loanout(va, loanPages)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if returned == "before" {
+					p.LoanReturn(pages)
+				}
+				o.teardown(t, p, va)
+				if returned == "after" {
+					for i, pg := range pages {
+						if pg.Queue() == phys.QueueFree || pg.Data()[0] != fill(i) {
+							t.Fatalf("loaned frame %d freed or overwritten under its borrower (%v, %#x)", i, pg.Queue(), pg.Data()[0])
+						}
+					}
+					p.LoanReturn(pages)
+				}
+				for i, pg := range pages {
+					if pg.Queue() != phys.QueueFree || pg.Owner() != nil {
+						t.Fatalf("loaned frame %d not freed once owner and borrower let go: %v", i, pg)
+					}
+				}
+				if got := m.Mem.FreePages(); got != free {
+					t.Fatalf("%d free pages after teardown, want %d (%+d)", got, free, got-free)
+				}
+			})
+		}
+	}
+}

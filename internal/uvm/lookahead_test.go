@@ -151,7 +151,7 @@ func TestLookaheadAnonShadowsObject(t *testing.T) {
 	idx := e.objIndex(va + param.PageSize)
 	p.m.runlock()
 	o.mu.Lock()
-	if _, resident := o.pages[idx]; !resident {
+	if _, resident := o.pages.Get(idx); !resident {
 		if _, err := o.ops.get(o, idx, idx, idx); err != nil {
 			o.mu.Unlock()
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"uvm/internal/pageidx"
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/vfs"
@@ -38,7 +39,7 @@ type pagerOps interface {
 // vnode) — no separate pager structure, no pager hash table (§6,
 // Figure 4). For anonymous shared objects (aobj) it stands alone.
 //
-// mu guards refs, the resident-page map and the aobj swap-slot map. It
+// mu guards refs, the resident-page index and the aobj swap-slot index. It
 // nests below the map lock and above the amap/anon locks (the write
 // fault that promotes an object page into a fresh anon holds both). Its
 // frames name it by its Ident.
@@ -49,17 +50,24 @@ type uobject struct {
 	ops    pagerOps
 	refs   int
 	sizePg int
-	pages  map[int]*phys.Page
+	pages  pageidx.Index[*phys.Page]
 
 	vnode *vfs.Vnode // vnode-backed objects
 	// aobj swap slots (uao_swhash equivalent): page idx -> slot.
-	aobjSlots map[int]int64
+	aobjSlots pageidx.Index[int64]
 	id        uint32 // aobj: layoutKey.id of its pages
 }
 
 // String renders the object's pager kind and population for debug output.
 func (o *uobject) String() string {
-	return fmt.Sprintf("uobj(%s refs=%d pages=%d)", o.ops.name(), o.refs, len(o.pages))
+	return fmt.Sprintf("uobj(%s refs=%d pages=%d)", o.ops.name(), o.refs, o.pages.Len())
+}
+
+// isAObj reports whether o is an anonymous object, whose pages page to
+// swap.
+func (o *uobject) isAObj() bool {
+	_, ok := o.ops.(*aobjPager)
+	return ok
 }
 
 // objRef adds a mapping reference to an object.
@@ -93,7 +101,6 @@ func (s *System) vnodeObject(vn *vfs.Vnode) *uobject {
 		ops:    &vnodePager{sys: s},
 		refs:   1,
 		sizePg: vn.NumPages(),
-		pages:  make(map[int]*phys.Page),
 		vnode:  vn,
 	}
 	o.Name(o)
@@ -151,21 +158,26 @@ func (s *System) vnodeRecycled(o *uobject) {
 	// A frame still riding a detach-time flush belongs to the I/O: wait
 	// it out before freeing.
 	s.waitObjIdleLocked(o)
-	for _, idx := range sortedPageIdxs(o, 0, maxPageIdx) {
-		s.freeObjectPage(o, idx, o.pages[idx])
+	for idx, pg := range o.pages.Range(0, maxPageIdx) {
+		s.freeObjectPage(o, idx, pg)
 	}
 	o.mu.Unlock()
 	s.mach.Stats.Inc("uvm.uobj.vnode.recycled")
 }
 
-// freeObjectPage drops one resident page from o. Caller holds o.mu.
+// freeObjectPage drops o's reference to its resident page idx and frees
+// the frame if that was the last one: a page on loan lives on, off the
+// paging queues, until its last borrower returns it. Caller holds o.mu.
 func (s *System) freeObjectPage(o *uobject, idx int, pg *phys.Page) {
 	s.mach.MMU.PageProtect(pg, param.ProtNone)
-	delete(o.pages, idx)
-	if pg.WireCount.Load() > 0 {
-		pg.WireCount.Store(0)
+	o.pages.Delete(idx)
+	pg.WireCount.Store(0)
+	if pg.Loaned() {
+		s.mach.Mem.Dequeue(pg)
 	}
-	s.mach.Mem.Free(pg)
+	if pg.Disown() {
+		s.mach.Mem.Free(pg)
+	}
 }
 
 // allocObjPageLocked allocates a frame for page idx of o while o.mu is
@@ -183,7 +195,7 @@ func (s *System) allocObjPageLocked(o *uobject, idx int, zero bool) (pg *phys.Pa
 	if err != nil {
 		return nil, false, err
 	}
-	if existing, ok := o.pages[idx]; ok {
+	if existing, ok := o.pages.Get(idx); ok {
 		s.mach.Mem.Free(pg)
 		return existing, true, nil
 	}
@@ -235,12 +247,10 @@ func (s *System) newAObj(n int) *uobject {
 	s.mach.Clock.Advance(s.mach.Costs.ObjectAlloc)
 	s.mach.Stats.Inc("uvm.uobj.aobj.created")
 	o := &uobject{
-		ops:       &aobjPager{sys: s},
-		refs:      1,
-		sizePg:    n,
-		pages:     make(map[int]*phys.Page),
-		aobjSlots: make(map[int]int64),
-		id:        s.layoutIDs.Add(1),
+		ops:    &aobjPager{sys: s},
+		refs:   1,
+		sizePg: n,
+		id:     s.layoutIDs.Add(1),
 	}
 	o.Name(o)
 	return o
@@ -260,15 +270,13 @@ func (ap *aobjPager) get(o *uobject, idx, lo, hi int) (*phys.Page, error) {
 func (ap *aobjPager) detach(o *uobject) {
 	// Anonymous objects die with their last reference: free pages and
 	// swap.
-	//uvm:maporder-ok frees interchangeable frames; no cost depends on free order
-	for idx, pg := range o.pages {
+	for idx, pg := range o.pages.Range(0, maxPageIdx) {
 		ap.sys.freeObjectPage(o, idx, pg)
 	}
-	//uvm:maporder-ok swap frees clear bitmap bits; next-fit allocation sees only the free set
-	for _, slot := range o.aobjSlots {
+	for _, slot := range o.aobjSlots.Range(0, maxPageIdx) {
 		ap.sys.mach.Swap.Free(slot)
 	}
-	o.aobjSlots = make(map[int]int64)
+	o.aobjSlots = pageidx.Index[int64]{}
 	ap.sys.mach.Stats.Inc("uvm.uobj.aobj.destroyed")
 }
 
@@ -288,7 +296,7 @@ func (dp *devPager) name() string { return "device" }
 // (filled by fill, e.g. simulated ROM or frame-buffer contents).
 func (s *System) newDeviceObject(n int, fill func(idx int, buf []byte)) (*uobject, error) {
 	dp := &devPager{sys: s}
-	o := &uobject{ops: dp, refs: 1, sizePg: n, pages: make(map[int]*phys.Page)}
+	o := &uobject{ops: dp, refs: 1, sizePg: n}
 	o.Name(o)
 	for i := 0; i < n; i++ {
 		pg, err := s.allocPage(noHome, o, param.PageToOff(i), false)
@@ -310,7 +318,7 @@ func (dp *devPager) get(o *uobject, idx, _, _ int) (*phys.Page, error) {
 		return nil, fmt.Errorf("uvm: device page %d out of range", idx)
 	}
 	pg := dp.frames[idx]
-	o.pages[idx] = pg
+	o.pages.Set(idx, pg)
 	return pg, nil
 }
 
@@ -320,6 +328,6 @@ func (dp *devPager) detach(o *uobject) {
 		dp.sys.mach.MMU.PageProtect(pg, param.ProtNone)
 		dp.sys.mach.Mem.Free(pg)
 	}
-	o.pages = make(map[int]*phys.Page)
+	o.pages = pageidx.Index[*phys.Page]{}
 	dp.frames = nil
 }

@@ -31,7 +31,7 @@ import (
 //     re-acquires o.mu.
 //
 // The slot ordering guarantees the reassignment happens inside get's
-// window on any GOMAXPROCS. The fixed get re-reads aobjSlots[idx] under
+// window on any GOMAXPROCS. The fixed get re-reads idx's aobj slot under
 // the re-acquired lock and returns the right data; the unfixed one reads
 // the freed slot.
 func TestAObjPageinRacesFreeRange(t *testing.T) {
@@ -65,7 +65,7 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 	if err := m.Swap.WriteCluster(slot, [][]byte{fill(slot)}); err != nil {
 		t.Fatal(err)
 	}
-	o.aobjSlots[0] = slot
+	o.aobjSlots.Set(0, slot)
 
 	for iter := 0; iter < 4; iter++ {
 		// Stock the queues with evictable pages, then hold the reclaim
@@ -98,11 +98,11 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 			o.mu.Lock()
 			defer o.mu.Unlock()
 			defer finish()
-			if _, resident := o.pages[0]; resident {
+			if _, resident := o.pages.Get(0); resident {
 				t.Error("page resident before the gated pagein ran")
 				return
 			}
-			old := o.aobjSlots[0]
+			old, _ := o.aobjSlots.Get(0)
 			ns, err := m.Swap.Alloc()
 			if err != nil {
 				t.Error(err)
@@ -112,7 +112,7 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			o.aobjSlots[0] = ns
+			o.aobjSlots.Set(0, ns)
 			m.Swap.FreeRange(old, 1)
 		}()
 
@@ -122,13 +122,13 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 			t.Fatalf("iter %d: pagein: %v", iter, err)
 		}
 		<-done
-		cur := o.aobjSlots[0]
+		cur, _ := o.aobjSlots.Get(0)
 		if pg.Data()[0] != byte(cur) || pg.Data()[param.PageSize-1] != byte(cur) {
 			t.Fatalf("iter %d: stale pagein: object points at slot %d (pattern %#x) but page holds %#x",
 				iter, cur, byte(cur), pg.Data()[0])
 		}
 		// Evict and release the drained frames for the next iteration.
-		delete(o.pages, 0)
+		o.pages.Delete(0)
 		pg.Dirty.Store(false)
 		s.mach.Mem.Dequeue(pg)
 		s.mach.Mem.Free(pg)

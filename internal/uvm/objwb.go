@@ -1,8 +1,6 @@
 package uvm
 
 import (
-	"sort"
-
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/sim"
@@ -12,8 +10,8 @@ import (
 // evicting them — Msync, vnode recycling, the last-unmap flush. Each is
 // one clean-policy flight (flight.go) over the object's dirty pages:
 //
-//  1. Collect. Under o.mu, the dirty in-range page indices are
-//     snapshotted and sorted (Go map iteration order is random; the
+//  1. Collect. Under o.mu, the dirty in-range pages are walked in
+//     ascending index order (the object's page index is ordered; the
 //     flush order decides the disk head's path and so must be
 //     byte-deterministic) and each page is marked Busy — claiming it for
 //     this flush.
@@ -44,7 +42,7 @@ import (
 // maxPageIdx is the whole-object upper bound for index-range flushes.
 const maxPageIdx = int(^uint(0) >> 1)
 
-// waitObjPageIdle sleeps until pg — observed Busy in o's page map — is
+// waitObjPageIdle sleeps until pg — observed Busy in o's page index — is
 // no longer busy, or until the next flight completion (whichever is
 // first). Caller holds o.mu; the lock is dropped while sleeping and
 // re-held on return, so the caller must re-look its page up and
@@ -73,15 +71,12 @@ func (s *System) waitObjPageIdle(o *uobject, pg *phys.Page) {
 // asynchronous flight.
 func (s *System) flushLocked(o *uobject, loIdx, hiIdx int, async, waitBusy bool) *flight {
 	var pages []*phys.Page
-	idxs := sortedPageIdxs(o, loIdx, hiIdx)
-	n := 0 // idxs[:n] are the indices of pages
-	for _, idx := range idxs {
-		pg, ok := o.pages[idx]
-		for ok && pg.Busy.Load() && waitBusy {
+	for idx, pg := range o.pages.Range(loIdx, hiIdx) {
+		for waitBusy && pg != nil && pg.Busy.Load() {
 			s.waitObjPageIdle(o, pg)
-			pg, ok = o.pages[idx]
+			pg, _ = o.pages.Get(idx)
 		}
-		if !ok || pg.Busy.Load() || !pg.Dirty.Load() {
+		if pg == nil || pg.Busy.Load() || !pg.Dirty.Load() {
 			continue
 		}
 		pg.Busy.Store(true)
@@ -91,14 +86,12 @@ func (s *System) flushLocked(o *uobject, loIdx, hiIdx int, async, waitBusy bool)
 			s.mach.MMU.PageProtect(pg, param.ProtRX)
 		}
 		pages = append(pages, pg)
-		idxs[n] = idx
-		n++
 	}
-	if n == 0 {
+	if len(pages) == 0 {
 		return nil
 	}
-	fl := s.newFlight(false, async, nil, n)
-	fl.objRuns(o, idxs[:n], pages)
+	fl := s.newFlight(false, async, nil, len(pages))
+	fl.objRuns(o, pages)
 	fl.submit()
 	return fl
 }
@@ -138,8 +131,7 @@ func (s *System) flushObjectRange(o *uobject, loIdx, hiIdx int) (int, error) {
 // write-back. Not a flight — the caller pays only the in-memory copy,
 // the page is clean at once and never Busy. Caller holds o.mu.
 func (s *System) bdwriteDirtyLocked(o *uobject) {
-	for _, idx := range sortedPageIdxs(o, 0, maxPageIdx) {
-		pg := o.pages[idx]
+	for idx, pg := range o.pages.Range(0, maxPageIdx) {
 		if pg.Dirty.Load() {
 			_ = o.vnode.WritePageAsync(idx, pg.Freeze())
 			pg.Dirty.Store(false)
@@ -150,46 +142,16 @@ func (s *System) bdwriteDirtyLocked(o *uobject) {
 // waitObjIdleLocked waits until no page of o is claimed by an in-flight
 // flush. Teardown paths (vnode recycling) call it before freeing frames:
 // a frame still riding a writeback belongs to the I/O. Caller holds
-// o.mu, which is dropped and re-taken around waits.
+// o.mu, which is dropped and re-taken around waits, so a pass that waited
+// is followed by another: it returns after a pass that found no page busy.
 func (s *System) waitObjIdleLocked(o *uobject) {
-	for {
-		var busy *phys.Page
-		//uvm:maporder-ok waits on any busy page and loops until none remain; order-independent
-		for _, pg := range o.pages {
+	for again := true; again; {
+		again = false
+		for _, pg := range o.pages.Range(0, maxPageIdx) {
 			if pg.Busy.Load() {
-				busy = pg
-				break
+				s.waitObjPageIdle(o, pg)
+				again = true
 			}
 		}
-		if busy == nil {
-			return
-		}
-		s.waitObjPageIdle(o, busy)
 	}
-}
-
-// sortedPageIdxs returns o's resident page indices in [loIdx, hiIdx] in
-// ascending order — the deterministic iteration order for flush and
-// teardown sweeps (Go map order is random, and sweep order decides the
-// disk head's path). A range no wider than the page map is probed index
-// by index; only a wider one walks and sorts the map. Caller holds o.mu.
-func sortedPageIdxs(o *uobject, loIdx, hiIdx int) []int {
-	if span := hiIdx - loIdx; span >= 0 && span < len(o.pages) {
-		idxs := make([]int, 0, span+1)
-		for idx := loIdx; idx <= hiIdx; idx++ {
-			if _, ok := o.pages[idx]; ok {
-				idxs = append(idxs, idx)
-			}
-		}
-		return idxs
-	}
-	idxs := make([]int, 0, len(o.pages))
-	//uvm:maporder-ok indices are sorted below
-	for idx := range o.pages {
-		if idx >= loIdx && idx <= hiIdx {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Ints(idxs)
-	return idxs
 }

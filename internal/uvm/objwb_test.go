@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"uvm/internal/param"
-	"uvm/internal/phys"
 	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 	"uvm/internal/vmapi/testutil"
@@ -200,14 +199,14 @@ func TestMsyncDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestSortedPageIdxsNarrowRange: a range narrower than the page map is
-// probed index by index instead of walking and sorting the map; both
-// routes must name the same indices in the same ascending order.
+// TestSortedPageIdxsNarrowRange: a flush walks an object's page index
+// over [lo, hi], narrow or whole-object, and must name exactly the
+// resident indices in range, in ascending order.
 func TestSortedPageIdxsNarrowRange(t *testing.T) {
 	resident := []int{2, 3, 4, 5, 17, 29, 30, 41, 55, 63} // ascending
-	o := &uobject{pages: make(map[int]*phys.Page)}
+	o := &uobject{}
 	for _, idx := range resident {
-		o.pages[idx] = nil
+		o.pages.Set(idx, nil)
 	}
 	for _, r := range [][2]int{{0, maxPageIdx}, {0, 63}, {3, 5}, {4, 12}, {6, 16}, {30, 30}, {56, 64}, {9, 2}} {
 		var want []int
@@ -216,8 +215,12 @@ func TestSortedPageIdxsNarrowRange(t *testing.T) {
 				want = append(want, idx)
 			}
 		}
-		if got := sortedPageIdxs(o, r[0], r[1]); !slices.Equal(got, want) {
-			t.Errorf("sortedPageIdxs(%d, %d) = %v, want %v", r[0], r[1], got, want)
+		var got []int
+		for idx := range o.pages.Range(r[0], r[1]) {
+			got = append(got, idx)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("pages.Range(%d, %d) = %v, want %v", r[0], r[1], got, want)
 		}
 	}
 }

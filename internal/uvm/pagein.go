@@ -12,7 +12,7 @@ import (
 // blocks (swap slots, or pages of a vnode). readRun marks the run Busy
 // and fills it with exactly one I/O; finishRun is the one install site:
 // Busy off, Dirty off, each frame attached to its owner (a.page or
-// o.pages[idx]), every frame but the one the fault is about to map
+// o.pages at idx), every frame but the one the fault is about to map
 // activated, every counter bumped. When the I/O — or the allocation
 // before it — fails, finishRun frees every frame of the run and attaches
 // nothing.
@@ -56,7 +56,7 @@ import (
 //     busy one ends the walk on its side — and the locks stay held across
 //     the frame allocation and the I/O.
 //   - objNeighbours walks the faulting index's neighbours in the object:
-//     its resident-page map and, for an aobj, its slot table. Every frame
+//     its page index and, for an aobj, its slot index. Every frame
 //     allocation drops o.mu (allocObjPageLocked), so it allocates the
 //     walk's frames in ascending block order, re-verifies the faulting
 //     index under the retaken lock and walks again over the neighbours
@@ -80,7 +80,7 @@ const pageinStack = 9
 type pageinPage struct {
 	pg  *phys.Page
 	a   *anon // run of anons: attaches as a.page
-	idx int   // run of object pages: attaches as o.pages[idx]
+	idx int   // run of object pages: attaches to o.pages at idx
 }
 
 // pagein is one run of frames to fill from backing store. The owners —
@@ -133,7 +133,7 @@ func (s *System) finishRun(r pagein, err error) error {
 		// swap slot is kept so a clean eviction is free.
 		p.pg.Dirty.Store(false)
 		if r.o != nil {
-			r.o.pages[p.idx] = p.pg
+			r.o.pages.Set(p.idx, p.pg)
 		} else {
 			p.a.page = p.pg
 		}
@@ -258,8 +258,7 @@ func (o *uobject) blockOf(idx int) (int64, bool) {
 	if o.vnode != nil {
 		return int64(idx), idx >= 0 && idx < o.vnode.NumPages()
 	}
-	slot, ok := o.aobjSlots[idx]
-	return slot, ok
+	return o.aobjSlots.Get(idx)
 }
 
 // objPagein is the get of the two pagers with a backing store: it makes
@@ -291,7 +290,7 @@ func (s *System) objPagein(o *uobject, idx, lo, hi, window int) (*phys.Page, err
 				s.mach.Mem.Zero(pg) // allocated un-zeroed for a read that is off
 			}
 			pg.Dirty.Store(o.vnode == nil)
-			o.pages[idx] = pg
+			o.pages.Set(idx, pg)
 			return pg, nil
 		}
 		var run [pageinStack]pageinPage
@@ -327,7 +326,8 @@ func (s *System) objPagein(o *uobject, idx, lo, hi, window int) (*phys.Page, err
 func (s *System) objNeighbours(o *uobject, idx int, blk int64, pg *phys.Page, lo, hi, window int, buf []pageinPage) (run []pageinPage, start int64, still bool) {
 	awaiting := func(n int, want int64) bool {
 		b, ok := o.blockOf(n)
-		return ok && b == want && o.pages[n] == nil
+		cur, _ := o.pages.Get(n)
+		return ok && b == want && cur == nil
 	}
 	first, last := walkRun(idx, blk, lo, hi, window, awaiting)
 	for n := first; n <= last; n++ { // page n is buf[n-first]
@@ -365,7 +365,7 @@ func (s *System) objNeighbours(o *uobject, idx int, blk int64, pg *phys.Page, lo
 // back a page that a concurrent flush claimed in that window.
 func (s *System) objPage(o *uobject, idx, lo, hi int) (*phys.Page, error) {
 	for {
-		pg, ok := o.pages[idx]
+		pg, ok := o.pages.Get(idx)
 		if !ok {
 			var err error
 			if pg, err = o.ops.get(o, idx, lo, hi); err != nil {

@@ -162,7 +162,8 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		case "anon":
 			return anonOf(i).swslot
 		case "aobj":
-			return e.obj.aobjSlots[e.objIndex(at(i))]
+			slot, _ := e.obj.aobjSlots.Get(e.objIndex(at(i)))
+			return slot
 		}
 		return int64(i)
 	}
@@ -175,7 +176,8 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		if owner == "anon" {
 			return anonOf(i).page != nil
 		}
-		return e.obj.pages[e.objIndex(at(i))] != nil
+		_, ok := e.obj.pages.Get(e.objIndex(at(i)))
+		return ok
 	}
 	for i := 0; i < n; i++ {
 		if isResident(i) {
@@ -191,7 +193,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 		if owner == "anon" {
 			anonOf(i).swslot = slot
 		} else {
-			e.obj.aobjSlots[e.objIndex(at(i))] = slot
+			e.obj.aobjSlots.Set(e.objIndex(at(i)), slot)
 		}
 	}
 	moveTo := func(i int, slot int64) {
@@ -262,8 +264,9 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 			}
 			o.mu.Lock()
 			if outcome == "nbr-noslot" {
-				m.Swap.Free(o.aobjSlots[vIdx])
-				delete(o.aobjSlots, vIdx)
+				slot, _ := o.aobjSlots.Get(vIdx)
+				m.Swap.Free(slot)
+				o.aobjSlots.Delete(vIdx)
 			} else {
 				pg, err := m.Mem.Alloc(o, param.PageToOff(vIdx), false)
 				if err != nil {
@@ -271,7 +274,7 @@ func pageinCell(t *testing.T, owner, shape, outcome string) {
 				}
 				copy(pg.Writable(), want(victim))
 				pg.Dirty.Store(true)
-				o.pages[vIdx] = pg
+				o.pages.Set(vIdx, pg)
 				m.Mem.Activate(pg)
 			}
 			o.mu.Unlock()
@@ -503,7 +506,7 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 				t.Error(err)
 			}
 			copy(pg.Writable(), want(victim))
-			o.pages[victim] = pg
+			o.pages.Set(victim, pg)
 			m.Mem.Activate(pg)
 			o.mu.Unlock()
 		})
@@ -552,7 +555,7 @@ func vnodePageinCell(t *testing.T, advice param.Advice, noClustering bool, outco
 	}
 	busySweep(t, m, "after the fault")
 	for i := 0; i <= max(mapHi, filePages-1); i++ {
-		pg := o.pages[i]
+		pg, _ := o.pages.Get(i)
 		if (pg != nil) != (installed[i] || pre[i]) {
 			t.Errorf("file page %d resident=%v, want %v (run %d..%d)", i, pg != nil, installed[i] || pre[i], runLo, runHi)
 		} else if pg != nil && !bytes.Equal(pg.Data(), want(i)) {

@@ -293,7 +293,7 @@ func (p *Process) Msync(addr param.VAddr, length param.VSize) error {
 			continue
 		}
 		o := cur.obj
-		if o.vnode == nil && o.aobjSlots == nil {
+		if o.vnode == nil && !o.isAObj() {
 			continue // no backing store to sync (device pager)
 		}
 		// Flush only the object pages the requested range maps.

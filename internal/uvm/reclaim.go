@@ -152,7 +152,8 @@ func owns(owner any, pg *phys.Page) bool {
 	case *anon:
 		return o.page == pg
 	case *uobject:
-		return o.pages[pageIdx(pg)] == pg
+		cur, _ := o.pages.Get(pageIdx(pg))
+		return cur == pg
 	}
 	return owner == nil
 }
@@ -244,7 +245,7 @@ func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 					// Clean: the backing copy is current; just free.
 					s.evictPage(pg, owner)
 					freed++
-				case obj == nil || obj.aobjSlots != nil:
+				case obj == nil || obj.isAObj():
 					// Anonymous memory (anon or aobj page) clusters to swap.
 					if claimed = len(cluster) < maxCluster; claimed {
 						cluster = append(cluster, pg)
@@ -283,11 +284,7 @@ func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 		for _, o := range vnWbOrder {
 			pages := vnWb[o]
 			sort.Slice(pages, func(i, j int) bool { return pages[i].Off() < pages[j].Off() })
-			idxs := make([]int, len(pages))
-			for i, pg := range pages {
-				idxs[i] = pageIdx(pg)
-			}
-			fl.objRuns(o, idxs, pages)
+			fl.objRuns(o, pages)
 		}
 		if len(cluster) > 0 {
 			fl.swapRun(cluster)

@@ -166,7 +166,7 @@ func clusteredPageinAllocs(t *testing.T, owner string) {
 			if owner == "anon" {
 				pg = e.amap.get(e.amapOff + i).page
 			} else {
-				pg = e.obj.pages[i]
+				pg, _ = e.obj.pages.Get(i)
 			}
 			m.MMU.PageProtect(pg, param.ProtNone)
 			pg.Referenced.Store(false)
