@@ -65,13 +65,12 @@ func (p *Pass) Reportf(pos token.Pos, waiverKind string, format string, args ...
 	})
 }
 
-// Suite returns the four analyzers in their canonical order.
+// Suite returns the three analyzers in their canonical order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		LockOrderAnalyzer,
 		CompletionAnalyzer,
 		SimDetAnalyzer,
-		CounterHandleAnalyzer,
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 //	//uvm:wallclock <why>       waive a simdet wall-clock finding
 //	//uvm:maporder-ok <why>     waive a simdet map-iteration finding
 //	//uvm:rand-ok <why>         waive a simdet math/rand finding
-//	//uvm:counter-ok <why>      waive a counterhandle finding
 //
 // Waivers apply to findings on the same source line as the comment, or
 // on the line directly below a standalone comment line.
@@ -28,7 +27,6 @@ var waiverKinds = map[string]bool{
 	"wallclock":     true,
 	"maporder-ok":   true,
 	"rand-ok":       true,
-	"counter-ok":    true,
 }
 
 // A fieldLevel is one //uvm:lock annotation.

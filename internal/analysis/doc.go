@@ -2,14 +2,14 @@
 // the concurrency and determinism invariants this codebase otherwise
 // keeps only in prose (the lock-hierarchy note atop internal/uvm/system.go,
 // the completion-callback rules, the "no wall clock in report paths"
-// discipline, the cached sim.Counter idiom).
+// discipline).
 //
 // The suite is self-contained — it deliberately re-implements the small
 // slice of golang.org/x/tools/go/analysis it needs (Analyzer, Pass,
 // Diagnostic and an analysistest-style fixture runner) so the module
 // keeps its zero-dependency build.
 //
-// Four analyzers:
+// Three analyzers:
 //
 //   - lockorder: every mutex-bearing struct field in the concurrency
 //     core carries a machine-readable level tag (//uvm:lock <level>);
@@ -30,10 +30,6 @@
 //     reads (time.Now and friends), math/rand, and range over a map
 //     are flagged — each with an explicit waiver directive for the few
 //     sites that are nondeterministic on purpose.
-//
-//   - counterhandle: string-keyed sim.Stats lookups (Add/Inc/Counter)
-//     inside loops are flagged where the cached sim.Counter handle is
-//     the established idiom.
 //
 // The annotation grammar is documented in docs/analysis.md. The suite
 // runs as a Go test, go test ./internal/analysis: TestSuiteCleanOverRealTree

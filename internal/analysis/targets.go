@@ -35,18 +35,6 @@ var simdetPackages = []string{
 	"internal/disk",
 }
 
-// counterPackages are the hot-path packages where the cached
-// sim.Counter handle is the established idiom for per-operation counts.
-var counterPackages = []string{
-	"internal/uvm",
-	"internal/phys",
-	"internal/pmap",
-	"internal/swap",
-	"internal/vfs",
-	"internal/disk",
-	"internal/bsdvm",
-}
-
 // pkgInSet reports whether path ends in one of the listed suffixes.
 func pkgInSet(path string, set []string) bool {
 	for _, s := range set {

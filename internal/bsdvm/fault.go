@@ -20,19 +20,18 @@ import (
 //   - an object collapse is attempted after every copy-on-write fault;
 //   - exactly one page is mapped per fault: no lookahead (Table 2).
 //
-// Caller holds the big lock; the map lock is taken here.
+// Caller holds the big lock; the map lock is charged here.
 func (s *System) fault(p *process, va param.VAddr, access param.Prot) error {
 	s.mach.Clock.Advance(s.mach.Costs.FaultTrap)
-	s.ctrFaults.Inc()
+	s.mach.Stats.Faults.Inc()
 	if access.Allows(param.ProtWrite) {
-		s.ctrFaultsWrite.Inc()
+		s.mach.Stats.FaultsWrite.Inc()
 	} else {
-		s.ctrFaultsRead.Inc()
+		s.mach.Stats.FaultsRead.Inc()
 	}
 
 	m := p.m
 	m.lock()
-	defer m.unlock()
 
 	e := m.Lookup(va)
 	if e == nil || e.placeholder || e.obj == nil {
@@ -64,7 +63,7 @@ func (s *System) fault(p *process, va param.VAddr, access param.Prot) error {
 		// operations, its own lock...").
 		s.mach.Clock.Advance(s.mach.Costs.LockAcquire)
 		s.mach.Clock.Advance(s.mach.Costs.ChainSearch)
-		s.ctrChainWalk.Inc()
+		s.mach.Stats.BsdChainWalk.Inc()
 		if q, ok := obj.pages.Get(idx); ok {
 			pg, foundObj = q, obj
 			break

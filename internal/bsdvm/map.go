@@ -1,8 +1,6 @@
 package bsdvm
 
 import (
-	"time"
-
 	"uvm/internal/param"
 	"uvm/internal/pmap"
 	"uvm/internal/vmapi"
@@ -46,8 +44,6 @@ type vmMap struct {
 	kernel bool
 
 	pmap *pmap.Pmap
-
-	lockedAt time.Duration // clock mark while the simulated map lock is held
 }
 
 func (s *System) newMap(name string, min, max param.VAddr, kernel bool) *vmMap {
@@ -56,17 +52,10 @@ func (s *System) newMap(name string, min, max param.VAddr, kernel bool) *vmMap {
 	return m
 }
 
-// lock and unlock charge the simulated map-lock cost and account the hold
-// time (the metric the two-phase-unmap comparison uses).
+// lock charges the simulated map-lock acquisition. Nothing is held:
+// the system's big lock already serialises every bsdvm call.
 func (m *vmMap) lock() {
 	m.sys.mach.Clock.Advance(m.sys.mach.Costs.LockAcquire)
-	m.lockedAt = m.sys.mach.Clock.Now()
-}
-
-func (m *vmMap) unlock() {
-	held := m.sys.mach.Clock.Since(m.lockedAt)
-	m.sys.mach.Stats.Add("bsdvm.map.lockheld_ns", int64(held))
-	m.sys.mach.Stats.Max("bsdvm.map.lockheld_max_ns", int64(held))
 }
 
 // allocEntry allocates a map entry; kernel map entries come from a fixed
@@ -79,8 +68,8 @@ func (s *System) allocEntry(m *vmMap) *entry {
 		s.kentryUse++
 	}
 	s.mach.Clock.Advance(s.mach.Costs.MapEntryAlloc)
-	s.mach.Stats.Inc("bsdvm.mapentry.alloc")
-	s.mach.Stats.Inc("bsdvm.mapentry.live")
+	s.mach.Stats.BsdEntryAlloc.Inc()
+	s.mach.Stats.BsdEntryLive.Inc()
 	return &entry{inherit: param.InheritCopy, advice: param.AdviceNormal}
 }
 
@@ -89,7 +78,7 @@ func (s *System) freeEntry(m *vmMap, e *entry) {
 		s.kentryUse--
 	}
 	s.mach.Clock.Advance(s.mach.Costs.MapEntryFree)
-	s.mach.Stats.Add("bsdvm.mapentry.live", -1)
+	s.mach.Stats.BsdEntryLive.Add(-1)
 }
 
 // dup is the allocating half of a clip: a copy of e holding its own
@@ -125,7 +114,6 @@ func (m *vmMap) unmapRange(start, end param.VAddr) {
 // implementation of mprotect: relock, re-find, clip, modify.
 func (m *vmMap) protect(start, end param.VAddr, prot param.Prot) error {
 	m.lock()
-	defer m.unlock()
 	entries := m.EntriesIn(start, end)
 	if len(entries) == 0 {
 		return vmapi.ErrFault

@@ -23,11 +23,11 @@ func (c *objCache) enter(s *System, o *object) {
 	o.cached = true
 	o.cacheSeq = c.seq
 	c.objs[o] = struct{}{}
-	s.mach.Stats.Max("bsdvm.objcache.peak", int64(len(c.objs)))
+	s.mach.Stats.BsdObjCachePeak.Max(int64(len(c.objs)))
 	for len(c.objs) > c.limit {
 		victim := c.lru()
 		c.remove(s, victim)
-		s.ctrCacheEvictions.Inc()
+		s.mach.Stats.BsdObjCacheEvictions.Inc()
 		s.terminate(victim)
 	}
 }

@@ -38,6 +38,8 @@ type object struct {
 	cacheSeq   int64
 }
 
+// String names the object, its backing kind and its census for debug
+// output.
 func (o *object) String() string {
 	kind := "anon"
 	if o.vnode != nil {
@@ -51,8 +53,8 @@ func (o *object) String() string {
 // one of the structures UVM eliminates for file mappings.
 func (s *System) newObject(sizePg int, anon bool) *object {
 	s.mach.Clock.Advance(s.mach.Costs.ObjectAlloc)
-	s.mach.Stats.Inc("bsdvm.object.alloc")
-	s.mach.Stats.Inc("bsdvm.object.live")
+	s.mach.Stats.BsdObjectAlloc.Inc()
+	s.mach.Stats.BsdObjectLive.Inc()
 	s.nextObjID++
 	o := &object{
 		id:     s.nextObjID,
@@ -100,7 +102,7 @@ func (s *System) shadowEntry(e *entry) {
 	e.obj = sh
 	e.off = 0
 	e.needsCopy = false
-	s.mach.Stats.Inc("bsdvm.shadow.alloc")
+	s.mach.Stats.BsdShadowAlloc.Inc()
 }
 
 // deallocate drops one reference; at zero the object is cached (persisting
@@ -146,7 +148,7 @@ func (s *System) terminate(o *object) {
 		o.vnode = nil
 	}
 	s.mach.Clock.Advance(s.mach.Costs.ObjectFree)
-	s.mach.Stats.Add("bsdvm.object.live", -1)
+	s.mach.Stats.BsdObjectLive.Add(-1)
 	if o.shadow != nil {
 		sh := o.shadow
 		o.shadow = nil
@@ -213,7 +215,7 @@ func (s *System) collapse(o *object) {
 	}
 	for {
 		s.mach.Clock.Advance(s.mach.Costs.CollapseScan)
-		s.ctrCollapseScan.Inc()
+		s.mach.Stats.BsdCollapseScan.Inc()
 
 		sh := o.shadow
 		if sh == nil || !sh.anon || sh.pager != nil && sh.pager.vn != nil {
@@ -231,7 +233,7 @@ func (s *System) collapse(o *object) {
 					o.pages.Set(top, pg)
 				} else {
 					s.freeObjectPage(sh, idx, pg)
-					s.ctrCollapseRedund.Inc()
+					s.mach.Stats.BsdCollapseRedundant.Inc()
 				}
 			}
 			if sh.pager != nil && sh.pager.swp != nil {
@@ -253,8 +255,8 @@ func (s *System) collapse(o *object) {
 			o.shadowOff += sh.shadowOff
 			sh.shadow = nil
 			s.mach.Clock.Advance(s.mach.Costs.ObjectFree)
-			s.ctrObjectLive.Add(-1)
-			s.ctrCollapseMerged.Inc()
+			s.mach.Stats.BsdObjectLive.Add(-1)
+			s.mach.Stats.BsdCollapseMerged.Inc()
 			continue
 		}
 		// Bypass: if sh holds nothing o's window needs, o can point
@@ -264,7 +266,7 @@ func (s *System) collapse(o *object) {
 			newOff := o.shadowOff + sh.shadowOff
 			o.shadow = sh.shadow
 			o.shadowOff = newOff
-			s.ctrCollapseBypassed.Inc()
+			s.mach.Stats.BsdCollapseBypassed.Inc()
 			s.deallocate(sh)
 			continue
 		}

@@ -55,6 +55,6 @@ func (s *System) reclaim(target int) error {
 		}
 		return nil
 	}
-	s.mach.Stats.Add("bsdvm.pagedaemon.freed", int64(freed))
+	s.mach.Stats.BsdPagedaemonFreed.Add(int64(freed))
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"uvm/internal/pageidx"
 	"uvm/internal/param"
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 	"uvm/internal/vfs"
 	"uvm/internal/vmapi"
 )
@@ -44,7 +43,7 @@ type swapPager struct {
 // newVnodePager allocates the vm_pager + vn_pager pair for a file.
 func (s *System) newVnodePager(vn *vfs.Vnode) *vmPager {
 	s.mach.Clock.Advance(s.mach.Costs.PagerAlloc)
-	s.mach.Stats.Inc("bsdvm.pager.alloc")
+	s.mach.Stats.BsdPagerAlloc.Inc()
 	return &vmPager{vn: vn}
 }
 
@@ -55,7 +54,7 @@ func (s *System) ensureSwapPager(o *object) {
 		return
 	}
 	s.mach.Clock.Advance(s.mach.Costs.PagerAlloc)
-	s.mach.Stats.Inc("bsdvm.pager.alloc")
+	s.mach.Stats.BsdPagerAlloc.Inc()
 	o.pager = &vmPager{swp: &swapPager{
 		sys:     s,
 		adopted: make(map[int64]bool),
@@ -194,7 +193,7 @@ func (s *System) pagein(o *object, idx int) (*phys.Page, error) {
 	// off-queue is invisible to the pagedaemon forever — enough churn
 	// strands all of RAM that way and allocation deadlocks spuriously.
 	s.mach.Mem.Activate(pg)
-	s.mach.Stats.Inc(sim.CtrPageIns)
+	s.mach.Stats.PageIns.Inc()
 	return pg, nil
 }
 
@@ -219,7 +218,7 @@ func (s *System) pageout(o *object, pg *phys.Page) error {
 		}
 	}
 	pg.Dirty.Store(false)
-	s.mach.Stats.Inc(sim.CtrPageOuts)
+	s.mach.Stats.PageOuts.Inc()
 	return nil
 }
 
@@ -235,7 +234,7 @@ func (s *System) allocPage(o *object, idx int, zero bool) (*phys.Page, error) {
 		if attempt >= 3 {
 			return nil, vmapi.ErrDeadlock
 		}
-		if rerr := s.reclaim(s.cfg.ReclaimBatch); rerr != nil {
+		if rerr := s.reclaim(reclaimBatch); rerr != nil {
 			return nil, rerr
 		}
 	}

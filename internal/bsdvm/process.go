@@ -77,7 +77,7 @@ func (s *System) newProcessLocked(name string) (*process, error) {
 		}{va, pages})
 	}
 	s.procs[p] = struct{}{}
-	s.mach.Stats.Inc("bsdvm.proc.created")
+	s.mach.Stats.BsdProcCreated.Inc()
 	return p, nil
 }
 
@@ -168,7 +168,6 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 	} else {
 		va, err = m.FindSpace(addr, length)
 		if err != nil {
-			m.unlock()
 			return 0, err
 		}
 	}
@@ -197,7 +196,6 @@ func (p *process) Mmap(addr param.VAddr, length param.VSize, prot param.Prot,
 		e.cow, e.needsCopy = true, true
 	}
 	m.Insert(e)
-	m.unlock()
 
 	// ---- Step 2: fix up non-default attributes with a second pass. ----
 	if prot != param.ProtRW {
@@ -224,7 +222,6 @@ func (p *process) Munmap(addr param.VAddr, length param.VSize) error {
 	m := p.m
 	m.lock()
 	m.unmapRange(start, end)
-	m.unlock()
 	return nil
 }
 
@@ -255,7 +252,6 @@ func (p *process) Minherit(addr param.VAddr, length param.VSize, inh param.Inher
 	defer p.sys.big.Unlock()
 	m := p.m
 	m.lock()
-	defer m.unlock()
 	for _, e := range m.EntriesIn(start, end) {
 		e.inherit = inh
 	}
@@ -276,7 +272,6 @@ func (p *process) Madvise(addr param.VAddr, length param.VSize, adv param.Advice
 	defer p.sys.big.Unlock()
 	m := p.m
 	m.lock()
-	defer m.unlock()
 	for _, e := range m.EntriesIn(start, end) {
 		e.advice = adv
 	}
@@ -297,7 +292,6 @@ func (p *process) Msync(addr param.VAddr, length param.VSize) error {
 	defer p.sys.big.Unlock()
 	m := p.m
 	m.lock()
-	defer m.unlock()
 	for cur := range m.All() {
 		if cur.End <= start || cur.Start >= end || cur.obj == nil || cur.obj.vnode == nil {
 			continue
@@ -330,13 +324,11 @@ func (p *process) wireRange(addr, end param.VAddr) error {
 	m.lock()
 	entries := m.EntriesIn(addr, end)
 	if len(entries) == 0 {
-		m.unlock()
 		return vmapi.ErrFault
 	}
 	for _, e := range entries {
 		e.wired++
 	}
-	m.unlock()
 
 	for va := addr; va < end; va += param.PageSize {
 		if _, ok := p.pm.Lookup(va); !ok {
@@ -372,7 +364,6 @@ func (p *process) unwireEntries(addr, end param.VAddr) {
 			e.wired--
 		}
 	}
-	m.unlock()
 }
 
 // unwirePages drops one wiring from each resident page in [addr, end).
@@ -490,9 +481,7 @@ func (p *process) Fork(name string) (vmapi.Process, error) {
 		}
 		cm.Insert(ce)
 	}
-	cm.unlock()
-	pm.unlock()
-	s.mach.Stats.Inc("bsdvm.forks")
+	s.mach.Stats.BsdForks.Inc()
 	return child, nil
 }
 
@@ -515,7 +504,7 @@ func (p *process) Vfork(name string) (vmapi.Process, error) {
 	child.m = p.m
 	child.pm = p.pm
 	child.vforked = true
-	s.mach.Stats.Inc("bsdvm.vforks")
+	s.mach.Stats.BsdVForks.Inc()
 	return child, nil
 }
 
@@ -533,7 +522,6 @@ func (p *process) Exit() {
 		m := p.m
 		m.lock()
 		m.unmapRange(param.UserTextBase, param.UserMax)
-		m.unlock()
 
 		// Tear down remaining translations; page-table placeholder
 		// entries unwind through the pmap hooks.
@@ -548,12 +536,11 @@ func (p *process) Exit() {
 	for _, u := range p.ustruct {
 		s.kmap.unmapRange(u.va, u.va+param.VAddr(u.pages)*param.PageSize)
 	}
-	s.kmap.unlock()
 	p.ustruct = nil
 
 	delete(s.procs, p)
 	p.exited = true
-	s.mach.Stats.Inc("bsdvm.proc.exited")
+	s.mach.Stats.BsdProcExited.Inc()
 }
 
 // Access implements vmapi.Process: one CPU load or store. A valid

@@ -44,7 +44,6 @@ func (seg *shmSegment) Attach(pi vmapi.Process, prot param.Prot) (param.VAddr, e
 	}
 	m := p.m
 	m.lock()
-	defer m.unlock()
 	length := param.VSize(seg.npages) * param.PageSize
 	va, err := m.FindSpace(param.MmapHintBase, length)
 	if err != nil {
@@ -58,10 +57,9 @@ func (seg *shmSegment) Attach(pi vmapi.Process, prot param.Prot) (param.VAddr, e
 	e.maxProt = param.ProtRWX
 	e.inherit = param.InheritShare
 	m.Insert(e)
-	s.mach.Stats.Inc("bsdvm.shm.attach")
+	s.mach.Stats.BsdShmAttach.Inc()
 	if prot != param.ProtRW {
 		// ...then the second pass for non-default protections.
-		m.unlock()
 		err := m.protect(va, va+param.VAddr(length), prot)
 		m.lock()
 		if err != nil {

@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"uvm/internal/param"
-	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 )
 
@@ -47,20 +46,20 @@ type Config struct {
 	DisableCollapse bool
 	// DisableObjCache turns off the VM object cache entirely (ablation).
 	DisableObjCache bool
-	// ReclaimBatch is how many pages one pagedaemon activation tries to
-	// free.
-	ReclaimBatch int
 	// KernelEntryPool is the fixed number of kernel map entries available;
 	// exhaustion panics, as the paper notes ("if this pool is exhausted
 	// the system will panic").
 	KernelEntryPool int
 }
 
+// reclaimBatch is how many pages one pagedaemon activation tries to
+// free.
+const reclaimBatch = 32
+
 // DefaultConfig mirrors 4.4BSD defaults.
 func DefaultConfig() Config {
 	return Config{
 		ObjCacheLimit:   100,
-		ReclaimBatch:    32,
 		KernelEntryPool: 4000,
 	}
 }
@@ -81,20 +80,6 @@ type System struct {
 	cache     objCache
 	nextObjID int
 	procs     map[*process]struct{}
-
-	// Cached counter handles for the fault entry and the loop-hot paths
-	// (chain walks, collapse scans, cache evictions), resolved once at
-	// boot.
-	ctrFaults           sim.Counter
-	ctrFaultsRead       sim.Counter
-	ctrFaultsWrite      sim.Counter
-	ctrChainWalk        sim.Counter
-	ctrCacheEvictions   sim.Counter
-	ctrCollapseScan     sim.Counter
-	ctrCollapseRedund   sim.Counter
-	ctrCollapseMerged   sim.Counter
-	ctrCollapseBypassed sim.Counter
-	ctrObjectLive       sim.Counter
 }
 
 // Boot boots BSD VM on machine m with default configuration.
@@ -108,16 +93,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 		pagerHash: make(map[*vmPager]*object),
 		procs:     make(map[*process]struct{}),
 	}
-	s.ctrFaults = m.Stats.Counter(sim.CtrFaults)
-	s.ctrFaultsRead = m.Stats.Counter(sim.CtrFaultsRead)
-	s.ctrFaultsWrite = m.Stats.Counter(sim.CtrFaultsWrite)
-	s.ctrChainWalk = m.Stats.Counter(sim.CtrChainWalk)
-	s.ctrCacheEvictions = m.Stats.Counter("bsdvm.objcache.evictions")
-	s.ctrCollapseScan = m.Stats.Counter("bsdvm.collapse.scan")
-	s.ctrCollapseRedund = m.Stats.Counter("bsdvm.collapse.redundant_pages")
-	s.ctrCollapseMerged = m.Stats.Counter("bsdvm.collapse.merged")
-	s.ctrCollapseBypassed = m.Stats.Counter("bsdvm.collapse.bypassed")
-	s.ctrObjectLive = m.Stats.Counter("bsdvm.object.live")
 	s.cache.limit = cfg.ObjCacheLimit
 	s.kmap = s.newMap("kernel", param.KernelBase, param.KernelMax, true)
 
@@ -155,7 +130,6 @@ func (s *System) KernelAlloc(npages int, prot param.Prot) (param.VAddr, error) {
 
 func (s *System) kernelAllocLocked(npages int, prot param.Prot) (param.VAddr, error) {
 	s.kmap.lock()
-	defer s.kmap.unlock()
 	va, err := s.kmap.FindSpace(0, param.VSize(npages)*param.PageSize)
 	if err != nil {
 		return 0, err

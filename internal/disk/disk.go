@@ -18,7 +18,7 @@
 // the blocks, and a read hands out the blocks themselves — so a caller
 // must never write a buffer it has passed or received: this is how
 // physical frames and disk blocks share page data (see internal/phys).
-// The page interface (ReadPages, WritePages, WritePagesDeferred) serves
+// The page interface (ReadPages, WritePages) serves
 // callers with ordinary buffers: a write copies them into fresh blocks
 // before taking the lock, a read copies the blocks out after releasing
 // it.
@@ -70,13 +70,7 @@ type Disk struct {
 	FailRead  func(block int64) error
 	FailWrite func(block int64) error
 
-	// Cached handles for the counters every command bumps.
-	ctrReads, ctrPagesRead     sim.Counter
-	ctrWrites, ctrPagesWritten sim.Counter
-	ctrSeeks                   sim.Counter
-	ctrWritesDeferred          sim.Counter
-	ctrDeferredNs              sim.Counter
-	ctrErrors, ctrDeaths       sim.Counter
+	stats *sim.Stats
 }
 
 // New creates a disk with nblocks page-sized blocks.
@@ -90,17 +84,7 @@ func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, nblocks int64) *D
 		nblocks: nblocks,
 		blocks:  make([][]byte, nblocks),
 		head:    -1,
-
-		ctrReads:        stats.Counter(sim.CtrDiskReads),
-		ctrPagesRead:    stats.Counter(sim.CtrDiskPagesRead),
-		ctrWrites:       stats.Counter(sim.CtrDiskWrites),
-		ctrPagesWritten: stats.Counter(sim.CtrDiskPagesWrite),
-		ctrSeeks:        stats.Counter(sim.CtrDiskSeeks),
-
-		ctrWritesDeferred: stats.Counter(sim.CtrDiskWritesDeferred),
-		ctrDeferredNs:     stats.Counter(sim.CtrDiskDeferredNs),
-		ctrErrors:         stats.Counter("disk.errors"),
-		ctrDeaths:         stats.Counter("disk.deaths"),
+		stats:   stats,
 	}
 }
 
@@ -173,7 +157,7 @@ func (d *Disk) admit(start int64, n int, write bool) (int, error) {
 		k, die, err = d.plan.admit(start, n, write)
 		if die {
 			d.dead.Store(true)
-			d.ctrDeaths.Inc()
+			d.stats.DiskDeaths.Inc()
 		}
 	}
 	hook := d.FailRead
@@ -220,14 +204,6 @@ func (d *Disk) WritePages(start int64, data [][]byte) error {
 	return d.command(cmdWrite, start, data, true)
 }
 
-// WritePagesDeferred stores data like WritePages but charges no time to
-// the calling context: the transfer is performed "later" by the syncer /
-// buffer-cache flush, whose background time the simulation does not
-// model. Deferred writes are counted separately in the stats.
-func (d *Disk) WritePagesDeferred(start int64, data [][]byte) error {
-	return d.command(cmdWriteDeferred, start, data, true)
-}
-
 // ReadBlocks is ReadPages sharing the blocks: it sets blocks[i] to block
 // start+i itself, nil for a block never written (which reads as zeros),
 // for the first k entries of a command that faults at block k. The
@@ -242,8 +218,10 @@ func (d *Disk) WriteBlocks(start int64, blocks [][]byte) error {
 	return d.command(cmdWrite, start, blocks, false)
 }
 
-// WriteBlocksDeferred is WritePagesDeferred keeping the buffers, as
-// WriteBlocks does.
+// WriteBlocksDeferred stores blocks like WriteBlocks but charges no time
+// to the calling context: the transfer is performed "later" by the
+// syncer / buffer-cache flush, whose background time the simulation does
+// not model. Deferred writes are counted separately in the stats.
 func (d *Disk) WriteBlocksDeferred(start int64, blocks [][]byte) error {
 	return d.command(cmdWriteDeferred, start, blocks, false)
 }
@@ -301,18 +279,18 @@ func (d *Disk) transfer(kind cmdKind, start int64, blocks [][]byte) (int, error)
 	k, err := d.admit(start, len(blocks), kind != cmdRead)
 	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
 		// Dead controller: the command never reaches the medium.
-		d.ctrErrors.Inc()
+		d.stats.DiskErrors.Inc()
 		return 0, err
 	}
 	switch kind {
 	case cmdRead:
 		d.charge(start, k)
-		d.ctrReads.Inc()
-		d.ctrPagesRead.Add(int64(k))
+		d.stats.DiskReads.Inc()
+		d.stats.DiskPagesRead.Add(int64(k))
 	case cmdWrite:
 		d.charge(start, k)
-		d.ctrWrites.Inc()
-		d.ctrPagesWritten.Add(int64(k))
+		d.stats.DiskWrites.Inc()
+		d.stats.DiskPagesWritten.Add(int64(k))
 	case cmdWriteDeferred:
 		// The device-busy time goes to the disk.deferred_ns ledger
 		// instead of the caller's clock: the command overlaps the caller's
@@ -321,9 +299,9 @@ func (d *Disk) transfer(kind cmdKind, start int64, blocks [][]byte) (int, error)
 		// writeback. The head model is untouched: deferred commands are
 		// reordered by the syncer, so they do not perturb the synchronous
 		// cost sequence.
-		d.ctrWritesDeferred.Inc()
+		d.stats.DiskWritesDeferred.Inc()
 		busy := d.costs.DiskOp + d.costs.DiskSeek + time.Duration(k)*d.costs.DiskPageIO
-		d.ctrDeferredNs.Add(int64(busy))
+		d.stats.DiskDeferredNs.Add(int64(busy))
 	}
 	if kind == cmdRead {
 		copy(blocks[:k], d.blocks[start:])
@@ -331,7 +309,7 @@ func (d *Disk) transfer(kind cmdKind, start int64, blocks [][]byte) (int, error)
 		copy(d.blocks[start:], blocks[:k])
 	}
 	if err != nil {
-		d.ctrErrors.Inc()
+		d.stats.DiskErrors.Inc()
 	}
 	return k, err
 }
@@ -356,7 +334,7 @@ func (d *Disk) charge(start int64, n int) {
 	d.clock.Advance(d.costs.DiskOp)
 	if d.head != start {
 		d.clock.Advance(d.costs.DiskSeek)
-		d.ctrSeeks.Inc()
+		d.stats.DiskSeeks.Inc()
 	}
 	d.clock.ChargeN(n, d.costs.DiskPageIO)
 	d.head = start + int64(n)

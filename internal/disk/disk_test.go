@@ -226,7 +226,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestDeferredTransfersChargeNoTime(t *testing.T) {
 	d, clock, stats := newTestDisk(16)
 	want := page(0x3c)
-	if err := d.WritePagesDeferred(5, [][]byte{want}); err != nil {
+	if err := d.WriteBlocksDeferred(5, [][]byte{want}); err != nil {
 		t.Fatal(err)
 	}
 	if clock.Now() != 0 {
@@ -243,13 +243,13 @@ func TestDeferredTransfersChargeNoTime(t *testing.T) {
 		t.Fatal("deferred counter not maintained")
 	}
 	// Range and size validation still applies.
-	if err := d.WritePagesDeferred(16, [][]byte{want}); !errors.Is(err, ErrOutOfRange) {
+	if err := d.WriteBlocksDeferred(16, [][]byte{want}); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("deferred write past end: %v", err)
 	}
-	if err := d.WritePagesDeferred(-1, [][]byte{want}); !errors.Is(err, ErrOutOfRange) {
+	if err := d.WriteBlocksDeferred(-1, [][]byte{want}); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("deferred write before start: %v", err)
 	}
-	if err := d.WritePagesDeferred(0, [][]byte{make([]byte, 7)}); err == nil {
+	if err := d.WriteBlocksDeferred(0, [][]byte{make([]byte, 7)}); err == nil {
 		t.Fatal("short buffer accepted")
 	}
 }
@@ -258,7 +258,7 @@ func TestDeferredFailureInjection(t *testing.T) {
 	d, _, _ := newTestDisk(8)
 	boom := errors.New("deferred media error")
 	d.FailWrite = func(int64) error { return boom }
-	if err := d.WritePagesDeferred(0, [][]byte{page(0)}); !errors.Is(err, boom) {
+	if err := d.WriteBlocksDeferred(0, [][]byte{page(0)}); !errors.Is(err, boom) {
 		t.Fatalf("deferred write error not surfaced: %v", err)
 	}
 }

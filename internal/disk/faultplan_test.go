@@ -200,7 +200,7 @@ func TestDeviceDeath(t *testing.T) {
 	}
 	before := clock.Now()
 	for i := 0; i < 3; i++ {
-		if err := d.WritePagesDeferred(0, pages(1, 1)); !errors.Is(err, ErrDeviceDead) {
+		if err := d.WriteBlocksDeferred(0, pages(1, 1)); !errors.Is(err, ErrDeviceDead) {
 			t.Fatalf("dead device accepted a command: %v", err)
 		}
 	}

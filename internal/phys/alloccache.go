@@ -115,10 +115,10 @@ func cpuSlot(n int) int {
 // it had to wait — in the phys.alloc.* stats.
 func (m *Mem) lockCache(c *allocCache) {
 	if !c.mu.TryLock() {
-		m.ctrAllocContended.Inc()
+		m.stats.AllocContended.Inc()
 		c.mu.Lock()
 	}
-	m.ctrAllocAcquires.Inc()
+	m.stats.AllocAcquires.Inc()
 }
 
 // lockShardAlloc acquires a queue shard on the allocation path with the
@@ -126,10 +126,10 @@ func (m *Mem) lockCache(c *allocCache) {
 // bookkeeping, not allocator traffic, and is deliberately not counted.)
 func (m *Mem) lockShardAlloc(sh *memShard) {
 	if !sh.mu.TryLock() {
-		m.ctrAllocContended.Inc()
+		m.stats.AllocContended.Inc()
 		sh.mu.Lock()
 	}
-	m.ctrAllocAcquires.Inc()
+	m.stats.AllocAcquires.Inc()
 }
 
 // AllocCPU is Alloc pinned to the magazine of a specific CPU slot (the
@@ -147,7 +147,7 @@ func (m *Mem) AllocCPU(cpu int, owner any, off param.PageOff, zero bool) (*Page,
 		if n := len(c.pages); n > 0 {
 			p = c.pages[n-1]
 			c.pages = c.pages[:n-1]
-			m.ctrAllocHits.Inc()
+			m.stats.AllocHits.Inc()
 			c.mu.Unlock()
 			break
 		}
@@ -195,7 +195,7 @@ func (m *Mem) refillLocked(c *allocCache) int {
 		sh.mu.Unlock()
 	}
 	if got > 0 {
-		m.ctrAllocRefills.Inc()
+		m.stats.AllocRefills.Inc()
 	}
 	return got
 }
@@ -223,7 +223,7 @@ func (m *Mem) stealLocked(c *allocCache) int {
 		sib.mu.Unlock()
 	}
 	if got > 0 {
-		m.ctrAllocSteals.Inc()
+		m.stats.AllocSteals.Inc()
 	}
 	return got
 }
@@ -267,7 +267,7 @@ func (m *Mem) drainLocked(c *allocCache, n int) {
 	victims := make([]*Page, n)
 	copy(victims, c.pages[:n])
 	c.pages = append(c.pages[:0], c.pages[n:]...)
-	m.ctrAllocDrains.Inc()
+	m.stats.AllocDrains.Inc()
 	for sh := 0; sh < NumShards; sh++ {
 		locked := false
 		for _, p := range victims {
@@ -304,7 +304,7 @@ func (m *Mem) ReapCaches() int {
 		c.mu.Unlock()
 	}
 	if moved > 0 {
-		m.ctrAllocReaps.Inc()
+		m.stats.AllocReaps.Inc()
 	}
 	return moved
 }

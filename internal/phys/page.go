@@ -371,19 +371,6 @@ type Mem struct {
 	allocBatch int
 	allocGate  func()
 
-	// Cached stat handles for the allocation path (phys.alloc.*) and the
-	// per-page data operations: hot enough that the name lookup per bump
-	// would show up.
-	ctrAllocAcquires  sim.Counter
-	ctrAllocContended sim.Counter
-	ctrAllocHits      sim.Counter
-	ctrAllocRefills   sim.Counter
-	ctrAllocDrains    sim.Counter
-	ctrAllocSteals    sim.Counter
-	ctrAllocReaps     sim.Counter
-	ctrZeroed         sim.Counter
-	ctrCopied         sim.Counter
-
 	_           sim.CacheLinePad
 	seqCtr      atomic.Uint64 // global LRU stamp source
 	_           sim.CacheLinePad
@@ -400,15 +387,6 @@ func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *M
 		panic("phys: non-positive memory size")
 	}
 	m := &Mem{clock: clock, costs: costs, stats: stats, total: npages}
-	m.ctrAllocAcquires = stats.Counter(sim.CtrAllocAcquires)
-	m.ctrAllocContended = stats.Counter(sim.CtrAllocContended)
-	m.ctrAllocHits = stats.Counter(sim.CtrAllocHits)
-	m.ctrAllocRefills = stats.Counter(sim.CtrAllocRefills)
-	m.ctrAllocDrains = stats.Counter(sim.CtrAllocDrains)
-	m.ctrAllocSteals = stats.Counter(sim.CtrAllocSteals)
-	m.ctrAllocReaps = stats.Counter(sim.CtrAllocReaps)
-	m.ctrZeroed = stats.Counter(sim.CtrPagesZeroed)
-	m.ctrCopied = stats.Counter(sim.CtrPagesCopied)
 	m.frames = make([]Page, npages)
 	for i := range m.frames {
 		p := &m.frames[i]
@@ -580,7 +558,7 @@ func (m *Mem) freePrep(p *Page) {
 // shares the zero page until its first store.
 func (m *Mem) Zero(p *Page) {
 	m.clock.Advance(m.costs.PageZero)
-	m.ctrZeroed.Inc()
+	m.stats.PagesZeroed.Inc()
 	p.data = zeroPage
 }
 
@@ -589,7 +567,7 @@ func (m *Mem) Zero(p *Page) {
 // may still store into, is copied into dst's own.
 func (m *Mem) CopyData(dst, src *Page) {
 	m.clock.Advance(m.costs.PageCopy)
-	m.ctrCopied.Inc()
+	m.stats.PagesCopied.Inc()
 	dst.data = src.data
 	if src.ownsData() {
 		dst.Writable()

@@ -242,15 +242,6 @@ type MMU struct {
 	shards  int
 	_       sim.CacheLinePad // keeps shards, read by every lookup, off buckets[0]'s line
 	buckets [pvShards]pvBucket
-
-	// Cached counter cells: the fault path bumps these on every bucket
-	// acquisition, so the name lookup is paid once here.
-	ctrAcquires     sim.Counter
-	ctrContended    sim.Counter
-	ctrBatches      sim.Counter
-	ctrBatchPages   sim.Counter
-	ctrRmBatches    sim.Counter
-	ctrRmBatchPages sim.Counter
 }
 
 // NewMMU creates the MMU of a machine whose physical memory is mem. It
@@ -260,17 +251,11 @@ func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, mem *phys.Mem)
 		panic(fmt.Sprintf("pmap: %d frames, a 32-bit PTE names %d", mem.TotalPages(), maxFrames))
 	}
 	m := &MMU{
-		clock:           clock,
-		costs:           costs,
-		stats:           stats,
-		mem:             mem,
-		shards:          pvShards,
-		ctrAcquires:     stats.Counter(sim.CtrPVAcquires),
-		ctrContended:    stats.Counter(sim.CtrPVContended),
-		ctrBatches:      stats.Counter(sim.CtrPVBatches),
-		ctrBatchPages:   stats.Counter(sim.CtrPVBatchPages),
-		ctrRmBatches:    stats.Counter(sim.CtrPVBatchRemoves),
-		ctrRmBatchPages: stats.Counter(sim.CtrPVBatchRemovePages),
+		clock:  clock,
+		costs:  costs,
+		stats:  stats,
+		mem:    mem,
+		shards: pvShards,
 	}
 	return m
 }
@@ -330,10 +315,10 @@ func (m *MMU) decode(w uint32) (PTE, bool) {
 // wait, in the pmap.pv.* stats.
 func (m *MMU) lockBucket(b *pvBucket) {
 	if !b.mu.TryLock() {
-		m.ctrContended.Inc()
+		m.stats.PVContended.Inc()
 		b.mu.Lock()
 	}
-	m.ctrAcquires.Inc()
+	m.stats.PVAcquires.Inc()
 }
 
 // Pmap is the translation state for one address space.
@@ -492,8 +477,8 @@ func (p *Pmap) EnterBatch(entries []BatchEntry) {
 		mustMap(be.VA, "EnterBatch")
 	}
 	p.mmu.clock.ChargeN(len(entries), p.mmu.costs.PmapEnter)
-	p.mmu.ctrBatches.Inc()
-	p.mmu.ctrBatchPages.Add(int64(len(entries)))
+	p.mmu.stats.PVBatches.Inc()
+	p.mmu.stats.PVBatchPages.Add(int64(len(entries)))
 
 	var buf [pvBatch]pvOp
 	ops := buf[:0]
@@ -533,8 +518,8 @@ func (p *Pmap) RemoveBatch(start, end param.VAddr) {
 	}
 
 	p.mmu.clock.ChargeN(len(ops), p.mmu.costs.PmapRemove)
-	p.mmu.ctrRmBatches.Inc()
-	p.mmu.ctrRmBatchPages.Add(int64(len(ops)))
+	p.mmu.stats.PVBatchRemoves.Inc()
+	p.mmu.stats.PVBatchRemovePages.Add(int64(len(ops)))
 }
 
 // walkLocked calls fn on every valid PTE in [start, end) — start

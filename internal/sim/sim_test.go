@@ -112,21 +112,35 @@ func TestDefaultCostsSanity(t *testing.T) {
 
 func TestStatsBasics(t *testing.T) {
 	s := NewStats()
-	s.Inc("a")
+	s.Add("a", 1)
 	s.Add("a", 2)
 	s.Add("b", -1)
 	if s.Get("a") != 3 || s.Get("b") != -1 || s.Get("missing") != 0 {
 		t.Fatalf("counter values wrong: a=%d b=%d", s.Get("a"), s.Get("b"))
 	}
 	snap := s.Snapshot()
-	s.Inc("a")
+	s.Add("a", 1)
 	if snap["a"] != 3 {
 		t.Fatalf("snapshot must be a copy")
 	}
-	s.Max("hw", 10)
-	s.Max("hw", 5)
+	s.Counter("hw").Max(10)
+	s.Counter("hw").Max(5)
 	if s.Get("hw") != 10 {
 		t.Fatalf("Max high-water mark wrong: %d", s.Get("hw"))
+	}
+	// A declared name is its field: bumping one moves the other.
+	s.Faults.Inc()
+	s.Add(CtrFaults, 2)
+	if s.Get(CtrFaults) != 3 || s.Counter(CtrFaults) != &s.Faults {
+		t.Fatalf("%s does not resolve to Stats.Faults: %d", CtrFaults, s.Get(CtrFaults))
+	}
+	// Counters that read 0 are left out of a snapshot.
+	s.Add("b", 1)
+	if _, ok := s.Snapshot()["b"]; ok {
+		t.Fatal("snapshot holds a counter that reads 0")
+	}
+	if _, ok := s.Snapshot()[CtrPageOuts]; ok {
+		t.Fatal("snapshot holds an untouched declared counter")
 	}
 }
 
@@ -161,13 +175,14 @@ func TestStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				s.Inc("n")
+				s.Faults.Inc()
+				s.Add("n", 1)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := s.Get("n"); got != 8000 {
-		t.Fatalf("lost updates: %d", got)
+	if got, field := s.Get("n"), s.Faults.Load(); got != 8000 || field != 8000 {
+		t.Fatalf("lost updates: %d by name, %d by field", got, field)
 	}
 }
 
@@ -239,7 +254,7 @@ func mustPanic(t *testing.T, f func()) {
 // Go's tiny allocator cannot pack two of them, or one of them and
 // anything else, into one line.
 func TestHotWordsOnOwnCacheLines(t *testing.T) {
-	if size := unsafe.Sizeof(cell{}); size%64 != 0 {
+	if size := unsafe.Sizeof(Cell{}); size%64 != 0 {
 		t.Errorf("counter cell is %d bytes, want a multiple of 64", size)
 	}
 	if size := unsafe.Sizeof(Clock{}); size < 64 {

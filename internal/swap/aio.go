@@ -20,7 +20,7 @@ func (s *Swap) SetAIOWindow(n int) { s.writer.SetWindow(n) }
 // the disk. The buffers are handed over as the slots' blocks
 // (disk.AsyncWriter.Submit): the caller must never write them again.
 func (s *Swap) WriteClusterAsync(start int64, bufs [][]byte, done func(error)) {
-	s.ctrAIOWrites.Inc()
-	s.ctrAIOPages.Add(int64(len(bufs)))
+	s.stats.SwapAIOWrites.Inc()
+	s.stats.SwapAIOPages.Add(int64(len(bufs)))
 	s.writer.Submit(start, bufs, done)
 }

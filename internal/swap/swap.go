@@ -162,12 +162,7 @@ type Swap struct {
 	// writer is the bounded-window asynchronous write engine (aio.go).
 	writer *disk.AsyncWriter
 
-	// Cached handles for the per-allocation live-slot gauge and the
-	// per-command I/O count, resolved once at construction.
-	ctrSlotsLive sim.Counter
-	ctrIOs       sim.Counter
-	ctrAIOWrites sim.Counter
-	ctrAIOPages  sim.Counter
+	stats *sim.Stats
 
 	nInUse atomic.Int64 // lock-free in-use count across all shards
 }
@@ -175,12 +170,8 @@ type Swap struct {
 // New creates a swap subsystem whose slots are the blocks of dev.
 func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk) *Swap {
 	size := dev.Blocks()
-	s := &Swap{clock: clock, costs: costs, dev: dev,
+	s := &Swap{clock: clock, costs: costs, stats: stats, dev: dev,
 		writer: disk.NewAsyncWriter(dev, 0)}
-	s.ctrSlotsLive = stats.Counter(sim.CtrSwapSlotsLive)
-	s.ctrIOs = stats.Counter(sim.CtrSwapIOs)
-	s.ctrAIOWrites = stats.Counter(sim.CtrSwapAIOWrites)
-	s.ctrAIOPages = stats.Counter(sim.CtrSwapAIOPages)
 	k := shardCount(size)
 	s.shardSize = size / int64(k)
 	for i := 0; i < k; i++ {
@@ -241,7 +232,7 @@ func (s *Swap) AllocContig(n int) (int64, error) {
 	for i := 0; i < k; i++ {
 		if slot, ok := s.shards[(first+i)%k].alloc(int64(n)); ok {
 			s.nInUse.Add(int64(n))
-			s.ctrSlotsLive.Add(int64(n))
+			s.stats.SwapSlotsLive.Add(int64(n))
 			return slot, nil
 		}
 	}
@@ -270,12 +261,12 @@ func (s *Swap) FreeRange(slot int64, n int) {
 		left -= run
 	}
 	s.nInUse.Add(-int64(n))
-	s.ctrSlotsLive.Add(-int64(n))
+	s.stats.SwapSlotsLive.Add(-int64(n))
 }
 
 // ReadSlot pages a single slot into buf.
 func (s *Swap) ReadSlot(slot int64, buf []byte) error {
-	s.ctrIOs.Inc()
+	s.stats.SwapIOs.Inc()
 	return s.dev.ReadPages(slot, [][]byte{buf})
 }
 
@@ -283,21 +274,21 @@ func (s *Swap) ReadSlot(slot int64, buf []byte) error {
 // a single I/O operation, sharing their blocks (disk.Disk.ReadBlocks):
 // the read of a pagein, clustered or not.
 func (s *Swap) ReadBlocks(start int64, blocks [][]byte) error {
-	s.ctrIOs.Inc()
+	s.stats.SwapIOs.Inc()
 	return s.dev.ReadBlocks(start, blocks)
 }
 
 // WriteCluster pages a contiguous cluster out with a single I/O
 // operation, copying bufs.
 func (s *Swap) WriteCluster(start int64, bufs [][]byte) error {
-	s.ctrIOs.Inc()
+	s.stats.SwapIOs.Inc()
 	return s.dev.WritePages(start, bufs)
 }
 
 // WriteBlocks is WriteCluster keeping the buffers as the slots' blocks
 // (disk.Disk.WriteBlocks): the write of a pageout.
 func (s *Swap) WriteBlocks(start int64, blocks [][]byte) error {
-	s.ctrIOs.Inc()
+	s.stats.SwapIOs.Inc()
 	return s.dev.WriteBlocks(start, blocks)
 }
 

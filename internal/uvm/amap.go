@@ -68,8 +68,8 @@ func (a *anon) String() string {
 // newAnon allocates the anon that is to fill slot of am.
 func (s *System) newAnon(am *amap, slot int) *anon {
 	s.mach.Clock.Advance(s.mach.Costs.AnonAlloc)
-	s.ctrAnonAlloc.Inc()
-	s.ctrAnonLive.Inc()
+	s.mach.Stats.AnonAlloc.Inc()
+	s.mach.Stats.AnonLive.Inc()
 	a := &anon{refs: 1, swslot: swap.NoSlot, layout: newLayoutKey(am.id, slot)}
 	a.Name(a)
 	return a
@@ -108,7 +108,7 @@ func (s *System) anonUnref(a *anon) {
 		s.mach.Swap.Free(slot)
 	}
 	s.mach.Clock.Advance(s.mach.Costs.AnonFree)
-	s.ctrAnonLive.Add(-1)
+	s.mach.Stats.AnonLive.Add(-1)
 }
 
 // dropAnonPage releases dying anon a's reference to pg and frees the
@@ -186,8 +186,8 @@ func (s *System) newAmap(home uint8, nslots int) *amap {
 	s.mach.Clock.Advance(s.mach.Costs.AmapAlloc)
 	// The array pays per-slot initialisation up front.
 	s.mach.Clock.ChargeN(nslots, s.mach.Costs.AmapPerSlot)
-	s.ctrAmapAlloc.Inc()
-	s.ctrAmapLive.Inc()
+	s.mach.Stats.AmapAlloc.Inc()
+	s.mach.Stats.AmapLive.Inc()
 	return &amap{anons: make([]*anon, nslots), refs: 1, id: s.layoutIDs.Add(1), home: home}
 }
 
@@ -223,7 +223,7 @@ func (s *System) amapUnref(am *amap) {
 		return true
 	})
 	am.mu.Unlock()
-	s.ctrAmapLive.Add(-1)
+	s.mach.Stats.AmapLive.Add(-1)
 }
 
 // amapCopy clears an entry's needs-copy flag (§5.2, Figure 3):

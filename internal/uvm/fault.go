@@ -34,12 +34,12 @@ import (
 // lock is released (the copyin/copyout tail, see Process.access).
 func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*phys.Page)) error {
 	s.mach.Clock.Advance(s.mach.Costs.FaultTrap)
-	s.ctrFaults.Inc()
+	s.mach.Stats.Faults.Inc()
 	write := access.Allows(param.ProtWrite)
 	if write {
-		s.ctrFaultsWrite.Inc()
+		s.mach.Stats.FaultsWrite.Inc()
 	} else {
-		s.ctrFaultsRead.Inc()
+		s.mach.Stats.FaultsRead.Inc()
 	}
 
 	m := p.m
@@ -68,7 +68,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot, use func(*
 	// which allocates its shadow object even on read faults).
 	if (write && e.needsCopy) || (e.amap == nil && e.obj == nil) {
 		m.runlock()
-		m.lockNoCharge()
+		m.mu.Lock() // the read lock charged the acquisition
 		wlocked = true
 		e = m.LookupQuiet(va)
 		if e == nil || !e.prot.Allows(access) {
@@ -304,7 +304,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	s.anonUnref(a)
 	na.mu.Lock() // hold the fresh anon across the pmap entry
 	am.mu.Unlock()
-	s.ctrCowCopies.Inc()
+	s.mach.Stats.CowCopies.Inc()
 	return np, e.prot, &na.mu, nil
 }
 
@@ -447,7 +447,7 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 				s.mach.Mem.Activate(be.Page)
 			}
 		}
-		s.ctrLookaheadMapped.Add(int64(len(batch)))
+		s.mach.Stats.LookaheadMapped.Add(int64(len(batch)))
 	}
 	for _, a := range lockedAnons {
 		a.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"uvm/internal/disk"
 	"uvm/internal/param"
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 	"uvm/internal/swap"
 	"uvm/internal/vfs"
 )
@@ -104,11 +103,11 @@ func (fl *flight) run(pages []*phys.Page, vn *vfs.Vnode, start int64) {
 		fl.runDone(pages, vn == nil, err)
 	}
 	if vn != nil || !fl.evict {
-		s.ctrObjWbClusters.Inc()
-		s.ctrObjWbPages.Add(int64(len(pages)))
+		s.mach.Stats.ObjWbClusters.Inc()
+		s.mach.Stats.ObjWbPages.Add(int64(len(pages)))
 	} else {
-		s.ctrPdAsyncClusters.Inc()
-		s.ctrPdAsyncPages.Add(int64(len(pages)))
+		s.mach.Stats.PdAsyncClusters.Inc()
+		s.mach.Stats.PdAsyncPages.Add(int64(len(pages)))
 	}
 	// The I/O goroutine holds the async run's blocks: they live on the heap.
 	blocks := frozen(make([][]byte, 0, len(pages)), pages)
@@ -276,13 +275,13 @@ func (fl *flight) runDone(pages []*phys.Page, toSwap bool, err error) {
 	switch {
 	case err == nil:
 		if pdRun && len(pages) > 1 {
-			s.mach.Stats.Inc(sim.CtrPdClusters)
+			s.mach.Stats.PdClusters.Inc()
 		}
 	case !fl.async:
 	case pdRun:
-		s.mach.Stats.Inc(sim.CtrPdAsyncErrors)
+		s.mach.Stats.PdAsyncErrors.Inc()
 	default:
-		s.mach.Stats.Inc(sim.CtrObjWbErrors)
+		s.mach.Stats.ObjWbErrors.Inc()
 	}
 	s.flMu.Lock()
 	if err != nil {
@@ -319,7 +318,7 @@ func (fl *flight) runDone(pages []*phys.Page, toSwap bool, err error) {
 			s.mach.Mem.Activate(pg) // a later round retries
 		}
 	}
-	s.ctrPageOuts.Add(int64(len(fl.ok)))
+	s.mach.Stats.PageOuts.Add(int64(len(fl.ok)))
 	fl.owners.releaseAll()
 	s.flMu.Lock()
 	fl.done = true
@@ -373,7 +372,7 @@ func (s *System) evictPage(pg *phys.Page, owner any) {
 		o.pages.Delete(pageIdx(pg))
 	}
 	s.mach.Mem.Free(pg)
-	s.ctrPdFreed.Inc()
+	s.mach.Stats.PdFreed.Inc()
 }
 
 func pageIdx(pg *phys.Page) int { return param.OffToPage(pg.Off()) }
@@ -415,7 +414,7 @@ func (s *System) setSlot(pg *phys.Page, slot int64) {
 func (s *System) reassignSlot(pg *phys.Page, slot int64) {
 	if old := s.currentSlot(pg); old != swap.NoSlot {
 		s.mach.Swap.Free(old)
-		s.mach.Stats.Inc(sim.CtrPdReassigned)
+		s.mach.Stats.PdReassigned.Inc()
 	}
 	s.setSlot(pg, slot)
 }

@@ -3,7 +3,6 @@ package uvm
 import (
 	"uvm/internal/param"
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 )
 
@@ -51,7 +50,7 @@ func (p *Process) Loanout(addr param.VAddr, npages int) ([]*phys.Page, error) {
 			return nil, err
 		}
 	}
-	s.mach.Stats.Add(sim.CtrLoanouts, int64(len(pages)))
+	s.mach.Stats.Loanouts.Add(int64(len(pages)))
 	return pages, nil
 }
 
@@ -112,7 +111,7 @@ func (s *System) breakObjLoan(o *uobject, idx int, pg *phys.Page) (*phys.Page, b
 	}
 	o.pages.Set(idx, np)
 	s.mach.Mem.Activate(np)
-	s.mach.Stats.Inc("uvm.loan.broken")
+	s.mach.Stats.LoanBroken.Inc()
 	return np, false, nil
 }
 

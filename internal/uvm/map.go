@@ -2,7 +2,6 @@ package uvm
 
 import (
 	"sync"
-	"time"
 
 	"uvm/internal/param"
 	"uvm/internal/phys"
@@ -87,8 +86,6 @@ type vmMap struct {
 
 	pmap *pmap.Pmap
 	home uint8 // phys queue shard the anonymous frames of this address space come from
-
-	lockedAt time.Duration // write-lock hold tracking (stats)
 }
 
 // newMap creates a map whose home is the next phys queue shard in turn, so
@@ -109,22 +106,9 @@ func (s *System) newMap(name string, min, max param.VAddr, kernel bool) *vmMap {
 func (m *vmMap) lock() {
 	m.sys.mach.Clock.Advance(m.sys.mach.Costs.LockAcquire)
 	m.mu.Lock()
-	m.lockedAt = m.sys.mach.Clock.Now()
 }
 
-// lockNoCharge is the read->write upgrade path of the fault handler: the
-// acquisition cost was already charged when the read lock was taken.
-func (m *vmMap) lockNoCharge() {
-	m.mu.Lock()
-	m.lockedAt = m.sys.mach.Clock.Now()
-}
-
-func (m *vmMap) unlock() {
-	held := m.sys.mach.Clock.Since(m.lockedAt)
-	m.sys.ctrMapLockHeld.Add(int64(held))
-	m.sys.ctrMapLockHeldMax.Max(int64(held))
-	m.mu.Unlock()
-}
+func (m *vmMap) unlock() { m.mu.Unlock() }
 
 // rlock takes the map shared (the fault path), charging the same
 // acquisition cost as an exclusive lock so simulated times do not depend
@@ -143,8 +127,8 @@ func (s *System) allocEntry(m *vmMap) *entry {
 		}
 	}
 	s.mach.Clock.Advance(s.mach.Costs.MapEntryAlloc)
-	s.ctrEntryAlloc.Inc()
-	s.ctrEntryLive.Inc()
+	s.mach.Stats.EntryAlloc.Inc()
+	s.mach.Stats.EntryLive.Inc()
 	return &entry{inherit: param.InheritCopy, advice: param.AdviceNormal}
 }
 
@@ -153,7 +137,7 @@ func (s *System) freeEntry(m *vmMap, e *entry) {
 		s.kentryUse.Add(-1)
 	}
 	s.mach.Clock.Advance(s.mach.Costs.MapEntryFree)
-	s.ctrEntryLive.Add(-1)
+	s.mach.Stats.EntryLive.Add(-1)
 }
 
 // insertOrMerge inserts e, first trying to coalesce it into a compatible
@@ -164,7 +148,7 @@ func (m *vmMap) insertOrMerge(e *entry) *entry {
 	if prev := m.LookupQuiet(e.Start - 1); prev != nil && m.canMerge(prev, e) {
 		prev.End = e.End
 		m.sys.freeEntry(m, e)
-		m.sys.mach.Stats.Inc("uvm.map.merges")
+		m.sys.mach.Stats.MapMerges.Inc()
 		return prev
 	}
 	m.Insert(e)

@@ -132,7 +132,7 @@ func (p *Process) Export(addr param.VAddr, length param.VSize, mode CopyMode) (*
 	for _, e := range donated {
 		s.freeEntry(m, e)
 	}
-	s.mach.Stats.Inc("uvm.mep.exports")
+	s.mach.Stats.MepExports.Inc()
 	return tok, nil
 }
 
@@ -176,7 +176,7 @@ func (p *Process) Import(tok *MapToken) (param.VAddr, error) {
 	m.unlock()
 	tok.used = true
 	tok.pieces = nil
-	s.mach.Stats.Inc("uvm.mep.imports")
+	s.mach.Stats.MepImports.Inc()
 	return base, nil
 }
 

@@ -108,7 +108,7 @@ func (s *System) vnodeObject(vn *vfs.Vnode) *uobject {
 	// The recycle hook: when the vnode layer recycles this vnode, UVM
 	// terminates the embedded object (§4 — the single-cache design).
 	vn.SetVMObj(o, func(v *vfs.Vnode) { s.vnodeRecycled(o) })
-	s.mach.Stats.Inc("uvm.uobj.vnode.created")
+	s.mach.Stats.VnodeObjCreated.Inc()
 	return o
 }
 
@@ -162,7 +162,7 @@ func (s *System) vnodeRecycled(o *uobject) {
 		s.freeObjectPage(o, idx, pg)
 	}
 	o.mu.Unlock()
-	s.mach.Stats.Inc("uvm.uobj.vnode.recycled")
+	s.mach.Stats.VnodeObjRecycled.Inc()
 }
 
 // freeObjectPage drops o's reference to its resident page idx and frees
@@ -245,7 +245,7 @@ func (ap *aobjPager) name() string { return "aobj" }
 // newAObj creates an anonymous uvm_object of n pages.
 func (s *System) newAObj(n int) *uobject {
 	s.mach.Clock.Advance(s.mach.Costs.ObjectAlloc)
-	s.mach.Stats.Inc("uvm.uobj.aobj.created")
+	s.mach.Stats.AobjCreated.Inc()
 	o := &uobject{
 		ops:    &aobjPager{sys: s},
 		refs:   1,
@@ -277,7 +277,7 @@ func (ap *aobjPager) detach(o *uobject) {
 		ap.sys.mach.Swap.Free(slot)
 	}
 	o.aobjSlots = pageidx.Index[int64]{}
-	ap.sys.mach.Stats.Inc("uvm.uobj.aobj.destroyed")
+	ap.sys.mach.Stats.AobjDestroyed.Inc()
 }
 
 // --- device pager ---
@@ -309,7 +309,7 @@ func (s *System) newDeviceObject(n int, fill func(idx int, buf []byte)) (*uobjec
 		}
 		dp.frames = append(dp.frames, pg)
 	}
-	s.mach.Stats.Inc("uvm.uobj.dev.created")
+	s.mach.Stats.DevObjCreated.Inc()
 	return o, nil
 }
 

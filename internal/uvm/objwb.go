@@ -3,7 +3,6 @@ package uvm
 import (
 	"uvm/internal/param"
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 )
 
 // Object writeback: the paths that clean dirty uobject pages without
@@ -50,7 +49,7 @@ const maxPageIdx = int(^uint(0) >> 1)
 // always mid-writeback-flush, so the flush completion's broadcast is
 // guaranteed to arrive.
 func (s *System) waitObjPageIdle(o *uobject, pg *phys.Page) {
-	s.mach.Stats.Inc(sim.CtrObjWbWaits)
+	s.mach.Stats.ObjWbWaits.Inc()
 	s.flMu.Lock()
 	gen := s.flGen
 	o.mu.Unlock()

@@ -2,7 +2,6 @@ package uvm
 
 import (
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 )
 
 // Pageins: every read of a page from backing store — the paper's pager
@@ -145,17 +144,17 @@ func (s *System) finishRun(r pagein, err error) error {
 		return err
 	}
 	n := int64(len(r.pages))
-	s.ctrPageIns.Add(n)
+	s.mach.Stats.PageIns.Add(n)
 	switch {
 	case r.o == nil:
-		s.ctrAnonPageIns.Add(n)
+		s.mach.Stats.AnonPageIns.Add(n)
 		if n > 1 {
-			s.ctrPageinClusters.Inc()
-			s.ctrPageinClustered.Add(n - 1)
+			s.mach.Stats.PageinClusters.Inc()
+			s.mach.Stats.PageinClustered.Add(n - 1)
 		}
 	case r.o.vnode == nil && n > 1:
-		s.mach.Stats.Inc(sim.CtrAobjPageinClusters)
-		s.mach.Stats.Add(sim.CtrAobjPageinClustered, n-1)
+		s.mach.Stats.AobjPageinClusters.Inc()
+		s.mach.Stats.AobjPageinClustered.Add(n - 1)
 	}
 	return nil
 }

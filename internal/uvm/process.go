@@ -359,7 +359,7 @@ func (p *Process) Fork(name string) (vmapi.Process, error) {
 	}
 	cm.unlock()
 	pm.unlock()
-	s.mach.Stats.Inc("uvm.forks")
+	s.mach.Stats.Forks.Inc()
 	return child, nil
 }
 
@@ -381,7 +381,7 @@ func (p *Process) Vfork(name string) (vmapi.Process, error) {
 	child.pm = p.pm
 	child.vforked = true
 	s.addProc(child)
-	s.mach.Stats.Inc("uvm.vforks")
+	s.mach.Stats.VForks.Inc()
 	return child, nil
 }
 

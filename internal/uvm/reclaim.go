@@ -5,7 +5,6 @@ import (
 
 	"uvm/internal/param"
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 )
 
@@ -73,7 +72,7 @@ func (s *System) allocPage(home int, owner any, off param.PageOff, zero bool) (*
 func (s *System) takeReclaim() (async, ok bool) {
 	s.flMu.Lock()
 	if s.reclaiming {
-		s.mach.Stats.Inc(sim.CtrPdBlocked)
+		s.mach.Stats.PdBlocked.Inc()
 		// How long (simulated) this allocator was stalled: the clock
 		// advances on the pass's work while it sleeps.
 		start := s.mach.Clock.Now()
@@ -81,7 +80,7 @@ func (s *System) takeReclaim() (async, ok bool) {
 			s.flCond.Wait()
 		}
 		s.flMu.Unlock()
-		s.mach.Stats.Add(sim.CtrPdWaitNs, int64(s.mach.Clock.Since(start)))
+		s.mach.Stats.PdWaitNs.Add(int64(s.mach.Clock.Since(start)))
 		return false, false
 	}
 	s.reclaiming = true
@@ -97,7 +96,7 @@ func (s *System) takeReclaim() (async, ok bool) {
 // allocator waiting on it.
 func (s *System) reclaimPass(async bool) (freed, submitted int) {
 	freed, submitted = s.reclaimScan(reclaimBatch, async)
-	s.ctrPdRounds.Inc()
+	s.mach.Stats.PdRounds.Inc()
 	s.flMu.Lock()
 	s.reclaiming = false
 	s.reclaimGen++

@@ -70,7 +70,7 @@ func (seg *shmSegment) Attach(pi vmapi.Process, prot param.Prot) (param.VAddr, e
 	e.prot, e.maxProt = prot, param.ProtRWX
 	e.inherit = param.InheritShare
 	m.Insert(e)
-	s.mach.Stats.Inc("uvm.shm.attach")
+	s.mach.Stats.ShmAttach.Inc()
 	return va, nil
 }
 

@@ -187,7 +187,6 @@ import (
 	"sync/atomic"
 
 	"uvm/internal/param"
-	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 )
 
@@ -260,36 +259,6 @@ type System struct {
 	// maps numbers maps in creation order; it deals out their homes.
 	maps atomic.Uint32
 
-	// Cached counter handles for the fault path and the per-page loop
-	// paths, resolved once at boot so they skip the string-keyed Stats
-	// lookup (the counterhandle analyzer enforces this idiom in loops).
-	ctrFaults          sim.Counter
-	ctrFaultsRead      sim.Counter
-	ctrFaultsWrite     sim.Counter
-	ctrAnonAlloc       sim.Counter
-	ctrAnonLive        sim.Counter
-	ctrAmapAlloc       sim.Counter
-	ctrAmapLive        sim.Counter
-	ctrEntryAlloc      sim.Counter
-	ctrEntryLive       sim.Counter
-	ctrLookaheadMapped sim.Counter
-	ctrCowCopies       sim.Counter
-	ctrMapLockHeld     sim.Counter
-	ctrMapLockHeldMax  sim.Counter
-
-	ctrPageIns         sim.Counter
-	ctrAnonPageIns     sim.Counter
-	ctrPageinClusters  sim.Counter
-	ctrPageinClustered sim.Counter
-
-	ctrPageOuts        sim.Counter
-	ctrObjWbClusters   sim.Counter
-	ctrObjWbPages      sim.Counter
-	ctrPdAsyncClusters sim.Counter
-	ctrPdAsyncPages    sim.Counter
-	ctrPdRounds        sim.Counter
-	ctrPdFreed         sim.Counter
-
 	// vnObjMu serialises vnode<->uvm_object identity: the create-or-ref
 	// decision in vnodeObject must be atomic across concurrent mappers
 	// of the same file.
@@ -345,30 +314,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 		cfg:   cfg,
 		procs: make(map[*Process]struct{}),
 	}
-	s.ctrFaults = m.Stats.Counter(sim.CtrFaults)
-	s.ctrFaultsRead = m.Stats.Counter(sim.CtrFaultsRead)
-	s.ctrFaultsWrite = m.Stats.Counter(sim.CtrFaultsWrite)
-	s.ctrAnonAlloc = m.Stats.Counter("uvm.anon.alloc")
-	s.ctrAnonLive = m.Stats.Counter("uvm.anon.live")
-	s.ctrAmapAlloc = m.Stats.Counter("uvm.amap.alloc")
-	s.ctrAmapLive = m.Stats.Counter("uvm.amap.live")
-	s.ctrEntryAlloc = m.Stats.Counter("uvm.mapentry.alloc")
-	s.ctrEntryLive = m.Stats.Counter("uvm.mapentry.live")
-	s.ctrLookaheadMapped = m.Stats.Counter("uvm.lookahead.mapped")
-	s.ctrCowCopies = m.Stats.Counter("uvm.cow.copies")
-	s.ctrMapLockHeld = m.Stats.Counter("uvm.map.lockheld_ns")
-	s.ctrMapLockHeldMax = m.Stats.Counter("uvm.map.lockheld_max_ns")
-	s.ctrPageIns = m.Stats.Counter(sim.CtrPageIns)
-	s.ctrAnonPageIns = m.Stats.Counter("uvm.anon.pagein")
-	s.ctrPageinClusters = m.Stats.Counter(sim.CtrPageinClusters)
-	s.ctrPageinClustered = m.Stats.Counter(sim.CtrPageinClustered)
-	s.ctrPageOuts = m.Stats.Counter(sim.CtrPageOuts)
-	s.ctrObjWbClusters = m.Stats.Counter(sim.CtrObjWbClusters)
-	s.ctrObjWbPages = m.Stats.Counter(sim.CtrObjWbPages)
-	s.ctrPdAsyncClusters = m.Stats.Counter(sim.CtrPdAsyncClusters)
-	s.ctrPdAsyncPages = m.Stats.Counter(sim.CtrPdAsyncPages)
-	s.ctrPdRounds = m.Stats.Counter(sim.CtrPdRounds)
-	s.ctrPdFreed = m.Stats.Counter(sim.CtrPdFreed)
 	s.flCond = sync.NewCond(&s.flMu)
 	s.kmap = s.newMap("kernel", param.KernelBase, param.KernelMax, true)
 
@@ -481,12 +426,12 @@ func (s *System) addProc(p *Process) {
 	s.procMu.Lock()
 	s.procs[p] = struct{}{}
 	s.procMu.Unlock()
-	s.mach.Stats.Inc("uvm.proc.created")
+	s.mach.Stats.ProcCreated.Inc()
 }
 
 func (s *System) dropProc(p *Process) {
 	s.procMu.Lock()
 	delete(s.procs, p)
 	s.procMu.Unlock()
-	s.mach.Stats.Inc("uvm.proc.exited")
+	s.mach.Stats.ProcExited.Inc()
 }

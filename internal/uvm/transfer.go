@@ -3,7 +3,6 @@ package uvm
 import (
 	"uvm/internal/param"
 	"uvm/internal/phys"
-	"uvm/internal/sim"
 	"uvm/internal/vmapi"
 )
 
@@ -72,6 +71,6 @@ func (p *Process) Transfer(pages []*phys.Page, prot param.Prot) (param.VAddr, er
 	}
 	m.Insert(e)
 	m.unlock()
-	s.mach.Stats.Add(sim.CtrTransfers, int64(len(pages)))
+	s.mach.Stats.Transfers.Add(int64(len(pages)))
 	return va, nil
 }

@@ -159,7 +159,7 @@ func (v *Vnode) WritePageAsync(idx int, block []byte) error {
 		return ErrBadOffset
 	}
 	v.fs.clock.Advance(v.fs.costs.PageCopy)
-	v.fs.ctrAsyncWrites.Inc()
+	v.fs.stats.VFSAsyncWrites.Inc()
 	return v.fs.dev.WriteBlocksDeferred(v.f.start+int64(idx), [][]byte{block})
 }
 
@@ -177,8 +177,8 @@ func (v *Vnode) WriteClusterAsync(idx int, bufs [][]byte, done func(error)) erro
 		return ErrBadOffset
 	}
 	v.fs.clock.ChargeN(len(bufs), v.fs.costs.PageCopy)
-	v.fs.ctrAIOWrites.Inc()
-	v.fs.ctrAIOPages.Add(int64(len(bufs)))
+	v.fs.stats.VFSAIOWrites.Inc()
+	v.fs.stats.VFSAIOPages.Add(int64(len(bufs)))
 	v.fs.aw.Submit(v.f.start+int64(idx), bufs, done)
 	return nil
 }
@@ -228,9 +228,6 @@ type FS struct {
 	// aw is the bounded-window asynchronous writer for the filesystem
 	// disk, shared by every vnode's WriteClusterAsync.
 	aw *disk.AsyncWriter
-
-	// Cached handles for the counters every write-back bumps.
-	ctrAsyncWrites, ctrAIOWrites, ctrAIOPages sim.Counter
 }
 
 // NewFS creates a filesystem on dev with an in-core table of maxVnodes
@@ -245,10 +242,6 @@ func NewFS(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk,
 		files:     make(map[string]*file),
 		vnodes:    make(map[string]*Vnode),
 		maxVnodes: maxVnodes,
-
-		ctrAsyncWrites: stats.Counter("vfs.asyncwrites"),
-		ctrAIOWrites:   stats.Counter("vfs.aio.writes"),
-		ctrAIOPages:    stats.Counter("vfs.aio.pages"),
 	}
 }
 
@@ -368,7 +361,7 @@ func (fs *FS) unlinkFreeLocked(v *Vnode) {
 func (fs *FS) recycleLocked(v *Vnode) {
 	fs.unlinkFreeLocked(v)
 	delete(fs.vnodes, v.f.name)
-	fs.stats.Inc("vfs.recycles")
+	fs.stats.VFSRecycles.Inc()
 	if v.OnRecycle != nil {
 		hook := v.OnRecycle
 		v.OnRecycle = nil
